@@ -7,7 +7,9 @@
 //! more interestingly, in the shared model).
 
 use eit_arch::ArchSpec;
-use eit_core::{modulo_schedule_checked, validate_modulo, Backend, ModuloOptions};
+use eit_core::{
+    modulo_cnf_dimacs, modulo_schedule_checked, validate_modulo, Backend, ModuloOptions,
+};
 use eit_ir::Graph;
 use std::time::Duration;
 
@@ -80,5 +82,28 @@ fn race_agrees_with_cp_on_ii_for_all_table_kernels() {
         );
         let v = eit_arch::verify_modulo(&g, &spec, &race.s, race.ii_issue);
         assert!(v.is_empty(), "{name}/race: verifier found {v:?}");
+    }
+}
+
+#[test]
+fn qrd_cnf_is_identical_across_encodings() {
+    // The encoder walks its per-residue tables in ascending order, so one
+    // model gives one clause list, byte for byte, on every run.
+    let spec = ArchSpec::eit();
+    let g = prepared("qrd");
+    let dimacs = || {
+        let (ii, text) = modulo_cnf_dimacs(&g, &spec, &ModuloOptions::default())
+            .expect("qrd encodes")
+            .expect("qrd has an encodable candidate");
+        assert_eq!(ii, 22, "first encodable qrd candidate");
+        text
+    };
+    let first = dimacs();
+    assert!(
+        first.contains("\np cnf 11204 53868\n"),
+        "qrd at II 22 changed size"
+    );
+    for _ in 0..3 {
+        assert!(dimacs() == first, "two encodings of qrd at II 22 differ");
     }
 }

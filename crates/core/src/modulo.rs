@@ -870,19 +870,19 @@ fn modulo_schedule_sat(
     let mut timed_out_any = false;
     let mut probes: Vec<ProbeStat> = Vec::new();
 
+    let cancelled = || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
     for ii in lb..=ub {
-        if t0.elapsed() >= opts.total_timeout {
-            break;
-        }
-        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+        if t0.elapsed() >= opts.total_timeout || cancelled() {
             break;
         }
         let budget = opts
             .timeout_per_ii
             .min(opts.total_timeout.saturating_sub(t0.elapsed()));
         let tp = Instant::now();
-        let enc = match eit_sat::encode_modulo(g, spec, ii) {
-            Ok(Some(enc)) => enc,
+        // The encoder loads its clauses straight into the solver.
+        let mut solver = eit_sat::Solver::new();
+        let decoder = match eit_sat::encode_modulo_into(g, spec, ii, &mut solver) {
+            Ok(Some(decoder)) => decoder,
             Ok(None) => {
                 probes.push(sat_probe_stat(ii, "infeasible", None, tp.elapsed()));
                 continue;
@@ -894,25 +894,25 @@ fn modulo_schedule_sat(
                 })
             }
         };
-        agg.vars += enc.cnf.n_vars as u64;
-        agg.clauses += enc.cnf.clauses.len() as u64;
-        let mut solver = eit_sat::Solver::new();
-        for _ in 0..enc.cnf.n_vars {
-            solver.new_var();
-        }
-        for c in &enc.cnf.clauses {
-            solver.add_clause(c);
+        agg.vars += u64::from(decoder.vars);
+        agg.clauses += decoder.clauses;
+        // A race loser stops here, at the solver's bounded polls, or
+        // once a model turns up.
+        if cancelled() {
+            break;
         }
         let deadline = tp + budget;
-        let cancel = opts.cancel.clone();
-        let mut stop =
-            || Instant::now() >= deadline || cancel.as_ref().is_some_and(|c| c.is_cancelled());
+        let mut stop = || Instant::now() >= deadline || cancelled();
         let out = solver.solve(&mut stop);
         agg.decisions += solver.stats.decisions;
         agg.conflicts += solver.stats.conflicts;
         agg.propagations += solver.stats.propagations;
         agg.restarts += solver.stats.restarts;
         match out {
+            // A model found after cancellation is not decoded or
+            // verified: the caller (a race that CP already won, or an
+            // expired deadline) has stopped waiting for it.
+            eit_sat::SolveOutcome::Sat if cancelled() => break,
             eit_sat::SolveOutcome::Sat => {
                 probes.push(sat_probe_stat(
                     ii,
@@ -920,7 +920,7 @@ fn modulo_schedule_sat(
                     Some(&solver.stats),
                     tp.elapsed(),
                 ));
-                let (t, k, s) = enc.decode(g, spec, &|v| solver.model_value(v));
+                let (t, k, s) = decoder.decode(g, spec, &|v| solver.model_value(v));
                 let violations = eit_arch::verify_modulo(g, spec, &s, ii);
                 if !violations.is_empty() {
                     return Err(ModuloError::BackendDisagreement(format!(
@@ -958,7 +958,7 @@ fn modulo_schedule_sat(
                 ));
             }
             eit_sat::SolveOutcome::Stopped => {
-                let cancelled = opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
+                let cancelled = cancelled();
                 let outcome = if cancelled { "cancelled" } else { "timeout" };
                 timed_out_any |= !cancelled;
                 probes.push(sat_probe_stat(
@@ -1036,13 +1036,11 @@ fn modulo_schedule_race(
         (res, sat, seq)
     };
 
+    // CP runs on the calling thread: one thread start per race, not two.
     let ((cp_res, _, cp_seq), (sat_res, sat_stats, sat_seq)) = std::thread::scope(|scope| {
-        let cp = scope.spawn(|| run(Backend::Cp, cp_token.clone(), sat_token.clone()));
         let sat = scope.spawn(|| run(Backend::Sat, sat_token.clone(), cp_token.clone()));
-        (
-            cp.join().expect("cp racer panicked"),
-            sat.join().expect("sat racer panicked"),
-        )
+        let cp = run(Backend::Cp, cp_token.clone(), sat_token.clone());
+        (cp, sat.join().expect("sat racer panicked"))
     });
 
     // First finisher with a schedule wins; a structured error surfaces
@@ -1537,6 +1535,31 @@ mod tests {
         // SAT counters ride along even when CP wins the race.
         assert!(race.sat.is_some());
         assert!(eit_arch::verify_modulo(&g, &spec, &race.s, race.ii_issue).is_empty());
+    }
+
+    #[test]
+    fn encoding_into_the_solver_matches_loading_the_cnf() {
+        // The sweep's path (clauses straight into the solver) and the
+        // Cnf path (`encode_modulo`, then `from_cnf`) load one clause
+        // list, so the searches are the same step for step.
+        let g = matmul();
+        let spec = eit_arch::ArchSpec::eit();
+        let ii = ii_lower_bound(&g, &spec);
+        let enc = eit_sat::encode_modulo(&g, &spec, ii).unwrap().unwrap();
+        let mut direct = eit_sat::Solver::new();
+        let dec = eit_sat::encode_modulo_into(&g, &spec, ii, &mut direct)
+            .unwrap()
+            .unwrap();
+        assert_eq!(dec.vars, enc.cnf.n_vars);
+        assert_eq!(dec.clauses, enc.cnf.clauses.len() as u64);
+        let mut loaded = eit_sat::Solver::from_cnf(&enc.cnf);
+        let out = direct.solve(&mut || false);
+        assert_eq!(out, loaded.solve(&mut || false));
+        assert_eq!(out, eit_sat::SolveOutcome::Sat);
+        assert_eq!(direct.stats, loaded.stats);
+        let model =
+            |s: &eit_sat::Solver| (0..dec.vars).map(|v| s.model_value(v)).collect::<Vec<_>>();
+        assert_eq!(model(&direct), model(&loaded));
     }
 
     #[test]

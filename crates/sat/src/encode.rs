@@ -24,7 +24,7 @@
 //! excluded, switches counted in post-processing); the banded
 //! include-reconfig variant stays CP-only.
 
-use crate::cdcl::{Lit, Var};
+use crate::cdcl::{Lit, Solver, Var};
 use eit_arch::ArchSpec;
 use eit_ir::{Category, Graph, NodeId, OpClass};
 use std::collections::HashMap;
@@ -37,17 +37,55 @@ pub struct Cnf {
     pub clauses: Vec<Vec<Lit>>,
 }
 
-impl Cnf {
+/// Where the encoder puts the variables and clauses it makes: a [`Cnf`]
+/// to keep or print, or a [`Solver`] to search without the copy.
+pub trait ClauseSink {
+    fn new_var(&mut self) -> Var;
+    fn add_clause(&mut self, clause: &[Lit]);
+}
+
+impl ClauseSink for Cnf {
     fn new_var(&mut self) -> Var {
         let v = self.n_vars;
         self.n_vars += 1;
         v
     }
 
-    fn add(&mut self, clause: Vec<Lit>) {
-        self.clauses.push(clause);
+    fn add_clause(&mut self, clause: &[Lit]) {
+        self.clauses.push(clause.to_vec());
+    }
+}
+
+impl ClauseSink for Solver {
+    fn new_var(&mut self) -> Var {
+        Solver::new_var(self)
     }
 
+    fn add_clause(&mut self, clause: &[Lit]) {
+        Solver::add_clause(self, clause)
+    }
+}
+
+/// A sink that also counts what passes through it.
+struct Counted<'a, S> {
+    sink: &'a mut S,
+    vars: u32,
+    clauses: u64,
+}
+
+impl<S: ClauseSink> ClauseSink for Counted<'_, S> {
+    fn new_var(&mut self) -> Var {
+        self.vars += 1;
+        self.sink.new_var()
+    }
+
+    fn add_clause(&mut self, clause: &[Lit]) {
+        self.clauses += 1;
+        self.sink.add_clause(clause);
+    }
+}
+
+impl Cnf {
     /// Render in DIMACS CNF format (1-based literals).
     pub fn to_dimacs(&self, comments: &[String]) -> String {
         let mut out = String::new();
@@ -83,11 +121,20 @@ impl std::fmt::Display for EncodeError {
     }
 }
 
-/// One candidate II compiled to CNF, with enough structure kept to
-/// decode a model back into `(t, k, s)` assignments.
+/// One candidate II compiled to CNF, with the decoder for its models.
 pub struct ModuloEncoding {
     pub cnf: Cnf,
     pub ii: i32,
+    pub decoder: ModuloDecoder,
+}
+
+/// What [`encode_modulo_into`] made, and enough of the model's structure
+/// to decode an assignment back into `(t, k, s)`.
+pub struct ModuloDecoder {
+    pub ii: i32,
+    /// Variables and clauses the encoding put into its sink.
+    pub vars: u32,
+    pub clauses: u64,
     /// Op nodes in graph order.
     ops: Vec<NodeId>,
     /// Inclusive start-domain bounds per op (post est/lst fixpoint).
@@ -106,7 +153,7 @@ enum OLit {
     Is(Lit),
 }
 
-impl ModuloEncoding {
+impl ModuloDecoder {
     /// Read the start times out of a satisfying assignment. Returns
     /// `(t, k, s)` in the shapes the modulo scheduler uses: window
     /// position and stage per *op*, absolute start per *node* (produced
@@ -160,6 +207,22 @@ pub fn encode_modulo(
     spec: &ArchSpec,
     ii: i32,
 ) -> Result<Option<ModuloEncoding>, EncodeError> {
+    let mut cnf = Cnf::default();
+    let decoder = encode_modulo_into(g, spec, ii, &mut cnf)?;
+    Ok(decoder.map(|decoder| ModuloEncoding { cnf, ii, decoder }))
+}
+
+/// [`encode_modulo`] into any sink: the same variables and clauses, in
+/// the same order. With a [`Solver`] as the sink the clauses go straight
+/// into its arena, with no [`Cnf`] built and freed on the way. Nothing
+/// is added when the result is `Ok(None)`; after an `Err` the sink holds
+/// a partial encoding and should be discarded.
+pub fn encode_modulo_into<S: ClauseSink>(
+    g: &Graph,
+    spec: &ArchSpec,
+    ii: i32,
+    sink: &mut S,
+) -> Result<Option<ModuloDecoder>, EncodeError> {
     let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
     let ops: Vec<NodeId> = g.ids().filter(|&n| g.category(n).is_op()).collect();
@@ -251,14 +314,21 @@ pub fn encode_modulo(
         }
     }
 
-    let mut cnf = Cnf::default();
+    let mut out = Counted {
+        sink,
+        vars: 0,
+        clauses: 0,
+    };
     let base: Vec<Var> = (0..ops.len())
         .map(|i| {
-            let b = cnf.n_vars;
-            for _ in lo[i]..hi[i] {
-                cnf.new_var();
+            let mut first = 0;
+            for v in lo[i]..hi[i] {
+                let x = out.new_var();
+                if v == lo[i] {
+                    first = x;
+                }
             }
-            b
+            first
         })
         .collect();
     let order = |i: usize, v: i32| -> OLit {
@@ -275,7 +345,7 @@ pub fn encode_modulo(
     for i in 0..ops.len() {
         for v in lo[i] + 2..=hi[i] {
             if let (OLit::Is(a), OLit::Is(b)) = (order(i, v), order(i, v - 1)) {
-                cnf.add(vec![a.negated(), b]);
+                out.add_clause(&[a.negated(), b]);
             }
         }
         // Interior residue-invalid values: forbid `s == v` by forcing the
@@ -284,7 +354,7 @@ pub fn encode_modulo(
         for v in lo[i] + 1..hi[i] {
             if !residue_ok(i, v) {
                 if let (OLit::Is(a), OLit::Is(b)) = (order(i, v), order(i, v + 1)) {
-                    cnf.add(vec![a.negated(), b]);
+                    out.add_clause(&[a.negated(), b]);
                 }
             }
         }
@@ -296,9 +366,9 @@ pub fn encode_modulo(
     for &(a, b, d) in &diffs {
         for v in lo[a] + 1..=hi[a] {
             match (order(a, v), order(b, v + d)) {
-                (OLit::Is(la), OLit::Is(lb)) => cnf.add(vec![la.negated(), lb]),
+                (OLit::Is(la), OLit::Is(lb)) => out.add_clause(&[la.negated(), lb]),
                 (OLit::Is(_), OLit::True) => {}
-                (OLit::Is(la), OLit::False) => cnf.add(vec![la.negated()]),
+                (OLit::Is(la), OLit::False) => out.add_clause(&[la.negated()]),
                 _ => unreachable!("order literal inside (lo, hi] is concrete"),
             }
         }
@@ -307,17 +377,21 @@ pub fn encode_modulo(
     // Start-residue auxiliaries: ST_{i,r} is *implied* by `s_i ≡ r`; the
     // reverse direction is unconstrained, which is sound for pure
     // at-most counting (a model may over-approximate the true residues,
-    // never under-approximate).
-    let mut st: Vec<HashMap<i32, Lit>> = vec![HashMap::new(); ops.len()];
+    // never under-approximate). `st[i][r]` is dense in the residue, so
+    // every walk below visits residues in ascending order and the CNF is
+    // the same on every run.
+    let mut st: Vec<Vec<Option<Lit>>> = vec![vec![None; ii as usize]; ops.len()];
+    let mut clause = Vec::with_capacity(3);
     for i in 0..ops.len() {
         for v in lo[i]..=hi[i] {
             if !residue_ok(i, v) {
                 continue;
             }
-            let r = v % ii;
-            let st_lit = *st[i].entry(r).or_insert_with(|| Lit::pos(cnf.new_var()));
+            let r = (v % ii) as usize;
+            let st_lit = *st[i][r].get_or_insert_with(|| Lit::pos(out.new_var()));
             // (s==v) → ST: ¬(O_v ∧ ¬O_{v+1}) ∨ ST.
-            let mut clause = vec![st_lit];
+            clause.clear();
+            clause.push(st_lit);
             match order(i, v) {
                 OLit::True => {}
                 OLit::Is(l) => clause.push(l.negated()),
@@ -328,7 +402,7 @@ pub fn encode_modulo(
                 OLit::Is(l) => clause.push(l),
                 OLit::True => continue,
             }
-            cnf.add(clause);
+            out.add_clause(&clause);
         }
     }
 
@@ -354,9 +428,9 @@ pub fn encode_modulo(
                 continue;
             }
             let (a, b) = (op_ix[i], op_ix[j]);
-            for (&r, &la) in &st[a] {
-                if let Some(&lb) = st[b].get(&r) {
-                    cnf.add(vec![la.negated(), lb.negated()]);
+            for (ra, rb) in st[a].iter().zip(&st[b]) {
+                if let (Some(la), Some(lb)) = (ra, rb) {
+                    out.add_clause(&[la.negated(), lb.negated()]);
                 }
             }
         }
@@ -379,20 +453,22 @@ pub fn encode_modulo(
             }
             let w = spec.units.class_width(c).unwrap_or(1) as i32;
             let dur = duration(n);
-            for (&r, &l) in &st[i] {
+            for (r, l) in (0..ii).zip(&st[i]) {
+                let Some(l) = *l else { continue };
                 for q in r..(r + dur).min(ii) {
                     per_residue[q as usize].push((l, w));
                 }
             }
         }
         for items in &per_residue {
-            at_most_k(&mut cnf, items, cap);
+            at_most_k(&mut out, items, cap);
         }
     }
 
-    Ok(Some(ModuloEncoding {
-        cnf,
+    Ok(Some(ModuloDecoder {
         ii,
+        vars: out.vars,
+        clauses: out.clauses,
         ops,
         lo,
         hi,
@@ -403,14 +479,14 @@ pub fn encode_modulo(
 /// Weighted at-most-`cap` over literals: full-width items by pairwise
 /// exclusion, the rest through a unary sequential counter with each
 /// literal repeated `weight` times.
-fn at_most_k(cnf: &mut Cnf, items: &[(Lit, i32)], cap: i32) {
+fn at_most_k(out: &mut impl ClauseSink, items: &[(Lit, i32)], cap: i32) {
     let mut rest: Vec<(Lit, i32)> = Vec::new();
     let mut full: Vec<Lit> = Vec::new();
     for &(l, w) in items {
         if w <= 0 {
             continue;
         } else if w > cap {
-            cnf.add(vec![l.negated()]);
+            out.add_clause(&[l.negated()]);
         } else if w == cap {
             full.push(l);
         } else {
@@ -420,10 +496,10 @@ fn at_most_k(cnf: &mut Cnf, items: &[(Lit, i32)], cap: i32) {
     let rest_total: i64 = rest.iter().map(|&(_, w)| w as i64).sum();
     for (x, &l) in full.iter().enumerate() {
         for &o in &full[x + 1..] {
-            cnf.add(vec![l.negated(), o.negated()]);
+            out.add_clause(&[l.negated(), o.negated()]);
         }
         for &(o, _) in &rest {
-            cnf.add(vec![l.negated(), o.negated()]);
+            out.add_clause(&[l.negated(), o.negated()]);
         }
     }
     if rest_total <= cap as i64 {
@@ -440,21 +516,21 @@ fn at_most_k(cnf: &mut Cnf, items: &[(Lit, i32)], cap: i32) {
     for (i, &li) in lits.iter().enumerate() {
         let mut cur: Vec<Option<Var>> = vec![None; k];
         for slot in cur.iter_mut().take(k.min(i + 1)) {
-            *slot = Some(cnf.new_var());
+            *slot = Some(out.new_var());
         }
-        cnf.add(vec![li.negated(), Lit::pos(cur[0].expect("k >= 1"))]);
+        out.add_clause(&[li.negated(), Lit::pos(cur[0].expect("k >= 1"))]);
         for j in 0..k {
             if let (Some(p), Some(c)) = (prev[j], cur[j]) {
-                cnf.add(vec![Lit::neg(p), Lit::pos(c)]);
+                out.add_clause(&[Lit::neg(p), Lit::pos(c)]);
             }
         }
         for j in 1..k {
             if let (Some(p), Some(c)) = (prev[j - 1], cur[j]) {
-                cnf.add(vec![li.negated(), Lit::neg(p), Lit::pos(c)]);
+                out.add_clause(&[li.negated(), Lit::neg(p), Lit::pos(c)]);
             }
         }
         if let Some(p) = prev[k - 1] {
-            cnf.add(vec![li.negated(), Lit::neg(p)]);
+            out.add_clause(&[li.negated(), Lit::neg(p)]);
         }
         prev = cur;
     }
@@ -466,13 +542,7 @@ mod tests {
     use crate::cdcl::{SolveOutcome, Solver};
 
     fn solve_cnf(cnf: &Cnf) -> Option<Vec<bool>> {
-        let mut s = Solver::new();
-        for _ in 0..cnf.n_vars {
-            s.new_var();
-        }
-        for c in &cnf.clauses {
-            s.add_clause(c);
-        }
+        let mut s = Solver::from_cnf(cnf);
         match s.solve(&mut || false) {
             SolveOutcome::Sat => Some((0..cnf.n_vars).map(|v| s.model_value(v)).collect()),
             _ => None,
@@ -538,7 +608,7 @@ mod tests {
         let mut cnf = Cnf::default();
         let a = Lit::pos(cnf.new_var());
         let b = Lit::pos(cnf.new_var());
-        cnf.add(vec![a, b.negated()]);
+        cnf.add_clause(&[a, b.negated()]);
         let d = cnf.to_dimacs(&["hello".into()]);
         assert!(d.starts_with("c hello\np cnf 2 1\n"));
         assert!(d.contains("1 -2 0\n"));

@@ -14,4 +14,6 @@ pub mod cdcl;
 pub mod encode;
 
 pub use cdcl::{Lit, SolveOutcome, Solver, SolverStats, Var};
-pub use encode::{encode_modulo, Cnf, EncodeError, ModuloEncoding};
+pub use encode::{
+    encode_modulo, encode_modulo_into, ClauseSink, Cnf, EncodeError, ModuloDecoder, ModuloEncoding,
+};

@@ -116,18 +116,21 @@ echo "== SAT-vs-CP race gate: both modulo backends agree and verify clean"
 # procedure for the same modulo model: raced against CP it must land on
 # the same minimum II (sweeps are bottom-up, so the winner's II is
 # backend-independent), the winning schedule must pass both verifiers,
-# and the metrics must attribute a winner.
+# and the metrics must attribute a winner. qrd is pinned to its known
+# minimum II of 22.
 satdir="$(mktemp -d /tmp/eit-sat.XXXXXX)"
-for k in matmul fir; do
+for k in matmul fir qrd; do
   cp_m="$satdir/$k.cp.json"; sat_m="$satdir/$k.sat.json"; race_m="$satdir/$k.race.json"
   ./target/release/eitc "$k" --modulo --backend sat --timeout 60 --verify --metrics "$sat_m" >/dev/null
   ./target/release/eitc "$k" --modulo --backend race --timeout 60 --verify --metrics "$race_m" >/dev/null
-  ./target/release/eitc "$k" --modulo --backend cp --timeout 60 --metrics "$cp_m" >/dev/null
+  ./target/release/eitc "$k" --modulo --backend cp --timeout 60 --verify --metrics "$cp_m" >/dev/null
   ii_cp="$(grep -o '"ii_issue": *[0-9]*' "$cp_m" | head -1 | grep -o '[0-9]*$')"
   ii_sat="$(grep -o '"ii_issue": *[0-9]*' "$sat_m" | head -1 | grep -o '[0-9]*$')"
   ii_race="$(grep -o '"ii_issue": *[0-9]*' "$race_m" | head -1 | grep -o '[0-9]*$')"
   [ "$ii_cp" = "$ii_sat" ] && [ "$ii_cp" = "$ii_race" ] \
     || { echo "FAIL: $k backend II mismatch (cp $ii_cp, sat $ii_sat, race $ii_race)"; exit 1; }
+  [ "$k" != qrd ] || [ "$ii_cp" = 22 ] \
+    || { echo "FAIL: qrd modulo II is $ii_cp, expected 22"; exit 1; }
   grep -q '"backend": *"sat"' "$sat_m" \
     || { echo "FAIL: $k --backend sat metrics not attributed to sat"; exit 1; }
   grep -qE '"backend": *"(cp|sat)"' "$race_m" \
@@ -137,6 +140,13 @@ for k in matmul fir; do
   winner="$(grep -o '"backend": *"[a-z]*"' "$race_m" | head -1 | grep -o '"[a-z]*"$')"
   echo "   $k: cp/sat/race agree on II $ii_cp; race winner $winner"
 done
+# The CNF encoding is deterministic: the same model, the same bytes.
+./target/release/eitc qrd --modulo --emit cnf > "$satdir/qrd1.cnf"
+./target/release/eitc qrd --modulo --emit cnf > "$satdir/qrd2.cnf"
+cmp "$satdir/qrd1.cnf" "$satdir/qrd2.cnf" \
+  || { echo "FAIL: two qrd --emit cnf runs differ"; exit 1; }
+echo "   qrd --emit cnf: two runs byte-identical"
+rm -rf "$satdir"
 
 echo "== ablation gate: bitset x restarts A/B on all six table kernels"
 # The two search-engine features must be pure wins on the paper kernels:
