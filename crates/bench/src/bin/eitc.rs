@@ -19,9 +19,10 @@
 //!   --no-merge          skip the fig. 6 pipeline-merge pass
 //!   --modulo [incl]     emit a modulo schedule instead (optionally with
 //!                       reconfigurations modelled)
-//!   --jobs N            worker threads for the modulo II sweep (default: 1;
-//!                       N > 1 probes candidate IIs speculatively in parallel
-//!                       and yields the same schedule as N = 1)
+//!   --jobs N            worker threads for the modulo II sweep, on both the
+//!                       cp and the sat backend (default: 1; N > 1 probes
+//!                       candidate IIs speculatively in parallel and yields
+//!                       the same schedule as N = 1)
 //!   --backend B         decision procedure for the modulo sweep:
 //!                       cp (default), sat (the self-contained CDCL solver
 //!                       over the order-encoded CNF model), or race (both
@@ -374,7 +375,8 @@ fn load_graph(name: &str) -> (Graph, HashMap<NodeId, Value>) {
 /// across `--jobs` values: the `probes` array is cut at the winning II —
 /// probes at or below the winner always run to a natural stop (cancellation
 /// only ever targets candidates above a feasible II), so their node and
-/// fail counts match the sequential sweep byte for byte.
+/// fail counts, and the `sat` counters summed over them, match the
+/// one-worker sweep byte for byte.
 fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
     let probes: Vec<Json> = r
         .probes
@@ -792,7 +794,7 @@ fn main() {
     if let Some(path) = &args.metrics {
         let mut m = RunMetrics::new("eitc", &args.kernel);
         m.arch(&spec)
-            .solver(out.status, Some(out.schedule.makespan), &out.solver, None)
+            .solver(out.status, Some(out.schedule.makespan), &out.solver)
             .domains(out.domain_reps)
             .spans(&out.timings)
             .propagators(&out.propagator_profile)

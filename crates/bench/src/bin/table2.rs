@@ -92,7 +92,7 @@ fn main() {
         let mut metrics = RunMetrics::new("table2", "qrd");
         metrics
             .arch(&spec)
-            .solver(r.status, r.makespan, &r.stats, r.winner)
+            .solver(r.status, r.makespan, &r.stats)
             .section("iterations", Json::int(m as u64))
             .section("rows", Json::Arr(vec![manual_row, auto_row]));
         write_metrics(&metrics, &path);

@@ -69,9 +69,8 @@ impl RunMetrics {
         status: SearchStatus,
         makespan: Option<i32>,
         stats: &SearchStats,
-        winner: Option<usize>,
     ) -> &mut Self {
-        let mut obj = vec![
+        let obj = vec![
             ("status".into(), Json::str(status.as_str())),
             (
                 "makespan".into(),
@@ -87,9 +86,6 @@ impl RunMetrics {
             ("nogoods_pruned".into(), Json::int(stats.nogoods_pruned)),
             ("time_us".into(), Json::int(stats.time.as_micros() as u64)),
         ];
-        if let Some(w) = winner {
-            obj.push(("winner".into(), Json::int(w as u64)));
-        }
         self.push("solver", Json::Obj(obj))
     }
 

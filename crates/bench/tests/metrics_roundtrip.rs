@@ -32,7 +32,7 @@ fn metrics_document_round_trips_with_consistent_numbers() {
 
     let mut m = RunMetrics::new("test", "matmul");
     m.arch(&spec)
-        .solver(out.status, Some(out.schedule.makespan), &out.solver, None)
+        .solver(out.status, Some(out.schedule.makespan), &out.solver)
         .spans(&out.timings)
         .propagators(&out.propagator_profile)
         .program(&out.program);

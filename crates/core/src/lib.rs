@@ -10,9 +10,8 @@
 //! experiments ([`replicate()`]).
 //!
 //! Around the model: [`pipeline`] is the one-call fig. 2 toolchain
-//! (passes → schedule → [`codegen`]); [`portfolio`] races §3.5 search
-//! variants across threads; [`list_sched`] is the heuristic baseline the
-//! evaluation compares against.
+//! (passes → schedule → [`codegen`]); [`list_sched`] is the heuristic
+//! baseline the evaluation compares against.
 
 pub mod codegen;
 pub mod fuzz;
@@ -23,7 +22,6 @@ pub mod modulo;
 pub mod obs;
 pub mod overlap;
 pub mod pipeline;
-pub mod portfolio;
 pub mod render;
 pub mod replicate;
 pub mod rr;
@@ -34,16 +32,15 @@ pub use list_sched::{list_schedule, ListScheduleResult};
 pub use model::{build_model, schedule, BuiltModel, ScheduleResult, SchedulerOptions};
 pub use modulo::{
     allocate_modulo_memory, allocate_modulo_memory_with, build_probe, ii_lower_bound,
-    modulo_cnf_dimacs, modulo_schedule, modulo_schedule_checked, probe_ii, schedule_at_ii,
-    validate_modulo, AllocOptions, AllocOutcome, Backend, IiOutcome, ModuloError, ModuloOptions,
-    ModuloResult, ProbeModel, ProbeStat, SatStats,
+    modulo_cnf_dimacs, modulo_schedule, modulo_schedule_checked, schedule_at_ii, validate_modulo,
+    AllocOptions, AllocOutcome, Backend, IiOutcome, ModuloError, ModuloOptions, ModuloResult,
+    ProbeModel, ProbeStat, SatStats,
 };
 pub use obs::PhaseTimings;
 pub use overlap::{
     bundles_from_schedule, manual_style_bundles, overlapped_execution, Bundle, OverlapResult,
 };
 pub use pipeline::{compile, CompileError, CompileOptions, Compiled};
-pub use portfolio::schedule_portfolio;
 pub use render::{render_compiled, render_modulo};
 pub use replicate::replicate;
 pub use rr::{

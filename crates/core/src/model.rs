@@ -61,7 +61,7 @@ pub struct SchedulerOptions {
     /// of the event-driven tiered engine — the A/B baseline for
     /// measuring wake/invocation savings. Same solutions, same optima.
     pub fifo_engine: bool,
-    /// Cooperative cancellation (service deadlines, portfolio losers).
+    /// Cooperative cancellation (service deadlines).
     /// A deadline-bearing token ([`eit_cp::CancelToken::with_deadline`])
     /// enforces a per-request wall-clock budget without a watchdog
     /// thread. Excluded from [`crate::rr::schedule_config_string`] like
@@ -437,8 +437,6 @@ pub struct ScheduleResult {
     /// Wall-clock spans: model build, longest-path, search, extraction
     /// (and the optional slot-minimisation pass).
     pub timings: PhaseTimings,
-    /// Winning strategy index when a portfolio produced this result.
-    pub winner: Option<usize>,
     /// Per-propagator accounting (aggregated by name, sorted by cost);
     /// empty unless [`SchedulerOptions::profile`] was set.
     pub propagator_profile: Vec<PropProfile>,
@@ -530,7 +528,6 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
         status: r.status,
         stats: r.stats,
         timings,
-        winner: None,
         propagator_profile,
         domain_reps,
     }

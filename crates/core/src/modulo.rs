@@ -30,13 +30,10 @@ use eit_arch::{ArchSpec, Schedule};
 use eit_cp::props::cumulative::CumTask;
 use eit_cp::props::diff2::Rect;
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
-use eit_cp::{
-    solve, CancelToken, Model, Phase, SearchConfig, SearchStats, SearchStatus, ValSel, VarId,
-    VarSel,
-};
+use eit_cp::{solve, CancelToken, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
 use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -44,7 +41,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// The CP solver (the paper's engine; supports both reconfiguration
-    /// models, record/replay, and the parallel speculative sweep).
+    /// models and record/replay).
     #[default]
     Cp,
     /// The CDCL SAT backend (`eit-sat`): order-encoded CNF per candidate
@@ -110,8 +107,9 @@ impl std::fmt::Display for ModuloError {
 
 impl std::error::Error for ModuloError {}
 
-/// Aggregated SAT-solver counters of one sweep (summed over every
-/// candidate II the SAT backend touched), for `eit-run-metrics/1`.
+/// Aggregated SAT-solver counters of one sweep, for `eit-run-metrics/1`:
+/// summed over the probes at or below the winning II, or over every
+/// probe when none won, so they do not depend on `jobs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SatStats {
     pub vars: u64,
@@ -120,6 +118,17 @@ pub struct SatStats {
     pub conflicts: u64,
     pub propagations: u64,
     pub restarts: u64,
+}
+
+impl SatStats {
+    fn absorb(&mut self, o: &SatStats) {
+        self.vars += o.vars;
+        self.clauses += o.clauses;
+        self.decisions += o.decisions;
+        self.conflicts += o.conflicts;
+        self.propagations += o.propagations;
+        self.restarts += o.restarts;
+    }
 }
 
 /// Options for [`modulo_schedule`].
@@ -133,11 +142,12 @@ pub struct ModuloOptions {
     pub total_timeout: Duration,
     /// Upper bound on the II sweep; `None` = serial bound.
     pub max_ii: Option<i32>,
-    /// Worker threads for the speculative II sweep. `1` (the default)
-    /// probes candidates strictly bottom-up, as the paper does; `N > 1`
-    /// probes N candidates concurrently and cancels every probe above the
-    /// lowest feasible II found. The *answer* is identical either way —
-    /// see the determinism contract in DESIGN.md.
+    /// Worker threads for the speculative II sweep, on every backend. `1`
+    /// (the default) probes candidates strictly bottom-up on the calling
+    /// thread, as the paper does; `N > 1` probes N candidates
+    /// concurrently and cancels the in-flight probes above the lowest
+    /// feasible II found. The *answer* is identical either way — see the
+    /// determinism contract in DESIGN.md.
     pub jobs: usize,
     /// Structured search-event sink. Each probe buffers its events
     /// privately; after the sweep the streams of every candidate up to
@@ -188,19 +198,22 @@ impl Default for ModuloOptions {
     }
 }
 
-/// Per-candidate-II accounting of one sweep, in candidate order.
+/// Per-candidate-II accounting of one sweep, in candidate order: one
+/// entry per probe a worker started.
 #[derive(Clone, Debug)]
 pub struct ProbeStat {
     pub ii: i32,
-    /// `"feasible"`, `"infeasible"`, `"timeout"`, or `"cancelled"` (a
-    /// speculative probe above the winning II that was stopped or never
-    /// started; only occurs with `jobs > 1`).
+    /// `"feasible"`, `"infeasible"`, `"timeout"`, or `"cancelled"` (the
+    /// probe's token was raised first: it was in flight above a winning
+    /// II, or the sweep itself was cancelled).
     pub outcome: &'static str,
+    /// Search nodes (CP) or decisions (SAT).
     pub nodes: u64,
+    /// Search failures (CP) or conflicts (SAT).
     pub fails: u64,
     pub time: Duration,
-    /// Worker that ran the probe (always 0 for a sequential sweep; the
-    /// assignment varies run-to-run for a parallel one).
+    /// Worker that ran the probe (0 is the calling thread; with
+    /// `jobs > 1` the assignment varies run-to-run).
     pub worker: usize,
 }
 
@@ -225,7 +238,7 @@ pub struct ModuloResult {
     /// Some candidate IIs timed out before this solution (result may be
     /// sub-optimal, as the paper reports for QRD's second model).
     pub timed_out: bool,
-    /// One entry per candidate II the sweep touched, in candidate order.
+    /// One entry per probe the sweep started, in candidate order.
     pub probes: Vec<ProbeStat>,
     /// Worker threads the sweep ran with.
     pub jobs: usize,
@@ -350,7 +363,8 @@ pub enum IiOutcome {
     Infeasible,
     Timeout,
     /// The probe's cancellation token was raised before it could decide
-    /// the candidate (speculative sweeps only; never a refutation proof).
+    /// the candidate (in flight above a winner, or the sweep itself was
+    /// cancelled; never a refutation proof).
     Cancelled,
     /// The model could not be built for this candidate (malformed graph
     /// — e.g. a vector op without a configuration). II-independent: the
@@ -366,19 +380,17 @@ pub fn schedule_at_ii(
     include_reconfig: bool,
     budget: Duration,
 ) -> IiOutcome {
-    probe_ii(
-        g,
-        spec,
-        ii,
+    let opts = ModuloOptions {
         include_reconfig,
+        ..Default::default()
+    };
+    let slot = ProbeSlot {
+        ii,
         budget,
-        None,
-        None,
-        None,
-        None,
-        true,
-    )
-    .0
+        cancel: None,
+        trace: None,
+    };
+    probe_ii(g, spec, &opts, &slot).outcome
 }
 
 /// The per-candidate-II CSP with its variable handles, ready to solve.
@@ -622,26 +634,45 @@ pub fn build_probe_with(
     }))
 }
 
-/// As [`schedule_at_ii`], with a cooperative cancellation token, an
-/// optional per-probe trace sink, and the probe's search statistics (for
-/// sweep accounting).
-#[allow(clippy::too_many_arguments)]
-pub fn probe_ii(
-    g: &Graph,
-    spec: &ArchSpec,
+/// What the sweep driver hands one probe: the candidate, its share of
+/// the budget, its own cancellation token and, when the sweep is traced,
+/// a private event buffer.
+struct ProbeSlot {
     ii: i32,
-    include_reconfig: bool,
     budget: Duration,
     cancel: Option<CancelToken>,
     trace: Option<TraceHandle>,
-    state_hash_every: Option<u64>,
-    restarts: Option<eit_cp::RestartConfig>,
-    bitset: bool,
-) -> (IiOutcome, SearchStats) {
-    let pm = match build_probe_with(g, spec, ii, include_reconfig, bitset) {
+}
+
+/// One probe's answer. `nodes`/`fails` are search nodes and failures for
+/// CP, decisions and conflicts for SAT; `sat` carries the SAT counters.
+struct Probed {
+    outcome: IiOutcome,
+    nodes: u64,
+    fails: u64,
+    sat: Option<SatStats>,
+}
+
+impl Probed {
+    /// A probe that decided nothing by search (refuted statically,
+    /// malformed, or cancelled before it started solving).
+    fn bare(outcome: IiOutcome) -> Probed {
+        Probed {
+            outcome,
+            nodes: 0,
+            fails: 0,
+            sat: None,
+        }
+    }
+}
+
+/// The CP probe: build the candidate's CSP and run its satisfaction
+/// search under the slot's budget, token and trace buffer.
+fn probe_ii(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) -> Probed {
+    let pm = match build_probe_with(g, spec, slot.ii, opts.include_reconfig, opts.bitset) {
         Ok(Some(pm)) => pm,
-        Ok(None) => return (IiOutcome::Infeasible, SearchStats::default()),
-        Err(e) => return (IiOutcome::Malformed(e), SearchStats::default()),
+        Ok(None) => return Probed::bare(IiOutcome::Infeasible),
+        Err(e) => return Probed::bare(IiOutcome::Malformed(e)),
     };
     let ProbeModel {
         mut model,
@@ -652,11 +683,11 @@ pub fn probe_ii(
     } = pm;
     let cfg = SearchConfig {
         phases,
-        timeout: Some(budget),
-        cancel,
-        trace,
-        state_hash_every,
-        restarts,
+        timeout: Some(slot.budget),
+        cancel: slot.cancel.clone(),
+        trace: slot.trace.clone(),
+        state_hash_every: opts.state_hash_every,
+        restarts: opts.restarts,
         ..Default::default()
     };
     let r = solve(&mut model, &cfg);
@@ -672,12 +703,80 @@ pub fn probe_ii(
         SearchStatus::Unknown if r.cancelled => IiOutcome::Cancelled,
         SearchStatus::Unknown => IiOutcome::Timeout,
     };
-    (outcome, r.stats)
+    Probed {
+        outcome,
+        nodes: r.stats.nodes,
+        fails: r.stats.fails,
+        sat: None,
+    }
+}
+
+/// The SAT probe: encode the candidate straight into a fresh CDCL
+/// solver, solve it, and decode a model. The caller still runs both
+/// verifiers on the winner before accepting it.
+fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
+    let deadline = Instant::now() + slot.budget;
+    let cancelled = || slot.cancel.as_ref().is_some_and(|c| c.is_cancelled());
+    let mut solver = eit_sat::Solver::new();
+    let decoder = match eit_sat::encode_modulo_into(g, spec, slot.ii, &mut solver) {
+        Ok(Some(decoder)) => decoder,
+        Ok(None) => {
+            return Probed {
+                sat: Some(SatStats::default()),
+                ..Probed::bare(IiOutcome::Infeasible)
+            }
+        }
+        Err(e) => {
+            return Probed::bare(IiOutcome::Malformed(ModuloError::ModelBuild {
+                node: e.node,
+                detail: e.detail,
+            }))
+        }
+    };
+    let mut sat = SatStats {
+        vars: u64::from(decoder.vars),
+        clauses: decoder.clauses,
+        ..Default::default()
+    };
+    // A cancelled probe (a race that CP already won, an expired
+    // deadline, a candidate above the winner) stops here, at the
+    // solver's bounded polls, or once a model turns up; a model found
+    // after cancellation is not decoded.
+    if cancelled() {
+        return Probed {
+            sat: Some(sat),
+            ..Probed::bare(IiOutcome::Cancelled)
+        };
+    }
+    let mut stop = || Instant::now() >= deadline || cancelled();
+    let out = solver.solve(&mut stop);
+    let st = &solver.stats;
+    sat.decisions = st.decisions;
+    sat.conflicts = st.conflicts;
+    sat.propagations = st.propagations;
+    sat.restarts = st.restarts;
+    let outcome = match out {
+        eit_sat::SolveOutcome::Sat if cancelled() => IiOutcome::Cancelled,
+        eit_sat::SolveOutcome::Sat => {
+            let (t, k, s) = decoder.decode(g, spec, &|v| solver.model_value(v));
+            IiOutcome::Feasible(t, k, s)
+        }
+        eit_sat::SolveOutcome::Unsat => IiOutcome::Infeasible,
+        eit_sat::SolveOutcome::Stopped if cancelled() => IiOutcome::Cancelled,
+        eit_sat::SolveOutcome::Stopped => IiOutcome::Timeout,
+    };
+    Probed {
+        outcome,
+        nodes: sat.decisions,
+        fails: sat.conflicts,
+        sat: Some(sat),
+    }
 }
 
 /// Count the steady-state switches and assemble a [`ModuloResult`] for a
-/// feasible probe at `ii`.
-#[allow(clippy::too_many_arguments)]
+/// feasible probe at `ii`. `probes` is the sweep's record in candidate
+/// order; a timeout below `ii` marks the result as possibly sub-optimal.
+/// The caller attaches the SAT counters.
 fn assemble_result(
     g: &Graph,
     spec: &ArchSpec,
@@ -689,10 +788,7 @@ fn assemble_result(
         HashMap<NodeId, i32>,
     ),
     opt_time: Duration,
-    timed_out: bool,
     probes: Vec<ProbeStat>,
-    backend: &'static str,
-    sat: Option<SatStats>,
 ) -> ModuloResult {
     let switches = if opts.include_reconfig {
         let groups = config_groups(g).len();
@@ -705,6 +801,7 @@ fn assemble_result(
         count_window_switches(g, &t)
     };
     let actual = ii + switches as i32 * spec.reconfig_cost;
+    let timed_out = probes.iter().any(|p| p.ii < ii && p.outcome == "timeout");
     ModuloResult {
         ii_issue: ii,
         switches,
@@ -717,8 +814,8 @@ fn assemble_result(
         timed_out,
         probes,
         jobs: opts.jobs.max(1),
-        backend,
-        sat,
+        backend: opts.backend.as_str(),
+        sat: None,
     }
 }
 
@@ -754,15 +851,15 @@ fn forward_probe_streams<'a>(
 ///
 /// With `opts.jobs > 1` the sweep is *speculative*: workers claim
 /// candidate IIs bottom-up and probe them concurrently; a feasible probe
-/// at II = v cancels every probe above v (they can no longer win), while
-/// candidates *below* a feasible one are always resolved genuinely —
-/// feasibility is not monotone in II for this CSP (a banded window can
-/// admit II = v yet refute II = v+1), so an infeasible probe never
-/// cancels anything. The winning II is therefore the minimum feasible
-/// candidate exactly as in the sequential sweep, and the winning probe's
-/// schedule is bit-identical (its CSP ran to a natural stop under its own
-/// deterministic DFS — cancellation only ever hits candidates above the
-/// winner).
+/// at II = v cancels the in-flight probes above v (they can no longer
+/// win), while candidates *below* a feasible one are always resolved
+/// genuinely — feasibility is not monotone in II for this CSP (a banded
+/// window can admit II = v yet refute II = v+1), so an infeasible probe
+/// never cancels anything. The winning II is therefore the minimum
+/// feasible candidate exactly as with one worker, and the winning probe's
+/// schedule is bit-identical (it ran to a natural stop under its own
+/// deterministic search — cancellation only ever hits candidates above
+/// the winner). The same holds for every backend.
 ///
 /// This is the `Option`-shaped convenience wrapper around
 /// [`modulo_schedule_checked`]: structured failures (malformed graph,
@@ -836,159 +933,51 @@ pub fn modulo_cnf_dimacs(
     Ok(None)
 }
 
+/// The CP sweep: the shared driver with [`probe_ii`] plugged in.
 fn modulo_schedule_cp(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
 ) -> Result<Option<ModuloResult>, ModuloError> {
-    if opts.jobs > 1 {
-        modulo_schedule_parallel(g, spec, opts)
-    } else {
-        modulo_schedule_sequential(g, spec, opts)
-    }
+    sweep(g, spec, opts, |slot| probe_ii(g, spec, opts, slot)).map(|(r, _)| r)
 }
 
-/// The SAT sweep: encode each candidate II to CNF, solve it with the
-/// CDCL engine, and — before accepting — decode the model and run it
-/// through **both** independent verifiers ([`eit_arch::verify_modulo`]
-/// on the steady-state window and [`validate_modulo`] on the unrolled
-/// schedule). A verifier rejection is a structured
-/// [`ModuloError::BackendDisagreement`], never a panic and never a
-/// silently-wrong schedule. Returns the solver counters alongside so a
-/// race can report them even when CP wins.
+/// The SAT sweep: the shared driver with [`sat_probe`] plugged in. The
+/// winning model is accepted only after **both** independent verifiers
+/// pass ([`eit_arch::verify_modulo`] on the steady-state window and
+/// [`validate_modulo`] on the unrolled schedule). A verifier rejection is
+/// a structured [`ModuloError::BackendDisagreement`], never a panic and
+/// never a silently-wrong schedule. Returns the solver counters alongside
+/// so a race can report them even when CP wins.
 fn modulo_schedule_sat(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
 ) -> Result<(Option<ModuloResult>, SatStats), ModuloError> {
-    let t0 = Instant::now();
-    let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
-    let mut agg = SatStats::default();
-    let mut timed_out_any = false;
-    let mut probes: Vec<ProbeStat> = Vec::new();
-
-    let cancelled = || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
-    for ii in lb..=ub {
-        if t0.elapsed() >= opts.total_timeout || cancelled() {
-            break;
+    // The CDCL engine emits no search events: leave the sink untouched.
+    let untraced = ModuloOptions {
+        trace: None,
+        ..opts.clone()
+    };
+    let (r, sat) = sweep(g, spec, &untraced, |slot| sat_probe(g, spec, slot))?;
+    if let Some(r) = &r {
+        let ii = r.ii_issue;
+        let violations = eit_arch::verify_modulo(g, spec, &r.s, ii);
+        if !violations.is_empty() {
+            return Err(ModuloError::BackendDisagreement(format!(
+                "sat schedule at II={ii} rejected by verify_modulo: {:?}",
+                violations.first()
+            )));
         }
-        let budget = opts
-            .timeout_per_ii
-            .min(opts.total_timeout.saturating_sub(t0.elapsed()));
-        let tp = Instant::now();
-        // The encoder loads its clauses straight into the solver.
-        let mut solver = eit_sat::Solver::new();
-        let decoder = match eit_sat::encode_modulo_into(g, spec, ii, &mut solver) {
-            Ok(Some(decoder)) => decoder,
-            Ok(None) => {
-                probes.push(sat_probe_stat(ii, "infeasible", None, tp.elapsed()));
-                continue;
-            }
-            Err(e) => {
-                return Err(ModuloError::ModelBuild {
-                    node: e.node,
-                    detail: e.detail,
-                })
-            }
-        };
-        agg.vars += u64::from(decoder.vars);
-        agg.clauses += decoder.clauses;
-        // A race loser stops here, at the solver's bounded polls, or
-        // once a model turns up.
-        if cancelled() {
-            break;
-        }
-        let deadline = tp + budget;
-        let mut stop = || Instant::now() >= deadline || cancelled();
-        let out = solver.solve(&mut stop);
-        agg.decisions += solver.stats.decisions;
-        agg.conflicts += solver.stats.conflicts;
-        agg.propagations += solver.stats.propagations;
-        agg.restarts += solver.stats.restarts;
-        match out {
-            // A model found after cancellation is not decoded or
-            // verified: the caller (a race that CP already won, or an
-            // expired deadline) has stopped waiting for it.
-            eit_sat::SolveOutcome::Sat if cancelled() => break,
-            eit_sat::SolveOutcome::Sat => {
-                probes.push(sat_probe_stat(
-                    ii,
-                    "feasible",
-                    Some(&solver.stats),
-                    tp.elapsed(),
-                ));
-                let (t, k, s) = decoder.decode(g, spec, &|v| solver.model_value(v));
-                let violations = eit_arch::verify_modulo(g, spec, &s, ii);
-                if !violations.is_empty() {
-                    return Err(ModuloError::BackendDisagreement(format!(
-                        "sat schedule at II={ii} rejected by verify_modulo: {:?}",
-                        violations.first()
-                    )));
-                }
-                let r = assemble_result(
-                    g,
-                    spec,
-                    opts,
-                    ii,
-                    (t, k, s),
-                    t0.elapsed(),
-                    timed_out_any,
-                    probes,
-                    "sat",
-                    Some(agg),
-                );
-                let structural = validate_modulo(g, spec, &r, 3);
-                if !structural.is_empty() {
-                    return Err(ModuloError::BackendDisagreement(format!(
-                        "sat schedule at II={ii} rejected by the structural validator: {:?}",
-                        structural.first()
-                    )));
-                }
-                return Ok((Some(r), agg));
-            }
-            eit_sat::SolveOutcome::Unsat => {
-                probes.push(sat_probe_stat(
-                    ii,
-                    "infeasible",
-                    Some(&solver.stats),
-                    tp.elapsed(),
-                ));
-            }
-            eit_sat::SolveOutcome::Stopped => {
-                let cancelled = cancelled();
-                let outcome = if cancelled { "cancelled" } else { "timeout" };
-                timed_out_any |= !cancelled;
-                probes.push(sat_probe_stat(
-                    ii,
-                    outcome,
-                    Some(&solver.stats),
-                    tp.elapsed(),
-                ));
-            }
+        let structural = validate_modulo(g, spec, r, 3);
+        if !structural.is_empty() {
+            return Err(ModuloError::BackendDisagreement(format!(
+                "sat schedule at II={ii} rejected by the structural validator: {:?}",
+                structural.first()
+            )));
         }
     }
-    Ok((None, agg))
-}
-
-/// Map one SAT probe onto the sweep's [`ProbeStat`] shape: decisions
-/// count as nodes, conflicts as fails.
-fn sat_probe_stat(
-    ii: i32,
-    outcome: &'static str,
-    stats: Option<&eit_sat::SolverStats>,
-    time: Duration,
-) -> ProbeStat {
-    ProbeStat {
-        ii,
-        outcome,
-        nodes: stats.map_or(0, |s| s.decisions),
-        fails: stats.map_or(0, |s| s.conflicts),
-        time,
-        worker: 0,
-    }
+    Ok((r, sat.unwrap_or_default()))
 }
 
 /// Race the CP and SAT sweeps under child cancellation tokens: both
@@ -1036,7 +1025,8 @@ fn modulo_schedule_race(
         (res, sat, seq)
     };
 
-    // CP runs on the calling thread: one thread start per race, not two.
+    // CP runs on the calling thread: at `jobs = 1` a race starts one
+    // thread, not two.
     let ((cp_res, _, cp_seq), (sat_res, sat_stats, sat_seq)) = std::thread::scope(|scope| {
         let sat = scope.spawn(|| run(Backend::Sat, sat_token.clone(), cp_token.clone()));
         let cp = run(Backend::Cp, cp_token.clone(), sat_token.clone());
@@ -1071,283 +1061,173 @@ fn modulo_schedule_race(
     }
 }
 
-fn modulo_schedule_sequential(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    let t0 = Instant::now();
-    let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
-    let mut timed_out_any = false;
-    let mut probes: Vec<ProbeStat> = Vec::new();
-    let mut streams: Vec<(i32, Vec<SearchEvent>)> = Vec::new();
-
-    for ii in lb..=ub {
-        if t0.elapsed() >= opts.total_timeout {
-            break;
-        }
-        if opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-            break;
-        }
-        let budget = opts
-            .timeout_per_ii
-            .min(opts.total_timeout.saturating_sub(t0.elapsed()));
-        let tp = Instant::now();
-        let buffer = opts
-            .trace
-            .as_ref()
-            .map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
-        let probe_trace = buffer.as_ref().map(|s| TraceHandle::new(Arc::clone(s)));
-        let (outcome, stats) = probe_ii(
-            g,
-            spec,
-            ii,
-            opts.include_reconfig,
-            budget,
-            opts.cancel.clone(),
-            probe_trace,
-            opts.state_hash_every,
-            opts.restarts,
-            opts.bitset,
-        );
-        if let Some(sink) = buffer {
-            let events: Vec<SearchEvent> = sink
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .events
-                .drain(..)
-                .collect();
-            streams.push((ii, events));
-        }
-        probes.push(ProbeStat {
-            ii,
-            outcome: outcome_str(&outcome),
-            nodes: stats.nodes,
-            fails: stats.fails,
-            time: tp.elapsed(),
-            worker: 0,
-        });
-        match outcome {
-            IiOutcome::Timeout => {
-                // This II was undecided — move on, remember the hole.
-                timed_out_any = true;
-                continue;
-            }
-            IiOutcome::Feasible(t, k, s) => {
-                if let Some(handle) = &opts.trace {
-                    // Every buffered stream is at a candidate ≤ the
-                    // winner: the sweep stops at the first feasible II.
-                    forward_probe_streams(
-                        handle,
-                        streams.iter().map(|(pii, ev)| (*pii, ev.as_slice())),
-                    );
-                }
-                return Ok(Some(assemble_result(
-                    g,
-                    spec,
-                    opts,
-                    ii,
-                    (t, k, s),
-                    t0.elapsed(),
-                    timed_out_any,
-                    probes,
-                    "cp",
-                    None,
-                )));
-            }
-            IiOutcome::Malformed(e) => return Err(e),
-            IiOutcome::Infeasible | IiOutcome::Cancelled => continue,
-        }
-    }
-    Ok(None)
+/// One probe as the sweep driver records it.
+struct Record {
+    ii: i32,
+    worker: usize,
+    time: Duration,
+    probed: Probed,
+    events: Vec<SearchEvent>,
 }
 
-/// The speculative parallel II sweep (see [`modulo_schedule`]).
-fn modulo_schedule_parallel(
+/// The II sweep behind every backend: `probe` answers one candidate.
+///
+/// `opts.jobs` workers claim candidates `lb..=ub` bottom-up from one
+/// atomic counter; worker 0 is the calling thread, so `jobs = 1` spawns
+/// nothing. Each claimed probe runs under its own child of the sweep's
+/// token. A feasible probe at `ii` lowers `bound` to `ii` and cancels the
+/// in-flight probes above it; a worker stops claiming once the next
+/// candidate lies above `bound`, the total budget is spent, or the
+/// sweep's token is cancelled. A malformed model ends the sweep the same
+/// way: it is a property of the graph, not of the candidate.
+///
+/// Returns the winning schedule, if any, and the SAT counters summed over
+/// the probes at or below the winner (over every probe when none won).
+fn sweep(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
+    probe: impl Fn(&ProbeSlot) -> Probed + Sync,
+) -> Result<(Option<ModuloResult>, Option<SatStats>), ModuloError> {
     let t0 = Instant::now();
     let lb = ii_lower_bound(g, spec);
     let ub = opts
         .max_ii
         .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
-    if ub < lb {
-        return Ok(None);
-    }
-    let candidates: Vec<i32> = (lb..=ub).collect();
-    // Per-probe tokens; children of the sweep-level token (when present)
-    // so a request deadline stops every probe, while a feasible probe
-    // still cancels only the candidates above it.
-    let tokens: Vec<CancelToken> = candidates
-        .iter()
-        .map(|_| {
-            opts.cancel
-                .as_ref()
-                .map_or_else(CancelToken::new, |c| c.child())
-        })
-        .collect();
-    let next = AtomicUsize::new(0);
-    // Index of the lowest candidate known feasible so far.
-    let winner = AtomicUsize::new(usize::MAX);
-    type Entry = (
-        usize,
-        usize,
-        IiOutcome,
-        SearchStats,
-        Duration,
-        Vec<SearchEvent>,
-    );
-    let entries: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+    let next = AtomicI32::new(lb);
+    let bound = AtomicI32::new(i32::MAX);
+    let in_flight: Mutex<Vec<(i32, CancelToken)>> = Mutex::new(Vec::new());
+    let lock_live = || in_flight.lock().unwrap_or_else(|e| e.into_inner());
 
-    std::thread::scope(|scope| {
-        for w in 0..opts.jobs {
-            let next = &next;
-            let winner = &winner;
-            let entries = &entries;
-            let tokens = &tokens;
-            let candidates = &candidates;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= candidates.len() {
-                    return;
-                }
-                let push = |o: IiOutcome, st: SearchStats, el: Duration, ev: Vec<SearchEvent>| {
-                    entries
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((idx, w, o, st, el, ev));
-                };
-                if idx > winner.load(Ordering::Acquire) || tokens[idx].is_cancelled() {
-                    push(
-                        IiOutcome::Cancelled,
-                        SearchStats::default(),
-                        Duration::ZERO,
-                        Vec::new(),
-                    );
-                    continue;
-                }
-                let remaining = opts.total_timeout.saturating_sub(t0.elapsed());
-                if remaining.is_zero() {
-                    push(
-                        IiOutcome::Timeout,
-                        SearchStats::default(),
-                        Duration::ZERO,
-                        Vec::new(),
-                    );
-                    continue;
-                }
-                let budget = opts.timeout_per_ii.min(remaining);
-                let tp = Instant::now();
-                let buffer = opts
-                    .trace
-                    .as_ref()
-                    .map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
-                let probe_trace = buffer.as_ref().map(|s| TraceHandle::new(Arc::clone(s)));
-                let (outcome, stats) = probe_ii(
-                    g,
-                    spec,
-                    candidates[idx],
-                    opts.include_reconfig,
-                    budget,
-                    Some(tokens[idx].clone()),
-                    probe_trace,
-                    opts.state_hash_every,
-                    opts.restarts,
-                    opts.bitset,
+    let work = |worker: usize| {
+        let mut records = Vec::new();
+        loop {
+            let remaining = opts.total_timeout.saturating_sub(t0.elapsed());
+            if remaining.is_zero() || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
+                break;
+            }
+            let ii = next.fetch_add(1, Ordering::Relaxed);
+            if ii > ub {
+                break;
+            }
+            let token = opts
+                .cancel
+                .as_ref()
+                .map_or_else(CancelToken::new, |c| c.child());
+            // Registered before the bound check, so a winner found from
+            // here on cancels this probe.
+            lock_live().push((ii, token.clone()));
+            if ii > bound.load(Ordering::Acquire) {
+                lock_live().retain(|(i, _)| *i != ii);
+                break;
+            }
+            let buffer = opts
+                .trace
+                .as_ref()
+                .map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
+            let slot = ProbeSlot {
+                ii,
+                budget: opts.timeout_per_ii.min(remaining),
+                cancel: Some(token),
+                trace: buffer.as_ref().map(|b| TraceHandle::new(Arc::clone(b))),
+            };
+            let tp = Instant::now();
+            let probed = probe(&slot);
+            let time = tp.elapsed();
+            {
+                let mut live = lock_live();
+                live.retain(|(i, _)| *i != ii);
+                let ends = matches!(
+                    probed.outcome,
+                    IiOutcome::Feasible(..) | IiOutcome::Malformed(_)
                 );
-                if matches!(outcome, IiOutcome::Feasible(..)) {
-                    // This candidate can only lose to a *lower* feasible
-                    // one, so everything above it is dead — cancel it.
+                if ends && ii < bound.fetch_min(ii, Ordering::AcqRel) {
                     // Lower in-flight probes keep running: they must be
                     // genuinely refuted for the merge to pick the true
                     // minimum.
-                    let prev = winner.fetch_min(idx, Ordering::AcqRel);
-                    if idx < prev {
-                        for t in &tokens[idx + 1..] {
-                            t.cancel();
-                        }
+                    for (_, t) in live.iter().filter(|(i, _)| *i > ii) {
+                        t.cancel();
                     }
                 }
-                let events = buffer
-                    .map(|s| {
-                        s.lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .events
-                            .drain(..)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                push(outcome, stats, tp.elapsed(), events);
+            }
+            let events = buffer
+                .map(|b| {
+                    let mut sink = b.lock().unwrap_or_else(|e| e.into_inner());
+                    sink.events.drain(..).collect()
+                })
+                .unwrap_or_default();
+            records.push(Record {
+                ii,
+                worker,
+                time,
+                probed,
+                events,
             });
         }
+        records
+    };
+    let mut records = std::thread::scope(|scope| {
+        let work = &work;
+        let helpers: Vec<_> = (1..opts.jobs)
+            .map(|w| scope.spawn(move || work(w)))
+            .collect();
+        let mut records = work(0);
+        for h in helpers {
+            records.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        records
     });
 
-    let mut entries = entries.into_inner().unwrap_or_else(|e| e.into_inner());
-    entries.sort_by_key(|(i, ..)| *i);
-    // A malformed model is a property of the graph, not of a candidate:
-    // surface the structured diagnostic instead of an empty sweep.
-    if let Some(pos) = entries
+    records.sort_by_key(|r| r.ii);
+    if let Some(pos) = records
         .iter()
-        .position(|(_, _, o, _, _, _)| matches!(o, IiOutcome::Malformed(_)))
+        .position(|r| matches!(r.probed.outcome, IiOutcome::Malformed(_)))
     {
-        let (_, _, outcome, _, _, _) = entries.swap_remove(pos);
-        let IiOutcome::Malformed(e) = outcome else {
-            unreachable!("pos indexes a malformed entry");
+        let IiOutcome::Malformed(e) = records.swap_remove(pos).probed.outcome else {
+            unreachable!("pos indexes a malformed probe");
         };
         return Err(e);
     }
-    let Some(wpos) = entries
+    let win = records
         .iter()
-        .position(|(_, _, o, _, _, _)| matches!(o, IiOutcome::Feasible(..)))
-    else {
-        return Ok(None);
+        .position(|r| matches!(r.probed.outcome, IiOutcome::Feasible(..)));
+    let counted = win.map_or(records.len(), |w| w + 1);
+    let sat = records[..counted]
+        .iter()
+        .filter_map(|r| r.probed.sat)
+        .reduce(|mut sum, s| {
+            sum.absorb(&s);
+            sum
+        });
+    let Some(win) = win else {
+        return Ok((None, sat));
     };
-    let timed_out_any = entries[..wpos]
-        .iter()
-        .any(|(_, _, o, _, _, _)| matches!(o, IiOutcome::Timeout));
-    let probes: Vec<ProbeStat> = entries
-        .iter()
-        .map(|(i, w, o, st, el, _)| ProbeStat {
-            ii: candidates[*i],
-            outcome: outcome_str(o),
-            nodes: st.nodes,
-            fails: st.fails,
-            time: *el,
-            worker: *w,
-        })
-        .collect();
     if let Some(handle) = &opts.trace {
-        // Candidates below the winner are always genuinely resolved
-        // (cancellation only hits candidates above it), so this prefix —
-        // and hence the merged trace — matches the sequential sweep's.
+        // Candidates below the winner always run to a natural stop, so
+        // this prefix, and hence the merged trace, is the same at any
+        // `jobs`.
         forward_probe_streams(
             handle,
-            entries[..=wpos]
-                .iter()
-                .map(|(i, _, _, _, _, ev)| (candidates[*i], ev.as_slice())),
+            records[..=win].iter().map(|r| (r.ii, r.events.as_slice())),
         );
     }
-    let (widx, _, outcome, _, _, _) = entries.swap_remove(wpos);
-    let IiOutcome::Feasible(t, k, s) = outcome else {
-        unreachable!("wpos indexes a feasible entry");
+    let probes = records
+        .iter()
+        .map(|r| ProbeStat {
+            ii: r.ii,
+            outcome: outcome_str(&r.probed.outcome),
+            nodes: r.probed.nodes,
+            fails: r.probed.fails,
+            time: r.time,
+            worker: r.worker,
+        })
+        .collect();
+    let winner = records.swap_remove(win);
+    let IiOutcome::Feasible(t, k, s) = winner.probed.outcome else {
+        unreachable!("win indexes a feasible probe");
     };
-    Ok(Some(assemble_result(
-        g,
-        spec,
-        opts,
-        candidates[widx],
-        (t, k, s),
-        t0.elapsed(),
-        timed_out_any,
-        probes,
-        "cp",
-        None,
-    )))
+    let r = assemble_result(g, spec, opts, winner.ii, (t, k, s), t0.elapsed(), probes);
+    Ok((Some(ModuloResult { sat, ..r }), sat))
 }
 
 /// Unroll `n_iters` iterations at the issue II and validate the combined
@@ -1426,29 +1306,35 @@ mod tests {
 
     #[test]
     fn expired_deadline_cancels_the_sweep_quickly() {
-        // Both sweep flavors must honour an already-expired wall-clock
-        // deadline: no probe runs to completion, so no schedule comes
-        // back, and the call returns promptly.
+        // Every backend and worker count must honour an already-expired
+        // wall-clock deadline: no probe runs to completion, so no
+        // schedule comes back, and the call returns promptly.
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
-        for jobs in [1, 4] {
-            let token = CancelToken::with_deadline(std::time::Instant::now());
-            let t0 = std::time::Instant::now();
-            let r = modulo_schedule(
-                &g,
-                &spec,
-                &ModuloOptions {
-                    jobs,
-                    cancel: Some(token),
-                    ..Default::default()
-                },
-            );
-            assert!(r.is_none(), "jobs={jobs}: cancelled sweep found {r:?}");
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(5),
-                "jobs={jobs}: cancelled sweep took {:?}",
-                t0.elapsed()
-            );
+        for backend in [Backend::Cp, Backend::Sat] {
+            for jobs in [1, 4] {
+                let token = CancelToken::with_deadline(std::time::Instant::now());
+                let t0 = std::time::Instant::now();
+                let r = modulo_schedule(
+                    &g,
+                    &spec,
+                    &ModuloOptions {
+                        backend,
+                        jobs,
+                        cancel: Some(token),
+                        ..Default::default()
+                    },
+                );
+                assert!(
+                    r.is_none(),
+                    "{backend:?} jobs={jobs}: cancelled sweep found {r:?}"
+                );
+                assert!(
+                    t0.elapsed() < std::time::Duration::from_secs(5),
+                    "{backend:?} jobs={jobs}: cancelled sweep took {:?}",
+                    t0.elapsed()
+                );
+            }
         }
     }
 
@@ -1456,36 +1342,72 @@ mod tests {
     fn parallel_sweep_matches_sequential_schedule() {
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
-        let seq = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        let par = modulo_schedule(
-            &g,
-            &spec,
-            &ModuloOptions {
-                jobs: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(par.ii_issue, seq.ii_issue);
-        assert_eq!(par.switches, seq.switches);
-        assert_eq!(par.actual_ii, seq.actual_ii);
-        // Byte-identical schedules: the winning probe is never cancelled,
-        // so its deterministic DFS reproduces the sequential assignment.
-        assert_eq!(par.t, seq.t);
-        assert_eq!(par.k, seq.k);
-        assert_eq!(par.s, seq.s);
-        // Probe records at or below the winner agree modulo timing and
-        // worker attribution.
-        let key = |r: &ModuloResult| {
-            r.probes
-                .iter()
-                .filter(|p| p.ii <= r.ii_issue)
-                .map(|p| (p.ii, p.outcome, p.nodes, p.fails))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(key(&par), key(&seq));
-        assert_eq!(par.jobs, 4);
-        assert_eq!(seq.jobs, 1);
+        for backend in [Backend::Cp, Backend::Sat] {
+            let run = |jobs: usize| {
+                let opts = ModuloOptions {
+                    backend,
+                    jobs,
+                    ..Default::default()
+                };
+                modulo_schedule(&g, &spec, &opts).unwrap()
+            };
+            let seq = run(1);
+            let par = run(4);
+            assert_eq!(par.ii_issue, seq.ii_issue);
+            assert_eq!(par.switches, seq.switches);
+            assert_eq!(par.actual_ii, seq.actual_ii);
+            // Byte-identical schedules: the winning probe is never
+            // cancelled, so its deterministic search reproduces the
+            // one-worker assignment.
+            assert_eq!(par.t, seq.t, "{backend:?}");
+            assert_eq!(par.k, seq.k, "{backend:?}");
+            assert_eq!(par.s, seq.s, "{backend:?}");
+            // Probe records at or below the winner agree modulo timing and
+            // worker attribution, and so do the SAT counters summed over
+            // them.
+            let key = |r: &ModuloResult| {
+                r.probes
+                    .iter()
+                    .filter(|p| p.ii <= r.ii_issue)
+                    .map(|p| (p.ii, p.outcome, p.nodes, p.fails))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(key(&par), key(&seq), "{backend:?}");
+            assert_eq!(par.sat, seq.sat, "{backend:?}");
+            assert_eq!(par.backend, backend.as_str());
+            assert_eq!(par.jobs, 4);
+            assert_eq!(seq.jobs, 1);
+        }
+    }
+
+    #[test]
+    fn speculative_sweep_records_at_most_jobs_probes_above_the_winner() {
+        // A thousand candidates above the winner: only the probes already
+        // in flight when the winner lands may be recorded (cancelled);
+        // the rest are never claimed.
+        let g = matmul();
+        let spec = eit_arch::ArchSpec::eit();
+        let lb = ii_lower_bound(&g, &spec);
+        let jobs = 4;
+        for backend in [Backend::Cp, Backend::Sat] {
+            let r = modulo_schedule(
+                &g,
+                &spec,
+                &ModuloOptions {
+                    backend,
+                    jobs,
+                    max_ii: Some(lb + 1000),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(r.ii_issue, lb);
+            let above = r.probes.iter().filter(|p| p.ii > r.ii_issue).count();
+            assert!(
+                above <= jobs,
+                "{backend:?}: {above} probes recorded above the winner"
+            );
+        }
     }
 
     #[test]

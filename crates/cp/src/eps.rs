@@ -1,6 +1,5 @@
 //! Embarrassingly-parallel search (EPS) inside a single hard instance.
 //!
-//! The portfolio ([`crate::portfolio`]) parallelizes across *heuristics*;
 //! EPS parallelizes across the *tree*: the root CSP is decomposed into
 //! many subproblems by fixing a prefix of branching decisions (30–100×
 //! more subproblems than workers, so the pool self-balances), and a
@@ -149,8 +148,8 @@ pub struct EpsReport {
 }
 
 /// A closure building a fresh model + search config. Models own boxed
-/// propagators and are not `Clone`, so — like the portfolio — EPS
-/// rebuilds the model per subproblem.
+/// propagators and are not `Clone`, so EPS rebuilds the model per
+/// subproblem.
 pub type EpsBuilder<'a> = dyn Fn() -> (Model, SearchConfig) + Sync + 'a;
 
 /// Apply one decision and run propagation to fixpoint; `false` = refuted.
@@ -623,7 +622,7 @@ pub fn eps_solve(builder: &EpsBuilder<'_>, eps: &EpsConfig) -> (SearchResult, Ep
 /// Minimization EPS in two passes.
 ///
 /// **Pass A** drains the subproblems with branch-and-bound under a shared
-/// [`AtomicI32`] incumbent (the portfolio's mechanism): the optimum
+/// [`AtomicI32`] incumbent ([`SearchConfig::shared_bound`]): the optimum
 /// *value* this yields is deterministic, because the subproblem holding
 /// the global optimum can only ever be pruned by an equal-valued
 /// incumbent. **Pass B** re-runs a satisfaction EPS with `obj ≤ v*`

@@ -14,8 +14,8 @@
 //!   implications of the paper's constraints (7)–(9);
 //! - phased depth-first **branch-and-bound** search with variable/value
 //!   heuristics, deadlines and node limits ([`search`]);
-//! - a parallel **portfolio** racing several heuristics with a shared
-//!   incumbent bound ([`portfolio`]).
+//! - embarrassingly parallel search over a decomposed search tree, with a
+//!   shared incumbent bound ([`eps`]).
 //!
 //! ## Example
 //!
@@ -54,7 +54,6 @@ pub mod domain;
 pub mod engine;
 pub mod eps;
 pub mod model;
-pub mod portfolio;
 pub mod props;
 pub mod record;
 pub mod replay;
@@ -69,7 +68,6 @@ pub use engine::{
 };
 pub use eps::{eps_minimize, eps_solve, EpsConfig, EpsReport, SubproblemOutcome, WorkerStats};
 pub use model::Model;
-pub use portfolio::{RaceReport, RacerOutcome};
 pub use record::{fnv1a, Fnv64, RecorderSink, Trace, TraceHeader, TRACE_MAGIC, TRACE_VERSION};
 pub use replay::{replay, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink};
 pub use search::{

@@ -182,8 +182,8 @@ pub struct SearchConfig {
     pub timeout: Option<Duration>,
     /// Explored-node budget; `None` = unbounded.
     pub node_limit: Option<u64>,
-    /// Optional cross-thread objective bound for portfolio search: the
-    /// search both publishes improvements to and prunes against it.
+    /// Optional cross-thread objective bound for parallel search (EPS):
+    /// the search both publishes improvements to and prunes against it.
     pub shared_bound: Option<Arc<AtomicI32>>,
     /// Restart-based branch-and-bound: after each incumbent, tighten the
     /// objective bound *at the root* and re-dive, instead of continuing
@@ -275,8 +275,8 @@ pub struct SearchResult {
     pub objective: Option<i32>,
     pub stats: SearchStats,
     /// The tree was fully exhausted (no budget abort). Under a shared
-    /// portfolio bound this is an optimality certificate for the portfolio
-    /// incumbent even when this thread found no solution itself.
+    /// bound this is an optimality certificate for the shared incumbent
+    /// even when this thread found no solution itself.
     pub completed: bool,
     /// The run was stopped by its [`SearchConfig::cancel`] token (a kind
     /// of abort: `completed` is `false` and the status is `Feasible` or
@@ -406,8 +406,8 @@ impl<'m> Dfs<'m> {
         Ok(())
     }
 
-    /// Effective objective upper bound, folding in the shared portfolio
-    /// bound when present.
+    /// Effective objective upper bound, folding in the shared bound when
+    /// present.
     fn effective_bound(&mut self) -> i32 {
         match &self.shared_bound {
             Some(sb) => {

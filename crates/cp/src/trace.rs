@@ -278,7 +278,7 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-/// Sharing a sink between threads (portfolio racers) or keeping a handle
+/// Sharing a sink between threads (EPS workers) or keeping a handle
 /// for post-run inspection: any `Arc<Mutex<Sink>>` is itself a sink.
 impl<S: TraceSink> TraceSink for Arc<Mutex<S>> {
     fn record(&mut self, event: &SearchEvent) {

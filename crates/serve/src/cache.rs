@@ -22,7 +22,7 @@
 
 use eit_core::SolveKey;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Counters exposed through the `stats` op and the aggregated metrics
 /// document.
@@ -95,7 +95,7 @@ impl<T> ScheduleCache<T> {
 
     /// Look up `key`; block while another thread is compiling it.
     pub fn get_or_lease(&self, key: &SolveKey) -> Lease<'_, T> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         let mut waited = false;
         loop {
             match inner.map.get(key) {
@@ -115,7 +115,7 @@ impl<T> ScheduleCache<T> {
                         waited = true;
                         inner.stats.waits += 1;
                     }
-                    inner = self.cv.wait(inner).unwrap();
+                    inner = self.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
                 }
                 None => {
                     inner.map.insert(key.clone(), Slot::InFlight);
@@ -131,18 +131,24 @@ impl<T> ScheduleCache<T> {
     }
 
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats
+        self.lock().stats
     }
 
     /// Number of Ready entries currently resident.
     pub fn entries(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap()
+        self.lock()
             .map
             .values()
             .filter(|s| matches!(s, Slot::Ready { .. }))
             .count()
+    }
+
+    /// Take the cache lock even if a thread panicked while holding it:
+    /// every critical section leaves `Inner` consistent between
+    /// statements, so one contained panic must not wedge every later
+    /// request.
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -151,7 +157,7 @@ impl<T> MissGuard<'_, T> {
     /// entries if the cache is over capacity, and wake all waiters.
     pub fn fulfill(mut self, value: T) -> Arc<T> {
         let value = Arc::new(value);
-        let mut inner = self.cache.inner.lock().unwrap();
+        let mut inner = self.cache.lock();
         inner.tick += 1;
         let tick = inner.tick;
         inner.map.insert(
@@ -204,7 +210,7 @@ impl<T> Drop for MissGuard<'_, T> {
         }
         // Abandoned (leader panicked or bailed): clear the in-flight
         // slot and wake waiters so one of them becomes the new leader.
-        let mut inner = self.cache.inner.lock().unwrap();
+        let mut inner = self.cache.lock();
         if matches!(inner.map.get(&self.key), Some(Slot::InFlight)) {
             inner.map.remove(&self.key);
         }
@@ -274,6 +280,29 @@ mod tests {
         assert!(matches!(cache.get_or_lease(&key(0)), Lease::Hit(_)));
         assert!(matches!(cache.get_or_lease(&key(1)), Lease::Miss(_)));
         assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn poisoned_lock_keeps_serving() {
+        let cache: ScheduleCache<u64> = ScheduleCache::new(8);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.inner.lock().unwrap();
+                panic!("injected fault inside the cache's critical section");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.inner.is_poisoned());
+        match cache.get_or_lease(&key(1)) {
+            Lease::Miss(g) => {
+                g.fulfill(1);
+            }
+            Lease::Hit(_) => panic!("cold hit"),
+        }
+        assert!(matches!(cache.get_or_lease(&key(1)), Lease::Hit(_)));
+        assert_eq!(cache.stats().inserts, 1);
+        assert_eq!(cache.entries(), 1);
     }
 
     #[test]

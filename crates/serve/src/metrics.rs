@@ -11,7 +11,7 @@
 
 use crate::cache::CacheStats;
 use eit_core::json::Json;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Matches `eit_bench::metrics::SCHEMA` (serve can't depend on bench —
 /// the dependency points the other way).
@@ -51,8 +51,14 @@ pub enum Outcome {
 }
 
 impl ServerMetrics {
+    /// Take the counters even if a thread panicked while holding them:
+    /// a contained panic must not take the `stats` op down with it.
+    fn counters(&self) -> MutexGuard<'_, Counters> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub fn record_outcome(&self, outcome: Outcome) {
-        let mut c = self.inner.lock().unwrap();
+        let mut c = self.counters();
         c.requests += 1;
         match outcome {
             Outcome::Ok => c.ok += 1,
@@ -75,28 +81,28 @@ impl ServerMetrics {
 
     /// A compile request entered the admission queue.
     pub fn enqueued(&self) {
-        let mut c = self.inner.lock().unwrap();
+        let mut c = self.counters();
         c.queue_depth += 1;
         c.queue_depth_max = c.queue_depth_max.max(c.queue_depth);
     }
 
     /// A worker picked a compile request up after `queue_us` in line.
     pub fn dequeued(&self, queue_us: u64) {
-        let mut c = self.inner.lock().unwrap();
+        let mut c = self.counters();
         c.queue_depth = c.queue_depth.saturating_sub(1);
         c.queue_us.push(queue_us);
     }
 
     /// A cold solve finished (hits record no solve time).
     pub fn solved(&self, solve_us: u64) {
-        self.inner.lock().unwrap().solve_us.push(solve_us);
+        self.counters().solve_us.push(solve_us);
     }
 
     /// Render the aggregated `eit-run-metrics/1` document. `cache` and
     /// `entries` come from the [`ScheduleCache`](crate::cache) at call
     /// time.
     pub fn document(&self, cache: CacheStats, entries: usize) -> Json {
-        let c = self.inner.lock().unwrap();
+        let c = self.counters();
         let lookups = cache.hits + cache.misses;
         let hit_rate = if lookups == 0 {
             0.0
@@ -173,6 +179,28 @@ mod tests {
         assert_eq!(percentile(&xs, 99), 99);
         assert_eq!(percentile(&[7], 50), 7);
         assert_eq!(percentile(&[], 99), 0);
+    }
+
+    #[test]
+    fn poisoned_lock_keeps_counting() {
+        let m = ServerMetrics::default();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = m.inner.lock().unwrap();
+                panic!("injected fault inside the metrics' critical section");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(m.inner.is_poisoned());
+        m.record_outcome(Outcome::Ok);
+        m.enqueued();
+        m.dequeued(10);
+        m.solved(20);
+        let doc = m.document(CacheStats::default(), 0);
+        let serve = doc.get("serve").unwrap();
+        assert_eq!(serve.get("requests").and_then(Json::as_u64), Some(1));
+        assert_eq!(serve.get("queue_depth_max").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

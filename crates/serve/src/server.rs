@@ -387,7 +387,7 @@ fn enqueue(
         deadline: enqueued + budget,
         out: Arc::clone(out),
     };
-    let mut q = shared.queue.lock().unwrap();
+    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     if q.len() >= shared.opts.queue_cap {
         drop(q);
         shared.metrics.record_outcome(Outcome::Overloaded);
@@ -410,7 +410,7 @@ fn enqueue(
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
                 if let Some(j) = q.pop_front() {
                     break j;
@@ -418,7 +418,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                q = shared.queue_cv.wait(q).unwrap();
+                q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         let queue_us = job.enqueued.elapsed().as_micros() as u64;

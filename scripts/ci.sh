@@ -32,7 +32,7 @@ cargo test -q -p eit-bench --test metrics_roundtrip
 echo "== engine equivalence: event-driven vs FIFO baseline"
 cargo test -q --release -p eit-cp --test differential event_engine
 
-echo "== parallel sweep determinism: --jobs 1 vs --jobs 4 on the table 3 smoke models"
+echo "== parallel sweep determinism: --jobs 1 vs --jobs 4 on the table 3 smoke models (cp incl, sat)"
 # The determinism contract of the speculative II sweep: the emitted
 # schedule (stdout) must be byte-identical, and the metrics must be
 # byte-identical after stripping the fields that are nondeterministic by
@@ -43,16 +43,27 @@ normalize_metrics() {
          -e 's/"jobs": [0-9]+/"jobs": 0/' \
          -e '/"workers": \[/,/^    \]$/d' "$1"
 }
-for k in matmul fir qrd; do
+# jobs_gate KERNEL LABEL EITC-ARGS...: run both worker counts, diff both outputs.
+jobs_gate() {
+  local k="$1" label="$2"; shift 2
+  local s1 m1 s4 m4
   s1="$(mktemp /tmp/eit-mod1.XXXXXX)"; m1="$(mktemp /tmp/eit-mod1m.XXXXXX.json)"
   s4="$(mktemp /tmp/eit-mod4.XXXXXX)"; m4="$(mktemp /tmp/eit-mod4m.XXXXXX.json)"
-  ./target/release/eitc "$k" --modulo incl --timeout 60 --jobs 1 --metrics "$m1" > "$s1"
-  ./target/release/eitc "$k" --modulo incl --timeout 60 --jobs 4 --metrics "$m4" > "$s4"
-  diff "$s1" "$s4" || { echo "FAIL: $k --jobs 4 schedule differs from sequential"; exit 1; }
+  ./target/release/eitc "$k" "$@" --timeout 60 --jobs 1 --metrics "$m1" > "$s1"
+  ./target/release/eitc "$k" "$@" --timeout 60 --jobs 4 --metrics "$m4" > "$s4"
+  diff "$s1" "$s4" || { echo "FAIL: $label --jobs 4 schedule differs from sequential"; exit 1; }
   diff <(normalize_metrics "$m1") <(normalize_metrics "$m4") \
-    || { echo "FAIL: $k --jobs 4 metrics differ from sequential"; exit 1; }
+    || { echo "FAIL: $label --jobs 4 metrics differ from sequential"; exit 1; }
   rm -f "$s1" "$s4" "$m1" "$m4"
-  echo "   $k: schedules and normalized metrics byte-identical"
+  echo "   $label: schedules and normalized metrics byte-identical"
+}
+for k in matmul fir qrd; do
+  jobs_gate "$k" "$k" --modulo incl
+done
+# The SAT sweep runs on the same driver and makes the same promise; its
+# solver counters are summed up to the winner, so they must match too.
+for k in matmul fir qrd; do
+  jobs_gate "$k" "$k sat" --modulo --backend sat
 done
 
 echo "== differential fuzz smoke: 200 fixed-seed cases (hybrid bitset domains on)"

@@ -12,7 +12,7 @@
 //! - [`cp`] — the finite-domain constraint solver (the JaCoP substitute):
 //!   `Cumulative`, `Diff2`, `AllDifferent`, `Disjunctive`, `Table`,
 //!   guarded memory constraints, phased restart branch-and-bound,
-//!   portfolio racing, solution enumeration;
+//!   embarrassingly-parallel search, solution enumeration;
 //! - [`core`] — the paper's contribution (§3.3–3.5): combined scheduling
 //!   plus vector-memory allocation as one CP model, overlapped execution and
 //!   modulo scheduling (§4.3, both reconfiguration variants, plus real
