@@ -122,41 +122,6 @@ fn bench_synthetic_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_engine_ab(c: &mut Criterion) {
-    // Event-driven tiered engine vs the legacy single-queue FIFO
-    // scheduler on the same synthetic scheduling instance. Both reach
-    // the identical makespan (the differential suite proves tree
-    // equality); the comparison isolates what mask filtering,
-    // idempotence skips and incremental wakes buy in wall clock.
-    let k = build(SynthParams {
-        layers: 4,
-        width: 6,
-        seed: 7,
-        ..Default::default()
-    });
-    let mut g = k.graph.clone();
-    eit_ir::merge_pipeline_ops(&mut g);
-    let mut group = c.benchmark_group("solver/engine_ab");
-    group.sample_size(10);
-    for (name, fifo) in [("event", false), ("fifo", true)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let r = schedule(
-                    &g,
-                    &ArchSpec::eit(),
-                    &SchedulerOptions {
-                        timeout: Some(Duration::from_secs(30)),
-                        fifo_engine: fifo,
-                        ..Default::default()
-                    },
-                );
-                r.makespan
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_search_heuristics(c: &mut Criterion) {
     // N-ary all-different-style packing via cumulative, comparing value
     // selection strategies on the same model.
@@ -318,7 +283,6 @@ criterion_group!(
     bench_domain,
     bench_propagation,
     bench_synthetic_scaling,
-    bench_engine_ab,
     bench_search_heuristics,
     bench_parallel_ab,
     bench_restart_ab

@@ -1,17 +1,11 @@
 //! Observability and scheduler bookkeeping must be (nearly) free.
 //!
-//! Two pins on the end-to-end QRD solve:
-//!
-//! - **Tracing off vs [`NullSink`]**: the null-sink run must stay within
-//!   noise (<2 %) of the untraced run — the emit path behind a disabled
-//!   handle is one branch, and behind a null handle one virtual call per
-//!   event. The untraced run includes the event engine's full queue
-//!   bookkeeping (event log draining, mask tests, tier queues, tag
-//!   delivery), so this budget also pins that bookkeeping.
-//! - **Event engine vs FIFO baseline**: the same solve under the legacy
-//!   single-queue scheduler (`SchedulerOptions::fifo_engine`). The event
-//!   engine reaches the identical schedule with ~73 % fewer propagator
-//!   invocations on QRD, so it must not be slower end-to-end.
+//! Tracing off vs [`NullSink`] on the end-to-end QRD solve: the null-sink
+//! run must stay within noise (<2 %) of the untraced run — the emit path
+//! behind a disabled handle is one branch, and behind a null handle one
+//! virtual call per event. The untraced run includes the event engine's
+//! full queue bookkeeping (event log draining, mask tests, tier queues,
+//! tag delivery), so this budget also pins that bookkeeping.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eit_arch::ArchSpec;
@@ -20,7 +14,7 @@ use eit_core::{schedule, SchedulerOptions};
 use eit_cp::{NullSink, TraceHandle};
 use std::time::Duration;
 
-fn solve_qrd(trace: Option<TraceHandle>, fifo_engine: bool) -> i32 {
+fn solve_qrd(trace: Option<TraceHandle>) -> i32 {
     let p = prepared("qrd");
     let r = schedule(
         &p.graph,
@@ -28,7 +22,6 @@ fn solve_qrd(trace: Option<TraceHandle>, fifo_engine: bool) -> i32 {
         &SchedulerOptions {
             timeout: Some(Duration::from_secs(60)),
             trace,
-            fifo_engine,
             ..Default::default()
         },
     );
@@ -38,12 +31,9 @@ fn solve_qrd(trace: Option<TraceHandle>, fifo_engine: bool) -> i32 {
 fn bench_trace_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_overhead");
     g.sample_size(20);
-    g.bench_function("solve_qrd/no_sink", |b| b.iter(|| solve_qrd(None, false)));
+    g.bench_function("solve_qrd/no_sink", |b| b.iter(|| solve_qrd(None)));
     g.bench_function("solve_qrd/null_sink", |b| {
-        b.iter(|| solve_qrd(Some(TraceHandle::new(NullSink)), false))
-    });
-    g.bench_function("solve_qrd/fifo_baseline", |b| {
-        b.iter(|| solve_qrd(None, true))
+        b.iter(|| solve_qrd(Some(TraceHandle::new(NullSink))))
     });
     g.finish();
 }

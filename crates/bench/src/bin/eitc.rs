@@ -55,11 +55,6 @@
 //!   --lenient           replay: only outcome mismatches fail (solutions,
 //!                       bounds, store hashes, final status)
 //!   --profile           print the per-propagator profile table (stderr)
-//!   --fifo              use the legacy FIFO propagation scheduler (A/B
-//!                       baseline for the event-driven engine)
-//!   --no-bitset         pin every solver variable to interval-list domains
-//!                       instead of the hybrid bitset representation (A/B
-//!                       baseline; same schedules, slower propagation)
 //!   --restarts [P]      fail-budgeted restarts with nogood recording.
 //!                       P = geom:BASE:FACTOR_PERCENT | luby:UNIT, with an
 //!                       optional +ng suffix to record nogoods
@@ -111,8 +106,6 @@ struct Args {
     replay: Option<String>,
     lenient: bool,
     profile: bool,
-    fifo: bool,
-    no_bitset: bool,
     restarts: Option<eit_cp::RestartConfig>,
     metrics: Option<String>,
     serve: Option<String>,
@@ -125,7 +118,7 @@ fn usage() -> ! {
     eprintln!("            [--overlap M] [--timeout SECS]");
     eprintln!("            [--emit xml|gantt|dot|vcd|cnf] [--verify]");
     eprintln!("            [--trace FILE] [--record FILE] [--replay FILE [--strict|--lenient]]");
-    eprintln!("            [--profile] [--fifo] [--no-bitset] [--restarts [POLICY]]");
+    eprintln!("            [--profile] [--restarts [POLICY]]");
     eprintln!("            [--metrics FILE]");
     eprintln!("       eitc --serve ADDR [--jobs N] [--timeout SECS] [--metrics FILE]");
     eprintln!("       eitc --dump-arch PRESET|FILE");
@@ -161,8 +154,6 @@ fn parse_args() -> Args {
         replay: None,
         lenient: false,
         profile: false,
-        fifo: false,
-        no_bitset: false,
         restarts: None,
         metrics: None,
         serve: None,
@@ -234,8 +225,6 @@ fn parse_args() -> Args {
             "--strict" => args.lenient = false,
             "--lenient" => args.lenient = true,
             "--profile" => args.profile = true,
-            "--fifo" => args.fifo = true,
-            "--no-bitset" => args.no_bitset = true,
             "--restarts" => {
                 // The policy token is optional: a following argument is
                 // consumed only when it parses as one, so `--restarts
@@ -586,7 +575,6 @@ fn main() {
             jobs: args.jobs,
             trace: trace.clone(),
             restarts: args.restarts,
-            bitset: !args.no_bitset,
             ..Default::default()
         };
         if rr && args.backend != eit_core::Backend::Cp {
@@ -702,9 +690,7 @@ fn main() {
         timeout: Some(timeout),
         trace,
         profile: args.profile || args.metrics.is_some(),
-        fifo_engine: args.fifo,
         restarts: args.restarts,
-        bitset: !args.no_bitset,
         ..Default::default()
     };
 

@@ -37,13 +37,8 @@ pub struct SchedulerOptions {
     /// Include the memory-allocation constraints (6)–(11). Without them
     /// the model is pure scheduling — the paper's manual-baseline setting.
     pub memory: bool,
-    /// Scheduling horizon; `None` derives a safe upper bound (serial sum
-    /// of latencies).
-    pub horizon: Option<i32>,
     /// Solver wall-clock budget.
     pub timeout: Option<Duration>,
-    /// Solver node budget.
-    pub node_limit: Option<u64>,
     /// After minimizing the makespan, fix it and lexicographically
     /// minimize the number of memory slots used (the highest slot index
     /// + 1). Costs a second branch-and-bound run.
@@ -57,10 +52,6 @@ pub struct SchedulerOptions {
     /// Per-propagator profiling with wall-time attribution; the profile
     /// comes back in [`ScheduleResult::propagator_profile`].
     pub profile: bool,
-    /// Run the solver with the legacy FIFO propagation scheduler instead
-    /// of the event-driven tiered engine — the A/B baseline for
-    /// measuring wake/invocation savings. Same solutions, same optima.
-    pub fifo_engine: bool,
     /// Cooperative cancellation (service deadlines).
     /// A deadline-bearing token ([`eit_cp::CancelToken::with_deadline`])
     /// enforces a per-request wall-clock budget without a watchdog
@@ -72,28 +63,38 @@ pub struct SchedulerOptions {
     /// Restarts reshape the search trajectory, so this **is** part of
     /// [`crate::rr::schedule_config_string`].
     pub restarts: Option<eit_cp::RestartConfig>,
-    /// Use the hybrid bitset/interval domain representation (default).
-    /// `false` pins every variable to interval lists — the A/B baseline.
-    /// Representation changes propagation *speed*, not the trajectory,
-    /// so this is excluded from the record/replay config string.
-    pub bitset: bool,
 }
 
 impl Default for SchedulerOptions {
     fn default() -> Self {
         SchedulerOptions {
             memory: true,
-            horizon: None,
             timeout: Some(Duration::from_secs(600)), // the paper's 10 min
-            node_limit: None,
             minimize_slots: false,
             trace: None,
             state_hash_every: None,
             profile: false,
-            fifo_engine: false,
             cancel: None,
             restarts: None,
-            bitset: true,
+        }
+    }
+}
+
+impl SchedulerOptions {
+    /// The branch-and-bound config for `phases` under these options. The
+    /// makespan search, the slot-minimisation pass and
+    /// [`crate::rr::replay_schedule`] all take it from here, so a replay
+    /// re-drives exactly the search that was recorded.
+    pub fn search_config(&self, phases: Vec<Phase>) -> SearchConfig {
+        SearchConfig {
+            phases,
+            timeout: self.timeout,
+            restart_on_solution: true,
+            trace: self.trace.clone(),
+            state_hash_every: self.state_hash_every,
+            cancel: self.cancel.clone(),
+            restarts: self.restarts,
+            ..Default::default()
         }
     }
 }
@@ -130,14 +131,8 @@ pub fn serial_horizon(g: &Graph, spec: &ArchSpec) -> i32 {
 pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> BuiltModel {
     let build_start = Instant::now();
     let mut timings = PhaseTimings::new();
-    let horizon = opts.horizon.unwrap_or_else(|| serial_horizon(g, spec));
-    let mut m = if opts.fifo_engine {
-        Model::with_fifo_baseline()
-    } else {
-        Model::new()
-    };
-    // Must precede variable creation: the switch pins vars at birth.
-    m.store.set_bitset(opts.bitset);
+    let horizon = serial_horizon(g, spec);
+    let mut m = Model::new();
 
     // --- start variables ---------------------------------------------------
     let start: Vec<VarId> = g
@@ -465,17 +460,7 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
     if opts.profile {
         built.model.engine.enable_profiling();
     }
-    let cfg = SearchConfig {
-        phases: built.phases.clone(),
-        timeout: opts.timeout,
-        node_limit: opts.node_limit,
-        shared_bound: None,
-        restart_on_solution: true,
-        trace: opts.trace.clone(),
-        state_hash_every: opts.state_hash_every,
-        cancel: opts.cancel.clone(),
-        restarts: opts.restarts,
-    };
+    let cfg = opts.search_config(built.phases.clone());
     let r = timings.time("search", || {
         minimize(&mut built.model, built.objective, &cfg)
     });
@@ -503,17 +488,7 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
         if !slot_vars.is_empty() {
             let max_slot = built2.model.new_var(0, spec.n_slots() as i32 - 1);
             built2.model.max_of(slot_vars, max_slot);
-            let cfg2 = SearchConfig {
-                phases: built2.phases.clone(),
-                timeout: opts.timeout,
-                node_limit: opts.node_limit,
-                shared_bound: None,
-                restart_on_solution: true,
-                trace: opts.trace.clone(),
-                state_hash_every: opts.state_hash_every,
-                cancel: opts.cancel.clone(),
-                restarts: opts.restarts,
-            };
+            let cfg2 = opts.search_config(built2.phases.clone());
             let r2 = minimize(&mut built2.model, max_slot, &cfg2);
             if let Some(sol) = r2.best.as_ref() {
                 schedule = Some(extract(g, spec, &built2, sol));

@@ -171,9 +171,6 @@ pub struct ModuloOptions {
     /// plain DFS). Trajectory-shaping, so it **is** part of
     /// [`crate::rr::modulo_config_string`].
     pub restarts: Option<eit_cp::RestartConfig>,
-    /// Hybrid bitset/interval domains in every probe model (default).
-    /// Representation-only — excluded from the config string.
-    pub bitset: bool,
     /// Decision procedure for the sweep: CP (default), SAT, or a race of
     /// the two. Trajectory-shaping, so it joins
     /// [`crate::rr::modulo_config_string`].
@@ -192,8 +189,22 @@ impl Default for ModuloOptions {
             state_hash_every: None,
             cancel: None,
             restarts: None,
-            bitset: true,
             backend: Backend::Cp,
+        }
+    }
+}
+
+impl ModuloOptions {
+    /// The satisfaction-search config of one CP probe over `phases`. A
+    /// probe in the sweep adds its own budget, token and trace buffer on
+    /// top; [`crate::rr::replay_modulo`] uses it as is, so a replay
+    /// re-drives exactly the search that was recorded.
+    pub fn probe_config(&self, phases: Vec<Phase>) -> SearchConfig {
+        SearchConfig {
+            phases,
+            state_hash_every: self.state_hash_every,
+            restarts: self.restarts,
+            ..Default::default()
         }
     }
 }
@@ -418,20 +429,6 @@ pub fn build_probe(
     ii: i32,
     include_reconfig: bool,
 ) -> Result<Option<ProbeModel>, ModuloError> {
-    build_probe_with(g, spec, ii, include_reconfig, true)
-}
-
-/// As [`build_probe`], with the hybrid bitset domain representation
-/// switchable (`bitset: false` pins every variable to interval lists —
-/// the `--no-bitset` A/B baseline; the trajectory is identical either
-/// way, only propagation speed changes).
-pub fn build_probe_with(
-    g: &Graph,
-    spec: &ArchSpec,
-    ii: i32,
-    include_reconfig: bool,
-    bitset: bool,
-) -> Result<Option<ProbeModel>, ModuloError> {
     let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
     let cp = g.critical_path(&latency);
@@ -444,7 +441,6 @@ pub fn build_probe_with(
     let horizon = (k_max + 1) * ii;
 
     let mut m = Model::new();
-    m.store.set_bitset(bitset);
     let mut t_var: HashMap<NodeId, VarId> = HashMap::new();
     let mut k_var: HashMap<NodeId, VarId> = HashMap::new();
     let mut s_var: Vec<VarId> = Vec::with_capacity(g.len());
@@ -669,7 +665,7 @@ impl Probed {
 /// The CP probe: build the candidate's CSP and run its satisfaction
 /// search under the slot's budget, token and trace buffer.
 fn probe_ii(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) -> Probed {
-    let pm = match build_probe_with(g, spec, slot.ii, opts.include_reconfig, opts.bitset) {
+    let pm = match build_probe(g, spec, slot.ii, opts.include_reconfig) {
         Ok(Some(pm)) => pm,
         Ok(None) => return Probed::bare(IiOutcome::Infeasible),
         Err(e) => return Probed::bare(IiOutcome::Malformed(e)),
@@ -682,13 +678,10 @@ fn probe_ii(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) 
         s_var,
     } = pm;
     let cfg = SearchConfig {
-        phases,
         timeout: Some(slot.budget),
         cancel: slot.cancel.clone(),
         trace: slot.trace.clone(),
-        state_hash_every: opts.state_hash_every,
-        restarts: opts.restarts,
-        ..Default::default()
+        ..opts.probe_config(phases)
     };
     let r = solve(&mut model, &cfg);
     let outcome = match r.status {
@@ -715,7 +708,7 @@ fn probe_ii(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) 
 /// solver, solve it, and decode a model. The caller still runs both
 /// verifiers on the winner before accepting it.
 fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
-    let deadline = Instant::now() + slot.budget;
+    let deadline = eit_cp::deadline_after(Instant::now(), slot.budget);
     let cancelled = || slot.cancel.as_ref().is_some_and(|c| c.is_cancelled());
     let mut solver = eit_sat::Solver::new();
     let decoder = match eit_sat::encode_modulo_into(g, spec, slot.ii, &mut solver) {
@@ -748,7 +741,7 @@ fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
             ..Probed::bare(IiOutcome::Cancelled)
         };
     }
-    let mut stop = || Instant::now() >= deadline || cancelled();
+    let mut stop = || deadline.is_some_and(|d| Instant::now() >= d) || cancelled();
     let out = solver.solve(&mut stop);
     let st = &solver.stats;
     sat.decisions = st.decisions;
@@ -1339,6 +1332,29 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_budgets_mean_no_deadline() {
+        // `Duration::MAX` cannot be added to an `Instant`: the sweep must
+        // treat it as unbounded and find the same II as under the
+        // default budgets, on either backend.
+        let g = matmul();
+        let spec = eit_arch::ArchSpec::eit();
+        for backend in [Backend::Cp, Backend::Sat] {
+            let opts = ModuloOptions {
+                backend,
+                ..Default::default()
+            };
+            let unbounded = ModuloOptions {
+                timeout_per_ii: Duration::MAX,
+                total_timeout: Duration::MAX,
+                ..opts.clone()
+            };
+            let want = modulo_schedule(&g, &spec, &opts).expect("matmul pipelines");
+            let got = modulo_schedule(&g, &spec, &unbounded).expect("unbounded sweep pipelines");
+            assert_eq!(got.ii_issue, want.ii_issue, "{backend:?}");
+        }
+    }
+
+    #[test]
     fn parallel_sweep_matches_sequential_schedule() {
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
@@ -1692,8 +1708,6 @@ pub struct AllocOptions {
     /// Worker threads; `> 1` solves the allocation CSP with
     /// embarrassingly-parallel search ([`eit_cp::eps_solve`]).
     pub jobs: usize,
-    /// EPS subproblems per worker (ignored for `jobs <= 1`).
-    pub split_factor: usize,
     /// First-SAT racing ([`eit_cp::EpsConfig::race`]): the first valid
     /// allocation found anywhere wins immediately instead of waiting for
     /// every lower-numbered subtree to be refuted. The allocation is
@@ -1705,8 +1719,6 @@ pub struct AllocOptions {
     pub cancel: Option<CancelToken>,
     /// Restart policy for the allocation search (`None` = plain DFS).
     pub restarts: Option<eit_cp::RestartConfig>,
-    /// Hybrid bitset/interval domains in the allocation model (default).
-    pub bitset: bool,
 }
 
 impl Default for AllocOptions {
@@ -1714,11 +1726,9 @@ impl Default for AllocOptions {
         Self {
             timeout: Duration::from_secs(60),
             jobs: 1,
-            split_factor: 30,
             race: false,
             cancel: None,
             restarts: None,
-            bitset: true,
         }
     }
 }
@@ -1774,7 +1784,6 @@ pub fn allocate_modulo_memory_with(
     // valid for solution extraction.
     let build = || -> (Model, Vec<(eit_ir::NodeId, VarId)>) {
         let mut m = Model::new();
-        m.store.set_bitset(opts.bitset);
         let n_slots = spec.n_slots() as i32;
         let n_lines = spec.slots_per_bank as i32;
         let n_pages = spec.n_pages() as i32;
@@ -1891,7 +1900,6 @@ pub fn allocate_modulo_memory_with(
         };
         let eps = eit_cp::EpsConfig {
             jobs: opts.jobs,
-            split_factor: opts.split_factor,
             race: opts.race,
             ..Default::default()
         };

@@ -7,7 +7,7 @@
 //! the IR and the architecture go into the trace header so a replay can
 //! refuse a trace recorded for a different problem, config strings pin
 //! the solver options that shape the trajectory, and the replay drivers
-//! rebuild the exact model + [`SearchConfig`] the recorded run used.
+//! rebuild the exact model + [`eit_cp::SearchConfig`] the recorded run used.
 //!
 //! A modulo recording is a *merged* stream: one [`SearchEvent::Stream`]
 //! marker per candidate II (resource bound up to and including the
@@ -20,7 +20,7 @@ use crate::model::{build_model, SchedulerOptions};
 use crate::modulo::{build_probe, ModuloOptions};
 use eit_arch::ArchSpec;
 use eit_cp::trace::SearchEvent;
-use eit_cp::{fnv1a, DivergenceReport, ReplayOptions, SearchConfig, TraceHeader};
+use eit_cp::{fnv1a, DivergenceReport, ReplayOptions, TraceHeader};
 use eit_ir::Graph;
 
 /// Default store-digest cadence for recorded runs: a
@@ -74,19 +74,12 @@ pub fn arch_hash(spec: &ArchSpec) -> u64 {
 /// merged event stream is `jobs`-independent by construction, so traces
 /// recorded under different budgets/parallelism stay comparable. The
 /// restart/nogood policy **is** included — restarts replay the tree in
-/// a different order — while the bitset/interval domain representation
-/// is **excluded**: it changes propagation speed, never the trajectory,
-/// so recordings stay comparable across `--no-bitset` A/B runs.
+/// a different order.
 pub fn schedule_config_string(opts: &SchedulerOptions) -> String {
     format!(
-        "mode=schedule;memory={};horizon={};minimize_slots={};fifo={};node_limit={};restarts={}",
+        "mode=schedule;memory={};minimize_slots={};restarts={}",
         u8::from(opts.memory),
-        opts.horizon
-            .map_or_else(|| "auto".into(), |h| h.to_string()),
         u8::from(opts.minimize_slots),
-        u8::from(opts.fifo_engine),
-        opts.node_limit
-            .map_or_else(|| "none".into(), |n| n.to_string()),
         opts.restarts
             .map_or_else(|| "off".into(), |rc| rc.config_token()),
     )
@@ -234,17 +227,7 @@ pub fn replay_schedule(
     ropts: &ReplayOptions,
 ) -> RrReport {
     let mut built = build_model(g, spec, opts);
-    let cfg = SearchConfig {
-        phases: built.phases.clone(),
-        timeout: opts.timeout,
-        node_limit: opts.node_limit,
-        shared_bound: None,
-        restart_on_solution: true,
-        trace: None,
-        state_hash_every: opts.state_hash_every,
-        cancel: None,
-        restarts: opts.restarts,
-    };
+    let cfg = opts.search_config(built.phases.clone());
     let rep = eit_cp::replay(
         &mut built.model,
         Some(built.objective),
@@ -343,12 +326,7 @@ pub fn replay_modulo(
             }
         };
         let mut pm = pm;
-        let cfg = SearchConfig {
-            phases: pm.phases.clone(),
-            state_hash_every: opts.state_hash_every,
-            restarts: opts.restarts,
-            ..Default::default()
-        };
+        let cfg = opts.probe_config(pm.phases.clone());
         let rep = eit_cp::replay(&mut pm.model, None, &cfg, events, ropts);
         report.checked += rep.checked;
         report.replay_nodes += rep.result.stats.nodes;
@@ -365,7 +343,7 @@ pub fn replay_modulo(
 mod tests {
     use super::*;
     use eit_cp::trace::{MemorySink, TraceHandle};
-    use eit_cp::ValSel;
+    use eit_cp::{SearchConfig, ValSel};
     use eit_dsl::Ctx;
     use std::sync::{Arc, Mutex};
 
@@ -388,12 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn config_string_includes_restarts_and_excludes_bitset() {
+    fn config_string_includes_restarts() {
         // The restart/nogood policy reshapes the search trajectory, so a
         // trace recorded with restarts must not replay against a
         // restart-free config (and vice versa): the token is part of the
-        // header. The domain representation changes only propagation
-        // speed, so `--no-bitset` recordings stay interchangeable.
+        // header.
         let base = SchedulerOptions::default();
         assert!(
             schedule_config_string(&base).ends_with(";restarts=off"),
@@ -410,13 +387,6 @@ mod tests {
         assert_ne!(
             schedule_config_string(&base),
             schedule_config_string(&with_restarts)
-        );
-        let mut no_bitset = base.clone();
-        no_bitset.bitset = false;
-        assert_eq!(
-            schedule_config_string(&base),
-            schedule_config_string(&no_bitset),
-            "bitset on/off must not split the replay/cache key"
         );
         // The restart token round-trips through the parser eitc uses to
         // reconstruct a header's policy.
@@ -441,9 +411,6 @@ mod tests {
             modulo_config_string(&mbase),
             modulo_config_string(&mrestart)
         );
-        let mut mnobits = mbase.clone();
-        mnobits.bitset = false;
-        assert_eq!(modulo_config_string(&mbase), modulo_config_string(&mnobits));
         let mut msat = mbase.clone();
         msat.backend = crate::modulo::Backend::Sat;
         assert!(modulo_config_string(&msat).ends_with(";backend=sat"));
@@ -472,30 +439,6 @@ mod tests {
         let rep = replay_schedule(&g, &spec, &opts, &recorded, &ReplayOptions::default());
         assert!(rep.ok, "divergence: {:?}", rep.divergence);
         assert_eq!(rep.replay_nodes, rep.recorded_nodes);
-    }
-
-    #[test]
-    fn bitset_off_recording_replays_against_bitset_on() {
-        // The two representations must produce byte-identical event
-        // streams: record with interval lists pinned, replay with the
-        // hybrid bitset domains (and the reverse direction).
-        let g = chain();
-        let spec = ArchSpec::eit();
-        let off = SchedulerOptions {
-            bitset: false,
-            ..Default::default()
-        };
-        let on = SchedulerOptions::default();
-        let rec_off = record_schedule(&g, &spec, &off);
-        let rep = replay_schedule(&g, &spec, &on, &rec_off, &ReplayOptions::default());
-        assert!(rep.ok, "bitset-on replay of bitset-off recording diverged");
-        let rec_on = record_schedule(&g, &spec, &on);
-        let rep = replay_schedule(&g, &spec, &off, &rec_on, &ReplayOptions::default());
-        assert!(rep.ok, "bitset-off replay of bitset-on recording diverged");
-        assert_eq!(
-            rec_on, rec_off,
-            "event streams must be representation-independent"
-        );
     }
 
     #[test]

@@ -31,6 +31,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The instant `budget` after `start`, or `None` — no deadline — when
+/// that lies beyond what [`Instant`] can represent. Every budget-to-
+/// deadline conversion goes through here, so a huge budget (say
+/// `Duration::MAX`) means "unbounded" instead of an overflow panic.
+pub fn deadline_after(start: Instant, budget: Duration) -> Option<Instant> {
+    start.checked_add(budget)
+}
+
 /// Shared cancellation flag, optionally deadline-bearing. Cloning is
 /// cheap (an [`Arc`] bump per link in the parent chain); all clones
 /// observe the same flag.
@@ -57,9 +65,13 @@ impl CancelToken {
         }
     }
 
-    /// [`Self::with_deadline`] at `budget` from now.
+    /// [`Self::with_deadline`] at `budget` from now; a budget too large
+    /// to form a deadline gives a token without one.
     pub fn with_budget(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
+        CancelToken {
+            deadline: deadline_after(Instant::now(), budget),
+            ..Self::default()
+        }
     }
 
     /// The wall-clock deadline this token trips at, if any (the
@@ -124,6 +136,16 @@ mod tests {
         let far = CancelToken::with_deadline(Instant::now() + Duration::from_secs(3600));
         assert!(!far.is_cancelled());
         assert!(far.deadline().is_some());
+    }
+
+    #[test]
+    fn unrepresentable_budget_means_no_deadline() {
+        let t = CancelToken::with_budget(Duration::MAX);
+        assert!(!t.is_cancelled());
+        assert_eq!(t.deadline(), None);
+        assert!(CancelToken::with_budget(Duration::from_secs(60))
+            .deadline()
+            .is_some());
     }
 
     #[test]

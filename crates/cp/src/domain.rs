@@ -153,7 +153,7 @@ enum Rep {
     Bits { base: i32, bits: u128 },
     /// Sorted, disjoint, non-adjacent closed intervals. Empty ⇔ domain
     /// empty. `pinned` suppresses promotion to the bitset representation
-    /// (the `--no-bitset` A/B baseline).
+    /// (the reference [`Domain::pin`] sets up).
     Ivs { ivs: Vec<(i32, i32)>, pinned: bool },
 }
 
@@ -228,8 +228,9 @@ impl Domain {
     }
 
     /// Force (and keep) the interval-list representation: the domain never
-    /// promotes to the bitset form again. This is the `--no-bitset` A/B
-    /// baseline; behaviour is otherwise identical.
+    /// promotes to the bitset form again. This is the reference the
+    /// representation tests compare the hybrid form against (see
+    /// `Store::set_bitset`); behaviour is otherwise identical.
     pub fn pin(&mut self) {
         let ivs = match &self.rep {
             Rep::Bits { .. } => self.intervals().collect(),

@@ -328,16 +328,11 @@ impl Engine {
     /// Disable event-mask filtering, priority tiers, idempotence skips
     /// and incremental wake info: every change wakes every subscriber
     /// into one FIFO queue with a full rescan. This reproduces the
-    /// pre-event engine and exists as the comparison baseline for the
-    /// differential suite and A/B profiling. Call before posting so the
+    /// pre-event engine and exists only as the reference the differential
+    /// suite checks the event engine against. Call before posting so the
     /// initial schedule is pure FIFO too.
     pub fn set_fifo_baseline(&mut self, on: bool) {
         self.fifo_baseline = on;
-    }
-
-    /// True if [`Engine::set_fifo_baseline`] turned the baseline mode on.
-    pub fn is_fifo_baseline(&self) -> bool {
-        self.fifo_baseline
     }
 
     /// Per-propagator accounting, one entry per registered propagator in

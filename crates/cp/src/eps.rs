@@ -30,7 +30,7 @@
 //! satisfaction EPS, making the witness the lexicographically-first
 //! optimal solution.
 
-use crate::cancel::CancelToken;
+use crate::cancel::{deadline_after, CancelToken};
 use crate::model::Model;
 use crate::search::{
     minimize, select_phase_var, solve, SearchConfig, SearchResult, SearchStats, SearchStatus,
@@ -614,7 +614,7 @@ pub fn eps_solve(builder: &EpsBuilder<'_>, eps: &EpsConfig) -> (SearchResult, Ep
             split_pruned,
             split_depth,
             t0,
-            deadline: cfg.timeout.map(|t| t0 + t),
+            deadline: cfg.timeout.and_then(|t| deadline_after(t0, t)),
         },
     )
 }
@@ -677,7 +677,7 @@ pub fn eps_minimize(
     // Pass A: bound discovery under a shared incumbent. The builder's
     // `timeout` is a global budget for the whole minimization (both
     // passes), enforced by handing each subproblem only the remainder.
-    let deadline = cfg.timeout.map(|t| t0 + t);
+    let deadline = cfg.timeout.and_then(|t| deadline_after(t0, t));
     let shared = Arc::new(AtomicI32::new(i32::MAX));
     let jobs = eps.jobs.max(1);
     let next = AtomicUsize::new(0);

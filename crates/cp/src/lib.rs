@@ -61,7 +61,7 @@ pub mod search;
 pub mod store;
 pub mod trace;
 
-pub use cancel::CancelToken;
+pub use cancel::{deadline_after, CancelToken};
 pub use domain::{Domain, DomainEvent};
 pub use engine::{
     render_profile_table, Engine, Priority, PropId, PropProfile, Propagator, Subscriptions, Wake,

@@ -29,8 +29,8 @@ impl Model {
 
     /// A model whose engine emulates the legacy FIFO scheduler: one
     /// queue, no event masks, no idempotence skips, every propagator
-    /// rescans all of its variables. The reference configuration for
-    /// differential tests and `--fifo` benchmark runs.
+    /// rescans all of its variables. The reference configuration for the
+    /// differential tests.
     pub fn with_fifo_baseline() -> Self {
         let mut m = Model::new();
         m.engine.set_fifo_baseline(true);

@@ -8,7 +8,7 @@
 //! [`Phase`] captures one such group; the brancher always exhausts earlier
 //! phases before touching later ones.
 
-use crate::cancel::CancelToken;
+use crate::cancel::{deadline_after, CancelToken};
 use crate::model::Model;
 use crate::props::nogood::{NogoodBase, NogoodProp};
 use crate::store::VarId;
@@ -847,7 +847,7 @@ fn run_with_collect(
         bound: i32::MAX,
         best: None,
         best_obj: None,
-        deadline: config.timeout.map(|d| t0 + d),
+        deadline: config.timeout.and_then(|d| deadline_after(t0, d)),
         node_limit: config.node_limit,
         shared_bound: config.shared_bound.clone(),
         stats: SearchStats::default(),
@@ -1083,6 +1083,27 @@ mod tests {
         assert_eq!(r.status, SearchStatus::Optimal);
         // 4 tasks × 2 cc on one machine = 8 cc optimum.
         assert_eq!(r.objective, Some(8));
+    }
+
+    #[test]
+    fn unrepresentable_timeout_means_no_deadline() {
+        // `Duration::MAX` cannot be added to an `Instant`; it must run
+        // as an unbounded search rather than panic.
+        let mut m = Model::new();
+        let vars: Vec<VarId> = (0..3).map(|_| m.new_var(0, 5)).collect();
+        let obj = m.new_var(0, 5);
+        m.post(Box::new(MaxOf {
+            xs: vars.clone(),
+            y: obj,
+        }));
+        let cfg = SearchConfig {
+            phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
+            timeout: Some(Duration::MAX),
+            ..Default::default()
+        };
+        let r = minimize(&mut m, obj, &cfg);
+        assert_eq!(r.status, SearchStatus::Optimal);
+        assert_eq!(r.objective, Some(0));
     }
 
     #[test]

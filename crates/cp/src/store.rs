@@ -56,7 +56,7 @@ pub struct Store {
     /// deltas around a propagator run give its pruning count.
     changes: u64,
     /// When false, every new variable is [`Domain::pin`]ned to the
-    /// interval-list representation — the `--no-bitset` A/B baseline.
+    /// interval-list representation (see [`Store::set_bitset`]).
     bitset_enabled: bool,
 }
 
@@ -75,13 +75,19 @@ impl Store {
         }
     }
 
-    /// Enable or disable the bitset domain representation for variables
-    /// created *after* this call (existing domains keep their
-    /// representation). Disabling pins new domains to the interval list;
-    /// search behaviour is identical either way — this exists as the
-    /// `--no-bitset` A/B baseline.
+    /// Enable or disable the bitset domain representation. Disabling pins
+    /// every existing domain (trailed copies included) and every later one
+    /// to the interval list, so a test can pin a model after it was built;
+    /// enabling affects only variables created afterwards. Search
+    /// behaviour is identical either way — the pinned store is the
+    /// reference the differential and kernel tests compare the hybrid
+    /// representation against.
     pub fn set_bitset(&mut self, on: bool) {
         self.bitset_enabled = on;
+        if !on {
+            self.domains.iter_mut().for_each(Domain::pin);
+            self.trail.iter_mut().for_each(|(_, d)| d.pin());
+        }
     }
 
     /// `(bitset, interval-list)` counts over the current domains — the
@@ -568,9 +574,26 @@ mod tests {
         for (&x, &y) in xs.iter().zip(&ys) {
             assert_eq!(on.dom(x), off.dom(y));
         }
-        // The A/B baseline sticks across backtracking.
+        // The pinned representation sticks across backtracking.
         off.pop_level();
         assert_eq!(off.domain_rep_counts(), (0, 3));
+    }
+
+    #[test]
+    fn bitset_switch_pins_existing_vars() {
+        let mut s = Store::new();
+        let xs: Vec<VarId> = (0..3).map(|_| s.new_var(0, 60)).collect();
+        s.push_level();
+        s.remove_value(xs[0], 30).unwrap();
+        s.set_bitset(false);
+        assert_eq!(s.domain_rep_counts(), (0, 3));
+        s.pop_level();
+        assert_eq!(
+            s.domain_rep_counts(),
+            (0, 3),
+            "trailed copies are pinned too"
+        );
+        assert_eq!(s.dom(xs[0]), &Domain::interval(0, 60));
     }
 
     #[test]

@@ -102,7 +102,8 @@ struct Job {
     id: String,
     kind: JobKind,
     enqueued: Instant,
-    deadline: Instant,
+    /// `None` when the budget is too large to form a deadline.
+    deadline: Option<Instant>,
     out: ConnWriter,
 }
 
@@ -384,7 +385,7 @@ fn enqueue(
         id: id.to_string(),
         kind,
         enqueued,
-        deadline: enqueued + budget,
+        deadline: eit_cp::deadline_after(enqueued, budget),
         out: Arc::clone(out),
     };
     let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -474,13 +475,15 @@ fn handle_job(shared: &Arc<Shared>, job: &Job, mut timing: RequestTiming) -> Res
         JobKind::Compile(req) => req,
     };
     let now = Instant::now();
-    if now >= job.deadline {
+    if job.deadline.is_some_and(|d| now >= d) {
         return Response::Deadline {
             stage: "queue",
             timing,
         };
     }
-    let budget = job.deadline.saturating_duration_since(now);
+    let budget = job
+        .deadline
+        .map_or(Duration::MAX, |d| d.saturating_duration_since(now));
 
     // Load and prepare the graph exactly as `eitc <kernel>` would:
     // validate, then the pipeline-merge pass.
@@ -519,7 +522,9 @@ fn handle_job(shared: &Arc<Shared>, job: &Job, mut timing: RequestTiming) -> Res
         (None, false) => spec = spec.with_slots(64),
         (None, true) => {}
     }
-    let token = CancelToken::with_deadline(job.deadline);
+    let token = job
+        .deadline
+        .map_or_else(CancelToken::new, CancelToken::with_deadline);
     let solve_started = Instant::now();
 
     if req.modulo {

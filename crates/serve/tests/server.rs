@@ -233,3 +233,27 @@ fn oversized_lines_resync_and_shutting_down_rejects_compiles() {
     drop(c);
     srv.join();
 }
+
+#[test]
+fn unbounded_default_deadline_still_compiles() {
+    // A budget too large to add to `Instant::now()` means "no deadline":
+    // every compile request still gets an answer, in both modes.
+    let srv = Server::start(ServeOptions {
+        default_deadline: Duration::MAX,
+        ..ServeOptions::default()
+    })
+    .expect("start server");
+    let mut c = Client::connect(&srv);
+    for mode in ["schedule", "modulo"] {
+        let resp = c.request(vec![
+            ("id", Json::str(mode)),
+            ("op", Json::str("compile")),
+            ("xml", Json::str(tiny_xml())),
+            ("mode", Json::str(mode)),
+        ]);
+        assert_eq!(status(&resp), "ok", "{mode}: {resp:?}");
+    }
+    drop(c);
+    srv.request_shutdown();
+    srv.join();
+}
