@@ -241,9 +241,17 @@ impl ArchSpec {
         self
     }
 
-    /// Total number of usable memory slots.
+    /// Largest latency, occupancy or reconfiguration cost a valid spec
+    /// may declare. The models add a few of these per node and sum them
+    /// over the graph into the serial horizon, all in the solver's `i32`
+    /// domains; no vector pipeline is a million cycles deep.
+    pub const MAX_CYCLES: i32 = 1 << 20;
+
+    /// Total number of usable memory slots. The bank × slot product
+    /// saturates at `u32::MAX` instead of wrapping; [`ArchSpec::validate`]
+    /// rejects every spec whose slot count does not fit `i32`.
     pub fn n_slots(&self) -> u32 {
-        let physical = self.n_banks * self.slots_per_bank;
+        let physical = self.n_banks.saturating_mul(self.slots_per_bank);
         self.slot_cap.map_or(physical, |c| c.min(physical))
     }
 
@@ -308,6 +316,17 @@ impl ArchSpec {
         if self.slots_per_bank == 0 {
             return Err("slots_per_bank=\"0\": memory needs at least one slot per bank".into());
         }
+        // Slots are solver values: the slot count must fit `i32`.
+        let physical = self.n_banks as u64 * self.slots_per_bank as u64;
+        if physical > i32::MAX as u64 {
+            return Err(format!(
+                "slots_per_bank=\"{}\": banks=\"{}\" × slots_per_bank is {physical} slots, \
+                 more than the solver's limit of {}",
+                self.slots_per_bank,
+                self.n_banks,
+                i32::MAX
+            ));
+        }
         if self.max_vector_reads == 0 {
             return Err("max_vector_reads=\"0\": must be positive".into());
         }
@@ -335,6 +354,13 @@ impl ArchSpec {
             return Err(format!(
                 "reconfig_cost=\"{}\": cannot be negative",
                 self.reconfig_cost
+            ));
+        }
+        if self.reconfig_cost > Self::MAX_CYCLES {
+            return Err(format!(
+                "reconfig_cost=\"{}\": exceeds the limit of {} cycles",
+                self.reconfig_cost,
+                Self::MAX_CYCLES
             ));
         }
         if self.slot_cap == Some(0) {
@@ -386,6 +412,15 @@ impl ArchSpec {
                         "op class=\"{}\" occupancy=\"{}\": must be at least 1",
                         op.class, op.occupancy
                     ));
+                }
+                for (attr, v) in [("latency", op.latency), ("occupancy", op.occupancy)] {
+                    if v > Self::MAX_CYCLES {
+                        return Err(format!(
+                            "op class=\"{}\" {attr}=\"{v}\": exceeds the limit of {} cycles",
+                            op.class,
+                            Self::MAX_CYCLES
+                        ));
+                    }
                 }
                 if op.width > u.count {
                     return Err(format!(
@@ -501,6 +536,45 @@ mod tests {
             .validate()
             .unwrap_err()
             .starts_with("max_vector_writes=\"17\""));
+    }
+
+    #[test]
+    fn specs_overflowing_the_solver_domains_are_rejected() {
+        // banks × slots_per_bank used to wrap in u32 and reach the solver
+        // as an empty slot domain.
+        let mut s = ArchSpec::eit();
+        s.n_banks = 2_000_000_000;
+        assert_eq!(s.n_slots(), u32::MAX);
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .starts_with("slots_per_bank=\"4\""));
+        let mut s = ArchSpec::eit();
+        s.slots_per_bank = 1_000_000_000;
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .contains("more than the solver's limit"));
+        // The largest slot count that fits i32 is accepted.
+        let mut s = ArchSpec::eit();
+        s.n_banks = 4;
+        s.max_vector_reads = 4;
+        s.slots_per_bank = i32::MAX as u32 / 4;
+        s.validate().unwrap();
+
+        // Cycle counts are summed over the graph into the horizon.
+        let mut s = ArchSpec::eit();
+        s.units.units[0].ops[0].latency = 2_000_000_000;
+        assert!(s.validate().unwrap_err().contains("latency=\"2000000000\""));
+        let mut s = ArchSpec::eit();
+        s.units.units[1].ops[1].occupancy = ArchSpec::MAX_CYCLES + 1;
+        assert!(s.validate().unwrap_err().contains("occupancy="));
+        let mut s = ArchSpec::eit();
+        s.reconfig_cost = ArchSpec::MAX_CYCLES + 1;
+        assert!(s.validate().unwrap_err().starts_with("reconfig_cost="));
+        let mut s = ArchSpec::eit();
+        s.units.units[0].ops[0].latency = ArchSpec::MAX_CYCLES;
+        s.validate().unwrap();
     }
 
     #[test]

@@ -536,6 +536,10 @@ fn main() {
     };
     if let Some(n) = args.slots {
         spec = spec.with_slots(n);
+        if let Err(e) = spec.validate() {
+            eprintln!("eitc: --slots {n}: {e}");
+            exit(1);
+        }
     }
     let timeout = Duration::from_secs(args.timeout);
 

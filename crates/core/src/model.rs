@@ -13,7 +13,7 @@
 //! | (6) slot/line/page channeling | `slot_geometry` |
 //! | (7) same-op input compatibility | `page_line_implies` |
 //! | (8)/(9) co-scheduled input/output compatibility | `cond_same_time` over co-issuable op pairs |
-//! | (10) lifetimes | `max_of` over consumer starts + `diff_plus_c` |
+//! | (10) lifetimes | `life ≥ s_c − s_d` per consumer (`linear_leq`), `life ≥ 1`; only lower bounds, since `Diff2` prunes on the minimum |
 //! | (11) slot reuse | `Diff2` over `(s, slot, life, 1)` rectangles |
 //! | §3.5 search | three [`Phase`]s: op starts → data starts → slots |
 
@@ -116,15 +116,32 @@ pub struct BuiltModel {
     pub timings: PhaseTimings,
 }
 
-/// A safe horizon: every op executed serially.
+/// Largest serial horizon the models accept: half the `i32` range, so
+/// the sums built on it (makespan, lifetimes, `ii·k + t`) still fit.
+pub const MAX_HORIZON: i32 = i32::MAX / 2;
+
+/// A safe horizon: every op executed serially. Saturates at
+/// [`MAX_HORIZON`]; the entry points refuse such graphs first with
+/// [`checked_horizon`].
 pub fn serial_horizon(g: &Graph, spec: &ArchSpec) -> i32 {
-    g.ids()
+    checked_horizon(g, spec).unwrap_or(MAX_HORIZON)
+}
+
+/// The serial horizon, or why it does not fit the solver's domains.
+pub fn checked_horizon(g: &Graph, spec: &ArchSpec) -> Result<i32, String> {
+    let h: i64 = g
+        .ids()
         .map(|i| {
             spec.latency(&g.node(i).kind)
-                .max(spec.duration(&g.node(i).kind))
+                .max(spec.duration(&g.node(i).kind)) as i64
         })
-        .sum::<i32>()
-        .max(1)
+        .sum();
+    if h > MAX_HORIZON as i64 {
+        return Err(format!(
+            "serial horizon of {h} cycles exceeds the solver's limit of {MAX_HORIZON}"
+        ));
+    }
+    Ok((h as i32).max(1))
 }
 
 /// Build the paper's model for `g` on `spec`.

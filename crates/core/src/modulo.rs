@@ -89,6 +89,9 @@ pub enum ModuloError {
     /// A backend produced an assignment that one of the independent
     /// verifiers rejected — a solver bug surfaced as data, not a panic.
     BackendDisagreement(String),
+    /// The graph's serial horizon on this machine does not fit the
+    /// solver's domains.
+    TooLarge(String),
 }
 
 impl std::fmt::Display for ModuloError {
@@ -98,6 +101,7 @@ impl std::fmt::Display for ModuloError {
                 write!(f, "model build failed at node '{node}': {detail}")
             }
             ModuloError::UnsupportedBackend(msg) => write!(f, "unsupported backend: {msg}"),
+            ModuloError::TooLarge(msg) => write!(f, "{msg}"),
             ModuloError::BackendDisagreement(msg) => {
                 write!(f, "backend produced an invalid schedule: {msg}")
             }
@@ -870,6 +874,7 @@ pub fn modulo_schedule_checked(
     spec: &ArchSpec,
     opts: &ModuloOptions,
 ) -> Result<Option<ModuloResult>, ModuloError> {
+    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
     match opts.backend {
         Backend::Cp => modulo_schedule_cp(g, spec, opts),
         Backend::Sat => {
@@ -905,6 +910,7 @@ pub fn modulo_cnf_dimacs(
     opts: &ModuloOptions,
 ) -> Result<Option<(i32, String)>, ModuloError> {
     check_sat_supported(opts)?;
+    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
     let lb = ii_lower_bound(g, spec);
     let ub = opts
         .max_ii
@@ -1978,6 +1984,42 @@ mod memory_tests {
             matches!(out, AllocOutcome::Unknown),
             "partial assignment must be Unknown, got a different outcome"
         );
+    }
+
+    /// The slot vectors of perfbench's four allocating steady-state
+    /// budgets (4 iterations, default restarts, the CP exclude-reconfig
+    /// schedule of the merged kernel), as FNV-1a 64 over each slot as a
+    /// little-endian u32 (`u32::MAX` for a node without one). A change to
+    /// propagation strength, propagator order or the search heuristics
+    /// moves them; a pure speed change must not.
+    #[test]
+    fn steady_state_slot_vectors_are_pinned() {
+        let opts = AllocOptions {
+            restarts: Some(eit_cp::RestartConfig::default()),
+            ..Default::default()
+        };
+        for (name, slots, want) in [
+            ("fir", 64, 0x98aa_51dc_01c5_1e2c_u64),
+            ("arf", 64, 0x4ca4_e474_e84f_e0a5),
+            ("qrd", 48, 0x859e_b7e2_a292_62cd),
+            ("detector", 40, 0xad3e_ce8b_5528_fbc2),
+        ] {
+            let mut g = eit_apps::by_name(name).unwrap().graph;
+            g.validate().unwrap();
+            eit_ir::merge_pipeline_ops(&mut g);
+            let r = modulo_schedule(&g, &ArchSpec::eit(), &ModuloOptions::default()).unwrap();
+            let spec = ArchSpec::eit().with_slots(slots);
+            let AllocOutcome::Allocated(_, sched) =
+                allocate_modulo_memory_with(&g, &spec, &r, 4, &opts)
+            else {
+                panic!("{name}@{slots} must allocate");
+            };
+            let mut h = eit_cp::Fnv64::new();
+            for s in &sched.slot {
+                h.write(&s.unwrap_or(u32::MAX).to_le_bytes());
+            }
+            assert_eq!(h.finish(), want, "{name}@{slots}: slot vector moved");
+        }
     }
 
     #[test]

@@ -56,6 +56,9 @@ pub enum CompileError {
     Infeasible,
     /// The solver budget expired without a schedule.
     Timeout,
+    /// The graph's serial horizon on this machine does not fit the
+    /// solver's domains.
+    TooLarge(String),
 }
 
 impl fmt::Display for CompileError {
@@ -64,6 +67,7 @@ impl fmt::Display for CompileError {
             CompileError::InvalidIr(e) => write!(f, "invalid IR: {e}"),
             CompileError::Infeasible => write!(f, "proven infeasible on this machine"),
             CompileError::Timeout => write!(f, "solver budget expired without a schedule"),
+            CompileError::TooLarge(msg) => write!(f, "{msg}"),
         }
     }
 }
@@ -116,6 +120,7 @@ pub fn compile(
         MergeStats::default()
     };
     debug_assert!(graph.validate().is_ok());
+    crate::model::checked_horizon(&graph, spec).map_err(CompileError::TooLarge)?;
 
     let result = schedule(&graph, spec, &opts.scheduler);
     timings.extend(&result.timings);
@@ -154,6 +159,34 @@ mod tests {
             },
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn horizon_overflow_is_a_structured_error() {
+        // 2 500 ops at the largest latency a spec may declare: every op
+        // is valid, but their serial sum does not fit the solver's i32
+        // domains. Both schedulers refuse before building a model.
+        let ctx = Ctx::new("long");
+        let b = ctx.vector([2.0, 3.0, 4.0, 5.0]);
+        let mut x = ctx.vector([1.0, 2.0, 3.0, 4.0]);
+        for _ in 0..2500 {
+            x = x.v_add(&b);
+        }
+        let g = ctx.finish();
+        let mut spec = ArchSpec::eit();
+        for op in &mut spec.units.units[0].ops {
+            op.latency = ArchSpec::MAX_CYCLES;
+        }
+        spec.validate().unwrap();
+        match compile(g.clone(), &spec, &opts(30)) {
+            Err(CompileError::TooLarge(msg)) => assert!(msg.contains("serial horizon"), "{msg}"),
+            other => panic!(
+                "expected TooLarge, got {:?}",
+                other.map(|c| c.schedule.makespan)
+            ),
+        }
+        let r = crate::modulo_schedule_checked(&g, &spec, &crate::ModuloOptions::default());
+        assert!(matches!(r, Err(crate::ModuloError::TooLarge(_))));
     }
 
     #[test]

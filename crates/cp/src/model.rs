@@ -3,12 +3,12 @@
 
 use crate::engine::{Engine, PropId, Propagator};
 use crate::props::alldiff::AllDifferent;
-use crate::props::basic::{DiffPlusC, MaxOf, NeqOffset, XPlusCEqY, XPlusCLeqY};
+use crate::props::basic::{MaxOf, NeqOffset, XPlusCEqY, XPlusCLeqY};
 use crate::props::cumulative::{CumTask, Cumulative};
 use crate::props::diff2::{Diff2, Rect};
 use crate::props::disjunctive::{DisjTask, Disjunctive};
 use crate::props::geometry::{ModChannel, SlotGeometry};
-use crate::props::linear::{LinearEq, LinearLeq};
+use crate::props::linear::LinearLeq;
 use crate::props::reify::{CondSameTime, GuardedPair, PageLineImplies};
 use crate::props::table::Table;
 use crate::store::{Store, VarId};
@@ -69,34 +69,19 @@ impl Model {
         self.post(Box::new(XPlusCEqY { x, c, y }));
     }
 
-    /// `x = y`.
-    pub fn eq(&mut self, x: VarId, y: VarId) {
-        self.eq_offset(x, 0, y);
-    }
-
     /// `x ≠ y` (paper's constraint (3)).
     pub fn neq(&mut self, x: VarId, y: VarId) {
         self.post(Box::new(NeqOffset { x, y, c: 0 }));
     }
 
-    /// `y = max(xs)` (constraints (5) and (10)).
+    /// `y = max(xs)` (constraint (5)).
     pub fn max_of(&mut self, xs: Vec<VarId>, y: VarId) {
         self.post(Box::new(MaxOf { xs, y }));
-    }
-
-    /// `y = x1 − x2 + c`.
-    pub fn diff_plus_c(&mut self, x1: VarId, x2: VarId, c: i32, y: VarId) {
-        self.post(Box::new(DiffPlusC { x1, x2, c, y }));
     }
 
     /// `Σ aᵢxᵢ ≤ c`.
     pub fn linear_leq(&mut self, terms: Vec<(i64, VarId)>, c: i64) {
         self.post(Box::new(LinearLeq::new(terms, c)));
-    }
-
-    /// `Σ aᵢxᵢ = c`.
-    pub fn linear_eq(&mut self, terms: Vec<(i64, VarId)>, c: i64) {
-        self.post(Box::new(LinearEq::new(terms, c)));
     }
 
     /// `AllDifferent` over a variable group.

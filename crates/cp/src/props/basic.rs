@@ -137,8 +137,8 @@ impl Propagator for NeqOffset {
 
 /// `y = max(x_1, …, x_n)`, bounds-consistent.
 ///
-/// Used for the makespan objective (5) and for data-node lifetimes (10),
-/// where the lifetime end is the max of the consumers' start times.
+/// Used for the makespan objective (5) and for the highest slot in use
+/// when the memory footprint is minimised.
 pub struct MaxOf {
     pub xs: Vec<VarId>,
     pub y: VarId,

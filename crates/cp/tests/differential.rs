@@ -17,6 +17,23 @@ use eit_cp::{minimize, solve, Model, Phase, SearchConfig, SearchStatus, ValSel, 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A `Diff2` rectangle length: a constant, or one of the instance's
+/// variables (constraint (11) uses lifetime variables as lengths).
+#[derive(Clone, Copy, Debug)]
+enum Ext {
+    Fixed(i32),
+    Var(usize),
+}
+
+impl Ext {
+    fn value(self, a: &[i32]) -> i32 {
+        match self {
+            Ext::Fixed(w) => w,
+            Ext::Var(v) => a[v],
+        }
+    }
+}
+
 /// A declarative constraint we can both post and brute-force-check.
 #[derive(Clone, Debug)]
 enum C {
@@ -26,7 +43,7 @@ enum C {
     LinLeq(Vec<(i64, usize)>, i64), // Σ aᵢxᵢ ≤ c
     Cumulative(Vec<(usize, i32, i32)>, i32),
     Disjunctive(Vec<(usize, i32)>),
-    Diff2(Vec<(usize, usize, i32, i32)>), // (x, y, w, h) fixed extents
+    Diff2(Vec<(usize, usize, Ext, Ext)>), // (x, y, w, h)
     AllDiff(Vec<usize>),
     Table(Vec<usize>, Vec<Vec<i32>>),
 }
@@ -60,10 +77,16 @@ fn check(c: &C, a: &[i32]) -> bool {
             true
         }
         C::Diff2(rects) => {
-            for (i, &(x1, y1, w1, h1)) in rects.iter().enumerate() {
-                for &(x2, y2, w2, h2) in &rects[i + 1..] {
-                    let x_overlap = a[x1] < a[x2] + w2 && a[x2] < a[x1] + w1;
-                    let y_overlap = a[y1] < a[y2] + h2 && a[y2] < a[y1] + h1;
+            // A rectangle with a zero length occupies nothing.
+            let solid: Vec<(i32, i32, i32, i32)> = rects
+                .iter()
+                .map(|&(x, y, w, h)| (a[x], a[y], w.value(a), h.value(a)))
+                .filter(|&(_, _, w, h)| w > 0 && h > 0)
+                .collect();
+            for (i, &(x1, y1, w1, h1)) in solid.iter().enumerate() {
+                for &(x2, y2, w2, h2) in &solid[i + 1..] {
+                    let x_overlap = x1 < x2 + w2 && x2 < x1 + w1;
+                    let y_overlap = y1 < y2 + h2 && y2 < y1 + h1;
                     if x_overlap && y_overlap {
                         return false;
                     }
@@ -139,11 +162,13 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
             let r = rects
                 .iter()
                 .map(|&(x, y, w, h)| {
-                    let wl = m.new_const(w);
-                    let hl = m.new_const(h);
+                    let mut len = |e: Ext| match e {
+                        Ext::Fixed(c) => m.new_const(c),
+                        Ext::Var(v) => vars[v],
+                    };
                     Rect {
                         origin: [vars[x], vars[y]],
-                        len: [wl, hl],
+                        len: [len(w), len(h)],
                     }
                 })
                 .collect();
@@ -234,16 +259,19 @@ fn random_instance(rng: &mut StdRng, n: usize, hi: i32) -> Vec<C> {
                 C::Disjunctive(tasks)
             }
             6 => {
-                let k = rng.gen_range(2..=n.min(3));
+                // Up to six rectangles over at most four variables, so
+                // origins are often shared; a length is a variable a
+                // third of the time, else a constant in 0..3.
+                let k = rng.gen_range(2..=6);
+                let ext = |rng: &mut StdRng| {
+                    if rng.gen_range(0..3) == 0 {
+                        Ext::Var(rng.gen_range(0..n))
+                    } else {
+                        Ext::Fixed(rng.gen_range(0..3))
+                    }
+                };
                 let rects = (0..k)
-                    .map(|_| {
-                        (
-                            rng.gen_range(0..n),
-                            rng.gen_range(0..n),
-                            rng.gen_range(1..3),
-                            rng.gen_range(1..3),
-                        )
-                    })
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), ext(rng), ext(rng)))
                     .collect();
                 C::Diff2(rects)
             }
@@ -409,6 +437,135 @@ fn event_engine_enumerates_the_same_solutions_as_fifo() {
         // without sorting: order differences are themselves a regression.
         assert_eq!(sets[0], sets[1], "case {case}: {cs:?}");
     }
+}
+
+/// A copy of `s` with the same variable ids and current domains, at the
+/// root level.
+fn copy_store(s: &eit_cp::Store) -> eit_cp::Store {
+    let mut c = eit_cp::Store::new();
+    for i in 0..s.num_vars() {
+        c.new_var_with_domain(s.dom(VarId(i as u32)).clone(), "");
+    }
+    c
+}
+
+/// Diff2 plus `x + c ≤ y` side constraints, posted on `s` into a fresh
+/// engine. With `rescan` the engine is the FIFO baseline, where every
+/// Diff2 run rescans all pairs on freshly read bounds.
+fn diff2_engine(
+    s: &eit_cp::Store,
+    rects: &[Rect],
+    leqs: &[(VarId, i32, VarId)],
+    rescan: bool,
+) -> eit_cp::Engine {
+    let mut e = eit_cp::Engine::new();
+    e.set_fifo_baseline(rescan);
+    e.post(Box::new(Diff2::new(rects.to_vec())), s);
+    for &(x, c, y) in leqs {
+        e.post(Box::new(XPlusCLeqY { x, c, y }), s);
+    }
+    e
+}
+
+/// Diff2's incremental runs — the bounds snapshot kept across re-runs in
+/// one fixpoint, the pair loop over moved rectangles and the cached
+/// pigeonhole peak — must prune exactly what full rescans prune. Random
+/// bound tightenings and backtracks drive one long-lived engine; after
+/// every fixpoint its domains must equal those a freshly posted Diff2
+/// reaches from the same start with a full rescan on every run (or both
+/// must fail). Side constraints move rectangle bounds between Diff2 runs
+/// of one fixpoint; shared origins and a shared `one` length make one
+/// pruning move several rectangles.
+#[test]
+fn diff2_incremental_matches_full_rescan() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF2);
+    let (mut pruned, mut failed, mut fixpoints) = (0u32, 0u32, 0u32);
+    for case in 0..300 {
+        let mut s = eit_cp::Store::new();
+        let hi = rng.gen_range(3..8);
+        let pool: Vec<VarId> = (0..rng.gen_range(3..9)).map(|_| s.new_var(0, hi)).collect();
+        let one = s.new_const(1);
+        let len = |rng: &mut StdRng, s: &mut eit_cp::Store| match rng.gen_range(0..4) {
+            0 => one,
+            1 => pool[rng.gen_range(0..pool.len())],
+            2 => s.new_var(rng.gen_range(0..2), rng.gen_range(2..5)),
+            _ => s.new_const(rng.gen_range(1..4)),
+        };
+        let rects: Vec<Rect> = (0..rng.gen_range(2..=6))
+            .map(|_| Rect {
+                origin: [
+                    pool[rng.gen_range(0..pool.len())],
+                    pool[rng.gen_range(0..pool.len())],
+                ],
+                len: [len(&mut rng, &mut s), len(&mut rng, &mut s)],
+            })
+            .collect();
+        let leqs: Vec<(VarId, i32, VarId)> = (0..rng.gen_range(0..3))
+            .map(|_| {
+                let x = pool[rng.gen_range(0..pool.len())];
+                let y = pool[rng.gen_range(0..pool.len())];
+                (x, rng.gen_range(0..3), y)
+            })
+            .filter(|&(x, _, y)| x != y)
+            .collect();
+        let vars: Vec<VarId> = (0..s.num_vars()).map(|i| VarId(i as u32)).collect();
+        let mut inc = diff2_engine(&s, &rects, &leqs, false);
+        if inc.fixpoint(&mut s).is_err() {
+            continue;
+        }
+        for step in 0..40 {
+            if s.depth() > 0 && rng.gen_range(0..3) == 0 {
+                s.pop_level();
+                continue;
+            }
+            s.push_level();
+            // Tighten one to three bounds, never to an empty domain.
+            for _ in 0..rng.gen_range(1..4) {
+                let v = vars[rng.gen_range(0..vars.len())];
+                let val = rng.gen_range(s.min(v)..=s.max(v));
+                let r = if rng.gen_bool(0.5) {
+                    s.remove_below(v, val)
+                } else {
+                    s.remove_above(v, val)
+                };
+                r.expect("a tightening inside the bounds cannot fail");
+            }
+            let mut fresh = copy_store(&s);
+            let before = s.change_count();
+            let got = inc.fixpoint(&mut s);
+            let want = diff2_engine(&fresh, &rects, &leqs, true).fixpoint(&mut fresh);
+            fixpoints += 1;
+            assert_eq!(
+                got.is_err(),
+                want.is_err(),
+                "case {case} step {step}: verdicts differ: {rects:?} {leqs:?}"
+            );
+            if got.is_err() {
+                failed += 1;
+                s.pop_level();
+                continue;
+            }
+            if s.change_count() > before {
+                pruned += 1;
+            }
+            for &v in &vars {
+                assert_eq!(
+                    (s.min(v), s.max(v), s.size(v)),
+                    (fresh.min(v), fresh.max(v), fresh.size(v)),
+                    "case {case} step {step}: {v:?} differs: {rects:?} {leqs:?}"
+                );
+            }
+        }
+    }
+    // The walk must reach pruning and failing fixpoints, not only no-ops.
+    assert!(
+        pruned > 300,
+        "only {pruned} of {fixpoints} fixpoints pruned"
+    );
+    assert!(
+        failed > 150,
+        "only {failed} of {fixpoints} fixpoints failed"
+    );
 }
 
 #[test]

@@ -29,8 +29,9 @@ trap 'rm -f "$out"' EXIT
 grep -q '"schema": "eit-run-metrics/1"' "$out"
 cargo test -q -p eit-bench --test metrics_roundtrip
 
-echo "== engine equivalence: event-driven vs FIFO baseline"
+echo "== engine equivalence: event-driven vs FIFO baseline, incremental Diff2 vs full rescan"
 cargo test -q --release -p eit-cp --test differential event_engine
+cargo test -q --release -p eit-cp --test differential diff2_incremental_matches_full_rescan
 
 echo "== parallel sweep determinism: --jobs 1 vs --jobs 4 on the table 3 smoke models (cp incl, sat)"
 # The determinism contract of the speculative II sweep: the emitted
