@@ -247,9 +247,19 @@ impl ArchSpec {
     /// domains; no vector pipeline is a million cycles deep.
     pub const MAX_CYCLES: i32 = 1 << 20;
 
+    /// Largest lane, bank or unit count a valid spec may declare. Counts
+    /// become `i32` resource capacities in the models.
+    pub const MAX_COUNT: u32 = 1 << 16;
+
+    /// Largest physical slot count (`banks × slots_per_bank`) a valid
+    /// spec may declare. The slot-geometry propagator enumerates a slot
+    /// domain per vector datum, so this bounds its memory as well as
+    /// keeping slots inside the solver's `i32` values.
+    pub const MAX_SLOTS: u32 = 1 << 20;
+
     /// Total number of usable memory slots. The bank × slot product
     /// saturates at `u32::MAX` instead of wrapping; [`ArchSpec::validate`]
-    /// rejects every spec whose slot count does not fit `i32`.
+    /// rejects every spec with more than [`ArchSpec::MAX_SLOTS`] slots.
     pub fn n_slots(&self) -> u32 {
         let physical = self.n_banks.saturating_mul(self.slots_per_bank);
         self.slot_cap.map_or(physical, |c| c.min(physical))
@@ -316,16 +326,23 @@ impl ArchSpec {
         if self.slots_per_bank == 0 {
             return Err("slots_per_bank=\"0\": memory needs at least one slot per bank".into());
         }
-        // Slots are solver values: the slot count must fit `i32`.
         let physical = self.n_banks as u64 * self.slots_per_bank as u64;
-        if physical > i32::MAX as u64 {
+        if physical > Self::MAX_SLOTS as u64 {
             return Err(format!(
                 "slots_per_bank=\"{}\": banks=\"{}\" × slots_per_bank is {physical} slots, \
                  more than the solver's limit of {}",
                 self.slots_per_bank,
                 self.n_banks,
-                i32::MAX
+                Self::MAX_SLOTS
             ));
+        }
+        for (attr, v) in [("lanes", self.n_lanes), ("banks", self.n_banks)] {
+            if v > Self::MAX_COUNT {
+                return Err(format!(
+                    "{attr}=\"{v}\": exceeds the limit of {}",
+                    Self::MAX_COUNT
+                ));
+            }
         }
         if self.max_vector_reads == 0 {
             return Err("max_vector_reads=\"0\": must be positive".into());
@@ -385,6 +402,14 @@ impl ArchSpec {
                 return Err(format!(
                     "unit name=\"{}\" count=\"0\": must be positive",
                     u.name
+                ));
+            }
+            if u.count > Self::MAX_COUNT {
+                return Err(format!(
+                    "unit name=\"{}\" count=\"{}\": exceeds the limit of {}",
+                    u.name,
+                    u.count,
+                    Self::MAX_COUNT
                 ));
             }
             if u.ops.is_empty() {
@@ -555,11 +580,41 @@ mod tests {
             .validate()
             .unwrap_err()
             .contains("more than the solver's limit"));
-        // The largest slot count that fits i32 is accepted.
+        // The largest slot count within the limit is accepted.
         let mut s = ArchSpec::eit();
         s.n_banks = 4;
         s.max_vector_reads = 4;
-        s.slots_per_bank = i32::MAX as u32 / 4;
+        s.slots_per_bank = ArchSpec::MAX_SLOTS / 4;
+        s.validate().unwrap();
+        s.slots_per_bank += 1;
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .contains("more than the solver's limit"));
+        // 2^31 - 2 slots fit i32 but would make the slot-geometry
+        // propagator enumerate billions of values.
+        let mut s = ArchSpec::eit();
+        s.n_banks = 2_147_483_646;
+        s.page_size = 2;
+        s.slots_per_bank = 1;
+        assert!(s.validate().unwrap_err().contains("banks=\"2147483646\""));
+        // A lane count past i32 used to wrap into a negative capacity.
+        let mut s = ArchSpec::eit();
+        s.n_lanes = 4_000_000_000;
+        s.units.units[0].count = 4_000_000_000; // the vector core
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .starts_with("lanes=\"4000000000\""));
+        let mut s = ArchSpec::eit();
+        s.n_banks = ArchSpec::MAX_COUNT * 2;
+        s.slots_per_bank = 1;
+        assert!(s.validate().unwrap_err().starts_with("banks="));
+        let mut s = ArchSpec::eit();
+        s.units.units[1].count = ArchSpec::MAX_COUNT + 1;
+        assert!(s.validate().unwrap_err().contains("exceeds the limit"));
+        let mut s = ArchSpec::eit();
+        s.units.units[1].count = ArchSpec::MAX_COUNT;
         s.validate().unwrap();
 
         // Cycle counts are summed over the graph into the horizon.

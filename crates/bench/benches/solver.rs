@@ -123,49 +123,38 @@ fn bench_synthetic_scaling(c: &mut Criterion) {
 }
 
 fn bench_search_heuristics(c: &mut Criterion) {
-    // N-ary all-different-style packing via cumulative, comparing value
-    // selection strategies on the same model.
-    for val in [ValSel::Min, ValSel::Split] {
-        c.bench_function(&format!("solver/packing_valsel_{:?}", val), |b| {
-            b.iter(|| {
-                let mut m = Model::new();
-                let vars: Vec<_> = (0..24).map(|_| m.new_var(0, 11)).collect();
-                m.cumulative(
-                    vars.iter()
-                        .map(|&v| CumTask {
-                            start: v,
-                            dur: 1,
-                            req: 1,
-                        })
-                        .collect(),
-                    2,
-                );
-                let cfg = SearchConfig {
-                    phases: vec![Phase::new(vars, VarSel::FirstFail, val)],
-                    ..Default::default()
-                };
-                let r = eit_cp::solve(&mut m, &cfg);
-                assert!(r.is_sat());
-            })
-        });
-    }
+    // N-ary all-different-style packing via cumulative: first-fail
+    // variable selection, smallest value first.
+    c.bench_function("solver/packing_first_fail", |b| {
+        b.iter(|| {
+            let mut m = Model::new();
+            let vars: Vec<_> = (0..24).map(|_| m.new_var(0, 11)).collect();
+            m.cumulative(
+                vars.iter()
+                    .map(|&v| CumTask {
+                        start: v,
+                        dur: 1,
+                        req: 1,
+                    })
+                    .collect(),
+                2,
+            );
+            let cfg = SearchConfig {
+                phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
+                ..Default::default()
+            };
+            let r = eit_cp::solve(&mut m, &cfg);
+            assert!(r.is_sat());
+        })
+    });
 }
 
 fn bench_parallel_ab(c: &mut Criterion) {
-    // Sequential vs `--jobs 4` on QRD with reconfigurations modelled.
-    //
-    // Two shapes. `sweep_*` is the speculative II sweep itself: QRD's
-    // lower bound is tight (II = 22 is feasible on the first probe), so
-    // parallelism can only add thread-spawn overhead there — the pair
-    // documents that the sweep's parallel mode costs little when there is
-    // nothing to overlap. `alloc_*` is where the cores pay off: the
-    // steady-state memory allocation at a 39-slot budget sits right on
-    // the CSP phase transition — a sequential dive thrashes for over a
-    // minute, while EPS hands one of the ~120 decision-prefix subtrees to
-    // each worker and first-SAT racing returns a valid allocation in
-    // ~100 ms. The sequential side is budget-capped at 2 s to keep the
-    // bench finite, so the measured ratio (~20×) is a *lower bound* on
-    // the true speedup; the acceptance bar is 2×.
+    // Sequential vs `--jobs 4` speculative II sweep on QRD with
+    // reconfigurations modelled. QRD's lower bound is tight (II = 22 is
+    // feasible on the first probe), so parallelism can only add
+    // thread-spawn overhead here — the pair documents that the sweep's
+    // parallel mode costs little when there is nothing to overlap.
     let k = eit_apps::by_name("qrd").expect("built-in kernel");
     let mut g = k.graph.clone();
     eit_ir::merge_pipeline_ops(&mut g);
@@ -175,7 +164,6 @@ fn bench_parallel_ab(c: &mut Criterion) {
         ..Default::default()
     };
     let modulo = modulo_schedule(&g, &ArchSpec::eit(), &mopts(1)).expect("qrd incl pipelines");
-    let spec = ArchSpec::eit().with_slots(39);
 
     let mut group = c.benchmark_group("solver/parallel_ab");
     group.sample_size(10);
@@ -188,41 +176,12 @@ fn bench_parallel_ab(c: &mut Criterion) {
             })
         });
     }
-    for (name, jobs, race) in [
-        ("alloc_seq_2s_cap", 1usize, false),
-        ("alloc_eps_jobs4", 4, true),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let out = allocate_modulo_memory_with(
-                    &g,
-                    &spec,
-                    &modulo,
-                    4,
-                    &AllocOptions {
-                        timeout: Duration::from_secs(2),
-                        jobs,
-                        race,
-                        ..Default::default()
-                    },
-                );
-                if jobs > 1 {
-                    assert!(
-                        matches!(out, AllocOutcome::Allocated(..)),
-                        "EPS should crack the 39-slot allocation within budget"
-                    );
-                }
-                matches!(out, AllocOutcome::Allocated(..))
-            })
-        });
-    }
     group.finish();
 }
 
 fn bench_restart_ab(c: &mut Criterion) {
-    // Restarts + nogood recording on the same phase-transition instance
-    // the EPS bench uses: QRD's steady-state memory allocation at a
-    // 39-slot budget. A plain sequential dive commits to a bad prefix
+    // Restarts + nogood recording on a phase-transition instance: QRD's
+    // steady-state memory allocation at a 39-slot budget. A plain sequential dive commits to a bad prefix
     // and thrashes until the 2 s cap; geometric restarts abandon the
     // prefix, the recorded nogoods stop the next dive from re-entering
     // it, and the single-threaded search finds a valid allocation well
@@ -260,7 +219,6 @@ fn bench_restart_ab(c: &mut Criterion) {
                     4,
                     &AllocOptions {
                         timeout: Duration::from_secs(2),
-                        jobs: 1,
                         restarts,
                         ..Default::default()
                     },

@@ -1,7 +1,8 @@
 //! Architecture descriptions whose numbers overflow the solver's `i32`
-//! domains are refused when they are loaded: `eitc` exits 1 with a
-//! message naming the attribute (a panic would exit 101), and
-//! `eit-serve` answers `bad-request` (not `panic`).
+//! domains, or exceed the size limits that keep its domains small, are
+//! refused when they are loaded: `eitc` exits 1 with a message naming
+//! the attribute (a panic would exit 101), and `eit-serve` answers
+//! `bad-request` (not `panic`).
 
 use eit_arch::{to_arch_xml, ArchSpec};
 use eit_core::json::Json;
@@ -30,6 +31,25 @@ fn overflowing_specs() -> Vec<(String, &'static str)> {
         (
             edit("latency=\"7\"", "latency=\"2000000000\""),
             "latency=\"2000000000\"",
+        ),
+        // A lane count past i32 used to wrap into a negative capacity.
+        (
+            edit("lanes=\"4\"", "lanes=\"4000000000\"").replacen(
+                "name=\"vector-core\" count=\"4\"",
+                "name=\"vector-core\" count=\"4000000000\"",
+                1,
+            ),
+            "lanes=\"4000000000\"",
+        ),
+        // 2^31 - 2 slots fit i32, but the slot-geometry propagator would
+        // enumerate them all (an allocation failure aborts, unwinding
+        // nothing).
+        (
+            edit(
+                "banks=\"16\" page_size=\"4\" slots_per_bank=\"4\"",
+                "banks=\"2147483646\" page_size=\"2\" slots_per_bank=\"1\"",
+            ),
+            "banks=\"2147483646\"",
         ),
     ]
 }

@@ -1239,6 +1239,14 @@ pub fn validate_modulo(
     r: &ModuloResult,
     n_iters: usize,
 ) -> Vec<eit_arch::Violation> {
+    let (big, sched) = unroll(g, spec, r, n_iters);
+    eit_arch::validate_structure_with(&big, spec, &sched, false)
+}
+
+/// Replicate `n_iters` iterations of `g` and start iteration `it` of
+/// every node at `r.s + it·ii_issue` (slots unassigned). `r.s` must
+/// cover every node of `g`.
+fn unroll(g: &Graph, spec: &ArchSpec, r: &ModuloResult, n_iters: usize) -> (Graph, Schedule) {
     let (big, map) = crate::replicate::replicate(g, n_iters);
     let mut sched = Schedule::new(big.len());
     for (it, ids) in map.iter().enumerate() {
@@ -1247,7 +1255,7 @@ pub fn validate_modulo(
         }
     }
     sched.compute_makespan(&big, &spec.latency_of(&big));
-    eit_arch::validate_structure_with(&big, spec, &sched, false)
+    (big, sched)
 }
 
 #[cfg(test)]
@@ -1711,17 +1719,8 @@ pub fn allocate_modulo_memory(
 pub struct AllocOptions {
     /// Wall-clock budget for the slot-assignment search.
     pub timeout: Duration,
-    /// Worker threads; `> 1` solves the allocation CSP with
-    /// embarrassingly-parallel search ([`eit_cp::eps_solve`]).
-    pub jobs: usize,
-    /// First-SAT racing ([`eit_cp::EpsConfig::race`]): the first valid
-    /// allocation found anywhere wins immediately instead of waiting for
-    /// every lower-numbered subtree to be refuted. The allocation is
-    /// still validated downstream; only *which* of the equally-valid
-    /// assignments is returned varies run-to-run. Off by default.
-    pub race: bool,
-    /// Cooperative cancellation / wall-clock deadline, polled by every
-    /// worker's search (the EPS subproblem configs inherit it).
+    /// Cooperative cancellation / wall-clock deadline, polled by the
+    /// search.
     pub cancel: Option<CancelToken>,
     /// Restart policy for the allocation search (`None` = plain DFS).
     pub restarts: Option<eit_cp::RestartConfig>,
@@ -1731,8 +1730,6 @@ impl Default for AllocOptions {
     fn default() -> Self {
         Self {
             timeout: Duration::from_secs(60),
-            jobs: 1,
-            race: false,
             cancel: None,
             restarts: None,
         }
@@ -1750,10 +1747,9 @@ pub enum AllocOutcome {
     Unknown,
 }
 
-/// [`allocate_modulo_memory`] with explicit budget and parallelism. The
-/// allocation CSP (slot variables only, starts fixed) is exactly the
-/// shape EPS likes: one hard satisfaction instance with no objective, so
-/// subproblem subtrees share nothing but the model.
+/// [`allocate_modulo_memory`] with an explicit budget, cancellation and
+/// restart policy. The allocation CSP has slot variables only (starts
+/// are fixed) and no objective.
 pub fn allocate_modulo_memory_with(
     g: &Graph,
     spec: &ArchSpec,
@@ -1770,122 +1766,108 @@ pub fn allocate_modulo_memory_with(
     if g.ids().any(|n| !r.s.contains_key(&n)) {
         return AllocOutcome::Unknown;
     }
-    let (big, map) = crate::replicate::replicate(g, n_iters);
-    let mut sched = Schedule::new(big.len());
-    for (it, ids) in map.iter().enumerate() {
-        for n in g.ids() {
-            sched.start[ids[n.idx()].idx()] = r.s[&n] + it as i32 * r.ii_issue;
-        }
-    }
-    sched.compute_makespan(&big, &spec.latency_of(&big));
+    let (big, mut sched) = unroll(g, spec, r, n_iters);
 
     let vdata: Vec<eit_ir::NodeId> = big
         .ids()
         .filter(|&n| big.category(n) == Category::VectorData)
         .collect();
 
-    // Memory model with fixed starts. Building it is fully deterministic,
-    // so the slot variable ids are identical across builds — EPS rebuilds
-    // the model per worker and the ids captured from any one build stay
-    // valid for solution extraction.
-    let build = || -> (Model, Vec<(eit_ir::NodeId, VarId)>) {
-        let mut m = Model::new();
-        let n_slots = spec.n_slots() as i32;
-        let n_lines = spec.slots_per_bank as i32;
-        let n_pages = spec.n_pages() as i32;
+    // Memory model with fixed starts.
+    let mut m = Model::new();
+    let n_slots = spec.n_slots() as i32;
+    let n_lines = spec.slots_per_bank as i32;
+    let n_pages = spec.n_pages() as i32;
 
-        // (slot, line, page) variable triple per vector datum. Every
-        // consumer below *looks up* the triple and skips nodes without
-        // one — a vector datum the decode missed degrades to a weaker
-        // model (caught by downstream validation), never to a panic.
-        let mut geo: Vec<Option<(VarId, VarId, VarId)>> = vec![None; big.len()];
-        for &d in &vdata {
-            let s = m.new_var(0, n_slots - 1);
-            let l = m.new_var(0, n_lines - 1);
-            let p = m.new_var(0, n_pages - 1);
-            m.slot_geometry(s, l, p, spec.n_banks as i32, spec.page_size as i32);
-            geo[d.idx()] = Some((s, l, p));
-        }
+    // (slot, line, page) variable triple per vector datum. Every
+    // consumer below *looks up* the triple and skips nodes without
+    // one — a vector datum the decode missed degrades to a weaker
+    // model (caught by downstream validation), never to a panic.
+    let mut geo: Vec<Option<(VarId, VarId, VarId)>> = vec![None; big.len()];
+    for &d in &vdata {
+        let s = m.new_var(0, n_slots - 1);
+        let l = m.new_var(0, n_lines - 1);
+        let p = m.new_var(0, n_pages - 1);
+        m.slot_geometry(s, l, p, spec.n_banks as i32, spec.page_size as i32);
+        geo[d.idx()] = Some((s, l, p));
+    }
 
-        let vec_core: Vec<eit_ir::NodeId> = big
-            .ids()
-            .filter(|&n| matches!(big.category(n), Category::VectorOp | Category::MatrixOp))
-            .collect();
-        // (7): same-instruction inputs and outputs.
-        for &op in &vec_core {
-            for group in [big.preds(op), big.succs(op)] {
-                let vd: Vec<(VarId, VarId)> = group
-                    .iter()
-                    .filter_map(|&d| geo[d.idx()].map(|(_, l, p)| (l, p)))
-                    .collect();
-                for (x, &(ld, pd)) in vd.iter().enumerate() {
-                    for &(le, pe) in &vd[x + 1..] {
-                        m.page_line_implies(pd, ld, pe, le);
-                    }
+    let vec_core: Vec<eit_ir::NodeId> = big
+        .ids()
+        .filter(|&n| matches!(big.category(n), Category::VectorOp | Category::MatrixOp))
+        .collect();
+    // (7): same-instruction inputs and outputs.
+    for &op in &vec_core {
+        for group in [big.preds(op), big.succs(op)] {
+            let vd: Vec<(VarId, VarId)> = group
+                .iter()
+                .filter_map(|&d| geo[d.idx()].map(|(_, l, p)| (l, p)))
+                .collect();
+            for (x, &(ld, pd)) in vd.iter().enumerate() {
+                for &(le, pe) in &vd[x + 1..] {
+                    m.page_line_implies(pd, ld, pe, le);
                 }
             }
         }
-        // (8)/(9): starts are fixed, so co-issue is a static fact — post
-        // the implications directly for pairs sharing a cycle.
-        for (a, &i) in vec_core.iter().enumerate() {
-            for &j in &vec_core[a + 1..] {
-                if sched.start_of(i) != sched.start_of(j) {
-                    continue;
-                }
-                let pairs = |xs: &[eit_ir::NodeId], ys: &[eit_ir::NodeId]| -> Vec<GuardedPair> {
-                    let with_geo = |ds: &[eit_ir::NodeId]| -> Vec<(eit_ir::NodeId, VarId, VarId)> {
-                        ds.iter()
-                            .filter_map(|&d| geo[d.idx()].map(|(_, l, p)| (d, l, p)))
-                            .collect()
-                    };
-                    let fx = with_geo(xs);
-                    let fy = with_geo(ys);
-                    let mut out = Vec::new();
-                    for &(d, line_d, page_d) in &fx {
-                        for &(e, line_e, page_e) in &fy {
-                            if d != e {
-                                out.push(GuardedPair {
-                                    page_d,
-                                    line_d,
-                                    page_e,
-                                    line_e,
-                                });
-                            }
+    }
+    // (8)/(9): starts are fixed, so co-issue is a static fact — post
+    // the implications directly for pairs sharing a cycle.
+    for (a, &i) in vec_core.iter().enumerate() {
+        for &j in &vec_core[a + 1..] {
+            if sched.start_of(i) != sched.start_of(j) {
+                continue;
+            }
+            let pairs = |xs: &[eit_ir::NodeId], ys: &[eit_ir::NodeId]| -> Vec<GuardedPair> {
+                let with_geo = |ds: &[eit_ir::NodeId]| -> Vec<(eit_ir::NodeId, VarId, VarId)> {
+                    ds.iter()
+                        .filter_map(|&d| geo[d.idx()].map(|(_, l, p)| (d, l, p)))
+                        .collect()
+                };
+                let fx = with_geo(xs);
+                let fy = with_geo(ys);
+                let mut out = Vec::new();
+                for &(d, line_d, page_d) in &fx {
+                    for &(e, line_e, page_e) in &fy {
+                        if d != e {
+                            out.push(GuardedPair {
+                                page_d,
+                                line_d,
+                                page_e,
+                                line_e,
+                            });
                         }
                     }
-                    out
-                };
-                for gp in pairs(big.preds(i), big.preds(j))
-                    .into_iter()
-                    .chain(pairs(big.succs(i), big.succs(j)))
-                {
-                    m.page_line_implies(gp.page_d, gp.line_d, gp.page_e, gp.line_e);
                 }
+                out
+            };
+            for gp in pairs(big.preds(i), big.preds(j))
+                .into_iter()
+                .chain(pairs(big.succs(i), big.succs(j)))
+            {
+                m.page_line_implies(gp.page_d, gp.line_d, gp.page_e, gp.line_e);
             }
         }
-        // (10)/(11): lifetimes are constants now.
-        let one = m.new_const(1);
-        let mut rects = Vec::with_capacity(vdata.len());
-        let mut slot_vars: Vec<(eit_ir::NodeId, VarId)> = Vec::with_capacity(vdata.len());
-        for &d in &vdata {
-            let Some((sv, _, _)) = geo[d.idx()] else {
-                continue;
-            };
-            let (s0, s1) = sched.lifetime(&big, d);
-            let x = m.new_const(s0);
-            let life = m.new_const((s1 - s0).max(1));
-            rects.push(Rect {
-                origin: [x, sv],
-                len: [life, one],
-            });
-            slot_vars.push((d, sv));
-        }
-        m.diff2(rects);
+    }
+    // (10)/(11): lifetimes are constants now.
+    let one = m.new_const(1);
+    let mut rects = Vec::with_capacity(vdata.len());
+    let mut slot_vars: Vec<(eit_ir::NodeId, VarId)> = Vec::with_capacity(vdata.len());
+    for &d in &vdata {
+        let Some((sv, _, _)) = geo[d.idx()] else {
+            continue;
+        };
+        let (s0, s1) = sched.lifetime(&big, d);
+        let x = m.new_const(s0);
+        let life = m.new_const((s1 - s0).max(1));
+        rects.push(Rect {
+            origin: [x, sv],
+            len: [life, one],
+        });
+        slot_vars.push((d, sv));
+    }
+    m.diff2(rects);
 
-        (m, slot_vars)
-    };
-
-    let mk_cfg = |slot_vars: &[(eit_ir::NodeId, VarId)]| SearchConfig {
+    let cfg = SearchConfig {
         phases: vec![Phase::new(
             slot_vars.iter().map(|&(_, v)| v).collect(),
             VarSel::FirstFail,
@@ -1896,26 +1878,7 @@ pub fn allocate_modulo_memory_with(
         restarts: opts.restarts,
         ..Default::default()
     };
-
-    let (res, slot_vars) = if opts.jobs > 1 {
-        let (_, slot_vars) = build();
-        let builder = || {
-            let (m, sv) = build();
-            let cfg = mk_cfg(&sv);
-            (m, cfg)
-        };
-        let eps = eit_cp::EpsConfig {
-            jobs: opts.jobs,
-            race: opts.race,
-            ..Default::default()
-        };
-        let (res, _report) = eit_cp::eps_solve(&builder, &eps);
-        (res, slot_vars)
-    } else {
-        let (mut m, sv) = build();
-        let cfg = mk_cfg(&sv);
-        (solve(&mut m, &cfg), sv)
-    };
+    let res = solve(&mut m, &cfg);
 
     match res.status {
         SearchStatus::Optimal | SearchStatus::Feasible => {

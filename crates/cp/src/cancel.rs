@@ -2,11 +2,11 @@
 //!
 //! A [`CancelToken`] is a cheap cloneable flag shared between a running
 //! search and the coordinator that may decide its result is no longer
-//! needed (a speculative II probe overtaken by a lower feasible II, an
-//! EPS subproblem past the winning index, a service request whose client
-//! deadline expired, …). Cancellation is *polled*: the search loop
-//! checks the token at every node (with the deadline and node-limit
-//! budgets) and the propagation engine checks it periodically inside
+//! needed (a speculative II probe overtaken by a lower feasible II, the
+//! losing backend of a race, a service request whose client deadline
+//! expired, …). Cancellation is *polled*: the search loop checks the
+//! token at every node (with the deadline and node-limit budgets) and
+//! the propagation engine checks it periodically inside
 //! [`crate::engine::Engine::fixpoint`], so even a probe stuck in a long
 //! fixpoint stops within a bounded number of propagator runs.
 //!

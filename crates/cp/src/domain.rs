@@ -628,15 +628,6 @@ impl Domain {
             self.size()
         )
     }
-
-    /// The midpoint used by domain-splitting branchers: `(min+max)/2`
-    /// rounded toward `min` (always a legal split point: `min ≤ mid < max`
-    /// whenever the domain is not fixed).
-    pub fn split_point(&self) -> i32 {
-        let lo = self.min() as i64;
-        let hi = self.max() as i64;
-        (lo + (hi - lo) / 2) as i32
-    }
 }
 
 /// Iterator over a domain's maximal intervals, representation-agnostic
@@ -831,15 +822,6 @@ mod tests {
         assert_eq!(d.next_member(9), None);
     }
 
-    #[test]
-    fn split_point_never_equals_max_on_wide_domains() {
-        let d = Domain::interval(3, 4);
-        assert_eq!(d.split_point(), 3);
-        let d2 = Domain::interval(i32::MIN / 2, i32::MAX / 2);
-        let m = d2.split_point();
-        assert!(m >= d2.min() && m < d2.max());
-    }
-
     /// Every operation at the extreme representable bounds — the full
     /// `[i32::MIN, i32::MAX]` domain is what an unbounded variable gets,
     /// so none of this may overflow (debug builds would panic).
@@ -852,8 +834,6 @@ mod tests {
         assert!(d.contains(i32::MIN));
         assert!(d.contains(i32::MAX));
         assert!(d.contains(0));
-        let m = d.split_point();
-        assert!(m >= d.min() && m < d.max());
         assert_eq!(d.next_member(i32::MAX), Some(i32::MAX));
 
         let mut lo = d.clone();
@@ -1014,7 +994,6 @@ mod tests {
             if !b.is_empty() {
                 assert_eq!(b.min(), p.min(), "step {i}");
                 assert_eq!(b.max(), p.max(), "step {i}");
-                assert_eq!(b.split_point(), p.split_point(), "step {i}");
             }
             for v in -2..103 {
                 assert_eq!(b.contains(v), p.contains(v), "step {i}, v={v}");

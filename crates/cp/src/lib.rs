@@ -13,9 +13,8 @@
 //!   `max`, slot-geometry channeling and the guarded memory-access
 //!   implications of the paper's constraints (7)–(9);
 //! - phased depth-first **branch-and-bound** search with variable/value
-//!   heuristics, deadlines and node limits ([`search`]);
-//! - embarrassingly parallel search over a decomposed search tree, with a
-//!   shared incumbent bound ([`eps`]).
+//!   heuristics, deadlines, cancellation and fail-budgeted restarts with
+//!   nogood recording ([`search`]).
 //!
 //! ## Example
 //!
@@ -52,7 +51,6 @@
 pub mod cancel;
 pub mod domain;
 pub mod engine;
-pub mod eps;
 pub mod model;
 pub mod props;
 pub mod record;
@@ -66,7 +64,6 @@ pub use domain::{Domain, DomainEvent};
 pub use engine::{
     render_profile_table, Engine, Priority, PropId, PropProfile, Propagator, Subscriptions, Wake,
 };
-pub use eps::{eps_minimize, eps_solve, EpsConfig, EpsReport, SubproblemOutcome, WorkerStats};
 pub use model::Model;
 pub use record::{fnv1a, Fnv64, RecorderSink, Trace, TraceHeader, TRACE_MAGIC, TRACE_VERSION};
 pub use replay::{replay, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink};

@@ -2,7 +2,6 @@
 //! constructors for every constraint used by the scheduling model.
 
 use crate::engine::{Engine, PropId, Propagator};
-use crate::props::alldiff::AllDifferent;
 use crate::props::basic::{MaxOf, NeqOffset, XPlusCEqY, XPlusCLeqY};
 use crate::props::cumulative::{CumTask, Cumulative};
 use crate::props::diff2::{Diff2, Rect};
@@ -10,7 +9,6 @@ use crate::props::disjunctive::{DisjTask, Disjunctive};
 use crate::props::geometry::{ModChannel, SlotGeometry};
 use crate::props::linear::LinearLeq;
 use crate::props::reify::{CondSameTime, GuardedPair, PageLineImplies};
-use crate::props::table::Table;
 use crate::store::{Store, VarId};
 
 /// A constraint model: variables plus posted propagators.
@@ -84,11 +82,6 @@ impl Model {
         self.post(Box::new(LinearLeq::new(terms, c)));
     }
 
-    /// `AllDifferent` over a variable group.
-    pub fn all_different(&mut self, vars: Vec<VarId>) {
-        self.post(Box::new(AllDifferent::new(vars)));
-    }
-
     /// `Cumulative` (constraint (2)).
     pub fn cumulative(&mut self, tasks: Vec<CumTask>, capacity: i32) {
         self.post(Box::new(Cumulative::new(tasks, capacity)));
@@ -138,11 +131,6 @@ impl Model {
             page_e,
             line_e,
         }));
-    }
-
-    /// Extensional constraint: `vars` must match one of `tuples`.
-    pub fn table(&mut self, vars: Vec<VarId>, tuples: Vec<Vec<i32>>) {
-        self.post(Box::new(Table::new(vars, tuples)));
     }
 
     /// Guarded memory-compatibility of co-scheduled operations

@@ -187,44 +187,6 @@ impl Propagator for MaxOf {
     }
 }
 
-/// `y = x₁ - x₂ + c` — helper for lifetime definition
-/// `life_i = max(U_i) - s_i` once combined with [`MaxOf`].
-pub struct DiffPlusC {
-    pub x1: VarId,
-    pub x2: VarId,
-    pub c: i32,
-    pub y: VarId,
-}
-
-impl Propagator for DiffPlusC {
-    fn subscribe(&self, subs: &mut Subscriptions) {
-        subs.watch(self.x1, DomainEvent::BOUNDS);
-        subs.watch(self.x2, DomainEvent::BOUNDS);
-        subs.watch(self.y, DomainEvent::BOUNDS);
-    }
-
-    fn propagate(&mut self, s: &mut Store, _: &Wake<'_>) -> PropResult {
-        // y = x1 - x2 + c
-        s.remove_below(self.y, s.min(self.x1) - s.max(self.x2) + self.c)?;
-        s.remove_above(self.y, s.max(self.x1) - s.min(self.x2) + self.c)?;
-        // x1 = y + x2 - c
-        s.remove_below(self.x1, s.min(self.y) + s.min(self.x2) - self.c)?;
-        s.remove_above(self.x1, s.max(self.y) + s.max(self.x2) - self.c)?;
-        // x2 = x1 - y + c
-        s.remove_below(self.x2, s.min(self.x1) - s.max(self.y) + self.c)?;
-        s.remove_above(self.x2, s.max(self.x1) - s.min(self.y) + self.c)?;
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "diff+c"
-    }
-
-    fn priority(&self) -> Priority {
-        Priority::Arith
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,24 +299,5 @@ mod tests {
         run(&mut e, &mut s);
         // only b can reach 8 → b ≥ 8
         assert_eq!(s.min(b), 8);
-    }
-
-    #[test]
-    fn diff_plus_c_all_directions() {
-        let mut s = Store::new();
-        let x1 = s.new_var(10, 20);
-        let x2 = s.new_var(0, 5);
-        let y = s.new_var(-100, 100);
-        let mut e = Engine::new();
-        e.post(Box::new(DiffPlusC { x1, x2, c: 0, y }), &s);
-        run(&mut e, &mut s);
-        assert_eq!((s.min(y), s.max(y)), (5, 20));
-        s.push_level();
-        s.remove_above(y, 8).unwrap();
-        run(&mut e, &mut s);
-        // x1 ≤ y.max + x2.max = 8 + 5 = 13
-        assert_eq!(s.max(x1), 13);
-        // x2 ≥ x1.min - y.max = 10 - 8 = 2
-        assert_eq!(s.min(x2), 2);
     }
 }

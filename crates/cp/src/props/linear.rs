@@ -1,9 +1,8 @@
-//! Linear (in)equality constraints with bounds consistency.
+//! Linear inequality with bounds consistency.
 //!
-//! `LinearLeq` enforces `Σ aᵢ·xᵢ ≤ c`; `LinearEq` enforces `Σ aᵢ·xᵢ = c`
-//! (as the conjunction of the two inequalities, which is bounds-complete
-//! for linear equations). Coefficients may be negative. All arithmetic is
-//! done in `i64` so that model-sized coefficients cannot overflow.
+//! `LinearLeq` enforces `Σ aᵢ·xᵢ ≤ c`. Coefficients may be negative. All
+//! arithmetic is done in `i64` so that model-sized coefficients cannot
+//! overflow.
 
 use crate::domain::DomainEvent;
 use crate::engine::{Priority, Propagator, Subscriptions, Wake};
@@ -60,40 +59,6 @@ fn term_min(s: &Store, a: i64, x: VarId) -> i64 {
     } else {
         a * s.max(x) as i64
     }
-}
-
-#[inline]
-fn term_max(s: &Store, a: i64, x: VarId) -> i64 {
-    if a >= 0 {
-        a * s.max(x) as i64
-    } else {
-        a * s.min(x) as i64
-    }
-}
-
-fn prune_leq(s: &mut Store, terms: &[(i64, VarId)], c: i64) -> PropResult {
-    // Sum of minimal contributions; if it already exceeds c, fail.
-    let min_sum: i64 = terms.iter().map(|&(a, x)| term_min(s, a, x)).sum();
-    if min_sum > c {
-        return Err(Fail);
-    }
-    // Each term may use at most c - (min_sum - its own min contribution).
-    for &(a, x) in terms {
-        if a == 0 {
-            continue;
-        }
-        let slack = c - (min_sum - term_min(s, a, x));
-        if a > 0 {
-            // a*x ≤ slack  →  x ≤ floor(slack / a)
-            let ub = slack.div_euclid(a);
-            s.remove_above(x, ub.clamp(i32::MIN as i64, i32::MAX as i64) as i32)?;
-        } else {
-            // a*x ≤ slack with a < 0  →  x ≥ ceil(slack / a)
-            let lb = ceil_div(slack, a);
-            s.remove_below(x, lb.clamp(i32::MIN as i64, i32::MAX as i64) as i32)?;
-        }
-    }
-    Ok(())
 }
 
 /// Ceiling division that is correct for all sign combinations.
@@ -177,52 +142,6 @@ impl Propagator for LinearLeq {
     }
 }
 
-/// `Σ aᵢ·xᵢ = c`.
-pub struct LinearEq {
-    pub terms: Vec<(i64, VarId)>,
-    pub c: i64,
-}
-
-impl LinearEq {
-    pub fn new(terms: Vec<(i64, VarId)>, c: i64) -> Self {
-        LinearEq { terms, c }
-    }
-}
-
-impl Propagator for LinearEq {
-    fn subscribe(&self, subs: &mut Subscriptions) {
-        // Both directions of the equality consume both bounds; holes
-        // never matter for bounds consistency.
-        for &(a, x) in &self.terms {
-            if a != 0 {
-                subs.watch(x, DomainEvent::BOUNDS);
-            }
-        }
-    }
-
-    fn propagate(&mut self, s: &mut Store, _: &Wake<'_>) -> PropResult {
-        // ≤ direction.
-        prune_leq(s, &self.terms, self.c)?;
-        // ≥ direction: negate.
-        let neg: Vec<(i64, VarId)> = self.terms.iter().map(|&(a, x)| (-a, x)).collect();
-        prune_leq(s, &neg, -self.c)?;
-        // Max-sum feasibility check.
-        let max_sum: i64 = self.terms.iter().map(|&(a, x)| term_max(s, a, x)).sum();
-        if max_sum < self.c {
-            return Err(Fail);
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "linear="
-    }
-
-    fn priority(&self) -> Priority {
-        Priority::Linear
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,45 +202,5 @@ mod tests {
         let mut e = Engine::new();
         e.post(Box::new(LinearLeq::new(vec![(1, x), (1, y)], 10)), &s);
         assert!(e.fixpoint(&mut s).is_err());
-    }
-
-    #[test]
-    fn eq_fixes_last_var() {
-        let mut s = Store::new();
-        let x = s.new_var(0, 10);
-        let y = s.new_var(0, 10);
-        let mut e = Engine::new();
-        // x + y = 10
-        e.post(Box::new(LinearEq::new(vec![(1, x), (1, y)], 10)), &s);
-        e.fixpoint(&mut s).unwrap();
-        s.push_level();
-        s.fix(x, 3).unwrap();
-        e.fixpoint(&mut s).unwrap();
-        assert_eq!(s.value(y), 7);
-    }
-
-    #[test]
-    fn eq_detects_unreachable_sum() {
-        let mut s = Store::new();
-        let x = s.new_var(0, 3);
-        let y = s.new_var(0, 3);
-        let mut e = Engine::new();
-        e.post(Box::new(LinearEq::new(vec![(1, x), (1, y)], 9)), &s);
-        assert!(e.fixpoint(&mut s).is_err());
-    }
-
-    #[test]
-    fn eq_with_mixed_coeffs() {
-        let mut s = Store::new();
-        let x = s.new_var(0, 20);
-        let y = s.new_var(0, 20);
-        let mut e = Engine::new();
-        // 2x - 3y = 1
-        e.post(Box::new(LinearEq::new(vec![(2, x), (-3, y)], 1)), &s);
-        e.fixpoint(&mut s).unwrap();
-        s.push_level();
-        s.fix(y, 3).unwrap();
-        e.fixpoint(&mut s).unwrap();
-        assert_eq!(s.value(x), 5);
     }
 }

@@ -3,16 +3,14 @@
 //! Each submodule provides one family of constraints used by the scheduling
 //! and memory-allocation model:
 //!
-//! - [`alldiff`] — the `AllDifferent` global constraint
 //! - [`basic`] — equalities, offsets, disequalities, `max`
-//! - [`linear`] — linear (in)equalities with bounds consistency
+//! - [`linear`] — linear inequalities with bounds consistency
 //! - [`nogood`] — watched-literal enforcement of restart-harvested nogoods
 //! - [`cumulative`] — renewable-resource scheduling (time-table filtering)
 //! - [`diff2`] — two-dimensional non-overlap of rectangles
 //! - [`disjunctive`] — unary-resource scheduling with overload checking
 //! - [`geometry`] — the slot/line/page channeling of the EIT vector memory
 //! - [`reify`] — guarded/conditional constraints (the paper's (7)–(9))
-//! - [`table`] — extensional constraint with generalised arc consistency
 //!
 //! Every propagator declares its wake-up conditions to the event engine
 //! via [`Propagator::subscribe`](crate::engine::Propagator::subscribe)
@@ -26,7 +24,6 @@
 //! itself through the shared domain, so one pass is no longer a
 //! fixpoint. DESIGN.md §5e tabulates the assignment per propagator.
 
-pub mod alldiff;
 pub mod basic;
 pub mod cumulative;
 pub mod diff2;
@@ -35,4 +32,3 @@ pub mod geometry;
 pub mod linear;
 pub mod nogood;
 pub mod reify;
-pub mod table;

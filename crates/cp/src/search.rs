@@ -13,7 +13,6 @@ use crate::model::Model;
 use crate::props::nogood::{NogoodBase, NogoodProp};
 use crate::store::VarId;
 use crate::trace::{SearchEvent, TraceHandle};
-use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,8 +35,6 @@ pub enum ValSel {
     Min,
     /// Enumerate values in decreasing order.
     Max,
-    /// Binary domain splitting at the midpoint (lower half first).
-    Split,
 }
 
 /// When to abandon a dive and restart the search from the root.
@@ -182,9 +179,6 @@ pub struct SearchConfig {
     pub timeout: Option<Duration>,
     /// Explored-node budget; `None` = unbounded.
     pub node_limit: Option<u64>,
-    /// Optional cross-thread objective bound for parallel search (EPS):
-    /// the search both publishes improvements to and prunes against it.
-    pub shared_bound: Option<Arc<AtomicI32>>,
     /// Restart-based branch-and-bound: after each incumbent, tighten the
     /// objective bound *at the root* and re-dive, instead of continuing
     /// chronologically. With strong propagation this avoids thrashing in
@@ -274,9 +268,7 @@ pub struct SearchResult {
     pub best: Option<Solution>,
     pub objective: Option<i32>,
     pub stats: SearchStats,
-    /// The tree was fully exhausted (no budget abort). Under a shared
-    /// bound this is an optimality certificate for the shared incumbent
-    /// even when this thread found no solution itself.
+    /// The tree was fully exhausted (no budget abort).
     pub completed: bool,
     /// The run was stopped by its [`SearchConfig::cancel`] token (a kind
     /// of abort: `completed` is `false` and the status is `Feasible` or
@@ -300,14 +292,9 @@ enum Abort {
     Restart,
 }
 
-/// Pick the next branching variable exactly as the DFS brancher would:
-/// exhaust earlier phases first, then apply the phase's heuristic. Shared
-/// with the EPS splitter ([`crate::eps`]) so decomposed subtrees branch on
-/// the same variables as a sequential dive.
-pub(crate) fn select_phase_var(
-    store: &crate::store::Store,
-    phases: &[Phase],
-) -> Option<(usize, VarId)> {
+/// Pick the next branching variable: exhaust earlier phases first, then
+/// apply the phase's heuristic.
+fn select_phase_var(store: &crate::store::Store, phases: &[Phase]) -> Option<(usize, VarId)> {
     for (pi, phase) in phases.iter().enumerate() {
         let unfixed = phase.vars.iter().copied().filter(|&v| !store.is_fixed(v));
         let pick = match phase.var_sel {
@@ -331,14 +318,13 @@ struct Dfs<'m> {
     best_obj: Option<i32>,
     deadline: Option<Instant>,
     node_limit: Option<u64>,
-    shared_bound: Option<Arc<AtomicI32>>,
     stats: SearchStats,
     /// In satisfaction mode we stop at the first solution.
     stop_at_first: bool,
-    /// True once a prune used a bound tighter than our own incumbent's —
-    /// an exhausted tree then proves "no better than the shared bound",
-    /// not infeasibility.
-    external_bound_used: bool,
+    /// `stats.solutions` when the current root dive began: a dive stops
+    /// at the first solution *it* finds, not at the incumbent an earlier
+    /// restart-BnB dive left behind.
+    dive_solutions: u64,
     /// Enumeration mode: collect every solution up to the cap.
     collect: Option<(Vec<Solution>, usize)>,
     trace: Option<TraceHandle>,
@@ -353,10 +339,6 @@ struct Dfs<'m> {
     /// Positive `(var, val)` decisions on the current DFS branch, root
     /// first — the prefix of every nogood harvested below it.
     path: Vec<(u32, i32)>,
-    /// Split frames currently on the stack. A split decision is not a
-    /// `(var, val)` literal, so prefixes through one are inexpressible
-    /// as nogoods and harvesting is suppressed while any are open.
-    split_frames: u32,
     /// Nogoods harvested during the current restart unwind.
     harvested: Vec<Vec<(VarId, i32)>>,
     /// Shared clause store of the posted nogood propagator.
@@ -406,21 +388,6 @@ impl<'m> Dfs<'m> {
         Ok(())
     }
 
-    /// Effective objective upper bound, folding in the shared bound when
-    /// present.
-    fn effective_bound(&mut self) -> i32 {
-        match &self.shared_bound {
-            Some(sb) => {
-                let ext = sb.load(Ordering::Relaxed);
-                if ext < self.bound {
-                    self.external_bound_used = true;
-                }
-                self.bound.min(ext)
-            }
-            None => self.bound,
-        }
-    }
-
     fn select_var(&self) -> Option<(usize, VarId)> {
         select_phase_var(&self.model.store, &self.phases)
     }
@@ -441,9 +408,6 @@ impl<'m> Dfs<'m> {
             let val = self.model.store.min(obj);
             self.best_obj = Some(val);
             self.bound = val; // next solutions must beat this strictly
-            if let Some(sb) = &self.shared_bound {
-                sb.fetch_min(val, Ordering::Relaxed);
-            }
             self.emit(|| SearchEvent::BoundUpdate { bound: val });
         }
         self.emit(|| SearchEvent::Solution {
@@ -496,10 +460,9 @@ impl<'m> Dfs<'m> {
 
     /// Turn this frame's refuted values into prefix nogoods
     /// (`¬(path ∧ var=u)` for each refuted `u`), collected during a
-    /// restart unwind and posted by [`Dfs::dive`]. Sound only when no
-    /// split frame is open — see the `split_frames` field.
+    /// restart unwind and posted by [`Dfs::dive`].
     fn harvest(&mut self, var: VarId, refuted: &[i32]) {
-        if self.split_frames > 0 || !self.restart_cfg.is_some_and(|rc| rc.nogoods) {
+        if !self.restart_cfg.is_some_and(|rc| rc.nogoods) {
             return;
         }
         for &u in refuted {
@@ -552,7 +515,7 @@ impl<'m> Dfs<'m> {
 
         // Bound pruning for branch-and-bound.
         if let Some(obj) = self.objective {
-            let b = self.effective_bound();
+            let b = self.bound;
             if b != i32::MAX {
                 if self.model.store.remove_above(obj, b - 1).is_err() {
                     self.fail();
@@ -581,100 +544,31 @@ impl<'m> Dfs<'m> {
         };
 
         let val_sel = self.phases[pi].val_sel;
-        match val_sel {
-            ValSel::Min | ValSel::Max => {
-                // Values whose subtrees were exhausted without stopping:
-                // refuted under the current bound, and so the material of
-                // prefix nogoods if a restart unwinds through this frame.
-                let mut refuted: Vec<i32> = Vec::new();
-                // Enumerate values; domains can change between attempts, so
-                // re-read the next candidate each time.
-                loop {
-                    if self.model.store.is_fixed(var) {
-                        // A neighbour's propagation fixed it; descend once.
-                        // No path entry: the value is entailed by the
-                        // prefix, so adding it would only lengthen nogoods.
-                        self.model.store.push_level();
-                        let r = self.dfs();
-                        self.model.store.pop_level();
-                        return r;
-                    }
-                    let v = self.branch_value(var, val_sel);
-                    // Try var = v.
-                    self.emit(|| SearchEvent::Branch {
-                        depth: self.model.store.depth(),
-                        var: var.0,
-                        val: v,
-                    });
-                    self.model.store.push_level();
-                    let ok = if self.model.store.fix(var, v).is_ok() {
-                        match self.fixpoint() {
-                            Ok(consistent) => consistent,
-                            Err(a) => {
-                                self.model.store.pop_level();
-                                return Err(a);
-                            }
-                        }
-                    } else {
-                        false
-                    };
-                    if ok {
-                        self.path.push((var.0, v));
-                        let r = self.dfs();
-                        self.path.pop();
-                        self.model.store.pop_level();
-                        self.emit(|| SearchEvent::Backtrack {
-                            depth: self.model.store.depth(),
-                        });
-                        if let Err(a) = r {
-                            if a == Abort::Restart {
-                                self.harvest(var, &refuted);
-                            }
-                            return Err(a);
-                        }
-                        if (self.stop_at_first && self.best.is_some()) || self.collection_full() {
-                            return Ok(());
-                        }
-                        refuted.push(v);
-                    } else {
-                        self.model.store.pop_level();
-                        self.fail();
-                        refuted.push(v);
-                    }
-                    // Refute var = v and continue with the rest.
-                    if self.model.store.remove_value(var, v).is_err() || !self.fixpoint()? {
-                        self.fail();
-                        return Ok(());
-                    }
-                }
+        // Values whose subtrees were exhausted without stopping:
+        // refuted under the current bound, and so the material of
+        // prefix nogoods if a restart unwinds through this frame.
+        let mut refuted: Vec<i32> = Vec::new();
+        // Enumerate values; domains can change between attempts, so
+        // re-read the next candidate each time.
+        loop {
+            if self.model.store.is_fixed(var) {
+                // A neighbour's propagation fixed it; descend once.
+                // No path entry: the value is entailed by the
+                // prefix, so adding it would only lengthen nogoods.
+                self.model.store.push_level();
+                let r = self.dfs();
+                self.model.store.pop_level();
+                return r;
             }
-            ValSel::Split => {
-                self.split_frames += 1;
-                let r = self.dfs_split(var);
-                self.split_frames -= 1;
-                r
-            }
-        }
-    }
-
-    /// The [`ValSel::Split`] frame body: two half-domain children.
-    fn dfs_split(&mut self, var: VarId) -> Result<(), Abort> {
-        let mid = self.model.store.dom(var).split_point();
-        for half in 0..2 {
-            // Lower half is `≤ mid`, upper is `≥ mid+1`; the event's
-            // `val` is the half's boundary.
+            let v = self.branch_value(var, val_sel);
+            // Try var = v.
             self.emit(|| SearchEvent::Branch {
                 depth: self.model.store.depth(),
                 var: var.0,
-                val: if half == 0 { mid } else { mid + 1 },
+                val: v,
             });
             self.model.store.push_level();
-            let narrowed = if half == 0 {
-                self.model.store.remove_above(var, mid).is_ok()
-            } else {
-                self.model.store.remove_below(var, mid + 1).is_ok()
-            };
-            let ok = if narrowed {
+            let ok = if self.model.store.fix(var, v).is_ok() {
                 match self.fixpoint() {
                     Ok(consistent) => consistent,
                     Err(a) => {
@@ -686,21 +580,36 @@ impl<'m> Dfs<'m> {
                 false
             };
             if ok {
+                self.path.push((var.0, v));
                 let r = self.dfs();
+                self.path.pop();
                 self.model.store.pop_level();
                 self.emit(|| SearchEvent::Backtrack {
                     depth: self.model.store.depth(),
                 });
-                r?;
-                if (self.stop_at_first && self.best.is_some()) || self.collection_full() {
+                if let Err(a) = r {
+                    if a == Abort::Restart {
+                        self.harvest(var, &refuted);
+                    }
+                    return Err(a);
+                }
+                if (self.stop_at_first && self.stats.solutions > self.dive_solutions)
+                    || self.collection_full()
+                {
                     return Ok(());
                 }
+                refuted.push(v);
             } else {
                 self.model.store.pop_level();
                 self.fail();
+                refuted.push(v);
+            }
+            // Refute var = v and continue with the rest.
+            if self.model.store.remove_value(var, v).is_err() || !self.fixpoint()? {
+                self.fail();
+                return Ok(());
             }
         }
-        Ok(())
     }
 
     /// One search descent under its own backtrack level, re-diving on
@@ -849,10 +758,9 @@ fn run_with_collect(
         best_obj: None,
         deadline: config.timeout.and_then(|d| deadline_after(t0, d)),
         node_limit: config.node_limit,
-        shared_bound: config.shared_bound.clone(),
         stats: SearchStats::default(),
         stop_at_first: stop_at_first || restart,
-        external_bound_used: false,
+        dive_solutions: 0,
         collect: collect.map(|cap| (Vec::new(), cap)),
         trace: config.trace.clone(),
         state_hash_every: config.state_hash_every,
@@ -861,7 +769,6 @@ fn run_with_collect(
         restart_index: 0,
         fails_remaining: None,
         path: Vec::new(),
-        split_frames: 0,
         harvested: Vec::new(),
         nogood_base: nogood_base.clone(),
     };
@@ -877,6 +784,7 @@ fn run_with_collect(
         let mut aborted = None;
         loop {
             let sols_before = dfs.stats.solutions;
+            dfs.dive_solutions = sols_before;
             match dfs.dive() {
                 Err(a) => {
                     aborted = Some(a);
@@ -887,7 +795,7 @@ fn run_with_collect(
                         break; // exhausted: no better solution exists
                     }
                     // Tighten at root (permanent) and go again.
-                    let bound = dfs.effective_bound();
+                    let bound = dfs.bound;
                     if bound == i32::MIN
                         || dfs.model.store.remove_above(obj, bound - 1).is_err()
                         || !dfs.fixpoint().unwrap_or_else(|a| {
@@ -917,10 +825,7 @@ fn run_with_collect(
         match (&dfs.best, aborted.is_some()) {
             (Some(_), false) => SearchStatus::Optimal,
             (Some(_), true) => SearchStatus::Feasible,
-            // Exhausted with no solution: only a true infeasibility proof
-            // if no external bound narrowed the tree.
-            (None, false) if !dfs.external_bound_used => SearchStatus::Infeasible,
-            (None, false) => SearchStatus::Unknown,
+            (None, false) => SearchStatus::Infeasible,
             (None, true) => SearchStatus::Unknown,
         }
     };
@@ -1136,20 +1041,6 @@ mod tests {
     }
 
     #[test]
-    fn split_branching_finds_optimum() {
-        let mut m = Model::new();
-        let x = m.new_var(0, 100);
-        let y = m.new_var(0, 100);
-        m.post(Box::new(XPlusCLeqY { x, c: 10, y }));
-        let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x, y], VarSel::InputOrder, ValSel::Split)],
-            ..Default::default()
-        };
-        let r = minimize(&mut m, y, &cfg);
-        assert_eq!(r.objective, Some(10));
-    }
-
-    #[test]
     fn phased_search_orders_decisions() {
         // Phase 1 fixes x, phase 2 fixes y; both must end fixed.
         let mut m = Model::new();
@@ -1167,21 +1058,6 @@ mod tests {
         let sol = r.best.unwrap();
         assert_eq!(sol.value(x), 3); // Max val-sel in phase 1
         assert_eq!(sol.value(y), 0); // Min val-sel in phase 2
-    }
-
-    #[test]
-    fn shared_bound_prunes() {
-        let mut m = Model::new();
-        let x = m.new_var(0, 100);
-        let shared = Arc::new(AtomicI32::new(5)); // externally known bound
-        let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x], VarSel::InputOrder, ValSel::Max)],
-            shared_bound: Some(shared),
-            ..Default::default()
-        };
-        let r = minimize(&mut m, x, &cfg);
-        // Search may only return objectives strictly below the shared bound.
-        assert!(r.objective.unwrap() < 5);
     }
 
     #[test]
@@ -1218,13 +1094,17 @@ mod tests {
 mod more_tests {
     use super::*;
     use crate::props::basic::{MaxOf, NeqOffset, XPlusCLeqY};
+    use crate::props::disjunctive::DisjTask;
 
     #[test]
     fn solve_all_counts_permutations() {
-        use crate::props::alldiff::AllDifferent;
         let mut m = Model::new();
         let vars: Vec<VarId> = (0..4).map(|_| m.new_var(0, 3)).collect();
-        m.post(Box::new(AllDifferent::new(vars.clone())));
+        for (i, &x) in vars.iter().enumerate() {
+            for &y in &vars[i + 1..] {
+                m.neq(x, y);
+            }
+        }
         let cfg = SearchConfig {
             phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
             ..Default::default()
@@ -1244,10 +1124,13 @@ mod more_tests {
 
     #[test]
     fn solve_all_respects_cap() {
-        use crate::props::alldiff::AllDifferent;
         let mut m = Model::new();
         let vars: Vec<VarId> = (0..4).map(|_| m.new_var(0, 3)).collect();
-        m.post(Box::new(AllDifferent::new(vars.clone())));
+        for (i, &x) in vars.iter().enumerate() {
+            for &y in &vars[i + 1..] {
+                m.neq(x, y);
+            }
+        }
         let cfg = SearchConfig {
             phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
             ..Default::default()
@@ -1571,28 +1454,34 @@ mod more_tests {
     }
 
     #[test]
-    fn restarts_compose_with_split_branching() {
-        // Wide domains route through interval splitting; split frames
-        // suppress nogood harvesting but restarts must stay sound.
+    fn redive_backtracks_past_an_exhausted_subtree() {
+        // x0 = 2·x2 + x1 (x1 < 2), and x0 (1 cc) and x2 (2 cc) share a
+        // unary resource. The first dive lands on max = 4; the re-dive
+        // under max ≤ 3 refutes its whole x1 = 0 subtree before reaching
+        // x1 = 1, x2 = 1, x0 = 3. A re-dive that stopped on the earlier
+        // dive's incumbent would declare 4 optimal.
         let mut m = Model::new();
-        let x = m.new_var(0, 4000);
-        let y = m.new_var(0, 4000);
-        m.post(Box::new(XPlusCLeqY { x, c: 1000, y }));
-        let obj = m.new_var(0, 4000);
-        m.post(Box::new(MaxOf {
-            xs: vec![x, y],
-            y: obj,
-        }));
+        let x: Vec<VarId> = (0..3).map(|_| m.new_var(0, 4)).collect();
+        m.disjunctive(vec![
+            DisjTask {
+                start: x[0],
+                dur: 1,
+            },
+            DisjTask {
+                start: x[2],
+                dur: 2,
+            },
+        ]);
+        m.mod_channel(x[0], x[2], x[1], 2);
+        let obj = m.new_var(0, 4);
+        m.max_of(x.clone(), obj);
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x, y], VarSel::SmallestMin, ValSel::Split)],
-            restarts: Some(RestartConfig {
-                policy: RestartPolicy::Luby { unit: 1 },
-                nogoods: true,
-            }),
+            phases: vec![Phase::new(x, VarSel::SmallestMin, ValSel::Min)],
+            restart_on_solution: true,
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);
         assert_eq!(r.status, SearchStatus::Optimal);
-        assert_eq!(r.objective, Some(1000));
+        assert_eq!(r.objective, Some(3));
     }
 }

@@ -32,9 +32,7 @@ use std::time::{Duration, Instant};
 pub enum SearchEvent {
     /// Search began: model shape at the root.
     Start { vars: usize, propagators: usize },
-    /// A decision was posted: `var` constrained toward `val` at `depth`.
-    /// For enumeration branchers `val` is the tried value; for splits it
-    /// is the half's boundary (`≤ mid` first, then `≥ mid+1`).
+    /// A decision was posted: `var = val` tried at `depth`.
     Branch { depth: usize, var: u32, val: i32 },
     /// Propagation refuted the current node.
     Fail { depth: usize },
@@ -59,7 +57,7 @@ pub enum SearchEvent {
     StateHash { nodes: u64, hash: u64 },
     /// Sub-stream delimiter in a merged trace: all following events until
     /// the next `Stream` belong to parallel worker/probe `id` (the II for
-    /// sweep probes, the subproblem index for EPS).
+    /// sweep probes).
     Stream { id: u32 },
     /// Search finished with `status` (as [`crate::SearchStatus`] renders).
     Done {
@@ -278,7 +276,7 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-/// Sharing a sink between threads (EPS workers) or keeping a handle
+/// Sharing a sink between threads (sweep workers) or keeping a handle
 /// for post-run inspection: any `Arc<Mutex<Sink>>` is itself a sink.
 impl<S: TraceSink> TraceSink for Arc<Mutex<S>> {
     fn record(&mut self, event: &SearchEvent) {

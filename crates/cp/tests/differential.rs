@@ -6,13 +6,13 @@
 //! proofs: any unsound propagator (pruning a value that belongs to a
 //! solution) or incomplete search shows up as a disagreement.
 
-use eit_cp::props::alldiff::AllDifferent;
 use eit_cp::props::basic::{NeqOffset, XPlusCEqY, XPlusCLeqY};
 use eit_cp::props::cumulative::{CumTask, Cumulative};
 use eit_cp::props::diff2::{Diff2, Rect};
 use eit_cp::props::disjunctive::{DisjTask, Disjunctive};
+use eit_cp::props::geometry::{ModChannel, SlotGeometry};
 use eit_cp::props::linear::LinearLeq;
-use eit_cp::props::table::Table;
+use eit_cp::props::reify::PageLineImplies;
 use eit_cp::{minimize, solve, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,9 +43,10 @@ enum C {
     LinLeq(Vec<(i64, usize)>, i64), // Σ aᵢxᵢ ≤ c
     Cumulative(Vec<(usize, i32, i32)>, i32),
     Disjunctive(Vec<(usize, i32)>),
-    Diff2(Vec<(usize, usize, Ext, Ext)>), // (x, y, w, h)
-    AllDiff(Vec<usize>),
-    Table(Vec<usize>, Vec<Vec<i32>>),
+    Diff2(Vec<(usize, usize, Ext, Ext)>),        // (x, y, w, h)
+    ModChannel(usize, usize, usize, i32),        // s = m·k + t, t ∈ [0, m)
+    SlotGeometry(usize, usize, usize, i32, i32), // (slot, line, page, banks, page_size)
+    PageLineImplies(usize, usize, usize, usize), // (page_d, line_d, page_e, line_e)
 }
 
 fn check(c: &C, a: &[i32]) -> bool {
@@ -94,19 +95,11 @@ fn check(c: &C, a: &[i32]) -> bool {
             }
             true
         }
-        C::AllDiff(vs) => {
-            for (i, &x) in vs.iter().enumerate() {
-                for &y in &vs[i + 1..] {
-                    if a[x] == a[y] {
-                        return false;
-                    }
-                }
-            }
-            true
+        C::ModChannel(s, k, t, m) => a[*t] < *m && a[*s] == m * a[*k] + a[*t],
+        C::SlotGeometry(slot, line, page, banks, page_size) => {
+            a[*line] == a[*slot] / banks && a[*page] == (a[*slot] % banks) / page_size
         }
-        C::Table(vs, tuples) => tuples
-            .iter()
-            .any(|t| t.iter().zip(vs).all(|(&tv, &v)| a[v] == tv)),
+        C::PageLineImplies(pd, ld, pe, le) => a[*pd] != a[*pe] || a[*ld] == a[*le],
     }
 }
 
@@ -174,13 +167,30 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
                 .collect();
             m.post(Box::new(Diff2::new(r)));
         }
-        C::AllDiff(vs) => {
-            let v = vs.iter().map(|&i| vars[i]).collect();
-            m.post(Box::new(AllDifferent::new(v)));
+        C::ModChannel(s, k, t, modulus) => {
+            m.post(Box::new(ModChannel {
+                s: vars[*s],
+                k: vars[*k],
+                t: vars[*t],
+                modulus: *modulus,
+            }));
         }
-        C::Table(vs, tuples) => {
-            let v = vs.iter().map(|&i| vars[i]).collect();
-            m.post(Box::new(Table::new(v, tuples.clone())));
+        C::SlotGeometry(slot, line, page, banks, page_size) => {
+            m.post(Box::new(SlotGeometry::new(
+                vars[*slot],
+                vars[*line],
+                vars[*page],
+                *banks,
+                *page_size,
+            )));
+        }
+        C::PageLineImplies(pd, ld, pe, le) => {
+            m.post(Box::new(PageLineImplies {
+                page_d: vars[*pd],
+                line_d: vars[*ld],
+                page_e: vars[*pe],
+                line_e: vars[*le],
+            }));
         }
     }
 }
@@ -219,7 +229,7 @@ fn random_instance(rng: &mut StdRng, n: usize, hi: i32) -> Vec<C> {
     let mut cs = Vec::new();
     let n_cons = rng.gen_range(1..5);
     for _ in 0..n_cons {
-        let c = match rng.gen_range(0..9) {
+        let c = match rng.gen_range(0..10) {
             0 => C::Neq(rng.gen_range(0..n), rng.gen_range(0..n)),
             1 => C::Leq(
                 rng.gen_range(0..n),
@@ -275,24 +285,30 @@ fn random_instance(rng: &mut StdRng, n: usize, hi: i32) -> Vec<C> {
                     .collect();
                 C::Diff2(rects)
             }
-            7 => {
-                let k = rng.gen_range(2..=n);
-                let mut vs: Vec<usize> = (0..n).collect();
-                for i in (1..vs.len()).rev() {
-                    vs.swap(i, rng.gen_range(0..=i));
-                }
-                vs.truncate(k);
-                C::AllDiff(vs)
+            // The three channelings draw their variables independently,
+            // so aliased arguments (s = k, slot = page, …) occur too.
+            7 => C::ModChannel(
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(1..=hi),
+            ),
+            8 => {
+                let banks = rng.gen_range(1..=hi);
+                C::SlotGeometry(
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..n),
+                    rng.gen_range(0..n),
+                    banks,
+                    rng.gen_range(1..=banks),
+                )
             }
-            _ => {
-                let arity = rng.gen_range(1..=n.min(3));
-                let vs: Vec<usize> = (0..arity).map(|_| rng.gen_range(0..n)).collect();
-                let n_tuples = rng.gen_range(1..6);
-                let tuples = (0..n_tuples)
-                    .map(|_| (0..arity).map(|_| rng.gen_range(0..=hi)).collect())
-                    .collect();
-                C::Table(vs, tuples)
-            }
+            _ => C::PageLineImplies(
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+                rng.gen_range(0..n),
+            ),
         };
         // Drop degenerate self-referencing binary constraints.
         let degenerate = matches!(
@@ -302,7 +318,6 @@ fn random_instance(rng: &mut StdRng, n: usize, hi: i32) -> Vec<C> {
         if !degenerate {
             cs.push(c);
         }
-        let _ = hi;
     }
     cs
 }

@@ -48,7 +48,7 @@ fn traced_run(val_sel: ValSel, restart: bool) -> (SearchResult, Vec<SearchEvent>
 
 #[test]
 fn event_stream_is_deterministic_across_runs() {
-    for val_sel in [ValSel::Min, ValSel::Max, ValSel::Split] {
+    for val_sel in [ValSel::Min, ValSel::Max] {
         for restart in [false, true] {
             let (r1, e1) = traced_run(val_sel, restart);
             let (r2, e2) = traced_run(val_sel, restart);

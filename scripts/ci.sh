@@ -33,6 +33,9 @@ echo "== engine equivalence: event-driven vs FIFO baseline, incremental Diff2 vs
 cargo test -q --release -p eit-cp --test differential event_engine
 cargo test -q --release -p eit-cp --test differential diff2_incremental_matches_full_rescan
 
+echo "== listing pins: six table kernels × {plain, --modulo, --modulo --backend sat, --modulo incl}"
+cargo test -q --release -p eit-bench --test listings table_kernel_listings_are_pinned
+
 echo "== parallel sweep determinism: --jobs 1 vs --jobs 4 on the table 3 smoke models (cp incl, sat)"
 # The determinism contract of the speculative II sweep: the emitted
 # schedule (stdout) must be byte-identical, and the metrics must be

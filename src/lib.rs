@@ -10,9 +10,9 @@
 //!   path, XML/DOT interchange, the fig. 6 merge pass, CSE/DCE, and the
 //!   canonical opcode semantics everything else is checked against;
 //! - [`cp`] — the finite-domain constraint solver (the JaCoP substitute):
-//!   `Cumulative`, `Diff2`, `AllDifferent`, `Disjunctive`, `Table`,
-//!   guarded memory constraints, phased restart branch-and-bound,
-//!   embarrassingly-parallel search, solution enumeration;
+//!   `Cumulative`, `Diff2`, `Disjunctive`, guarded memory constraints,
+//!   phased restart branch-and-bound, fail-budgeted restarts with
+//!   nogood recording, solution enumeration;
 //! - [`core`] — the paper's contribution (§3.3–3.5): combined scheduling
 //!   plus vector-memory allocation as one CP model, overlapped execution and
 //!   modulo scheduling (§4.3, both reconfiguration variants, plus real
