@@ -276,7 +276,8 @@ impl ArchSpec {
     }
 
     /// Lanes a matrix op occupies on this machine (the resolved width of
-    /// the matrix class — all lanes on the classic table).
+    /// the matrix class — every lane, on a spec that passes
+    /// [`ArchSpec::validate`]).
     pub fn matrix_lanes(&self) -> u32 {
         self.units
             .class_width(OpClass::Matrix)
@@ -474,6 +475,18 @@ impl ArchSpec {
                 }
             }
         }
+        // A matrix op fills the vector core (the paper's "all lanes at
+        // once"); the schedulers rely on it to keep matrix ops from
+        // co-issuing with anything else on the core.
+        if let Some((u, op)) = self.units.lookup(OpClass::Matrix) {
+            if op.width != 0 && op.width != u.count {
+                return Err(format!(
+                    "op class=\"{}\" width=\"{}\": a matrix op occupies every lane; \
+                     use width=\"0\" or the unit count=\"{}\"",
+                    op.class, op.width, u.count
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -657,6 +670,14 @@ mod tests {
         let mut s = ArchSpec::eit();
         s.units.units[1].ops[0].width = 5;
         assert!(s.validate().unwrap_err().contains("width=\"5\""));
+
+        // A matrix op narrower than the core would co-issue with other
+        // vector-core ops, which neither scheduler models.
+        let mut s = ArchSpec::eit();
+        s.units.units[0].ops[1].width = 2;
+        assert!(s.validate().unwrap_err().contains("width=\"2\""));
+        s.units.units[0].ops[1].width = 4;
+        s.validate().unwrap();
     }
 
     #[test]

@@ -23,61 +23,19 @@
 //! themselves, so `--arch eit-rendered.xml` is byte-identical to the
 //! builtin path by construction.
 //!
-//! The parser is hand-rolled in the same style as `eit-ir::xml`: no
-//! external dependencies, attribute-named numeric errors distinguishing
-//! overflow from garbage, comments and the five standard entities.
+//! The parser runs on `eit-ir::xml`'s lexer: no external dependencies,
+//! attribute-named numeric errors distinguishing overflow from garbage,
+//! comments and the five standard entities.
 
 use crate::spec::{ArchSpec, FuncUnit, UnitOp, UnitTable};
+use eit_ir::xml::{escape, parse_u32, req, Lexer};
 use eit_ir::{OpClass, XmlError};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Format version written by [`to_arch_xml`] and required on load.
 pub const ARCH_XML_VERSION: u32 = 1;
 
 // ---- writing ----------------------------------------------------------------
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(ch),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> Result<String, XmlError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '&' {
-            out.push(ch);
-            continue;
-        }
-        let mut ent = String::new();
-        for c in chars.by_ref() {
-            if c == ';' {
-                break;
-            }
-            ent.push(c);
-        }
-        out.push(match ent.as_str() {
-            "amp" => '&',
-            "lt" => '<',
-            "gt" => '>',
-            "quot" => '"',
-            "apos" => '\'',
-            other => return Err(XmlError::BadValue(format!("&{other};"))),
-        });
-    }
-    Ok(out)
-}
 
 /// Render an architecture description to the versioned XML format.
 pub fn to_arch_xml(spec: &ArchSpec) -> String {
@@ -118,114 +76,6 @@ pub fn to_arch_xml(spec: &ArchSpec) -> String {
 }
 
 // ---- parsing ----------------------------------------------------------------
-
-struct Element {
-    name: String,
-    attrs: HashMap<String, String>,
-    closing: bool,
-}
-
-struct Lexer<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer { src, pos: 0 }
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws_and_comments(&mut self) {
-        loop {
-            let r = self.rest();
-            let trimmed = r.trim_start();
-            self.pos += r.len() - trimmed.len();
-            if let Some(after) = self.rest().strip_prefix("<!--") {
-                match after.find("-->") {
-                    Some(k) => self.pos += 4 + k + 3,
-                    None => {
-                        self.pos = self.src.len();
-                        return;
-                    }
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn next_element(&mut self) -> Result<Option<Element>, XmlError> {
-        self.skip_ws_and_comments();
-        if self.rest().is_empty() {
-            return Ok(None);
-        }
-        if !self.rest().starts_with('<') {
-            return Err(XmlError::Syntax(format!(
-                "expected '<' at byte {}",
-                self.pos
-            )));
-        }
-        let end = self
-            .rest()
-            .find('>')
-            .ok_or_else(|| XmlError::Syntax("unterminated tag".into()))?;
-        let tag = &self.rest()[1..end];
-        self.pos += end + 1;
-
-        let closing = tag.starts_with('/');
-        let tag = tag.trim_start_matches('/');
-        let tag = tag.trim_end_matches('/').trim();
-
-        let (name, attr_src) = match tag.find(char::is_whitespace) {
-            Some(k) => (&tag[..k], tag[k..].trim()),
-            None => (tag, ""),
-        };
-        let mut attrs = HashMap::new();
-        let mut rest = attr_src;
-        while !rest.is_empty() {
-            let eq = rest
-                .find('=')
-                .ok_or_else(|| XmlError::Syntax(format!("attribute without '=': {rest}")))?;
-            let key = rest[..eq].trim().to_string();
-            let after = rest[eq + 1..].trim_start();
-            if !after.starts_with('"') {
-                return Err(XmlError::Syntax(format!("unquoted attribute {key}")));
-            }
-            let close = after[1..]
-                .find('"')
-                .ok_or_else(|| XmlError::Syntax(format!("unterminated value for {key}")))?;
-            let val = &after[1..1 + close];
-            attrs.insert(key, unescape(val)?);
-            rest = after[close + 2..].trim_start();
-        }
-        Ok(Some(Element {
-            name: name.to_string(),
-            attrs,
-            closing,
-        }))
-    }
-}
-
-fn req<'e>(e: &'e Element, key: &'static str) -> Result<&'e str, XmlError> {
-    e.attrs
-        .get(key)
-        .map(String::as_str)
-        .ok_or(XmlError::MissingAttr(key))
-}
-
-fn parse_u32(attr: &'static str, s: &str) -> Result<u32, XmlError> {
-    use std::num::IntErrorKind;
-    s.parse::<u32>().map_err(|e| match e.kind() {
-        IntErrorKind::PosOverflow => {
-            XmlError::BadValue(format!("{attr}=\"{s}\": overflows u32 (max {})", u32::MAX))
-        }
-        _ => XmlError::BadValue(format!("{attr}=\"{s}\": not a non-negative integer")),
-    })
-}
 
 fn parse_i32(attr: &'static str, s: &str) -> Result<i32, XmlError> {
     use std::num::IntErrorKind;

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eit_apps::synth::{build, SynthParams};
 use eit_arch::ArchSpec;
-use eit_core::modulo::{allocate_modulo_memory_with, AllocOptions, AllocOutcome};
+use eit_core::alloc::{allocate_modulo_memory_with, AllocOptions, AllocOutcome};
 use eit_core::{modulo_schedule, schedule, ModuloOptions, SchedulerOptions};
 use eit_cp::props::cumulative::CumTask;
 use eit_cp::props::diff2::Rect;

@@ -51,6 +51,15 @@ fn overflowing_specs() -> Vec<(String, &'static str)> {
             ),
             "banks=\"2147483646\"",
         ),
+        // Not an overflow, but refused the same way: a matrix op narrower
+        // than the core used to schedule into co-issue and bank conflicts.
+        (
+            edit(
+                "class=\"matrix\" latency=\"7\" occupancy=\"1\" width=\"0\"",
+                "class=\"matrix\" latency=\"7\" occupancy=\"1\" width=\"2\"",
+            ),
+            "width=\"2\"",
+        ),
     ]
 }
 

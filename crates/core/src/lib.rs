@@ -5,14 +5,15 @@
 //! architecture ([`model`]), the two iteration-overlap techniques of §4.3
 //! ([`overlap`] — the architects' ad-hoc two-phase pipelining — and
 //! [`modulo`] — modulo scheduling as a CSP, with and without
-//! reconfigurations in the optimisation, plus real steady-state memory
-//! allocation), and graph replication utilities for multi-iteration
-//! experiments ([`replicate()`]).
+//! reconfigurations in the optimisation), steady-state memory allocation
+//! over the same memory model ([`alloc`]), and graph replication utilities
+//! for multi-iteration experiments ([`replicate()`]).
 //!
 //! Around the model: [`pipeline`] is the one-call fig. 2 toolchain
 //! (passes → schedule → [`codegen`]); [`list_sched`] is the heuristic
 //! baseline the evaluation compares against.
 
+pub mod alloc;
 pub mod codegen;
 pub mod fuzz;
 pub mod json;
@@ -26,14 +27,14 @@ pub mod render;
 pub mod replicate;
 pub mod rr;
 
+pub use alloc::{allocate_modulo_memory, allocate_modulo_memory_with, AllocOptions, AllocOutcome};
 pub use codegen::{generate, Program};
 pub use fuzz::{run as fuzz_run, FuzzFailure, FuzzOptions, FuzzReport};
 pub use list_sched::{list_schedule, ListScheduleResult};
 pub use model::{build_model, schedule, BuiltModel, ScheduleResult, SchedulerOptions};
 pub use modulo::{
-    allocate_modulo_memory, allocate_modulo_memory_with, build_probe, ii_lower_bound,
-    modulo_cnf_dimacs, modulo_schedule, modulo_schedule_checked, schedule_at_ii, validate_modulo,
-    AllocOptions, AllocOutcome, Backend, IiOutcome, ModuloError, ModuloOptions, ModuloResult,
+    build_probe, ii_lower_bound, modulo_cnf_dimacs, modulo_schedule, modulo_schedule_checked,
+    schedule_at_ii, validate_modulo, Backend, IiOutcome, ModuloError, ModuloOptions, ModuloResult,
     ProbeModel, ProbeStat, SatStats,
 };
 pub use obs::PhaseTimings;

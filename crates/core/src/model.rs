@@ -1,21 +1,25 @@
 //! The combined scheduling + memory-allocation constraint model
 //! (§3.3–3.5 of the paper) and its solution procedure.
 //!
-//! Constraint-by-constraint mapping to the paper:
+//! Constraint-by-constraint mapping to the paper, with the helper that
+//! posts each row. The helpers are shared: the modulo probe
+//! ([`crate::modulo::build_probe`]) posts (1)/(4) and (3) through them,
+//! and the steady-state allocator ([`crate::alloc`]) posts (6)–(11)
+//! through `post_memory` over constant starts.
 //!
-//! | Paper | Here |
-//! |---|---|
-//! | (1) `s_i + l_i ≤ s_j` on edges | [`eit_cp::Model::precedence`] |
-//! | (2) lane `Cumulative` | one `Cumulative` over vector+matrix ops, r∈{1,4}, cap 4; two more (cap 1) for the accelerator and index/merge units |
-//! | (3) `s_i ≠ s_j` for differently-configured vector ops | pairwise `neq` |
-//! | (4) data start = producer completion | `eq_offset` |
-//! | (5) makespan objective | completion vars + `max_of`, minimized |
-//! | (6) slot/line/page channeling | `slot_geometry` |
-//! | (7) same-op input compatibility | `page_line_implies` |
-//! | (8)/(9) co-scheduled input/output compatibility | `cond_same_time` over co-issuable op pairs |
-//! | (10) lifetimes | `life ≥ s_c − s_d` per consumer (`linear_leq`), `life ≥ 1`; only lower bounds, since `Diff2` prunes on the minimum |
-//! | (11) slot reuse | `Diff2` over `(s, slot, life, 1)` rectangles |
-//! | §3.5 search | three [`Phase`]s: op starts → data starts → slots |
+//! | Paper | Here | Posted by |
+//! |---|---|---|
+//! | (1) `s_i + l_i ≤ s_j` on edges | [`eit_cp::Model::precedence`] | `post_precedences` |
+//! | (2) lane `Cumulative` | one `Cumulative` over vector+matrix ops, r∈{1,4}, cap 4; two more (cap 1) for the accelerator and index/merge units | [`build_model`] |
+//! | (3) `s_i ≠ s_j` for differently-configured vector ops | pairwise `neq` | `post_config_separation` |
+//! | (4) data start = producer completion | `eq_offset` | `post_precedences` |
+//! | (5) makespan objective | completion vars + `max_of`, minimized | [`build_model`] |
+//! | (6) slot/line/page channeling | `slot_geometry` | `post_memory` |
+//! | (7) same-op input compatibility | `page_line_implies` | `post_memory` |
+//! | (8)/(9) co-scheduled input/output compatibility | `cond_same_time` over co-issuable op pairs; over two fixed starts, nothing (unequal) or `page_line_implies` (equal) | `post_memory` |
+//! | (10) lifetimes | `life ≥ s_c − s_d` per consumer (`linear_leq`), `life ≥ 1`; only lower bounds, since `Diff2` prunes on the minimum; a constant when every endpoint is fixed | `post_memory` |
+//! | (11) slot reuse | `Diff2` over `(s, slot, life, 1)` rectangles | `post_memory` |
+//! | §3.5 search | three [`Phase`]s: op starts → data starts → slots | [`build_model`] |
 
 use crate::obs::PhaseTimings;
 use eit_arch::{ArchSpec, Schedule};
@@ -28,7 +32,7 @@ use eit_cp::{
     minimize, Model, Phase, PropProfile, SearchConfig, SearchStats, SearchStatus, ValSel, VarId,
     VarSel,
 };
-use eit_ir::{Category, Graph, NodeId, OpClass};
+use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::time::{Duration, Instant};
 
 /// Options for [`schedule`].
@@ -180,14 +184,7 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     }
     let critical_path = g.ids().map(|i| es[i.idx()] + latency(i)).max().unwrap_or(0);
 
-    // (1) precedence on every edge; (4) exact data start.
-    for (from, to) in g.edges() {
-        if g.category(from).is_op() && g.category(to).is_data() {
-            m.eq_offset(start[from.idx()], latency(from), start[to.idx()]);
-        } else {
-            m.precedence(start[from.idx()], latency(from), start[to.idx()]);
-        }
-    }
+    post_precedences(&mut m, g, spec, &start);
 
     // (2) one resource constraint per functional unit, in table order.
     // On the classic table this posts exactly the paper's three: the lane
@@ -195,10 +192,6 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     // Disjunctives for the accelerator and the index/merge unit. A
     // replicated unit (count > 1) becomes a Cumulative with the op's
     // resolved width as its resource requirement.
-    let vec_core_ops: Vec<NodeId> = g
-        .ids()
-        .filter(|&i| matches!(g.category(i), Category::VectorOp | Category::MatrixOp))
-        .collect();
     for unit in &spec.units.units {
         let classes: Vec<OpClass> = unit.ops.iter().map(|o| o.class).collect();
         let is_vcore = classes
@@ -239,23 +232,7 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
         }
     }
 
-    // (3) one configuration per cycle: differently-configured vector ops
-    // must not co-issue. (Matrix ops are excluded pairwise by the lane
-    // Cumulative: r = 4.)
-    let vector_ops: Vec<NodeId> = vec_core_ops
-        .iter()
-        .copied()
-        .filter(|&i| g.category(i) == Category::VectorOp)
-        .collect();
-    for (a, &i) in vector_ops.iter().enumerate() {
-        for &j in &vector_ops[a + 1..] {
-            let ci = g.opcode(i).unwrap().config().unwrap();
-            let cj = g.opcode(j).unwrap().config().unwrap();
-            if ci != cj {
-                m.neq(start[i.idx()], start[j.idx()]);
-            }
-        }
-    }
+    post_config_separation(&mut m, g, |i| start[i.idx()]);
 
     // (5) makespan = max completion over op nodes.
     let objective = m.new_var_named(critical_path, horizon + spec.pipeline_depth(), "makespan");
@@ -270,141 +247,11 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
         .collect();
     m.max_of(completions, objective);
 
-    // --- memory allocation (6)–(11) -----------------------------------------
-    let mut slot: Vec<Option<VarId>> = vec![None; g.len()];
-    if opts.memory {
-        let n_slots = spec.n_slots() as i32;
-        let n_lines = spec.slots_per_bank as i32;
-        let n_pages = spec.n_pages() as i32;
-        let vdata: Vec<NodeId> = g
-            .ids()
-            .filter(|&i| g.category(i) == Category::VectorData)
-            .collect();
-
-        let mut line = vec![None; g.len()];
-        let mut page = vec![None; g.len()];
-        for &d in &vdata {
-            let s = m.new_var_named(0, n_slots - 1, &format!("slot_{}", g.node(d).name));
-            let l = m.new_var(0, n_lines - 1);
-            let p = m.new_var(0, n_pages - 1);
-            // (6)
-            m.slot_geometry(s, l, p, spec.n_banks as i32, spec.page_size as i32);
-            slot[d.idx()] = Some(s);
-            line[d.idx()] = Some(l);
-            page[d.idx()] = Some(p);
-        }
-
-        // (7): inputs of one vector-core op; plus the outputs of one matrix
-        // op, which are written simultaneously.
-        for &op in &vec_core_ops {
-            let groups: [Vec<NodeId>; 2] = [
-                g.preds(op)
-                    .iter()
-                    .copied()
-                    .filter(|&d| g.category(d) == Category::VectorData)
-                    .collect(),
-                g.succs(op)
-                    .iter()
-                    .copied()
-                    .filter(|&d| g.category(d) == Category::VectorData)
-                    .collect(),
-            ];
-            for grp in &groups {
-                for (x, &d) in grp.iter().enumerate() {
-                    for &e in &grp[x + 1..] {
-                        m.page_line_implies(
-                            page[d.idx()].unwrap(),
-                            line[d.idx()].unwrap(),
-                            page[e.idx()].unwrap(),
-                            line[e.idx()].unwrap(),
-                        );
-                    }
-                }
-            }
-        }
-
-        // (8)/(9): pairs of vector ops that may co-issue (same config —
-        // different configs are already start-separated by (3)).
-        for (a, &i) in vector_ops.iter().enumerate() {
-            for &j in &vector_ops[a + 1..] {
-                let ci = g.opcode(i).unwrap().config().unwrap();
-                let cj = g.opcode(j).unwrap().config().unwrap();
-                if ci != cj {
-                    continue;
-                }
-                let mut pairs = Vec::new();
-                let vin = |op: NodeId| {
-                    g.preds(op)
-                        .iter()
-                        .copied()
-                        .filter(|&d| g.category(d) == Category::VectorData)
-                        .collect::<Vec<_>>()
-                };
-                let vout = |op: NodeId| {
-                    g.succs(op)
-                        .iter()
-                        .copied()
-                        .filter(|&d| g.category(d) == Category::VectorData)
-                        .collect::<Vec<_>>()
-                };
-                for &d in &vin(i) {
-                    for &e in &vin(j) {
-                        if d != e {
-                            pairs.push(GuardedPair {
-                                page_d: page[d.idx()].unwrap(),
-                                line_d: line[d.idx()].unwrap(),
-                                page_e: page[e.idx()].unwrap(),
-                                line_e: line[e.idx()].unwrap(),
-                            });
-                        }
-                    }
-                }
-                for &d in &vout(i) {
-                    for &e in &vout(j) {
-                        if d != e {
-                            pairs.push(GuardedPair {
-                                page_d: page[d.idx()].unwrap(),
-                                line_d: line[d.idx()].unwrap(),
-                                page_e: page[e.idx()].unwrap(),
-                                line_e: line[e.idx()].unwrap(),
-                            });
-                        }
-                    }
-                }
-                if !pairs.is_empty() {
-                    m.cond_same_time(start[i.idx()], start[j.idx()], pairs);
-                }
-            }
-        }
-
-        // (10)/(11): lifetimes and slot reuse as non-overlapping rectangles.
-        //
-        // The paper's (10) sets life = max(consumer starts) − s. Taken
-        // literally, a datum consumed at its own start cycle gets a
-        // zero-length rectangle and silently drops out of Diff2 even
-        // though it occupies its slot at the read instant; we therefore
-        // clamp lifetimes to ≥ 1 (consumers read at their start cycle, and
-        // reads precede writes within a cycle, so rectangles *touching* is
-        // still hazard-free). Only lower bounds are posted: Diff2 prunes
-        // on the minimum length, which equals the true lifetime.
-        let mut rects = Vec::with_capacity(vdata.len());
-        let one = m.new_const(1);
-        for &d in &vdata {
-            let life = m.new_var_named(1, horizon + spec.pipeline_depth(), "life");
-            for &c in g.succs(d) {
-                // life ≥ s_c − s_d
-                m.linear_leq(
-                    vec![(1, start[c.idx()]), (-1, start[d.idx()]), (-1, life)],
-                    0,
-                );
-            }
-            rects.push(Rect {
-                origin: [start[d.idx()], slot[d.idx()].unwrap()],
-                len: [life, one],
-            });
-        }
-        m.diff2(rects);
-    }
+    let slot = if opts.memory {
+        post_memory(&mut m, g, spec, &start, horizon + spec.pipeline_depth())
+    } else {
+        vec![None; g.len()]
+    };
 
     // --- §3.5 three-phase search --------------------------------------------
     let op_starts: Vec<VarId> = g
@@ -437,6 +284,185 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
         horizon,
         timings,
     }
+}
+
+/// (1) precedence on every edge and (4) exact data start, over the start
+/// variables `s` (absolute starts, also in the modulo probe).
+pub(crate) fn post_precedences(m: &mut Model, g: &Graph, spec: &ArchSpec, s: &[VarId]) {
+    for (from, to) in g.edges() {
+        let latency = spec.latency(&g.node(from).kind);
+        if g.category(from).is_op() && g.category(to).is_data() {
+            m.eq_offset(s[from.idx()], latency, s[to.idx()]);
+        } else {
+            m.precedence(s[from.idx()], latency, s[to.idx()]);
+        }
+    }
+}
+
+/// The configuration a vector-core op needs the core to hold.
+fn config(g: &Graph, op: NodeId) -> VectorConfig {
+    g.opcode(op)
+        .and_then(|o| o.config())
+        .expect("every vector-core opcode has a configuration")
+}
+
+/// (3) one configuration per cycle: differently-configured vector ops
+/// must not share `slot_of` — a start cycle in the straight-line model, a
+/// window slot in the modulo probe. (Matrix ops are kept apart from every
+/// other vector-core op by the lane `Cumulative`: a matrix op fills the
+/// core.)
+pub(crate) fn post_config_separation(m: &mut Model, g: &Graph, slot_of: impl Fn(NodeId) -> VarId) {
+    let vector_ops: Vec<(NodeId, VectorConfig)> = g
+        .ids()
+        .filter(|&i| g.category(i) == Category::VectorOp)
+        .map(|i| (i, config(g, i)))
+        .collect();
+    for (a, &(i, ci)) in vector_ops.iter().enumerate() {
+        for &(j, cj) in &vector_ops[a + 1..] {
+            if ci != cj {
+                m.neq(slot_of(i), slot_of(j));
+            }
+        }
+    }
+}
+
+/// The memory allocation constraints (6)–(11) over the start variables
+/// `start`; returns the slot variable of every vector datum. A start
+/// already fixed when this runs (every start, in the steady-state
+/// allocator) folds to a constant: two fixed vector ops either never
+/// co-issue (no (8)/(9) constraint) or always do (`page_line_implies`
+/// directly), and a lifetime whose endpoints are all fixed becomes a
+/// constant rectangle length. `life_max` bounds the variable lifetimes.
+pub(crate) fn post_memory(
+    m: &mut Model,
+    g: &Graph,
+    spec: &ArchSpec,
+    start: &[VarId],
+    life_max: i32,
+) -> Vec<Option<VarId>> {
+    let vdata: Vec<NodeId> = g
+        .ids()
+        .filter(|&i| g.category(i) == Category::VectorData)
+        .collect();
+
+    let n_slots = spec.n_slots() as i32;
+    let mut slot = vec![None; g.len()];
+    let mut page_line = vec![None; g.len()];
+    for &d in &vdata {
+        let s = m.new_var_named(0, n_slots - 1, &format!("slot_{}", g.node(d).name));
+        let l = m.new_var(0, spec.slots_per_bank as i32 - 1);
+        let p = m.new_var(0, spec.n_pages() as i32 - 1);
+        // (6)
+        m.slot_geometry(s, l, p, spec.n_banks as i32, spec.page_size as i32);
+        slot[d.idx()] = Some(s);
+        page_line[d.idx()] = Some((p, l));
+    }
+    let geo = |d: NodeId| page_line[d.idx()].expect("every vector datum has a page and line");
+    let fixed = |m: &Model, v: VarId| m.store.dom(v).value();
+
+    // The vector inputs and outputs of every vector-core op.
+    let vector_data = |ds: &[NodeId]| -> Vec<NodeId> {
+        ds.iter()
+            .copied()
+            .filter(|&d| g.category(d) == Category::VectorData)
+            .collect()
+    };
+    let vec_core_io: Vec<(NodeId, [Vec<NodeId>; 2])> = g
+        .ids()
+        .filter(|&i| matches!(g.category(i), Category::VectorOp | Category::MatrixOp))
+        .map(|op| (op, [vector_data(g.preds(op)), vector_data(g.succs(op))]))
+        .collect();
+
+    // (7): inputs of one vector-core op; plus the outputs of one matrix
+    // op, which are written simultaneously.
+    for grp in vec_core_io.iter().flat_map(|(_, io)| io) {
+        for (x, &d) in grp.iter().enumerate() {
+            for &e in &grp[x + 1..] {
+                let ((page_d, line_d), (page_e, line_e)) = (geo(d), geo(e));
+                m.page_line_implies(page_d, line_d, page_e, line_e);
+            }
+        }
+    }
+
+    // (8)/(9): pairs of vector ops that may co-issue (same config —
+    // different configs are already start-separated by (3)).
+    let vector_ops: Vec<_> = vec_core_io
+        .iter()
+        .filter(|(op, _)| g.category(*op) == Category::VectorOp)
+        .map(|(op, io)| {
+            let s = start[op.idx()];
+            (s, fixed(m, s), config(g, *op), io)
+        })
+        .collect();
+    for (a, &(si, ti, ci, io_i)) in vector_ops.iter().enumerate() {
+        for &(sj, tj, cj, io_j) in &vector_ops[a + 1..] {
+            let both_fixed = ti.zip(tj);
+            if both_fixed.is_some_and(|(ti, tj)| ti != tj) || ci != cj {
+                continue;
+            }
+            let mut pairs = Vec::new();
+            for (xs, ys) in io_i.iter().zip(io_j) {
+                for &d in xs {
+                    for &e in ys {
+                        if d != e {
+                            let ((page_d, line_d), (page_e, line_e)) = (geo(d), geo(e));
+                            pairs.push(GuardedPair {
+                                page_d,
+                                line_d,
+                                page_e,
+                                line_e,
+                            });
+                        }
+                    }
+                }
+            }
+            if both_fixed.is_some() {
+                for p in pairs {
+                    m.page_line_implies(p.page_d, p.line_d, p.page_e, p.line_e);
+                }
+            } else if !pairs.is_empty() {
+                m.cond_same_time(si, sj, pairs);
+            }
+        }
+    }
+
+    // (10)/(11): lifetimes and slot reuse as non-overlapping rectangles.
+    //
+    // The paper's (10) sets life = max(consumer starts) − s. Taken
+    // literally, a datum consumed at its own start cycle gets a
+    // zero-length rectangle and silently drops out of Diff2 even
+    // though it occupies its slot at the read instant; we therefore
+    // clamp lifetimes to ≥ 1 (consumers read at their start cycle, and
+    // reads precede writes within a cycle, so rectangles *touching* is
+    // still hazard-free). Only lower bounds are posted: Diff2 prunes
+    // on the minimum length, which equals the true lifetime.
+    let mut rects = Vec::with_capacity(vdata.len());
+    let one = m.new_const(1);
+    for &d in &vdata {
+        let sd = start[d.idx()];
+        let folded = fixed(m, sd).and_then(|s0| {
+            g.succs(d)
+                .iter()
+                .try_fold(1, |life, &c| Some(life.max(fixed(m, start[c.idx()])? - s0)))
+        });
+        let life = match folded {
+            Some(life) => m.new_const(life),
+            None => {
+                let life = m.new_var_named(1, life_max, "life");
+                for &c in g.succs(d) {
+                    // life ≥ s_c − s_d
+                    m.linear_leq(vec![(1, start[c.idx()]), (-1, sd), (-1, life)], 0);
+                }
+                life
+            }
+        };
+        rects.push(Rect {
+            origin: [sd, slot[d.idx()].unwrap()],
+            len: [life, one],
+        });
+    }
+    m.diff2(rects);
+    slot
 }
 
 /// Result of a scheduling run.
@@ -533,22 +559,7 @@ mod tests {
     use eit_ir::merge_pipeline_ops;
 
     fn matmul_graph() -> Graph {
-        // Listing 1: C = A·Aᴴ via 16 dot products and 4 merges.
-        let ctx = Ctx::new("matmul");
-        let a = [
-            ctx.vector([1.0, 2.0, 3.0, 4.0]),
-            ctx.vector([2.0, 3.0, 4.0, 5.0]),
-            ctx.vector([3.0, 4.0, 5.0, 6.0]),
-            ctx.vector([4.0, 5.0, 6.0, 7.0]),
-        ];
-        for row in &a {
-            let mut scalars = Vec::new();
-            for col in &a {
-                scalars.push(row.v_dotp(col));
-            }
-            let _ = ctx.merge([&scalars[0], &scalars[1], &scalars[2], &scalars[3]]);
-        }
-        ctx.finish()
+        eit_apps::by_name("matmul").unwrap().graph
     }
 
     #[test]
@@ -657,5 +668,32 @@ mod tests {
         spec.slots_per_bank = 1; // a single slot
         let r = schedule(&g, &spec, &SchedulerOptions::default());
         assert_eq!(r.status, SearchStatus::Infeasible);
+    }
+
+    #[test]
+    fn fixed_start_memory_model_accepts_the_schedulers_answers() {
+        // The steady-state allocator posts (6)–(11) over constant starts;
+        // every straight-line answer, starts and slots fixed, must be a
+        // root fixpoint of that folded model.
+        let spec = ArchSpec::eit();
+        for name in ["qrd", "arf", "matmul", "fir", "detector", "blockmm"] {
+            let mut g = eit_apps::by_name(name).unwrap().graph;
+            merge_pipeline_ops(&mut g);
+            let s = schedule(&g, &spec, &SchedulerOptions::default())
+                .schedule
+                .unwrap_or_else(|| panic!("{name} must schedule"));
+            let mut m = Model::new();
+            let start: Vec<VarId> = g.ids().map(|n| m.new_const(s.start_of(n))).collect();
+            let slot = post_memory(&mut m, &g, &spec, &start, s.makespan.max(1));
+            for n in g.ids() {
+                if let Some(v) = slot[n.idx()] {
+                    m.store.fix(v, s.slot_of(n).unwrap() as i32).unwrap();
+                }
+            }
+            assert!(
+                m.engine.fixpoint(&mut m.store).is_ok(),
+                "{name}: the folded memory model rejects the schedule"
+            );
+        }
     }
 }

@@ -26,6 +26,7 @@
 //! switches — the same trade the paper reports (better throughput, much
 //! longer optimisation).
 
+use crate::model::{post_config_separation, post_precedences};
 use eit_arch::{ArchSpec, Schedule};
 use eit_cp::props::cumulative::CumTask;
 use eit_cp::props::diff2::Rect;
@@ -81,7 +82,7 @@ impl Backend {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModuloError {
     /// The graph refers to something the model cannot express — e.g. a
-    /// vector-core op without a configuration entry. Names the node.
+    /// data→data edge, which the SAT encoding refuses. Names the node.
     ModelBuild { node: String, detail: String },
     /// The requested backend cannot serve this configuration (the SAT
     /// encoding covers the exclude-reconfig model only).
@@ -382,8 +383,8 @@ pub enum IiOutcome {
     /// cancelled; never a refutation proof).
     Cancelled,
     /// The model could not be built for this candidate (malformed graph
-    /// — e.g. a vector op without a configuration). II-independent: the
-    /// sweep aborts with the structured error instead of probing on.
+    /// — e.g. a data→data edge). II-independent: the sweep aborts with
+    /// the structured error instead of probing on.
     Malformed(ModuloError),
 }
 
@@ -424,18 +425,18 @@ pub struct ProbeModel {
 
 /// Build the CSP for one candidate II. Returns `Ok(None)` when a static
 /// capacity cut already refutes the candidate — no search runs, so a
-/// recorded probe stream for such a candidate is empty — and `Err` with
-/// a named diagnostic when the graph itself is malformed (a model-build
-/// failure is a property of the graph, not of the candidate).
+/// recorded probe stream for such a candidate is empty. Edges (1)/(4)
+/// and configurations (3) are posted as in [`crate::model`], over `s` and
+/// the window `t`. Every graph the IR accepts builds, so `Err` does not
+/// occur; the signature keeps it for callers that match on it.
 pub fn build_probe(
     g: &Graph,
     spec: &ArchSpec,
     ii: i32,
     include_reconfig: bool,
 ) -> Result<Option<ProbeModel>, ModuloError> {
-    let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
-    let cp = g.critical_path(&latency);
+    let cp = g.critical_path(&|n| spec.latency(&g.node(n).kind));
     // Stage bound: latency alone needs cp/ii stages, but the banded model
     // can force a wrap-around (stage increment) at every hop of a
     // dependency chain whose next band lies earlier in the window, so the
@@ -471,22 +472,12 @@ pub fn build_probe(
     }
 
     // Precedence / data-start constraints on s.
-    for (from, to) in g.edges() {
-        if g.category(from).is_op() && g.category(to).is_data() {
-            m.eq_offset(s_var[from.idx()], latency(from), s_var[to.idx()]);
-        } else {
-            m.precedence(s_var[from.idx()], latency(from), s_var[to.idx()]);
-        }
-    }
+    post_precedences(&mut m, g, spec, &s_var);
 
     // Window resource constraints on t: one Cumulative per functional
     // unit of the table, in table order (on the classic table: lanes with
     // matrix req = matrix width, then accelerator and index/merge at
     // capacity 1).
-    let vec_core: Vec<NodeId> = g
-        .ids()
-        .filter(|&n| matches!(g.category(n), Category::VectorOp | Category::MatrixOp))
-        .collect();
     for unit in &spec.units.units {
         let classes: Vec<OpClass> = unit.ops.iter().map(|o| o.class).collect();
         let tasks: Vec<CumTask> = g
@@ -507,46 +498,7 @@ pub fn build_probe(
     }
 
     // One configuration per window slot.
-    let vops: Vec<NodeId> = vec_core
-        .iter()
-        .copied()
-        .filter(|&n| g.category(n) == Category::VectorOp)
-        .collect();
-    // A vector-core op always carries a configuration on a well-formed
-    // graph; a graph that violates that is reported as a named
-    // model-build diagnostic instead of aborting the scheduler.
-    let config_of = |n: NodeId| {
-        g.opcode(n)
-            .and_then(|o| o.config())
-            .ok_or_else(|| ModuloError::ModelBuild {
-                node: g.node(n).name.clone(),
-                detail: "vector-core op has no configuration entry in its opcode".into(),
-            })
-    };
-    for (a, &i) in vops.iter().enumerate() {
-        for &j in &vops[a + 1..] {
-            let ci = config_of(i)?;
-            let cj = config_of(j)?;
-            if ci != cj {
-                m.neq(t_var[&i], t_var[&j]);
-            }
-        }
-    }
-    // Matrix ops vs differently-configured vector ops are separated by
-    // the lane Cumulative (4+1 > 4); matrix ops among themselves share a
-    // slot only if identically configured:
-    let mops: Vec<NodeId> = vec_core
-        .iter()
-        .copied()
-        .filter(|&n| g.category(n) == Category::MatrixOp)
-        .collect();
-    for (a, &i) in mops.iter().enumerate() {
-        for &j in &mops[a + 1..] {
-            // Two matrix ops can never share a cycle (8 lanes needed) —
-            // covered by Cumulative. Nothing extra.
-            let _ = (i, j);
-        }
-    }
+    post_config_separation(&mut m, g, |n| t_var[&n]);
 
     // Contiguous configuration bands (the include-reconfig model).
     let mut band_vars: Vec<VarId> = Vec::new();
@@ -1246,7 +1198,12 @@ pub fn validate_modulo(
 /// Replicate `n_iters` iterations of `g` and start iteration `it` of
 /// every node at `r.s + it·ii_issue` (slots unassigned). `r.s` must
 /// cover every node of `g`.
-fn unroll(g: &Graph, spec: &ArchSpec, r: &ModuloResult, n_iters: usize) -> (Graph, Schedule) {
+pub(crate) fn unroll(
+    g: &Graph,
+    spec: &ArchSpec,
+    r: &ModuloResult,
+    n_iters: usize,
+) -> (Graph, Schedule) {
     let (big, map) = crate::replicate::replicate(g, n_iters);
     let mut sched = Schedule::new(big.len());
     for (it, ids) in map.iter().enumerate() {
@@ -1264,24 +1221,7 @@ mod tests {
     use eit_dsl::Ctx;
 
     fn matmul() -> Graph {
-        eit_apps_matmul()
-    }
-
-    /// Local mini-matmul to avoid a circular dev-dependency: 8 dotp ops
-    /// of one config + merges.
-    fn eit_apps_matmul() -> Graph {
-        let ctx = Ctx::new("mm");
-        let a = [
-            ctx.vector([1.0, 2.0, 3.0, 4.0]),
-            ctx.vector([2.0, 3.0, 4.0, 5.0]),
-            ctx.vector([3.0, 4.0, 5.0, 6.0]),
-            ctx.vector([4.0, 5.0, 6.0, 7.0]),
-        ];
-        for row in &a {
-            let s: Vec<_> = a.iter().map(|c| row.v_dotp(c)).collect();
-            let _ = ctx.merge([&s[0], &s[1], &s[2], &s[3]]);
-        }
-        ctx.finish()
+        eit_apps::by_name("matmul").unwrap().graph
     }
 
     #[test]
@@ -1687,315 +1627,5 @@ mod tests {
         let spec = eit_arch::ArchSpec::eit();
         let r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
         assert!((r.throughput * r.actual_ii as f64 - 1.0).abs() < 1e-12);
-    }
-}
-
-/// Memory allocation for a modulo schedule — the step the paper leaves as
-/// "with the assumption that there is enough memory … repeating the
-/// allocation of the original schedule for each iteration, with a certain
-/// offset". A naive fixed offset breaks the bank/page rules as soon as
-/// two iterations co-issue (same banks at the same cycle), so this solves
-/// the allocation *properly*: unroll `n_iters` iterations at the issue
-/// II, fix every start time, and run the memory constraints (6)–(11) as a
-/// satisfaction problem over the slot variables only.
-///
-/// Returns the unrolled graph and a complete schedule (starts + slots);
-/// `None` when the slot budget cannot hold the steady-state working set
-/// (or the default 60 s budget ran out undecided).
-pub fn allocate_modulo_memory(
-    g: &Graph,
-    spec: &ArchSpec,
-    r: &ModuloResult,
-    n_iters: usize,
-) -> Option<(Graph, Schedule)> {
-    match allocate_modulo_memory_with(g, spec, r, n_iters, &AllocOptions::default()) {
-        AllocOutcome::Allocated(big, sched) => Some((big, sched)),
-        AllocOutcome::Infeasible | AllocOutcome::Unknown => None,
-    }
-}
-
-/// Tuning knobs for [`allocate_modulo_memory_with`].
-#[derive(Clone, Debug)]
-pub struct AllocOptions {
-    /// Wall-clock budget for the slot-assignment search.
-    pub timeout: Duration,
-    /// Cooperative cancellation / wall-clock deadline, polled by the
-    /// search.
-    pub cancel: Option<CancelToken>,
-    /// Restart policy for the allocation search (`None` = plain DFS).
-    pub restarts: Option<eit_cp::RestartConfig>,
-}
-
-impl Default for AllocOptions {
-    fn default() -> Self {
-        Self {
-            timeout: Duration::from_secs(60),
-            cancel: None,
-            restarts: None,
-        }
-    }
-}
-
-/// Outcome of the slot-assignment satisfaction solve.
-#[derive(Debug)]
-pub enum AllocOutcome {
-    /// Unrolled graph + complete schedule (starts and slots).
-    Allocated(Graph, Schedule),
-    /// Proven: the slot budget cannot hold the steady-state working set.
-    Infeasible,
-    /// Budget exhausted before a solution or a proof either way.
-    Unknown,
-}
-
-/// [`allocate_modulo_memory`] with an explicit budget, cancellation and
-/// restart policy. The allocation CSP has slot variables only (starts
-/// are fixed) and no objective.
-pub fn allocate_modulo_memory_with(
-    g: &Graph,
-    spec: &ArchSpec,
-    r: &ModuloResult,
-    n_iters: usize,
-    opts: &AllocOptions,
-) -> AllocOutcome {
-    use eit_cp::props::diff2::Rect;
-    use eit_cp::props::reify::GuardedPair;
-
-    // A partial start map (e.g. a hand-built or truncated result from a
-    // foreign decode path) must degrade to a structured no-answer, never
-    // a panic mid-build.
-    if g.ids().any(|n| !r.s.contains_key(&n)) {
-        return AllocOutcome::Unknown;
-    }
-    let (big, mut sched) = unroll(g, spec, r, n_iters);
-
-    let vdata: Vec<eit_ir::NodeId> = big
-        .ids()
-        .filter(|&n| big.category(n) == Category::VectorData)
-        .collect();
-
-    // Memory model with fixed starts.
-    let mut m = Model::new();
-    let n_slots = spec.n_slots() as i32;
-    let n_lines = spec.slots_per_bank as i32;
-    let n_pages = spec.n_pages() as i32;
-
-    // (slot, line, page) variable triple per vector datum. Every
-    // consumer below *looks up* the triple and skips nodes without
-    // one — a vector datum the decode missed degrades to a weaker
-    // model (caught by downstream validation), never to a panic.
-    let mut geo: Vec<Option<(VarId, VarId, VarId)>> = vec![None; big.len()];
-    for &d in &vdata {
-        let s = m.new_var(0, n_slots - 1);
-        let l = m.new_var(0, n_lines - 1);
-        let p = m.new_var(0, n_pages - 1);
-        m.slot_geometry(s, l, p, spec.n_banks as i32, spec.page_size as i32);
-        geo[d.idx()] = Some((s, l, p));
-    }
-
-    let vec_core: Vec<eit_ir::NodeId> = big
-        .ids()
-        .filter(|&n| matches!(big.category(n), Category::VectorOp | Category::MatrixOp))
-        .collect();
-    // (7): same-instruction inputs and outputs.
-    for &op in &vec_core {
-        for group in [big.preds(op), big.succs(op)] {
-            let vd: Vec<(VarId, VarId)> = group
-                .iter()
-                .filter_map(|&d| geo[d.idx()].map(|(_, l, p)| (l, p)))
-                .collect();
-            for (x, &(ld, pd)) in vd.iter().enumerate() {
-                for &(le, pe) in &vd[x + 1..] {
-                    m.page_line_implies(pd, ld, pe, le);
-                }
-            }
-        }
-    }
-    // (8)/(9): starts are fixed, so co-issue is a static fact — post
-    // the implications directly for pairs sharing a cycle.
-    for (a, &i) in vec_core.iter().enumerate() {
-        for &j in &vec_core[a + 1..] {
-            if sched.start_of(i) != sched.start_of(j) {
-                continue;
-            }
-            let pairs = |xs: &[eit_ir::NodeId], ys: &[eit_ir::NodeId]| -> Vec<GuardedPair> {
-                let with_geo = |ds: &[eit_ir::NodeId]| -> Vec<(eit_ir::NodeId, VarId, VarId)> {
-                    ds.iter()
-                        .filter_map(|&d| geo[d.idx()].map(|(_, l, p)| (d, l, p)))
-                        .collect()
-                };
-                let fx = with_geo(xs);
-                let fy = with_geo(ys);
-                let mut out = Vec::new();
-                for &(d, line_d, page_d) in &fx {
-                    for &(e, line_e, page_e) in &fy {
-                        if d != e {
-                            out.push(GuardedPair {
-                                page_d,
-                                line_d,
-                                page_e,
-                                line_e,
-                            });
-                        }
-                    }
-                }
-                out
-            };
-            for gp in pairs(big.preds(i), big.preds(j))
-                .into_iter()
-                .chain(pairs(big.succs(i), big.succs(j)))
-            {
-                m.page_line_implies(gp.page_d, gp.line_d, gp.page_e, gp.line_e);
-            }
-        }
-    }
-    // (10)/(11): lifetimes are constants now.
-    let one = m.new_const(1);
-    let mut rects = Vec::with_capacity(vdata.len());
-    let mut slot_vars: Vec<(eit_ir::NodeId, VarId)> = Vec::with_capacity(vdata.len());
-    for &d in &vdata {
-        let Some((sv, _, _)) = geo[d.idx()] else {
-            continue;
-        };
-        let (s0, s1) = sched.lifetime(&big, d);
-        let x = m.new_const(s0);
-        let life = m.new_const((s1 - s0).max(1));
-        rects.push(Rect {
-            origin: [x, sv],
-            len: [life, one],
-        });
-        slot_vars.push((d, sv));
-    }
-    m.diff2(rects);
-
-    let cfg = SearchConfig {
-        phases: vec![Phase::new(
-            slot_vars.iter().map(|&(_, v)| v).collect(),
-            VarSel::FirstFail,
-            ValSel::Min,
-        )],
-        timeout: Some(opts.timeout),
-        cancel: opts.cancel.clone(),
-        restarts: opts.restarts,
-        ..Default::default()
-    };
-    let res = solve(&mut m, &cfg);
-
-    match res.status {
-        SearchStatus::Optimal | SearchStatus::Feasible => {
-            let Some(sol) = res.best else {
-                return AllocOutcome::Unknown;
-            };
-            for &(d, sv) in &slot_vars {
-                sched.slot[d.idx()] = Some(sol.value(sv) as u32);
-            }
-            AllocOutcome::Allocated(big, sched)
-        }
-        SearchStatus::Infeasible => AllocOutcome::Infeasible,
-        SearchStatus::Unknown => AllocOutcome::Unknown,
-    }
-}
-
-#[cfg(test)]
-mod memory_tests {
-    use super::*;
-    use eit_dsl::Ctx;
-
-    #[test]
-    fn modulo_allocation_passes_full_memory_validation() {
-        // Two-type kernel pipelined, then allocated — validated with the
-        // memory checks ON (unlike validate_modulo, which skips them).
-        let ctx = Ctx::new("k");
-        let a = ctx.vector([1.0, 0.0, 0.0, 0.0]);
-        let b = ctx.vector([0.0, 1.0, 0.0, 0.0]);
-        for _ in 0..2 {
-            let x = a.v_add(&b);
-            let _ = x.v_mul(&b);
-        }
-        let g = ctx.finish();
-        let spec = ArchSpec::eit();
-        let r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        let (big, sched) = allocate_modulo_memory(&g, &spec, &r, 4)
-            .expect("steady-state allocation must fit 64 slots");
-        let v = eit_arch::validate_structure(&big, &spec, &sched);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn partial_schedule_map_yields_unknown_not_panic() {
-        // Shrunk reproducer for the decode-path hardening: a ModuloResult
-        // whose `s` map is missing nodes (as a buggy or interrupted
-        // backend could produce) used to panic inside the allocator —
-        // first at `r.s[&n]` during replication, then at the
-        // slot/line/page `.unwrap()`s while building memory constraints.
-        // A partial assignment must surface structurally as Unknown.
-        let ctx = Ctx::new("k");
-        let a = ctx.vector([1.0, 0.0, 0.0, 0.0]);
-        let b = ctx.vector([0.0, 1.0, 0.0, 0.0]);
-        let x = a.v_add(&b);
-        let _ = x.v_mul(&b);
-        let g = ctx.finish();
-        let spec = ArchSpec::eit();
-        let mut r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        // Drop one node from every per-node map to simulate a truncated
-        // decode.
-        let victim = g.ids().last().unwrap();
-        r.s.remove(&victim);
-        r.t.remove(&victim);
-        r.k.remove(&victim);
-        let out = allocate_modulo_memory_with(&g, &spec, &r, 4, &AllocOptions::default());
-        assert!(
-            matches!(out, AllocOutcome::Unknown),
-            "partial assignment must be Unknown, got a different outcome"
-        );
-    }
-
-    /// The slot vectors of perfbench's four allocating steady-state
-    /// budgets (4 iterations, default restarts, the CP exclude-reconfig
-    /// schedule of the merged kernel), as FNV-1a 64 over each slot as a
-    /// little-endian u32 (`u32::MAX` for a node without one). A change to
-    /// propagation strength, propagator order or the search heuristics
-    /// moves them; a pure speed change must not.
-    #[test]
-    fn steady_state_slot_vectors_are_pinned() {
-        let opts = AllocOptions {
-            restarts: Some(eit_cp::RestartConfig::default()),
-            ..Default::default()
-        };
-        for (name, slots, want) in [
-            ("fir", 64, 0x98aa_51dc_01c5_1e2c_u64),
-            ("arf", 64, 0x4ca4_e474_e84f_e0a5),
-            ("qrd", 48, 0x859e_b7e2_a292_62cd),
-            ("detector", 40, 0xad3e_ce8b_5528_fbc2),
-        ] {
-            let mut g = eit_apps::by_name(name).unwrap().graph;
-            g.validate().unwrap();
-            eit_ir::merge_pipeline_ops(&mut g);
-            let r = modulo_schedule(&g, &ArchSpec::eit(), &ModuloOptions::default()).unwrap();
-            let spec = ArchSpec::eit().with_slots(slots);
-            let AllocOutcome::Allocated(_, sched) =
-                allocate_modulo_memory_with(&g, &spec, &r, 4, &opts)
-            else {
-                panic!("{name}@{slots} must allocate");
-            };
-            let mut h = eit_cp::Fnv64::new();
-            for s in &sched.slot {
-                h.write(&s.unwrap_or(u32::MAX).to_le_bytes());
-            }
-            assert_eq!(h.finish(), want, "{name}@{slots}: slot vector moved");
-        }
-    }
-
-    #[test]
-    fn tiny_memory_rejects_steady_state() {
-        let ctx = Ctx::new("k");
-        let a = ctx.vector([1.0, 0.0, 0.0, 0.0]);
-        let b = ctx.vector([0.0, 1.0, 0.0, 0.0]);
-        let x = a.v_add(&b);
-        let _ = x.v_mul(&b);
-        let g = ctx.finish();
-        let spec = ArchSpec::eit().with_slots(2);
-        let r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        // 4 in-flight iterations × (2 inputs + intermediates) >> 2 slots.
-        assert!(allocate_modulo_memory(&g, &spec, &r, 4).is_none());
     }
 }

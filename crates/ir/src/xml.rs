@@ -46,7 +46,8 @@ impl std::error::Error for XmlError {}
 
 // ---- writing ----------------------------------------------------------------
 
-fn escape(s: &str) -> String {
+/// Escape the five standard entities in an attribute value.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for ch in s.chars() {
         match ch {
@@ -259,19 +260,21 @@ pub fn to_xml(g: &Graph) -> String {
 
 // ---- parsing ------------------------------------------------------------------
 
-struct Element {
-    name: String,
-    attrs: HashMap<String, String>,
-    closing: bool,
+/// One tag: its name, its unescaped attributes, and whether it closes.
+pub struct Element {
+    pub name: String,
+    pub attrs: HashMap<String, String>,
+    pub closing: bool,
 }
 
-struct Lexer<'a> {
+/// The tag lexer shared by the IR and the `eit-arch` XML formats.
+pub struct Lexer<'a> {
     src: &'a str,
     pos: usize,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    pub fn new(src: &'a str) -> Self {
         Lexer { src, pos: 0 }
     }
 
@@ -299,7 +302,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Next element tag, or `None` at end of input.
-    fn next_element(&mut self) -> Result<Option<Element>, XmlError> {
+    pub fn next_element(&mut self) -> Result<Option<Element>, XmlError> {
         self.skip_ws_and_comments();
         if self.rest().is_empty() {
             return Ok(None);
@@ -351,7 +354,8 @@ impl<'a> Lexer<'a> {
     }
 }
 
-fn req<'e>(e: &'e Element, key: &'static str) -> Result<&'e str, XmlError> {
+/// The value of a required attribute.
+pub fn req<'e>(e: &'e Element, key: &'static str) -> Result<&'e str, XmlError> {
     e.attrs
         .get(key)
         .map(String::as_str)
@@ -362,7 +366,7 @@ fn req<'e>(e: &'e Element, key: &'static str) -> Result<&'e str, XmlError> {
 /// distinguishing overflow from garbage — `id="99999999999"` must say
 /// "overflows", not just "bad value", or the report is useless on
 /// machine-generated files where every id looks plausible.
-fn parse_u32(attr: &'static str, s: &str) -> Result<u32, XmlError> {
+pub fn parse_u32(attr: &'static str, s: &str) -> Result<u32, XmlError> {
     use std::num::IntErrorKind;
     s.parse::<u32>().map_err(|e| match e.kind() {
         IntErrorKind::PosOverflow => {

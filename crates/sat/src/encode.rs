@@ -106,9 +106,8 @@ impl Cnf {
     }
 }
 
-/// Structured model-build failure: the graph refers to something the
-/// machine model cannot price (mirrors the CP probe's named
-/// diagnostics).
+/// Structured model-build failure: the graph has a shape the encoding
+/// cannot express (a data→data edge), named by node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EncodeError {
     pub node: String,
@@ -407,21 +406,15 @@ pub fn encode_modulo_into<S: ClauseSink>(
     }
 
     // One configuration per window slot: differently-configured
-    // vector-core ops never share a start residue. A vector op without a
-    // configuration entry is a malformed graph — name it instead of
-    // panicking (the CP path degrades the same way).
-    let vop_cfg = |&n: &NodeId| match g.opcode(n).and_then(|o| o.config()) {
-        Some(c) => Ok((n, c)),
-        None => Err(EncodeError {
-            node: g.node(n).name.clone(),
-            detail: "vector-core op has no configuration entry in its opcode".into(),
-        }),
-    };
-    let vops = ops
+    // vector-core ops never share a start residue.
+    let vops: Vec<(NodeId, _)> = ops
         .iter()
         .filter(|&&n| g.category(n) == Category::VectorOp)
-        .map(vop_cfg)
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|&n| {
+            let config = g.opcode(n).and_then(|o| o.config());
+            (n, config.expect("every vector opcode has a configuration"))
+        })
+        .collect();
     for (x, (i, ci)) in vops.iter().enumerate() {
         for (j, cj) in &vops[x + 1..] {
             if ci == cj {

@@ -110,6 +110,17 @@ fi
 grep -q 'page_size="32"' "$archdir/bad.err" \
   || { echo "FAIL: arch rejection did not name the attribute"; exit 1; }
 echo "   invalid description rejected with the attribute named"
+# A matrix op narrower than the vector core is refused too: both
+# schedulers assume a matrix op fills every lane.
+sed 's/class="matrix" \(.*\) width="0"/class="matrix" \1 width="2"/' "$archdir/eit.xml" > "$archdir/narrow.xml"
+grep -q 'class="matrix" .* width="2"' "$archdir/narrow.xml" \
+  || { echo "FAIL: narrow-matrix edit did not apply"; exit 1; }
+if ./target/release/eitc qrd --arch "$archdir/narrow.xml" >/dev/null 2>"$archdir/narrow.err"; then
+  echo "FAIL: narrow matrix width was accepted"; exit 1
+fi
+grep -q 'width="2"' "$archdir/narrow.err" \
+  || { echo "FAIL: narrow-matrix rejection did not name width=\"2\""; exit 1; }
+echo "   narrow matrix width rejected with the attribute named"
 
 echo "== independent verification of the table 1/2/3 reference schedules"
 # Every paper kernel, straight-line at its table slot budget, must pass
