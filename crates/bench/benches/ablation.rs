@@ -1,7 +1,6 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! - the fig. 6 merge pass on/off (node count and schedule quality);
-//! - restart-based vs chronological branch-and-bound;
 //! - the three-phase search vs a single first-fail phase.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -57,34 +56,6 @@ fn bench_merge_pass(c: &mut Criterion) {
     });
 }
 
-fn bench_restart_bnb(c: &mut Criterion) {
-    let p = prepared("qrd");
-    let spec = ArchSpec::eit();
-    let mut group = c.benchmark_group("ablation/bnb");
-    group.sample_size(10);
-    for restart in [true, false] {
-        group.bench_function(format!("restart_{restart}"), |b| {
-            b.iter(|| {
-                let mut built = build_model(&p.graph, &spec, &SchedulerOptions::default());
-                let cfg = SearchConfig {
-                    phases: built.phases.clone(),
-                    timeout: Some(Duration::from_secs(5)),
-                    restart_on_solution: restart,
-                    // Chronological BnB needs caps to terminate in bench
-                    // time; the meaningful comparison is nodes-to-best
-                    // (restart: ~100 nodes to the optimum; chronological:
-                    // exhausts the cap without matching it).
-                    node_limit: Some(20_000),
-                    ..Default::default()
-                };
-                let r = minimize(&mut built.model, built.objective, &cfg);
-                (r.objective, r.stats.nodes)
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_phased_search(c: &mut Criterion) {
     let p = prepared("qrd");
     let spec = ArchSpec::eit();
@@ -96,7 +67,6 @@ fn bench_phased_search(c: &mut Criterion) {
             let cfg = SearchConfig {
                 phases: built.phases.clone(),
                 timeout: Some(Duration::from_secs(20)),
-                restart_on_solution: true,
                 ..Default::default()
             };
             minimize(&mut built.model, built.objective, &cfg).objective
@@ -109,8 +79,6 @@ fn bench_phased_search(c: &mut Criterion) {
             let cfg = SearchConfig {
                 phases: vec![Phase::new(all, VarSel::FirstFail, ValSel::Min)],
                 timeout: Some(Duration::from_secs(5)),
-                restart_on_solution: true,
-                node_limit: Some(20_000),
                 ..Default::default()
             };
             minimize(&mut built.model, built.objective, &cfg).objective
@@ -119,10 +87,5 @@ fn bench_phased_search(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_merge_pass,
-    bench_restart_bnb,
-    bench_phased_search
-);
+criterion_group!(benches, bench_merge_pass, bench_phased_search);
 criterion_main!(benches);

@@ -220,7 +220,6 @@ fn bench_restart_ab(c: &mut Criterion) {
                     &AllocOptions {
                         timeout: Duration::from_secs(2),
                         restarts,
-                        ..Default::default()
                     },
                 );
                 if restarts.is_some() {

@@ -68,6 +68,10 @@
 //!                       aggregated server metrics written at shutdown)
 //! ```
 //!
+//! A flag the selected mode cannot honour exits 2 naming it: `--backend`,
+//! `--emit cnf` and (outside `--serve`) `--jobs` need `--modulo`;
+//! `--emit gantt|vcd`, `--overlap` and `--profile` are straight-line only.
+//!
 //! Example: `cargo run --release -p eit-bench --bin eitc -- qrd --slots 16`
 
 use eit_arch::ArchSpec;
@@ -91,8 +95,8 @@ struct Args {
     memory: bool,
     merge: bool,
     modulo: Option<bool>, // Some(include_reconfig)
-    backend: eit_core::Backend,
-    jobs: usize,
+    backend: Option<eit_core::Backend>,
+    jobs: Option<usize>,
     overlap: Option<usize>,
     timeout: u64,
     emit_xml: bool,
@@ -139,8 +143,8 @@ fn parse_args() -> Args {
         memory: true,
         merge: true,
         modulo: None,
-        backend: eit_core::Backend::Cp,
-        jobs: 1,
+        backend: None,
+        jobs: None,
         overlap: None,
         timeout: 120,
         emit_xml: false,
@@ -180,21 +184,23 @@ fn parse_args() -> Args {
                 args.modulo = Some(incl);
             }
             "--backend" => {
-                args.backend = it
-                    .next()
-                    .as_deref()
-                    .and_then(eit_core::Backend::parse)
-                    .unwrap_or_else(|| {
-                        eprintln!("eitc: --backend expects cp, sat, or race");
-                        usage();
-                    })
+                args.backend = Some(
+                    it.next()
+                        .as_deref()
+                        .and_then(eit_core::Backend::parse)
+                        .unwrap_or_else(|| {
+                            eprintln!("eitc: --backend expects cp, sat, or race");
+                            usage();
+                        }),
+                )
             }
             "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
+                args.jobs = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
+                        .unwrap_or_else(|| usage()),
+                )
             }
             "--overlap" => {
                 args.overlap = Some(
@@ -249,6 +255,28 @@ fn parse_args() -> Args {
     if args.kernel.is_empty() && args.serve.is_none() && args.dump_arch.is_none() {
         usage();
     }
+    // A flag the selected mode cannot honour is an error, never dropped
+    // without a word.
+    let needs_modulo = [
+        (args.emit_cnf, "--emit cnf"),
+        (args.backend.is_some(), "--backend"),
+        (args.jobs.is_some() && args.serve.is_none(), "--jobs"),
+    ];
+    let straight_line_only = [
+        (args.emit_gantt, "--emit gantt"),
+        (args.emit_vcd, "--emit vcd"),
+        (args.overlap.is_some(), "--overlap"),
+        (args.profile, "--profile"),
+    ];
+    let (flags, why) = if args.modulo.is_some() {
+        (&straight_line_only[..], "is not supported with --modulo")
+    } else {
+        (&needs_modulo[..], "requires --modulo")
+    };
+    if let Some((_, flag)) = flags.iter().find(|(given, _)| *given) {
+        eprintln!("eitc: {flag} {why}");
+        exit(2);
+    }
     args
 }
 
@@ -281,7 +309,7 @@ fn serve_mode(addr: &str, args: &Args) -> ! {
     use std::io::Write as _;
     let srv = eit_serve::Server::start(eit_serve::ServeOptions {
         addr: addr.to_string(),
-        workers: args.jobs,
+        workers: args.jobs.unwrap_or(1),
         default_deadline: Duration::from_secs(args.timeout),
         ..Default::default()
     })
@@ -571,24 +599,25 @@ fn main() {
     });
 
     if let Some(include_reconfig) = args.modulo {
+        let backend = args.backend.unwrap_or(eit_core::Backend::Cp);
         let mut mopts = ModuloOptions {
             include_reconfig,
-            backend: args.backend,
+            backend,
             timeout_per_ii: timeout,
             total_timeout: timeout,
-            jobs: args.jobs,
+            jobs: args.jobs.unwrap_or(1),
             trace: trace.clone(),
             restarts: args.restarts,
             ..Default::default()
         };
-        if rr && args.backend != eit_core::Backend::Cp {
+        if rr && backend != eit_core::Backend::Cp {
             // The trace format records CP search events; the SAT sweep
             // (and hence the race, whose winner varies with load) has no
             // node-per-node trajectory to diff against.
             eprintln!(
                 "eitc: --record/--replay require the cp backend \
                  (got --backend {})",
-                args.backend.as_str()
+                backend.as_str()
             );
             exit(2);
         }

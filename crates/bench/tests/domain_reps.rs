@@ -46,13 +46,13 @@ fn run(
             "no bitset domain to compare"
         );
     }
-    let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+    let sink = Arc::new(Mutex::new(MemorySink::default()));
     let cfg = SearchConfig {
         trace: Some(TraceHandle::new(Arc::clone(&sink))),
         ..cfg
     };
     let r = search(model, &cfg);
-    let events = sink.lock().unwrap().events.iter().cloned().collect();
+    let events = sink.lock().unwrap().events.clone();
     Run {
         objective: r.objective,
         nodes: r.stats.nodes,

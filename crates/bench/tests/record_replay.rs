@@ -38,12 +38,12 @@ fn straight_line_record_replay_identity_on_all_table_kernels() {
     let spec = ArchSpec::eit();
     for name in KERNELS {
         let g = prepared(name);
-        let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
         let mut opts = sched_opts();
         opts.trace = Some(TraceHandle::new(Arc::clone(&sink)));
         let r = schedule(&g, &spec, &opts);
         assert!(r.schedule.is_some(), "{name} must schedule");
-        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.iter().cloned().collect();
+        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
         assert!(!recorded.is_empty(), "{name} recorded nothing");
 
         let rep = replay_schedule(
@@ -78,14 +78,14 @@ fn modulo_record_replay_identity_on_all_table_kernels() {
     let spec = ArchSpec::eit();
     for name in KERNELS {
         let g = prepared(name);
-        let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
         let opts = ModuloOptions {
             trace: Some(TraceHandle::new(Arc::clone(&sink))),
             state_hash_every: Some(16),
             ..Default::default()
         };
         let r = modulo_schedule(&g, &spec, &opts).unwrap_or_else(|| panic!("{name} modulo"));
-        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.iter().cloned().collect();
+        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
         assert!(
             recorded
                 .iter()
@@ -158,11 +158,11 @@ fn perturbed_solver_diverges_with_a_named_event() {
     // point at the first mismatching event instead of re-searching.
     let spec = ArchSpec::eit();
     let g = prepared("qrd");
-    let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+    let sink = Arc::new(Mutex::new(MemorySink::default()));
     let mut opts = sched_opts();
     opts.trace = Some(TraceHandle::new(Arc::clone(&sink)));
     schedule(&g, &spec, &opts);
-    let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.iter().cloned().collect();
+    let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
 
     let mut perturbed = sched_opts();
     perturbed.memory = false;

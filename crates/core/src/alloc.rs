@@ -11,7 +11,7 @@
 use crate::model::post_memory;
 use crate::modulo::{unroll, ModuloResult};
 use eit_arch::{ArchSpec, Schedule};
-use eit_cp::{solve, CancelToken, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
+use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
 use eit_ir::Graph;
 use std::time::Duration;
 
@@ -35,9 +35,6 @@ pub fn allocate_modulo_memory(
 pub struct AllocOptions {
     /// Wall-clock budget for the slot-assignment search.
     pub timeout: Duration,
-    /// Cooperative cancellation / wall-clock deadline, polled by the
-    /// search.
-    pub cancel: Option<CancelToken>,
     /// Restart policy for the allocation search (`None` = plain DFS).
     pub restarts: Option<eit_cp::RestartConfig>,
 }
@@ -46,7 +43,6 @@ impl Default for AllocOptions {
     fn default() -> Self {
         Self {
             timeout: Duration::from_secs(60),
-            cancel: None,
             restarts: None,
         }
     }
@@ -63,8 +59,8 @@ pub enum AllocOutcome {
     Unknown,
 }
 
-/// [`allocate_modulo_memory`] with an explicit budget, cancellation and
-/// restart policy. The allocation CSP has slot variables only (starts
+/// [`allocate_modulo_memory`] with an explicit budget and restart
+/// policy. The allocation CSP has slot variables only (starts
 /// are constants) and no objective.
 pub fn allocate_modulo_memory_with(
     g: &Graph,
@@ -92,7 +88,6 @@ pub fn allocate_modulo_memory_with(
             ValSel::Min,
         )],
         timeout: Some(opts.timeout),
-        cancel: opts.cancel.clone(),
         restarts: opts.restarts,
         ..Default::default()
     };

@@ -93,12 +93,10 @@ impl SchedulerOptions {
         SearchConfig {
             phases,
             timeout: self.timeout,
-            restart_on_solution: true,
             trace: self.trace.clone(),
             state_hash_every: self.state_hash_every,
             cancel: self.cancel.clone(),
             restarts: self.restarts,
-            ..Default::default()
         }
     }
 }

@@ -145,8 +145,6 @@ pub struct ModuloOptions {
     pub timeout_per_ii: Duration,
     /// Total budget across the II sweep (the paper's 10 minutes).
     pub total_timeout: Duration,
-    /// Upper bound on the II sweep; `None` = serial bound.
-    pub max_ii: Option<i32>,
     /// Worker threads for the speculative II sweep, on every backend. `1`
     /// (the default) probes candidates strictly bottom-up on the calling
     /// thread, as the paper does; `N > 1` probes N candidates
@@ -188,7 +186,6 @@ impl Default for ModuloOptions {
             include_reconfig: false,
             timeout_per_ii: Duration::from_secs(60),
             total_timeout: Duration::from_secs(600),
-            max_ii: None,
             jobs: 1,
             trace: None,
             state_hash_every: None,
@@ -864,9 +861,7 @@ pub fn modulo_cnf_dimacs(
     check_sat_supported(opts)?;
     crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
     let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
+    let ub = crate::model::serial_horizon(g, spec);
     for ii in lb..=ub {
         let enc = eit_sat::encode_modulo(g, spec, ii).map_err(|e| ModuloError::ModelBuild {
             node: e.node.clone(),
@@ -1042,9 +1037,7 @@ fn sweep(
 ) -> Result<(Option<ModuloResult>, Option<SatStats>), ModuloError> {
     let t0 = Instant::now();
     let lb = ii_lower_bound(g, spec);
-    let ub = opts
-        .max_ii
-        .unwrap_or_else(|| crate::model::serial_horizon(g, spec));
+    let ub = crate::model::serial_horizon(g, spec);
     let next = AtomicI32::new(lb);
     let bound = AtomicI32::new(i32::MAX);
     let in_flight: Mutex<Vec<(i32, CancelToken)>> = Mutex::new(Vec::new());
@@ -1075,7 +1068,7 @@ fn sweep(
             let buffer = opts
                 .trace
                 .as_ref()
-                .map(|_| Arc::new(Mutex::new(MemorySink::unbounded())));
+                .map(|_| Arc::new(Mutex::new(MemorySink::default())));
             let slot = ProbeSlot {
                 ii,
                 budget: opts.timeout_per_ii.min(remaining),
@@ -1102,10 +1095,7 @@ fn sweep(
                 }
             }
             let events = buffer
-                .map(|b| {
-                    let mut sink = b.lock().unwrap_or_else(|e| e.into_inner());
-                    sink.events.drain(..).collect()
-                })
+                .map(|b| std::mem::take(&mut b.lock().unwrap_or_else(|e| e.into_inner()).events))
                 .unwrap_or_default();
             records.push(Record {
                 ii,
@@ -1352,13 +1342,14 @@ mod tests {
 
     #[test]
     fn speculative_sweep_records_at_most_jobs_probes_above_the_winner() {
-        // A thousand candidates above the winner: only the probes already
-        // in flight when the winner lands may be recorded (cancelled);
-        // the rest are never claimed.
+        // The sweep runs up to the serial horizon, far above the winner:
+        // only the probes already in flight when the winner lands may be
+        // recorded (cancelled); the rest are never claimed.
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();
         let lb = ii_lower_bound(&g, &spec);
         let jobs = 4;
+        assert!(crate::model::serial_horizon(&g, &spec) > lb + 10 * jobs as i32);
         for backend in [Backend::Cp, Backend::Sat] {
             let r = modulo_schedule(
                 &g,
@@ -1366,7 +1357,6 @@ mod tests {
                 &ModuloOptions {
                     backend,
                     jobs,
-                    max_ii: Some(lb + 1000),
                     ..Default::default()
                 },
             )
@@ -1515,7 +1505,7 @@ mod tests {
         let g = ctx.finish();
         let spec = eit_arch::ArchSpec::eit();
         let run = |jobs: usize| {
-            let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+            let sink = Arc::new(Mutex::new(MemorySink::default()));
             let opts = ModuloOptions {
                 include_reconfig: true,
                 jobs,
@@ -1524,7 +1514,7 @@ mod tests {
                 ..Default::default()
             };
             let r = modulo_schedule(&g, &spec, &opts).unwrap();
-            let events: Vec<SearchEvent> = sink.lock().unwrap().events.iter().cloned().collect();
+            let events: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
             (r.ii_issue, events)
         };
         let (ii1, ev1) = run(1);

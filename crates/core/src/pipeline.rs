@@ -1,5 +1,5 @@
 //! The complete fig. 2 toolchain behind one entry point:
-//! validate → CSE → DCE → pipeline-merge → CP schedule (± memory) →
+//! validate → CSE → pipeline-merge → CP schedule (± memory) →
 //! configuration-stream code generation, with per-stage statistics.
 //!
 //! ```

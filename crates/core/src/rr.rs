@@ -92,9 +92,8 @@ pub fn schedule_config_string(opts: &SchedulerOptions) -> String {
 /// tracing purposes.
 pub fn modulo_config_string(opts: &ModuloOptions) -> String {
     format!(
-        "mode=modulo;incl={};max_ii={};restarts={};backend={}",
+        "mode=modulo;incl={};restarts={};backend={}",
         u8::from(opts.include_reconfig),
-        opts.max_ii.map_or_else(|| "auto".into(), |n| n.to_string()),
         opts.restarts
             .map_or_else(|| "off".into(), |rc| rc.config_token()),
         opts.backend.as_str(),
@@ -357,11 +356,11 @@ mod tests {
     }
 
     fn record_schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Vec<SearchEvent> {
-        let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
         let mut o = opts.clone();
         o.trace = Some(TraceHandle::new(Arc::clone(&sink)));
         crate::model::schedule(g, spec, &o);
-        let events = sink.lock().unwrap().events.iter().cloned().collect();
+        let events = sink.lock().unwrap().events.clone();
         events
     }
 
@@ -566,7 +565,6 @@ mod tests {
         let cfg = SearchConfig {
             phases,
             timeout: opts.timeout,
-            restart_on_solution: true,
             ..Default::default()
         };
         let rep = eit_cp::replay(
@@ -585,7 +583,7 @@ mod tests {
     fn modulo_record_replay_round_trips() {
         let g = chain();
         let spec = ArchSpec::eit();
-        let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
         let opts = ModuloOptions {
             include_reconfig: true,
             trace: Some(TraceHandle::new(Arc::clone(&sink))),
@@ -593,7 +591,7 @@ mod tests {
             ..Default::default()
         };
         crate::modulo::modulo_schedule(&g, &spec, &opts).unwrap();
-        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.iter().cloned().collect();
+        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
         assert!(recorded
             .iter()
             .any(|e| matches!(e, SearchEvent::Stream { .. })));

@@ -5,7 +5,7 @@
 //! needed (a speculative II probe overtaken by a lower feasible II, the
 //! losing backend of a race, a service request whose client deadline
 //! expired, …). Cancellation is *polled*: the search loop checks the
-//! token at every node (with the deadline and node-limit budgets) and
+//! token at every node (with the deadline budget) and
 //! the propagation engine checks it periodically inside
 //! [`crate::engine::Engine::fixpoint`], so even a probe stuck in a long
 //! fixpoint stops within a bounded number of propagator runs.
@@ -62,15 +62,6 @@ impl CancelToken {
             flag: Arc::default(),
             deadline: Some(deadline),
             parent: None,
-        }
-    }
-
-    /// [`Self::with_deadline`] at `budget` from now; a budget too large
-    /// to form a deadline gives a token without one.
-    pub fn with_budget(budget: Duration) -> Self {
-        CancelToken {
-            deadline: deadline_after(Instant::now(), budget),
-            ..Self::default()
         }
     }
 
@@ -140,12 +131,9 @@ mod tests {
 
     #[test]
     fn unrepresentable_budget_means_no_deadline() {
-        let t = CancelToken::with_budget(Duration::MAX);
-        assert!(!t.is_cancelled());
-        assert_eq!(t.deadline(), None);
-        assert!(CancelToken::with_budget(Duration::from_secs(60))
-            .deadline()
-            .is_some());
+        let now = Instant::now();
+        assert_eq!(deadline_after(now, Duration::MAX), None);
+        assert!(deadline_after(now, Duration::from_secs(60)).is_some());
     }
 
     #[test]

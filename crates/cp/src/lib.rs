@@ -12,9 +12,9 @@
 //!   **Diff2** (pairwise rectangle non-overlap), plus linear, disequality,
 //!   `max`, slot-geometry channeling and the guarded memory-access
 //!   implications of the paper's constraints (7)–(9);
-//! - phased depth-first **branch-and-bound** search with variable/value
-//!   heuristics, deadlines, cancellation and fail-budgeted restarts with
-//!   nogood recording ([`search`]).
+//! - phased depth-first search with variable/value heuristics,
+//!   restart-based **branch-and-bound**, deadlines, cancellation and
+//!   fail-budgeted restarts with nogood recording ([`search`]).
 //!
 //! ## Example
 //!
@@ -72,6 +72,4 @@ pub use search::{
     SearchStats, SearchStatus, Solution, ValSel, VarSel,
 };
 pub use store::{Fail, PropResult, Store, VarId};
-pub use trace::{
-    EventCounts, JsonlSink, MemorySink, NullSink, ProgressSink, SearchEvent, TraceHandle, TraceSink,
-};
+pub use trace::{JsonlSink, MemorySink, NullSink, SearchEvent, TraceHandle, TraceSink};

@@ -15,6 +15,9 @@ use crate::store::{Store, VarId};
 pub struct Model {
     pub store: Store,
     pub engine: Engine,
+    /// Store depth below the backtrack level the last search run left
+    /// open; the next run unwinds to it (see [`crate::search`]).
+    pub(crate) run_base: Option<usize>,
 }
 
 impl Model {
@@ -22,6 +25,7 @@ impl Model {
         Model {
             store: Store::new(),
             engine: Engine::new(),
+            run_base: None,
         }
     }
 

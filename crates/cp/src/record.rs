@@ -3,8 +3,10 @@
 //! A trace file ties one recorded solve to the exact inputs that produced
 //! it — a canonical IR hash, an architecture hash, and the solver
 //! configuration string — followed by every [`SearchEvent`] the run
-//! emitted, length-prefixed so readers can skip records they do not
-//! understand and detect truncation.
+//! emitted, length-prefixed so a reader detects truncation and trailing
+//! bytes. A record with a tag this build does not know is an error, not
+//! skipped: a replay that silently dropped events would diff against a
+//! different stream than the one recorded.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -19,15 +21,15 @@
 //! records     ...       until EOF, each: [len: u8][tag: u8][payload]
 //! ```
 //!
-//! `len` counts every byte after itself (tag included), so a reader can
-//! always skip `len` bytes. The running FNV-1a digest of *all* bytes
-//! written — header and records — is the trace hash recorded in
-//! `eit-run-metrics/1`; two runs are byte-identical iff their hashes are.
+//! `len` counts every byte after itself (tag included). The running
+//! FNV-1a digest of *all* bytes written — header and records — is the
+//! trace hash recorded in `eit-run-metrics/1`; two runs are
+//! byte-identical iff their hashes are.
 //!
 //! [`RecorderSink`] streams events straight to disk through the ordinary
 //! [`TraceSink`] trait, so recording plugs into any search driver that
 //! takes a [`crate::TraceHandle`]. [`Trace::read`] loads a file back for
-//! the replay engine in [`crate::replay`].
+//! the replay engine in [`mod@crate::replay`].
 
 use crate::trace::{SearchEvent, TraceSink};
 use std::fs::File;
@@ -105,7 +107,9 @@ impl TraceHeader {
 }
 
 // Event tags. Append-only: new variants get new numbers, and version
-// bumps are for layout changes, not new tags.
+// bumps are for layout changes, not new tags. Tag 8 belonged to a
+// retired event and stays reserved, so an old file holding one is
+// refused rather than decoded as a different event.
 const TAG_START: u8 = 0;
 const TAG_BRANCH: u8 = 1;
 const TAG_FAIL: u8 = 2;
@@ -114,7 +118,6 @@ const TAG_SOLUTION: u8 = 4;
 const TAG_BOUND: u8 = 5;
 const TAG_RESTART: u8 = 6;
 const TAG_DEADLINE: u8 = 7;
-const TAG_NODE_LIMIT: u8 = 8;
 const TAG_CANCELLED: u8 = 9;
 const TAG_DONE: u8 = 10;
 const TAG_STATE_HASH: u8 = 11;
@@ -179,10 +182,6 @@ fn encode(event: &SearchEvent, buf: &mut Vec<u8>) {
         }
         SearchEvent::DeadlineHit { nodes } => {
             buf.push(TAG_DEADLINE);
-            buf.extend_from_slice(&nodes.to_le_bytes());
-        }
-        SearchEvent::NodeLimitHit { nodes } => {
-            buf.push(TAG_NODE_LIMIT);
             buf.extend_from_slice(&nodes.to_le_bytes());
         }
         SearchEvent::Cancelled { nodes } => {
@@ -278,7 +277,6 @@ fn decode(tag: u8, c: &mut Cursor) -> io::Result<SearchEvent> {
         TAG_BOUND => SearchEvent::BoundUpdate { bound: c.i32()? },
         TAG_RESTART => SearchEvent::Restart { bound: c.i32()? },
         TAG_DEADLINE => SearchEvent::DeadlineHit { nodes: c.u64()? },
-        TAG_NODE_LIMIT => SearchEvent::NodeLimitHit { nodes: c.u64()? },
         TAG_CANCELLED => SearchEvent::Cancelled { nodes: c.u64()? },
         TAG_STATE_HASH => SearchEvent::StateHash {
             nodes: c.u64()?,
@@ -437,7 +435,6 @@ mod tests {
             SearchEvent::BoundUpdate { bound: 17 },
             SearchEvent::Restart { bound: 16 },
             SearchEvent::DeadlineHit { nodes: 100 },
-            SearchEvent::NodeLimitHit { nodes: 101 },
             SearchEvent::Cancelled { nodes: 102 },
             SearchEvent::StateHash {
                 nodes: 64,
@@ -496,6 +493,25 @@ mod tests {
         let mut future = bytes.clone();
         future[8] = 9;
         assert!(Trace::from_bytes(&future).is_err());
+    }
+
+    #[test]
+    fn reserved_tag_8_is_rejected() {
+        let header = TraceHeader {
+            ir_hash: 0,
+            arch_hash: 0,
+            hash_every: 0,
+            config: String::new(),
+        };
+        // A well-formed tag-8 record with its old u64 payload.
+        let mut bytes = header.to_bytes();
+        bytes.extend_from_slice(&[9, 8]);
+        bytes.extend_from_slice(&101u64.to_le_bytes());
+        let err = Trace::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown event tag 8"),
+            "got: {err}"
+        );
     }
 
     #[test]

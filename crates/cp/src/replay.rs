@@ -259,10 +259,9 @@ impl TraceSink for ValidatingSink {
 /// restart policy, same [`SearchConfig::state_hash_every`] as the trace
 /// header); `objective` selects minimization vs satisfaction, matching
 /// the original call. Any `trace`/`cancel` already in `config` is
-/// replaced by the validator's own. Budgets (`timeout`, `node_limit`) are
-/// kept: a recorded budget abort replays as one only if the budget is
-/// reconstructed too, and wall-clock deadlines are inherently
-/// nondeterministic — replay deterministic (completed) recordings.
+/// replaced by the validator's own. The `timeout` is kept, but
+/// wall-clock deadlines are inherently nondeterministic — replay
+/// deterministic (completed) recordings.
 pub fn replay(
     model: &mut crate::model::Model,
     objective: Option<VarId>,
@@ -326,7 +325,6 @@ mod tests {
     fn cfg(vars: Vec<VarId>, val_sel: ValSel) -> SearchConfig {
         SearchConfig {
             phases: vec![Phase::new(vars, VarSel::FirstFail, val_sel)],
-            restart_on_solution: true,
             state_hash_every: Some(2),
             ..Default::default()
         }
@@ -334,11 +332,11 @@ mod tests {
 
     fn record(val_sel: ValSel) -> (Vec<SearchEvent>, SearchResult) {
         let (mut m, obj, vars) = build();
-        let sink = Arc::new(Mutex::new(MemorySink::unbounded()));
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
         let mut c = cfg(vars, val_sel);
         c.trace = Some(TraceHandle::new(Arc::clone(&sink)));
         let r = minimize(&mut m, obj, &c);
-        let events = sink.lock().unwrap().events.iter().cloned().collect();
+        let events = sink.lock().unwrap().events.clone();
         (events, r)
     }
 

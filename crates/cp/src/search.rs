@@ -1,6 +1,6 @@
-//! Depth-first search with branch-and-bound minimization, phased
-//! variable-selection heuristics (§3.5 of the paper), deadlines and
-//! statistics.
+//! Depth-first search with restart-based branch-and-bound minimization,
+//! phased variable-selection heuristics (§3.5 of the paper), deadlines
+//! and statistics.
 //!
 //! The paper divides the search into three sequential phases — operation
 //! start times, data-node start times, then memory slots — "to start with
@@ -177,15 +177,8 @@ pub struct SearchConfig {
     pub phases: Vec<Phase>,
     /// Wall-clock budget; `None` = unbounded.
     pub timeout: Option<Duration>,
-    /// Explored-node budget; `None` = unbounded.
-    pub node_limit: Option<u64>,
-    /// Restart-based branch-and-bound: after each incumbent, tighten the
-    /// objective bound *at the root* and re-dive, instead of continuing
-    /// chronologically. With strong propagation this avoids thrashing in
-    /// the subtree where the incumbent was found.
-    pub restart_on_solution: bool,
     /// Fail-budgeted restarts with nogood recording, layered under the
-    /// per-incumbent root restarts of `restart_on_solution`. `None` (the
+    /// per-incumbent root restarts of [`minimize`]. `None` (the
     /// default) disables them. Ignored by [`solve_all`]: re-diving would
     /// enumerate duplicate solutions. Each restart-enabled run posts one
     /// nogood propagator on the model and clears its clause base at run
@@ -285,7 +278,6 @@ impl SearchResult {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Abort {
     Timeout,
-    NodeLimit,
     Cancelled,
     /// The fail budget of the current dive expired: unwind to the root
     /// (harvesting nogoods on the way) and re-dive with a bigger budget.
@@ -317,10 +309,7 @@ struct Dfs<'m> {
     best: Option<Solution>,
     best_obj: Option<i32>,
     deadline: Option<Instant>,
-    node_limit: Option<u64>,
     stats: SearchStats,
-    /// In satisfaction mode we stop at the first solution.
-    stop_at_first: bool,
     /// `stats.solutions` when the current root dive began: a dive stops
     /// at the first solution *it* finds, not at the incumbent an earlier
     /// restart-BnB dive left behind.
@@ -373,14 +362,6 @@ impl<'m> Dfs<'m> {
                 return Err(Abort::Timeout);
             }
         }
-        if let Some(nl) = self.node_limit {
-            if self.stats.nodes >= nl {
-                self.emit(|| SearchEvent::NodeLimitHit {
-                    nodes: self.stats.nodes,
-                });
-                return Err(Abort::NodeLimit);
-            }
-        }
         // Last so real budget aborts always win over a mere restart.
         if self.fails_remaining == Some(0) {
             return Err(Abort::Restart);
@@ -423,9 +404,13 @@ impl<'m> Dfs<'m> {
         self.best = Some(sol);
     }
 
-    /// Enumeration cap reached?
-    fn collection_full(&self) -> bool {
-        matches!(&self.collect, Some((sols, cap)) if sols.len() >= *cap)
+    /// A dive stops at the first solution it finds; enumeration stops
+    /// at its cap.
+    fn dive_done(&self) -> bool {
+        match &self.collect {
+            None => self.stats.solutions > self.dive_solutions,
+            Some((sols, cap)) => sols.len() >= *cap,
+        }
     }
 
     /// Run propagation to fixpoint at the current node: `Ok(true)` =
@@ -513,23 +498,9 @@ impl<'m> Dfs<'m> {
         self.stats.nodes += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.model.store.depth());
 
-        // Bound pruning for branch-and-bound.
-        if let Some(obj) = self.objective {
-            let b = self.bound;
-            if b != i32::MAX {
-                if self.model.store.remove_above(obj, b - 1).is_err() {
-                    self.fail();
-                    return Ok(());
-                }
-                if !self.fixpoint()? {
-                    self.fail();
-                    return Ok(());
-                }
-            }
-        }
-
-        // Periodic store digest, taken at the node's fixpoint (bound
-        // pruning included) so record and replay hash identical states.
+        // Periodic store digest, taken at the node's fixpoint so record
+        // and replay hash identical states. (The restart-BnB bound is
+        // already posted at the root before every dive.)
         if let Some(n) = self.state_hash_every {
             if n > 0 && self.trace.is_some() && self.stats.nodes.is_multiple_of(n) {
                 let nodes = self.stats.nodes;
@@ -593,9 +564,7 @@ impl<'m> Dfs<'m> {
                     }
                     return Err(a);
                 }
-                if (self.stop_at_first && self.stats.solutions > self.dive_solutions)
-                    || self.collection_full()
-                {
+                if self.dive_done() {
                     return Ok(());
                 }
                 refuted.push(v);
@@ -666,23 +635,24 @@ impl<'m> Dfs<'m> {
     }
 }
 
+/// The one search driver: a satisfaction dive (`objective: None`),
+/// restart-based branch-and-bound (`Some`), or enumeration up to
+/// `collect` solutions.
 fn run(
     model: &mut Model,
     objective: Option<VarId>,
     config: &SearchConfig,
-    stop_at_first: bool,
-) -> SearchResult {
-    run_with_collect(model, objective, config, stop_at_first, None).0
-}
-
-fn run_with_collect(
-    model: &mut Model,
-    objective: Option<VarId>,
-    config: &SearchConfig,
-    stop_at_first: bool,
     collect: Option<usize>,
 ) -> (SearchResult, Vec<Solution>) {
     let t0 = Instant::now();
+    // Unwind the level an earlier run on this model left open, so a
+    // re-solve starts from the caller's store and never inherits that
+    // run's restart-BnB bound.
+    if let Some(base) = model.run_base.take() {
+        while model.store.depth() > base {
+            model.store.pop_level();
+        }
+    }
     if let Some(t) = &config.trace {
         t.emit(&SearchEvent::Start {
             vars: model.store.num_vars(),
@@ -738,16 +708,17 @@ fn run_with_collect(
     // the bare root there would be no mark to unwind to — the next run on
     // this model would then panic on the empty domain. On failure the
     // level is popped, restoring the caller's pre-run store; on success it
-    // stays open for the search below (the root narrowing must remain
-    // visible) and is simply never popped — one leaked mark per run on a
-    // reused model, with depth-relative bookkeeping unaffected.
+    // stays open after the run (the root narrowing stays visible to the
+    // caller) until the next run on this model unwinds it, above.
+    let base = model.store.depth();
     model.store.push_level();
     let root_ok = model.engine.fixpoint(&mut model.store).is_ok();
-    if !root_ok {
+    if root_ok {
+        model.run_base = Some(base);
+    } else {
         model.store.pop_level();
     }
     let root_cancelled = !root_ok && config.cancel.as_ref().is_some_and(|c| c.is_cancelled());
-    let restart = config.restart_on_solution && objective.is_some() && !stop_at_first;
 
     let mut dfs = Dfs {
         model,
@@ -757,9 +728,7 @@ fn run_with_collect(
         best: None,
         best_obj: None,
         deadline: config.timeout.and_then(|d| deadline_after(t0, d)),
-        node_limit: config.node_limit,
         stats: SearchStats::default(),
-        stop_at_first: stop_at_first || restart,
         dive_solutions: 0,
         collect: collect.map(|cap| (Vec::new(), cap)),
         trace: config.trace.clone(),
@@ -773,43 +742,44 @@ fn run_with_collect(
         nogood_base: nogood_base.clone(),
     };
 
-    let aborted: Option<Abort> = if !root_ok {
-        None
-    } else if !restart {
-        dfs.dive().err()
-    } else {
+    let aborted: Option<Abort> = match objective {
+        _ if !root_ok => None,
+        None => dfs.dive().err(),
         // Restart BnB: dive to the first (improving) solution, tighten the
-        // bound permanently at the root, and re-dive until refuted.
-        let obj = objective.unwrap();
-        let mut aborted = None;
-        loop {
-            let sols_before = dfs.stats.solutions;
-            dfs.dive_solutions = sols_before;
-            match dfs.dive() {
-                Err(a) => {
-                    aborted = Some(a);
-                    break;
-                }
-                Ok(()) => {
-                    if dfs.stats.solutions == sols_before {
-                        break; // exhausted: no better solution exists
+        // bound at the root for the rest of the run, and re-dive until
+        // refuted. With strong propagation this avoids thrashing in the
+        // subtree where the incumbent was found.
+        Some(obj) => {
+            let mut aborted = None;
+            loop {
+                let sols_before = dfs.stats.solutions;
+                dfs.dive_solutions = sols_before;
+                match dfs.dive() {
+                    Err(a) => {
+                        aborted = Some(a);
+                        break;
                     }
-                    // Tighten at root (permanent) and go again.
-                    let bound = dfs.bound;
-                    if bound == i32::MIN
-                        || dfs.model.store.remove_above(obj, bound - 1).is_err()
-                        || !dfs.fixpoint().unwrap_or_else(|a| {
-                            aborted = Some(a);
-                            false
-                        })
-                    {
-                        break; // bound refuted at root: incumbent optimal
+                    Ok(()) => {
+                        if dfs.stats.solutions == sols_before {
+                            break; // exhausted: no better solution exists
+                        }
+                        // Tighten at the root and go again.
+                        let bound = dfs.bound;
+                        if bound == i32::MIN
+                            || dfs.model.store.remove_above(obj, bound - 1).is_err()
+                            || !dfs.fixpoint().unwrap_or_else(|a| {
+                                aborted = Some(a);
+                                false
+                            })
+                        {
+                            break; // bound refuted at root: incumbent optimal
+                        }
+                        dfs.emit(|| SearchEvent::Restart { bound });
                     }
-                    dfs.emit(|| SearchEvent::Restart { bound });
                 }
             }
+            aborted
         }
-        aborted
     };
     let cancelled = root_cancelled || aborted == Some(Abort::Cancelled);
     let completed = root_ok && aborted.is_none();
@@ -877,7 +847,7 @@ pub fn solve_all(
     config: &SearchConfig,
     max_solutions: usize,
 ) -> (SearchResult, Vec<Solution>) {
-    let (mut r, sols) = run_with_collect(model, None, config, false, Some(max_solutions));
+    let (mut r, sols) = run(model, None, config, Some(max_solutions));
     if r.status == SearchStatus::Optimal && sols.len() >= max_solutions {
         r.status = SearchStatus::Feasible; // cap hit: may be incomplete
     }
@@ -890,12 +860,14 @@ pub fn solve_all(
 
 /// Find one solution over the phase variables.
 pub fn solve(model: &mut Model, config: &SearchConfig) -> SearchResult {
-    run(model, None, config, true)
+    run(model, None, config, None).0
 }
 
-/// Minimize `objective` by branch-and-bound over the phase variables.
+/// Minimize `objective` by restart-based branch-and-bound over the phase
+/// variables: each dive stops at its first (improving) solution, the
+/// bound is tightened at the root, and the next dive starts from there.
 pub fn minimize(model: &mut Model, objective: VarId, config: &SearchConfig) -> SearchResult {
-    run(model, Some(objective), config, false)
+    run(model, Some(objective), config, None).0
 }
 
 /// Propagate once at the root without searching; returns false when the
@@ -1009,35 +981,6 @@ mod tests {
         let r = minimize(&mut m, obj, &cfg);
         assert_eq!(r.status, SearchStatus::Optimal);
         assert_eq!(r.objective, Some(0));
-    }
-
-    #[test]
-    fn minimize_respects_node_limit() {
-        let mut m = Model::new();
-        let vars: Vec<VarId> = (0..12).map(|_| m.new_var(0, 30)).collect();
-        for w in vars.windows(2) {
-            m.post(Box::new(NeqOffset {
-                x: w[0],
-                y: w[1],
-                c: 0,
-            }));
-        }
-        let obj = m.new_var(0, 40);
-        m.post(Box::new(MaxOf {
-            xs: vars.clone(),
-            y: obj,
-        }));
-        let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Max)],
-            node_limit: Some(5),
-            ..Default::default()
-        };
-        let r = minimize(&mut m, obj, &cfg);
-        assert!(matches!(
-            r.status,
-            SearchStatus::Feasible | SearchStatus::Unknown
-        ));
-        assert!(r.stats.nodes <= 6);
     }
 
     #[test]
@@ -1186,38 +1129,30 @@ mod more_tests {
     }
 
     #[test]
-    fn restart_bnb_agrees_with_chronological() {
-        // Same model solved both ways must yield the same optimum.
-        let build = |m: &mut Model| -> (Vec<VarId>, VarId) {
-            let starts: Vec<VarId> = (0..5).map(|_| m.new_var(0, 20)).collect();
-            for w in starts.windows(2) {
-                m.post(Box::new(XPlusCLeqY {
-                    x: w[0],
-                    c: 2,
-                    y: w[1],
-                }));
-            }
-            let obj = m.new_var(0, 25);
-            m.post(Box::new(MaxOf {
-                xs: starts.clone(),
-                y: obj,
+    fn restart_bnb_finds_the_chain_optimum() {
+        // Five starts chained by +2 precedences: the last cannot start
+        // before 8, and restart-BnB must prove that optimal.
+        let mut m = Model::new();
+        let starts: Vec<VarId> = (0..5).map(|_| m.new_var(0, 20)).collect();
+        for w in starts.windows(2) {
+            m.post(Box::new(XPlusCLeqY {
+                x: w[0],
+                c: 2,
+                y: w[1],
             }));
-            (starts, obj)
-        };
-        let mut results = Vec::new();
-        for restart in [false, true] {
-            let mut m = Model::new();
-            let (starts, obj) = build(&mut m);
-            let cfg = SearchConfig {
-                phases: vec![Phase::new(starts, VarSel::SmallestMin, ValSel::Min)],
-                restart_on_solution: restart,
-                ..Default::default()
-            };
-            let r = minimize(&mut m, obj, &cfg);
-            assert_eq!(r.status, SearchStatus::Optimal, "restart={restart}");
-            results.push(r.objective);
         }
-        assert_eq!(results[0], results[1]);
+        let obj = m.new_var(0, 25);
+        m.post(Box::new(MaxOf {
+            xs: starts.clone(),
+            y: obj,
+        }));
+        let cfg = SearchConfig {
+            phases: vec![Phase::new(starts, VarSel::SmallestMin, ValSel::Min)],
+            ..Default::default()
+        };
+        let r = minimize(&mut m, obj, &cfg);
+        assert_eq!(r.status, SearchStatus::Optimal);
+        assert_eq!(r.objective, Some(8));
     }
 
     #[test]
@@ -1334,7 +1269,6 @@ mod more_tests {
 
     #[test]
     fn restarts_preserve_the_optimum() {
-        let mut plain_nodes = 0;
         let run = |restarts: Option<RestartConfig>| {
             let (mut m, vars, obj) = crowded_model();
             let cfg = SearchConfig {
@@ -1347,7 +1281,6 @@ mod more_tests {
             (r.objective, r.stats)
         };
         let (obj_plain, stats_plain) = run(None);
-        plain_nodes += stats_plain.nodes;
         assert_eq!(stats_plain.restarts, 0);
         for policy in [
             RestartPolicy::Geometric {
@@ -1362,9 +1295,6 @@ mod more_tests {
                 assert!(stats_r.restarts > 0, "budget of 2 fails must trigger");
                 if nogoods {
                     assert!(stats_r.nogoods_posted > 0);
-                    // With prefix nogoods the re-dives skip refuted
-                    // ground: never more nodes than unassisted restarts.
-                    let _ = plain_nodes;
                 }
             }
         }
@@ -1477,7 +1407,6 @@ mod more_tests {
         m.max_of(x.clone(), obj);
         let cfg = SearchConfig {
             phases: vec![Phase::new(x, VarSel::SmallestMin, ValSel::Min)],
-            restart_on_solution: true,
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);

@@ -322,41 +322,32 @@ fn random_instance(rng: &mut StdRng, n: usize, hi: i32) -> Vec<C> {
     cs
 }
 
-fn solver_instance(n: usize, hi: i32, cs: &[C], minimize_obj: bool) -> (bool, Option<i32>) {
+/// Satisfiability of `cs` by a complete CP search.
+fn cp_satisfiable(n: usize, hi: i32, cs: &[C]) -> bool {
     let mut m = Model::new();
     let vars: Vec<VarId> = (0..n).map(|_| m.new_var(0, hi)).collect();
     for c in cs {
         post(c, &mut m, &vars);
     }
     let cfg = SearchConfig {
-        phases: vec![Phase::new(vars.clone(), VarSel::FirstFail, ValSel::Min)],
+        phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
         ..Default::default()
     };
-    if minimize_obj {
-        let obj = m.new_var(0, hi);
-        m.max_of(vars.clone(), obj);
-        let r = minimize(&mut m, obj, &cfg);
-        (r.best.is_some(), r.objective)
-    } else {
-        let r = solve(&mut m, &cfg);
-        (r.status == SearchStatus::Optimal && r.best.is_some(), None)
-    }
+    let r = solve(&mut m, &cfg);
+    r.status == SearchStatus::Optimal && r.best.is_some()
 }
 
-/// Minimize `max(vars)` under `cs` with either engine configuration;
-/// returns the optimum, the values of the best solution's decision vars,
-/// and the search-effort counters.
-fn minimize_with_engine(
+/// Minimize `max(vars)` under `cs` on `m` (a fresh model, set up by the
+/// caller: engine, domain representation) with an optional restart
+/// policy; returns the optimum, the best solution's decision values and
+/// the full stats block so callers can compare search effort.
+fn minimize_max(
+    mut m: Model,
     n: usize,
     hi: i32,
     cs: &[C],
-    fifo: bool,
-) -> (Option<i32>, Option<Vec<i32>>, u64, u64, u64) {
-    let mut m = if fifo {
-        Model::with_fifo_baseline()
-    } else {
-        Model::new()
-    };
+    restarts: Option<eit_cp::RestartConfig>,
+) -> (Option<i32>, Option<Vec<i32>>, eit_cp::SearchStats) {
     let vars: Vec<VarId> = (0..n).map(|_| m.new_var(0, hi)).collect();
     for c in cs {
         post(c, &mut m, &vars);
@@ -365,6 +356,7 @@ fn minimize_with_engine(
     m.max_of(vars.clone(), obj);
     let cfg = SearchConfig {
         phases: vec![Phase::new(vars.clone(), VarSel::FirstFail, ValSel::Min)],
+        restarts,
         ..Default::default()
     };
     let r = minimize(&mut m, obj, &cfg);
@@ -372,13 +364,7 @@ fn minimize_with_engine(
         .best
         .as_ref()
         .map(|sol| vars.iter().map(|&v| sol.value(v)).collect());
-    (
-        r.objective,
-        best,
-        r.stats.nodes,
-        r.stats.fails,
-        r.stats.propagations,
-    )
+    (r.objective, best, r.stats)
 }
 
 /// The tentpole's equivalence guarantee: the event-driven engine explores
@@ -401,8 +387,9 @@ fn event_engine_agrees_with_fifo_baseline() {
         let n = rng.gen_range(2..5);
         let hi = rng.gen_range(2..5);
         let cs = random_instance(&mut rng, n, hi);
-        let (ev_obj, ev_best, ev_nodes, ev_fails, _) = minimize_with_engine(n, hi, &cs, false);
-        let (ff_obj, ff_best, ff_nodes, ff_fails, _) = minimize_with_engine(n, hi, &cs, true);
+        let (ev_obj, ev_best, ev) = minimize_max(Model::new(), n, hi, &cs, None);
+        let (ff_obj, ff_best, ff) = minimize_max(Model::with_fifo_baseline(), n, hi, &cs, None);
+        let (ev_nodes, ev_fails, ff_nodes, ff_fails) = (ev.nodes, ev.fails, ff.nodes, ff.fails);
         assert_eq!(ev_obj, ff_obj, "case {case}: optimum differs: {cs:?}");
         assert_eq!(ev_best, ff_best, "case {case}: incumbent differs: {cs:?}");
         assert!(
@@ -591,7 +578,7 @@ fn satisfiability_agrees_with_brute_force() {
         let hi = rng.gen_range(2..5);
         let cs = random_instance(&mut rng, n, hi);
         let (bf_sat, _) = brute_force(n, hi, &cs);
-        let (cp_sat, _) = solver_instance(n, hi, &cs, false);
+        let cp_sat = cp_satisfiable(n, hi, &cs);
         assert_eq!(bf_sat, cp_sat, "case {case}: {cs:?}");
     }
 }
@@ -604,7 +591,7 @@ fn optimal_objective_agrees_with_brute_force() {
         let hi = rng.gen_range(2..5);
         let cs = random_instance(&mut rng, n, hi);
         let (_, bf_best) = brute_force(n, hi, &cs);
-        let (_, cp_best) = solver_instance(n, hi, &cs, true);
+        let (cp_best, ..) = minimize_max(Model::new(), n, hi, &cs, None);
         assert_eq!(bf_best, cp_best, "case {case}: {cs:?}");
     }
 }
@@ -627,43 +614,11 @@ fn restart_bnb_agrees_with_brute_force() {
         m.max_of(vars.clone(), obj);
         let cfg = SearchConfig {
             phases: vec![Phase::new(vars, VarSel::SmallestMin, ValSel::Min)],
-            restart_on_solution: true,
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);
         assert_eq!(bf_best, r.objective, "case {case}: {cs:?}");
     }
-}
-
-/// Minimize `max(vars)` under `cs` with an explicit restart policy and
-/// domain representation; returns the optimum plus the full stats block
-/// so callers can check the policy actually fired.
-fn minimize_configured(
-    n: usize,
-    hi: i32,
-    cs: &[C],
-    restarts: Option<eit_cp::RestartConfig>,
-    bitset: bool,
-) -> (Option<i32>, Option<Vec<i32>>, eit_cp::SearchStats) {
-    let mut m = Model::new();
-    m.store.set_bitset(bitset);
-    let vars: Vec<VarId> = (0..n).map(|_| m.new_var(0, hi)).collect();
-    for c in cs {
-        post(c, &mut m, &vars);
-    }
-    let obj = m.new_var(0, hi);
-    m.max_of(vars.clone(), obj);
-    let cfg = SearchConfig {
-        phases: vec![Phase::new(vars.clone(), VarSel::FirstFail, ValSel::Min)],
-        restarts,
-        ..Default::default()
-    };
-    let r = minimize(&mut m, obj, &cfg);
-    let best = r
-        .best
-        .as_ref()
-        .map(|sol| vars.iter().map(|&v| sol.value(v)).collect());
-    (r.objective, best, r.stats)
 }
 
 /// Restarted search with nogood recording is a different *trajectory*
@@ -695,13 +650,15 @@ fn restarted_nogood_search_agrees_with_brute_force() {
     let mut rng = StdRng::seed_from_u64(0x9060);
     let mut total_restarts = 0u64;
     let mut total_nogoods = 0u64;
-    for case in 0..150 {
+    // Restart BnB fails rarely on instances this small, so it takes 300
+    // cases to cross the coverage floors below.
+    for case in 0..300 {
         let n = rng.gen_range(2..5);
         let hi = rng.gen_range(2..5);
         let cs = random_instance(&mut rng, n, hi);
         let (_, bf_best) = brute_force(n, hi, &cs);
         for rc in policies {
-            let (obj, _, stats) = minimize_configured(n, hi, &cs, Some(rc), true);
+            let (obj, _, stats) = minimize_max(Model::new(), n, hi, &cs, Some(rc));
             assert_eq!(bf_best, obj, "case {case} policy {rc:?}: {cs:?}");
             total_restarts += stats.restarts;
             total_nogoods += stats.nogoods_posted;
@@ -733,8 +690,10 @@ fn bitset_and_interval_domains_are_search_equivalent() {
                 nogoods: true,
             }),
         ] {
-            let (obj_b, best_b, st_b) = minimize_configured(n, hi, &cs, restarts, true);
-            let (obj_i, best_i, st_i) = minimize_configured(n, hi, &cs, restarts, false);
+            let mut pinned = Model::new();
+            pinned.store.set_bitset(false);
+            let (obj_b, best_b, st_b) = minimize_max(Model::new(), n, hi, &cs, restarts);
+            let (obj_i, best_i, st_i) = minimize_max(pinned, n, hi, &cs, restarts);
             assert_eq!(obj_b, obj_i, "case {case} restarts={restarts:?}: {cs:?}");
             assert_eq!(best_b, best_i, "case {case} restarts={restarts:?}: {cs:?}");
             assert_eq!(
@@ -872,7 +831,7 @@ fn cancellation_mid_fixpoint_leaves_no_poisoned_state() {
         let n = rng.gen_range(3..6);
         let hi = rng.gen_range(2..5);
         let cs = random_instance(&mut rng, n, hi);
-        let (reference, reference_best, ..) = minimize_with_engine(n, hi, &cs, false);
+        let (reference, reference_best, _) = minimize_max(Model::new(), n, hi, &cs, None);
 
         // Same model, but with a countdown propagator that cancels the
         // run partway through, then a clean re-solve on that same model.

@@ -32,7 +32,6 @@ pub use node::{
     VectorConfig,
 };
 pub use passes::cse::{eliminate_common_subexpressions, CseStats};
-pub use passes::dce::{eliminate_dead_code, prune_to_outputs, DceStats};
 pub use passes::merge::{merge_pipeline_ops, MergeStats};
 pub use sem::{apply, eval_graph, SemError, Value};
 pub use xml::{from_xml, to_xml, XmlError};

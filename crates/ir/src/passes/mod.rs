@@ -1,5 +1,4 @@
 //! IR-to-IR transformations applied before scheduling.
 
 pub mod cse;
-pub mod dce;
 pub mod merge;

@@ -12,6 +12,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings"
+# Intra-doc links must resolve: a link to a deleted item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo build --release"
 cargo build --release
 

@@ -7,7 +7,7 @@
 //! - [`dsl`] — the embedded DSL (§3.1): `Scalar`/`Vector`/`Matrix` values
 //!   over complex numbers that *evaluate* while they *record* the IR;
 //! - [`ir`] — the bipartite dataflow IR (§3.2): validation, critical
-//!   path, XML/DOT interchange, the fig. 6 merge pass, CSE/DCE, and the
+//!   path, XML/DOT interchange, the fig. 6 merge pass, CSE, and the
 //!   canonical opcode semantics everything else is checked against;
 //! - [`cp`] — the finite-domain constraint solver (the JaCoP substitute):
 //!   `Cumulative`, `Diff2`, `Disjunctive`, guarded memory constraints,
