@@ -70,7 +70,9 @@
 //!
 //! A flag the selected mode cannot honour exits 2 naming it: `--backend`,
 //! `--emit cnf` and (outside `--serve`) `--jobs` need `--modulo`;
-//! `--emit gantt|vcd`, `--overlap` and `--profile` are straight-line only.
+//! `--emit gantt|vcd`, `--overlap`, `--profile` and `--no-memory` are
+//! straight-line only; `--restarts` needs a CP search (not `--backend
+//! sat`); `--strict`/`--lenient` need `--replay`.
 //!
 //! Example: `cargo run --release -p eit-bench --bin eitc -- qrd --slots 16`
 
@@ -108,7 +110,8 @@ struct Args {
     trace: Option<String>,
     record: Option<String>,
     replay: Option<String>,
-    lenient: bool,
+    /// The last of `--strict`/`--lenient` given, if any.
+    replay_check: Option<&'static str>,
     profile: bool,
     restarts: Option<eit_cp::RestartConfig>,
     metrics: Option<String>,
@@ -156,7 +159,7 @@ fn parse_args() -> Args {
         trace: None,
         record: None,
         replay: None,
-        lenient: false,
+        replay_check: None,
         profile: false,
         restarts: None,
         metrics: None,
@@ -228,8 +231,8 @@ fn parse_args() -> Args {
             "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage())),
             "--record" => args.record = Some(it.next().unwrap_or_else(|| usage())),
             "--replay" => args.replay = Some(it.next().unwrap_or_else(|| usage())),
-            "--strict" => args.lenient = false,
-            "--lenient" => args.lenient = true,
+            "--strict" => args.replay_check = Some("--strict"),
+            "--lenient" => args.replay_check = Some("--lenient"),
             "--profile" => args.profile = true,
             "--restarts" => {
                 // The policy token is optional: a following argument is
@@ -257,23 +260,37 @@ fn parse_args() -> Args {
     }
     // A flag the selected mode cannot honour is an error, never dropped
     // without a word.
-    let needs_modulo = [
-        (args.emit_cnf, "--emit cnf"),
-        (args.backend.is_some(), "--backend"),
-        (args.jobs.is_some() && args.serve.is_none(), "--jobs"),
+    let (modulo, sat) = (
+        args.modulo.is_some(),
+        args.backend == Some(eit_core::Backend::Sat),
+    );
+    let (needs_modulo, not_modulo) = ("requires --modulo", "is not supported with --modulo");
+    let refused = [
+        (!modulo && args.emit_cnf, "--emit cnf", needs_modulo),
+        (!modulo && args.backend.is_some(), "--backend", needs_modulo),
+        (
+            !modulo && args.jobs.is_some() && args.serve.is_none(),
+            "--jobs",
+            needs_modulo,
+        ),
+        (modulo && args.emit_gantt, "--emit gantt", not_modulo),
+        (modulo && args.emit_vcd, "--emit vcd", not_modulo),
+        (modulo && args.overlap.is_some(), "--overlap", not_modulo),
+        (modulo && args.profile, "--profile", not_modulo),
+        (modulo && !args.memory, "--no-memory", not_modulo),
+        // The SAT sweep runs no CP search, so it has nothing to restart.
+        (
+            sat && args.restarts.is_some(),
+            "--restarts",
+            "is not supported with --backend sat",
+        ),
+        (
+            args.replay.is_none() && args.replay_check.is_some(),
+            args.replay_check.unwrap_or_default(),
+            "requires --replay",
+        ),
     ];
-    let straight_line_only = [
-        (args.emit_gantt, "--emit gantt"),
-        (args.emit_vcd, "--emit vcd"),
-        (args.overlap.is_some(), "--overlap"),
-        (args.profile, "--profile"),
-    ];
-    let (flags, why) = if args.modulo.is_some() {
-        (&straight_line_only[..], "is not supported with --modulo")
-    } else {
-        (&needs_modulo[..], "requires --modulo")
-    };
-    if let Some((_, flag)) = flags.iter().find(|(given, _)| *given) {
+    if let Some((_, flag, why)) = refused.iter().find(|(given, ..)| *given) {
         eprintln!("eitc: {flag} {why}");
         exit(2);
     }
@@ -656,7 +673,7 @@ fn main() {
                 &mopts,
                 &t.events,
                 &ReplayOptions {
-                    strict: !args.lenient,
+                    strict: args.replay_check != Some("--lenient"),
                 },
             );
             finish_replay(path, t.file_hash, rep);
@@ -747,7 +764,7 @@ fn main() {
             &sched_opts,
             &t.events,
             &ReplayOptions {
-                strict: !args.lenient,
+                strict: args.replay_check != Some("--lenient"),
             },
         );
         finish_replay(path, t.file_hash, rep);

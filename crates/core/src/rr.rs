@@ -17,7 +17,7 @@
 //! an empty stream.
 
 use crate::model::{build_model, SchedulerOptions};
-use crate::modulo::{build_probe, ModuloOptions};
+use crate::modulo::{build_probe, Backend, ModuloOptions};
 use eit_arch::ArchSpec;
 use eit_cp::trace::SearchEvent;
 use eit_cp::{fnv1a, DivergenceReport, ReplayOptions, TraceHeader};
@@ -89,13 +89,18 @@ pub fn schedule_config_string(opts: &SchedulerOptions) -> String {
 /// backend (`cp`, `sat`, `race`) is part of the token: backends agree on
 /// the winning II but not on the concrete assignment, so two runs that
 /// differ only in backend are distinct computations for caching and
-/// tracing purposes.
+/// tracing purposes. The restart policy is keyed only for the backends
+/// that run a CP search: the SAT sweep never reads it, so under `sat` it
+/// reads `off` whatever was asked.
 pub fn modulo_config_string(opts: &ModuloOptions) -> String {
+    let restarts = match opts.backend {
+        Backend::Sat => None,
+        Backend::Cp | Backend::Race => opts.restarts,
+    };
     format!(
         "mode=modulo;incl={};restarts={};backend={}",
         u8::from(opts.include_reconfig),
-        opts.restarts
-            .map_or_else(|| "off".into(), |rc| rc.config_token()),
+        restarts.map_or_else(|| "off".into(), |rc| rc.config_token()),
         opts.backend.as_str(),
     )
 }
@@ -411,9 +416,26 @@ mod tests {
             modulo_config_string(&mrestart)
         );
         let mut msat = mbase.clone();
-        msat.backend = crate::modulo::Backend::Sat;
+        msat.backend = Backend::Sat;
         assert!(modulo_config_string(&msat).ends_with(";backend=sat"));
         assert_ne!(modulo_config_string(&mbase), modulo_config_string(&msat));
+    }
+
+    #[test]
+    fn modulo_restarts_are_keyed_only_for_backends_with_a_cp_search() {
+        let rc = Some(eit_cp::RestartConfig::default());
+        for backend in [Backend::Cp, Backend::Sat, Backend::Race] {
+            let plain = ModuloOptions {
+                backend,
+                ..Default::default()
+            };
+            let restarted = ModuloOptions {
+                restarts: rc,
+                ..plain.clone()
+            };
+            let same = modulo_config_string(&plain) == modulo_config_string(&restarted);
+            assert_eq!(same, backend == Backend::Sat, "{backend:?}");
+        }
     }
 
     #[test]

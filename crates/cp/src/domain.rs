@@ -208,23 +208,60 @@ impl Domain {
 
     /// Build a domain from an arbitrary iterator of values.
     pub fn from_values<I: IntoIterator<Item = i32>>(vals: I) -> Self {
-        let mut vs: Vec<i32> = vals.into_iter().collect();
-        vs.sort_unstable();
-        vs.dedup();
-        let mut ivs: Vec<(i32, i32)> = Vec::new();
-        for v in vs {
-            match ivs.last_mut() {
-                // Adjacency in i64: `*hi + 1` would overflow when the
-                // running interval already ends at i32::MAX.
-                Some((_, hi)) if *hi as i64 + 1 == v as i64 => *hi = v,
-                _ => ivs.push((v, v)),
+        Domain::from_runs(vals.into_iter().map(|v| (v, v)).collect())
+    }
+
+    /// Build a domain from closed runs `[lo, hi]` in any order: runs that
+    /// overlap or touch merge, inverted ones are dropped. The vector
+    /// becomes the interval list in place.
+    pub fn from_runs(mut runs: Vec<(i32, i32)>) -> Self {
+        runs.sort_unstable();
+        let mut n = 0;
+        for i in 0..runs.len() {
+            let (l, h) = runs[i];
+            if l > h {
+                continue;
+            }
+            // Adjacency in i64: `hi + 1` would overflow at i32::MAX.
+            if n > 0 && l as i64 <= runs[n - 1].1 as i64 + 1 {
+                runs[n - 1].1 = runs[n - 1].1.max(h);
+            } else {
+                runs[n] = (l, h);
+                n += 1;
             }
         }
+        runs.truncate(n);
         let mut d = Domain {
-            rep: Rep::Ivs { ivs, pinned: false },
+            rep: Rep::Ivs {
+                ivs: runs,
+                pinned: false,
+            },
         };
         d.maybe_promote();
         d
+    }
+
+    /// `{v + c : v ∈ self}`, dropping values that leave the `i32` range.
+    /// A bitset whose shifted anchor stays representable just moves its
+    /// anchor: O(1).
+    pub fn shifted(&self, c: i64) -> Domain {
+        if let Rep::Bits { base, bits } = self.rep {
+            if let Ok(base) = i32::try_from(base as i64 + c) {
+                if bits == 0 || self.max() as i64 + c <= i32::MAX as i64 {
+                    return Domain {
+                        rep: Rep::Bits { base, bits },
+                    };
+                }
+            }
+        }
+        let (lo, hi) = (i32::MIN as i64, i32::MAX as i64);
+        Domain::from_runs(
+            self.intervals()
+                .map(|(l, h)| (l as i64 + c, h as i64 + c))
+                .filter(|&(l, h)| h >= lo && l <= hi)
+                .map(|(l, h)| (l.max(lo) as i32, h.min(hi) as i32))
+                .collect(),
+        )
     }
 
     /// Force (and keep) the interval-list representation: the domain never
@@ -580,12 +617,33 @@ impl Domain {
 
     /// Iterate over the maximal intervals in increasing order.
     pub fn intervals(&self) -> Runs<'_> {
+        self.intervals_in(i32::MIN, i32::MAX)
+    }
+
+    /// The maximal intervals of the members in `[lo, hi]`, clipped to it,
+    /// in increasing order: one word AND on a bitset, two binary searches
+    /// on an interval list.
+    pub fn intervals_in(&self, lo: i32, hi: i32) -> Runs<'_> {
         match &self.rep {
             Rep::Bits { base, bits } => Runs::Bits {
                 base: *base,
-                bits: *bits,
+                bits: bits & mask_ge(lo as i64 - *base as i64) & mask_le(hi as i64 - *base as i64),
             },
-            Rep::Ivs { ivs, .. } => Runs::Ivs(ivs.iter()),
+            Rep::Ivs { ivs, .. } => {
+                // The runs that end at or after `lo` and start at or
+                // before `hi`: none when the window is inverted.
+                let first = ivs.partition_point(|&(_, h)| h < lo);
+                let len = if lo > hi {
+                    0
+                } else {
+                    ivs[first..].partition_point(|&(l, _)| l <= hi)
+                };
+                Runs::Ivs {
+                    ivs: ivs[first..first + len].iter(),
+                    lo,
+                    hi,
+                }
+            }
         }
     }
 
@@ -636,7 +694,11 @@ pub enum Runs<'a> {
     #[doc(hidden)]
     Bits { base: i32, bits: u128 },
     #[doc(hidden)]
-    Ivs(std::slice::Iter<'a, (i32, i32)>),
+    Ivs {
+        ivs: std::slice::Iter<'a, (i32, i32)>,
+        lo: i32,
+        hi: i32,
+    },
 }
 
 impl Iterator for Runs<'_> {
@@ -656,7 +718,7 @@ impl Iterator for Runs<'_> {
                 *bits &= mask_ge(start as i64 + len as i64);
                 Some((lo as i32, hi as i32))
             }
-            Runs::Ivs(it) => it.next().copied(),
+            Runs::Ivs { ivs, lo, hi } => ivs.next().map(|&(l, h)| (l.max(*lo), h.min(*hi))),
         }
     }
 }
@@ -730,6 +792,66 @@ mod tests {
         assert_eq!(d.size(), 6);
         assert!(d.contains(5));
         assert!(!d.contains(4));
+    }
+
+    #[test]
+    fn from_runs_merges_unsorted_overlapping_and_adjacent_runs() {
+        let d = Domain::from_runs(vec![(9, 12), (0, 2), (3, 4), (10, 11), (7, 5), (20, 20)]);
+        assert_eq!(
+            d.intervals().collect::<Vec<_>>(),
+            [(0, 4), (9, 12), (20, 20)]
+        );
+        assert!(Domain::from_runs(vec![(3, 1)]).is_empty());
+        let top = Domain::from_runs(vec![(i32::MAX, i32::MAX), (i32::MIN, i32::MAX - 1)]);
+        assert_eq!(top, Domain::interval(i32::MIN, i32::MAX));
+    }
+
+    #[test]
+    fn intervals_in_clips_both_representations() {
+        let vals = [-40, -39, -38, 0, 1, 2, 3, 50, 52, 53, 60];
+        let bits = Domain::from_values(vals);
+        let mut pinned = bits.clone();
+        pinned.pin();
+        let wide = Domain::from_values(vals.into_iter().chain([5000, 5001]));
+        for d in [&bits, &pinned, &wide] {
+            for lo in -45..65 {
+                for hi in lo - 2..66 {
+                    let want: Vec<i32> = d.iter().filter(|v| (lo..=hi).contains(v)).collect();
+                    let runs: Vec<(i32, i32)> = d.intervals_in(lo, hi).collect();
+                    assert_eq!(
+                        Domain::from_values(want.clone())
+                            .intervals()
+                            .collect::<Vec<_>>(),
+                        runs
+                    );
+                    assert!(
+                        runs.iter().all(|&(l, h)| lo <= l && l <= h && h <= hi),
+                        "{lo}..{hi}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shifted_moves_values_and_drops_those_past_the_ends() {
+        let d = Domain::from_values([0, 1, 5, 9]);
+        assert_eq!(d.shifted(3), Domain::from_values([3, 4, 8, 12]));
+        assert!(d.shifted(3).is_bitset());
+        let mut pinned = d.clone();
+        pinned.pin();
+        assert_eq!(pinned.shifted(-10), Domain::from_values([-10, -9, -5, -1]));
+        let top = Domain::from_values([i32::MAX - 2, i32::MAX]);
+        assert_eq!(top.shifted(1), Domain::singleton(i32::MAX - 1));
+        assert_eq!(
+            top.shifted(-(i32::MAX as i64)),
+            Domain::from_values([-2, 0])
+        );
+        let bottom = Domain::interval(i32::MIN, i32::MIN + 5);
+        assert_eq!(bottom.shifted(-3), Domain::interval(i32::MIN, i32::MIN + 2));
+        assert!(bottom.shifted(-6).is_empty());
+        let wide = Domain::from_values([i32::MIN, 0, i32::MAX]);
+        assert_eq!(wide.shifted(1), Domain::from_values([i32::MIN + 1, 1]));
     }
 
     #[test]

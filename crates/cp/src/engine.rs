@@ -106,6 +106,18 @@ impl Wake<'_> {
     }
 }
 
+#[cfg(test)]
+impl Wake<'static> {
+    /// A full-rescan wake, for driving one `propagate` call by hand.
+    pub(crate) fn full() -> Self {
+        Wake {
+            all: true,
+            tags: &[],
+            rerun_in_round: false,
+        }
+    }
+}
+
 /// A filtering algorithm attached to a set of variables.
 ///
 /// `propagate` must be *monotone* (only ever remove values); idempotence

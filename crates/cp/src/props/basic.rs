@@ -29,16 +29,13 @@ impl Propagator for XPlusCEqY {
         s.remove_above(self.y, s.max(self.x).saturating_add(self.c))?;
         s.remove_below(self.x, s.min(self.y).saturating_sub(self.c))?;
         s.remove_above(self.x, s.max(self.y).saturating_sub(self.c))?;
-        // Exact channeling when either side has few values: intersect
-        // shifted domains. Domains in the scheduling model are small, so
-        // this stays cheap and gives full domain consistency.
+        // Exact channeling once either side has holes: intersect with the
+        // other side shifted by runs (a bitset just moves its anchor),
+        // which gives full domain consistency.
         if s.dom(self.x).interval_count() > 1 || s.dom(self.y).interval_count() > 1 {
-            let shifted_x =
-                crate::domain::Domain::from_values(s.dom(self.x).iter().map(|v| v + self.c));
-            s.intersect(self.y, &shifted_x)?;
-            let shifted_y =
-                crate::domain::Domain::from_values(s.dom(self.y).iter().map(|v| v - self.c));
-            s.intersect(self.x, &shifted_y)?;
+            let c = self.c as i64;
+            s.intersect(self.y, &s.dom(self.x).shifted(c))?;
+            s.intersect(self.x, &s.dom(self.y).shifted(-c))?;
         }
         Ok(())
     }
@@ -190,7 +187,56 @@ impl Propagator for MaxOf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
     use crate::engine::Engine;
+    use crate::props::testgen::{agree, anchor, holey, twin_stores};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-value `x+c=y` the shifted-run one replaced, kept as its
+    /// oracle: both shifted domains rebuilt value by value (adding in
+    /// i64, so values pushed out of the `i32` range drop out).
+    fn per_value_eq_offset(s: &mut Store, x: VarId, c: i32, y: VarId) -> PropResult {
+        s.remove_below(y, s.min(x).saturating_add(c))?;
+        s.remove_above(y, s.max(x).saturating_add(c))?;
+        s.remove_below(x, s.min(y).saturating_sub(c))?;
+        s.remove_above(x, s.max(y).saturating_sub(c))?;
+        if s.dom(x).interval_count() > 1 || s.dom(y).interval_count() > 1 {
+            let shift = |d: &Domain, c: i64| {
+                Domain::from_values(d.iter().filter_map(|v| i32::try_from(v as i64 + c).ok()))
+            };
+            s.intersect(y, &shift(s.dom(x), c as i64))?;
+            s.intersect(x, &shift(s.dom(y), -(c as i64)))?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn eq_offset_matches_per_value_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x0078_2b63_3d79);
+        let (cases, mut failed) = (3000, 0);
+        for case in 0..cases {
+            // Offsets from zero up to ones that carry a domain across
+            // (or past) an end of the `i32` range.
+            let c = match rng.gen_range(0..4) {
+                0 => rng.gen_range(-3..=3),
+                1 => rng.gen_range(i32::MIN..=i32::MAX),
+                _ => rng.gen_range(-1500..=1500),
+            };
+            let lo = anchor(&mut rng);
+            let y_lo = lo + c as i64 + rng.gen_range(-300..=300i64);
+            let doms = [holey(&mut rng, lo, 1000), holey(&mut rng, y_lo, 1000)];
+            let (a, b, [x, y]) = twin_stores(&mut rng, &doms);
+            let mut p = XPlusCEqY { x, c, y };
+            failed += usize::from(agree(
+                case,
+                (a, b),
+                |st| p.propagate(st, &Wake::full()),
+                |st| per_value_eq_offset(st, x, c, y),
+            ));
+        }
+        assert!((cases / 20..cases / 2).contains(&failed), "{failed} failed");
+    }
 
     fn run(e: &mut Engine, s: &mut Store) {
         e.fixpoint(s).unwrap();

@@ -361,11 +361,16 @@ impl Store {
         self.remove_above(v, hi)
     }
 
-    /// `v ∈ other` (intersect with an explicit domain).
+    /// `v ∈ other` (intersect with an explicit domain). An empty `other`
+    /// empties `v`: `Err(Fail)`.
     pub fn intersect(&mut self, v: VarId, other: &Domain) -> PropResult {
         // Probe cheaply: bounds-only fast path.
         let d = &self.domains[v.idx()];
-        if d.min() >= other.min() && d.max() <= other.max() && other.interval_count() == 1 {
+        if !other.is_empty()
+            && d.min() >= other.min()
+            && d.max() <= other.max()
+            && other.interval_count() == 1
+        {
             return Ok(());
         }
         let (old_min, old_max) = (d.min(), d.max());
@@ -521,6 +526,18 @@ mod tests {
                 DomainEvent::MAX | DomainEvent::FIX,
             ]
         );
+    }
+
+    #[test]
+    fn intersect_with_empty_fails_and_pop_recovers() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 5);
+        s.push_level();
+        assert_eq!(s.intersect(x, &Domain::empty()), Err(Fail));
+        s.pop_level();
+        assert_eq!(s.dom(x), &Domain::interval(0, 5));
+        // At the root too, where nothing is trailed.
+        assert_eq!(s.intersect(x, &Domain::from_values([])), Err(Fail));
     }
 
     #[test]

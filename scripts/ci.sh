@@ -37,6 +37,11 @@ echo "== engine equivalence: event-driven vs FIFO baseline, incremental Diff2 vs
 cargo test -q --release -p eit-cp --test differential event_engine
 cargo test -q --release -p eit-cp --test differential diff2_incremental_matches_full_rescan
 
+echo "== run-based channelling vs its per-value oracle: ModChannel, SlotGeometry, x+c=y"
+# Seeded random domains of up to ~1000 values with holes, near both ends
+# of the i32 range, moduli up to 128, aliased arguments, empty supports.
+cargo test -q --release -p eit-cp --lib per_value_oracle
+
 echo "== listing pins: six table kernels × {plain, --modulo, --modulo --backend sat, --modulo incl}"
 cargo test -q --release -p eit-bench --test listings table_kernel_listings_are_pinned
 
