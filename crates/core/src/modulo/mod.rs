@@ -26,17 +26,20 @@
 //! switches — the same trade the paper reports (better throughput, much
 //! longer optimisation).
 
-use crate::model::{post_config_separation, post_precedences};
+mod probe;
+mod sat;
+mod sweep;
+
+pub use probe::{build_probe, schedule_at_ii, ProbeModel};
+pub use sat::modulo_cnf_dimacs;
+pub use sweep::{modulo_schedule, modulo_schedule_checked};
+
 use eit_arch::{ArchSpec, Schedule};
-use eit_cp::props::cumulative::CumTask;
-use eit_cp::props::diff2::Rect;
-use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
-use eit_cp::{solve, CancelToken, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
+use eit_cp::trace::TraceHandle;
+use eit_cp::{CancelToken, Phase, SearchConfig};
 use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which decision procedure answers each candidate II of the sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -155,13 +158,16 @@ pub struct ModuloOptions {
     /// Structured search-event sink. Each probe buffers its events
     /// privately; after the sweep the streams of every candidate up to
     /// and including the winning II are forwarded in II order, each
-    /// prefixed with [`SearchEvent::Stream`]` { id: ii }`. Because
-    /// cancellation only ever hits candidates above the winner, the
-    /// merged trace is identical under any `jobs` (absent timeouts).
-    /// A statically refuted candidate contributes an empty stream.
+    /// prefixed with a
+    /// [`SearchEvent::Stream`](eit_cp::trace::SearchEvent::Stream) marker
+    /// carrying the II. Because cancellation only ever hits candidates
+    /// above the winner, the merged trace is identical under any `jobs`
+    /// (absent timeouts). A statically refuted candidate contributes an
+    /// empty stream.
     pub trace: Option<TraceHandle>,
-    /// Emit a [`SearchEvent::StateHash`] digest every N search nodes
-    /// inside each probe (`None`/0 = off).
+    /// Emit a
+    /// [`SearchEvent::StateHash`](eit_cp::trace::SearchEvent::StateHash)
+    /// digest every N search nodes inside each probe (`None`/0 = off).
     pub state_hash_every: Option<u64>,
     /// Cooperative cancellation for the whole sweep (service deadlines).
     /// Every probe runs under a [`CancelToken::child`] of this token, so
@@ -385,792 +391,6 @@ pub enum IiOutcome {
     Malformed(ModuloError),
 }
 
-/// Attempt one candidate II (public so harnesses can probe specific IIs).
-pub fn schedule_at_ii(
-    g: &Graph,
-    spec: &ArchSpec,
-    ii: i32,
-    include_reconfig: bool,
-    budget: Duration,
-) -> IiOutcome {
-    let opts = ModuloOptions {
-        include_reconfig,
-        ..Default::default()
-    };
-    let slot = ProbeSlot {
-        ii,
-        budget,
-        cancel: None,
-        trace: None,
-    };
-    probe_ii(g, spec, &opts, &slot).outcome
-}
-
-/// The per-candidate-II CSP with its variable handles, ready to solve.
-pub struct ProbeModel {
-    pub model: Model,
-    /// The probe's phased search (bands → op starts → window → stages →
-    /// data, or the bandless subset).
-    pub phases: Vec<Phase>,
-    /// Window position per op node.
-    pub t_var: HashMap<NodeId, VarId>,
-    /// Stage per op node.
-    pub k_var: HashMap<NodeId, VarId>,
-    /// Absolute start per node.
-    pub s_var: Vec<VarId>,
-}
-
-/// Build the CSP for one candidate II. Returns `Ok(None)` when a static
-/// capacity cut already refutes the candidate — no search runs, so a
-/// recorded probe stream for such a candidate is empty. Edges (1)/(4)
-/// and configurations (3) are posted as in [`crate::model`], over `s` and
-/// the window `t`. Every graph the IR accepts builds, so `Err` does not
-/// occur; the signature keeps it for callers that match on it.
-pub fn build_probe(
-    g: &Graph,
-    spec: &ArchSpec,
-    ii: i32,
-    include_reconfig: bool,
-) -> Result<Option<ProbeModel>, ModuloError> {
-    let duration = |n: NodeId| spec.duration(&g.node(n).kind);
-    let cp = g.critical_path(&|n| spec.latency(&g.node(n).kind));
-    // Stage bound: latency alone needs cp/ii stages, but the banded model
-    // can force a wrap-around (stage increment) at every hop of a
-    // dependency chain whose next band lies earlier in the window, so the
-    // op-count depth of the graph is the safe additional allowance.
-    let op_depth = g.critical_path(&|n| i32::from(g.category(n).is_op()));
-    let k_max = cp / ii + if include_reconfig { op_depth } else { 2 };
-    let horizon = (k_max + 1) * ii;
-
-    let mut m = Model::new();
-    let mut t_var: HashMap<NodeId, VarId> = HashMap::new();
-    let mut k_var: HashMap<NodeId, VarId> = HashMap::new();
-    let mut s_var: Vec<VarId> = Vec::with_capacity(g.len());
-
-    for n in g.ids() {
-        let cat = g.category(n);
-        if cat.is_op() {
-            // No window wrap-around: the op's occupancy fits inside one
-            // window instance.
-            let t = m.new_var_named(0, ii - duration(n).max(1), &format!("t_{}", g.node(n).name));
-            let k = m.new_var(0, k_max);
-            let s = m.new_var(0, horizon);
-            // s = ii·k + t, domain-consistent (bounds-only channeling
-            // starves the window Cumulative of pruning).
-            m.mod_channel(s, k, t, ii);
-            t_var.insert(n, t);
-            k_var.insert(n, k);
-            s_var.push(s);
-        } else if g.producer(n).is_none() {
-            s_var.push(m.new_const(0));
-        } else {
-            s_var.push(m.new_var(0, horizon + spec.pipeline_depth()));
-        }
-    }
-
-    // Precedence / data-start constraints on s.
-    post_precedences(&mut m, g, spec, &s_var);
-
-    // Window resource constraints on t: one Cumulative per functional
-    // unit of the table, in table order (on the classic table: lanes with
-    // matrix req = matrix width, then accelerator and index/merge at
-    // capacity 1).
-    for unit in &spec.units.units {
-        let classes: Vec<OpClass> = unit.ops.iter().map(|o| o.class).collect();
-        let tasks: Vec<CumTask> = g
-            .ids()
-            .filter(|&n| OpClass::of(&g.node(n).kind).is_some_and(|c| classes.contains(&c)))
-            .map(|n| CumTask {
-                start: t_var[&n],
-                dur: duration(n),
-                req: spec
-                    .units
-                    .class_width(OpClass::of(&g.node(n).kind).unwrap())
-                    .unwrap_or(1) as i32,
-            })
-            .collect();
-        if !tasks.is_empty() {
-            m.cumulative(tasks, unit.count as i32);
-        }
-    }
-
-    // One configuration per window slot.
-    post_config_separation(&mut m, g, |n| t_var[&n]);
-
-    // Contiguous configuration bands (the include-reconfig model).
-    let mut band_vars: Vec<VarId> = Vec::new();
-    if include_reconfig {
-        let groups = config_groups(g);
-        let mut rects = Vec::new();
-        let zero = m.new_const(0);
-        let one = m.new_const(1);
-        let mut len_terms: Vec<(i64, VarId)> = Vec::new();
-        for (cfg, members) in &groups {
-            let b = m.new_var(0, ii - 1);
-            // Static capacity cut: a band must hold its group's issue
-            // work — at least ceil(sum req*dur / lanes) slots (time-table
-            // filtering cannot see this while the band is still loose).
-            let work: i64 = members
-                .iter()
-                .map(|&op| {
-                    let r = if cfg.matrix { spec.n_lanes as i64 } else { 1 };
-                    r * duration(op) as i64
-                })
-                .sum();
-            let lanes = spec.n_lanes as i64;
-            let need = ((work + lanes - 1) / lanes).max(1) as i32;
-            if need > ii {
-                return Ok(None);
-            }
-            let len = m.new_var(need, ii);
-            // b + len <= ii
-            m.linear_leq(vec![(1, b), (1, len)], ii as i64);
-            for &op in members {
-                // b <= t_op <= b + len - 1
-                m.linear_leq(vec![(1, b), (-1, t_var[&op])], 0);
-                m.linear_leq(vec![(1, t_var[&op]), (-1, b), (-1, len)], -1);
-            }
-            rects.push(Rect {
-                origin: [b, zero],
-                len: [len, one],
-            });
-            len_terms.push((1, len));
-            band_vars.push(b);
-            band_vars.push(len);
-        }
-        if rects.len() > 1 {
-            m.diff2(rects);
-        }
-        // Bands partition (a subset of) the window: sum len <= II.
-        if !len_terms.is_empty() {
-            m.linear_leq(len_terms, ii as i64);
-        }
-    }
-
-    // Search: configuration bands first (they shape the window), then
-    // absolute op starts — list-scheduling style, as in the main model —
-    // then any window/stage variables propagation left open, then data.
-    let t_list: Vec<VarId> = g.ids().filter_map(|n| t_var.get(&n).copied()).collect();
-    let k_list: Vec<VarId> = g.ids().filter_map(|n| k_var.get(&n).copied()).collect();
-    let op_s: Vec<VarId> = g
-        .ids()
-        .filter(|&n| g.category(n).is_op())
-        .map(|n| s_var[n.idx()])
-        .collect();
-    let data_s: Vec<VarId> = g
-        .ids()
-        .filter(|&n| g.category(n).is_data())
-        .map(|n| s_var[n.idx()])
-        .collect();
-    let mut phases = Vec::new();
-    if !band_vars.is_empty() {
-        phases.push(Phase::new(band_vars, VarSel::InputOrder, ValSel::Min));
-        phases.push(Phase::new(op_s, VarSel::SmallestMin, ValSel::Min));
-        phases.push(Phase::new(t_list, VarSel::FirstFail, ValSel::Min));
-        phases.push(Phase::new(k_list, VarSel::SmallestMin, ValSel::Min));
-    } else {
-        phases.push(Phase::new(t_list, VarSel::FirstFail, ValSel::Min));
-        phases.push(Phase::new(k_list, VarSel::SmallestMin, ValSel::Min));
-    }
-    phases.push(Phase::new(data_s, VarSel::SmallestMin, ValSel::Min));
-
-    Ok(Some(ProbeModel {
-        model: m,
-        phases,
-        t_var,
-        k_var,
-        s_var,
-    }))
-}
-
-/// What the sweep driver hands one probe: the candidate, its share of
-/// the budget, its own cancellation token and, when the sweep is traced,
-/// a private event buffer.
-struct ProbeSlot {
-    ii: i32,
-    budget: Duration,
-    cancel: Option<CancelToken>,
-    trace: Option<TraceHandle>,
-}
-
-/// One probe's answer. `nodes`/`fails` are search nodes and failures for
-/// CP, decisions and conflicts for SAT; `sat` carries the SAT counters.
-struct Probed {
-    outcome: IiOutcome,
-    nodes: u64,
-    fails: u64,
-    sat: Option<SatStats>,
-}
-
-impl Probed {
-    /// A probe that decided nothing by search (refuted statically,
-    /// malformed, or cancelled before it started solving).
-    fn bare(outcome: IiOutcome) -> Probed {
-        Probed {
-            outcome,
-            nodes: 0,
-            fails: 0,
-            sat: None,
-        }
-    }
-}
-
-/// The CP probe: build the candidate's CSP and run its satisfaction
-/// search under the slot's budget, token and trace buffer.
-fn probe_ii(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) -> Probed {
-    let pm = match build_probe(g, spec, slot.ii, opts.include_reconfig) {
-        Ok(Some(pm)) => pm,
-        Ok(None) => return Probed::bare(IiOutcome::Infeasible),
-        Err(e) => return Probed::bare(IiOutcome::Malformed(e)),
-    };
-    let ProbeModel {
-        mut model,
-        phases,
-        t_var,
-        k_var,
-        s_var,
-    } = pm;
-    let cfg = SearchConfig {
-        timeout: Some(slot.budget),
-        cancel: slot.cancel.clone(),
-        trace: slot.trace.clone(),
-        ..opts.probe_config(phases)
-    };
-    let r = solve(&mut model, &cfg);
-    let outcome = match r.status {
-        SearchStatus::Optimal | SearchStatus::Feasible => {
-            let sol = r.best.unwrap();
-            let t_out = t_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
-            let k_out = k_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
-            let s_out = g.ids().map(|n| (n, sol.value(s_var[n.idx()]))).collect();
-            IiOutcome::Feasible(t_out, k_out, s_out)
-        }
-        SearchStatus::Infeasible => IiOutcome::Infeasible,
-        SearchStatus::Unknown if r.cancelled => IiOutcome::Cancelled,
-        SearchStatus::Unknown => IiOutcome::Timeout,
-    };
-    Probed {
-        outcome,
-        nodes: r.stats.nodes,
-        fails: r.stats.fails,
-        sat: None,
-    }
-}
-
-/// The SAT probe: encode the candidate straight into a fresh CDCL
-/// solver, solve it, and decode a model. The caller still runs both
-/// verifiers on the winner before accepting it.
-fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
-    let deadline = eit_cp::deadline_after(Instant::now(), slot.budget);
-    let cancelled = || slot.cancel.as_ref().is_some_and(|c| c.is_cancelled());
-    let mut solver = eit_sat::Solver::new();
-    let decoder = match eit_sat::encode_modulo_into(g, spec, slot.ii, &mut solver) {
-        Ok(Some(decoder)) => decoder,
-        Ok(None) => {
-            return Probed {
-                sat: Some(SatStats::default()),
-                ..Probed::bare(IiOutcome::Infeasible)
-            }
-        }
-        Err(e) => {
-            return Probed::bare(IiOutcome::Malformed(ModuloError::ModelBuild {
-                node: e.node,
-                detail: e.detail,
-            }))
-        }
-    };
-    let mut sat = SatStats {
-        vars: u64::from(decoder.vars),
-        clauses: decoder.clauses,
-        ..Default::default()
-    };
-    // A cancelled probe (a race that CP already won, an expired
-    // deadline, a candidate above the winner) stops here, at the
-    // solver's bounded polls, or once a model turns up; a model found
-    // after cancellation is not decoded.
-    if cancelled() {
-        return Probed {
-            sat: Some(sat),
-            ..Probed::bare(IiOutcome::Cancelled)
-        };
-    }
-    let mut stop = || deadline.is_some_and(|d| Instant::now() >= d) || cancelled();
-    let out = solver.solve(&mut stop);
-    let st = &solver.stats;
-    sat.decisions = st.decisions;
-    sat.conflicts = st.conflicts;
-    sat.propagations = st.propagations;
-    sat.restarts = st.restarts;
-    let outcome = match out {
-        eit_sat::SolveOutcome::Sat if cancelled() => IiOutcome::Cancelled,
-        eit_sat::SolveOutcome::Sat => {
-            let (t, k, s) = decoder.decode(g, spec, &|v| solver.model_value(v));
-            IiOutcome::Feasible(t, k, s)
-        }
-        eit_sat::SolveOutcome::Unsat => IiOutcome::Infeasible,
-        eit_sat::SolveOutcome::Stopped if cancelled() => IiOutcome::Cancelled,
-        eit_sat::SolveOutcome::Stopped => IiOutcome::Timeout,
-    };
-    Probed {
-        outcome,
-        nodes: sat.decisions,
-        fails: sat.conflicts,
-        sat: Some(sat),
-    }
-}
-
-/// Count the steady-state switches and assemble a [`ModuloResult`] for a
-/// feasible probe at `ii`. `probes` is the sweep's record in candidate
-/// order; a timeout below `ii` marks the result as possibly sub-optimal.
-/// The caller attaches the SAT counters.
-fn assemble_result(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-    ii: i32,
-    (t, k, s): (
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-    ),
-    opt_time: Duration,
-    probes: Vec<ProbeStat>,
-) -> ModuloResult {
-    let switches = if opts.include_reconfig {
-        let groups = config_groups(g).len();
-        if groups > 1 {
-            groups
-        } else {
-            0
-        }
-    } else {
-        count_window_switches(g, &t)
-    };
-    let actual = ii + switches as i32 * spec.reconfig_cost;
-    let timed_out = probes.iter().any(|p| p.ii < ii && p.outcome == "timeout");
-    ModuloResult {
-        ii_issue: ii,
-        switches,
-        actual_ii: actual,
-        throughput: 1.0 / actual as f64,
-        t,
-        k,
-        s,
-        opt_time,
-        timed_out,
-        probes,
-        jobs: opts.jobs.max(1),
-        backend: opts.backend.as_str(),
-        sat: None,
-    }
-}
-
-fn outcome_str(o: &IiOutcome) -> &'static str {
-    match o {
-        IiOutcome::Feasible(..) => "feasible",
-        IiOutcome::Infeasible => "infeasible",
-        IiOutcome::Timeout => "timeout",
-        IiOutcome::Cancelled => "cancelled",
-        IiOutcome::Malformed(_) => "malformed",
-    }
-}
-
-/// Forward buffered per-probe event streams to the sweep's sink, each
-/// prefixed with a `Stream` marker carrying the candidate II. The caller
-/// passes only candidates up to and including the winner, in II order,
-/// so the merged stream is identical under any `jobs`.
-fn forward_probe_streams<'a>(
-    handle: &TraceHandle,
-    streams: impl IntoIterator<Item = (i32, &'a [SearchEvent])>,
-) {
-    for (ii, events) in streams {
-        handle.emit(&SearchEvent::Stream { id: ii as u32 });
-        for e in events {
-            handle.emit(e);
-        }
-    }
-    handle.flush();
-}
-
-/// Sweep II upward from the resource bound; return the first feasible
-/// modulo schedule under the chosen reconfiguration model.
-///
-/// With `opts.jobs > 1` the sweep is *speculative*: workers claim
-/// candidate IIs bottom-up and probe them concurrently; a feasible probe
-/// at II = v cancels the in-flight probes above v (they can no longer
-/// win), while candidates *below* a feasible one are always resolved
-/// genuinely — feasibility is not monotone in II for this CSP (a banded
-/// window can admit II = v yet refute II = v+1), so an infeasible probe
-/// never cancels anything. The winning II is therefore the minimum
-/// feasible candidate exactly as with one worker, and the winning probe's
-/// schedule is bit-identical (it ran to a natural stop under its own
-/// deterministic search — cancellation only ever hits candidates above
-/// the winner). The same holds for every backend.
-///
-/// This is the `Option`-shaped convenience wrapper around
-/// [`modulo_schedule_checked`]: structured failures (malformed graph,
-/// unsupported backend, backend disagreement) collapse into `None`.
-/// Call the checked variant when the diagnostic matters.
-pub fn modulo_schedule(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> Option<ModuloResult> {
-    modulo_schedule_checked(g, spec, opts).ok().flatten()
-}
-
-/// As [`modulo_schedule`], with structured errors kept apart from the
-/// ordinary "no schedule within budget" (`Ok(None)`) outcome, and with
-/// the backend dispatch: CP sweep, SAT sweep, or a race of the two.
-pub fn modulo_schedule_checked(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
-    match opts.backend {
-        Backend::Cp => modulo_schedule_cp(g, spec, opts),
-        Backend::Sat => {
-            check_sat_supported(opts)?;
-            modulo_schedule_sat(g, spec, opts).map(|(r, _)| r)
-        }
-        Backend::Race => {
-            check_sat_supported(opts)?;
-            modulo_schedule_race(g, spec, opts)
-        }
-    }
-}
-
-fn check_sat_supported(opts: &ModuloOptions) -> Result<(), ModuloError> {
-    if opts.include_reconfig {
-        return Err(ModuloError::UnsupportedBackend(
-            "the SAT encoding covers the exclude-reconfig modulo model only; \
-             use the cp backend for --modulo incl"
-                .into(),
-        ));
-    }
-    Ok(())
-}
-
-/// The `--emit cnf` escape hatch: render the first encodable candidate
-/// II of the sweep as a DIMACS problem (with the sweep position recorded
-/// in comment lines) so the instance can be handed to an external SAT
-/// solver. Returns `Ok(None)` when every candidate in the sweep range is
-/// statically refuted before encoding.
-pub fn modulo_cnf_dimacs(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<(i32, String)>, ModuloError> {
-    check_sat_supported(opts)?;
-    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
-    let lb = ii_lower_bound(g, spec);
-    let ub = crate::model::serial_horizon(g, spec);
-    for ii in lb..=ub {
-        let enc = eit_sat::encode_modulo(g, spec, ii).map_err(|e| ModuloError::ModelBuild {
-            node: e.node.clone(),
-            detail: e.detail,
-        })?;
-        if let Some(enc) = enc {
-            let comments = [
-                format!("eit modulo model (sec 4.3), candidate II {ii}"),
-                format!("sweep range {lb}..={ub}; first encodable candidate"),
-                format!("graph {}, {} nodes", g.name, g.len()),
-            ];
-            return Ok(Some((ii, enc.cnf.to_dimacs(&comments))));
-        }
-    }
-    Ok(None)
-}
-
-/// The CP sweep: the shared driver with [`probe_ii`] plugged in.
-fn modulo_schedule_cp(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    sweep(g, spec, opts, |slot| probe_ii(g, spec, opts, slot)).map(|(r, _)| r)
-}
-
-/// The SAT sweep: the shared driver with [`sat_probe`] plugged in. The
-/// winning model is accepted only after **both** independent verifiers
-/// pass ([`eit_arch::verify_modulo`] on the steady-state window and
-/// [`validate_modulo`] on the unrolled schedule). A verifier rejection is
-/// a structured [`ModuloError::BackendDisagreement`], never a panic and
-/// never a silently-wrong schedule. Returns the solver counters alongside
-/// so a race can report them even when CP wins.
-fn modulo_schedule_sat(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<(Option<ModuloResult>, SatStats), ModuloError> {
-    // The CDCL engine emits no search events: leave the sink untouched.
-    let untraced = ModuloOptions {
-        trace: None,
-        ..opts.clone()
-    };
-    let (r, sat) = sweep(g, spec, &untraced, |slot| sat_probe(g, spec, slot))?;
-    if let Some(r) = &r {
-        let ii = r.ii_issue;
-        let violations = eit_arch::verify_modulo(g, spec, &r.s, ii);
-        if !violations.is_empty() {
-            return Err(ModuloError::BackendDisagreement(format!(
-                "sat schedule at II={ii} rejected by verify_modulo: {:?}",
-                violations.first()
-            )));
-        }
-        let structural = validate_modulo(g, spec, r, 3);
-        if !structural.is_empty() {
-            return Err(ModuloError::BackendDisagreement(format!(
-                "sat schedule at II={ii} rejected by the structural validator: {:?}",
-                structural.first()
-            )));
-        }
-    }
-    Ok((r, sat.unwrap_or_default()))
-}
-
-/// Race the CP and SAT sweeps under child cancellation tokens: both
-/// probe the same bottom-up candidate order, the first to return a
-/// schedule cancels the other. Because both sweeps start at the same
-/// resource lower bound and stop at their first feasible candidate, the
-/// winning II is the same either way (absent timeouts) — the race only
-/// decides *which backend* gets there first, reported in
-/// [`ModuloResult::backend`].
-fn modulo_schedule_race(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    let mk_child = || {
-        opts.cancel
-            .as_ref()
-            .map_or_else(CancelToken::new, |c| c.child())
-    };
-    let cp_token = mk_child();
-    let sat_token = mk_child();
-    let finish_order = AtomicUsize::new(0);
-
-    type Arm = (Result<Option<ModuloResult>, ModuloError>, SatStats, usize);
-    let run = |backend: Backend, token: CancelToken, other: CancelToken| -> Arm {
-        let sub = ModuloOptions {
-            cancel: Some(token),
-            backend,
-            // Racing is untraced: per-backend streams would interleave
-            // nondeterministically (the cp backend keeps full tracing).
-            trace: None,
-            ..opts.clone()
-        };
-        let (res, sat) = match backend {
-            Backend::Sat => match modulo_schedule_sat(g, spec, &sub) {
-                Ok((r, stats)) => (Ok(r), stats),
-                Err(e) => (Err(e), SatStats::default()),
-            },
-            _ => (modulo_schedule_cp(g, spec, &sub), SatStats::default()),
-        };
-        let seq = finish_order.fetch_add(1, Ordering::AcqRel);
-        if matches!(res, Ok(Some(_))) {
-            other.cancel();
-        }
-        (res, sat, seq)
-    };
-
-    // CP runs on the calling thread: at `jobs = 1` a race starts one
-    // thread, not two.
-    let ((cp_res, _, cp_seq), (sat_res, sat_stats, sat_seq)) = std::thread::scope(|scope| {
-        let sat = scope.spawn(|| run(Backend::Sat, sat_token.clone(), cp_token.clone()));
-        let cp = run(Backend::Cp, cp_token.clone(), sat_token.clone());
-        (cp, sat.join().expect("sat racer panicked"))
-    });
-
-    // First finisher with a schedule wins; a structured error surfaces
-    // only when neither side produced one.
-    let mut arms: Vec<Arm> = vec![
-        (cp_res, SatStats::default(), cp_seq),
-        (sat_res, sat_stats, sat_seq),
-    ];
-    arms.sort_by_key(|&(_, _, seq)| seq);
-    let mut first_err = None;
-    for (res, _, _) in arms {
-        match res {
-            Ok(Some(mut r)) => {
-                if r.sat.is_none() {
-                    r.sat = Some(sat_stats);
-                }
-                return Ok(Some(r));
-            }
-            Ok(None) => {}
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(None),
-    }
-}
-
-/// One probe as the sweep driver records it.
-struct Record {
-    ii: i32,
-    worker: usize,
-    time: Duration,
-    probed: Probed,
-    events: Vec<SearchEvent>,
-}
-
-/// The II sweep behind every backend: `probe` answers one candidate.
-///
-/// `opts.jobs` workers claim candidates `lb..=ub` bottom-up from one
-/// atomic counter; worker 0 is the calling thread, so `jobs = 1` spawns
-/// nothing. Each claimed probe runs under its own child of the sweep's
-/// token. A feasible probe at `ii` lowers `bound` to `ii` and cancels the
-/// in-flight probes above it; a worker stops claiming once the next
-/// candidate lies above `bound`, the total budget is spent, or the
-/// sweep's token is cancelled. A malformed model ends the sweep the same
-/// way: it is a property of the graph, not of the candidate.
-///
-/// Returns the winning schedule, if any, and the SAT counters summed over
-/// the probes at or below the winner (over every probe when none won).
-fn sweep(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-    probe: impl Fn(&ProbeSlot) -> Probed + Sync,
-) -> Result<(Option<ModuloResult>, Option<SatStats>), ModuloError> {
-    let t0 = Instant::now();
-    let lb = ii_lower_bound(g, spec);
-    let ub = crate::model::serial_horizon(g, spec);
-    let next = AtomicI32::new(lb);
-    let bound = AtomicI32::new(i32::MAX);
-    let in_flight: Mutex<Vec<(i32, CancelToken)>> = Mutex::new(Vec::new());
-    let lock_live = || in_flight.lock().unwrap_or_else(|e| e.into_inner());
-
-    let work = |worker: usize| {
-        let mut records = Vec::new();
-        loop {
-            let remaining = opts.total_timeout.saturating_sub(t0.elapsed());
-            if remaining.is_zero() || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                break;
-            }
-            let ii = next.fetch_add(1, Ordering::Relaxed);
-            if ii > ub {
-                break;
-            }
-            let token = opts
-                .cancel
-                .as_ref()
-                .map_or_else(CancelToken::new, |c| c.child());
-            // Registered before the bound check, so a winner found from
-            // here on cancels this probe.
-            lock_live().push((ii, token.clone()));
-            if ii > bound.load(Ordering::Acquire) {
-                lock_live().retain(|(i, _)| *i != ii);
-                break;
-            }
-            let buffer = opts
-                .trace
-                .as_ref()
-                .map(|_| Arc::new(Mutex::new(MemorySink::default())));
-            let slot = ProbeSlot {
-                ii,
-                budget: opts.timeout_per_ii.min(remaining),
-                cancel: Some(token),
-                trace: buffer.as_ref().map(|b| TraceHandle::new(Arc::clone(b))),
-            };
-            let tp = Instant::now();
-            let probed = probe(&slot);
-            let time = tp.elapsed();
-            {
-                let mut live = lock_live();
-                live.retain(|(i, _)| *i != ii);
-                let ends = matches!(
-                    probed.outcome,
-                    IiOutcome::Feasible(..) | IiOutcome::Malformed(_)
-                );
-                if ends && ii < bound.fetch_min(ii, Ordering::AcqRel) {
-                    // Lower in-flight probes keep running: they must be
-                    // genuinely refuted for the merge to pick the true
-                    // minimum.
-                    for (_, t) in live.iter().filter(|(i, _)| *i > ii) {
-                        t.cancel();
-                    }
-                }
-            }
-            let events = buffer
-                .map(|b| std::mem::take(&mut b.lock().unwrap_or_else(|e| e.into_inner()).events))
-                .unwrap_or_default();
-            records.push(Record {
-                ii,
-                worker,
-                time,
-                probed,
-                events,
-            });
-        }
-        records
-    };
-    let mut records = std::thread::scope(|scope| {
-        let work = &work;
-        let helpers: Vec<_> = (1..opts.jobs)
-            .map(|w| scope.spawn(move || work(w)))
-            .collect();
-        let mut records = work(0);
-        for h in helpers {
-            records.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-        records
-    });
-
-    records.sort_by_key(|r| r.ii);
-    if let Some(pos) = records
-        .iter()
-        .position(|r| matches!(r.probed.outcome, IiOutcome::Malformed(_)))
-    {
-        let IiOutcome::Malformed(e) = records.swap_remove(pos).probed.outcome else {
-            unreachable!("pos indexes a malformed probe");
-        };
-        return Err(e);
-    }
-    let win = records
-        .iter()
-        .position(|r| matches!(r.probed.outcome, IiOutcome::Feasible(..)));
-    let counted = win.map_or(records.len(), |w| w + 1);
-    let sat = records[..counted]
-        .iter()
-        .filter_map(|r| r.probed.sat)
-        .reduce(|mut sum, s| {
-            sum.absorb(&s);
-            sum
-        });
-    let Some(win) = win else {
-        return Ok((None, sat));
-    };
-    if let Some(handle) = &opts.trace {
-        // Candidates below the winner always run to a natural stop, so
-        // this prefix, and hence the merged trace, is the same at any
-        // `jobs`.
-        forward_probe_streams(
-            handle,
-            records[..=win].iter().map(|r| (r.ii, r.events.as_slice())),
-        );
-    }
-    let probes = records
-        .iter()
-        .map(|r| ProbeStat {
-            ii: r.ii,
-            outcome: outcome_str(&r.probed.outcome),
-            nodes: r.probed.nodes,
-            fails: r.probed.fails,
-            time: r.time,
-            worker: r.worker,
-        })
-        .collect();
-    let winner = records.swap_remove(win);
-    let IiOutcome::Feasible(t, k, s) = winner.probed.outcome else {
-        unreachable!("win indexes a feasible probe");
-    };
-    let r = assemble_result(g, spec, opts, winner.ii, (t, k, s), t0.elapsed(), probes);
-    Ok((Some(ModuloResult { sat, ..r }), sat))
-}
-
 /// Unroll `n_iters` iterations at the issue II and validate the combined
 /// schedule structurally (memory excluded — the paper assumes sufficient
 /// memory for modulo schedules and repeats the allocation per iteration
@@ -1208,7 +428,9 @@ pub(crate) fn unroll(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eit_cp::trace::{MemorySink, SearchEvent};
     use eit_dsl::Ctx;
+    use std::sync::{Arc, Mutex};
 
     fn matmul() -> Graph {
         eit_apps::by_name("matmul").unwrap().graph
