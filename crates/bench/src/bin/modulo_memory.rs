@@ -8,11 +8,11 @@
 
 use eit_arch::validate_structure;
 use eit_bench::{arch_arg, prepared, rule};
+use eit_core::modulo::assemble_result;
 use eit_core::{
     allocate_modulo_memory, ii_lower_bound, modulo_schedule, schedule_at_ii, IiOutcome,
-    ModuloOptions, ModuloResult,
+    ModuloOptions,
 };
-use std::collections::HashMap;
 use std::time::Duration;
 
 fn main() {
@@ -61,28 +61,12 @@ fn main() {
                 let lb = ii_lower_bound(&p.graph, &spec2);
                 let mut found = None;
                 for ii in (r.ii_issue + 1)..=(lb + 64) {
-                    let IiOutcome::Feasible(t, k, s) =
+                    let IiOutcome::Feasible(s) =
                         schedule_at_ii(&p.graph, &spec2, ii, false, Duration::from_secs(10))
                     else {
                         continue;
                     };
-                    let t: HashMap<_, _> = t;
-                    let switches = eit_core::modulo::count_window_switches(&p.graph, &t);
-                    let rr = ModuloResult {
-                        ii_issue: ii,
-                        switches,
-                        actual_ii: ii + switches as i32 * spec2.reconfig_cost,
-                        throughput: 1.0 / (ii + switches as i32) as f64,
-                        t,
-                        k,
-                        s,
-                        opt_time: Duration::ZERO,
-                        timed_out: false,
-                        probes: Vec::new(),
-                        jobs: 1,
-                        backend: "cp",
-                        sat: None,
-                    };
+                    let rr = assemble_result(&p.graph, &spec2, false, ii, s);
                     if let Some((big, sched)) = allocate_modulo_memory(&p.graph, &spec2, &rr, 4) {
                         let v = validate_structure(&big, &spec2, &sched);
                         found = Some((ii, sched.slots_used(&big), v.is_empty()));

@@ -509,8 +509,6 @@ pub fn check_case_on(
             (None, None) => {}
             (Some(a), Some(b)) => {
                 if (a.ii_issue, a.switches, a.actual_ii) != (b.ii_issue, b.switches, b.actual_ii)
-                    || a.t != b.t
-                    || a.k != b.k
                     || a.s != b.s
                 {
                     return fail(

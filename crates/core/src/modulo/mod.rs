@@ -52,10 +52,11 @@ pub enum Backend {
     /// II, exclude-reconfig model only. Every satisfying assignment is
     /// re-checked by both independent verifiers before it is accepted.
     Sat,
-    /// Race CP against SAT under child cancellation tokens; the first
-    /// backend to find a (verified) schedule wins and cancels the other.
-    /// Both sweep the same bottom-up candidate order, so the winning II
-    /// is backend-independent — only the attribution varies.
+    /// Race CP against SAT on every candidate II, under child
+    /// cancellation tokens: the first decisive answer (feasible,
+    /// infeasible or malformed) stands for the candidate and cancels the
+    /// other side. The sweep itself is the one every backend runs, so the
+    /// winning II is backend-independent — only the attribution varies.
     Race,
 }
 
@@ -116,8 +117,8 @@ impl std::fmt::Display for ModuloError {
 impl std::error::Error for ModuloError {}
 
 /// Aggregated SAT-solver counters of one sweep, for `eit-run-metrics/1`:
-/// summed over the probes at or below the winning II, or over every
-/// probe when none won, so they do not depend on `jobs`.
+/// summed over the probes at or below the winning II, so they do not
+/// depend on `jobs`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SatStats {
     pub vars: u64,
@@ -247,11 +248,8 @@ pub struct ModuloResult {
     pub actual_ii: i32,
     /// `1 / actual_ii`.
     pub throughput: f64,
-    /// Window position per op node.
-    pub t: HashMap<NodeId, i32>,
-    /// Stage per op node.
-    pub k: HashMap<NodeId, i32>,
-    /// Absolute start per node (one iteration).
+    /// Absolute start per node (one iteration). An op's window position
+    /// is `s mod ii_issue` and its stage `s div ii_issue`.
     pub s: HashMap<NodeId, i32>,
     pub opt_time: Duration,
     /// Some candidate IIs timed out before this solution (result may be
@@ -262,11 +260,51 @@ pub struct ModuloResult {
     /// Worker threads the sweep ran with.
     pub jobs: usize,
     /// Backend that produced the schedule (`"cp"` or `"sat"` — under
-    /// `Backend::Race` this is the winner's attribution).
+    /// `Backend::Race` this is the side that decided the winning
+    /// candidate).
     pub backend: &'static str,
     /// SAT-solver counters, when the SAT backend ran (its sweep, or its
-    /// side of a race — present even if CP won the race).
+    /// side of a race — present even if CP decided every candidate).
     pub sat: Option<SatStats>,
+}
+
+/// The result for start map `s` at issue II `ii`: counts the
+/// steady-state configuration switches under the chosen reconfiguration
+/// model and derives the effective II and throughput from them. The
+/// sweep adds its own accounting (time, probes, jobs, backend, SAT
+/// counters) on top; a result built here alone reports none of it (no
+/// probes, one job, the cp backend).
+pub fn assemble_result(
+    g: &Graph,
+    spec: &ArchSpec,
+    include_reconfig: bool,
+    ii: i32,
+    s: HashMap<NodeId, i32>,
+) -> ModuloResult {
+    let switches = if include_reconfig {
+        let groups = config_groups(g).len();
+        if groups > 1 {
+            groups
+        } else {
+            0
+        }
+    } else {
+        count_window_switches(g, &s, ii)
+    };
+    let actual = ii + switches as i32 * spec.reconfig_cost;
+    ModuloResult {
+        ii_issue: ii,
+        switches,
+        actual_ii: actual,
+        throughput: 1.0 / actual as f64,
+        s,
+        opt_time: Duration::ZERO,
+        timed_out: false,
+        probes: Vec::new(),
+        jobs: 1,
+        backend: Backend::Cp.as_str(),
+        sat: None,
+    }
 }
 
 /// Resource-based lower bound on II: for each unit,
@@ -347,13 +385,17 @@ pub fn config_groups(g: &Graph) -> Vec<(VectorConfig, Vec<NodeId>)> {
     groups
 }
 
-/// Count steady-state configuration switches of a window assignment:
-/// walk the issuing window slots in order (cyclically) and count config
-/// changes.
-pub fn count_window_switches(g: &Graph, t: &HashMap<NodeId, i32>) -> usize {
-    let mut slots: Vec<(i32, VectorConfig)> = t
+/// Count steady-state configuration switches of a start map at issue II
+/// `ii`: walk the issuing window slots `s mod ii` in order (cyclically)
+/// and count config changes.
+pub fn count_window_switches(g: &Graph, s: &HashMap<NodeId, i32>, ii: i32) -> usize {
+    let mut slots: Vec<(i32, VectorConfig)> = s
         .iter()
-        .filter_map(|(&n, &tt)| g.opcode(n).and_then(|o| o.config()).map(|c| (tt, c)))
+        .filter_map(|(&n, &sn)| {
+            g.opcode(n)
+                .and_then(|o| o.config())
+                .map(|c| (sn.rem_euclid(ii), c))
+        })
         .collect();
     slots.sort_by_key(|&(tt, _)| tt);
     slots.dedup();
@@ -373,12 +415,8 @@ pub fn count_window_switches(g: &Graph, t: &HashMap<NodeId, i32>) -> usize {
 /// Outcome of one candidate II.
 #[derive(Debug)]
 pub enum IiOutcome {
-    /// (t, k, s) assignments.
-    Feasible(
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-    ),
+    /// Absolute start per node.
+    Feasible(HashMap<NodeId, i32>),
     Infeasible,
     Timeout,
     /// The probe's cancellation token was raised before it could decide
@@ -541,8 +579,6 @@ mod tests {
             // Byte-identical schedules: the winning probe is never
             // cancelled, so its deterministic search reproduces the
             // one-worker assignment.
-            assert_eq!(par.t, seq.t, "{backend:?}");
-            assert_eq!(par.k, seq.k, "{backend:?}");
             assert_eq!(par.s, seq.s, "{backend:?}");
             // Probe records at or below the winner agree modulo timing and
             // worker attribution, and so do the SAT counters summed over
@@ -639,6 +675,47 @@ mod tests {
         // SAT counters ride along even when CP wins the race.
         assert!(race.sat.is_some());
         assert!(eit_arch::verify_modulo(&g, &spec, &race.s, race.ii_issue).is_empty());
+    }
+
+    #[test]
+    fn race_decides_every_candidate_of_a_two_candidate_sweep() {
+        // Two independent vector ops with different configurations: at
+        // the lower bound II 1 both would issue in the window's only
+        // slot, which constraint (3) forbids, so the bound is refuted and
+        // II 2 wins. The race decides two candidates, one probe each.
+        let ctx = Ctx::new("two-configs");
+        let a = ctx.vector([1.0, 0.0, 0.0, 0.0]);
+        let b = ctx.vector([0.0, 1.0, 0.0, 0.0]);
+        let _ = a.v_add(&b);
+        let _ = a.v_mul(&b);
+        let g = ctx.finish();
+        let spec = eit_arch::ArchSpec::eit();
+        let lb = ii_lower_bound(&g, &spec);
+        assert_eq!(lb, 1);
+        let run = |backend| {
+            let opts = ModuloOptions {
+                backend,
+                ..Default::default()
+            };
+            modulo_schedule_checked(&g, &spec, &opts)
+                .unwrap_or_else(|e| panic!("{backend:?}: {e}"))
+                .unwrap_or_else(|| panic!("{backend:?}: no schedule"))
+        };
+        let (cp, sat, race) = (run(Backend::Cp), run(Backend::Sat), run(Backend::Race));
+        assert_eq!(cp.ii_issue, 2);
+        assert_eq!(sat.ii_issue, 2);
+        assert_eq!(race.ii_issue, 2);
+        let iis: Vec<i32> = race.probes.iter().map(|p| p.ii).collect();
+        assert_eq!(iis, vec![1, 2], "one race probe per candidate");
+        assert_eq!(race.probes[0].outcome, "infeasible");
+        assert_eq!(race.probes[1].outcome, "feasible");
+        assert!(race.sat.is_some(), "race must carry the SAT side's counters");
+        assert!(sat.sat.is_some());
+        for r in [&cp, &sat, &race] {
+            assert!(eit_arch::verify_modulo(&g, &spec, &r.s, r.ii_issue).is_empty());
+            let v = validate_modulo(&g, &spec, r, 3);
+            assert!(v.is_empty(), "{}: {v:?}", r.backend);
+        }
     }
 
     #[test]
@@ -822,15 +899,16 @@ mod tests {
             .ids()
             .filter(|&n| g.category(n) == Category::VectorOp)
             .collect();
-        let mut t = HashMap::new();
-        t.insert(ops[0], 0);
-        t.insert(ops[1], 1);
-        // A at slot 0, B at slot 1: A→B and (cyclically) B→A = 2 switches.
-        assert_eq!(count_window_switches(&g, &t), 2);
+        let mut s = HashMap::new();
+        s.insert(ops[0], 0);
+        s.insert(ops[1], 3);
+        // At II 2, A at slot 0 and B at slot 1: A→B and (cyclically) B→A
+        // = 2 switches.
+        assert_eq!(count_window_switches(&g, &s, 2), 2);
         // Same config everywhere → 0.
-        let mut t1 = HashMap::new();
-        t1.insert(ops[0], 0);
-        assert_eq!(count_window_switches(&g, &t1), 0);
+        let mut s1 = HashMap::new();
+        s1.insert(ops[0], 0);
+        assert_eq!(count_window_switches(&g, &s1, 2), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! satisfaction search (`probe_ii`).
 
 use super::sweep::{ProbeSlot, Probed};
-use super::{config_groups, IiOutcome, ModuloError, ModuloOptions};
+use super::{config_groups, Backend, IiOutcome, ModuloError, ModuloOptions};
 use crate::model::{post_config_separation, post_precedences};
 use eit_arch::ArchSpec;
 use eit_cp::props::cumulative::CumTask;
@@ -39,10 +39,6 @@ pub struct ProbeModel {
     /// The probe's phased search (bands → op starts → window → stages →
     /// data, or the bandless subset).
     pub phases: Vec<Phase>,
-    /// Window position per op node.
-    pub t_var: HashMap<NodeId, VarId>,
-    /// Stage per op node.
-    pub k_var: HashMap<NodeId, VarId>,
     /// Absolute start per node.
     pub s_var: Vec<VarId>,
 }
@@ -71,7 +67,9 @@ pub fn build_probe(
 
     let mut m = Model::new();
     let mut t_var: HashMap<NodeId, VarId> = HashMap::new();
-    let mut k_var: HashMap<NodeId, VarId> = HashMap::new();
+    // Window positions and stages of the ops, in graph order.
+    let mut t_list: Vec<VarId> = Vec::new();
+    let mut k_list: Vec<VarId> = Vec::new();
     let mut s_var: Vec<VarId> = Vec::with_capacity(g.len());
 
     for n in g.ids() {
@@ -86,7 +84,8 @@ pub fn build_probe(
             // starves the window Cumulative of pruning).
             m.mod_channel(s, k, t, ii);
             t_var.insert(n, t);
-            k_var.insert(n, k);
+            t_list.push(t);
+            k_list.push(k);
             s_var.push(s);
         } else if g.producer(n).is_none() {
             s_var.push(m.new_const(0));
@@ -177,8 +176,6 @@ pub fn build_probe(
     // Search: configuration bands first (they shape the window), then
     // absolute op starts — list-scheduling style, as in the main model —
     // then any window/stage variables propagation left open, then data.
-    let t_list: Vec<VarId> = g.ids().filter_map(|n| t_var.get(&n).copied()).collect();
-    let k_list: Vec<VarId> = g.ids().filter_map(|n| k_var.get(&n).copied()).collect();
     let op_s: Vec<VarId> = g
         .ids()
         .filter(|&n| g.category(n).is_op())
@@ -204,8 +201,6 @@ pub fn build_probe(
     Ok(Some(ProbeModel {
         model: m,
         phases,
-        t_var,
-        k_var,
         s_var,
     }))
 }
@@ -220,14 +215,12 @@ pub(super) fn probe_ii(
 ) -> Probed {
     let pm = match build_probe(g, spec, slot.ii, opts.include_reconfig) {
         Ok(Some(pm)) => pm,
-        Ok(None) => return Probed::bare(IiOutcome::Infeasible),
-        Err(e) => return Probed::bare(IiOutcome::Malformed(e)),
+        Ok(None) => return Probed::bare(Backend::Cp, IiOutcome::Infeasible),
+        Err(e) => return Probed::bare(Backend::Cp, IiOutcome::Malformed(e)),
     };
     let ProbeModel {
         mut model,
         phases,
-        t_var,
-        k_var,
         s_var,
     } = pm;
     let cfg = SearchConfig {
@@ -240,10 +233,7 @@ pub(super) fn probe_ii(
     let outcome = match r.status {
         SearchStatus::Optimal | SearchStatus::Feasible => {
             let sol = r.best.unwrap();
-            let t_out = t_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
-            let k_out = k_var.iter().map(|(&n, &v)| (n, sol.value(v))).collect();
-            let s_out = g.ids().map(|n| (n, sol.value(s_var[n.idx()]))).collect();
-            IiOutcome::Feasible(t_out, k_out, s_out)
+            IiOutcome::Feasible(g.ids().map(|n| (n, sol.value(s_var[n.idx()]))).collect())
         }
         SearchStatus::Infeasible => IiOutcome::Infeasible,
         SearchStatus::Unknown if r.cancelled => IiOutcome::Cancelled,
@@ -251,6 +241,7 @@ pub(super) fn probe_ii(
     };
     Probed {
         outcome,
+        backend: Backend::Cp,
         nodes: r.stats.nodes,
         fails: r.stats.fails,
         sat: None,

@@ -2,14 +2,14 @@
 //! over `eit_sat`'s order encoding of one candidate II.
 
 use super::sweep::{ProbeSlot, Probed};
-use super::{ii_lower_bound, IiOutcome, ModuloError, ModuloOptions, SatStats};
+use super::{ii_lower_bound, Backend, IiOutcome, ModuloError, ModuloOptions, SatStats};
 use eit_arch::ArchSpec;
 use eit_ir::Graph;
 use std::time::Instant;
 
 /// The SAT probe: encode the candidate straight into a fresh CDCL
-/// solver, solve it, and decode a model. The caller still runs both
-/// verifiers on the winner before accepting it.
+/// solver, solve it, and decode a model. The driver still runs both
+/// verifiers on a winner this probe decided before accepting it.
 pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
     let deadline = eit_cp::deadline_after(Instant::now(), slot.budget);
     let cancelled = || slot.cancel.as_ref().is_some_and(|c| c.is_cancelled());
@@ -19,14 +19,17 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
         Ok(None) => {
             return Probed {
                 sat: Some(SatStats::default()),
-                ..Probed::bare(IiOutcome::Infeasible)
+                ..Probed::bare(Backend::Sat, IiOutcome::Infeasible)
             }
         }
         Err(e) => {
-            return Probed::bare(IiOutcome::Malformed(ModuloError::ModelBuild {
-                node: e.node,
-                detail: e.detail,
-            }))
+            return Probed::bare(
+                Backend::Sat,
+                IiOutcome::Malformed(ModuloError::ModelBuild {
+                    node: e.node,
+                    detail: e.detail,
+                }),
+            )
         }
     };
     let mut sat = SatStats {
@@ -34,14 +37,14 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
         clauses: decoder.clauses,
         ..Default::default()
     };
-    // A cancelled probe (a race that CP already won, an expired
+    // A cancelled probe (a race whose CP side decided first, an expired
     // deadline, a candidate above the winner) stops here, at the
     // solver's bounded polls, or once a model turns up; a model found
     // after cancellation is not decoded.
     if cancelled() {
         return Probed {
             sat: Some(sat),
-            ..Probed::bare(IiOutcome::Cancelled)
+            ..Probed::bare(Backend::Sat, IiOutcome::Cancelled)
         };
     }
     let mut stop = || deadline.is_some_and(|d| Instant::now() >= d) || cancelled();
@@ -54,8 +57,7 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
     let outcome = match out {
         eit_sat::SolveOutcome::Sat if cancelled() => IiOutcome::Cancelled,
         eit_sat::SolveOutcome::Sat => {
-            let (t, k, s) = decoder.decode(g, spec, &|v| solver.model_value(v));
-            IiOutcome::Feasible(t, k, s)
+            IiOutcome::Feasible(decoder.decode(g, spec, &|v| solver.model_value(v)))
         }
         eit_sat::SolveOutcome::Unsat => IiOutcome::Infeasible,
         eit_sat::SolveOutcome::Stopped if cancelled() => IiOutcome::Cancelled,
@@ -63,6 +65,7 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
     };
     Probed {
         outcome,
+        backend: Backend::Sat,
         nodes: sat.decisions,
         fails: sat.conflicts,
         sat: Some(sat),

@@ -1,18 +1,19 @@
-//! The II sweep behind every backend and the backend dispatch.
+//! The II sweep behind every backend: one driver, one probe per
+//! candidate (CP, SAT, or a race of the two), one verification point for
+//! schedules the SAT side decided.
 
 use super::probe::probe_ii;
 use super::sat::{check_sat_supported, sat_probe};
 use super::{
-    config_groups, count_window_switches, ii_lower_bound, validate_modulo, Backend, IiOutcome,
-    ModuloError, ModuloOptions, ModuloResult, ProbeStat, SatStats,
+    assemble_result, ii_lower_bound, validate_modulo, Backend, IiOutcome, ModuloError,
+    ModuloOptions, ModuloResult, ProbeStat, SatStats,
 };
 use eit_arch::ArchSpec;
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
 use eit_cp::CancelToken;
-use eit_ir::{Graph, NodeId};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicI32, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use eit_ir::Graph;
+use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What the sweep driver hands one probe: the candidate, its share of
@@ -29,6 +30,9 @@ pub(super) struct ProbeSlot {
 /// CP, decisions and conflicts for SAT; `sat` carries the SAT counters.
 pub(super) struct Probed {
     pub(super) outcome: IiOutcome,
+    /// The backend whose answer this is: under a race, the side that
+    /// decided the candidate.
+    pub(super) backend: Backend,
     pub(super) nodes: u64,
     pub(super) fails: u64,
     pub(super) sat: Option<SatStats>,
@@ -37,9 +41,10 @@ pub(super) struct Probed {
 impl Probed {
     /// A probe that decided nothing by search (refuted statically,
     /// malformed, or cancelled before it started solving).
-    pub(super) fn bare(outcome: IiOutcome) -> Probed {
+    pub(super) fn bare(backend: Backend, outcome: IiOutcome) -> Probed {
         Probed {
             outcome,
+            backend,
             nodes: 0,
             fails: 0,
             sat: None,
@@ -47,49 +52,63 @@ impl Probed {
     }
 }
 
-/// Count the steady-state switches and assemble a [`ModuloResult`] for a
-/// feasible probe at `ii`. `probes` is the sweep's record in candidate
-/// order; a timeout below `ii` marks the result as possibly sub-optimal.
-/// The caller attaches the SAT counters.
-fn assemble_result(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-    ii: i32,
-    (t, k, s): (
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-    ),
-    opt_time: Duration,
-    probes: Vec<ProbeStat>,
-) -> ModuloResult {
-    let switches = if opts.include_reconfig {
-        let groups = config_groups(g).len();
-        if groups > 1 {
-            groups
-        } else {
-            0
-        }
-    } else {
-        count_window_switches(g, &t)
+/// The race probe: CP on the calling thread and SAT on one scoped
+/// thread, each under its own child of the slot's token. The first
+/// decisive answer (feasible, infeasible or malformed) cancels the other
+/// side and stands for the candidate; a candidate stays undecided only
+/// when neither side decides, and then the CP side's timeout or
+/// cancellation stands. The SAT side's counters ride along either way.
+fn race_probe(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) -> Probed {
+    let child = || {
+        slot.cancel
+            .as_ref()
+            .map_or_else(CancelToken::new, |c| c.child())
     };
-    let actual = ii + switches as i32 * spec.reconfig_cost;
-    let timed_out = probes.iter().any(|p| p.ii < ii && p.outcome == "timeout");
-    ModuloResult {
-        ii_issue: ii,
-        switches,
-        actual_ii: actual,
-        throughput: 1.0 / actual as f64,
-        t,
-        k,
-        s,
-        opt_time,
-        timed_out,
-        probes,
-        jobs: opts.jobs.max(1),
-        backend: opts.backend.as_str(),
-        sat: None,
+    let (cp_token, sat_token) = (child(), child());
+    let first = OnceLock::new();
+    let run = |backend: Backend, own: &CancelToken, other: &CancelToken| {
+        let side = ProbeSlot {
+            ii: slot.ii,
+            budget: slot.budget,
+            cancel: Some(own.clone()),
+            trace: None,
+        };
+        let p = match backend {
+            Backend::Sat => sat_probe(g, spec, &side),
+            _ => probe_ii(g, spec, opts, &side),
+        };
+        let decisive = !matches!(p.outcome, IiOutcome::Timeout | IiOutcome::Cancelled);
+        if decisive && first.set(backend).is_ok() {
+            other.cancel();
+        }
+        p
+    };
+    let (cp, sat) = std::thread::scope(|scope| {
+        let sat = scope.spawn(|| run(Backend::Sat, &sat_token, &cp_token));
+        let cp = run(Backend::Cp, &cp_token, &sat_token);
+        (
+            cp,
+            sat.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        )
+    });
+    let sat_stats = sat.sat;
+    let decided = if first.get() == Some(&Backend::Sat) {
+        sat
+    } else {
+        cp
+    };
+    Probed {
+        sat: sat_stats,
+        ..decided
+    }
+}
+
+/// Answer one candidate with the backend `opts` names.
+fn probe(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) -> Probed {
+    match opts.backend {
+        Backend::Cp => probe_ii(g, spec, opts, slot),
+        Backend::Sat => sat_probe(g, spec, slot),
+        Backend::Race => race_probe(g, spec, opts, slot),
     }
 }
 
@@ -133,7 +152,9 @@ fn forward_probe_streams<'a>(
 /// feasible candidate exactly as with one worker, and the winning probe's
 /// schedule is bit-identical (it ran to a natural stop under its own
 /// deterministic search — cancellation only ever hits candidates above
-/// the winner). The same holds for every backend.
+/// the winner). The same holds for the cp and sat backends; under `race`
+/// the II is the same, but which side decides each candidate varies
+/// from run to run, and so may the schedule.
 ///
 /// This is the `Option`-shaped convenience wrapper around
 /// [`modulo_schedule_checked`]: structured failures (malformed graph,
@@ -144,55 +165,26 @@ pub fn modulo_schedule(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> Opti
 }
 
 /// As [`modulo_schedule`], with structured errors kept apart from the
-/// ordinary "no schedule within budget" (`Ok(None)`) outcome, and with
-/// the backend dispatch: CP sweep, SAT sweep, or a race of the two.
+/// ordinary "no schedule within budget" (`Ok(None)`) outcome. Every
+/// backend runs the one sweep; only the probe differs.
+///
+/// A winner the SAT side decided (under `sat`, or a race candidate SAT
+/// answered first) is accepted only after **both** independent verifiers
+/// pass ([`eit_arch::verify_modulo`] on the steady-state window and
+/// [`validate_modulo`] on the unrolled schedule). A verifier rejection is
+/// a structured [`ModuloError::BackendDisagreement`], never a panic and
+/// never a silently-wrong schedule.
 pub fn modulo_schedule_checked(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
 ) -> Result<Option<ModuloResult>, ModuloError> {
     crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
-    match opts.backend {
-        Backend::Cp => modulo_schedule_cp(g, spec, opts),
-        Backend::Sat => {
-            check_sat_supported(opts)?;
-            modulo_schedule_sat(g, spec, opts).map(|(r, _)| r)
-        }
-        Backend::Race => {
-            check_sat_supported(opts)?;
-            modulo_schedule_race(g, spec, opts)
-        }
+    if opts.backend != Backend::Cp {
+        check_sat_supported(opts)?;
     }
-}
-
-/// The CP sweep: the shared driver with [`probe_ii`] plugged in.
-fn modulo_schedule_cp(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    sweep(g, spec, opts, |slot| probe_ii(g, spec, opts, slot)).map(|(r, _)| r)
-}
-
-/// The SAT sweep: the shared driver with [`sat_probe`] plugged in. The
-/// winning model is accepted only after **both** independent verifiers
-/// pass ([`eit_arch::verify_modulo`] on the steady-state window and
-/// [`validate_modulo`] on the unrolled schedule). A verifier rejection is
-/// a structured [`ModuloError::BackendDisagreement`], never a panic and
-/// never a silently-wrong schedule. Returns the solver counters alongside
-/// so a race can report them even when CP wins.
-fn modulo_schedule_sat(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<(Option<ModuloResult>, SatStats), ModuloError> {
-    // The CDCL engine emits no search events: leave the sink untouched.
-    let untraced = ModuloOptions {
-        trace: None,
-        ..opts.clone()
-    };
-    let (r, sat) = sweep(g, spec, &untraced, |slot| sat_probe(g, spec, slot))?;
-    if let Some(r) = &r {
+    let r = sweep(g, spec, opts)?;
+    if let Some(r) = r.as_ref().filter(|r| r.backend == Backend::Sat.as_str()) {
         let ii = r.ii_issue;
         let violations = eit_arch::verify_modulo(g, spec, &r.s, ii);
         if !violations.is_empty() {
@@ -209,88 +201,7 @@ fn modulo_schedule_sat(
             )));
         }
     }
-    Ok((r, sat.unwrap_or_default()))
-}
-
-/// Race the CP and SAT sweeps under child cancellation tokens: both
-/// probe the same bottom-up candidate order, the first to return a
-/// schedule cancels the other. Because both sweeps start at the same
-/// resource lower bound and stop at their first feasible candidate, the
-/// winning II is the same either way (absent timeouts) — the race only
-/// decides *which backend* gets there first, reported in
-/// [`ModuloResult::backend`].
-fn modulo_schedule_race(
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: &ModuloOptions,
-) -> Result<Option<ModuloResult>, ModuloError> {
-    let mk_child = || {
-        opts.cancel
-            .as_ref()
-            .map_or_else(CancelToken::new, |c| c.child())
-    };
-    let cp_token = mk_child();
-    let sat_token = mk_child();
-    let finish_order = AtomicUsize::new(0);
-
-    type Arm = (Result<Option<ModuloResult>, ModuloError>, SatStats, usize);
-    let run = |backend: Backend, token: CancelToken, other: CancelToken| -> Arm {
-        let sub = ModuloOptions {
-            cancel: Some(token),
-            backend,
-            // Racing is untraced: per-backend streams would interleave
-            // nondeterministically (the cp backend keeps full tracing).
-            trace: None,
-            ..opts.clone()
-        };
-        let (res, sat) = match backend {
-            Backend::Sat => match modulo_schedule_sat(g, spec, &sub) {
-                Ok((r, stats)) => (Ok(r), stats),
-                Err(e) => (Err(e), SatStats::default()),
-            },
-            _ => (modulo_schedule_cp(g, spec, &sub), SatStats::default()),
-        };
-        let seq = finish_order.fetch_add(1, Ordering::AcqRel);
-        if matches!(res, Ok(Some(_))) {
-            other.cancel();
-        }
-        (res, sat, seq)
-    };
-
-    // CP runs on the calling thread: at `jobs = 1` a race starts one
-    // thread, not two.
-    let ((cp_res, _, cp_seq), (sat_res, sat_stats, sat_seq)) = std::thread::scope(|scope| {
-        let sat = scope.spawn(|| run(Backend::Sat, sat_token.clone(), cp_token.clone()));
-        let cp = run(Backend::Cp, cp_token.clone(), sat_token.clone());
-        (cp, sat.join().expect("sat racer panicked"))
-    });
-
-    // First finisher with a schedule wins; a structured error surfaces
-    // only when neither side produced one.
-    let mut arms: Vec<Arm> = vec![
-        (cp_res, SatStats::default(), cp_seq),
-        (sat_res, sat_stats, sat_seq),
-    ];
-    arms.sort_by_key(|&(_, _, seq)| seq);
-    let mut first_err = None;
-    for (res, _, _) in arms {
-        match res {
-            Ok(Some(mut r)) => {
-                if r.sat.is_none() {
-                    r.sat = Some(sat_stats);
-                }
-                return Ok(Some(r));
-            }
-            Ok(None) => {}
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(None),
-    }
+    Ok(r)
 }
 
 /// One probe as the sweep driver records it.
@@ -302,7 +213,7 @@ struct Record {
     events: Vec<SearchEvent>,
 }
 
-/// The II sweep behind every backend: `probe` answers one candidate.
+/// The II sweep behind every backend: [`probe`] answers one candidate.
 ///
 /// `opts.jobs` workers claim candidates `lb..=ub` bottom-up from one
 /// atomic counter; worker 0 is the calling thread, so `jobs = 1` spawns
@@ -313,14 +224,16 @@ struct Record {
 /// sweep's token is cancelled. A malformed model ends the sweep the same
 /// way: it is a property of the graph, not of the candidate.
 ///
-/// Returns the winning schedule, if any, and the SAT counters summed over
-/// the probes at or below the winner (over every probe when none won).
+/// Only the cp backend is traced: the CDCL engine emits no search
+/// events, and a race's CP side is cut short whenever SAT decides first.
+///
+/// Returns the winning schedule, if any, with the SAT counters summed
+/// over the probes at or below the winner.
 fn sweep(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
-    probe: impl Fn(&ProbeSlot) -> Probed + Sync,
-) -> Result<(Option<ModuloResult>, Option<SatStats>), ModuloError> {
+) -> Result<Option<ModuloResult>, ModuloError> {
     let t0 = Instant::now();
     let lb = ii_lower_bound(g, spec);
     let ub = crate::model::serial_horizon(g, spec);
@@ -328,6 +241,7 @@ fn sweep(
     let bound = AtomicI32::new(i32::MAX);
     let in_flight: Mutex<Vec<(i32, CancelToken)>> = Mutex::new(Vec::new());
     let lock_live = || in_flight.lock().unwrap_or_else(|e| e.into_inner());
+    let trace = opts.trace.as_ref().filter(|_| opts.backend == Backend::Cp);
 
     let work = |worker: usize| {
         let mut records = Vec::new();
@@ -351,10 +265,7 @@ fn sweep(
                 lock_live().retain(|(i, _)| *i != ii);
                 break;
             }
-            let buffer = opts
-                .trace
-                .as_ref()
-                .map(|_| Arc::new(Mutex::new(MemorySink::default())));
+            let buffer = trace.map(|_| Arc::new(Mutex::new(MemorySink::default())));
             let slot = ProbeSlot {
                 ii,
                 budget: opts.timeout_per_ii.min(remaining),
@@ -362,7 +273,7 @@ fn sweep(
                 trace: buffer.as_ref().map(|b| TraceHandle::new(Arc::clone(b))),
             };
             let tp = Instant::now();
-            let probed = probe(&slot);
+            let probed = probe(g, spec, opts, &slot);
             let time = tp.elapsed();
             {
                 let mut live = lock_live();
@@ -415,21 +326,20 @@ fn sweep(
         };
         return Err(e);
     }
-    let win = records
+    let Some(win) = records
         .iter()
-        .position(|r| matches!(r.probed.outcome, IiOutcome::Feasible(..)));
-    let counted = win.map_or(records.len(), |w| w + 1);
-    let sat = records[..counted]
+        .position(|r| matches!(r.probed.outcome, IiOutcome::Feasible(_)))
+    else {
+        return Ok(None);
+    };
+    let sat = records[..=win]
         .iter()
         .filter_map(|r| r.probed.sat)
         .reduce(|mut sum, s| {
             sum.absorb(&s);
             sum
         });
-    let Some(win) = win else {
-        return Ok((None, sat));
-    };
-    if let Some(handle) = &opts.trace {
+    if let Some(handle) = trace {
         // Candidates below the winner always run to a natural stop, so
         // this prefix, and hence the merged trace, is the same at any
         // `jobs`.
@@ -438,6 +348,9 @@ fn sweep(
             records[..=win].iter().map(|r| (r.ii, r.events.as_slice())),
         );
     }
+    let timed_out = records[..win]
+        .iter()
+        .any(|r| matches!(r.probed.outcome, IiOutcome::Timeout));
     let probes = records
         .iter()
         .map(|r| ProbeStat {
@@ -450,9 +363,16 @@ fn sweep(
         })
         .collect();
     let winner = records.swap_remove(win);
-    let IiOutcome::Feasible(t, k, s) = winner.probed.outcome else {
+    let IiOutcome::Feasible(s) = winner.probed.outcome else {
         unreachable!("win indexes a feasible probe");
     };
-    let r = assemble_result(g, spec, opts, winner.ii, (t, k, s), t0.elapsed(), probes);
-    Ok((Some(ModuloResult { sat, ..r }), sat))
+    Ok(Some(ModuloResult {
+        opt_time: t0.elapsed(),
+        timed_out,
+        probes,
+        jobs: opts.jobs.max(1),
+        backend: winner.probed.backend.as_str(),
+        sat,
+        ..assemble_result(g, spec, opts.include_reconfig, winner.ii, s)
+    }))
 }

@@ -25,15 +25,21 @@ pub fn render_compiled(out: &Compiled) -> String {
 
 /// The modulo-schedule report exactly as `eitc <kernel> --modulo`
 /// prints it: the II summary line followed by the steady-state rows in
-/// (time, name) order.
+/// (time, name) order: each op's window position `t = s mod II` and
+/// stage `k = s div II`.
 pub fn render_modulo(g: &Graph, r: &ModuloResult) -> String {
     let mut out = format!(
         "; modulo schedule: II {} ({} switches, actual {}), throughput {:.4} iter/cc\n",
         r.ii_issue, r.switches, r.actual_ii, r.throughput
     );
+    let ii = r.ii_issue;
     let mut rows: Vec<(i32, String)> =
-        r.t.iter()
-            .map(|(&n, &t)| (t, format!("  t={t:3} k={:2}  {}", r.k[&n], g.node(n).name)))
+        r.s.iter()
+            .filter(|(&n, _)| g.category(n).is_op())
+            .map(|(&n, &s)| {
+                let (t, k) = (s.rem_euclid(ii), s.div_euclid(ii));
+                (t, format!("  t={t:3} k={k:2}  {}", g.node(n).name))
+            })
             .collect();
     rows.sort();
     for (_, row) in rows {

@@ -128,7 +128,7 @@ pub struct ModuloEncoding {
 }
 
 /// What [`encode_modulo_into`] made, and enough of the model's structure
-/// to decode an assignment back into `(t, k, s)`.
+/// to decode an assignment back into start times.
 pub struct ModuloDecoder {
     pub ii: i32,
     /// Variables and clauses the encoding put into its sink.
@@ -153,24 +153,18 @@ enum OLit {
 }
 
 impl ModuloDecoder {
-    /// Read the start times out of a satisfying assignment. Returns
-    /// `(t, k, s)` in the shapes the modulo scheduler uses: window
-    /// position and stage per *op*, absolute start per *node* (produced
-    /// data at `s_producer + latency(producer)`, inputs at 0). Total —
-    /// an arbitrary (even partial) assignment decodes to *some* value
+    /// Read the start times out of a satisfying assignment: the
+    /// absolute start per *node* (produced data at `s_producer +
+    /// latency(producer)`, inputs at 0), from which an op's window
+    /// position `s mod II` and stage `s div II` follow. Total — an
+    /// arbitrary (even partial) assignment decodes to *some* value
     /// in-domain; soundness comes from the caller re-verifying.
     pub fn decode(
         &self,
         g: &Graph,
         spec: &ArchSpec,
         model: &dyn Fn(Var) -> bool,
-    ) -> (
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-        HashMap<NodeId, i32>,
-    ) {
-        let mut t = HashMap::new();
-        let mut k = HashMap::new();
+    ) -> HashMap<NodeId, i32> {
         let mut s = HashMap::new();
         for (i, &n) in self.ops.iter().enumerate() {
             // Monotone chain: s = greatest v with O_{i,v} true. Scan to
@@ -181,8 +175,6 @@ impl ModuloDecoder {
                 v += 1;
             }
             s.insert(n, v);
-            t.insert(n, v % self.ii);
-            k.insert(n, v / self.ii);
         }
         for n in g.ids() {
             if g.category(n).is_data() {
@@ -193,7 +185,7 @@ impl ModuloDecoder {
                 s.insert(n, start);
             }
         }
-        (t, k, s)
+        s
     }
 }
 
