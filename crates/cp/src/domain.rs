@@ -545,19 +545,35 @@ impl Domain {
 
     /// Intersect with another domain in place. Returns true if changed.
     pub fn intersect(&mut self, other: &Domain) -> bool {
-        if self.is_empty() {
-            return false;
+        match self.narrowed_by(other) {
+            Some(d) => {
+                *self = d;
+                true
+            }
+            None => false,
         }
-        match &mut self.rep {
+    }
+
+    /// `self ∩ other` when it differs from `self`; `None` when nothing
+    /// would be removed (`self ⊆ other`, or `self` is empty). Leaves
+    /// `self` untouched, so a caller can skip trailing a no-op.
+    pub fn narrowed_by(&self, other: &Domain) -> Option<Domain> {
+        if self.is_empty() {
+            return None;
+        }
+        match &self.rep {
             Rep::Bits { base, bits } => {
                 // Word AND against `other`'s membership over our window —
                 // values outside the window are not in `self` anyway.
                 let new = *bits & other.mask_at(*base);
-                let changed = new != *bits;
-                *bits = new;
-                changed
+                (new != *bits).then_some(Domain {
+                    rep: Rep::Bits {
+                        base: *base,
+                        bits: new,
+                    },
+                })
             }
-            Rep::Ivs { ivs, .. } => {
+            Rep::Ivs { ivs, pinned } => {
                 let mut out: Vec<(i32, i32)> = Vec::with_capacity(ivs.len());
                 let mut oruns = other.intervals().peekable();
                 let mut i = 0;
@@ -576,12 +592,16 @@ impl Domain {
                     }
                 }
                 if out == *ivs {
-                    false
-                } else {
-                    *ivs = out;
-                    self.maybe_promote();
-                    true
+                    return None;
                 }
+                let mut d = Domain {
+                    rep: Rep::Ivs {
+                        ivs: out,
+                        pinned: *pinned,
+                    },
+                };
+                d.maybe_promote();
+                Some(d)
             }
         }
     }

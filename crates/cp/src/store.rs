@@ -373,15 +373,16 @@ impl Store {
         {
             return Ok(());
         }
+        // Compare before trailing: a no-op intersect leaves the trail and
+        // the event log alone.
+        let Some(narrowed) = d.narrowed_by(other) else {
+            return Ok(());
+        };
         let (old_min, old_max) = (d.min(), d.max());
         self.save(v);
-        let changed = self.domains[v.idx()].intersect(other);
-        if changed {
-            let ev = self.bound_event(v, old_min, old_max);
-            self.after_change(v, ev)
-        } else {
-            Ok(())
-        }
+        self.domains[v.idx()] = narrowed;
+        let ev = self.bound_event(v, old_min, old_max);
+        self.after_change(v, ev)
     }
 }
 
@@ -504,6 +505,30 @@ mod tests {
         s.remove_above(x, 5).unwrap();
         s.remove_value(x, 9).unwrap();
         assert!(s.take_events().is_empty());
+    }
+
+    #[test]
+    fn no_op_intersect_does_not_trail() {
+        // A ~1000-value holey domain (interval list, not bitset)
+        // intersected with itself at a new level changes nothing, so it
+        // must neither trail a copy nor log an event.
+        let mut s = Store::new();
+        let holey = Domain::from_values((0..2000).filter(|v| v % 2 == 0));
+        let x = s.new_var_with_domain(holey.clone(), "x");
+        assert!(!s.dom(x).is_bitset());
+        s.take_events();
+        s.push_level();
+        let trail = s.trail.len();
+        s.intersect(x, &holey).unwrap();
+        assert_eq!(s.trail.len(), trail);
+        assert!(s.take_events().is_empty());
+        assert_eq!(s.dom(x), &holey);
+        // A real narrowing still trails once and restores on pop.
+        s.intersect(x, &Domain::interval(0, 999)).unwrap();
+        assert_eq!(s.trail.len(), trail + 1);
+        assert_eq!(s.take_events().len(), 1);
+        s.pop_level();
+        assert_eq!(s.dom(x), &holey);
     }
 
     #[test]
