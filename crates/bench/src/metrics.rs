@@ -89,9 +89,9 @@ impl RunMetrics {
         self.push("solver", Json::Obj(obj))
     }
 
-    /// Domain-representation histogram of the solved model: how many
-    /// variables ended the search on the bitset fast path vs. interval
-    /// lists (see `eit_cp::Domain` and DESIGN.md §5k).
+    /// Domain-representation histogram of the scheduling model as built:
+    /// how many variables start the search on the bitset fast path vs.
+    /// interval lists (see `eit_cp::Domain` and DESIGN.md §5k).
     pub fn domains(&mut self, reps: (usize, usize)) -> &mut Self {
         self.push(
             "domains",

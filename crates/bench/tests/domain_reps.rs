@@ -8,7 +8,9 @@
 
 use eit_arch::ArchSpec;
 use eit_bench::prepared;
-use eit_core::{build_model, build_probe, modulo_schedule, ModuloOptions, SchedulerOptions};
+use eit_core::{
+    build_model, build_probe, modulo_schedule, schedule, ModuloOptions, SchedulerOptions,
+};
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
 use eit_cp::{minimize, solve, Model, SearchConfig, SearchResult, VarId};
 use std::sync::{Arc, Mutex};
@@ -107,5 +109,22 @@ fn modulo_probe_search_is_representation_independent() {
             bits, ivs,
             "{name}: pinned domains changed the probe at II {ii}"
         );
+    }
+}
+
+#[test]
+fn reported_histogram_is_the_model_as_built() {
+    // `domain_reps` (the `domains` section of `eitc --metrics`) describes
+    // the model the scheduler built, not whatever store the last search
+    // dive left behind.
+    let spec = ArchSpec::eit();
+    let opts = SchedulerOptions::default();
+    for name in KERNELS {
+        let g = prepared(name).graph;
+        let built = build_model(&g, &spec, &opts)
+            .model
+            .store
+            .domain_rep_counts();
+        assert_eq!(schedule(&g, &spec, &opts).domain_reps, built, "{name}");
     }
 }

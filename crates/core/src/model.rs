@@ -476,8 +476,8 @@ pub struct ScheduleResult {
     /// Per-propagator accounting (aggregated by name, sorted by cost);
     /// empty unless [`SchedulerOptions::profile`] was set.
     pub propagator_profile: Vec<PropProfile>,
-    /// Domain-representation histogram at end of search:
-    /// `(bitset_vars, interval_vars)`.
+    /// Domain-representation histogram of the model as built, before
+    /// search: `(bitset_vars, interval_vars)`.
     pub domain_reps: (usize, usize),
 }
 
@@ -496,6 +496,7 @@ fn extract(g: &Graph, spec: &ArchSpec, built: &BuiltModel, sol: &eit_cp::Solutio
 /// branch-and-bound, extract the best schedule.
 pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> ScheduleResult {
     let mut built = build_model(g, spec, opts);
+    let domain_reps = built.model.store.domain_rep_counts();
     let mut timings = PhaseTimings::new();
     timings.extend(&built.timings);
     if opts.profile {
@@ -505,7 +506,6 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
     let r = timings.time("search", || {
         minimize(&mut built.model, built.objective, &cfg)
     });
-    let domain_reps = built.model.store.domain_rep_counts();
     let mut schedule = timings.time("extract", || {
         r.best.as_ref().map(|sol| extract(g, spec, &built, sol))
     });

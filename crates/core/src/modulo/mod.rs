@@ -709,7 +709,10 @@ mod tests {
         assert_eq!(iis, vec![1, 2], "one race probe per candidate");
         assert_eq!(race.probes[0].outcome, "infeasible");
         assert_eq!(race.probes[1].outcome, "feasible");
-        assert!(race.sat.is_some(), "race must carry the SAT side's counters");
+        assert!(
+            race.sat.is_some(),
+            "race must carry the SAT side's counters"
+        );
         assert!(sat.sat.is_some());
         for r in [&cp, &sat, &race] {
             assert!(eit_arch::verify_modulo(&g, &spec, &r.s, r.ii_issue).is_empty());

@@ -92,7 +92,7 @@ pub struct Compiled {
     /// [`SchedulerOptions::profile`] was set.
     pub propagator_profile: Vec<PropProfile>,
     /// Domain-representation histogram `(bitset_vars, interval_vars)`
-    /// of the scheduling model at end of search.
+    /// of the scheduling model as built, before search.
     pub domain_reps: (usize, usize),
 }
 
