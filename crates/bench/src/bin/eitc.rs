@@ -77,10 +77,10 @@
 //! Example: `cargo run --release -p eit-bench --bin eitc -- qrd --slots 16`
 
 use eit_arch::ArchSpec;
-use eit_bench::{Json, RunMetrics};
+use eit_bench::{ArchArgError, Json, RunMetrics};
 use eit_core::pipeline::{compile, CompileError, CompileOptions};
 use eit_core::{bundles_from_schedule, overlapped_execution, ModuloOptions, SchedulerOptions};
-use eit_cp::trace::{JsonlSink, TraceHandle};
+use eit_cp::trace::{JsonlSink, SearchEvent, TraceHandle};
 use eit_cp::{RecorderSink, ReplayOptions, Trace, TraceHeader};
 use eit_ir::sem::Value;
 use eit_ir::{Graph, NodeId};
@@ -297,23 +297,14 @@ fn parse_args() -> Args {
     args
 }
 
-/// Resolve an `--arch` argument: a path to an eit-arch/1 XML file wins
-/// when one exists on disk; otherwise the value is handed to
-/// [`eit_arch::resolve_arch`] as a preset name or inline XML. Either way
-/// the description is validated before the scheduler ever sees it.
+/// Resolve an `--arch` argument ([`eit_bench::resolve_arch_value`]),
+/// exiting 1 with a message when it does not resolve.
 fn load_arch(arg: &str) -> ArchSpec {
-    let looks_like_file = std::path::Path::new(arg).exists();
-    let resolved = if looks_like_file {
-        let src = std::fs::read_to_string(arg).unwrap_or_else(|e| {
-            eprintln!("eitc: cannot read arch file {arg}: {e}");
-            exit(1);
-        });
-        eit_arch::from_arch_xml(&src).map_err(|e| format!("{arg}: {e}"))
-    } else {
-        eit_arch::resolve_arch(arg)
-    };
-    resolved.unwrap_or_else(|e| {
-        eprintln!("eitc: --arch: {e}");
+    eit_bench::resolve_arch_value(arg).unwrap_or_else(|e| {
+        match e {
+            ArchArgError::Unreadable(e) => eprintln!("eitc: cannot read arch file {arg}: {e}"),
+            ArchArgError::Invalid(msg) => eprintln!("eitc: --arch: {msg}"),
+        }
         exit(1);
     })
 }
@@ -483,8 +474,10 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
     Json::Obj(fields)
 }
 
-/// Refuse a trace recorded for a different problem or solver setup.
-fn check_trace_header(h: &TraceHeader, ir: u64, arch: u64, config: &str) {
+/// Refuse a trace recorded for a different problem or solver setup:
+/// `want` is the header this run would record.
+fn check_trace_header(h: &TraceHeader, want: &TraceHeader) {
+    let (ir, arch, config) = (want.ir_hash, want.arch_hash, &want.config);
     if h.ir_hash != ir {
         eprintln!(
             "eitc: replay: trace was recorded for a different IR \
@@ -501,13 +494,56 @@ fn check_trace_header(h: &TraceHeader, ir: u64, arch: u64, config: &str) {
         );
         exit(1);
     }
-    if h.config != config {
+    if h.config != *config {
         eprintln!(
             "eitc: replay: solver config mismatch (trace '{}', this run '{config}')",
             h.config
         );
         exit(1);
     }
+}
+
+/// `--replay FILE`, for either mode: read the trace, build the run's
+/// options at the trace's state-hash cadence with `opts`, refuse a trace
+/// whose `header` does not match this run, replay it and exit with the
+/// verdict.
+fn replay_and_exit<O>(
+    path: &str,
+    strict: bool,
+    g: &Graph,
+    spec: &ArchSpec,
+    opts: impl FnOnce(Option<u64>) -> O,
+    header: fn(&Graph, &ArchSpec, &O) -> TraceHeader,
+    replay: fn(&Graph, &ArchSpec, &O, &[SearchEvent], &ReplayOptions) -> eit_core::RrReport,
+) -> ! {
+    let t = Trace::read(path).unwrap_or_else(|e| {
+        eprintln!("eitc: cannot read trace {path}: {e}");
+        exit(1);
+    });
+    let opts = opts((t.header.hash_every > 0).then_some(t.header.hash_every));
+    check_trace_header(&t.header, &header(g, spec, &opts));
+    let rep = replay(g, spec, &opts, &t.events, &ReplayOptions { strict });
+    finish_replay(path, t.file_hash, rep)
+}
+
+/// `--record FILE`, for either mode: open the recorder with the run's
+/// trace header; the caller traces the solve into it.
+fn start_recording(path: &str, header: &TraceHeader) -> Arc<Mutex<RecorderSink>> {
+    let sink = RecorderSink::create(path, header).unwrap_or_else(|e| {
+        eprintln!("eitc: cannot create trace file {path}: {e}");
+        exit(1);
+    });
+    Arc::new(Mutex::new(sink))
+}
+
+/// The `; recorded N event(s)` line a `--record` run prints.
+fn print_recorded(path: &str, rec: &Arc<Mutex<RecorderSink>>) {
+    let rec = rec.lock().unwrap_or_else(|e| e.into_inner());
+    println!(
+        "; recorded {} event(s) to {path} (eit-trace/1, fnv64 {:016x})",
+        rec.events(),
+        rec.hash()
+    );
 }
 
 /// Report a replay's outcome and exit: 0 on a clean match, 1 with a
@@ -589,6 +625,7 @@ fn main() {
     let timeout = Duration::from_secs(args.timeout);
 
     let rr = args.record.is_some() || args.replay.is_some();
+    let strict = args.replay_check != Some("--lenient");
     if args.record.is_some() && args.replay.is_some() {
         eprintln!("eitc: --record and --replay are mutually exclusive");
         exit(2);
@@ -656,38 +693,24 @@ fn main() {
             return;
         }
         if let Some(path) = &args.replay {
-            let t = Trace::read(path).unwrap_or_else(|e| {
-                eprintln!("eitc: cannot read trace {path}: {e}");
-                exit(1);
-            });
-            mopts.state_hash_every = (t.header.hash_every > 0).then_some(t.header.hash_every);
-            check_trace_header(
-                &t.header,
-                eit_core::ir_hash(&g),
-                eit_core::arch_hash(&spec),
-                &eit_core::modulo_config_string(&mopts),
-            );
-            let rep = eit_core::replay_modulo(
+            replay_and_exit(
+                path,
+                strict,
                 &g,
                 &spec,
-                &mopts,
-                &t.events,
-                &ReplayOptions {
-                    strict: args.replay_check != Some("--lenient"),
+                |every| ModuloOptions {
+                    state_hash_every: every,
+                    ..mopts
                 },
+                eit_core::modulo_header,
+                eit_core::replay_modulo,
             );
-            finish_replay(path, t.file_hash, rep);
         }
         let recorder = args.record.as_ref().map(|path| {
             mopts.state_hash_every = Some(eit_core::DEFAULT_HASH_EVERY);
-            let header = eit_core::modulo_header(&g, &spec, &mopts);
-            let sink = RecorderSink::create(path, &header).unwrap_or_else(|e| {
-                eprintln!("eitc: cannot create trace file {path}: {e}");
-                exit(1);
-            });
-            let arc = Arc::new(Mutex::new(sink));
-            mopts.trace = Some(TraceHandle::new(Arc::clone(&arc)));
-            arc
+            let rec = start_recording(path, &eit_core::modulo_header(&g, &spec, &mopts));
+            mopts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
+            rec
         });
         let r = match eit_core::modulo_schedule_checked(&g, &spec, &mopts) {
             Ok(Some(r)) => r,
@@ -701,12 +724,7 @@ fn main() {
             }
         };
         if let (Some(path), Some(rec)) = (&args.record, &recorder) {
-            let rec = rec.lock().unwrap_or_else(|e| e.into_inner());
-            println!(
-                "; recorded {} event(s) to {path} (eit-trace/1, fnv64 {:016x})",
-                rec.events(),
-                rec.hash()
-            );
+            print_recorded(path, rec);
         }
         // Shared with the eit-serve daemon, so a served response is
         // byte-identical to this stdout by construction.
@@ -745,41 +763,27 @@ fn main() {
     };
 
     if let Some(path) = &args.replay {
-        let t = Trace::read(path).unwrap_or_else(|e| {
-            eprintln!("eitc: cannot read trace {path}: {e}");
-            exit(1);
-        });
-        sched_opts.trace = None;
-        sched_opts.profile = false;
-        sched_opts.state_hash_every = (t.header.hash_every > 0).then_some(t.header.hash_every);
-        check_trace_header(
-            &t.header,
-            eit_core::ir_hash(&g),
-            eit_core::arch_hash(&spec),
-            &eit_core::schedule_config_string(&sched_opts),
-        );
-        let rep = eit_core::replay_schedule(
+        replay_and_exit(
+            path,
+            strict,
             &g,
             &spec,
-            &sched_opts,
-            &t.events,
-            &ReplayOptions {
-                strict: args.replay_check != Some("--lenient"),
+            |every| SchedulerOptions {
+                trace: None,
+                profile: false,
+                state_hash_every: every,
+                ..sched_opts
             },
+            eit_core::schedule_header,
+            eit_core::replay_schedule,
         );
-        finish_replay(path, t.file_hash, rep);
     }
 
     let recorder = args.record.as_ref().map(|path| {
         sched_opts.state_hash_every = Some(eit_core::DEFAULT_HASH_EVERY);
-        let header = eit_core::schedule_header(&g, &spec, &sched_opts);
-        let sink = RecorderSink::create(path, &header).unwrap_or_else(|e| {
-            eprintln!("eitc: cannot create trace file {path}: {e}");
-            exit(1);
-        });
-        let arc = Arc::new(Mutex::new(sink));
-        sched_opts.trace = Some(TraceHandle::new(Arc::clone(&arc)));
-        arc
+        let rec = start_recording(path, &eit_core::schedule_header(&g, &spec, &sched_opts));
+        sched_opts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
+        rec
     });
 
     let out = match compile(
@@ -819,12 +823,7 @@ fn main() {
     }
 
     if let (Some(path), Some(rec)) = (&args.record, &recorder) {
-        let rec = rec.lock().unwrap_or_else(|e| e.into_inner());
-        println!(
-            "; recorded {} event(s) to {path} (eit-trace/1, fnv64 {:016x})",
-            rec.events(),
-            rec.hash()
-        );
+        print_recorded(path, rec);
     }
 
     if let Some(path) = &args.metrics {

@@ -47,23 +47,29 @@ pub fn eit() -> ArchSpec {
     ArchSpec::eit()
 }
 
-/// Resolve an `--arch` value the way every harness binary does: a value
-/// naming an existing file is read and parsed as `eit-arch/1` XML;
-/// anything else is a preset name or inline XML. Exits with a message on
-/// any error — the description never reaches a scheduler unvalidated.
-pub fn resolve_arch_value(v: &str) -> ArchSpec {
-    let resolved = if std::path::Path::new(v).exists() {
-        match std::fs::read_to_string(v) {
-            Ok(src) => eit_arch::from_arch_xml(&src).map_err(|e| format!("{v}: {e}")),
-            Err(e) => Err(format!("cannot read {v}: {e}")),
-        }
+/// Why an `--arch` value did not resolve. Each binary words the message
+/// and picks the exit code itself.
+#[derive(Debug)]
+pub enum ArchArgError {
+    /// The value names an existing file that could not be read.
+    Unreadable(std::io::Error),
+    /// The description (a file's contents, a preset name or inline XML)
+    /// does not parse or validate.
+    Invalid(String),
+}
+
+/// Resolve an `--arch` value the way every binary does: a value naming
+/// an existing file is read and parsed as `eit-arch/1` XML; anything else
+/// is handed to [`eit_arch::resolve_arch`] as a preset name or inline
+/// XML. Either way the description is validated before a scheduler ever
+/// sees it.
+pub fn resolve_arch_value(v: &str) -> Result<ArchSpec, ArchArgError> {
+    if std::path::Path::new(v).exists() {
+        let src = std::fs::read_to_string(v).map_err(ArchArgError::Unreadable)?;
+        eit_arch::from_arch_xml(&src).map_err(|e| ArchArgError::Invalid(format!("{v}: {e}")))
     } else {
-        eit_arch::resolve_arch(v)
-    };
-    resolved.unwrap_or_else(|e| {
-        eprintln!("--arch: {e}");
-        std::process::exit(2);
-    })
+        eit_arch::resolve_arch(v).map_err(ArchArgError::Invalid)
+    }
 }
 
 /// `--arch PRESET|FILE` support for the table binaries: the resolved
@@ -76,7 +82,13 @@ pub fn arch_arg() -> ArchSpec {
                 eprintln!("--arch needs a preset name, file path, or inline XML");
                 std::process::exit(2);
             });
-            return resolve_arch_value(&v);
+            return resolve_arch_value(&v).unwrap_or_else(|e| {
+                match e {
+                    ArchArgError::Unreadable(e) => eprintln!("--arch: cannot read {v}: {e}"),
+                    ArchArgError::Invalid(msg) => eprintln!("--arch: {msg}"),
+                }
+                std::process::exit(2);
+            });
         }
     }
     ArchSpec::eit()
