@@ -26,10 +26,11 @@
 //!   --backend B         decision procedure for the modulo sweep:
 //!                       cp (default), sat (the self-contained CDCL solver
 //!                       over the order-encoded CNF model), or race (both
-//!                       in parallel; first feasible answer wins and the
-//!                       loser is cancelled). All backends agree on the
-//!                       winning II; sat/race require the exclude-reconfig
-//!                       model (no `--modulo incl`)
+//!                       side by side on every candidate II; the first
+//!                       decisive answer stands and cancels the other).
+//!                       All backends agree on the winning II; sat/race
+//!                       require the exclude-reconfig model (no
+//!                       `--modulo incl`)
 //!   --overlap M         overlapped execution of M iterations
 //!   --timeout SECS      solver budget (default: 120)
 //!   --emit xml          dump the (merged) IR as XML instead of compiling

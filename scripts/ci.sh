@@ -151,19 +151,27 @@ echo "== SAT-vs-CP race gate: both modulo backends agree and verify clean"
 # procedure for the same modulo model: raced against CP it must land on
 # the same minimum II (sweeps are bottom-up, so the winner's II is
 # backend-independent), the winning schedule must pass both verifiers,
-# and the metrics must attribute a winner. qrd is pinned to its known
+# and the metrics must attribute a winner. The race also runs with four
+# workers and must keep its II. qrd is pinned to its known
 # minimum II of 22.
 satdir="$(mktemp -d /tmp/eit-sat.XXXXXX)"
 for k in matmul fir qrd; do
   cp_m="$satdir/$k.cp.json"; sat_m="$satdir/$k.sat.json"; race_m="$satdir/$k.race.json"
   ./target/release/eitc "$k" --modulo --backend sat --timeout 60 --verify --metrics "$sat_m" >/dev/null
   ./target/release/eitc "$k" --modulo --backend race --timeout 60 --verify --metrics "$race_m" >/dev/null
+  race4_m="$satdir/$k.race4.json"
+  ./target/release/eitc "$k" --modulo --backend race --jobs 4 --timeout 60 --verify --metrics "$race4_m" >/dev/null
   ./target/release/eitc "$k" --modulo --backend cp --timeout 60 --verify --metrics "$cp_m" >/dev/null
   ii_cp="$(grep -o '"ii_issue": *[0-9]*' "$cp_m" | head -1 | grep -o '[0-9]*$')"
   ii_sat="$(grep -o '"ii_issue": *[0-9]*' "$sat_m" | head -1 | grep -o '[0-9]*$')"
   ii_race="$(grep -o '"ii_issue": *[0-9]*' "$race_m" | head -1 | grep -o '[0-9]*$')"
+  ii_race4="$(grep -o '"ii_issue": *[0-9]*' "$race4_m" | head -1 | grep -o '[0-9]*$')"
   [ "$ii_cp" = "$ii_sat" ] && [ "$ii_cp" = "$ii_race" ] \
     || { echo "FAIL: $k backend II mismatch (cp $ii_cp, sat $ii_sat, race $ii_race)"; exit 1; }
+  # The race runs per candidate inside the worker pool: four workers
+  # must land on the same II as one (winner attribution may differ).
+  [ "$ii_race" = "$ii_race4" ] \
+    || { echo "FAIL: $k race II differs between --jobs 1 ($ii_race) and --jobs 4 ($ii_race4)"; exit 1; }
   [ "$k" != qrd ] || [ "$ii_cp" = 22 ] \
     || { echo "FAIL: qrd modulo II is $ii_cp, expected 22"; exit 1; }
   grep -q '"backend": *"sat"' "$sat_m" \
@@ -173,7 +181,7 @@ for k in matmul fir qrd; do
   grep -q '"sat": *{' "$sat_m" \
     || { echo "FAIL: $k --backend sat metrics carry no solver counters"; exit 1; }
   winner="$(grep -o '"backend": *"[a-z]*"' "$race_m" | head -1 | grep -o '"[a-z]*"$')"
-  echo "   $k: cp/sat/race agree on II $ii_cp; race winner $winner"
+  echo "   $k: cp/sat/race (jobs 1 and 4) agree on II $ii_cp; race winner $winner"
 done
 # The CNF encoding is deterministic: the same model, the same bytes.
 ./target/release/eitc qrd --modulo --emit cnf > "$satdir/qrd1.cnf"
