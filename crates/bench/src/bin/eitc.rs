@@ -80,7 +80,10 @@
 use eit_arch::ArchSpec;
 use eit_bench::{ArchArgError, Json, RunMetrics};
 use eit_core::pipeline::{compile, CompileError, CompileOptions};
-use eit_core::{bundles_from_schedule, overlapped_execution, ModuloOptions, SchedulerOptions};
+use eit_core::{
+    bundles_from_schedule, modulo_header, overlapped_execution, replay_modulo, replay_schedule,
+    schedule_header, ModuloOptions, SchedulerOptions,
+};
 use eit_cp::trace::{JsonlSink, SearchEvent, TraceHandle};
 use eit_cp::{RecorderSink, ReplayOptions, Trace, TraceHeader};
 use eit_ir::sem::Value;
@@ -694,22 +697,15 @@ fn main() {
             return;
         }
         if let Some(path) = &args.replay {
-            replay_and_exit(
-                path,
-                strict,
-                &g,
-                &spec,
-                |every| ModuloOptions {
-                    state_hash_every: every,
-                    ..mopts
-                },
-                eit_core::modulo_header,
-                eit_core::replay_modulo,
-            );
+            let opts = |every| ModuloOptions {
+                state_hash_every: every,
+                ..mopts
+            };
+            replay_and_exit(path, strict, &g, &spec, opts, modulo_header, replay_modulo);
         }
         let recorder = args.record.as_ref().map(|path| {
             mopts.state_hash_every = Some(eit_core::DEFAULT_HASH_EVERY);
-            let rec = start_recording(path, &eit_core::modulo_header(&g, &spec, &mopts));
+            let rec = start_recording(path, &modulo_header(&g, &spec, &mopts));
             mopts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
             rec
         });
@@ -764,25 +760,25 @@ fn main() {
     };
 
     if let Some(path) = &args.replay {
+        // --trace is refused with --replay, so the options trace nothing.
+        let opts = |every| SchedulerOptions {
+            state_hash_every: every,
+            ..sched_opts
+        };
         replay_and_exit(
             path,
             strict,
             &g,
             &spec,
-            |every| SchedulerOptions {
-                trace: None,
-                profile: false,
-                state_hash_every: every,
-                ..sched_opts
-            },
-            eit_core::schedule_header,
-            eit_core::replay_schedule,
+            opts,
+            schedule_header,
+            replay_schedule,
         );
     }
 
     let recorder = args.record.as_ref().map(|path| {
         sched_opts.state_hash_every = Some(eit_core::DEFAULT_HASH_EVERY);
-        let rec = start_recording(path, &eit_core::schedule_header(&g, &spec, &sched_opts));
+        let rec = start_recording(path, &schedule_header(&g, &spec, &sched_opts));
         sched_opts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
         rec
     });

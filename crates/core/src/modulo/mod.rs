@@ -391,11 +391,7 @@ pub fn config_groups(g: &Graph) -> Vec<(VectorConfig, Vec<NodeId>)> {
 pub fn count_window_switches(g: &Graph, s: &HashMap<NodeId, i32>, ii: i32) -> usize {
     let mut slots: Vec<(i32, VectorConfig)> = s
         .iter()
-        .filter_map(|(&n, &sn)| {
-            g.opcode(n)
-                .and_then(|o| o.config())
-                .map(|c| (sn.rem_euclid(ii), c))
-        })
+        .filter_map(|(&n, &sn)| Some((sn.rem_euclid(ii), g.opcode(n)?.config()?)))
         .collect();
     slots.sort_by_key(|&(tt, _)| tt);
     slots.dedup();

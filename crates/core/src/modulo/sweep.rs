@@ -186,19 +186,16 @@ pub fn modulo_schedule_checked(
     let r = sweep(g, spec, opts)?;
     if let Some(r) = r.as_ref().filter(|r| r.backend == Backend::Sat.as_str()) {
         let ii = r.ii_issue;
-        let violations = eit_arch::verify_modulo(g, spec, &r.s, ii);
-        if !violations.is_empty() {
-            return Err(ModuloError::BackendDisagreement(format!(
-                "sat schedule at II={ii} rejected by verify_modulo: {:?}",
-                violations.first()
-            )));
-        }
-        let structural = validate_modulo(g, spec, r, 3);
-        if !structural.is_empty() {
-            return Err(ModuloError::BackendDisagreement(format!(
-                "sat schedule at II={ii} rejected by the structural validator: {:?}",
-                structural.first()
-            )));
+        for (verifier, violations) in [
+            ("verify_modulo", eit_arch::verify_modulo(g, spec, &r.s, ii)),
+            ("the structural validator", validate_modulo(g, spec, r, 3)),
+        ] {
+            if !violations.is_empty() {
+                return Err(ModuloError::BackendDisagreement(format!(
+                    "sat schedule at II={ii} rejected by {verifier}: {:?}",
+                    violations.first()
+                )));
+            }
         }
     }
     Ok(r)

@@ -545,13 +545,7 @@ impl Domain {
 
     /// Intersect with another domain in place. Returns true if changed.
     pub fn intersect(&mut self, other: &Domain) -> bool {
-        match self.narrowed_by(other) {
-            Some(d) => {
-                *self = d;
-                true
-            }
-            None => false,
-        }
+        self.narrowed_by(other).map(|d| *self = d).is_some()
     }
 
     /// `self ∩ other` when it differs from `self`; `None` when nothing

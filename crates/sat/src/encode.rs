@@ -130,7 +130,6 @@ pub struct ModuloEncoding {
 /// What [`encode_modulo_into`] made, and enough of the model's structure
 /// to decode an assignment back into start times.
 pub struct ModuloDecoder {
-    pub ii: i32,
     /// Variables and clauses the encoding put into its sink.
     pub vars: u32,
     pub clauses: u64,
@@ -451,7 +450,6 @@ pub fn encode_modulo_into<S: ClauseSink>(
     }
 
     Ok(Some(ModuloDecoder {
-        ii,
         vars: out.vars,
         clauses: out.clauses,
         ops,
