@@ -122,23 +122,6 @@ fn outcome_str(o: &IiOutcome) -> &'static str {
     }
 }
 
-/// Forward buffered per-probe event streams to the sweep's sink, each
-/// prefixed with a `Stream` marker carrying the candidate II. The caller
-/// passes only candidates up to and including the winner, in II order,
-/// so the merged stream is identical under any `jobs`.
-fn forward_probe_streams<'a>(
-    handle: &TraceHandle,
-    streams: impl IntoIterator<Item = (i32, &'a [SearchEvent])>,
-) {
-    for (ii, events) in streams {
-        handle.emit(&SearchEvent::Stream { id: ii as u32 });
-        for e in events {
-            handle.emit(e);
-        }
-    }
-    handle.flush();
-}
-
 /// Sweep II upward from the resource bound; return the first feasible
 /// modulo schedule under the chosen reconfiguration model.
 ///
@@ -337,13 +320,16 @@ fn sweep(
             sum
         });
     if let Some(handle) = trace {
+        // Forward each buffered probe stream up to the winner, in II
+        // order, behind a `Stream` marker carrying its candidate.
         // Candidates below the winner always run to a natural stop, so
         // this prefix, and hence the merged trace, is the same at any
         // `jobs`.
-        forward_probe_streams(
-            handle,
-            records[..=win].iter().map(|r| (r.ii, r.events.as_slice())),
-        );
+        for r in &records[..=win] {
+            handle.emit(&SearchEvent::Stream { id: r.ii as u32 });
+            r.events.iter().for_each(|e| handle.emit(e));
+        }
+        handle.flush();
     }
     let timed_out = records[..win]
         .iter()
