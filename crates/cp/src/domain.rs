@@ -551,7 +551,7 @@ impl Domain {
     /// `self ∩ other` when it differs from `self`; `None` when nothing
     /// would be removed (`self ⊆ other`, or `self` is empty). Leaves
     /// `self` untouched, so a caller can skip trailing a no-op.
-    pub fn narrowed_by(&self, other: &Domain) -> Option<Domain> {
+    pub(crate) fn narrowed_by(&self, other: &Domain) -> Option<Domain> {
         if self.is_empty() {
             return None;
         }
