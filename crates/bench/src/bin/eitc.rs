@@ -48,10 +48,10 @@
 //!   --record FILE       record the solve as a binary eit-trace/1 file
 //!                       (canonical IR/arch hashes + every search event +
 //!                       periodic store digests); replay it with --replay
-//!   --replay FILE       re-validate a recorded solve in O(trace): re-drive
-//!                       the solver forcing the recorded trajectory and
-//!                       diff every event; exit 1 with a divergence report
-//!                       on the first mismatch
+//!   --replay FILE       re-validate a recorded solve in O(trace): re-run
+//!                       the solve (with --modulo, the whole II sweep)
+//!                       and diff every event; exit 1 with a divergence
+//!                       report on the first mismatch
 //!   --strict            replay: any event mismatch fails (default)
 //!   --lenient           replay: only outcome mismatches fail (solutions,
 //!                       bounds, store hashes, final status)
@@ -415,35 +415,43 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
             Json::Obj(vec![
                 ("ii".into(), Json::int(p.ii as u64)),
                 ("outcome".into(), Json::str(p.outcome)),
+                ("backend".into(), Json::str(p.backend.as_str())),
                 ("nodes".into(), Json::int(p.nodes)),
                 ("fails".into(), Json::int(p.fails)),
                 ("time_us".into(), Json::int(p.time.as_micros() as u64)),
             ])
         })
         .collect();
-    let mut per_worker: Vec<(u64, u64, u64, u64)> = Vec::new();
+    // Each probe counts in its deciding backend's units, summed apart:
+    // CP search nodes/failures, SAT decisions/conflicts.
+    let mut per_worker: Vec<(u64, [[u64; 2]; 2], u64)> = Vec::new();
     for p in &r.probes {
         if per_worker.len() <= p.worker {
-            per_worker.resize(p.worker + 1, (0, 0, 0, 0));
+            per_worker.resize(p.worker + 1, (0, [[0; 2]; 2], 0));
         }
         let w = &mut per_worker[p.worker];
         w.0 += 1;
-        w.1 += p.nodes;
-        w.2 += p.fails;
-        w.3 += p.time.as_micros() as u64;
+        let units = &mut w.1[usize::from(p.backend == eit_core::Backend::Sat)];
+        units[0] += p.nodes;
+        units[1] += p.fails;
+        w.2 += p.time.as_micros() as u64;
     }
     let workers: Vec<Json> = per_worker
         .iter()
         .enumerate()
-        .map(|(i, &(n, nodes, fails, busy))| {
-            Json::Obj(vec![
-                ("worker".into(), Json::int(i as u64)),
-                ("probes".into(), Json::int(n)),
-                ("nodes".into(), Json::int(nodes)),
-                ("fails".into(), Json::int(fails)),
-                ("busy_us".into(), Json::int(busy)),
-            ])
-        })
+        .map(
+            |(i, &(n, [[nodes, fails], [decisions, conflicts]], busy))| {
+                Json::Obj(vec![
+                    ("worker".into(), Json::int(i as u64)),
+                    ("probes".into(), Json::int(n)),
+                    ("nodes".into(), Json::int(nodes)),
+                    ("fails".into(), Json::int(fails)),
+                    ("decisions".into(), Json::int(decisions)),
+                    ("conflicts".into(), Json::int(conflicts)),
+                    ("busy_us".into(), Json::int(busy)),
+                ])
+            },
+        )
         .collect();
     let mut fields = vec![
         ("ii_issue".into(), Json::int(r.ii_issue as u64)),
@@ -551,7 +559,7 @@ fn print_recorded(path: &str, rec: &Arc<Mutex<RecorderSink>>) {
 }
 
 /// Report a replay's outcome and exit: 0 on a clean match, 1 with a
-/// divergence report (or structure error) otherwise.
+/// divergence report (or the live run's error) otherwise.
 fn finish_replay(path: &str, file_hash: u64, rep: eit_core::RrReport) -> ! {
     if rep.ok {
         println!(
@@ -562,7 +570,7 @@ fn finish_replay(path: &str, file_hash: u64, rep: eit_core::RrReport) -> ! {
         exit(0);
     }
     if let Some(msg) = &rep.structure_error {
-        eprintln!("eitc: replay: malformed recording: {msg}");
+        eprintln!("eitc: replay: the live run failed: {msg}");
     }
     if let Some((stream, d)) = &rep.divergence {
         eprintln!("eitc: replay diverged in stream {stream}:");

@@ -134,3 +134,58 @@ fn sim_section_round_trips() {
     assert_eq!(timeline.len(), report.config_loads as usize);
     assert_eq!(timeline[0].get("cycle").and_then(Json::as_u64), Some(0));
 }
+
+/// `eitc --modulo --metrics`: every probe names the backend that decided
+/// it, and each worker sums CP search nodes/failures and SAT
+/// decisions/conflicts apart, so a race never adds the two units up.
+#[test]
+fn modulo_probe_metrics_keep_cp_and_sat_units_apart() {
+    let dir = std::env::temp_dir();
+    for backend in ["cp", "sat", "race"] {
+        let path = dir.join(format!(
+            "eit-probe-units-{backend}-{}.json",
+            std::process::id()
+        ));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_eitc"))
+            .args(["fir", "--modulo", "--backend", backend, "--metrics"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{backend}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let doc = Json::parse(&text).expect("metrics parse");
+        let modulo = doc.get("modulo").expect("modulo section");
+        let int = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap();
+        let probes = modulo.get("probes").and_then(Json::as_arr).unwrap();
+        assert!(!probes.is_empty(), "{backend}: no probes");
+        // (nodes, fails) of the CP-decided probes, then of the SAT ones.
+        let mut by_unit = [[0u64; 2]; 2];
+        for p in probes {
+            let decided = p.get("backend").and_then(Json::as_str).unwrap();
+            match backend {
+                "race" => assert!(decided == "cp" || decided == "sat", "{decided}"),
+                _ => assert_eq!(decided, backend),
+            }
+            let unit = &mut by_unit[usize::from(decided == "sat")];
+            unit[0] += int(p, "nodes");
+            unit[1] += int(p, "fails");
+        }
+        // One worker probing bottom-up stops at the winner, so the
+        // workers block covers exactly the listed probes.
+        let workers = modulo.get("workers").and_then(Json::as_arr).unwrap();
+        let sum = |k: &str| workers.iter().map(|w| int(w, k)).sum::<u64>();
+        assert_eq!(
+            [
+                [sum("nodes"), sum("fails")],
+                [sum("decisions"), sum("conflicts")]
+            ],
+            by_unit,
+            "{backend}"
+        );
+    }
+}

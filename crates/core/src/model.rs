@@ -43,10 +43,6 @@ pub struct SchedulerOptions {
     pub memory: bool,
     /// Solver wall-clock budget.
     pub timeout: Option<Duration>,
-    /// After minimizing the makespan, fix it and lexicographically
-    /// minimize the number of memory slots used (the highest slot index
-    /// + 1). Costs a second branch-and-bound run.
-    pub minimize_slots: bool,
     /// Structured search-event sink, forwarded to the solver.
     pub trace: Option<TraceHandle>,
     /// Emit a [`eit_cp::trace::SearchEvent::StateHash`] digest of the
@@ -74,7 +70,6 @@ impl Default for SchedulerOptions {
         SchedulerOptions {
             memory: true,
             timeout: Some(Duration::from_secs(600)), // the paper's 10 min
-            minimize_slots: false,
             trace: None,
             state_hash_every: None,
             profile: false,
@@ -85,10 +80,8 @@ impl Default for SchedulerOptions {
 }
 
 impl SchedulerOptions {
-    /// The branch-and-bound config for `phases` under these options. The
-    /// makespan search, the slot-minimisation pass and
-    /// [`crate::rr::replay_schedule`] all take it from here, so a replay
-    /// re-drives exactly the search that was recorded.
+    /// The branch-and-bound config for `phases` under these options: the
+    /// one [`schedule`] runs.
     pub fn search_config(&self, phases: Vec<Phase>) -> SearchConfig {
         SearchConfig {
             phases,
@@ -470,8 +463,7 @@ pub struct ScheduleResult {
     pub status: SearchStatus,
     pub stats: SearchStats,
     pub makespan: Option<i32>,
-    /// Wall-clock spans: model build, longest-path, search, extraction
-    /// (and the optional slot-minimisation pass).
+    /// Wall-clock spans: model build, longest-path, search, extraction.
     pub timings: PhaseTimings,
     /// Per-propagator accounting (aggregated by name, sorted by cost);
     /// empty unless [`SchedulerOptions::profile`] was set.
@@ -506,7 +498,7 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
     let r = timings.time("search", || {
         minimize(&mut built.model, built.objective, &cfg)
     });
-    let mut schedule = timings.time("extract", || {
+    let schedule = timings.time("extract", || {
         r.best.as_ref().map(|sol| extract(g, spec, &built, sol))
     });
     let propagator_profile = if opts.profile {
@@ -514,29 +506,6 @@ pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Schedule
     } else {
         Vec::new()
     };
-
-    // Optional second lexicographic pass: fix the optimal makespan and
-    // minimize the slot footprint (max slot index used).
-    if let (true, Some(best_makespan), true) = (opts.minimize_slots, r.objective, opts.memory) {
-        let t_slots = Instant::now();
-        let mut built2 = build_model(g, spec, opts);
-        built2
-            .model
-            .store
-            .remove_above(built2.objective, best_makespan)
-            .expect("optimal makespan must stay feasible");
-        let slot_vars: Vec<VarId> = g.ids().filter_map(|i| built2.slot[i.idx()]).collect();
-        if !slot_vars.is_empty() {
-            let max_slot = built2.model.new_var(0, spec.n_slots() as i32 - 1);
-            built2.model.max_of(slot_vars, max_slot);
-            let cfg2 = opts.search_config(built2.phases.clone());
-            let r2 = minimize(&mut built2.model, max_slot, &cfg2);
-            if let Some(sol) = r2.best.as_ref() {
-                schedule = Some(extract(g, spec, &built2, sol));
-            }
-        }
-        timings.push("minimize_slots", t_slots.elapsed());
-    }
 
     ScheduleResult {
         makespan: r.objective,

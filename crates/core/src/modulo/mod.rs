@@ -206,8 +206,7 @@ impl Default for ModuloOptions {
 impl ModuloOptions {
     /// The satisfaction-search config of one CP probe over `phases`. A
     /// probe in the sweep adds its own budget, token and trace buffer on
-    /// top; [`crate::rr::replay_modulo`] uses it as is, so a replay
-    /// re-drives exactly the search that was recorded.
+    /// top.
     pub fn probe_config(&self, phases: Vec<Phase>) -> SearchConfig {
         SearchConfig {
             phases,
@@ -227,6 +226,9 @@ pub struct ProbeStat {
     /// probe's token was raised first: it was in flight above a winning
     /// II, or the sweep itself was cancelled).
     pub outcome: &'static str,
+    /// The backend whose answer this is: under `Backend::Race`, the side
+    /// that decided the candidate. It names the unit of `nodes`/`fails`.
+    pub backend: Backend,
     /// Search nodes (CP) or decisions (SAT).
     pub nodes: u64,
     /// Search failures (CP) or conflicts (SAT).

@@ -339,6 +339,7 @@ fn sweep(
         .map(|r| ProbeStat {
             ii: r.ii,
             outcome: outcome_str(&r.probed.outcome),
+            backend: r.probed.backend,
             nodes: r.probed.nodes,
             fails: r.probed.fails,
             time: r.time,

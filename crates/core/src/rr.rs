@@ -2,25 +2,31 @@
 //!
 //! [`crate::model::schedule`] and [`crate::modulo::modulo_schedule`] emit
 //! [`SearchEvent`] streams; `eit_cp::record` persists them and
-//! `eit_cp::replay` re-validates one search against its recording. This
+//! `eit_cp::replay` re-validates a run against its recording. This
 //! module binds the two to the *toolchain inputs*: canonical hashes of
 //! the IR and the architecture go into the trace header so a replay can
-//! refuse a trace recorded for a different problem, config strings pin
-//! the solver options that shape the trajectory, and the replay drivers
-//! rebuild the exact model + [`eit_cp::SearchConfig`] the recorded run used.
+//! refuse a trace recorded for a different problem, and config strings
+//! pin the solver options that shape the trajectory.
 //!
-//! A modulo recording is a *merged* stream: one [`SearchEvent::Stream`]
-//! marker per candidate II (resource bound up to and including the
-//! winner, in II order) followed by that probe's events. Replay splits
-//! the recording at the markers and re-validates each probe's CSP
-//! independently — a statically refuted candidate (no search) must have
-//! an empty stream.
+//! A replay re-runs the entry point that made the recording —
+//! [`crate::model::schedule`] or [`crate::modulo::modulo_schedule_checked`]
+//! with the caller's options — under [`eit_cp::replay_with`]'s lock-step
+//! validator, so it checks the whole run, not a copy of it. A modulo
+//! recording is a *merged* stream: one [`SearchEvent::Stream`] marker per
+//! candidate II (resource bound up to and including the winner, in II
+//! order) followed by that probe's events. Replaying it re-runs the
+//! sweep, so a recording that is not the sweep's trace — a candidate
+//! missing, the sweep cut short at a refutation, no candidates at all —
+//! diverges at its first wrong event. The sweep forwards its buffered
+//! probe streams when it ends, so a divergent modulo replay is caught
+//! only after the live sweep finishes and can cost up to one sweep under
+//! the caller's budgets; a faithful one costs exactly the recorded nodes.
 
-use crate::model::{build_model, SchedulerOptions};
-use crate::modulo::{build_probe, Backend, ModuloOptions};
+use crate::model::{schedule, SchedulerOptions};
+use crate::modulo::{modulo_schedule_checked, Backend, ModuloOptions};
 use eit_arch::ArchSpec;
 use eit_cp::trace::SearchEvent;
-use eit_cp::{fnv1a, DivergenceReport, ReplayOptions, TraceHeader};
+use eit_cp::{fnv1a, replay_with, DivergenceReport, ReplayOptions, TraceHeader};
 use eit_ir::Graph;
 
 /// Default store-digest cadence for recorded runs: a
@@ -77,9 +83,8 @@ pub fn arch_hash(spec: &ArchSpec) -> u64 {
 /// a different order.
 pub fn schedule_config_string(opts: &SchedulerOptions) -> String {
     format!(
-        "mode=schedule;memory={};minimize_slots={};restarts={}",
+        "mode=schedule;memory={};restarts={}",
         u8::from(opts.memory),
-        u8::from(opts.minimize_slots),
         opts.restarts
             .map_or_else(|| "off".into(), |rc| rc.config_token()),
     )
@@ -180,49 +185,69 @@ pub fn modulo_header(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> TraceH
 /// straight-line schedule, one per probe for a modulo sweep).
 #[derive(Debug)]
 pub struct RrReport {
-    /// Every stream matched its recording.
+    /// The live run matched the recording end to end.
     pub ok: bool,
-    /// Streams replayed (always 1 for a straight-line schedule).
+    /// Streams in the recording: its markers for a modulo sweep, always 1
+    /// for a straight-line schedule.
     pub streams: usize,
-    /// Events compared across all streams.
+    /// Events compared (stream markers excluded).
     pub checked: u64,
     /// Events in the recording (stream markers excluded).
     pub recorded_events: usize,
-    /// Search nodes the replay itself spent, across all streams. On a
-    /// clean replay this equals the recorded node count — the replay
+    /// Search nodes the live run reported across its traced searches. On
+    /// a clean replay this equals the recorded node count — the replay
     /// never searches beyond the recorded tree.
     pub replay_nodes: u64,
     /// Recorded node count, from the terminal `Done` events.
     pub recorded_nodes: u64,
-    /// First divergence: the stream it occurred in (the candidate II for
-    /// modulo replays, 0 for straight-line) and the report.
+    /// First divergence: the recorded stream holding the mismatching
+    /// event (the candidate II for modulo replays, 0 for straight-line or
+    /// before the first marker) and the report.
     pub divergence: Option<(u32, DivergenceReport)>,
-    /// The recording's *shape* was wrong (events before the first stream
-    /// marker, a non-empty stream for a statically refuted candidate):
-    /// not a solver divergence, the trace cannot have come from this
-    /// input + config.
+    /// The live run failed with a structured error (a modulo model that
+    /// cannot be built for this input), so there was no run to compare.
     pub structure_error: Option<String>,
 }
 
-fn recorded_nodes_of(events: &[SearchEvent]) -> u64 {
-    events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            SearchEvent::Done { nodes, .. } => Some(*nodes),
-            _ => None,
-        })
-        .unwrap_or(0)
+/// The candidate II a stream marker opens.
+fn marker(e: &SearchEvent) -> Option<u32> {
+    match e {
+        SearchEvent::Stream { id } => Some(*id),
+        _ => None,
+    }
 }
 
-/// Re-validate a recorded straight-line scheduling run: rebuild the
-/// model exactly as [`crate::model::schedule`] does and re-drive its
-/// branch-and-bound against `recorded`.
+impl RrReport {
+    /// Account `rep` against `recorded`: counts skip the stream markers,
+    /// and a divergence is attributed to the stream it falls in.
+    fn new<R>(recorded: &[SearchEvent], rep: eit_cp::ReplayReport<R>) -> RrReport {
+        let streams = recorded.iter().filter_map(marker).count();
+        let stream_at = |i| recorded.iter().take(i + 1).rev().find_map(marker);
+        RrReport {
+            ok: rep.ok,
+            streams,
+            checked: rep.checked,
+            recorded_events: recorded.len() - streams,
+            replay_nodes: rep.live_nodes,
+            recorded_nodes: recorded
+                .iter()
+                .map(|e| match e {
+                    SearchEvent::Done { nodes, .. } => *nodes,
+                    _ => 0,
+                })
+                .sum(),
+            divergence: rep.divergence.map(|d| (stream_at(d.index).unwrap_or(0), d)),
+            structure_error: None,
+        }
+    }
+}
+
+/// Re-validate a recorded straight-line scheduling run: run
+/// [`crate::model::schedule`] with `opts`, its trace and token replaced
+/// by the validator's.
 ///
 /// `opts` must reproduce the recorded run's options (the header's
-/// config string names the ones that matter). Recordings are made with
-/// `minimize_slots` off — the second lexicographic pass would append a
-/// second search to the stream.
+/// config string names the ones that matter).
 pub fn replay_schedule(
     g: &Graph,
     spec: &ArchSpec,
@@ -230,53 +255,24 @@ pub fn replay_schedule(
     recorded: &[SearchEvent],
     ropts: &ReplayOptions,
 ) -> RrReport {
-    let mut built = build_model(g, spec, opts);
-    let cfg = opts.search_config(built.phases.clone());
-    let rep = eit_cp::replay(
-        &mut built.model,
-        Some(built.objective),
-        &cfg,
-        recorded,
-        ropts,
-    );
+    let rep = replay_with(recorded, ropts, |trace, cancel| {
+        let live = SchedulerOptions {
+            trace: Some(trace),
+            cancel: Some(cancel),
+            ..opts.clone()
+        };
+        schedule(g, spec, &live)
+    });
     RrReport {
-        ok: rep.ok,
         streams: 1,
-        checked: rep.checked,
-        recorded_events: recorded.len(),
-        replay_nodes: rep.result.stats.nodes,
-        recorded_nodes: recorded_nodes_of(recorded),
-        divergence: rep.divergence.map(|d| (0, d)),
-        structure_error: None,
+        ..RrReport::new(recorded, rep)
     }
 }
 
-/// Split a merged modulo recording at its [`SearchEvent::Stream`]
-/// markers into `(ii, events)` sub-streams.
-fn split_streams(recorded: &[SearchEvent]) -> Result<Vec<(u32, &[SearchEvent])>, String> {
-    let mut out: Vec<(u32, usize, usize)> = Vec::new(); // (ii, start, end)
-    for (i, e) in recorded.iter().enumerate() {
-        if let SearchEvent::Stream { id } = e {
-            if let Some(last) = out.last_mut() {
-                last.2 = i;
-            } else if i != 0 {
-                return Err(format!("{i} events precede the first stream marker"));
-            }
-            out.push((*id, i + 1, recorded.len()));
-        } else if out.is_empty() {
-            return Err("recording does not start with a stream marker".into());
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|(ii, s, e)| (ii, &recorded[s..e]))
-        .collect())
-}
-
-/// Re-validate a recorded modulo sweep: split the merged stream at its
-/// probe markers, rebuild each candidate's CSP with
-/// [`crate::modulo::build_probe`], and replay every probe in II order.
-/// Stops at the first divergence.
+/// Re-validate a recorded modulo sweep: run
+/// [`crate::modulo::modulo_schedule_checked`] with `opts`, its trace and
+/// token replaced by the validator's. Every candidate the live sweep
+/// decides, and the order it decides them in, must match the recording.
 pub fn replay_modulo(
     g: &Graph,
     spec: &ArchSpec,
@@ -284,70 +280,26 @@ pub fn replay_modulo(
     recorded: &[SearchEvent],
     ropts: &ReplayOptions,
 ) -> RrReport {
-    let mut report = RrReport {
-        ok: true,
-        streams: 0,
-        checked: 0,
-        recorded_events: 0,
-        replay_nodes: 0,
-        recorded_nodes: 0,
-        divergence: None,
-        structure_error: None,
-    };
-    let streams = match split_streams(recorded) {
-        Ok(s) => s,
-        Err(msg) => {
-            report.ok = false;
-            report.structure_error = Some(msg);
-            return report;
-        }
-    };
-    for (ii, events) in streams {
-        report.streams += 1;
-        report.recorded_events += events.len();
-        report.recorded_nodes += recorded_nodes_of(events);
-        let pm = match build_probe(g, spec, ii as i32, opts.include_reconfig) {
-            Ok(Some(pm)) => pm,
-            Ok(None) => {
-                // Statically refuted candidate: the recorded run never
-                // searched, so its stream must be empty.
-                if !events.is_empty() {
-                    report.ok = false;
-                    report.structure_error = Some(format!(
-                        "candidate II {ii} is statically infeasible but its stream has {} events",
-                        events.len()
-                    ));
-                    return report;
-                }
-                continue;
-            }
-            Err(e) => {
-                report.ok = false;
-                report.structure_error = Some(format!(
-                    "candidate II {ii}: model build failed during replay: {e}"
-                ));
-                return report;
-            }
+    let rep = replay_with(recorded, ropts, |trace, cancel| {
+        let live = ModuloOptions {
+            trace: Some(trace),
+            cancel: Some(cancel),
+            ..opts.clone()
         };
-        let mut pm = pm;
-        let cfg = opts.probe_config(pm.phases.clone());
-        let rep = eit_cp::replay(&mut pm.model, None, &cfg, events, ropts);
-        report.checked += rep.checked;
-        report.replay_nodes += rep.result.stats.nodes;
-        if let Some(d) = rep.divergence {
-            report.ok = false;
-            report.divergence = Some((ii, d));
-            return report;
-        }
+        modulo_schedule_checked(g, spec, &live)
+    });
+    let structure_error = rep.result.as_ref().err().map(ToString::to_string);
+    RrReport {
+        ok: rep.ok && structure_error.is_none(),
+        structure_error,
+        ..RrReport::new(recorded, rep)
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eit_cp::trace::{MemorySink, TraceHandle};
-    use eit_cp::{SearchConfig, ValSel};
     use eit_dsl::Ctx;
     use std::sync::{Arc, Mutex};
 
@@ -576,44 +528,34 @@ mod tests {
         let g = chain();
         let spec = ArchSpec::eit();
         let opts = SchedulerOptions::default();
-        let recorded = record_schedule(&g, &spec, &opts);
-        // Flip the value ordering of every phase: same model, different
-        // trajectory — replay must name the first mismatching event.
-        let mut built = build_model(&g, &spec, &opts);
-        let mut phases = built.phases.clone();
-        for p in &mut phases {
-            p.val_sel = ValSel::Max;
-        }
-        let cfg = SearchConfig {
-            phases,
-            timeout: opts.timeout,
-            ..Default::default()
+        let mut recorded = record_schedule(&g, &spec, &opts);
+        // Claim the first decision tried the other value: the live run
+        // takes the real branch, and replay must name that event.
+        let at = recorded
+            .iter()
+            .position(|e| matches!(e, SearchEvent::Branch { .. }))
+            .expect("the chain search branches");
+        let SearchEvent::Branch { val, .. } = &mut recorded[at] else {
+            unreachable!("at indexes a branch");
         };
-        let rep = eit_cp::replay(
-            &mut built.model,
-            Some(built.objective),
-            &cfg,
-            &recorded,
-            &ReplayOptions::default(),
-        );
+        *val += 1;
+        let rep = replay_schedule(&g, &spec, &opts, &recorded, &ReplayOptions::default());
         assert!(!rep.ok);
-        let d = rep.divergence.expect("must diverge");
-        assert!(d.index < recorded.len());
+        let (stream, d) = rep.divergence.expect("must diverge");
+        assert_eq!((stream, d.index), (0, at));
+        assert!(matches!(d.actual, Some(SearchEvent::Branch { .. })));
     }
 
     #[test]
     fn modulo_record_replay_round_trips() {
         let g = chain();
         let spec = ArchSpec::eit();
-        let sink = Arc::new(Mutex::new(MemorySink::default()));
         let opts = ModuloOptions {
             include_reconfig: true,
-            trace: Some(TraceHandle::new(Arc::clone(&sink))),
             state_hash_every: Some(8),
             ..Default::default()
         };
-        crate::modulo::modulo_schedule(&g, &spec, &opts).unwrap();
-        let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
+        let recorded = record_modulo(&g, &spec, &opts);
         assert!(recorded
             .iter()
             .any(|e| matches!(e, SearchEvent::Stream { .. })));
@@ -626,12 +568,113 @@ mod tests {
         assert!(rep.streams >= 1);
         assert_eq!(rep.replay_nodes, rep.recorded_nodes);
 
-        // A mangled recording (events before the first marker) is a
-        // structure error, not a divergence.
+        // A mangled recording (an event before the first marker) is an
+        // ordinary divergence at that event.
         let mut bad = recorded.clone();
         bad.insert(0, SearchEvent::Fail { depth: 0 });
         let rep = replay_modulo(&g, &spec, &opts, &bad, &ReplayOptions::default());
         assert!(!rep.ok);
-        assert!(rep.structure_error.is_some());
+        assert_eq!(rep.divergence.map(|(_, d)| d.index), Some(0));
+        assert!(rep.structure_error.is_none());
+    }
+
+    /// Two independent vector ops with different configurations: the
+    /// lower bound II 1 would put both in the window's only slot, so it
+    /// is refuted at the root and II 2 wins — a two-stream recording.
+    fn two_configs() -> Graph {
+        let ctx = Ctx::new("two-configs");
+        let a = ctx.vector([1.0, 0.0, 0.0, 0.0]);
+        let b = ctx.vector([0.0, 1.0, 0.0, 0.0]);
+        let _ = a.v_add(&b);
+        let _ = a.v_mul(&b);
+        ctx.finish()
+    }
+
+    fn record_modulo(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> Vec<SearchEvent> {
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
+        let traced = ModuloOptions {
+            trace: Some(TraceHandle::new(Arc::clone(&sink))),
+            ..opts.clone()
+        };
+        crate::modulo::modulo_schedule(g, spec, &traced).expect("the kernel has a schedule");
+        let events = sink.lock().unwrap().events.clone();
+        events
+    }
+
+    /// The two-candidate recording and the index of its `stream 2` marker.
+    fn two_candidate_recording() -> (Graph, Vec<SearchEvent>, usize) {
+        let g = two_configs();
+        let recorded = record_modulo(&g, &ArchSpec::eit(), &ModuloOptions::default());
+        let markers: Vec<(usize, u32)> = recorded
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e {
+                SearchEvent::Stream { id } => Some((i, *id)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(markers.iter().map(|m| m.1).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(markers[0].0, 0);
+        assert!(matches!(
+            recorded[markers[1].0 - 1],
+            SearchEvent::Done {
+                status: "infeasible",
+                ..
+            }
+        ));
+        (g, recorded, markers[1].0)
+    }
+
+    /// Replay `recorded` strictly and leniently; both must refuse it, at
+    /// recorded event `index` of stream `stream`.
+    fn assert_refused(g: &Graph, recorded: &[SearchEvent], stream: u32, index: usize) {
+        for strict in [true, false] {
+            let rep = replay_modulo(
+                g,
+                &ArchSpec::eit(),
+                &ModuloOptions::default(),
+                recorded,
+                &ReplayOptions { strict },
+            );
+            assert!(!rep.ok, "strict={strict}: accepted {recorded:?}");
+            let (s, d) = rep.divergence.expect("a divergence");
+            assert_eq!((s, d.index), (stream, index), "strict={strict}");
+        }
+    }
+
+    #[test]
+    fn two_candidate_recording_replays_as_two_streams() {
+        let (g, recorded, _) = two_candidate_recording();
+        let rep = replay_modulo(
+            &g,
+            &ArchSpec::eit(),
+            &ModuloOptions::default(),
+            &recorded,
+            &ReplayOptions::default(),
+        );
+        assert!(rep.ok, "divergence: {:?}", rep.divergence);
+        assert_eq!(rep.streams, 2);
+        assert_eq!(rep.checked as usize, rep.recorded_events);
+        assert_eq!(rep.recorded_events, recorded.len() - 2);
+        assert_eq!(rep.replay_nodes, rep.recorded_nodes);
+    }
+
+    #[test]
+    fn modulo_replay_refuses_a_recording_cut_before_the_winner() {
+        // Claims the sweep stopped at the refutation of II 1.
+        let (g, recorded, second) = two_candidate_recording();
+        assert_refused(&g, &recorded[..second], 1, second);
+    }
+
+    #[test]
+    fn modulo_replay_refuses_a_recording_without_the_refuted_candidate() {
+        // Claims II 2 was the first candidate.
+        let (g, recorded, second) = two_candidate_recording();
+        assert_refused(&g, &recorded[second..], 2, 0);
+    }
+
+    #[test]
+    fn modulo_replay_refuses_an_empty_recording_of_a_schedulable_kernel() {
+        assert_refused(&two_configs(), &[], 0, 0);
     }
 }

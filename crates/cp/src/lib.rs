@@ -66,7 +66,9 @@ pub use engine::{
 };
 pub use model::Model;
 pub use record::{fnv1a, Fnv64, RecorderSink, Trace, TraceHeader, TRACE_MAGIC, TRACE_VERSION};
-pub use replay::{replay, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink};
+pub use replay::{
+    replay, replay_with, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink,
+};
 pub use search::{
     minimize, solve, solve_all, Phase, RestartConfig, RestartPolicy, SearchConfig, SearchResult,
     SearchStats, SearchStatus, Solution, ValSel, VarSel,

@@ -26,6 +26,13 @@
 //! A mismatch produces a [`DivergenceReport`]: the first mismatching
 //! event index, expected vs actual, a window of recorded context around
 //! it, and the depth/node statistics at the divergence point.
+//!
+//! [`replay_with`] runs any solve under the validator, so a driver of
+//! many searches (the modulo II sweep) is replayed by running the driver
+//! itself; [`replay`] wraps it around one [`minimize`]/[`solve`]. A driver
+//! that buffers its searches' events and forwards them when it ends (the
+//! sweep does) is checked only then: a divergent replay of it costs the
+//! whole live run.
 
 use crate::cancel::CancelToken;
 use crate::search::{minimize, solve, SearchConfig, SearchResult};
@@ -98,28 +105,36 @@ impl fmt::Display for DivergenceReport {
     }
 }
 
-/// Outcome of one [`replay`] run.
+/// Outcome of one [`replay`] or [`replay_with`] run.
 #[derive(Debug)]
-pub struct ReplayReport {
+pub struct ReplayReport<R = SearchResult> {
     /// The replay matched the recording end to end.
     pub ok: bool,
-    /// Events actually compared (in lenient mode, outcome events only).
+    /// Events actually compared (in lenient mode, outcome events only;
+    /// [`SearchEvent::Stream`] markers are compared but not counted).
     pub checked: u64,
     /// Total events in the recording.
     pub recorded_events: usize,
     pub divergence: Option<DivergenceReport>,
-    /// The re-driven search's result (objective, stats, status). On a
-    /// clean strict replay its node count equals the recorded one.
-    pub result: SearchResult,
+    /// Search nodes the live run reported, summed over its
+    /// [`SearchEvent::Done`] events (one per search it traced).
+    pub live_nodes: u64,
+    /// The re-driven run's own result (for [`replay`]: objective, stats,
+    /// status). On a clean strict replay its node count equals the
+    /// recorded one.
+    pub result: R,
 }
 
-/// Is `e` an outcome event — one lenient mode still checks?
+/// Is `e` an outcome event — one lenient mode still checks? A
+/// [`SearchEvent::Stream`] marker counts: which searches a driver ran,
+/// in which order, is part of what it concluded.
 fn is_outcome(e: &SearchEvent) -> bool {
     matches!(
         e,
         SearchEvent::Solution { .. }
             | SearchEvent::BoundUpdate { .. }
             | SearchEvent::StateHash { .. }
+            | SearchEvent::Stream { .. }
             | SearchEvent::Done { .. }
     )
 }
@@ -131,6 +146,7 @@ fn lenient_eq(expected: &SearchEvent, actual: &SearchEvent) -> bool {
         (Solution { objective: a, .. }, Solution { objective: b, .. }) => a == b,
         (BoundUpdate { bound: a }, BoundUpdate { bound: b }) => a == b,
         (StateHash { hash: a, .. }, StateHash { hash: b, .. }) => a == b,
+        (Stream { id: a }, Stream { id: b }) => a == b,
         (
             Done {
                 status: a,
@@ -161,6 +177,8 @@ pub struct ValidatingSink {
     /// Depth/nodes trackers fed from the live stream, for the report.
     depth: usize,
     nodes: u64,
+    /// Sum of the live `Done` events' node counts.
+    done_nodes: u64,
 }
 
 impl ValidatingSink {
@@ -174,6 +192,7 @@ impl ValidatingSink {
             checked: 0,
             depth: 0,
             nodes: 0,
+            done_nodes: 0,
         }
     }
 
@@ -213,9 +232,13 @@ impl TraceSink for ValidatingSink {
             SearchEvent::Branch { depth, .. }
             | SearchEvent::Fail { depth }
             | SearchEvent::Backtrack { depth } => self.depth = *depth,
-            SearchEvent::Solution { nodes, .. }
-            | SearchEvent::StateHash { nodes, .. }
-            | SearchEvent::Done { nodes, .. } => self.nodes = *nodes,
+            SearchEvent::Solution { nodes, .. } | SearchEvent::StateHash { nodes, .. } => {
+                self.nodes = *nodes
+            }
+            SearchEvent::Done { nodes, .. } => {
+                self.nodes = *nodes;
+                self.done_nodes += nodes;
+            }
             _ => {}
         }
         // After a divergence the search is being cancelled; whatever it
@@ -246,42 +269,33 @@ impl TraceSink for ValidatingSink {
         };
         if matches {
             self.cursor += 1;
-            self.checked += 1;
+            self.checked += u64::from(!matches!(live, SearchEvent::Stream { .. }));
         } else {
             self.diverge(self.cursor, Some(live.clone()));
         }
     }
 }
 
-/// Re-drive `model` under `config` and validate it against `recorded`.
+/// Run `run` under a [`ValidatingSink`] for `recorded` and return the
+/// verdict with the run's own result.
 ///
-/// `config` must reconstruct the recorded run exactly (same phases, same
-/// restart policy, same [`SearchConfig::state_hash_every`] as the trace
-/// header); `objective` selects minimization vs satisfaction, matching
-/// the original call. Any `trace`/`cancel` already in `config` is
-/// replaced by the validator's own. The `timeout` is kept, but
-/// wall-clock deadlines are inherently nondeterministic — replay
+/// `run` receives the validator's trace handle and its token, and must
+/// route both into every search it makes (replacing any trace or token of
+/// its own): the first mismatch raises the token. Its budgets are kept,
+/// but wall-clock deadlines are inherently nondeterministic — replay
 /// deterministic (completed) recordings.
-pub fn replay(
-    model: &mut crate::model::Model,
-    objective: Option<VarId>,
-    config: &SearchConfig,
+pub fn replay_with<R>(
     recorded: &[SearchEvent],
     opts: &ReplayOptions,
-) -> ReplayReport {
+    run: impl FnOnce(TraceHandle, CancelToken) -> R,
+) -> ReplayReport<R> {
     let cancel = CancelToken::new();
     let sink = Arc::new(Mutex::new(ValidatingSink::new(
         recorded.to_vec(),
         opts.strict,
         cancel.clone(),
     )));
-    let mut cfg = config.clone();
-    cfg.trace = Some(TraceHandle::new(Arc::clone(&sink)));
-    cfg.cancel = Some(cancel);
-    let result = match objective {
-        Some(obj) => minimize(model, obj, &cfg),
-        None => solve(model, &cfg),
-    };
+    let result = run(TraceHandle::new(Arc::clone(&sink)), cancel);
     let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
     sink.finish();
     ReplayReport {
@@ -289,8 +303,36 @@ pub fn replay(
         checked: sink.checked,
         recorded_events: recorded.len(),
         divergence: sink.divergence.take(),
+        live_nodes: sink.done_nodes,
         result,
     }
+}
+
+/// Re-drive `model` under `config` and validate it against `recorded`:
+/// [`replay_with`] around one search.
+///
+/// `config` must reconstruct the recorded run exactly (same phases, same
+/// restart policy, same [`SearchConfig::state_hash_every`] as the trace
+/// header); `objective` selects minimization vs satisfaction, matching
+/// the original call.
+pub fn replay(
+    model: &mut crate::model::Model,
+    objective: Option<VarId>,
+    config: &SearchConfig,
+    recorded: &[SearchEvent],
+    opts: &ReplayOptions,
+) -> ReplayReport {
+    replay_with(recorded, opts, |trace, cancel| {
+        let cfg = SearchConfig {
+            trace: Some(trace),
+            cancel: Some(cancel),
+            ..config.clone()
+        };
+        match objective {
+            Some(obj) => minimize(model, obj, &cfg),
+            None => solve(model, &cfg),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -464,5 +506,47 @@ mod tests {
         assert!(d.actual.is_none());
         let report_text = d.to_string();
         assert!(report_text.contains("divergence at recorded event"));
+    }
+
+    #[test]
+    fn replay_with_checks_stream_markers_without_counting_them() {
+        // Two searches behind `Stream` markers, as the II sweep forwards
+        // its probes.
+        let run = |trace: TraceHandle, cancel: Option<CancelToken>| {
+            for id in [1, 2] {
+                trace.emit(&SearchEvent::Stream { id });
+                let (mut m, obj, vars) = build();
+                let c = SearchConfig {
+                    trace: Some(trace.clone()),
+                    cancel: cancel.clone(),
+                    ..cfg(vars, ValSel::Min)
+                };
+                minimize(&mut m, obj, &c);
+            }
+        };
+        let (one, one_result) = record(ValSel::Min);
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
+        run(TraceHandle::new(Arc::clone(&sink)), None);
+        let events = sink.lock().unwrap().events.clone();
+        let second = events
+            .iter()
+            .rposition(|e| matches!(e, SearchEvent::Stream { .. }))
+            .unwrap();
+        for strict in [true, false] {
+            let opts = ReplayOptions { strict };
+            let rep = replay_with(&events, &opts, |t, c| run(t, Some(c)));
+            assert!(rep.ok, "strict={strict}: {:?}", rep.divergence);
+            assert_eq!(rep.live_nodes, 2 * one_result.stats.nodes);
+            if strict {
+                assert_eq!(rep.checked as usize, 2 * one.len());
+            }
+            // Without the first search the recording claims a run that
+            // began at stream 2: refused at its first event.
+            let rep = replay_with(&events[second..], &opts, |t, c| run(t, Some(c)));
+            assert!(!rep.ok, "strict={strict}");
+            let d = rep.divergence.unwrap();
+            assert_eq!(d.index, 0);
+            assert_eq!(d.actual, Some(SearchEvent::Stream { id: 1 }));
+        }
     }
 }

@@ -29,7 +29,8 @@ use crate::protocol::{
 use eit_arch::ArchSpec;
 use eit_core::pipeline::{compile, CompileError, CompileOptions};
 use eit_core::{
-    modulo_schedule, render_compiled, render_modulo, ModuloOptions, SchedulerOptions, SolveKey,
+    modulo_schedule_checked, render_compiled, render_modulo, ModuloOptions, SchedulerOptions,
+    SolveKey,
 };
 use eit_cp::CancelToken;
 use eit_ir::Graph;
@@ -539,8 +540,8 @@ fn handle_job(shared: &Arc<Shared>, job: &Job, mut timing: RequestTiming) -> Res
         let address = key.content_address();
         match shared.cache.get_or_lease(&key) {
             Lease::Hit(v) => Response::Compiled(Box::new(reply_from(&v, true, timing))),
-            Lease::Miss(guard) => match modulo_schedule(&g, &spec, &mopts) {
-                Some(r) => {
+            Lease::Miss(guard) => match modulo_schedule_checked(&g, &spec, &mopts) {
+                Ok(Some(r)) => {
                     timing.solve_us = solve_started.elapsed().as_micros() as u64;
                     shared.metrics.solved(timing.solve_us);
                     let violations = eit_arch::verify_modulo(&g, &spec, &r.s, r.ii_issue);
@@ -554,14 +555,17 @@ fn handle_job(shared: &Arc<Shared>, job: &Job, mut timing: RequestTiming) -> Res
                     });
                     Response::Compiled(Box::new(reply_from(&v, false, timing)))
                 }
-                None if token.is_cancelled() => Response::Deadline {
+                Ok(None) if token.is_cancelled() => Response::Deadline {
                     stage: "solve",
                     timing,
                 },
-                None => Response::Error {
+                Ok(None) => Response::Error {
                     kind: ErrorKind::Timeout,
                     message: "no modulo schedule found within budget".into(),
                 },
+                // The graph cannot be modelled on this machine, as with
+                // `CompileError::TooLarge` below.
+                Err(e) => bad_request(e.to_string()),
             },
         }
     } else {

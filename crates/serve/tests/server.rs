@@ -257,3 +257,42 @@ fn unbounded_default_deadline_still_compiles() {
     srv.request_shutdown();
     srv.join();
 }
+
+#[test]
+fn modulo_horizon_overflow_is_a_bad_request() {
+    // More than 1,024 chained vector ops at the largest latency a spec
+    // may declare: a valid graph on a valid machine whose serial horizon
+    // does not fit the solver's domains. The modulo sweep refuses it
+    // before building a model, and the daemon must say so instead of
+    // reporting an expired budget.
+    let ctx = eit_dsl::Ctx::new("long");
+    let b = ctx.vector([2.0, 3.0, 4.0, 5.0]);
+    let mut x = ctx.vector([1.0, 2.0, 3.0, 4.0]);
+    for _ in 0..1100 {
+        x = x.v_add(&b);
+    }
+    let mut spec = eit_arch::ArchSpec::eit();
+    for op in &mut spec.units.units[0].ops {
+        op.latency = eit_arch::ArchSpec::MAX_CYCLES;
+    }
+    spec.validate().unwrap();
+    let srv = Server::start(ServeOptions::default()).expect("start server");
+    let mut c = Client::connect(&srv);
+    let resp = c.request(vec![
+        ("id", Json::str("long")),
+        ("op", Json::str("compile")),
+        ("xml", Json::str(eit_ir::to_xml(&ctx.finish()))),
+        ("arch", Json::str(eit_arch::to_arch_xml(&spec))),
+        ("mode", Json::str("modulo")),
+    ]);
+    assert_eq!(error_kind(&resp), "bad-request", "{resp:?}");
+    let message = resp
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap_or("");
+    assert!(message.contains("serial horizon"), "{message}");
+    drop(c);
+    srv.request_shutdown();
+    srv.join();
+}

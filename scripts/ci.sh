@@ -242,7 +242,38 @@ echo "   qrd: recorded and strict-replayed clean"
 cmp "$t1" "$t4" || { echo "FAIL: matmul --modulo trace differs between --jobs 1 and --jobs 4"; exit 1; }
 ./target/release/eitc matmul --modulo --timeout 60 --replay "$t1" --strict >/dev/null
 echo "   matmul --modulo: jobs-1/jobs-4 traces byte-identical, strict replay clean"
-rm -f "$t1" "$t4"
+# Replay re-runs the whole sweep, so a recording must be the sweep's
+# trace. Two independent vector ops with different configurations: II 1
+# is refuted at the root and II 2 wins, so the trace holds two streams.
+# A header-only copy (the u32 config length sits at byte 36 of the
+# eit-trace/1 header) claims a sweep with no candidates and must fail.
+two="$(mktemp /tmp/eit-two.XXXXXX.xml)"
+cat > "$two" <<'XML'
+<graph name="two-configs">
+  <node id="0" kind="data" data="vector" name="a"/>
+  <node id="1" kind="data" data="vector" name="b"/>
+  <node id="2" kind="op" category="vector_op" core="add" name="v_add"/>
+  <node id="3" kind="data" data="vector" name="v_add.out"/>
+  <node id="4" kind="op" category="vector_op" core="mul" name="v_mul"/>
+  <node id="5" kind="data" data="vector" name="v_mul.out"/>
+  <edge from="0" to="2"/>
+  <edge from="1" to="2"/>
+  <edge from="2" to="3"/>
+  <edge from="0" to="4"/>
+  <edge from="1" to="4"/>
+  <edge from="4" to="5"/>
+</graph>
+XML
+./target/release/eitc "$two" --modulo --timeout 60 --record "$t1" >/dev/null
+out="$(./target/release/eitc "$two" --modulo --timeout 60 --replay "$t1" --strict)"
+grep -q ' 2 stream(s)' <<<"$out" \
+  || { echo "FAIL: two-candidate sweep did not strict-replay as 2 streams: $out"; exit 1; }
+cfg_len="$(od -An -tu4 -j36 -N4 "$t1" | tr -d ' ')"
+head -c "$((40 + cfg_len))" "$t1" > "$t4"
+rc=0; ./target/release/eitc "$two" --modulo --timeout 60 --replay "$t4" >/dev/null 2>&1 || rc=$?
+[ "$rc" = 1 ] || { echo "FAIL: header-only modulo trace replayed with exit $rc, expected 1"; exit 1; }
+echo "   two-candidate sweep: 2 streams strict-replayed clean, header-only copy refused"
+rm -f "$t1" "$t4" "$two"
 
 echo "== serve smoke: daemon survives faults, hot kernels hit the cache byte-identically"
 # The eit-serve acceptance gate, in one daemon session:

@@ -218,30 +218,3 @@ fn accelerator_occupancy_spacing() {
     // only reason the sqrt starts differ.
     assert!(validate_structure(&g, &spec, &s).is_empty());
 }
-
-/// Lexicographic slot minimization: same optimal makespan, provably
-/// minimal slot footprint.
-#[test]
-fn minimize_slots_is_lexicographic() {
-    let kernel = eit::apps::by_name("qrd").unwrap();
-    let mut g = kernel.graph.clone();
-    eit::ir::merge_pipeline_ops(&mut g);
-    let spec = ArchSpec::eit();
-    let base = schedule(&g, &spec, &opts());
-    let min_slots = schedule(
-        &g,
-        &spec,
-        &SchedulerOptions {
-            minimize_slots: true,
-            ..opts()
-        },
-    );
-    let s0 = base.schedule.unwrap();
-    let s1 = min_slots.schedule.unwrap();
-    // Makespan unchanged, slot footprint no worse — and the QRD floor
-    // from Table 1 says exactly 8 slots are needed.
-    assert_eq!(s1.makespan, s0.makespan);
-    assert!(s1.slots_used(&g) <= s0.slots_used(&g));
-    assert_eq!(s1.slots_used(&g), 8);
-    assert!(validate_structure(&g, &spec, &s1).is_empty());
-}
