@@ -26,7 +26,6 @@
 pub mod code;
 pub mod gantt;
 pub mod memory;
-pub mod persist;
 pub mod schedule;
 pub mod sim;
 pub mod spec;
@@ -39,7 +38,6 @@ pub use gantt::render_gantt;
 pub use memory::{
     check_access, matrix_accessible_in_one_cycle, AccessViolation, Geometry, VectorMemory,
 };
-pub use persist::{schedule_from_text, schedule_to_text, PersistError};
 pub use schedule::Schedule;
 pub use sim::{
     simulate, validate_structure, validate_structure_with, SimCounters, SimReport, UnitUtilization,

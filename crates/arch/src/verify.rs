@@ -151,7 +151,7 @@ pub fn verify_schedule(
     }
 
     // A schedule claiming to finish before its own last write-back is
-    // lying about the makespan (persistence corruption shows up here).
+    // lying about the makespan.
     let completion = g
         .ids()
         .map(|n| start(n).saturating_add(latency(n)))

@@ -13,8 +13,7 @@
 //!   --dump-arch A       render the resolved architecture as eit-arch/1
 //!                       XML on stdout and exit (no kernel needed); the
 //!                       output reloads byte-identical via --arch
-//!   --slots N           memory budget override (default: the arch's own;
-//!                       64 for the builtin presets)
+//!   --slots N           memory budget override (default: the arch's own)
 //!   --no-memory         schedule without the memory model (manual-baseline mode)
 //!   --no-merge          skip the fig. 6 pipeline-merge pass
 //!   --modulo [incl]     emit a modulo schedule instead (optionally with
@@ -73,7 +72,10 @@
 //! `--emit cnf` and (outside `--serve`) `--jobs` need `--modulo`;
 //! `--emit gantt|vcd`, `--overlap`, `--profile` and `--no-memory` are
 //! straight-line only; `--restarts` needs a CP search (not `--backend
-//! sat`); `--strict`/`--lenient` need `--replay`.
+//! sat`); `--strict`/`--lenient` need `--replay`; `--emit xml|dot` dumps
+//! the IR without solving, so it takes no solve flag; `--overlap` prints
+//! its own line, so it takes no `--emit gantt|vcd`. `--emit` is given at
+//! most once.
 //!
 //! Example: `cargo run --release -p eit-bench --bin eitc -- qrd --slots 16`
 
@@ -81,8 +83,8 @@ use eit_arch::ArchSpec;
 use eit_bench::{ArchArgError, Json, RunMetrics};
 use eit_core::pipeline::{compile, CompileError, CompileOptions};
 use eit_core::{
-    bundles_from_schedule, modulo_header, overlapped_execution, replay_modulo, replay_schedule,
-    schedule_header, ModuloOptions, SchedulerOptions,
+    bundles_from_schedule, overlapped_execution, replay_modulo, replay_schedule, ModuloOptions,
+    RrReport, SchedulerOptions, SolveKey,
 };
 use eit_cp::trace::{JsonlSink, SearchEvent, TraceHandle};
 use eit_cp::{RecorderSink, ReplayOptions, Trace, TraceHeader};
@@ -105,11 +107,7 @@ struct Args {
     jobs: Option<usize>,
     overlap: Option<usize>,
     timeout: u64,
-    emit_xml: bool,
-    emit_gantt: bool,
-    emit_dot: bool,
-    emit_vcd: bool,
-    emit_cnf: bool,
+    emit: Option<Emit>,
     verify: bool,
     trace: Option<String>,
     record: Option<String>,
@@ -120,6 +118,34 @@ struct Args {
     restarts: Option<eit_cp::RestartConfig>,
     metrics: Option<String>,
     serve: Option<String>,
+}
+
+/// What `--emit` prints in place of the listing.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Emit {
+    Xml,
+    Dot,
+    Gantt,
+    Vcd,
+    Cnf,
+}
+
+impl Emit {
+    fn name(self) -> &'static str {
+        match self {
+            Emit::Xml => "xml",
+            Emit::Dot => "dot",
+            Emit::Gantt => "gantt",
+            Emit::Vcd => "vcd",
+            Emit::Cnf => "cnf",
+        }
+    }
+
+    fn parse(s: &str) -> Option<Emit> {
+        [Emit::Xml, Emit::Dot, Emit::Gantt, Emit::Vcd, Emit::Cnf]
+            .into_iter()
+            .find(|e| e.name() == s)
+    }
 }
 
 fn usage() -> ! {
@@ -154,11 +180,7 @@ fn parse_args() -> Args {
         jobs: None,
         overlap: None,
         timeout: 120,
-        emit_xml: false,
-        emit_gantt: false,
-        emit_dot: false,
-        emit_vcd: false,
-        emit_cnf: false,
+        emit: None,
         verify: false,
         trace: None,
         record: None,
@@ -222,15 +244,14 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--emit" => match it.next().as_deref() {
-                Some("xml") => args.emit_xml = true,
-                Some("gantt") => args.emit_gantt = true,
-                Some("dot") => args.emit_dot = true,
-                Some("vcd") => args.emit_vcd = true,
-                Some("cnf") => args.emit_cnf = true,
-                Some(other) => bad_arg(&format!("--emit {other}")),
-                None => usage(),
-            },
+            "--emit" => {
+                let v = it.next().unwrap_or_else(|| usage());
+                let e = Emit::parse(&v).unwrap_or_else(|| bad_arg(&format!("--emit {v}")));
+                if let Some(first) = args.emit.replace(e) {
+                    eprintln!("eitc: --emit {v} conflicts with --emit {}", first.name());
+                    exit(2);
+                }
+            }
             "--verify" => args.verify = true,
             "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage())),
             "--record" => args.record = Some(it.next().unwrap_or_else(|| usage())),
@@ -268,18 +289,46 @@ fn parse_args() -> Args {
         args.modulo.is_some(),
         args.backend == Some(eit_core::Backend::Sat),
     );
+    let emit = |set: &[Emit]| args.emit.is_some_and(|e| set.contains(&e));
     let (needs_modulo, not_modulo) = ("requires --modulo", "is not supported with --modulo");
+    let not_emit = format!(
+        "is not supported with --emit {}",
+        args.emit.map_or("", Emit::name)
+    );
+    // `--emit xml|dot` dumps the IR before any solve.
+    let ir_only = emit(&[Emit::Xml, Emit::Dot]);
+    let solve_only = [
+        (args.arch.is_some(), "--arch"),
+        (args.slots.is_some(), "--slots"),
+        (!args.memory, "--no-memory"),
+        (modulo, "--modulo"),
+        (args.overlap.is_some(), "--overlap"),
+        (args.verify, "--verify"),
+        (args.trace.is_some(), "--trace"),
+        (args.record.is_some(), "--record"),
+        (args.replay.is_some(), "--replay"),
+        (args.profile, "--profile"),
+        (args.restarts.is_some(), "--restarts"),
+        (args.metrics.is_some(), "--metrics"),
+    ]
+    .map(|(given, flag)| (ir_only && given, flag, not_emit.as_str()));
     let refused = [
-        (!modulo && args.emit_cnf, "--emit cnf", needs_modulo),
+        (!modulo && emit(&[Emit::Cnf]), "--emit cnf", needs_modulo),
         (!modulo && args.backend.is_some(), "--backend", needs_modulo),
         (
             !modulo && args.jobs.is_some() && args.serve.is_none(),
             "--jobs",
             needs_modulo,
         ),
-        (modulo && args.emit_gantt, "--emit gantt", not_modulo),
-        (modulo && args.emit_vcd, "--emit vcd", not_modulo),
+        (modulo && emit(&[Emit::Gantt]), "--emit gantt", not_modulo),
+        (modulo && emit(&[Emit::Vcd]), "--emit vcd", not_modulo),
         (modulo && args.overlap.is_some(), "--overlap", not_modulo),
+        // The overlapped run prints its own summary line instead.
+        (
+            args.overlap.is_some() && emit(&[Emit::Gantt, Emit::Vcd]),
+            "--overlap",
+            not_emit.as_str(),
+        ),
         (modulo && args.profile, "--profile", not_modulo),
         (modulo && !args.memory, "--no-memory", not_modulo),
         // The SAT sweep runs no CP search, so it has nothing to restart.
@@ -294,7 +343,7 @@ fn parse_args() -> Args {
             "requires --replay",
         ),
     ];
-    if let Some((_, flag, why)) = refused.iter().find(|(given, ..)| *given) {
+    if let Some((_, flag, why)) = refused.iter().chain(&solve_only).find(|(given, ..)| *given) {
         eprintln!("eitc: {flag} {why}");
         exit(2);
     }
@@ -486,56 +535,24 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
     Json::Obj(fields)
 }
 
-/// Refuse a trace recorded for a different problem or solver setup:
-/// `want` is the header this run would record.
-fn check_trace_header(h: &TraceHeader, want: &TraceHeader) {
-    let (ir, arch, config) = (want.ir_hash, want.arch_hash, &want.config);
-    if h.ir_hash != ir {
-        eprintln!(
-            "eitc: replay: trace was recorded for a different IR \
-             (trace {:016x}, this run {ir:016x})",
-            h.ir_hash
-        );
-        exit(1);
-    }
-    if h.arch_hash != arch {
-        eprintln!(
-            "eitc: replay: trace was recorded for a different architecture \
-             (trace {:016x}, this run {arch:016x})",
-            h.arch_hash
-        );
-        exit(1);
-    }
-    if h.config != *config {
-        eprintln!(
-            "eitc: replay: solver config mismatch (trace '{}', this run '{config}')",
-            h.config
-        );
-        exit(1);
-    }
-}
-
-/// `--replay FILE`, for either mode: read the trace, build the run's
-/// options at the trace's state-hash cadence with `opts`, refuse a trace
-/// whose `header` does not match this run, replay it and exit with the
-/// verdict.
-fn replay_and_exit<O>(
+/// `--replay FILE`, for either mode: read the trace, `replay` it and
+/// exit with the verdict — 1 with the reason if rr refuses its header.
+fn replay_and_exit(
     path: &str,
     strict: bool,
-    g: &Graph,
-    spec: &ArchSpec,
-    opts: impl FnOnce(Option<u64>) -> O,
-    header: fn(&Graph, &ArchSpec, &O) -> TraceHeader,
-    replay: fn(&Graph, &ArchSpec, &O, &[SearchEvent], &ReplayOptions) -> eit_core::RrReport,
+    replay: impl FnOnce(&TraceHeader, &[SearchEvent], &ReplayOptions) -> Result<RrReport, String>,
 ) -> ! {
     let t = Trace::read(path).unwrap_or_else(|e| {
         eprintln!("eitc: cannot read trace {path}: {e}");
         exit(1);
     });
-    let opts = opts((t.header.hash_every > 0).then_some(t.header.hash_every));
-    check_trace_header(&t.header, &header(g, spec, &opts));
-    let rep = replay(g, spec, &opts, &t.events, &ReplayOptions { strict });
-    finish_replay(path, t.file_hash, rep)
+    match replay(&t.header, &t.events, &ReplayOptions { strict }) {
+        Ok(rep) => finish_replay(path, t.file_hash, rep),
+        Err(why) => {
+            eprintln!("eitc: replay: {why}");
+            exit(1);
+        }
+    }
 }
 
 /// `--record FILE`, for either mode: open the recorder with the run's
@@ -560,7 +577,7 @@ fn print_recorded(path: &str, rec: &Arc<Mutex<RecorderSink>>) {
 
 /// Report a replay's outcome and exit: 0 on a clean match, 1 with a
 /// divergence report (or the live run's error) otherwise.
-fn finish_replay(path: &str, file_hash: u64, rep: eit_core::RrReport) -> ! {
+fn finish_replay(path: &str, file_hash: u64, rep: RrReport) -> ! {
     if rep.ok {
         println!(
             "; replay ok: {path} (fnv64 {file_hash:016x}): {} stream(s), \
@@ -612,11 +629,11 @@ fn main() {
             eprintln!("; merge pass folded {} node pairs", st.nodes_removed / 2);
         }
     }
-    if args.emit_xml {
+    if args.emit == Some(Emit::Xml) {
         print!("{}", eit_ir::to_xml(&g));
         return;
     }
-    if args.emit_dot {
+    if args.emit == Some(Emit::Dot) {
         print!("{}", eit_ir::to_dot(&g));
         return;
     }
@@ -625,7 +642,7 @@ fn main() {
     // own slot budget survives `--arch machine.xml` with no other flags.
     let mut spec = match &args.arch {
         Some(a) => load_arch(a),
-        None => ArchSpec::eit().with_slots(64),
+        None => ArchSpec::eit(),
     };
     if let Some(n) = args.slots {
         spec = spec.with_slots(n);
@@ -687,7 +704,7 @@ fn main() {
             );
             exit(2);
         }
-        if args.emit_cnf {
+        if args.emit == Some(Emit::Cnf) {
             match eit_core::modulo_cnf_dimacs(&g, &spec, &mopts) {
                 Ok(Some((ii, dimacs))) => {
                     eprintln!("; DIMACS CNF for candidate II {ii}");
@@ -705,15 +722,14 @@ fn main() {
             return;
         }
         if let Some(path) = &args.replay {
-            let opts = |every| ModuloOptions {
-                state_hash_every: every,
-                ..mopts
-            };
-            replay_and_exit(path, strict, &g, &spec, opts, modulo_header, replay_modulo);
+            replay_and_exit(path, strict, |h, events, ropts| {
+                replay_modulo(&g, &spec, &mopts, h, events, ropts)
+            });
         }
         let recorder = args.record.as_ref().map(|path| {
             mopts.state_hash_every = Some(eit_core::DEFAULT_HASH_EVERY);
-            let rec = start_recording(path, &modulo_header(&g, &spec, &mopts));
+            let key = SolveKey::modulo(&g, &spec, &mopts);
+            let rec = start_recording(path, &key.header(mopts.state_hash_every));
             mopts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
             rec
         });
@@ -768,25 +784,15 @@ fn main() {
     };
 
     if let Some(path) = &args.replay {
-        // --trace is refused with --replay, so the options trace nothing.
-        let opts = |every| SchedulerOptions {
-            state_hash_every: every,
-            ..sched_opts
-        };
-        replay_and_exit(
-            path,
-            strict,
-            &g,
-            &spec,
-            opts,
-            schedule_header,
-            replay_schedule,
-        );
+        replay_and_exit(path, strict, |h, events, ropts| {
+            replay_schedule(&g, &spec, &sched_opts, h, events, ropts)
+        });
     }
 
     let recorder = args.record.as_ref().map(|path| {
         sched_opts.state_hash_every = Some(eit_core::DEFAULT_HASH_EVERY);
-        let rec = start_recording(path, &schedule_header(&g, &spec, &sched_opts));
+        let key = SolveKey::schedule(&g, &spec, &sched_opts);
+        let rec = start_recording(path, &key.header(sched_opts.state_hash_every));
         sched_opts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
         rec
     });
@@ -872,14 +878,14 @@ fn main() {
         return;
     }
 
-    if args.emit_gantt {
+    if args.emit == Some(Emit::Gantt) {
         print!(
             "{}",
             eit_arch::render_gantt(&out.graph, &spec, &out.schedule)
         );
         return;
     }
-    if args.emit_vcd {
+    if args.emit == Some(Emit::Vcd) {
         print!("{}", eit_arch::to_vcd(&out.graph, &spec, &out.schedule));
         return;
     }

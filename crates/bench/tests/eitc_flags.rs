@@ -3,12 +3,30 @@
 //! has no use for `--backend`, `--jobs` or `--emit cnf`; a modulo run has
 //! no Gantt/VCD emitter, overlapped execution, propagator profile or
 //! memory switch; the SAT sweep has no search to restart; `--strict` and
-//! `--lenient` only qualify `--replay`).
+//! `--lenient` only qualify `--replay`; an IR dump solves nothing; an
+//! overlapped run prints no chart; one run emits one thing). And a
+//! `--replay` accepts a recording of the same solve however the machine
+//! is spelled, and refuses one of another solve with its reason.
 
-use std::process::Command;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn eitc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_eitc"))
+        .args(args)
+        .output()
+        .unwrap()
+}
+
+/// A per-process scratch path, so parallel test binaries never collide.
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("eitc-flags-{}-{name}", std::process::id()))
+}
 
 #[test]
 fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
+    let (metrics, trace) = (scratch("m.json"), scratch("r.trace"));
+    let (metrics, trace) = (metrics.to_str().unwrap(), trace.to_str().unwrap());
     let cases: &[(&[&str], &str)] = &[
         (&["--emit", "cnf"], "--emit cnf requires --modulo"),
         (&["--backend", "sat"], "--backend requires --modulo"),
@@ -31,13 +49,37 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
             &["--modulo", "--strict", "--lenient"],
             "--lenient requires --replay",
         ),
+        (
+            &["--emit", "xml", "--metrics", metrics, "--verify"],
+            "--verify is not supported with --emit xml",
+        ),
+        (
+            &["--emit", "xml", "--metrics", metrics],
+            "--metrics is not supported with --emit xml",
+        ),
+        (
+            &["--emit", "xml", "--record", trace],
+            "--record is not supported with --emit xml",
+        ),
+        (
+            &["--emit", "dot", "--modulo"],
+            "--modulo is not supported with --emit dot",
+        ),
+        (
+            &["--emit", "gantt", "--emit", "vcd"],
+            "--emit vcd conflicts with --emit gantt",
+        ),
+        (
+            &["--overlap", "3", "--emit", "gantt"],
+            "--overlap is not supported with --emit gantt",
+        ),
+        (
+            &["--emit", "vcd", "--overlap", "3"],
+            "--overlap is not supported with --emit vcd",
+        ),
     ];
     for (args, msg) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_eitc"))
-            .arg("matmul")
-            .args(*args)
-            .output()
-            .unwrap();
+        let out = eitc(&[&["matmul"], *args].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
@@ -46,15 +88,13 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
             "{args:?}: {stderr}"
         );
     }
+    assert!(!scratch("m.json").exists() && !scratch("r.trace").exists());
 }
 
 #[test]
 fn restarts_still_run_on_the_backends_with_a_cp_search() {
     for backend in ["cp", "race"] {
-        let out = Command::new(env!("CARGO_BIN_EXE_eitc"))
-            .args(["matmul", "--modulo", "--backend", backend, "--restarts"])
-            .output()
-            .unwrap();
+        let out = eitc(&["matmul", "--modulo", "--backend", backend, "--restarts"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "--backend {backend}: {stderr}");
         assert!(
@@ -62,4 +102,56 @@ fn restarts_still_run_on_the_backends_with_a_cp_search() {
             "--backend {backend} printed nothing"
         );
     }
+}
+
+#[test]
+fn replay_accepts_every_spelling_of_the_machine_and_refuses_another_solve() {
+    let trace = scratch("matmul.trace");
+    let arch = scratch("eit.xml");
+    let (trace_s, arch_s) = (trace.to_str().unwrap(), arch.to_str().unwrap());
+    let rec = eitc(&["matmul", "--record", trace_s]);
+    assert!(
+        rec.status.success(),
+        "{}",
+        String::from_utf8_lossy(&rec.stderr)
+    );
+    let dump = eitc(&["--dump-arch", "eit"]);
+    std::fs::write(&arch, &dump.stdout).unwrap();
+
+    for spelling in [
+        &[][..],
+        &["--arch", "eit"],
+        &["--arch", arch_s],
+        &["--slots", "64"],
+    ] {
+        let out = eitc(&[&["matmul", "--replay", trace_s], spelling].concat());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{spelling:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.starts_with("; replay ok"), "{spelling:?}: {stdout}");
+    }
+
+    let foreign: [(&[&str], &str); 3] = [
+        (&["fir"], "trace was recorded for a different IR"),
+        (
+            &["matmul", "--slots", "32"],
+            "trace was recorded for a different architecture",
+        ),
+        (&["matmul", "--restarts"], "solver config mismatch"),
+    ];
+    for (args, why) in foreign {
+        let out = eitc(&[args, &["--replay", trace_s]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("eitc: replay: {why}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&arch).ok();
 }

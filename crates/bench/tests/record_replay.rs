@@ -6,8 +6,8 @@
 
 use eit_arch::ArchSpec;
 use eit_core::{
-    modulo_schedule, replay_modulo, replay_schedule, schedule, schedule_header, ModuloOptions,
-    SchedulerOptions,
+    modulo_schedule, replay_modulo, replay_schedule, schedule, ModuloOptions, SchedulerOptions,
+    SolveKey,
 };
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
 use eit_cp::{RecorderSink, ReplayOptions, Trace};
@@ -45,14 +45,13 @@ fn straight_line_record_replay_identity_on_all_table_kernels() {
         assert!(r.schedule.is_some(), "{name} must schedule");
         let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
         assert!(!recorded.is_empty(), "{name} recorded nothing");
+        let header = SolveKey::schedule(&g, &spec, &opts).header(opts.state_hash_every);
+        let replay = |ropts| {
+            replay_schedule(&g, &spec, &sched_opts(), &header, &recorded, &ropts)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
 
-        let rep = replay_schedule(
-            &g,
-            &spec,
-            &sched_opts(),
-            &recorded,
-            &ReplayOptions::default(),
-        );
+        let rep = replay(ReplayOptions::default());
         assert!(rep.ok, "{name}: strict divergence: {:?}", rep.divergence);
         // Replay never searches beyond the recorded tree.
         assert_eq!(
@@ -62,13 +61,7 @@ fn straight_line_record_replay_identity_on_all_table_kernels() {
         assert_eq!(rep.checked as usize, recorded.len());
 
         // Lenient accepts whatever strict accepts.
-        let lenient = replay_schedule(
-            &g,
-            &spec,
-            &sched_opts(),
-            &recorded,
-            &ReplayOptions { strict: false },
-        );
+        let lenient = replay(ReplayOptions { strict: false });
         assert!(lenient.ok, "{name}: lenient rejected a faithful replay");
     }
 }
@@ -103,7 +96,9 @@ fn modulo_record_replay_identity_on_all_table_kernels() {
             .unwrap();
         assert_eq!(last_stream as i32, r.ii_issue);
 
-        let rep = replay_modulo(&g, &spec, &opts, &recorded, &ReplayOptions::default());
+        let header = SolveKey::modulo(&g, &spec, &opts).header(opts.state_hash_every);
+        let rep = replay_modulo(&g, &spec, &opts, &header, &recorded, &Default::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             rep.ok,
             "{name}: divergence {:?} / structure {:?}",
@@ -121,7 +116,7 @@ fn trace_file_roundtrip_preserves_events_and_hash() {
     let spec = ArchSpec::eit();
     let g = prepared("matmul");
     let mut opts = sched_opts();
-    let header = schedule_header(&g, &spec, &opts);
+    let header = SolveKey::schedule(&g, &spec, &opts).header(opts.state_hash_every);
     let dir = std::env::temp_dir().join("eit-record-replay-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("matmul.trace");
@@ -144,9 +139,11 @@ fn trace_file_roundtrip_preserves_events_and_hash() {
         &g,
         &spec,
         &sched_opts(),
+        &t.header,
         &t.events,
         &ReplayOptions::default(),
-    );
+    )
+    .expect("the header is this run's");
     assert!(rep.ok, "divergence: {:?}", rep.divergence);
     std::fs::remove_file(&path).ok();
 }
@@ -155,7 +152,10 @@ fn trace_file_roundtrip_preserves_events_and_hash() {
 fn perturbed_solver_diverges_with_a_named_event() {
     // Record qrd, then replay against a *different* problem framing (no
     // memory model): the solver's trajectory changes and the replay must
-    // point at the first mismatching event instead of re-searching.
+    // point at the first mismatching event instead of re-searching. The
+    // recording's own header would be refused up front as a config
+    // mismatch, so the replay gets a header claiming the perturbed
+    // options.
     let spec = ArchSpec::eit();
     let g = prepared("qrd");
     let sink = Arc::new(Mutex::new(MemorySink::default()));
@@ -166,7 +166,14 @@ fn perturbed_solver_diverges_with_a_named_event() {
 
     let mut perturbed = sched_opts();
     perturbed.memory = false;
-    let rep = replay_schedule(&g, &spec, &perturbed, &recorded, &ReplayOptions::default());
+    let ropts = ReplayOptions::default();
+    let recorded_header = SolveKey::schedule(&g, &spec, &opts).header(opts.state_hash_every);
+    let err = replay_schedule(&g, &spec, &perturbed, &recorded_header, &recorded, &ropts)
+        .expect_err("the perturbed config is refused");
+    assert!(err.starts_with("solver config mismatch"), "{err}");
+    let header = SolveKey::schedule(&g, &spec, &perturbed).header(opts.state_hash_every);
+    let rep = replay_schedule(&g, &spec, &perturbed, &header, &recorded, &ropts)
+        .expect("the header names the perturbed options");
     assert!(!rep.ok);
     let (_, d) = rep.divergence.expect("must name the first mismatch");
     assert!(d.index < recorded.len());

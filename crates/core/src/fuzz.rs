@@ -12,8 +12,7 @@
 //!   [`eit_arch::verify_schedule`] (the independent re-derivation); any
 //!   disagreement between the two verifiers is itself a failure.
 //! - **CP scheduler** — same double verification with the memory model
-//!   on, plus full functional replay through [`eit_arch::simulate`], a
-//!   `schedule_to_text`/`schedule_from_text` persistence round-trip, and
+//!   on, plus full functional replay through [`eit_arch::simulate`] and
 //!   the optimality cross-check `makespan(CP) ≤ makespan(list)` whenever
 //!   the solver proves optimality.
 //! - **Modulo scheduler** — `jobs = 1` vs `jobs = 4` must produce
@@ -33,8 +32,8 @@ use crate::list_sched::list_schedule;
 use crate::model::{schedule, SchedulerOptions};
 use crate::modulo::{modulo_schedule, validate_modulo, ModuloOptions};
 use eit_arch::{
-    schedule_from_text, schedule_to_text, simulate, to_arch_xml, validate_structure,
-    validate_structure_with, verify_modulo, verify_schedule, ArchSpec, UnitTable, Violation,
+    simulate, to_arch_xml, validate_structure, validate_structure_with, verify_modulo,
+    verify_schedule, ArchSpec, UnitTable, Violation,
 };
 use eit_cp::SearchStatus;
 use eit_ir::sem::Value;
@@ -376,8 +375,8 @@ pub fn check_case_on(
         }
     }
 
-    // Stage: CP scheduler with the memory model, doubly verified,
-    // functionally replayed, and persisted.
+    // Stage: CP scheduler with the memory model, doubly verified and
+    // functionally replayed.
     checks += 1;
     let sched_opts = SchedulerOptions {
         timeout: Some(opts.solver_timeout),
@@ -403,13 +402,6 @@ pub fn check_case_on(
         let rep = simulate(g, &spec, s, &inputs);
         if !rep.ok() {
             return fail("cp-replay", fmt_violations("simulate", &rep.violations));
-        }
-
-        checks += 1;
-        match schedule_from_text(&schedule_to_text(s)) {
-            Ok(s2) if &s2 == s => {}
-            Ok(_) => return fail("persist-roundtrip", "schedule round-trip differs".into()),
-            Err(e) => return fail("persist-roundtrip", format!("re-parse failed: {e}")),
         }
 
         // Determinism: the XML-roundtripped graph must schedule
@@ -660,7 +652,8 @@ fn record_reproducer_trace(
         state_hash_every: Some(crate::rr::DEFAULT_HASH_EVERY),
         ..Default::default()
     };
-    let header = crate::rr::schedule_header(g, spec, &sched_opts);
+    let header =
+        crate::rr::SolveKey::schedule(g, spec, &sched_opts).header(sched_opts.state_hash_every);
     let sink = RecorderSink::create(path, &header)?;
     sched_opts.trace = Some(TraceHandle::new(sink));
     schedule(g, spec, &sched_opts);

@@ -45,6 +45,5 @@ pub use pipeline::{compile, CompileError, CompileOptions, Compiled};
 pub use render::{render_compiled, render_modulo};
 pub use replicate::replicate;
 pub use rr::{
-    arch_hash, ir_hash, modulo_config_string, modulo_header, replay_modulo, replay_schedule,
-    schedule_config_string, schedule_header, RrReport, SolveKey, DEFAULT_HASH_EVERY,
+    arch_hash, ir_hash, replay_modulo, replay_schedule, RrReport, SolveKey, DEFAULT_HASH_EVERY,
 };

@@ -55,13 +55,13 @@ pub struct SchedulerOptions {
     /// Cooperative cancellation (service deadlines).
     /// A deadline-bearing token ([`eit_cp::CancelToken::with_deadline`])
     /// enforces a per-request wall-clock budget without a watchdog
-    /// thread. Excluded from [`crate::rr::schedule_config_string`] like
+    /// thread. Excluded from [`crate::rr::SolveKey::schedule`] like
     /// `timeout`: budgets shape *when* a run stops, not its trajectory.
     pub cancel: Option<eit_cp::CancelToken>,
     /// Restart the branch-and-bound on a fail-count schedule, recording
     /// decision-prefix nogoods at each restart (`None` = plain DFS).
-    /// Restarts reshape the search trajectory, so this **is** part of
-    /// [`crate::rr::schedule_config_string`].
+    /// Restarts reshape the search trajectory, so
+    /// [`crate::rr::SolveKey::schedule`] keys this.
     pub restarts: Option<eit_cp::RestartConfig>,
 }
 

@@ -175,15 +175,15 @@ pub struct ModuloOptions {
     /// a request-level deadline stops all in-flight probes while the
     /// sweep keeps its own per-probe cancellation (candidates above a
     /// feasible II) intact. Excluded from
-    /// [`crate::rr::modulo_config_string`], like the time budgets.
+    /// [`crate::rr::SolveKey::modulo`], like the time budgets.
     pub cancel: Option<CancelToken>,
     /// Restart policy for each probe's satisfaction search (`None` =
-    /// plain DFS). Trajectory-shaping, so it **is** part of
-    /// [`crate::rr::modulo_config_string`].
+    /// plain DFS). Trajectory-shaping, so [`crate::rr::SolveKey::modulo`]
+    /// keys it.
     pub restarts: Option<eit_cp::RestartConfig>,
     /// Decision procedure for the sweep: CP (default), SAT, or a race of
-    /// the two. Trajectory-shaping, so it joins
-    /// [`crate::rr::modulo_config_string`].
+    /// the two. Trajectory-shaping, so [`crate::rr::SolveKey::modulo`]
+    /// keys it.
     pub backend: Backend,
 }
 

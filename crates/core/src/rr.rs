@@ -2,11 +2,13 @@
 //!
 //! [`crate::model::schedule`] and [`crate::modulo::modulo_schedule`] emit
 //! [`SearchEvent`] streams; `eit_cp::record` persists them and
-//! `eit_cp::replay` re-validates a run against its recording. This
-//! module binds the two to the *toolchain inputs*: canonical hashes of
-//! the IR and the architecture go into the trace header so a replay can
-//! refuse a trace recorded for a different problem, and config strings
-//! pin the solver options that shape the trajectory.
+//! [`eit_cp::replay_with`] re-validates a run against its recording.
+//! This module binds the two to the *toolchain inputs*: a [`SolveKey`] —
+//! canonical hashes of the IR and the architecture plus a config string
+//! of the solver options that shape the trajectory — is the one identity
+//! of a solve. The trace header is the key plus the recording's
+//! store-digest cadence, and a replay refuses a header whose key is not
+//! the live run's before it searches.
 //!
 //! A replay re-runs the entry point that made the recording —
 //! [`crate::model::schedule`] or [`crate::modulo::modulo_schedule_checked`]
@@ -42,10 +44,14 @@ pub fn ir_hash(g: &Graph) -> u64 {
     fnv1a(eit_ir::to_xml(g).as_bytes())
 }
 
-/// Canonical hash of an [`ArchSpec`]: FNV-1a over a fixed rendering of
-/// every field that reaches the solver.
+/// Canonical hash of the machine the solver sees: FNV-1a over a fixed
+/// rendering of every [`ArchSpec`] field that reaches it. A `slot_cap`
+/// at or above the physical slot count caps nothing
+/// ([`ArchSpec::n_slots`]), so it hashes as no cap: `eit()` and
+/// `eit().with_slots(64)` are one machine, however they were spelled.
 pub fn arch_hash(spec: &ArchSpec) -> u64 {
     use std::fmt::Write as _;
+    let physical = spec.n_banks.saturating_mul(spec.slots_per_bank);
     let mut s = format!(
         "lanes={};banks={};page={};spb={};reads={};writes={};reconfig={};cap={:?};units=",
         spec.n_lanes,
@@ -55,7 +61,7 @@ pub fn arch_hash(spec: &ArchSpec) -> u64 {
         spec.max_vector_reads,
         spec.max_vector_writes,
         spec.reconfig_cost,
-        spec.slot_cap,
+        spec.slot_cap.filter(|&c| c < physical),
     );
     for u in &spec.units.units {
         let _ = write!(s, "[{}x{}:", u.name, u.count);
@@ -74,50 +80,15 @@ pub fn arch_hash(spec: &ArchSpec) -> u64 {
     fnv1a(s.as_bytes())
 }
 
-/// The solver options that shape a straight-line search trajectory,
-/// rendered for the trace header. Wall-clock budgets and worker counts
-/// are deliberately excluded: deadlines are nondeterministic and the
-/// merged event stream is `jobs`-independent by construction, so traces
-/// recorded under different budgets/parallelism stay comparable. The
-/// restart/nogood policy **is** included — restarts replay the tree in
-/// a different order.
-pub fn schedule_config_string(opts: &SchedulerOptions) -> String {
-    format!(
-        "mode=schedule;memory={};restarts={}",
-        u8::from(opts.memory),
-        opts.restarts
-            .map_or_else(|| "off".into(), |rc| rc.config_token()),
-    )
-}
-
-/// As [`schedule_config_string`], for a modulo sweep. The decision
-/// backend (`cp`, `sat`, `race`) is part of the token: backends agree on
-/// the winning II but not on the concrete assignment, so two runs that
-/// differ only in backend are distinct computations for caching and
-/// tracing purposes. The restart policy is keyed only for the backends
-/// that run a CP search: the SAT sweep never reads it, so under `sat` it
-/// reads `off` whatever was asked.
-pub fn modulo_config_string(opts: &ModuloOptions) -> String {
-    let restarts = match opts.backend {
-        Backend::Sat => None,
-        Backend::Cp | Backend::Race => opts.restarts,
-    };
-    format!(
-        "mode=modulo;incl={};restarts={};backend={}",
-        u8::from(opts.include_reconfig),
-        restarts.map_or_else(|| "off".into(), |rc| rc.config_token()),
-        opts.backend.as_str(),
-    )
-}
-
 /// Content address of one solver run: the canonical input hashes plus
 /// the trajectory-shaping config string. Two runs with equal keys are
 /// the *same computation* — same model, same search, same answer — so
 /// the key is what a schedule cache (the `eit-serve` daemon) stores
-/// results under. Wall-clock budgets, worker counts, and cancellation
-/// deadlines are deliberately outside the key (they decide *whether* a
-/// run finishes, never *what* it produces), so a hot kernel compiled
-/// under any request budget serves every later request for it.
+/// results under and what a trace header pins. Wall-clock budgets,
+/// worker counts, and cancellation deadlines are deliberately outside
+/// the key (they decide *whether* a run finishes, never *what* it
+/// produces), so a hot kernel compiled under any request budget serves
+/// every later request for it.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SolveKey {
     /// [`ir_hash`] of the graph exactly as the solver sees it (after
@@ -125,26 +96,79 @@ pub struct SolveKey {
     pub ir_hash: u64,
     /// [`arch_hash`] of the target [`ArchSpec`].
     pub arch_hash: u64,
-    /// [`schedule_config_string`] or [`modulo_config_string`].
+    /// The options that shape the trajectory, rendered by
+    /// [`SolveKey::schedule`] or [`SolveKey::modulo`].
     pub config: String,
 }
 
+/// `off` or the restart policy's token.
+fn restarts_token(rc: Option<eit_cp::RestartConfig>) -> String {
+    rc.map_or_else(|| "off".into(), |rc| rc.config_token())
+}
+
 impl SolveKey {
-    /// Key for a straight-line scheduling run.
+    /// Key for a straight-line scheduling run:
+    /// `mode=schedule;memory=…;restarts=…`. The restart/nogood policy is
+    /// keyed — restarts replay the tree in a different order.
     pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> SolveKey {
+        // Every field is named, so a new option does not compile until
+        // it is keyed here or marked budget-only.
+        let SchedulerOptions {
+            memory,
+            restarts,
+            // Budget-only: they decide whether or how fast a run ends,
+            // never what it produces. The digest cadence travels in the
+            // trace header, outside the key.
+            timeout: _,
+            trace: _,
+            state_hash_every: _,
+            profile: _,
+            cancel: _,
+        } = opts;
         SolveKey {
             ir_hash: ir_hash(g),
             arch_hash: arch_hash(spec),
-            config: schedule_config_string(opts),
+            config: format!(
+                "mode=schedule;memory={};restarts={}",
+                u8::from(*memory),
+                restarts_token(*restarts),
+            ),
         }
     }
 
-    /// Key for a modulo-scheduling sweep.
+    /// Key for a modulo-scheduling sweep:
+    /// `mode=modulo;incl=…;restarts=…;backend=…`. Backends agree on the
+    /// winning II but not on the concrete assignment, so the backend is
+    /// keyed. The restart policy is keyed only for the backends that run
+    /// a CP search: the SAT sweep never reads it, so under `sat` it reads
+    /// `off` whatever was asked.
     pub fn modulo(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> SolveKey {
+        let ModuloOptions {
+            include_reconfig,
+            restarts,
+            backend,
+            // Budget-only, as in `schedule`; the merged event stream is
+            // `jobs`-independent by construction.
+            timeout_per_ii: _,
+            total_timeout: _,
+            jobs: _,
+            trace: _,
+            state_hash_every: _,
+            cancel: _,
+        } = opts;
+        let restarts = match backend {
+            Backend::Sat => None,
+            Backend::Cp | Backend::Race => *restarts,
+        };
         SolveKey {
             ir_hash: ir_hash(g),
             arch_hash: arch_hash(spec),
-            config: modulo_config_string(opts),
+            config: format!(
+                "mode=modulo;incl={};restarts={};backend={}",
+                u8::from(*include_reconfig),
+                restarts_token(restarts),
+                backend.as_str(),
+            ),
         }
     }
 
@@ -158,26 +182,42 @@ impl SolveKey {
             fnv1a(self.config.as_bytes())
         )
     }
-}
 
-/// Build the `eit-trace/1` header for recording a straight-line
-/// scheduling run of `g` on `spec`.
-pub fn schedule_header(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> TraceHeader {
-    TraceHeader {
-        ir_hash: ir_hash(g),
-        arch_hash: arch_hash(spec),
-        hash_every: opts.state_hash_every.unwrap_or(0),
-        config: schedule_config_string(opts),
+    /// The `eit-trace/1` header of a recording of this solve that digests
+    /// the store every `hash_every` search nodes (`None` = never).
+    pub fn header(self, hash_every: Option<u64>) -> TraceHeader {
+        TraceHeader {
+            ir_hash: self.ir_hash,
+            arch_hash: self.arch_hash,
+            hash_every: hash_every.unwrap_or(0),
+            config: self.config,
+        }
     }
-}
 
-/// Build the `eit-trace/1` header for recording a modulo sweep.
-pub fn modulo_header(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> TraceHeader {
-    TraceHeader {
-        ir_hash: ir_hash(g),
-        arch_hash: arch_hash(spec),
-        hash_every: opts.state_hash_every.unwrap_or(0),
-        config: modulo_config_string(opts),
+    /// Admit a recording with header `h` as a recording of this solve,
+    /// or say why it is not one.
+    fn admit(&self, h: &TraceHeader) -> Result<(), String> {
+        let (ir, arch, config) = (self.ir_hash, self.arch_hash, &self.config);
+        if h.ir_hash != ir {
+            return Err(format!(
+                "trace was recorded for a different IR (trace {:016x}, this run {ir:016x})",
+                h.ir_hash
+            ));
+        }
+        if h.arch_hash != arch {
+            return Err(format!(
+                "trace was recorded for a different architecture \
+                 (trace {:016x}, this run {arch:016x})",
+                h.arch_hash
+            ));
+        }
+        if h.config != *config {
+            return Err(format!(
+                "solver config mismatch (trace '{}', this run '{config}')",
+                h.config
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -243,57 +283,66 @@ impl RrReport {
 }
 
 /// Re-validate a recorded straight-line scheduling run: run
-/// [`crate::model::schedule`] with `opts`, its trace and token replaced
-/// by the validator's.
+/// [`crate::model::schedule`] with `opts`, its trace, token and
+/// store-digest cadence replaced by the validator's and the recording's.
 ///
-/// `opts` must reproduce the recorded run's options (the header's
-/// config string names the ones that matter).
+/// `header` is the recording's: unless it pins this solve's
+/// [`SolveKey::schedule`] the replay is refused before any search, with
+/// the reason.
 pub fn replay_schedule(
     g: &Graph,
     spec: &ArchSpec,
     opts: &SchedulerOptions,
+    header: &TraceHeader,
     recorded: &[SearchEvent],
     ropts: &ReplayOptions,
-) -> RrReport {
+) -> Result<RrReport, String> {
+    SolveKey::schedule(g, spec, opts).admit(header)?;
     let rep = replay_with(recorded, ropts, |trace, cancel| {
         let live = SchedulerOptions {
             trace: Some(trace),
             cancel: Some(cancel),
+            state_hash_every: Some(header.hash_every),
             ..opts.clone()
         };
         schedule(g, spec, &live)
     });
-    RrReport {
+    Ok(RrReport {
         streams: 1,
         ..RrReport::new(recorded, rep)
-    }
+    })
 }
 
 /// Re-validate a recorded modulo sweep: run
-/// [`crate::modulo::modulo_schedule_checked`] with `opts`, its trace and
-/// token replaced by the validator's. Every candidate the live sweep
-/// decides, and the order it decides them in, must match the recording.
+/// [`crate::modulo::modulo_schedule_checked`] with `opts`, its trace,
+/// token and store-digest cadence replaced as in [`replay_schedule`],
+/// which also refuses a `header` that does not pin
+/// [`SolveKey::modulo`]. Every candidate the live sweep decides, and the
+/// order it decides them in, must match the recording.
 pub fn replay_modulo(
     g: &Graph,
     spec: &ArchSpec,
     opts: &ModuloOptions,
+    header: &TraceHeader,
     recorded: &[SearchEvent],
     ropts: &ReplayOptions,
-) -> RrReport {
+) -> Result<RrReport, String> {
+    SolveKey::modulo(g, spec, opts).admit(header)?;
     let rep = replay_with(recorded, ropts, |trace, cancel| {
         let live = ModuloOptions {
             trace: Some(trace),
             cancel: Some(cancel),
+            state_hash_every: Some(header.hash_every),
             ..opts.clone()
         };
         modulo_schedule_checked(g, spec, &live)
     });
     let structure_error = rep.result.as_ref().err().map(ToString::to_string);
-    RrReport {
+    Ok(RrReport {
         ok: rep.ok && structure_error.is_none(),
         structure_error,
         ..RrReport::new(recorded, rep)
-    }
+    })
 }
 
 #[cfg(test)]
@@ -312,13 +361,27 @@ mod tests {
         ctx.finish()
     }
 
-    fn record_schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Vec<SearchEvent> {
+    /// Record a straight-line run: its trace header and events.
+    fn record_schedule(
+        g: &Graph,
+        spec: &ArchSpec,
+        opts: &SchedulerOptions,
+    ) -> (TraceHeader, Vec<SearchEvent>) {
         let sink = Arc::new(Mutex::new(MemorySink::default()));
         let mut o = opts.clone();
         o.trace = Some(TraceHandle::new(Arc::clone(&sink)));
         crate::model::schedule(g, spec, &o);
         let events = sink.lock().unwrap().events.clone();
-        events
+        let header = SolveKey::schedule(g, spec, opts).header(opts.state_hash_every);
+        (header, events)
+    }
+
+    fn schedule_config(opts: &SchedulerOptions) -> String {
+        SolveKey::schedule(&chain(), &ArchSpec::eit(), opts).config
+    }
+
+    fn modulo_config(opts: &ModuloOptions) -> String {
+        SolveKey::modulo(&chain(), &ArchSpec::eit(), opts).config
     }
 
     #[test]
@@ -328,49 +391,54 @@ mod tests {
         // restart-free config (and vice versa): the token is part of the
         // header.
         let base = SchedulerOptions::default();
-        assert!(
-            schedule_config_string(&base).ends_with(";restarts=off"),
-            "{}",
-            schedule_config_string(&base)
+        assert_eq!(
+            schedule_config(&base),
+            "mode=schedule;memory=1;restarts=off"
         );
         let mut with_restarts = base.clone();
         with_restarts.restarts = Some(eit_cp::RestartConfig::default());
-        assert!(
-            schedule_config_string(&with_restarts).ends_with(";restarts=geom:256:150+ng"),
-            "{}",
-            schedule_config_string(&with_restarts)
-        );
-        assert_ne!(
-            schedule_config_string(&base),
-            schedule_config_string(&with_restarts)
+        assert_eq!(
+            schedule_config(&with_restarts),
+            "mode=schedule;memory=1;restarts=geom:256:150+ng"
         );
         // The restart token round-trips through the parser eitc uses to
-        // reconstruct a header's policy.
+        // read a policy back.
         let rc = eit_cp::RestartConfig::default();
         assert_eq!(
             eit_cp::RestartConfig::parse_token(&rc.config_token()),
             Some(rc)
         );
+        // Budgets stay outside the key.
+        let budgets = SchedulerOptions {
+            timeout: None,
+            state_hash_every: Some(8),
+            profile: true,
+            cancel: Some(eit_cp::CancelToken::new()),
+            ..base.clone()
+        };
+        assert_eq!(schedule_config(&budgets), schedule_config(&base));
 
         // Same contract for the modulo sweep, which also keys on the
         // decision backend (different backends produce different concrete
         // assignments at the same II).
         let mbase = ModuloOptions::default();
-        assert!(
-            modulo_config_string(&mbase).ends_with(";restarts=off;backend=cp"),
-            "{}",
-            modulo_config_string(&mbase)
+        assert_eq!(
+            modulo_config(&mbase),
+            "mode=modulo;incl=0;restarts=off;backend=cp"
         );
         let mut mrestart = mbase.clone();
         mrestart.restarts = Some(eit_cp::RestartConfig::default());
-        assert_ne!(
-            modulo_config_string(&mbase),
-            modulo_config_string(&mrestart)
-        );
+        assert_ne!(modulo_config(&mbase), modulo_config(&mrestart));
         let mut msat = mbase.clone();
         msat.backend = Backend::Sat;
-        assert!(modulo_config_string(&msat).ends_with(";backend=sat"));
-        assert_ne!(modulo_config_string(&mbase), modulo_config_string(&msat));
+        assert!(modulo_config(&msat).ends_with(";backend=sat"));
+        assert_ne!(modulo_config(&mbase), modulo_config(&msat));
+        let mbudgets = ModuloOptions {
+            jobs: 4,
+            state_hash_every: Some(8),
+            ..mbase.clone()
+        };
+        assert_eq!(modulo_config(&mbudgets), modulo_config(&mbase));
     }
 
     #[test]
@@ -385,7 +453,7 @@ mod tests {
                 restarts: rc,
                 ..plain.clone()
             };
-            let same = modulo_config_string(&plain) == modulo_config_string(&restarted);
+            let same = modulo_config(&plain) == modulo_config(&restarted);
             assert_eq!(same, backend == Backend::Sat, "{backend:?}");
         }
     }
@@ -407,9 +475,10 @@ mod tests {
             }),
             ..Default::default()
         };
-        let recorded = record_schedule(&g, &spec, &opts);
+        let (header, recorded) = record_schedule(&g, &spec, &opts);
         assert!(!recorded.is_empty());
-        let rep = replay_schedule(&g, &spec, &opts, &recorded, &ReplayOptions::default());
+        let rep = replay_schedule(&g, &spec, &opts, &header, &recorded, &Default::default())
+            .expect("the header is this run's");
         assert!(rep.ok, "divergence: {:?}", rep.divergence);
         assert_eq!(rep.replay_nodes, rep.recorded_nodes);
     }
@@ -432,6 +501,24 @@ mod tests {
         // Stable across calls.
         assert_eq!(h1, ir_hash(&g));
         assert_eq!(arch_hash(&spec), arch_hash(&spec));
+    }
+
+    /// One machine, however it is spelled: the builtin preset, the preset
+    /// with its full 64-slot budget as an explicit cap, and the preset
+    /// reloaded from its `eit-arch/1` rendering.
+    #[test]
+    fn arch_hash_is_the_machine_not_its_spelling() {
+        let eit = ArchSpec::eit();
+        let h = arch_hash(&eit);
+        let capped = eit.clone().with_slots(64);
+        assert_eq!(capped.slot_cap, Some(64));
+        assert_eq!(arch_hash(&capped), h);
+        let reloaded = eit_arch::from_arch_xml(&eit_arch::to_arch_xml(&eit)).unwrap();
+        assert_eq!(arch_hash(&reloaded), h);
+        let reloaded_capped = eit_arch::from_arch_xml(&eit_arch::to_arch_xml(&capped)).unwrap();
+        assert_eq!(arch_hash(&reloaded_capped), h);
+        // A cap below the physical count is a different machine.
+        assert_ne!(arch_hash(&eit.with_slots(63)), h);
     }
 
     /// Every ArchSpec field — geometry, ports, costs, and every field of
@@ -515,9 +602,12 @@ mod tests {
             state_hash_every: Some(8),
             ..Default::default()
         };
-        let recorded = record_schedule(&g, &spec, &opts);
+        let (header, recorded) = record_schedule(&g, &spec, &opts);
         assert!(!recorded.is_empty());
-        let rep = replay_schedule(&g, &spec, &opts, &recorded, &ReplayOptions::default());
+        // The cadence comes from the header, whatever the options say.
+        let plain = SchedulerOptions::default();
+        let rep = replay_schedule(&g, &spec, &plain, &header, &recorded, &Default::default())
+            .expect("the header is this run's");
         assert!(rep.ok, "divergence: {:?}", rep.divergence);
         assert_eq!(rep.replay_nodes, rep.recorded_nodes);
         assert_eq!(rep.checked as usize, rep.recorded_events);
@@ -528,7 +618,7 @@ mod tests {
         let g = chain();
         let spec = ArchSpec::eit();
         let opts = SchedulerOptions::default();
-        let mut recorded = record_schedule(&g, &spec, &opts);
+        let (header, mut recorded) = record_schedule(&g, &spec, &opts);
         // Claim the first decision tried the other value: the live run
         // takes the real branch, and replay must name that event.
         let at = recorded
@@ -539,7 +629,8 @@ mod tests {
             unreachable!("at indexes a branch");
         };
         *val += 1;
-        let rep = replay_schedule(&g, &spec, &opts, &recorded, &ReplayOptions::default());
+        let rep = replay_schedule(&g, &spec, &opts, &header, &recorded, &Default::default())
+            .expect("the header is this run's");
         assert!(!rep.ok);
         let (stream, d) = rep.divergence.expect("must diverge");
         assert_eq!((stream, d.index), (0, at));
@@ -555,11 +646,15 @@ mod tests {
             state_hash_every: Some(8),
             ..Default::default()
         };
-        let recorded = record_modulo(&g, &spec, &opts);
+        let (header, recorded) = record_modulo(&g, &spec, &opts);
         assert!(recorded
             .iter()
             .any(|e| matches!(e, SearchEvent::Stream { .. })));
-        let rep = replay_modulo(&g, &spec, &opts, &recorded, &ReplayOptions::default());
+        let replay = |events: &[SearchEvent]| {
+            replay_modulo(&g, &spec, &opts, &header, events, &Default::default())
+                .expect("the header is this run's")
+        };
+        let rep = replay(&recorded);
         assert!(
             rep.ok,
             "divergence: {:?} structure: {:?}",
@@ -572,7 +667,7 @@ mod tests {
         // ordinary divergence at that event.
         let mut bad = recorded.clone();
         bad.insert(0, SearchEvent::Fail { depth: 0 });
-        let rep = replay_modulo(&g, &spec, &opts, &bad, &ReplayOptions::default());
+        let rep = replay(&bad);
         assert!(!rep.ok);
         assert_eq!(rep.divergence.map(|(_, d)| d.index), Some(0));
         assert!(rep.structure_error.is_none());
@@ -590,7 +685,12 @@ mod tests {
         ctx.finish()
     }
 
-    fn record_modulo(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> Vec<SearchEvent> {
+    /// Record a modulo sweep: its trace header and merged events.
+    fn record_modulo(
+        g: &Graph,
+        spec: &ArchSpec,
+        opts: &ModuloOptions,
+    ) -> (TraceHeader, Vec<SearchEvent>) {
         let sink = Arc::new(Mutex::new(MemorySink::default()));
         let traced = ModuloOptions {
             trace: Some(TraceHandle::new(Arc::clone(&sink))),
@@ -598,13 +698,24 @@ mod tests {
         };
         crate::modulo::modulo_schedule(g, spec, &traced).expect("the kernel has a schedule");
         let events = sink.lock().unwrap().events.clone();
-        events
+        let header = SolveKey::modulo(g, spec, opts).header(opts.state_hash_every);
+        (header, events)
+    }
+
+    /// Replay a recording of [`two_configs`] on the default sweep.
+    fn replay_two_configs(
+        header: &TraceHeader,
+        recorded: &[SearchEvent],
+        ropts: &ReplayOptions,
+    ) -> Result<RrReport, String> {
+        let (g, spec) = (two_configs(), ArchSpec::eit());
+        replay_modulo(&g, &spec, &Default::default(), header, recorded, ropts)
     }
 
     /// The two-candidate recording and the index of its `stream 2` marker.
-    fn two_candidate_recording() -> (Graph, Vec<SearchEvent>, usize) {
+    fn two_candidate_recording() -> (TraceHeader, Vec<SearchEvent>, usize) {
         let g = two_configs();
-        let recorded = record_modulo(&g, &ArchSpec::eit(), &ModuloOptions::default());
+        let (header, recorded) = record_modulo(&g, &ArchSpec::eit(), &ModuloOptions::default());
         let markers: Vec<(usize, u32)> = recorded
             .iter()
             .enumerate()
@@ -622,20 +733,15 @@ mod tests {
                 ..
             }
         ));
-        (g, recorded, markers[1].0)
+        (header, recorded, markers[1].0)
     }
 
     /// Replay `recorded` strictly and leniently; both must refuse it, at
     /// recorded event `index` of stream `stream`.
-    fn assert_refused(g: &Graph, recorded: &[SearchEvent], stream: u32, index: usize) {
+    fn assert_refused(header: &TraceHeader, recorded: &[SearchEvent], stream: u32, index: usize) {
         for strict in [true, false] {
-            let rep = replay_modulo(
-                g,
-                &ArchSpec::eit(),
-                &ModuloOptions::default(),
-                recorded,
-                &ReplayOptions { strict },
-            );
+            let rep = replay_two_configs(header, recorded, &ReplayOptions { strict })
+                .expect("the header is this run's");
             assert!(!rep.ok, "strict={strict}: accepted {recorded:?}");
             let (s, d) = rep.divergence.expect("a divergence");
             assert_eq!((s, d.index), (stream, index), "strict={strict}");
@@ -644,14 +750,9 @@ mod tests {
 
     #[test]
     fn two_candidate_recording_replays_as_two_streams() {
-        let (g, recorded, _) = two_candidate_recording();
-        let rep = replay_modulo(
-            &g,
-            &ArchSpec::eit(),
-            &ModuloOptions::default(),
-            &recorded,
-            &ReplayOptions::default(),
-        );
+        let (header, recorded, _) = two_candidate_recording();
+        let rep = replay_two_configs(&header, &recorded, &Default::default())
+            .expect("the header is this run's");
         assert!(rep.ok, "divergence: {:?}", rep.divergence);
         assert_eq!(rep.streams, 2);
         assert_eq!(rep.checked as usize, rep.recorded_events);
@@ -662,19 +763,54 @@ mod tests {
     #[test]
     fn modulo_replay_refuses_a_recording_cut_before_the_winner() {
         // Claims the sweep stopped at the refutation of II 1.
-        let (g, recorded, second) = two_candidate_recording();
-        assert_refused(&g, &recorded[..second], 1, second);
+        let (header, recorded, second) = two_candidate_recording();
+        assert_refused(&header, &recorded[..second], 1, second);
     }
 
     #[test]
     fn modulo_replay_refuses_a_recording_without_the_refuted_candidate() {
         // Claims II 2 was the first candidate.
-        let (g, recorded, second) = two_candidate_recording();
-        assert_refused(&g, &recorded[second..], 2, 0);
+        let (header, recorded, second) = two_candidate_recording();
+        assert_refused(&header, &recorded[second..], 2, 0);
     }
 
     #[test]
     fn modulo_replay_refuses_an_empty_recording_of_a_schedulable_kernel() {
-        assert_refused(&two_configs(), &[], 0, 0);
+        let (header, ..) = two_candidate_recording();
+        assert_refused(&header, &[], 0, 0);
+    }
+
+    /// A header for another IR, machine or config is refused with its
+    /// reason and no report. The events are a faithful recording of the
+    /// live sweep, so a search would have accepted them: the refusal is
+    /// decided before any search.
+    #[test]
+    fn modulo_replay_refusal_runs_no_search() {
+        let (header, recorded, _) = two_candidate_recording();
+        let (g, spec, opts) = (two_configs(), ArchSpec::eit(), ModuloOptions::default());
+        let incl = ModuloOptions {
+            include_reconfig: true,
+            ..Default::default()
+        };
+        let foreign = [
+            (
+                SolveKey::modulo(&chain(), &spec, &opts),
+                "trace was recorded for a different IR",
+            ),
+            (
+                SolveKey::modulo(&g, &spec.clone().with_slots(32), &opts),
+                "trace was recorded for a different architecture",
+            ),
+            (SolveKey::modulo(&g, &spec, &incl), "solver config mismatch"),
+        ];
+        for (key, why) in foreign {
+            let h = key.header(None);
+            let err = replay_two_configs(&h, &recorded, &Default::default())
+                .expect_err("a foreign header must be refused");
+            assert!(err.starts_with(why), "{err}");
+        }
+        // The same events under their own header replay clean.
+        let rep = replay_two_configs(&header, &recorded, &Default::default()).unwrap();
+        assert!(rep.ok);
     }
 }

@@ -484,13 +484,6 @@ impl Domain {
         }
     }
 
-    /// Keep only values in `[lo, hi]`. Returns true if the domain changed.
-    pub fn restrict_to_interval(&mut self, lo: i32, hi: i32) -> bool {
-        let a = self.remove_below(lo);
-        let b = self.remove_above(hi);
-        a || b
-    }
-
     /// Fix the domain to `{v}`. Returns true if the domain changed; the
     /// domain becomes empty if `v` was not a member.
     pub fn fix(&mut self, v: i32) -> bool {
@@ -1107,7 +1100,7 @@ mod tests {
             |d| d.remove_above(90),
             |d| d.remove_value(3),
             |d| d.intersect(&Domain::from_values((0..100).filter(|v| v % 3 != 1))),
-            |d| d.restrict_to_interval(10, 50),
+            |d| d.remove_below(10) | d.remove_above(50),
             |d| d.remove_value(30),
             |d| d.fix(33),
         ];

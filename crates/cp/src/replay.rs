@@ -27,21 +27,19 @@
 //! event index, expected vs actual, a window of recorded context around
 //! it, and the depth/node statistics at the divergence point.
 //!
-//! [`replay_with`] runs any solve under the validator, so a driver of
-//! many searches (the modulo II sweep) is replayed by running the driver
-//! itself; [`replay`] wraps it around one [`minimize`]/[`solve`]. A driver
-//! that buffers its searches' events and forwards them when it ends (the
-//! sweep does) is checked only then: a divergent replay of it costs the
-//! whole live run.
+//! [`replay_with`] runs any solve under the validator — one
+//! [`crate::minimize`]/[`crate::solve`], or a driver of many searches
+//! (the modulo II sweep), which is replayed by running the driver
+//! itself. A driver that buffers its searches' events and forwards them
+//! when it ends (the sweep does) is checked only then: a divergent replay
+//! of it costs the whole live run.
 
 use crate::cancel::CancelToken;
-use crate::search::{minimize, solve, SearchConfig, SearchResult};
-use crate::store::VarId;
 use crate::trace::{SearchEvent, TraceHandle, TraceSink};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-/// How [`replay`] compares live events against the recording.
+/// How [`replay_with`] compares live events against the recording.
 #[derive(Clone, Copy, Debug)]
 pub struct ReplayOptions {
     /// `true`: any event mismatch fails. `false` (lenient): only
@@ -105,9 +103,9 @@ impl fmt::Display for DivergenceReport {
     }
 }
 
-/// Outcome of one [`replay`] or [`replay_with`] run.
+/// Outcome of one [`replay_with`] run.
 #[derive(Debug)]
-pub struct ReplayReport<R = SearchResult> {
+pub struct ReplayReport<R> {
     /// The replay matched the recording end to end.
     pub ok: bool,
     /// Events actually compared (in lenient mode, outcome events only;
@@ -119,9 +117,8 @@ pub struct ReplayReport<R = SearchResult> {
     /// Search nodes the live run reported, summed over its
     /// [`SearchEvent::Done`] events (one per search it traced).
     pub live_nodes: u64,
-    /// The re-driven run's own result (for [`replay`]: objective, stats,
-    /// status). On a clean strict replay its node count equals the
-    /// recorded one.
+    /// The re-driven run's own result. On a clean strict replay its node
+    /// count equals the recorded one.
     pub result: R,
 }
 
@@ -308,39 +305,15 @@ pub fn replay_with<R>(
     }
 }
 
-/// Re-drive `model` under `config` and validate it against `recorded`:
-/// [`replay_with`] around one search.
-///
-/// `config` must reconstruct the recorded run exactly (same phases, same
-/// restart policy, same [`SearchConfig::state_hash_every`] as the trace
-/// header); `objective` selects minimization vs satisfaction, matching
-/// the original call.
-pub fn replay(
-    model: &mut crate::model::Model,
-    objective: Option<VarId>,
-    config: &SearchConfig,
-    recorded: &[SearchEvent],
-    opts: &ReplayOptions,
-) -> ReplayReport {
-    replay_with(recorded, opts, |trace, cancel| {
-        let cfg = SearchConfig {
-            trace: Some(trace),
-            cancel: Some(cancel),
-            ..config.clone()
-        };
-        match objective {
-            Some(obj) => minimize(model, obj, &cfg),
-            None => solve(model, &cfg),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::Model;
     use crate::props::basic::{MaxOf, NeqOffset};
-    use crate::search::{Phase, SearchStatus, ValSel, VarSel};
+    use crate::search::{
+        minimize, solve, Phase, SearchConfig, SearchResult, SearchStatus, ValSel, VarSel,
+    };
+    use crate::store::VarId;
     use crate::trace::MemorySink;
 
     /// 5 mutually-different vars, minimize the max: small but real BnB.
@@ -370,6 +343,28 @@ mod tests {
             state_hash_every: Some(2),
             ..Default::default()
         }
+    }
+
+    /// Re-drive `model` under `config` against `recorded`: one
+    /// [`minimize`]/[`solve`] under [`replay_with`].
+    fn replay(
+        model: &mut Model,
+        objective: Option<VarId>,
+        config: &SearchConfig,
+        recorded: &[SearchEvent],
+        opts: &ReplayOptions,
+    ) -> ReplayReport<SearchResult> {
+        replay_with(recorded, opts, |trace, cancel| {
+            let cfg = SearchConfig {
+                trace: Some(trace),
+                cancel: Some(cancel),
+                ..config.clone()
+            };
+            match objective {
+                Some(obj) => minimize(model, obj, &cfg),
+                None => solve(model, &cfg),
+            }
+        })
     }
 
     fn record(val_sel: ValSel) -> (Vec<SearchEvent>, SearchResult) {

@@ -355,12 +355,6 @@ impl Store {
         self.after_change(v, ev)
     }
 
-    /// `v ∈ [lo, hi]`.
-    pub fn restrict_to_interval(&mut self, v: VarId, lo: i32, hi: i32) -> PropResult {
-        self.remove_below(v, lo)?;
-        self.remove_above(v, hi)
-    }
-
     /// `v ∈ other` (intersect with an explicit domain). An empty `other`
     /// empties `v`: `Err(Fail)`.
     pub fn intersect(&mut self, v: VarId, other: &Domain) -> PropResult {

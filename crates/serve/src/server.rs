@@ -515,13 +515,11 @@ fn handle_job(shared: &Arc<Shared>, job: &Job, mut timing: RequestTiming) -> Res
         },
         None => ArchSpec::eit(),
     };
-    // An explicit `slots` overrides the arch's own budget; absent, the
-    // default machine keeps its historical 64-slot cap so pre-`arch`
-    // requests hash to the same cache addresses as before.
-    match (req.slots, req.arch.is_some()) {
-        (Some(n), _) => spec = spec.with_slots(n),
-        (None, false) => spec = spec.with_slots(64),
-        (None, true) => {}
+    // An explicit `slots` overrides the arch's own budget. The machine,
+    // not its spelling, is hashed into the key, so the default machine and
+    // an inline rendering of it share cache entries.
+    if let Some(n) = req.slots {
+        spec = spec.with_slots(n);
     }
     let token = job
         .deadline

@@ -82,7 +82,7 @@ done
 echo "== differential fuzz smoke: 200 fixed-seed cases (hybrid bitset domains on)"
 # Deterministic: same seed, same graphs, same verdicts on every machine.
 # Each case cross-checks XML round-trips, the list/CP/modulo schedulers,
-# both independent verifiers, persistence, and functional replay
+# both independent verifiers, and functional replay
 # (~30s ceiling; typically well under). The solver runs with the hybrid
 # bitset representation enabled (the Store default), so the corpus also
 # exercises promotion and the bitset fast paths on every case.
@@ -242,6 +242,14 @@ echo "   qrd: recorded and strict-replayed clean"
 cmp "$t1" "$t4" || { echo "FAIL: matmul --modulo trace differs between --jobs 1 and --jobs 4"; exit 1; }
 ./target/release/eitc matmul --modulo --timeout 60 --replay "$t1" --strict >/dev/null
 echo "   matmul --modulo: jobs-1/jobs-4 traces byte-identical, strict replay clean"
+# A trace pins the machine, not its spelling: the dumped eit.xml is the
+# default machine and replays the recording; another kernel is refused.
+./target/release/eitc matmul --modulo --timeout 60 --arch "$archdir/eit.xml" --replay "$t1" >/dev/null \
+  || { echo "FAIL: matmul --modulo trace refused under --arch eit.xml"; exit 1; }
+rc=0; err="$(./target/release/eitc fir --modulo --timeout 60 --replay "$t1" 2>&1 >/dev/null)" || rc=$?
+[ "$rc" = 1 ] && grep -q 'different IR' <<<"$err" \
+  || { echo "FAIL: matmul trace replayed as fir: exit $rc, expected 1 ($err)"; exit 1; }
+echo "   matmul --modulo: replays under --arch eit.xml, refused as fir"
 # Replay re-runs the whole sweep, so a recording must be the sweep's
 # trace. Two independent vector ops with different configurations: II 1
 # is refuted at the root and II 2 wins, so the trace holds two streams.
@@ -281,7 +289,7 @@ echo "== serve smoke: daemon survives faults, hot kernels hit the cache byte-ide
 #      request all come back as structured responses (server stays up);
 #   2. all 6 table kernels submitted twice — the second pass must be all
 #      cache hits and every response byte-identical to one-shot eitc;
-#   3. clean shutdown with the aggregated metrics showing 6 hits.
+#   3. clean shutdown with the aggregated metrics showing 12 hits.
 servedir="$(mktemp -d /tmp/eit-serve.XXXXXX)"
 SERVE_ADDR=127.0.0.1:17871
 ./target/release/eitc --serve "$SERVE_ADDR" --jobs 4 --metrics "$servedir/metrics.json" \
@@ -307,18 +315,19 @@ for k in qrd arf matmul fir detector blockmm; do
 done
 # Arch-threading through the daemon: an inline reloaded-preset arch must
 # serve every kernel byte-identical to the one-shot builtin path (these
-# are cold misses — the arch hash keys the cache — so hits stay at 6),
-# and a bad arch value comes back as a structured bad-request.
+# are cache hits — the arch hash keys the machine, not its spelling, so
+# hits reach 12), and a bad arch value comes back as a structured
+# bad-request.
 for k in qrd arf matmul fir detector blockmm; do
   client compile "$k" --arch "$archdir/eit.xml" --out "$servedir/arch_$k.txt" \
-    | grep -q '"status":"ok"' || { echo "FAIL: $k --arch via serve errored"; exit 1; }
+    | grep -q '"cached":true' || { echo "FAIL: $k --arch eit.xml via serve was not a cache hit"; exit 1; }
   cmp "$servedir/arch_$k.txt" "$servedir/oneshot_$k.txt" \
     || { echo "FAIL: $k served --arch listing differs from one-shot eitc"; exit 1; }
 done
 client compile qrd --arch not-a-preset | grep -q '"kind":"bad-request"' \
   || { echo "FAIL: bad arch value not rejected as bad-request"; exit 1; }
 echo "   6/6 kernels served byte-identically under --arch; bad arch → bad-request"
-client stats | grep -q '"hits":6'
+client stats | grep -q '"hits":12'
 client shutdown | grep -q '"shutting_down":true'
 wait "$serve_pid" || { echo "FAIL: daemon exited non-zero"; exit 1; }
 grep -q '"schema": "eit-run-metrics/1"' "$servedir/metrics.json"

@@ -21,7 +21,7 @@
 //!   [`core::pipeline::compile`] toolchain;
 //! - [`arch`] — the EIT machine model (§1.1) and the cycle-accurate
 //!   simulator used to validate and functionally replay every schedule,
-//!   with Gantt/VCD renderers and schedule persistence;
+//!   with Gantt/VCD renderers;
 //! - [`apps`] — the evaluation kernels: QRD, ARF, MATMUL from the paper,
 //!   plus FIR, the full MMSE detector, blocked matmul and a synthetic
 //!   generator.

@@ -156,15 +156,3 @@ fn specific_corruptions_produce_specific_violations() {
         "{v:?}"
     );
 }
-
-#[test]
-fn every_kernel_round_trips_through_persistence() {
-    for name in ["matmul", "fir", "arf"] {
-        let (g, spec, s, kernel) = scheduled(name);
-        let txt = eit::arch::schedule_to_text(&s);
-        let back = eit::arch::schedule_from_text(&txt).unwrap();
-        assert_eq!(back, s, "{name}");
-        let report = simulate(&g, &spec, &back, &kernel.inputs);
-        assert!(report.ok(), "{name}: {:?}", report.violations);
-    }
-}
