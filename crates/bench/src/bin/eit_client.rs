@@ -27,7 +27,7 @@
 //! response arrived (including structured errors — scripts grep the
 //! line), 1 on transport failure, 2 on usage errors.
 
-use eit_bench::Json;
+use eit_core::json::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::exit;

@@ -43,10 +43,11 @@
 //!                       independent verifier (eit-arch `verify` module) AND
 //!                       the simulator's structural validation; exit 1 if
 //!                       either reports a violation
-//!   --trace FILE        write the solver's search events as JSON lines
-//!   --record FILE       record the solve as a binary eit-trace/1 file
-//!                       (canonical IR/arch hashes + every search event +
-//!                       periodic store digests); replay it with --replay
+//!   --record FILE       record the solve as an eit-trace/2 file: a JSON
+//!                       header line (canonical IR/arch hashes, solver
+//!                       config) then one JSON line per search event,
+//!                       periodic store digests included; replay it with
+//!                       --replay
 //!   --replay FILE       re-validate a recorded solve in O(trace): re-run
 //!                       the solve (with --modulo, the whole II sweep)
 //!                       and diff every event; exit 1 with a divergence
@@ -68,26 +69,35 @@
 //!                       aggregated server metrics written at shutdown)
 //! ```
 //!
-//! A flag the selected mode cannot honour exits 2 naming it: `--backend`,
-//! `--emit cnf` and (outside `--serve`) `--jobs` need `--modulo`;
-//! `--emit gantt|vcd`, `--overlap`, `--profile` and `--no-memory` are
-//! straight-line only; `--restarts` needs a CP search (not `--backend
-//! sat`); `--strict`/`--lenient` need `--replay`; `--emit xml|dot` dumps
-//! the IR without solving, so it takes no solve flag; `--overlap` prints
-//! its own line, so it takes no `--emit gantt|vcd`. `--emit` is given at
-//! most once.
+//! The mode flags pick what a run does: `--dump-arch`, `--serve`, `--emit
+//! xml|dot` (an IR dump), `--modulo --emit cnf`, `--replay`, or a
+//! straight-line or modulo compile (under `--backend cp|race|sat`). A
+//! flag the selected mode does not read exits 2 naming it, never dropped
+//! without a word: `--backend`, `--emit cnf` and (outside `--serve`)
+//! `--jobs` need `--modulo`; `--emit gantt|vcd`, `--overlap`, `--profile`
+//! and `--no-memory` are straight-line only; `--restarts` needs a CP
+//! search (not `--backend sat`); `--record` and `--replay` need the cp
+//! backend; `--strict`/`--lenient` need `--replay`, and a replay prints
+//! only its verdict, so it takes no `--emit`, `--verify`, `--metrics`,
+//! `--profile`, `--overlap` or `--record`; `--emit xml|dot` and `--emit
+//! cnf` solve nothing, so they take no solve flag; `--overlap` prints its
+//! own line, so it takes no `--emit gantt|vcd`; `--dump-arch` reads no
+//! other flag and `--serve` only `--jobs`, `--timeout` and `--metrics`.
+//! `--emit` is given at most once.
 //!
 //! Example: `cargo run --release -p eit-bench --bin eitc -- qrd --slots 16`
 
 use eit_arch::ArchSpec;
-use eit_bench::{ArchArgError, Json, RunMetrics};
+use eit_bench::{ArchArgError, RunMetrics};
+use eit_core::json::Json;
 use eit_core::pipeline::{compile, CompileError, CompileOptions};
+use eit_core::record::FORMAT;
 use eit_core::{
-    bundles_from_schedule, overlapped_execution, replay_modulo, replay_schedule, ModuloOptions,
-    RrReport, SchedulerOptions, SolveKey,
+    bundles_from_schedule, overlapped_execution, replay_modulo, replay_schedule, Backend,
+    ModuloOptions, RecorderSink, RrReport, SchedulerOptions, SolveKey, Trace, TraceHeader,
 };
-use eit_cp::trace::{JsonlSink, SearchEvent, TraceHandle};
-use eit_cp::{RecorderSink, ReplayOptions, Trace, TraceHeader};
+use eit_cp::trace::{SearchEvent, TraceHandle};
+use eit_cp::ReplayOptions;
 use eit_ir::sem::Value;
 use eit_ir::{Graph, NodeId};
 use std::collections::HashMap;
@@ -95,6 +105,7 @@ use std::process::exit;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+#[derive(Clone)]
 struct Args {
     kernel: String,
     arch: Option<String>,
@@ -103,13 +114,12 @@ struct Args {
     memory: bool,
     merge: bool,
     modulo: Option<bool>, // Some(include_reconfig)
-    backend: Option<eit_core::Backend>,
+    backend: Option<Backend>,
     jobs: Option<usize>,
     overlap: Option<usize>,
-    timeout: u64,
+    timeout: Option<u64>,
     emit: Option<Emit>,
     verify: bool,
-    trace: Option<String>,
     record: Option<String>,
     replay: Option<String>,
     /// The last of `--strict`/`--lenient` given, if any.
@@ -154,7 +164,7 @@ fn usage() -> ! {
     eprintln!("            [--modulo [incl]] [--backend cp|sat|race] [--jobs N]");
     eprintln!("            [--overlap M] [--timeout SECS]");
     eprintln!("            [--emit xml|gantt|dot|vcd|cnf] [--verify]");
-    eprintln!("            [--trace FILE] [--record FILE] [--replay FILE [--strict|--lenient]]");
+    eprintln!("            [--record FILE] [--replay FILE [--strict|--lenient]]");
     eprintln!("            [--profile] [--restarts [POLICY]]");
     eprintln!("            [--metrics FILE]");
     eprintln!("       eitc --serve ADDR [--jobs N] [--timeout SECS] [--metrics FILE]");
@@ -166,6 +176,9 @@ fn bad_arg(what: &str) -> ! {
     eprintln!("eitc: unrecognized argument '{what}'");
     usage();
 }
+
+/// `--timeout` when not given, in seconds.
+const DEFAULT_TIMEOUT_S: u64 = 120;
 
 fn parse_args() -> Args {
     let mut args = Args {
@@ -179,10 +192,9 @@ fn parse_args() -> Args {
         backend: None,
         jobs: None,
         overlap: None,
-        timeout: 120,
+        timeout: None,
         emit: None,
         verify: false,
-        trace: None,
         record: None,
         replay: None,
         replay_check: None,
@@ -216,7 +228,7 @@ fn parse_args() -> Args {
                 args.backend = Some(
                     it.next()
                         .as_deref()
-                        .and_then(eit_core::Backend::parse)
+                        .and_then(Backend::parse)
                         .unwrap_or_else(|| {
                             eprintln!("eitc: --backend expects cp, sat, or race");
                             usage();
@@ -239,10 +251,11 @@ fn parse_args() -> Args {
                 )
             }
             "--timeout" => {
-                args.timeout = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                args.timeout = Some(
+                    it.next()
+                        .and_then(|v| v.parse().ok())
+                        .unwrap_or_else(|| usage()),
+                )
             }
             "--emit" => {
                 let v = it.next().unwrap_or_else(|| usage());
@@ -253,7 +266,6 @@ fn parse_args() -> Args {
                 }
             }
             "--verify" => args.verify = true,
-            "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage())),
             "--record" => args.record = Some(it.next().unwrap_or_else(|| usage())),
             "--replay" => args.replay = Some(it.next().unwrap_or_else(|| usage())),
             "--strict" => args.replay_check = Some("--strict"),
@@ -283,71 +295,122 @@ fn parse_args() -> Args {
     if args.kernel.is_empty() && args.serve.is_none() && args.dump_arch.is_none() {
         usage();
     }
-    // A flag the selected mode cannot honour is an error, never dropped
-    // without a word.
-    let (modulo, sat) = (
-        args.modulo.is_some(),
-        args.backend == Some(eit_core::Backend::Sat),
-    );
-    let emit = |set: &[Emit]| args.emit.is_some_and(|e| set.contains(&e));
-    let (needs_modulo, not_modulo) = ("requires --modulo", "is not supported with --modulo");
-    let not_emit = format!(
-        "is not supported with --emit {}",
-        args.emit.map_or("", Emit::name)
-    );
-    // `--emit xml|dot` dumps the IR before any solve.
-    let ir_only = emit(&[Emit::Xml, Emit::Dot]);
-    let solve_only = [
-        (args.arch.is_some(), "--arch"),
-        (args.slots.is_some(), "--slots"),
-        (!args.memory, "--no-memory"),
-        (modulo, "--modulo"),
-        (args.overlap.is_some(), "--overlap"),
-        (args.verify, "--verify"),
-        (args.trace.is_some(), "--trace"),
-        (args.record.is_some(), "--record"),
-        (args.replay.is_some(), "--replay"),
-        (args.profile, "--profile"),
-        (args.restarts.is_some(), "--restarts"),
-        (args.metrics.is_some(), "--metrics"),
-    ]
-    .map(|(given, flag)| (ir_only && given, flag, not_emit.as_str()));
-    let refused = [
-        (!modulo && emit(&[Emit::Cnf]), "--emit cnf", needs_modulo),
-        (!modulo && args.backend.is_some(), "--backend", needs_modulo),
-        (
-            !modulo && args.jobs.is_some() && args.serve.is_none(),
-            "--jobs",
-            needs_modulo,
-        ),
-        (modulo && emit(&[Emit::Gantt]), "--emit gantt", not_modulo),
-        (modulo && emit(&[Emit::Vcd]), "--emit vcd", not_modulo),
-        (modulo && args.overlap.is_some(), "--overlap", not_modulo),
-        // The overlapped run prints its own summary line instead.
-        (
-            args.overlap.is_some() && emit(&[Emit::Gantt, Emit::Vcd]),
-            "--overlap",
-            not_emit.as_str(),
-        ),
-        (modulo && args.profile, "--profile", not_modulo),
-        (modulo && !args.memory, "--no-memory", not_modulo),
-        // The SAT sweep runs no CP search, so it has nothing to restart.
-        (
-            sat && args.restarts.is_some(),
-            "--restarts",
-            "is not supported with --backend sat",
-        ),
-        (
-            args.replay.is_none() && args.replay_check.is_some(),
-            args.replay_check.unwrap_or_default(),
-            "requires --replay",
-        ),
-    ];
-    if let Some((_, flag, why)) = refused.iter().chain(&solve_only).find(|(given, ..)| *given) {
-        eprintln!("eitc: {flag} {why}");
-        exit(2);
-    }
+    refuse_unread_flags(&args);
     args
+}
+
+// What one run does, picked by its mode flags (`mode`), one bit each so
+// that the modes reading a flag are a set. IR_DUMP and CNF print `--emit
+// xml|dot|cnf` and solve nothing; LISTING and CHART are straight-line
+// compiles printing the listing or `--emit gantt|vcd`; MODULO, RACE and
+// SAT are modulo sweeps on `--backend cp|race|sat`.
+const DUMP_ARCH: u16 = 1;
+const SERVE: u16 = 1 << 1;
+const IR_DUMP: u16 = 1 << 2;
+const CNF: u16 = 1 << 3;
+const LISTING: u16 = 1 << 4;
+const CHART: u16 = 1 << 5;
+const REPLAY: u16 = 1 << 6;
+const MODULO: u16 = 1 << 7;
+const RACE: u16 = 1 << 8;
+const SAT: u16 = 1 << 9;
+const MODULO_REPLAY: u16 = 1 << 10;
+
+fn mode(a: &Args) -> u16 {
+    let modulo = a.modulo.is_some();
+    match a.emit {
+        _ if a.dump_arch.is_some() => DUMP_ARCH,
+        _ if a.serve.is_some() => SERVE,
+        Some(Emit::Xml | Emit::Dot) => IR_DUMP,
+        Some(Emit::Cnf) if modulo => CNF,
+        _ if modulo => match (a.backend, &a.replay) {
+            (Some(Backend::Sat), _) => SAT,
+            (Some(Backend::Race), _) => RACE,
+            (_, Some(_)) => MODULO_REPLAY,
+            _ => MODULO,
+        },
+        _ if a.replay.is_some() => REPLAY,
+        Some(Emit::Gantt | Emit::Vcd) => CHART,
+        _ => LISTING,
+    }
+}
+
+/// Exit 2 naming the first flag given that the run's mode does not read.
+fn refuse_unread_flags(a: &Args) {
+    const STRAIGHT: u16 = LISTING | CHART | REPLAY;
+    const SWEEPS: u16 = MODULO | RACE | SAT | MODULO_REPLAY;
+    const SOLVES: u16 = STRAIGHT | SWEEPS | CNF;
+    const REPLAYS: u16 = REPLAY | MODULO_REPLAY;
+    const COMPILES: u16 = LISTING | CHART | MODULO | RACE | SAT;
+    const CP_SEARCHES: u16 = STRAIGHT | MODULO | RACE | MODULO_REPLAY;
+    let kernel = format!("kernel {}", a.kernel);
+    let emit = format!("--emit {}", a.emit.map_or("", Emit::name));
+    let check = a.replay_check.unwrap_or_default();
+    let emitted_by = match a.emit {
+        Some(Emit::Xml | Emit::Dot) => IR_DUMP,
+        Some(Emit::Gantt | Emit::Vcd) => CHART,
+        _ => CNF,
+    };
+    // Each flag, whether it was given, and the modes that read it.
+    let table = [
+        (kernel.as_str(), !a.kernel.is_empty(), SOLVES | IR_DUMP),
+        ("--arch", a.arch.is_some(), SOLVES),
+        ("--slots", a.slots.is_some(), SOLVES),
+        ("--no-memory", !a.memory, STRAIGHT),
+        ("--no-merge", !a.merge, SOLVES | IR_DUMP),
+        ("--modulo", a.modulo.is_some(), SWEEPS | CNF),
+        ("--backend", a.backend.is_some(), SWEEPS),
+        ("--jobs", a.jobs.is_some(), SWEEPS | SERVE),
+        // An overlapped run prints its own summary line, not a chart.
+        ("--overlap", a.overlap.is_some(), LISTING),
+        ("--timeout", a.timeout.is_some(), STRAIGHT | SWEEPS | SERVE),
+        (emit.as_str(), a.emit.is_some(), emitted_by),
+        ("--verify", a.verify, COMPILES),
+        // The sat sweep, and so the race (whose winner varies with load),
+        // has no node-by-node trajectory to record or diff against.
+        ("--record", a.record.is_some(), LISTING | CHART | MODULO),
+        ("--replay", a.replay.is_some(), REPLAYS),
+        (check, a.replay_check.is_some(), REPLAYS),
+        ("--profile", a.profile, LISTING | CHART),
+        // The sat sweep runs no CP search, so it has nothing to restart.
+        ("--restarts", a.restarts.is_some(), CP_SEARCHES),
+        ("--metrics", a.metrics.is_some(), COMPILES | SERVE),
+        ("--serve", a.serve.is_some(), SERVE),
+    ];
+    let mode = mode(a);
+    let Some(&(flag, _, readers)) = table
+        .iter()
+        .find(|&&(_, given, readers)| given && readers & mode == 0)
+    else {
+        return;
+    };
+    // Name the mode flag that would make the run read it, if one would.
+    let read_with = |modulo: bool, replay: bool| {
+        let with = Args {
+            modulo: a.modulo.or(modulo.then_some(false)),
+            replay: a.replay.clone().or(replay.then(String::new)),
+            ..a.clone()
+        };
+        readers & self::mode(&with) != 0
+    };
+    let picked_by = match mode {
+        DUMP_ARCH => "--dump-arch",
+        SERVE => "--serve",
+        IR_DUMP | CNF | CHART => &emit,
+        REPLAY | MODULO_REPLAY => "--replay",
+        MODULO => "--modulo",
+        RACE => "--backend race",
+        SAT => "--backend sat",
+        _ => "a straight-line listing",
+    };
+    if read_with(false, true) {
+        eprintln!("eitc: {flag} requires --replay");
+    } else if read_with(true, false) {
+        eprintln!("eitc: {flag} requires --modulo");
+    } else {
+        eprintln!("eitc: {flag} is not supported with {picked_by}");
+    }
+    exit(2);
 }
 
 /// Resolve an `--arch` argument ([`eit_bench::resolve_arch_value`]),
@@ -371,7 +434,7 @@ fn serve_mode(addr: &str, args: &Args) -> ! {
     let srv = eit_serve::Server::start(eit_serve::ServeOptions {
         addr: addr.to_string(),
         workers: args.jobs.unwrap_or(1),
-        default_deadline: Duration::from_secs(args.timeout),
+        default_deadline: Duration::from_secs(args.timeout.unwrap_or(DEFAULT_TIMEOUT_S)),
         ..Default::default()
     })
     .unwrap_or_else(|e| {
@@ -480,7 +543,7 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
         }
         let w = &mut per_worker[p.worker];
         w.0 += 1;
-        let units = &mut w.1[usize::from(p.backend == eit_core::Backend::Sat)];
+        let units = &mut w.1[usize::from(p.backend == Backend::Sat)];
         units[0] += p.nodes;
         units[1] += p.fails;
         w.2 += p.time.as_micros() as u64;
@@ -536,7 +599,9 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
 }
 
 /// `--replay FILE`, for either mode: read the trace, `replay` it and
-/// exit with the verdict — 1 with the reason if rr refuses its header.
+/// exit with the verdict: 0 on a clean match, 1 with the reason if rr
+/// refuses its header, or with a divergence report (or the live run's
+/// error).
 fn replay_and_exit(
     path: &str,
     strict: bool,
@@ -546,43 +611,15 @@ fn replay_and_exit(
         eprintln!("eitc: cannot read trace {path}: {e}");
         exit(1);
     });
-    match replay(&t.header, &t.events, &ReplayOptions { strict }) {
-        Ok(rep) => finish_replay(path, t.file_hash, rep),
-        Err(why) => {
-            eprintln!("eitc: replay: {why}");
-            exit(1);
-        }
-    }
-}
-
-/// `--record FILE`, for either mode: open the recorder with the run's
-/// trace header; the caller traces the solve into it.
-fn start_recording(path: &str, header: &TraceHeader) -> Arc<Mutex<RecorderSink>> {
-    let sink = RecorderSink::create(path, header).unwrap_or_else(|e| {
-        eprintln!("eitc: cannot create trace file {path}: {e}");
+    let rep = replay(&t.header, &t.events, &ReplayOptions { strict }).unwrap_or_else(|why| {
+        eprintln!("eitc: replay: {why}");
         exit(1);
     });
-    Arc::new(Mutex::new(sink))
-}
-
-/// The `; recorded N event(s)` line a `--record` run prints.
-fn print_recorded(path: &str, rec: &Arc<Mutex<RecorderSink>>) {
-    let rec = rec.lock().unwrap_or_else(|e| e.into_inner());
-    println!(
-        "; recorded {} event(s) to {path} (eit-trace/1, fnv64 {:016x})",
-        rec.events(),
-        rec.hash()
-    );
-}
-
-/// Report a replay's outcome and exit: 0 on a clean match, 1 with a
-/// divergence report (or the live run's error) otherwise.
-fn finish_replay(path: &str, file_hash: u64, rep: RrReport) -> ! {
     if rep.ok {
         println!(
-            "; replay ok: {path} (fnv64 {file_hash:016x}): {} stream(s), \
+            "; replay ok: {path} (fnv64 {:016x}): {} stream(s), \
              {} event(s) checked, replay nodes {} (recorded {})",
-            rep.streams, rep.checked, rep.replay_nodes, rep.recorded_nodes
+            t.file_hash, rep.streams, rep.checked, rep.replay_nodes, rep.recorded_nodes
         );
         exit(0);
     }
@@ -596,14 +633,27 @@ fn finish_replay(path: &str, file_hash: u64, rep: RrReport) -> ! {
     exit(1);
 }
 
-/// The `trace` metrics section for a recorded run.
-fn trace_section(path: &str, rec: &Arc<Mutex<RecorderSink>>) -> Json {
-    let r = rec.lock().unwrap_or_else(|e| e.into_inner());
+/// `--record FILE`, for either mode: open the recorder with the run's
+/// trace header; the caller traces the solve into it.
+fn start_recording(path: &str, header: &TraceHeader) -> Arc<Mutex<RecorderSink>> {
+    let sink = RecorderSink::create(path, header).unwrap_or_else(|e| {
+        eprintln!("eitc: cannot create trace file {path}: {e}");
+        exit(1);
+    });
+    Arc::new(Mutex::new(sink))
+}
+
+/// End a `--record` run: print its `; recorded N event(s)` line and
+/// return its `trace` metrics section.
+fn finish_recording(path: &str, rec: &Mutex<RecorderSink>) -> Json {
+    let rec = rec.lock().unwrap_or_else(|e| e.into_inner());
+    let (events, hash) = (rec.events(), format!("{:016x}", rec.hash()));
+    println!("; recorded {events} event(s) to {path} ({FORMAT}, fnv64 {hash})");
     Json::Obj(vec![
-        ("format".into(), Json::str("eit-trace/1")),
+        ("format".into(), Json::str(FORMAT)),
         ("file".into(), Json::str(path)),
-        ("hash".into(), Json::str(format!("{:016x}", r.hash()))),
-        ("events".into(), Json::int(r.events())),
+        ("hash".into(), Json::str(hash)),
+        ("events".into(), Json::int(events)),
     ])
 }
 
@@ -651,18 +701,10 @@ fn main() {
             exit(1);
         }
     }
-    let timeout = Duration::from_secs(args.timeout);
+    let timeout = Duration::from_secs(args.timeout.unwrap_or(DEFAULT_TIMEOUT_S));
 
     let rr = args.record.is_some() || args.replay.is_some();
     let strict = args.replay_check != Some("--lenient");
-    if args.record.is_some() && args.replay.is_some() {
-        eprintln!("eitc: --record and --replay are mutually exclusive");
-        exit(2);
-    }
-    if rr && args.trace.is_some() {
-        eprintln!("eitc: --trace (JSONL) cannot be combined with --record/--replay");
-        exit(2);
-    }
     if rr && args.modulo.is_none() {
         // The recorded canonical IR hash must cover the exact graph the
         // solver sees, so the CSE pass runs here instead of inside
@@ -673,37 +715,16 @@ fn main() {
         }
     }
 
-    let trace = args.trace.as_ref().map(|path| {
-        let sink = JsonlSink::create(path).unwrap_or_else(|e| {
-            eprintln!("eitc: cannot open trace file {path}: {e}");
-            exit(1);
-        });
-        TraceHandle::new(sink)
-    });
-
     if let Some(include_reconfig) = args.modulo {
-        let backend = args.backend.unwrap_or(eit_core::Backend::Cp);
         let mut mopts = ModuloOptions {
             include_reconfig,
-            backend,
+            backend: args.backend.unwrap_or(Backend::Cp),
             timeout_per_ii: timeout,
             total_timeout: timeout,
             jobs: args.jobs.unwrap_or(1),
-            trace: trace.clone(),
             restarts: args.restarts,
             ..Default::default()
         };
-        if rr && backend != eit_core::Backend::Cp {
-            // The trace format records CP search events; the SAT sweep
-            // (and hence the race, whose winner varies with load) has no
-            // node-per-node trajectory to diff against.
-            eprintln!(
-                "eitc: --record/--replay require the cp backend \
-                 (got --backend {})",
-                backend.as_str()
-            );
-            exit(2);
-        }
         if args.emit == Some(Emit::Cnf) {
             match eit_core::modulo_cnf_dimacs(&g, &spec, &mopts) {
                 Ok(Some((ii, dimacs))) => {
@@ -731,7 +752,7 @@ fn main() {
             let key = SolveKey::modulo(&g, &spec, &mopts);
             let rec = start_recording(path, &key.header(mopts.state_hash_every));
             mopts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
-            rec
+            (path, rec)
         });
         let r = match eit_core::modulo_schedule_checked(&g, &spec, &mopts) {
             Ok(Some(r)) => r,
@@ -744,17 +765,15 @@ fn main() {
                 exit(1);
             }
         };
-        if let (Some(path), Some(rec)) = (&args.record, &recorder) {
-            print_recorded(path, rec);
-        }
+        let trace = recorder.map(|(path, rec)| finish_recording(path, &rec));
         // Shared with the eit-serve daemon, so a served response is
         // byte-identical to this stdout by construction.
         print!("{}", eit_core::render_modulo(&g, &r));
         if let Some(path) = &args.metrics {
             let mut m = RunMetrics::new("eitc", &args.kernel);
             m.arch(&spec).section("modulo", modulo_metrics(&r));
-            if let (Some(tp), Some(rec)) = (&args.record, &recorder) {
-                m.section("trace", trace_section(tp, rec));
+            if let Some(t) = trace {
+                m.section("trace", t);
             }
             if let Err(e) = m.write_to(path) {
                 eprintln!("eitc: cannot write metrics to {path}: {e}");
@@ -777,7 +796,6 @@ fn main() {
     let mut sched_opts = SchedulerOptions {
         memory: args.memory,
         timeout: Some(timeout),
-        trace,
         profile: args.profile || args.metrics.is_some(),
         restarts: args.restarts,
         ..Default::default()
@@ -794,7 +812,7 @@ fn main() {
         let key = SolveKey::schedule(&g, &spec, &sched_opts);
         let rec = start_recording(path, &key.header(sched_opts.state_hash_every));
         sched_opts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
-        rec
+        (path, rec)
     });
 
     let out = match compile(
@@ -833,9 +851,7 @@ fn main() {
         );
     }
 
-    if let (Some(path), Some(rec)) = (&args.record, &recorder) {
-        print_recorded(path, rec);
-    }
+    let trace = recorder.map(|(path, rec)| finish_recording(path, &rec));
 
     if let Some(path) = &args.metrics {
         let mut m = RunMetrics::new("eitc", &args.kernel);
@@ -845,8 +861,8 @@ fn main() {
             .spans(&out.timings)
             .propagators(&out.propagator_profile)
             .program(&out.program);
-        if let (Some(tp), Some(rec)) = (&args.record, &recorder) {
-            m.section("trace", trace_section(tp, rec));
+        if let Some(t) = trace {
+            m.section("trace", t);
         }
         if args.memory && !inputs.is_empty() {
             let rep = eit_arch::simulate(&out.graph, &spec, &out.schedule, &inputs);

@@ -18,7 +18,8 @@
 //! Run: `cargo run --release -p eit-bench --bin table2 [--arch A] [--metrics FILE]`
 
 use eit_arch::ArchSpec;
-use eit_bench::{arch_arg, metrics_arg, prepared, rule, write_metrics, Json, RunMetrics};
+use eit_bench::{arch_arg, metrics_arg, prepared, rule, write_metrics, RunMetrics};
+use eit_core::json::Json;
 use eit_core::{
     bundles_from_schedule, manual_style_bundles, overlapped_execution, schedule, Bundle,
     SchedulerOptions,

@@ -11,9 +11,8 @@
 //!
 //! Run: `cargo run --release -p eit-bench --bin table3 [--arch A] [--metrics FILE]`
 
-use eit_bench::{
-    arch_arg, graph_props, metrics_arg, prepared, rule, write_metrics, Json, RunMetrics,
-};
+use eit_bench::{arch_arg, graph_props, metrics_arg, prepared, rule, write_metrics, RunMetrics};
+use eit_core::json::Json;
 use eit_core::{modulo_schedule, validate_modulo, ModuloOptions};
 use std::time::Duration;
 

@@ -6,10 +6,8 @@
 //! side with the paper's published numbers, and EXPERIMENTS.md records a
 //! captured run.
 
-pub mod json;
 pub mod metrics;
 
-pub use json::Json;
 pub use metrics::RunMetrics;
 
 use eit_arch::ArchSpec;

@@ -7,11 +7,11 @@
 //! ([`SCHEMA`]) and every section is optional except the header, so the
 //! table binaries and `eitc` can emit exactly what they computed.
 //!
-//! The document round-trips through [`crate::json::Json::parse`]; the CI
+//! The document round-trips through [`eit_core::json::Json::parse`]; the CI
 //! smoke check and the golden test rely on that.
 
-use crate::json::Json;
 use eit_arch::{ArchSpec, SimReport};
+use eit_core::json::Json;
 use eit_core::{PhaseTimings, Program};
 use eit_cp::{PropProfile, SearchStats, SearchStatus};
 

@@ -2,11 +2,14 @@
 //! naming the flag, instead of running without it (a straight-line run
 //! has no use for `--backend`, `--jobs` or `--emit cnf`; a modulo run has
 //! no Gantt/VCD emitter, overlapped execution, propagator profile or
-//! memory switch; the SAT sweep has no search to restart; `--strict` and
-//! `--lenient` only qualify `--replay`; an IR dump solves nothing; an
-//! overlapped run prints no chart; one run emits one thing). And a
-//! `--replay` accepts a recording of the same solve however the machine
-//! is spelled, and refuses one of another solve with its reason.
+//! memory switch; the SAT sweep has no search to restart and neither it
+//! nor the race records or replays; `--strict` and `--lenient` only
+//! qualify `--replay`; an IR dump and a CNF dump solve nothing; a replay
+//! prints only its verdict; an overlapped run prints no chart; one run
+//! emits one thing; `--dump-arch` reads nothing else and `--serve` only
+//! its pool size, deadline and metrics). And a `--replay` accepts a
+//! recording of the same solve however the machine is spelled, and
+//! refuses one of another solve with its reason.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -77,9 +80,132 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
             &["--emit", "vcd", "--overlap", "3"],
             "--overlap is not supported with --emit vcd",
         ),
+        (
+            &["--emit", "xml", "--timeout", "5"],
+            "--timeout is not supported with --emit xml",
+        ),
+        (
+            &["--modulo", "--emit", "cnf", "--verify"],
+            "--verify is not supported with --emit cnf",
+        ),
+        (
+            &["--modulo", "--emit", "cnf", "--metrics", metrics],
+            "--metrics is not supported with --emit cnf",
+        ),
+        (
+            &["--modulo", "--emit", "cnf", "--record", trace],
+            "--record is not supported with --emit cnf",
+        ),
+        (
+            &["--modulo", "--emit", "cnf", "--replay", trace],
+            "--replay is not supported with --emit cnf",
+        ),
+        (
+            &["--modulo", "--emit", "cnf", "--restarts"],
+            "--restarts is not supported with --emit cnf",
+        ),
+        (
+            &["--modulo", "--emit", "cnf", "--timeout", "5"],
+            "--timeout is not supported with --emit cnf",
+        ),
+        (
+            &["--replay", trace, "--metrics", metrics, "--verify"],
+            "--verify is not supported with --replay",
+        ),
+        (
+            &["--replay", trace, "--metrics", metrics],
+            "--metrics is not supported with --replay",
+        ),
+        (
+            &[
+                "--replay",
+                trace,
+                "--metrics",
+                metrics,
+                "--verify",
+                "--emit",
+                "gantt",
+                "--profile",
+            ],
+            "--emit gantt is not supported with --replay",
+        ),
+        (
+            &["--replay", trace, "--profile"],
+            "--profile is not supported with --replay",
+        ),
+        (
+            &["--replay", trace, "--overlap", "2"],
+            "--overlap is not supported with --replay",
+        ),
+        (
+            &["--record", trace, "--replay", trace],
+            "--record is not supported with --replay",
+        ),
+        (
+            &["--modulo", "--replay", trace, "--metrics", metrics],
+            "--metrics is not supported with --replay",
+        ),
+        (
+            &["--modulo", "--backend", "sat", "--record", trace],
+            "--record is not supported with --backend sat",
+        ),
+        (
+            &["--modulo", "--backend", "race", "--replay", trace],
+            "--replay is not supported with --backend race",
+        ),
+        (
+            &["--dump-arch", "eit"],
+            "kernel matmul is not supported with --dump-arch",
+        ),
+        (
+            &["--serve", "127.0.0.1:notaport"],
+            "kernel matmul is not supported with --serve",
+        ),
+        (&["--trace", trace], "unrecognized argument '--trace'"),
     ];
-    for (args, msg) in cases {
-        let out = eitc(&[&["matmul"], *args].concat());
+    // Without a kernel: the modes that take none refuse the solve flags.
+    // The address is not one, so a serve that ran would exit 1 at once.
+    let serve = ["--serve", "127.0.0.1:notaport"];
+    let kernelless: &[(&[&str], &str)] = &[
+        (
+            &["--dump-arch", "eit", "--modulo", "--verify"],
+            "--modulo is not supported with --dump-arch",
+        ),
+        (
+            &["--dump-arch", "eit", "--timeout", "5"],
+            "--timeout is not supported with --dump-arch",
+        ),
+        (
+            &["--dump-arch", "eit", "--metrics", metrics],
+            "--metrics is not supported with --dump-arch",
+        ),
+        (
+            &["--dump-arch", "eit", "--serve", serve[1]],
+            "--serve is not supported with --dump-arch",
+        ),
+        (
+            &[&serve[..], &["--modulo"]].concat(),
+            "--modulo is not supported with --serve",
+        ),
+        (
+            &[&serve[..], &["--verify"]].concat(),
+            "--verify is not supported with --serve",
+        ),
+        (
+            &[&serve[..], &["--record", trace]].concat(),
+            "--record is not supported with --serve",
+        ),
+        (
+            &[&serve[..], &["--arch", "eit"]].concat(),
+            "--arch is not supported with --serve",
+        ),
+    ];
+    let prefixed = cases
+        .iter()
+        .map(|(args, msg)| ([&["matmul"], *args].concat(), *msg));
+    let bare = kernelless.iter().map(|(args, msg)| (args.to_vec(), *msg));
+    for (args, msg) in prefixed.chain(bare) {
+        let out = eitc(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a result");
@@ -89,6 +215,19 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
         );
     }
     assert!(!scratch("m.json").exists() && !scratch("r.trace").exists());
+
+    // `--serve` reads its pool size, deadline and metrics path: refused
+    // nothing, it gets as far as binding the (bad) address.
+    let out = eitc(
+        &[
+            &serve[..],
+            &["--jobs", "2", "--timeout", "5", "--metrics", metrics],
+        ]
+        .concat(),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("eitc: cannot serve on"), "{stderr}");
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! in-repo parser with the expected shape and internally consistent
 //! numbers. This is the same guarantee the CI smoke check leans on.
 
-use eit_bench::{Json, RunMetrics};
+use eit_bench::RunMetrics;
+use eit_core::json::Json;
 use eit_core::{compile, CompileOptions, SchedulerOptions};
 use std::time::Duration;
 

@@ -6,11 +6,11 @@
 
 use eit_arch::ArchSpec;
 use eit_core::{
-    modulo_schedule, replay_modulo, replay_schedule, schedule, ModuloOptions, SchedulerOptions,
-    SolveKey,
+    modulo_schedule, replay_modulo, replay_schedule, schedule, ModuloOptions, RecorderSink,
+    SchedulerOptions, SolveKey, Trace,
 };
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
-use eit_cp::{RecorderSink, ReplayOptions, Trace};
+use eit_cp::ReplayOptions;
 use eit_ir::Graph;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

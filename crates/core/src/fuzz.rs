@@ -636,7 +636,7 @@ pub fn shrink_on(g: &Graph, spec: &ArchSpec, stage: &str, opts: &FuzzOptions) ->
     }
 }
 
-/// Record a straight-line scheduling run of `g` as an `eit-trace/1`
+/// Record a straight-line scheduling run of `g` as an `eit-trace/2`
 /// file, so every shrunk reproducer ships a replayable solver trajectory
 /// next to its XML.
 fn record_reproducer_trace(
@@ -645,8 +645,8 @@ fn record_reproducer_trace(
     path: &std::path::Path,
     timeout: Duration,
 ) -> std::io::Result<()> {
+    use crate::record::RecorderSink;
     use eit_cp::trace::TraceHandle;
-    use eit_cp::RecorderSink;
     let mut sched_opts = SchedulerOptions {
         timeout: Some(timeout),
         state_hash_every: Some(crate::rr::DEFAULT_HASH_EVERY),
@@ -720,7 +720,7 @@ pub fn run(opts: &FuzzOptions) -> FuzzReport {
                             },
                         ),
                     );
-                    // Replayable `eit-trace/1` recording of the minimal
+                    // Replayable `eit-trace/2` recording of the minimal
                     // graph's scheduler run (`eitc --replay` validates it).
                     let _ = record_reproducer_trace(
                         &minimal,

@@ -23,6 +23,7 @@ pub mod modulo;
 pub mod obs;
 pub mod overlap;
 pub mod pipeline;
+pub mod record;
 pub mod render;
 pub mod replicate;
 pub mod rr;
@@ -42,8 +43,10 @@ pub use overlap::{
     bundles_from_schedule, manual_style_bundles, overlapped_execution, Bundle, OverlapResult,
 };
 pub use pipeline::{compile, CompileError, CompileOptions, Compiled};
+pub use record::{RecorderSink, Trace};
 pub use render::{render_compiled, render_modulo};
 pub use replicate::replicate;
 pub use rr::{
-    arch_hash, ir_hash, replay_modulo, replay_schedule, RrReport, SolveKey, DEFAULT_HASH_EVERY,
+    arch_hash, ir_hash, replay_modulo, replay_schedule, RrReport, SolveKey, TraceHeader,
+    DEFAULT_HASH_EVERY,
 };

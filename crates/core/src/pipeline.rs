@@ -33,7 +33,7 @@ pub struct CompileOptions {
     pub cse: bool,
     /// Fold pre/post-processing chains (the fig. 6 merge pass).
     pub merge: bool,
-    /// Scheduler settings (memory model, timeout, slot minimisation…).
+    /// Scheduler settings (memory model, timeout, restarts, tracing…).
     pub scheduler: SchedulerOptions,
 }
 

@@ -1,8 +1,9 @@
-//! Toolchain-level record/replay glue (`eit-trace/1`).
+//! Toolchain-level record/replay glue.
 //!
 //! [`crate::model::schedule`] and [`crate::modulo::modulo_schedule`] emit
-//! [`SearchEvent`] streams; `eit_cp::record` persists them and
-//! [`eit_cp::replay_with`] re-validates a run against its recording.
+//! [`SearchEvent`] streams; [`crate::record`] persists them as
+//! `eit-trace/2` files and [`eit_cp::replay_with`] re-validates a run
+//! against its recording.
 //! This module binds the two to the *toolchain inputs*: a [`SolveKey`] —
 //! canonical hashes of the IR and the architecture plus a config string
 //! of the solver options that shape the trajectory — is the one identity
@@ -28,7 +29,7 @@ use crate::model::{schedule, SchedulerOptions};
 use crate::modulo::{modulo_schedule_checked, Backend, ModuloOptions};
 use eit_arch::ArchSpec;
 use eit_cp::trace::SearchEvent;
-use eit_cp::{fnv1a, replay_with, DivergenceReport, ReplayOptions, TraceHeader};
+use eit_cp::{fnv1a, replay_with, DivergenceReport, ReplayOptions};
 use eit_ir::Graph;
 
 /// Default store-digest cadence for recorded runs: a
@@ -183,7 +184,7 @@ impl SolveKey {
         )
     }
 
-    /// The `eit-trace/1` header of a recording of this solve that digests
+    /// The trace header of a recording of this solve that digests
     /// the store every `hash_every` search nodes (`None` = never).
     pub fn header(self, hash_every: Option<u64>) -> TraceHeader {
         TraceHeader {
@@ -219,6 +220,21 @@ impl SolveKey {
         }
         Ok(())
     }
+}
+
+/// Everything a recording's header binds it to: a [`SolveKey`] plus the
+/// store-digest cadence it was recorded with.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceHeader {
+    /// [`SolveKey::ir_hash`].
+    pub ir_hash: u64,
+    /// [`SolveKey::arch_hash`].
+    pub arch_hash: u64,
+    /// [`SearchEvent::StateHash`] cadence in nodes; 0 = hashing off.
+    pub hash_every: u64,
+    /// [`SolveKey::config`]: budgets and worker counts stay outside it,
+    /// so `--jobs 1` and `--jobs N` recordings of a solve are byte-equal.
+    pub config: String,
 }
 
 /// Aggregate outcome of replaying a recorded run (one stream for a

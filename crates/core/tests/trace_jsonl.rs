@@ -1,6 +1,6 @@
-//! The JSONL trace writer (`eitc --trace`): every line of
-//! [`SearchEvent::to_json`] is a flat JSON object that a general JSON
-//! parser reads back with every field of the event intact.
+//! The event lines of an `eit-trace/2` recording (`eitc --record`): every
+//! [`SearchEvent::to_json`] line is a flat JSON object that a general
+//! JSON parser reads back with every field of the event intact.
 
 use eit_core::json::Json;
 use eit_cp::props::basic::{MaxOf, NeqOffset};

@@ -53,7 +53,6 @@ pub mod domain;
 pub mod engine;
 pub mod model;
 pub mod props;
-pub mod record;
 pub mod replay;
 pub mod search;
 pub mod store;
@@ -65,11 +64,10 @@ pub use engine::{
     render_profile_table, Engine, Priority, PropId, PropProfile, Propagator, Subscriptions, Wake,
 };
 pub use model::Model;
-pub use record::{fnv1a, Fnv64, RecorderSink, Trace, TraceHeader, TRACE_MAGIC, TRACE_VERSION};
 pub use replay::{replay_with, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink};
 pub use search::{
     minimize, solve, solve_all, Phase, RestartConfig, RestartPolicy, SearchConfig, SearchResult,
     SearchStats, SearchStatus, Solution, ValSel, VarSel,
 };
 pub use store::{Fail, PropResult, Store, VarId};
-pub use trace::{JsonlSink, MemorySink, NullSink, SearchEvent, TraceHandle, TraceSink};
+pub use trace::{fnv1a, Fnv64, MemorySink, NullSink, SearchEvent, TraceHandle, TraceSink};

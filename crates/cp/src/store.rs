@@ -178,19 +178,12 @@ impl Store {
     /// variable where interval lists are not, and a hole can only affect
     /// the search after it reaches a bound, which the next digest sees.
     pub fn state_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = crate::trace::Fnv64::new();
         for d in &self.domains {
-            for b in d
-                .min()
-                .to_le_bytes()
-                .into_iter()
-                .chain(d.max().to_le_bytes())
-            {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write(&d.min().to_le_bytes());
+            h.write(&d.max().to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// The assigned value; panics if not fixed (use in extraction paths).

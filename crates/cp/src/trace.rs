@@ -3,9 +3,9 @@
 //!
 //! The solver emits a [`SearchEvent`] at every decision, failure,
 //! backtrack, incumbent, restart and budget abort. Sinks decide what to
-//! do with the stream: drop it ([`NullSink`]), keep every event in
-//! memory ([`MemorySink`]), or stream JSON lines to a writer
-//! ([`JsonlSink`]).
+//! do with the stream: drop it ([`NullSink`]) or keep every event in
+//! memory ([`MemorySink`]); `eit_core::record` writes it to an
+//! `eit-trace/2` file, one [`SearchEvent::to_json`] line per event.
 //!
 //! Cost model: with no sink configured the per-event cost is a single
 //! `Option` discriminant check — the event value is never even
@@ -19,10 +19,43 @@
 //! and this stream) is a pure function of the model.
 
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 use std::sync::{Arc, Mutex};
+
+/// Streaming FNV-1a 64-bit hasher. Hand-rolled on purpose: store digests
+/// and trace-file hashes are recorded on disk and must not drift with
+/// std's unspecified `DefaultHasher`.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    pub fn new() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// FNV-1a 64-bit digest of `bytes` in one call.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
 
 /// One step of the search, in the order the solver took it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -198,35 +231,6 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// Streams one JSON object per line to any writer.
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    pub fn new(out: W) -> Self {
-        JsonlSink { out }
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: &SearchEvent) {
-        // An I/O error mid-search must not kill the solve; drop the line.
-        let _ = writeln!(self.out, "{}", event.to_json());
-    }
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,37 +247,35 @@ mod tests {
 
     #[test]
     fn jsonl_lines_are_well_formed() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&SearchEvent::Start {
-            vars: 3,
-            propagators: 2,
-        });
-        sink.record(&SearchEvent::Branch {
-            depth: 1,
-            var: 0,
-            val: 7,
-        });
-        sink.record(&SearchEvent::Solution {
-            objective: Some(4),
-            nodes: 9,
-        });
-        sink.record(&SearchEvent::Solution {
-            objective: None,
-            nodes: 10,
-        });
-        sink.record(&SearchEvent::Done {
-            status: "optimal",
-            nodes: 9,
-            fails: 2,
-            solutions: 1,
-        });
-        sink.flush();
-        let text = String::from_utf8(sink.out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
+        let events = [
+            SearchEvent::Start {
+                vars: 3,
+                propagators: 2,
+            },
+            SearchEvent::Branch {
+                depth: 1,
+                var: 0,
+                val: 7,
+            },
+            SearchEvent::Solution {
+                objective: Some(4),
+                nodes: 9,
+            },
+            SearchEvent::Solution {
+                objective: None,
+                nodes: 10,
+            },
+            SearchEvent::Done {
+                status: "optimal",
+                nodes: 9,
+                fails: 2,
+                solutions: 1,
+            },
+        ];
+        let lines: Vec<String> = events.iter().map(SearchEvent::to_json).collect();
         for line in &lines {
             assert!(
-                line.starts_with('{') && line.ends_with('}'),
+                line.starts_with('{') && line.ends_with('}') && !line.contains('\n'),
                 "bad line {line}"
             );
             assert!(line.contains("\"event\":\""));

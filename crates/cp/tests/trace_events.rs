@@ -1,7 +1,10 @@
 //! Tracing contract tests: a fixed CSP must produce the *identical*
 //! event stream on every run (events carry no timestamps), the stream's
 //! counts must agree with `SearchStats`, and the null sink must observe
-//! exactly the same solver trajectory as no sink at all.
+//! exactly the same solver trajectory as no sink at all. A recording
+//! (`eitc --record`, `eit_core::record`) is this stream, one
+//! `SearchEvent::to_json` line per event, so a deterministic stream is a
+//! byte-identical file.
 
 use eit_cp::props::basic::{MaxOf, NeqOffset};
 use eit_cp::trace::{MemorySink, NullSink, SearchEvent, TraceHandle};
