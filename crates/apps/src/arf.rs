@@ -122,10 +122,10 @@ mod tests {
     #[test]
     fn critical_path_is_seven_pipeline_trips() {
         let k = build();
-        let lm = eit_ir::LatencyModel::default();
+        let spec = eit_arch::ArchSpec::eit();
         // mul→add→mul→add→add→add→add = 7 × 7 cc (paper reports 56 = 8×7
         // for its variant; see EXPERIMENTS.md).
-        assert_eq!(k.graph.critical_path(&lm.of(&k.graph)), 49);
+        assert_eq!(k.graph.critical_path(&spec.latency_of(&k.graph)), 49);
     }
 
     #[test]

@@ -65,8 +65,11 @@ mod tests {
         assert_eq!(k.graph.count(Category::VectorOp), TAPS);
         assert_eq!(k.graph.inputs().len(), 2 * TAPS);
         // Serial chain: critical path = TAPS pipeline trips.
-        let lm = eit_ir::LatencyModel::default();
-        assert_eq!(k.graph.critical_path(&lm.of(&k.graph)) as usize, TAPS * 7);
+        let spec = eit_arch::ArchSpec::eit();
+        assert_eq!(
+            k.graph.critical_path(&spec.latency_of(&k.graph)) as usize,
+            TAPS * 7
+        );
     }
 
     #[test]

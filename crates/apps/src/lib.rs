@@ -46,16 +46,6 @@ pub struct Kernel {
     pub expected: HashMap<NodeId, Value>,
 }
 
-impl Kernel {
-    /// `|V|, |E|, |Cr.P|, #v_data` like the paper's tables, using the
-    /// default latency model.
-    pub fn summary(&self) -> String {
-        let lm = eit_ir::LatencyModel::default();
-        let s = self.graph.summary(&lm.of(&self.graph));
-        s
-    }
-}
-
 /// Build a kernel by name (`"qrd"`, `"arf"`, `"matmul"`).
 pub fn by_name(name: &str) -> Option<Kernel> {
     match name {

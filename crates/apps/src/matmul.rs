@@ -61,8 +61,8 @@ mod tests {
         assert_eq!(k.graph.count(Category::ScalarData), 16);
         assert_eq!(k.graph.count(Category::VectorData), 8);
         // Critical path: dotp (7) → merge (1) = 8, as in Table 3.
-        let lm = eit_ir::LatencyModel::default();
-        assert_eq!(k.graph.critical_path(&lm.of(&k.graph)), 8);
+        let spec = eit_arch::ArchSpec::eit();
+        assert_eq!(k.graph.critical_path(&spec.latency_of(&k.graph)), 8);
     }
 
     #[test]

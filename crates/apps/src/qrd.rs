@@ -172,8 +172,8 @@ mod tests {
         assert!((180..=215).contains(&e), "|E| = {e}");
         let vd = k.graph.count(eit_ir::Category::VectorData);
         assert!((38..=55).contains(&vd), "#v_data = {vd}");
-        let lm = eit_ir::LatencyModel::default();
-        let cp = k.graph.critical_path(&lm.of(&k.graph));
+        let spec = eit_arch::ArchSpec::eit();
+        let cp = k.graph.critical_path(&spec.latency_of(&k.graph));
         assert!((150..=185).contains(&cp), "|Cr.P| = {cp}");
     }
 

@@ -658,21 +658,25 @@ pub fn simulate(
     let counters = SimCounters::from_stream(&cs, g, spec);
     let lane_cycles = cs.lane_cycles_used(g, spec);
     let total = (sched.makespan + 1).max(1) as f64;
-    let mut accel_busy = 0i64;
-    let mut im_busy = 0i64;
+    // Busy cycles per unit of the table; the report names the units
+    // serving the scalar and index classes.
+    let mut busy = vec![0i64; spec.units.units.len()];
     for n in g.ids() {
-        match g.category(n) {
-            Category::ScalarOp => accel_busy += spec.duration(&g.node(n).kind) as i64,
-            Category::Index | Category::Merge => im_busy += spec.duration(&g.node(n).kind) as i64,
-            _ => {}
+        if let Some(u) = OpClass::of(&g.node(n).kind).and_then(|c| spec.units.unit_index(c)) {
+            busy[u] += spec.duration(&g.node(n).kind) as i64;
         }
     }
+    let busy_fraction = |c| {
+        spec.units
+            .unit_index(c)
+            .map_or(0.0, |u| (busy[u] as f64 / total).min(1.0))
+    };
     SimReport {
         utilization: cs.utilization(g, spec),
         units: UnitUtilization {
             vector: cs.utilization(g, spec),
-            accelerator: (accel_busy as f64 / total).min(1.0),
-            index_merge: (im_busy as f64 / total).min(1.0),
+            accelerator: busy_fraction(OpClass::ScalarSimple),
+            index_merge: busy_fraction(OpClass::Index),
         },
         reconfig_switches: cs.reconfig_switches(),
         config_loads: cs.config_loads(),

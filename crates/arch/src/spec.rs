@@ -2,15 +2,18 @@
 //!
 //! One struct gathers every architectural parameter the scheduler and the
 //! simulator need: the lane geometry of the CMAC vector core, the paged
-//! vector memory, and — new since the parametric-architecture refactor —
-//! a data-driven [`UnitTable`] describing the functional units themselves
-//! (name, opcode classes served, latency, occupancy, replication count).
-//! Nothing downstream assumes the EIT's fixed three-unit mix any more;
-//! [`ArchSpec::eit`] is merely the paper's instance of the table, and
-//! [`ArchSpec::wide`] a doubled design-space variant. Both render to the
-//! versioned XML format in [`crate::xml`] and reload bit-for-bit.
+//! vector memory, and a data-driven [`UnitTable`] describing the
+//! functional units themselves (name, opcode classes served, latency,
+//! occupancy, replication count). The table is the only place an op's
+//! latency `l_i`, occupancy `d_i` and unit are decided: the CP and SAT
+//! models, the list scheduler, both verifiers, the simulator and the
+//! table binaries' `|Cr.P|` all read it, so nothing downstream assumes
+//! the EIT's fixed three-unit mix. [`ArchSpec::eit`] is the paper's
+//! instance of the table ([`UnitTable::classic`]), and [`ArchSpec::wide`]
+//! a doubled design-space variant. Both render to the versioned XML
+//! format in [`crate::xml`] and reload bit-for-bit.
 
-use eit_ir::{LatencyModel, NodeKind, OpClass};
+use eit_ir::{NodeKind, OpClass};
 
 /// One opcode class served by a functional unit: how long it takes, how
 /// long it blocks the unit, and how many replicas it consumes.
@@ -49,67 +52,46 @@ pub struct UnitTable {
 }
 
 impl UnitTable {
-    /// The paper's three-unit mix, priced by a [`LatencyModel`]: an
-    /// `n_lanes`-wide vector core (matrix ops take every lane), a
-    /// unit-capacity scalar accelerator with split iterative/simple
-    /// timing, and a unit-capacity index/merge unit.
-    pub fn classic(m: &LatencyModel, n_lanes: u32) -> UnitTable {
+    /// The paper's three-unit mix at the EIT's prices: an `n_lanes`-wide
+    /// vector core whose ops take one full trip through the seven-stage
+    /// pipeline (latency 7) while issuing in one cycle (matrix ops take
+    /// every lane); a unit-capacity scalar accelerator with split timing,
+    /// iterative √/÷/CORDIC at 8/2 and single-pass ±/× at 2/1; and a
+    /// unit-capacity index/merge unit at 1/1. The paper gives no cycle
+    /// counts for the accelerator, so its prices are an assumption of
+    /// typical iterative units (DESIGN.md §5b).
+    pub fn classic(n_lanes: u32) -> UnitTable {
+        let op = |class, latency, occupancy, width| UnitOp {
+            class,
+            latency,
+            occupancy,
+            width,
+        };
+        let unit = |name: &str, count, ops| FuncUnit {
+            name: name.into(),
+            count,
+            ops,
+        };
         UnitTable {
             units: vec![
-                FuncUnit {
-                    name: "vector-core".into(),
-                    count: n_lanes,
-                    ops: vec![
-                        UnitOp {
-                            class: OpClass::Vector,
-                            latency: m.vector_pipeline,
-                            occupancy: m.vector_duration,
-                            width: 1,
-                        },
-                        UnitOp {
-                            class: OpClass::Matrix,
-                            latency: m.vector_pipeline,
-                            occupancy: m.vector_duration,
-                            width: 0,
-                        },
+                unit(
+                    "vector-core",
+                    n_lanes,
+                    vec![op(OpClass::Vector, 7, 1, 1), op(OpClass::Matrix, 7, 1, 0)],
+                ),
+                unit(
+                    "scalar-accel",
+                    1,
+                    vec![
+                        op(OpClass::ScalarIterative, 8, 2, 1),
+                        op(OpClass::ScalarSimple, 2, 1, 1),
                     ],
-                },
-                FuncUnit {
-                    name: "scalar-accel".into(),
-                    count: 1,
-                    ops: vec![
-                        UnitOp {
-                            class: OpClass::ScalarIterative,
-                            latency: m.accel_iterative,
-                            occupancy: m.accel_duration_iterative,
-                            width: 1,
-                        },
-                        UnitOp {
-                            class: OpClass::ScalarSimple,
-                            latency: m.accel_simple,
-                            occupancy: m.accel_duration_simple,
-                            width: 1,
-                        },
-                    ],
-                },
-                FuncUnit {
-                    name: "index-merge".into(),
-                    count: 1,
-                    ops: vec![
-                        UnitOp {
-                            class: OpClass::Index,
-                            latency: m.index_merge,
-                            occupancy: m.index_merge,
-                            width: 1,
-                        },
-                        UnitOp {
-                            class: OpClass::Merge,
-                            latency: m.index_merge,
-                            occupancy: m.index_merge,
-                            width: 1,
-                        },
-                    ],
-                },
+                ),
+                unit(
+                    "index-merge",
+                    1,
+                    vec![op(OpClass::Index, 1, 1, 1), op(OpClass::Merge, 1, 1, 1)],
+                ),
             ],
         }
     }
@@ -119,6 +101,13 @@ impl UnitTable {
         self.units
             .iter()
             .find_map(|u| u.ops.iter().find(|op| op.class == class).map(|op| (u, op)))
+    }
+
+    /// Index into [`UnitTable::units`] of the unit serving `class`.
+    pub fn unit_index(&self, class: OpClass) -> Option<usize> {
+        self.units
+            .iter()
+            .position(|u| u.ops.iter().any(|op| op.class == class))
     }
 
     /// Latency of one op class; `None` if no unit serves it.
@@ -198,7 +187,7 @@ impl ArchSpec {
             max_vector_writes: 4,
             reconfig_cost: 1,
             slot_cap: None,
-            units: UnitTable::classic(&LatencyModel::default(), 4),
+            units: UnitTable::classic(4),
         }
     }
 
@@ -212,7 +201,7 @@ impl ArchSpec {
         s.slots_per_bank = 8;
         s.max_vector_reads = 16;
         s.max_vector_writes = 8;
-        s.units = UnitTable::classic(&LatencyModel::default(), 8);
+        s.units = UnitTable::classic(8);
         s
     }
 
@@ -691,6 +680,39 @@ mod tests {
         assert_eq!(s.units.class_occupancy(OpClass::ScalarIterative), Some(2));
         assert_eq!(s.units.class_width(OpClass::Vector), Some(1));
         assert_eq!(s.units.class_width(OpClass::Matrix), Some(4)); // width 0 = all
+    }
+
+    // The three price tests below pin the EIT's classic prices as
+    // `ArchSpec::eit()` reads them.
+    #[test]
+    fn defaults_match_the_paper_pipeline() {
+        use eit_ir::{CoreOp, DataKind, Opcode};
+        let a = ArchSpec::eit();
+        assert_eq!(a.latency(&NodeKind::Op(Opcode::vector(CoreOp::DotP))), 7);
+        assert_eq!(a.latency(&NodeKind::Op(Opcode::matrix(CoreOp::Mul))), 7);
+        assert_eq!(a.duration(&NodeKind::Op(Opcode::vector(CoreOp::DotP))), 1);
+        assert_eq!(a.latency(&NodeKind::Data(DataKind::Vector)), 0);
+        assert_eq!(a.duration(&NodeKind::Data(DataKind::Scalar)), 0);
+    }
+
+    #[test]
+    fn scalar_classes_differ() {
+        use eit_ir::{Opcode, ScalarOp};
+        let a = ArchSpec::eit();
+        let sqrt = NodeKind::Op(Opcode::Scalar(ScalarOp::Sqrt));
+        let add = NodeKind::Op(Opcode::Scalar(ScalarOp::Add));
+        assert_eq!((a.latency(&sqrt), a.duration(&sqrt)), (8, 2));
+        assert_eq!((a.latency(&add), a.duration(&add)), (2, 1));
+    }
+
+    #[test]
+    fn index_and_merge_are_cheap() {
+        use eit_ir::Opcode;
+        let a = ArchSpec::eit();
+        for op in [Opcode::Index(2), Opcode::Merge] {
+            assert_eq!(a.latency(&NodeKind::Op(op)), 1);
+            assert_eq!(a.duration(&NodeKind::Op(op)), 1);
+        }
     }
 
     #[test]

@@ -644,9 +644,14 @@ fn start_recording(path: &str, header: &TraceHeader) -> Arc<Mutex<RecorderSink>>
 }
 
 /// End a `--record` run: print its `; recorded N event(s)` line and
-/// return its `trace` metrics section.
+/// return its `trace` metrics section, or exit 1 if the file could not
+/// be written.
 fn finish_recording(path: &str, rec: &Mutex<RecorderSink>) -> Json {
-    let rec = rec.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rec = rec.lock().unwrap_or_else(|e| e.into_inner());
+    if let Err(e) = rec.finish() {
+        eprintln!("eitc: cannot write trace file {path}: {e}");
+        exit(1);
+    }
     let (events, hash) = (rec.events(), format!("{:016x}", rec.hash()));
     println!("; recorded {events} event(s) to {path} ({FORMAT}, fnv64 {hash})");
     Json::Obj(vec![

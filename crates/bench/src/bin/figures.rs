@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p eit-bench --bin figures`
 
 use eit_arch::{matrix_accessible_in_one_cycle, ArchSpec};
-use eit_bench::{prepared, rule};
+use eit_bench::{harness_args, prepared, rule};
 use eit_dsl::Ctx;
 use eit_ir::{merge_pipeline_ops, Category, CoreOp, DataKind, Opcode, PostOp, PreOp};
 
@@ -149,6 +149,7 @@ fn fig8() {
 }
 
 fn main() {
+    harness_args(&[]);
     rule(78);
     fig3();
     rule(78);

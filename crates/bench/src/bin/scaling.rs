@@ -5,16 +5,16 @@
 //! Run: `cargo run --release -p eit-bench --bin scaling [--arch A]`
 
 use eit_apps::synth::{build, SynthParams};
-use eit_bench::arch_arg;
+use eit_bench::harness_args;
 use eit_core::{list_schedule, schedule, SchedulerOptions};
 use std::time::Duration;
 
 fn main() {
+    let spec = harness_args(&["--arch"]).arch;
     println!(
         "{:>6} {:>6} {:>9} {:>9} {:>10} {:>10} {:>12}",
         "|V|", "ops", "CP", "heuristic", "nodes", "fails", "time (ms)"
     );
-    let spec = arch_arg();
     for (layers, width) in [(2usize, 4usize), (3, 6), (4, 8), (5, 10), (6, 12)] {
         let k = build(SynthParams {
             layers,

@@ -1,12 +1,16 @@
 //! Kernel summary: the paper's graph-properties columns for every
-//! bundled kernel, before and after the merge pass.
+//! bundled kernel, before and after the merge pass, priced on the EIT
+//! preset.
 //!
 //! Run: `cargo run --release -p eit-bench --bin summary`
 
-use eit_ir::{merge_pipeline_ops, LatencyModel};
+use eit_arch::ArchSpec;
+use eit_bench::harness_args;
+use eit_ir::merge_pipeline_ops;
 
 fn main() {
-    let lm = LatencyModel::default();
+    harness_args(&[]);
+    let eit = ArchSpec::eit();
     println!(
         "{:<8} {:>6} {:>6} {:>8} {:>9}   {:>6} {:>6} {:>8} {:>7}",
         "kernel", "|V|", "|E|", "|Cr.P|", "#v_data", "|V|'", "|E|'", "|Cr.P|'", "folds"
@@ -14,11 +18,11 @@ fn main() {
     for name in ["qrd", "arf", "matmul", "fir", "detector", "blockmm"] {
         let k = eit_apps::by_name(name).unwrap();
         let g0 = &k.graph;
-        let cp0 = g0.critical_path(&lm.of(g0));
+        let cp0 = g0.critical_path(&eit.latency_of(g0));
         let vd = g0.count(eit_ir::Category::VectorData);
         let mut g1 = g0.clone();
         let stats = merge_pipeline_ops(&mut g1);
-        let cp1 = g1.critical_path(&lm.of(&g1));
+        let cp1 = g1.critical_path(&eit.latency_of(&g1));
         println!(
             "{:<8} {:>6} {:>6} {:>8} {:>9}   {:>6} {:>6} {:>8} {:>7}",
             name,

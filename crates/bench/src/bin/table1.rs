@@ -11,18 +11,18 @@
 //!
 //! Run: `cargo run --release -p eit-bench --bin table1 [--arch A] [--metrics FILE]`
 
-use eit_bench::{arch_arg, graph_props, metrics_arg, prepared, rule, write_metrics, RunMetrics};
+use eit_bench::{graph_props, harness_args, prepared, rule, write_metrics, RunMetrics};
 use eit_core::json::Json;
 use eit_core::{schedule, SchedulerOptions};
 use eit_cp::SearchStatus;
 use std::time::Duration;
 
 fn main() {
-    let metrics_path = metrics_arg();
-    let arch = arch_arg();
+    let args = harness_args(&["--arch", "--metrics"]);
+    let arch = args.arch;
     let mut rows = Vec::new();
     let p = prepared("qrd");
-    let (v, e, cp) = graph_props(&p.graph);
+    let (v, e, cp) = graph_props(&p.graph, &arch);
     let vd = p.graph.count(eit_ir::Category::VectorData);
     println!("Table 1: scheduling QRD with memory allocation");
     println!("application properties: |V| = {v}, |E| = {e}, |Cr.P| = {cp}, #v_data = {vd}");
@@ -91,7 +91,7 @@ fn main() {
     println!("paper reference: 173 cc at 64/32/16/10 slots (33/28/16/10 used, ~1.8 s),");
     println!("                 9 slots → timeout, 8 slots → infeasible");
 
-    if let Some(path) = metrics_path {
+    if let Some(path) = args.metrics {
         let mut m = RunMetrics::new("table1", "qrd");
         m.arch(&arch).section("rows", Json::Arr(rows));
         write_metrics(&m, &path);

@@ -18,7 +18,7 @@
 //! Run: `cargo run --release -p eit-bench --bin table2 [--arch A] [--metrics FILE]`
 
 use eit_arch::ArchSpec;
-use eit_bench::{arch_arg, metrics_arg, prepared, rule, write_metrics, RunMetrics};
+use eit_bench::{harness_args, prepared, rule, write_metrics, RunMetrics};
 use eit_core::json::Json;
 use eit_core::{
     bundles_from_schedule, manual_style_bundles, overlapped_execution, schedule, Bundle,
@@ -58,7 +58,8 @@ fn row(
 
 fn main() {
     let m = 12;
-    let spec = arch_arg();
+    let args = harness_args(&["--arch", "--metrics"]);
+    let spec = args.arch;
     let p = prepared("qrd");
     println!("Table 2: overlapped execution of {m} QRD iterations");
     rule(78);
@@ -89,7 +90,7 @@ fn main() {
     println!("paper reference: manual 460 cc, 18 reconf (1.5/iter), 0.026 iter/cc;");
     println!("                 automated 540 cc, 24 reconf (2/iter), 0.022 iter/cc");
 
-    if let Some(path) = metrics_arg() {
+    if let Some(path) = args.metrics {
         let mut metrics = RunMetrics::new("table2", "qrd");
         metrics
             .arch(&spec)

@@ -11,14 +11,14 @@
 //!
 //! Run: `cargo run --release -p eit-bench --bin table3 [--arch A] [--metrics FILE]`
 
-use eit_bench::{arch_arg, graph_props, metrics_arg, prepared, rule, write_metrics, RunMetrics};
+use eit_bench::{graph_props, harness_args, prepared, rule, write_metrics, RunMetrics};
 use eit_core::json::Json;
 use eit_core::{modulo_schedule, validate_modulo, ModuloOptions};
 use std::time::Duration;
 
 fn main() {
-    let metrics_path = metrics_arg();
-    let arch = arch_arg();
+    let args = harness_args(&["--arch", "--metrics"]);
+    let arch = args.arch;
     let mut rows = Vec::new();
     println!("Table 3: modulo scheduling, excluding vs including reconfigurations");
     rule(110);
@@ -39,7 +39,7 @@ fn main() {
 
     for name in ["qrd", "arf", "matmul"] {
         let p = prepared(name);
-        let (v, e, cp) = graph_props(&p.graph);
+        let (v, e, cp) = graph_props(&p.graph, &arch);
         let spec = arch.clone();
 
         let excl = modulo_schedule(
@@ -115,7 +115,7 @@ fn main() {
     println!("                 ARF (88,128,56) 16/16/32/0.031 vs 24/0.042 (80061 ms);");
     println!("                 MATMUL (44,68,8) 4/1/4/0.250 vs 4/0.250 (2135 ms)");
 
-    if let Some(path) = metrics_path {
+    if let Some(path) = args.metrics {
         let mut m = RunMetrics::new("table3", "qrd+arf+matmul");
         m.arch(&arch).section("rows", Json::Arr(rows));
         write_metrics(&m, &path);

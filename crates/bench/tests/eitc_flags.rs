@@ -294,3 +294,24 @@ fn replay_accepts_every_spelling_of_the_machine_and_refuses_another_solve() {
     std::fs::remove_file(&trace).ok();
     std::fs::remove_file(&arch).ok();
 }
+
+#[test]
+fn a_trace_that_cannot_be_written_exits_1() {
+    // The file opens, but every write to it fails (ENOSPC).
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    for mode in [&[][..], &["--modulo"]] {
+        let out = eitc(&[&["matmul", "--record", "/dev/full"], mode].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{mode:?}: {stderr}");
+        assert!(
+            stderr.starts_with("eitc: cannot write trace file /dev/full: "),
+            "{mode:?}: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("; recorded"),
+            "{mode:?} reported the recording as made"
+        );
+    }
+}

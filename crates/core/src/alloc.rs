@@ -15,21 +15,6 @@ use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, Var
 use eit_ir::Graph;
 use std::time::Duration;
 
-/// The unrolled graph and a complete schedule (starts + slots) for
-/// `n_iters` iterations of `r`; `None` when the slot budget cannot hold
-/// the steady-state working set (or the default 60 s budget ran out).
-pub fn allocate_modulo_memory(
-    g: &Graph,
-    spec: &ArchSpec,
-    r: &ModuloResult,
-    n_iters: usize,
-) -> Option<(Graph, Schedule)> {
-    match allocate_modulo_memory_with(g, spec, r, n_iters, &AllocOptions::default()) {
-        AllocOutcome::Allocated(big, sched) => Some((big, sched)),
-        AllocOutcome::Infeasible | AllocOutcome::Unknown => None,
-    }
-}
-
 /// Tuning knobs for [`allocate_modulo_memory_with`].
 #[derive(Clone, Debug)]
 pub struct AllocOptions {
@@ -59,9 +44,11 @@ pub enum AllocOutcome {
     Unknown,
 }
 
-/// [`allocate_modulo_memory`] with an explicit budget and restart
-/// policy. The allocation CSP has slot variables only (starts
-/// are constants) and no objective.
+/// The unrolled graph and a complete schedule (starts + slots) for
+/// `n_iters` iterations of `r`, or a proof that the slot budget cannot
+/// hold the steady-state working set, or [`AllocOutcome::Unknown`] when
+/// the budget ran out first. The allocation CSP has slot variables only
+/// (starts are constants) and no objective.
 pub fn allocate_modulo_memory_with(
     g: &Graph,
     spec: &ArchSpec,
@@ -124,8 +111,11 @@ mod memory_tests {
         let g = ctx.finish();
         let spec = ArchSpec::eit();
         let r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
-        let (big, sched) = allocate_modulo_memory(&g, &spec, &r, 4)
-            .expect("steady-state allocation must fit 64 slots");
+        let AllocOutcome::Allocated(big, sched) =
+            allocate_modulo_memory_with(&g, &spec, &r, 4, &AllocOptions::default())
+        else {
+            panic!("steady-state allocation must fit 64 slots");
+        };
         let v = eit_arch::validate_structure(&big, &spec, &sched);
         assert!(v.is_empty(), "{v:?}");
     }
@@ -204,6 +194,9 @@ mod memory_tests {
         let spec = ArchSpec::eit().with_slots(2);
         let r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
         // 4 in-flight iterations × (2 inputs + intermediates) >> 2 slots.
-        assert!(allocate_modulo_memory(&g, &spec, &r, 4).is_none());
+        assert!(matches!(
+            allocate_modulo_memory_with(&g, &spec, &r, 4, &AllocOptions::default()),
+            AllocOutcome::Infeasible
+        ));
     }
 }

@@ -37,9 +37,7 @@ use eit_arch::{
 };
 use eit_cp::SearchStatus;
 use eit_ir::sem::Value;
-use eit_ir::{
-    from_xml, to_xml, CoreOp, Cplx, DataKind, Graph, LatencyModel, NodeId, Opcode, ScalarOp,
-};
+use eit_ir::{from_xml, to_xml, CoreOp, Cplx, DataKind, Graph, NodeId, OpClass, Opcode, ScalarOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -253,7 +251,7 @@ pub fn gen_graph(rng: &mut StdRng) -> Graph {
 }
 
 /// Generate a random, always-[`ArchSpec::validate`]-clean architecture:
-/// the classic three-unit mix priced by a randomized latency model on a
+/// the classic three-unit mix with randomized prices on a
 /// randomized memory geometry. Bounds keep the machine inside the
 /// envelope the constraint model covers (the crossbar never narrower
 /// than what the lane count can demand, pages dividing banks), so any
@@ -264,15 +262,23 @@ pub fn gen_arch(rng: &mut StdRng) -> ArchSpec {
     let n_banks = [8u32, 16, 32][rng.gen_range(0..3usize)];
     let page_size = [2u32, 4, 8][rng.gen_range(0..3usize)];
     let slots_per_bank = rng.gen_range(2..9u32);
-    let m = LatencyModel {
-        vector_pipeline: rng.gen_range(2..10),
-        vector_duration: 1,
-        accel_iterative: rng.gen_range(4..11),
-        accel_simple: rng.gen_range(1..4),
-        accel_duration_iterative: rng.gen_range(1..4),
-        accel_duration_simple: 1,
-        index_merge: rng.gen_range(1..3),
-    };
+    // Drawn in this order, so a seed keeps naming the same machine.
+    let (vector, iterative, simple, iterative_occupancy, index_merge): (i32, i32, i32, i32, i32) = (
+        rng.gen_range(2..10),
+        rng.gen_range(4..11),
+        rng.gen_range(1..4),
+        rng.gen_range(1..4),
+        rng.gen_range(1..3),
+    );
+    let mut units = UnitTable::classic(n_lanes);
+    for op in units.units.iter_mut().flat_map(|u| &mut u.ops) {
+        (op.latency, op.occupancy) = match op.class {
+            OpClass::Vector | OpClass::Matrix => (vector, 1),
+            OpClass::ScalarIterative => (iterative, iterative_occupancy),
+            OpClass::ScalarSimple => (simple, 1),
+            OpClass::Index | OpClass::Merge => (index_merge, index_merge),
+        };
+    }
     let spec = ArchSpec {
         n_lanes,
         n_banks,
@@ -285,7 +291,7 @@ pub fn gen_arch(rng: &mut StdRng) -> ArchSpec {
         max_vector_writes: n_lanes.max(2).min(n_banks),
         reconfig_cost: rng.gen_range(1..5),
         slot_cap: None,
-        units: UnitTable::classic(&m, n_lanes),
+        units,
     };
     debug_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
     spec
@@ -638,7 +644,7 @@ pub fn shrink_on(g: &Graph, spec: &ArchSpec, stage: &str, opts: &FuzzOptions) ->
 
 /// Record a straight-line scheduling run of `g` as an `eit-trace/2`
 /// file, so every shrunk reproducer ships a replayable solver trajectory
-/// next to its XML.
+/// next to its XML. Fails if the file cannot be created or written.
 fn record_reproducer_trace(
     g: &Graph,
     spec: &ArchSpec,
@@ -647,6 +653,7 @@ fn record_reproducer_trace(
 ) -> std::io::Result<()> {
     use crate::record::RecorderSink;
     use eit_cp::trace::TraceHandle;
+    use std::sync::{Arc, Mutex};
     let mut sched_opts = SchedulerOptions {
         timeout: Some(timeout),
         state_hash_every: Some(crate::rr::DEFAULT_HASH_EVERY),
@@ -654,10 +661,11 @@ fn record_reproducer_trace(
     };
     let header =
         crate::rr::SolveKey::schedule(g, spec, &sched_opts).header(sched_opts.state_hash_every);
-    let sink = RecorderSink::create(path, &header)?;
-    sched_opts.trace = Some(TraceHandle::new(sink));
+    let sink = Arc::new(Mutex::new(RecorderSink::create(path, &header)?));
+    sched_opts.trace = Some(TraceHandle::new(Arc::clone(&sink)));
     schedule(g, spec, &sched_opts);
-    Ok(())
+    let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
+    sink.finish()
 }
 
 /// Run the full differential fuzzer. Deterministic in `opts.seed`.
@@ -802,6 +810,24 @@ mod tests {
         }
         // The generator actually walks the space.
         assert!(distinct > 90, "only {distinct} distinct arches in 100");
+    }
+
+    /// FNV-1a of `to_arch_xml(gen_arch(seed))`: a seed names the same
+    /// machine release to release, so a recorded `--arch-fuzz` failure
+    /// stays reproducible.
+    #[test]
+    fn generated_arches_are_pinned() {
+        for (seed, want) in [
+            (0u64, 0xb1b6_374d_a0ff_9b4b_u64),
+            (1, 0xd882_d5e7_3cf3_277a),
+            (2, 0x4641_6eb8_4d39_cf73),
+            (3, 0x9fad_2741_c1ff_2407),
+            (7, 0x05dc_73a1_d2af_5973),
+            (42, 0x462c_ac7a_f504_1d02),
+        ] {
+            let xml = to_arch_xml(&gen_arch(&mut StdRng::seed_from_u64(seed)));
+            assert_eq!(eit_cp::fnv1a(xml.as_bytes()), want, "seed {seed}:\n{xml}");
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod render;
 pub mod replicate;
 pub mod rr;
 
-pub use alloc::{allocate_modulo_memory, allocate_modulo_memory_with, AllocOptions, AllocOutcome};
+pub use alloc::{allocate_modulo_memory_with, AllocOptions, AllocOutcome};
 pub use codegen::{generate, Program};
 pub use fuzz::{run as fuzz_run, FuzzFailure, FuzzOptions, FuzzReport};
 pub use list_sched::{list_schedule, ListScheduleResult};

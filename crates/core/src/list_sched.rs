@@ -10,7 +10,7 @@
 //! paper's method adds (see the `ablation` benches and EXPERIMENTS.md).
 
 use eit_arch::{check_access, ArchSpec, Schedule};
-use eit_ir::{Category, Graph, NodeId, VectorConfig};
+use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
 
 /// Result of [`list_schedule`].
@@ -21,26 +21,13 @@ pub struct ListScheduleResult {
     pub delayed_ops: usize,
 }
 
+#[derive(Default)]
 struct MachineState {
-    lanes_used: HashMap<i32, u32>,
+    /// Replicas in use per (unit-table index, cycle).
+    load: HashMap<(usize, i32), u32>,
     config_at: HashMap<i32, VectorConfig>,
-    accel_busy: HashMap<i32, bool>,
-    im_busy: HashMap<i32, bool>,
     reads_at: HashMap<i32, Vec<u32>>,
     writes_at: HashMap<i32, Vec<u32>>,
-}
-
-impl MachineState {
-    fn new() -> Self {
-        MachineState {
-            lanes_used: HashMap::new(),
-            config_at: HashMap::new(),
-            accel_busy: HashMap::new(),
-            im_busy: HashMap::new(),
-            reads_at: HashMap::new(),
-            writes_at: HashMap::new(),
-        }
-    }
 }
 
 /// Schedule `g` heuristically. Returns `None` only when memory allocation
@@ -58,7 +45,7 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
     }
 
     let mut sched = Schedule::new(g.len());
-    let mut machine = MachineState::new();
+    let mut machine = MachineState::default();
     let mut placed = vec![false; g.len()];
     let mut delayed = 0usize;
 
@@ -98,48 +85,33 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
                 .map(|&d| sched.start_of(d))
                 .max()
                 .unwrap_or(0);
-            let cat = g.category(op);
             let dur = duration(op);
-            let need_lanes = match cat {
-                Category::MatrixOp => spec.matrix_lanes(),
-                Category::VectorOp => 1,
-                _ => 0,
-            };
+            // The unit the table assigns to the op's class, the replicas
+            // one op takes, and the unit's replica count.
+            let unit = OpClass::of(&g.node(op).kind).and_then(|c| {
+                let u = spec.units.unit_index(c)?;
+                Some((u, spec.units.class_width(c)?, spec.units.units[u].count))
+            });
+            // Only vector-core ops carry a configuration.
             let cfg = g.opcode(op).and_then(|o| o.config());
 
             let mut t = est;
             'place: loop {
-                // Resource feasibility at t.
-                let mut ok = true;
-                if need_lanes > 0 {
-                    let used = *machine.lanes_used.get(&t).unwrap_or(&0);
-                    if used + need_lanes > spec.n_lanes {
+                // Resource feasibility at t: the unit has `width` replicas
+                // free over the op's occupancy, and the vector core is not
+                // configured differently in the issue cycle.
+                let mut ok = unit.is_none_or(|(u, width, count)| {
+                    (t..t + dur).all(|c| machine.load.get(&(u, c)).unwrap_or(&0) + width <= count)
+                });
+                if let (Some(c), Some(existing)) = (cfg, machine.config_at.get(&t)) {
+                    if *existing != c {
                         ok = false;
-                    }
-                    if let (Some(c), Some(existing)) = (cfg, machine.config_at.get(&t)) {
-                        if *existing != c {
-                            ok = false;
-                        }
-                    }
-                }
-                if cat == Category::ScalarOp {
-                    for dt in 0..dur {
-                        if *machine.accel_busy.get(&(t + dt)).unwrap_or(&false) {
-                            ok = false;
-                        }
-                    }
-                }
-                if matches!(cat, Category::Index | Category::Merge) {
-                    for dt in 0..dur {
-                        if *machine.im_busy.get(&(t + dt)).unwrap_or(&false) {
-                            ok = false;
-                        }
                     }
                 }
 
                 // Memory feasibility (reads at t, writes at t + latency).
                 let mut new_slots: Vec<(NodeId, u32)> = Vec::new();
-                if ok && with_memory && need_lanes > 0 {
+                if ok && with_memory && cfg.is_some() {
                     let mut reads: Vec<u32> = machine.reads_at.get(&t).cloned().unwrap_or_default();
                     for &d in g.preds(op) {
                         if g.category(d) == Category::VectorData {
@@ -189,11 +161,13 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
                     if t > est {
                         delayed += 1;
                     }
-                    if need_lanes > 0 {
-                        *machine.lanes_used.entry(t).or_insert(0) += need_lanes;
-                        if let Some(c) = cfg {
-                            machine.config_at.insert(t, c);
+                    if let Some((u, width, _)) = unit {
+                        for c in t..t + dur {
+                            *machine.load.entry((u, c)).or_default() += width;
                         }
+                    }
+                    if let Some(c) = cfg {
+                        machine.config_at.insert(t, c);
                         let mut reads: Vec<u32> = Vec::new();
                         for &d in g.preds(op) {
                             if g.category(d) == Category::VectorData {
@@ -206,16 +180,6 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
                         let wb = t + latency(op);
                         for &(_, s) in &new_slots {
                             machine.writes_at.entry(wb).or_default().push(s);
-                        }
-                    }
-                    if cat == Category::ScalarOp {
-                        for dt in 0..dur {
-                            machine.accel_busy.insert(t + dt, true);
-                        }
-                    }
-                    if matches!(cat, Category::Index | Category::Merge) {
-                        for dt in 0..dur {
-                            machine.im_busy.insert(t + dt, true);
                         }
                     }
                     // Outputs.
@@ -305,7 +269,7 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
 mod tests {
     use super::*;
     use crate::model::{schedule, SchedulerOptions};
-    use eit_arch::validate_structure_with;
+    use eit_arch::{validate_structure_with, verify_schedule};
     use eit_dsl::Ctx;
     use std::time::Duration;
 
@@ -356,6 +320,139 @@ mod tests {
             let spec = ArchSpec::eit();
             let r = list_schedule(&k, &spec, false).unwrap();
             let v = validate_structure_with(&k, &spec, &r.schedule, false);
+            assert!(v.is_empty(), "{name}: {v:?}");
+        }
+    }
+
+    /// FNV-1a 64 over every node's start (i32) and slot (u32, `u32::MAX`
+    /// for none), little-endian, of the six kernels on both presets, with
+    /// memory on and off; `None` where the greedy allocation gives up.
+    #[test]
+    fn starts_and_slots_are_pinned() {
+        let hash = |g: &Graph, spec: &ArchSpec, memory: bool| {
+            list_schedule(g, spec, memory).map(|r| {
+                let mut h = eit_cp::Fnv64::new();
+                for n in g.ids() {
+                    h.write(&r.schedule.start_of(n).to_le_bytes());
+                    h.write(&r.schedule.slot_of(n).unwrap_or(u32::MAX).to_le_bytes());
+                }
+                h.finish()
+            })
+        };
+        for (arch, name, on, off) in [
+            (
+                "eit",
+                "qrd",
+                Some(0xc7cc_adfb_960b_b931),
+                Some(0x658d_8750_36b4_1b91),
+            ),
+            (
+                "eit",
+                "arf",
+                Some(0xb76a_8454_3135_4bfb),
+                Some(0x3447_63a9_53a6_9d83),
+            ),
+            (
+                "eit",
+                "matmul",
+                Some(0x74f9_0ca3_17db_ca69),
+                Some(0x00f4_e511_af8a_e319),
+            ),
+            (
+                "eit",
+                "fir",
+                Some(0xc444_fe04_2a5b_462d),
+                Some(0xfd92_8fbb_51dc_511d),
+            ),
+            ("eit", "detector", None, Some(0x7127_b2e8_9d5e_ea34)),
+            ("eit", "blockmm", None, Some(0x0a5d_1db9_73b0_597d)),
+            (
+                "wide",
+                "qrd",
+                Some(0xa68c_d153_5ad7_1ef1),
+                Some(0x9cbf_30a1_3b6f_a651),
+            ),
+            (
+                "wide",
+                "arf",
+                Some(0xe418_1c51_7544_8c7f),
+                Some(0x40be_dbf2_ddf0_b8f7),
+            ),
+            (
+                "wide",
+                "matmul",
+                Some(0xa098_9cdf_b284_0789),
+                Some(0x78cb_7d77_321e_f039),
+            ),
+            (
+                "wide",
+                "fir",
+                Some(0x8b1f_1e59_a095_262d),
+                Some(0xfd92_8fbb_51dc_511d),
+            ),
+            (
+                "wide",
+                "detector",
+                Some(0x019c_f4b3_cf2b_b65a),
+                Some(0x3d54_9bc8_dfdb_45dc),
+            ),
+            (
+                "wide",
+                "blockmm",
+                Some(0x9505_4187_40f9_e23d),
+                Some(0x0a5d_1db9_73b0_597d),
+            ),
+        ] {
+            let spec = ArchSpec::preset(arch).unwrap();
+            let mut g = eit_apps::by_name(name).unwrap().graph;
+            eit_ir::merge_pipeline_ops(&mut g);
+            assert_eq!(hash(&g, &spec, true), on, "{arch}/{name} with memory");
+            assert_eq!(hash(&g, &spec, false), off, "{arch}/{name} without memory");
+        }
+    }
+
+    /// Four independent `rsqrt`s become ready in the same cycle. One
+    /// accelerator serialises them; two replicas run them in pairs.
+    #[test]
+    fn replicated_accelerator_overlaps_scalar_ops() {
+        let ctx = Ctx::new("k");
+        for i in 0..4 {
+            let v = ctx.vector([1.0 + i as f64, 2.0, 3.0, 4.0]);
+            let _ = v.v_squsum().rsqrt();
+        }
+        let g = ctx.finish();
+        let scalar_starts = |spec: &ArchSpec| {
+            let r = list_schedule(&g, spec, true).unwrap();
+            assert!(verify_schedule(&g, spec, &r.schedule, true).is_empty());
+            assert!(validate_structure_with(&g, spec, &r.schedule, true).is_empty());
+            let mut s: Vec<i32> = g
+                .ids()
+                .filter(|&n| g.category(n) == Category::ScalarOp)
+                .map(|n| r.schedule.start_of(n))
+                .collect();
+            s.sort_unstable();
+            s
+        };
+        let mut two = ArchSpec::eit();
+        two.units.units[1].count = 2; // the scalar accelerator
+        two.validate().unwrap();
+        assert_eq!(scalar_starts(&ArchSpec::eit()), [7, 9, 11, 13]);
+        assert_eq!(scalar_starts(&two), [7, 7, 9, 9]);
+    }
+
+    /// The qrd and detector kernels stay valid under both verifiers on a
+    /// two-accelerator machine.
+    #[test]
+    fn replicated_accelerator_schedules_verify() {
+        let mut two = ArchSpec::eit();
+        two.units.units[1].count = 2;
+        for name in ["qrd", "detector"] {
+            let mut g = eit_apps::by_name(name).unwrap().graph;
+            eit_ir::merge_pipeline_ops(&mut g);
+            let r = list_schedule(&g, &two, false).unwrap();
+            let v = verify_schedule(&g, &two, &r.schedule, false);
+            assert!(v.is_empty(), "{name}: {v:?}");
+            let v = validate_structure_with(&g, &two, &r.schedule, false);
             assert!(v.is_empty(), "{name}: {v:?}");
         }
     }

@@ -186,12 +186,15 @@ fn decode<T>(n: usize, line: &[u8], parse: fn(&str) -> Result<T, String>) -> io:
 
 /// A [`TraceSink`] that streams every event to an `eit-trace/2` file.
 /// Keep it behind an `Arc<Mutex<_>>` to read [`hash`](Self::hash) and
-/// [`events`](Self::events) after the solve; the search flushes it at
-/// `Done`.
+/// [`events`](Self::events) after the solve, and to ask
+/// [`finish`](Self::finish) whether the file was written; the search
+/// flushes it at `Done`.
 pub struct RecorderSink {
     out: BufWriter<File>,
     hash: Fnv64,
     events: u64,
+    /// The first write or flush error, kept for [`finish`](Self::finish).
+    error: Option<io::Error>,
 }
 
 impl RecorderSink {
@@ -202,6 +205,7 @@ impl RecorderSink {
             out,
             hash: Fnv64::new(),
             events: 0,
+            error: None,
         };
         sink.line(header_line(header))?;
         Ok(sink)
@@ -222,18 +226,33 @@ impl RecorderSink {
     pub fn events(&self) -> u64 {
         self.events
     }
+
+    /// Flush, then return the first write or flush error of the
+    /// recording, if any.
+    pub fn finish(&mut self) -> io::Result<()> {
+        self.flush();
+        self.error.take().map_or(Ok(()), Err)
+    }
+
+    fn keep(&mut self, r: io::Result<()>) {
+        if let Err(e) = r {
+            self.error.get_or_insert(e);
+        }
+    }
 }
 
 impl TraceSink for RecorderSink {
     fn record(&mut self, event: &SearchEvent) {
-        // An I/O error mid-search must not kill the solve; the hash still
-        // covers the intended bytes, so the reader sees a short file.
-        let _ = self.line(event.to_json());
+        // An I/O error mid-search must not kill the solve; it is kept for
+        // `finish`, and the hash still covers the intended bytes.
+        let r = self.line(event.to_json());
+        self.keep(r);
         self.events += 1;
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        let r = self.out.flush();
+        self.keep(r);
     }
 }
 

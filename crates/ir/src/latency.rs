@@ -1,17 +1,13 @@
-//! Latency and duration annotation (§3.3 of the paper).
+//! Op classes: the key every latency and duration lookup goes through
+//! (§3.3 of the paper).
 //!
 //! Every node gets two numbers: *latency* `l_i` — cycles from issue until
 //! the result is usable — and *duration* `d_i` — cycles the node occupies
-//! its resource. Data nodes have both set to zero. After the merge pass,
-//! each vector-core node models one full trip through the seven-stage
-//! pipeline (latency 7) while occupying its lane(s) for a single issue
-//! cycle (duration 1).
-//!
-//! The paper gives no cycle counts for the scalar accelerator; the numbers
-//! here follow typical iterative divide/√/CORDIC units (documented as an
-//! assumption in DESIGN.md) and are fully parameterisable.
+//! its resource. Data nodes have both set to zero. An op's numbers are
+//! not decided here: each op falls into one [`OpClass`], and the
+//! architecture's unit table (`eit_arch::UnitTable`) prices the class.
 
-use crate::node::{NodeId, NodeKind, Opcode, ScalarOp};
+use crate::node::{NodeKind, Opcode, ScalarOp};
 use std::fmt;
 
 /// The functional-unit *class* of an operation — the key a data-driven
@@ -20,8 +16,7 @@ use std::fmt;
 ///
 /// The classes deliberately split the scalar accelerator's two latency
 /// regimes (iterative √/÷/CORDIC vs. single-pass ±/×) so an architecture
-/// description can price them independently — exactly the distinction
-/// [`LatencyModel`] hard-codes for the EIT instance.
+/// description can price them independently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
     /// Single-lane vector-core op (one lane, full pipeline trip).
@@ -107,107 +102,10 @@ fn is_iterative(s: ScalarOp) -> bool {
     )
 }
 
-/// Cycle-count parameters of the target machine, as seen by the scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Depth of the vector pipeline (load, pre, 2× core, 2× post,
-    /// write-back) — 7 for EIT.
-    pub vector_pipeline: i32,
-    /// Issue occupancy of a vector/matrix op — 1 cc (pipelined).
-    pub vector_duration: i32,
-    /// Latency of iterative accelerator ops (√, 1/√, ÷, reciprocal, CORDIC).
-    pub accel_iterative: i32,
-    /// Latency of simple accelerator ops (±, ×, negate).
-    pub accel_simple: i32,
-    /// Occupancy of an accelerator op (the unit is not pipelined for the
-    /// iterative ops in EIT; simple ops still hold it one cycle).
-    pub accel_duration_iterative: i32,
-    pub accel_duration_simple: i32,
-    /// Latency/duration of the index/merge unit.
-    pub index_merge: i32,
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel {
-            vector_pipeline: 7,
-            vector_duration: 1,
-            accel_iterative: 8,
-            accel_simple: 2,
-            accel_duration_iterative: 2,
-            accel_duration_simple: 1,
-            index_merge: 1,
-        }
-    }
-}
-
-impl LatencyModel {
-    /// `l_i`: cycles until the node's output is ready.
-    pub fn latency(&self, kind: &NodeKind) -> i32 {
-        OpClass::of(kind).map_or(0, |c| self.class_latency(c))
-    }
-
-    /// `d_i`: cycles the node occupies its resource.
-    pub fn duration(&self, kind: &NodeKind) -> i32 {
-        OpClass::of(kind).map_or(0, |c| self.class_duration(c))
-    }
-
-    /// Latency of one op class under this model.
-    pub fn class_latency(&self, c: OpClass) -> i32 {
-        match c {
-            OpClass::Vector | OpClass::Matrix => self.vector_pipeline,
-            OpClass::ScalarIterative => self.accel_iterative,
-            OpClass::ScalarSimple => self.accel_simple,
-            OpClass::Index | OpClass::Merge => self.index_merge,
-        }
-    }
-
-    /// Occupancy of one op class under this model.
-    pub fn class_duration(&self, c: OpClass) -> i32 {
-        match c {
-            OpClass::Vector | OpClass::Matrix => self.vector_duration,
-            OpClass::ScalarIterative => self.accel_duration_iterative,
-            OpClass::ScalarSimple => self.accel_duration_simple,
-            OpClass::Index | OpClass::Merge => self.index_merge,
-        }
-    }
-
-    /// Latency function over a graph, for [`crate::graph::Graph`] analyses.
-    pub fn of<'g>(&'g self, g: &'g crate::graph::Graph) -> impl Fn(NodeId) -> i32 + 'g {
-        move |id| self.latency(&g.node(id).kind)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{CoreOp, DataKind};
-
-    #[test]
-    fn defaults_match_the_paper_pipeline() {
-        let m = LatencyModel::default();
-        assert_eq!(m.latency(&NodeKind::Op(Opcode::vector(CoreOp::DotP))), 7);
-        assert_eq!(m.latency(&NodeKind::Op(Opcode::matrix(CoreOp::Mul))), 7);
-        assert_eq!(m.duration(&NodeKind::Op(Opcode::vector(CoreOp::DotP))), 1);
-        assert_eq!(m.latency(&NodeKind::Data(DataKind::Vector)), 0);
-        assert_eq!(m.duration(&NodeKind::Data(DataKind::Scalar)), 0);
-    }
-
-    #[test]
-    fn scalar_classes_differ() {
-        let m = LatencyModel::default();
-        let sqrt = NodeKind::Op(Opcode::Scalar(ScalarOp::Sqrt));
-        let add = NodeKind::Op(Opcode::Scalar(ScalarOp::Add));
-        assert!(m.latency(&sqrt) > m.latency(&add));
-        assert!(m.duration(&sqrt) > m.duration(&add));
-    }
-
-    #[test]
-    fn index_and_merge_are_cheap() {
-        let m = LatencyModel::default();
-        assert_eq!(m.latency(&NodeKind::Op(Opcode::Index(2))), 1);
-        assert_eq!(m.latency(&NodeKind::Op(Opcode::Merge)), 1);
-    }
 
     #[test]
     fn op_class_covers_every_opcode_and_roundtrips_names() {

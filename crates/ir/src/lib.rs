@@ -10,7 +10,8 @@
 //! - [`node`]/[`graph`] — the graph itself, building, validation
 //!   (bipartite, acyclic, single-producer), topological order, earliest
 //!   starts and the critical path `|Cr.P|`;
-//! - [`latency`] — the latency/duration annotation `l_i`, `d_i` of §3.3;
+//! - [`latency`] — the op classes the architecture prices `l_i`, `d_i`
+//!   by (§3.3);
 //! - [`passes::merge`] — the fig. 6 pipeline-merging pass;
 //! - [`xml`] — the XML interchange format emitted by the DSL.
 
@@ -26,7 +27,7 @@ pub mod xml;
 pub use cplx::Cplx;
 pub use dot::to_dot;
 pub use graph::{Graph, IrError};
-pub use latency::{LatencyModel, OpClass};
+pub use latency::OpClass;
 pub use node::{
     Category, CoreOp, DataKind, Node, NodeId, NodeKind, Opcode, PostOp, PreOp, ScalarOp,
     VectorConfig,

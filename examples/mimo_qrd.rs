@@ -16,8 +16,11 @@ fn main() {
     let kernel = eit::apps::qrd::build();
     let mut graph = kernel.graph.clone();
     eit::ir::merge_pipeline_ops(&mut graph);
-    let lm = eit::ir::LatencyModel::default();
-    println!("MMSE-QRD kernel: {}", graph.summary(&lm.of(&graph)));
+    let machine = ArchSpec::eit();
+    println!(
+        "MMSE-QRD kernel: {}",
+        graph.summary(&machine.latency_of(&graph))
+    );
 
     for slots in [64u32, 16, 8, 7] {
         let spec = ArchSpec::eit().with_slots(slots);

@@ -30,15 +30,15 @@ fn main() {
         .validate()
         .expect("the DSL emits valid bipartite DAGs");
     eit::ir::merge_pipeline_ops(&mut graph);
+    let spec = ArchSpec::eit();
     println!(
         "IR: {} nodes, {} edges, critical path {} cc",
         graph.len(),
         graph.edge_count(),
-        graph.critical_path(&eit::ir::LatencyModel::default().of(&graph)),
+        graph.critical_path(&spec.latency_of(&graph)),
     );
 
     // 3. Schedule with combined memory allocation on the EIT machine.
-    let spec = ArchSpec::eit();
     let result = schedule(&graph, &spec, &SchedulerOptions::default());
     let sched = result.schedule.expect("kernel must schedule");
     println!(

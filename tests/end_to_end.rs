@@ -82,8 +82,7 @@ fn makespan_equals_critical_path_when_memory_suffices() {
     let kernel = eit::apps::by_name("qrd").unwrap();
     let mut graph = kernel.graph.clone();
     eit::ir::merge_pipeline_ops(&mut graph);
-    let lm = eit::ir::LatencyModel::default();
-    let cp = graph.critical_path(&lm.of(&graph));
+    let cp = graph.critical_path(&ArchSpec::eit().latency_of(&graph));
     for slots in [64u32, 16, 8] {
         let spec = ArchSpec::eit().with_slots(slots);
         let r = schedule(&graph, &spec, &opts(120));

@@ -3,8 +3,9 @@
 
 use eit::arch::{validate_structure_with, ArchSpec};
 use eit::core::{
-    bundles_from_schedule, ii_lower_bound, manual_style_bundles, modulo_schedule,
-    overlapped_execution, schedule, validate_modulo, ModuloOptions, SchedulerOptions,
+    allocate_modulo_memory_with, bundles_from_schedule, ii_lower_bound, manual_style_bundles,
+    modulo_schedule, overlapped_execution, schedule, validate_modulo, AllocOptions, AllocOutcome,
+    ModuloOptions, SchedulerOptions,
 };
 use std::time::Duration;
 
@@ -156,22 +157,51 @@ fn reconfig_cost_scales_post_hoc_stalls() {
     assert_eq!(r3.actual_ii, r3.ii_issue + 3 * r3.switches as i32);
 }
 
+/// The steady-state allocation settings of perfbench's modulo workload:
+/// the default budget with restarts.
+fn restarting_alloc(timeout: Duration) -> AllocOptions {
+    AllocOptions {
+        timeout,
+        restarts: Some(eit::cp::RestartConfig::default()),
+    }
+}
+
 #[test]
 fn modulo_qrd_steady_state_fits_memory() {
     // Extension beyond the paper: its modulo experiments *assume* enough
     // memory; here the steady state (4 in-flight QRD iterations at the
     // issue II) is actually allocated and validated with the full memory
     // model — banks, pages, lines, lifetimes.
-    use eit::core::allocate_modulo_memory;
     let spec = ArchSpec::eit();
     let g = merged("qrd");
     let r = modulo_schedule(&g, &spec, &modulo_opts(false)).unwrap();
-    let (big, sched) =
-        allocate_modulo_memory(&g, &spec, &r, 4).expect("QRD steady state fits 64 slots");
+    let alloc =
+        allocate_modulo_memory_with(&g, &spec, &r, 4, &restarting_alloc(Duration::from_secs(60)));
+    let AllocOutcome::Allocated(big, sched) = alloc else {
+        panic!("QRD steady state fits 64 slots, got {alloc:?}");
+    };
     let v = eit::arch::validate_structure(&big, &spec, &sched);
     assert!(v.is_empty(), "{v:?}");
     // Report-worthy number: how many slots the steady state needs.
     assert!(sched.slots_used(&big) <= 64);
+}
+
+#[test]
+fn modulo_fir_steady_state_fits_at_the_lane_bound() {
+    // FIR's lane-bound II 3 is not memory-bound: the restarting search
+    // allocates it in milliseconds, where plain DFS is still undecided
+    // after a minute.
+    let spec = ArchSpec::eit();
+    let g = merged("fir");
+    let r = modulo_schedule(&g, &spec, &modulo_opts(false)).unwrap();
+    assert_eq!(r.ii_issue, 3);
+    let alloc =
+        allocate_modulo_memory_with(&g, &spec, &r, 4, &restarting_alloc(Duration::from_secs(5)));
+    let AllocOutcome::Allocated(big, sched) = alloc else {
+        panic!("FIR steady state fits 64 slots at II 3, got {alloc:?}");
+    };
+    let v = eit::arch::validate_structure(&big, &spec, &sched);
+    assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]

@@ -43,8 +43,7 @@ proptest! {
         let mut g = k.graph.clone();
         eit::ir::merge_pipeline_ops(&mut g);
         let spec = ArchSpec::eit();
-        let lm = eit::ir::LatencyModel::default();
-        let cp = g.critical_path(&lm.of(&g));
+        let cp = g.critical_path(&spec.latency_of(&g));
         let r = schedule(&g, &spec, &SchedulerOptions {
             timeout: Some(Duration::from_secs(30)),
             ..Default::default()
