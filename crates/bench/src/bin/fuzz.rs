@@ -8,8 +8,8 @@
 //! ```
 //!
 //! `--backend-fuzz` cross-checks every CP modulo result against the
-//! independent SAT backend: equal minimum II, and the SAT schedule clean
-//! under both verifiers.
+//! independent SAT backend and the CP/SAT race: equal minimum II, and
+//! each schedule clean under both verifiers.
 //!
 //! `--arch-fuzz` walks the architecture×kernel product space: every case
 //! draws a fresh generated machine (always `validate()`-clean) before
@@ -17,7 +17,8 @@
 //! reproducer pair.
 //!
 //! Exit status 0 when every case passes differentially, 1 when any case
-//! fails (reproducers are written to `--out`, default `fuzz-failures/`),
+//! fails (reproducers are written to `--out`, default `fuzz-failures/`;
+//! a reproducer file that cannot be written is named with the reason),
 //! 2 on bad arguments. Same seed, same verdicts, every run.
 
 use eit_core::fuzz::{run, FuzzOptions};
@@ -71,8 +72,10 @@ fn main() {
             "fuzz: FAIL case {} (case_seed {}): stage {} — {}",
             f.case, f.case_seed, f.stage, f.detail
         );
-        if let Some(p) = &f.reproducer {
-            eprintln!("fuzz:   reproducer: {}", p.display());
+        match &f.reproducer {
+            Some(Ok(p)) => eprintln!("fuzz:   reproducer: {}", p.display()),
+            Some(Err(e)) => eprintln!("fuzz:   reproducer incomplete: {e}"),
+            None => {}
         }
     }
     eprintln!("fuzz: {} failing case(s)", report.failures.len());

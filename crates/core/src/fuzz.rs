@@ -30,7 +30,9 @@
 
 use crate::list_sched::list_schedule;
 use crate::model::{schedule, SchedulerOptions};
-use crate::modulo::{modulo_schedule, validate_modulo, ModuloOptions};
+use crate::modulo::{
+    modulo_schedule, modulo_schedule_checked, validate_modulo, Backend, ModuloOptions,
+};
 use eit_arch::{
     simulate, to_arch_xml, validate_structure, validate_structure_with, verify_modulo,
     verify_schedule, ArchSpec, UnitTable, Violation,
@@ -41,7 +43,7 @@ use eit_ir::{from_xml, to_xml, CoreOp, Cplx, DataKind, Graph, NodeId, OpClass, O
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Fuzzing run parameters. Everything is deterministic in `seed`.
@@ -67,8 +69,9 @@ pub struct FuzzOptions {
     /// XML next to the kernel XML.
     pub arch_fuzz: bool,
     /// Cross-check the CP modulo sweep against the independent SAT
-    /// backend on every case where CP finds a schedule: equal II, and the
-    /// SAT schedule clean under both verifiers. Implies the modulo stage.
+    /// backend and the CP/SAT race on every case where CP finds a
+    /// schedule: equal II, and each schedule clean under both verifiers.
+    /// Implies the modulo stage.
     pub backend_fuzz: bool,
 }
 
@@ -103,8 +106,9 @@ pub struct FuzzFailure {
     /// `eit-arch/1` XML of the architecture the case ran on (`None` when
     /// the run used the builtin EIT instance).
     pub arch_xml: Option<String>,
-    /// Where the reproducer was written, if `out_dir` was set.
-    pub reproducer: Option<PathBuf>,
+    /// With `out_dir` set: the reproducer's kernel XML, or the file that
+    /// could not be written and why.
+    pub reproducer: Option<Result<PathBuf, String>>,
 }
 
 /// Outcome of a fuzzing run.
@@ -530,46 +534,50 @@ pub fn check_case_on(
                     );
                 }
                 // Stage: cross-backend differential. The CDCL/CNF sweep is
-                // an independent implementation of the same model, so its
-                // minimum feasible II must match CP's, and its (different)
-                // concrete schedule must satisfy both verifiers.
+                // an independent implementation of the same model, and the
+                // race answers each candidate with whichever side decides
+                // it first, so both must land on CP's minimum feasible II
+                // with a (different) concrete schedule that satisfies both
+                // verifiers.
                 if opts.backend_fuzz {
-                    checks += 1;
-                    let sopts = ModuloOptions {
-                        backend: crate::modulo::Backend::Sat,
-                        ..mopts(1)
-                    };
-                    match crate::modulo::modulo_schedule_checked(g, &spec, &sopts) {
-                        Err(e) => {
-                            return fail("modulo-backend-differential", format!("sat: {e}"));
-                        }
-                        Ok(None) => {
+                    for backend in [Backend::Sat, Backend::Race] {
+                        checks += 1;
+                        let name = backend.as_str();
+                        let bopts = ModuloOptions {
+                            backend,
+                            ..mopts(1)
+                        };
+                        let br = match modulo_schedule_checked(g, &spec, &bopts) {
+                            Err(e) => {
+                                return fail("modulo-backend-differential", format!("{name}: {e}"));
+                            }
+                            Ok(None) => {
+                                return fail(
+                                    "modulo-backend-differential",
+                                    format!("cp found II {} but {name} found nothing", a.ii_issue),
+                                );
+                            }
+                            Ok(Some(br)) => br,
+                        };
+                        if br.ii_issue != a.ii_issue {
                             return fail(
                                 "modulo-backend-differential",
-                                format!("cp found II {} but sat found nothing", a.ii_issue),
+                                format!("cp II {} vs {name} II {}", a.ii_issue, br.ii_issue),
                             );
                         }
-                        Ok(Some(sr)) => {
-                            if sr.ii_issue != a.ii_issue {
-                                return fail(
-                                    "modulo-backend-differential",
-                                    format!("cp II {} vs sat II {}", a.ii_issue, sr.ii_issue),
-                                );
-                            }
-                            let unrolled = validate_modulo(g, &spec, &sr, 3);
-                            if !unrolled.is_empty() {
-                                return fail(
-                                    "modulo-backend-differential",
-                                    fmt_violations("sat unrolled", &unrolled),
-                                );
-                            }
-                            let wrapped = verify_modulo(g, &spec, &sr.s, sr.ii_issue);
-                            if !wrapped.is_empty() {
-                                return fail(
-                                    "modulo-backend-differential",
-                                    fmt_violations("sat wraparound", &wrapped),
-                                );
-                            }
+                        let unrolled = validate_modulo(g, &spec, &br, 3);
+                        if !unrolled.is_empty() {
+                            return fail(
+                                "modulo-backend-differential",
+                                fmt_violations(&format!("{name} unrolled"), &unrolled),
+                            );
+                        }
+                        let wrapped = verify_modulo(g, &spec, &br.s, br.ii_issue);
+                        if !wrapped.is_empty() {
+                            return fail(
+                                "modulo-backend-differential",
+                                fmt_violations(&format!("{name} wraparound"), &wrapped),
+                            );
                         }
                     }
                 }
@@ -668,6 +676,55 @@ fn record_reproducer_trace(
     sink.finish()
 }
 
+/// Write one failure's reproducer into `dir`: the kernel XML, the arch
+/// XML when the case ran on a generated machine (ready for `eitc
+/// --arch`), a `.txt` summary and a replayable `eit-trace/2` recording
+/// of the minimal graph's scheduler run (`eitc --replay` validates it).
+/// Returns the kernel XML's path, or names the first file that could not
+/// be written and why.
+fn write_reproducer(
+    dir: &Path,
+    f: &FuzzFailure,
+    minimal: &Graph,
+    original_len: usize,
+    spec: &ArchSpec,
+    opts: &FuzzOptions,
+) -> Result<PathBuf, String> {
+    let cannot = |what: &str, path: &Path, e: std::io::Error| {
+        format!("cannot {what} {}: {e}", path.display())
+    };
+    std::fs::create_dir_all(dir).map_err(|e| cannot("create", dir, e))?;
+    let base = dir.join(format!("seed{}-case{}", opts.seed, f.case));
+    let write = |path: PathBuf, text: &str| match std::fs::write(&path, text) {
+        Ok(()) => Ok(path),
+        Err(e) => Err(cannot("write", &path, e)),
+    };
+    let xml = write(base.with_extension("xml"), &f.graph_xml)?;
+    if let Some(ax) = &f.arch_xml {
+        write(base.with_extension("arch.xml"), ax)?;
+    }
+    let arch = if f.arch_xml.is_some() {
+        "generated (see .arch.xml)"
+    } else {
+        "eit"
+    };
+    let summary = format!(
+        "seed: {}\ncase: {}\ncase_seed: {}\nstage: {}\ndetail: {}\n\
+         nodes: {} (shrunk from {original_len})\narch: {arch}\n",
+        opts.seed,
+        f.case,
+        f.case_seed,
+        f.stage,
+        f.detail,
+        minimal.len(),
+    );
+    write(base.with_extension("txt"), &summary)?;
+    let trace = base.with_extension("trace");
+    record_reproducer_trace(minimal, spec, &trace, opts.solver_timeout)
+        .map_err(|e| cannot("write", &trace, e))?;
+    Ok(xml)
+}
+
 /// Run the full differential fuzzer. Deterministic in `opts.seed`.
 ///
 /// With `arch_fuzz` set, each case's seed first draws a random
@@ -701,52 +758,20 @@ pub fn run(opts: &FuzzOptions) -> FuzzReport {
                     Err((_, d)) => d,
                     Ok(_) => detail,
                 };
-                let graph_xml = to_xml(&minimal);
-                let arch_xml = opts.arch_fuzz.then(|| to_arch_xml(&spec));
-                let reproducer = opts.out_dir.as_ref().and_then(|dir| {
-                    std::fs::create_dir_all(dir).ok()?;
-                    let base = dir.join(format!("seed{}-case{case}", opts.seed));
-                    let xml_path = base.with_extension("xml");
-                    std::fs::write(&xml_path, &graph_xml).ok()?;
-                    if let Some(ax) = &arch_xml {
-                        // The machine half of the reproducer pair, ready
-                        // for `eitc --arch`.
-                        std::fs::write(base.with_extension("arch.xml"), ax).ok()?;
-                    }
-                    let _ = std::fs::write(
-                        base.with_extension("txt"),
-                        format!(
-                            "seed: {}\ncase: {case}\ncase_seed: {cs}\nstage: {stage}\n\
-                             detail: {detail}\nnodes: {} (shrunk from {})\narch: {}\n",
-                            opts.seed,
-                            minimal.len(),
-                            g.len(),
-                            if opts.arch_fuzz {
-                                "generated (see .arch.xml)"
-                            } else {
-                                "eit"
-                            },
-                        ),
-                    );
-                    // Replayable `eit-trace/2` recording of the minimal
-                    // graph's scheduler run (`eitc --replay` validates it).
-                    let _ = record_reproducer_trace(
-                        &minimal,
-                        &spec,
-                        &base.with_extension("trace"),
-                        opts.solver_timeout,
-                    );
-                    Some(xml_path)
-                });
-                report.failures.push(FuzzFailure {
+                let mut failure = FuzzFailure {
                     case,
                     case_seed: cs,
                     stage,
                     detail,
-                    graph_xml,
-                    arch_xml,
-                    reproducer,
-                });
+                    graph_xml: to_xml(&minimal),
+                    arch_xml: opts.arch_fuzz.then(|| to_arch_xml(&spec)),
+                    reproducer: None,
+                };
+                failure.reproducer = opts
+                    .out_dir
+                    .as_ref()
+                    .map(|dir| write_reproducer(dir, &failure, &minimal, g.len(), &spec, opts));
+                report.failures.push(failure);
             }
         }
     }
@@ -783,6 +808,41 @@ mod tests {
                 .map(|f| (&f.stage, &f.detail))
                 .collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn reproducer_write_errors_name_the_file_and_the_reason() {
+        let g = gen_graph(&mut StdRng::seed_from_u64(case_seed(5, 0)));
+        let f = FuzzFailure {
+            case: 0,
+            case_seed: case_seed(5, 0),
+            stage: "planted".into(),
+            detail: "a failure to write out".into(),
+            graph_xml: to_xml(&g),
+            arch_xml: None,
+            reproducer: None,
+        };
+        let opts = quick(5, 1, false);
+        let spec = ArchSpec::eit();
+        let tmp = std::env::temp_dir().join(format!("eit-fuzz-reproducer-{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        // An out_dir under a regular file cannot be created.
+        let file = tmp.join("not-a-dir");
+        std::fs::write(&file, "").unwrap();
+        let dir = file.join("out");
+        let err = write_reproducer(&dir, &f, &g, g.len(), &spec, &opts).unwrap_err();
+        assert!(
+            err.starts_with(&format!("cannot create {}: ", dir.display())),
+            "{err}"
+        );
+        // A writable out_dir gets the kernel XML, the summary and the trace.
+        let dir = tmp.join("out");
+        let xml = write_reproducer(&dir, &f, &g, g.len(), &spec, &opts).unwrap();
+        assert_eq!(xml, dir.join("seed5-case0.xml"));
+        for ext in ["xml", "txt", "trace"] {
+            assert!(dir.join(format!("seed5-case0.{ext}")).is_file(), "{ext}");
+        }
+        std::fs::remove_dir_all(&tmp).unwrap();
     }
 
     #[test]

@@ -53,7 +53,8 @@ pub enum Backend {
     /// re-checked by both independent verifiers before it is accepted.
     Sat,
     /// Race CP against SAT on every candidate II, under child
-    /// cancellation tokens: the first decisive answer (feasible,
+    /// cancellation tokens: SAT starts once CP's search first fails (or
+    /// CP comes back undecided), and the first decisive answer (feasible,
     /// infeasible or malformed) stands for the candidate and cancels the
     /// other side. The sweep itself is the one every backend runs, so the
     /// winning II is backend-independent — only the attribution varies.
@@ -266,7 +267,8 @@ pub struct ModuloResult {
     /// candidate).
     pub backend: &'static str,
     /// SAT-solver counters, when the SAT backend ran (its sweep, or its
-    /// side of a race — present even if CP decided every candidate).
+    /// side of a race — present even if CP decided every candidate, and
+    /// zero when no CP probe failed, so the SAT side never started).
     pub sat: Option<SatStats>,
 }
 

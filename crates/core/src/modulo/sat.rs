@@ -5,6 +5,7 @@ use super::sweep::{ProbeSlot, Probed};
 use super::{ii_lower_bound, Backend, IiOutcome, ModuloError, ModuloOptions, SatStats};
 use eit_arch::ArchSpec;
 use eit_ir::Graph;
+use eit_sat::EncodeError;
 use std::time::Instant;
 
 /// The SAT probe: encode the candidate straight into a fresh CDCL
@@ -13,8 +14,13 @@ use std::time::Instant;
 pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
     let deadline = eit_cp::deadline_after(Instant::now(), slot.budget);
     let cancelled = || slot.cancel.as_ref().is_some_and(|c| c.is_cancelled());
+    let mut stop = || deadline.is_some_and(|d| Instant::now() >= d) || cancelled();
     let mut solver = eit_sat::Solver::new();
-    let decoder = match eit_sat::encode_modulo_into(g, spec, slot.ii, &mut solver) {
+    let mut sink = eit_sat::WithStop {
+        sink: &mut solver,
+        stop: &mut stop,
+    };
+    let decoder = match eit_sat::encode_modulo_into(g, spec, slot.ii, &mut sink) {
         Ok(Some(decoder)) => decoder,
         Ok(None) => {
             return Probed {
@@ -22,13 +28,25 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
                 ..Probed::bare(Backend::Sat, IiOutcome::Infeasible)
             }
         }
-        Err(e) => {
+        Err(EncodeError::Stopped { vars, clauses }) => {
+            let outcome = if cancelled() {
+                IiOutcome::Cancelled
+            } else {
+                IiOutcome::Timeout
+            };
+            return Probed {
+                sat: Some(SatStats {
+                    vars: u64::from(vars),
+                    clauses,
+                    ..Default::default()
+                }),
+                ..Probed::bare(Backend::Sat, outcome)
+            };
+        }
+        Err(EncodeError::Unsupported { node, detail }) => {
             return Probed::bare(
                 Backend::Sat,
-                IiOutcome::Malformed(ModuloError::ModelBuild {
-                    node: e.node,
-                    detail: e.detail,
-                }),
+                IiOutcome::Malformed(ModuloError::ModelBuild { node, detail }),
             )
         }
     };
@@ -38,16 +56,15 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
         ..Default::default()
     };
     // A cancelled probe (a race whose CP side decided first, an expired
-    // deadline, a candidate above the winner) stops here, at the
-    // solver's bounded polls, or once a model turns up; a model found
-    // after cancellation is not decoded.
+    // deadline, a candidate above the winner) stops within one row of
+    // the encoding, here, at the solver's bounded polls, or once a model
+    // turns up; a model found after cancellation is not decoded.
     if cancelled() {
         return Probed {
             sat: Some(sat),
             ..Probed::bare(Backend::Sat, IiOutcome::Cancelled)
         };
     }
-    let mut stop = || deadline.is_some_and(|d| Instant::now() >= d) || cancelled();
     let out = solver.solve(&mut stop);
     let st = &solver.stats;
     sat.decisions = st.decisions;
@@ -98,9 +115,9 @@ pub fn modulo_cnf_dimacs(
     let lb = ii_lower_bound(g, spec);
     let ub = crate::model::serial_horizon(g, spec);
     for ii in lb..=ub {
-        let enc = eit_sat::encode_modulo(g, spec, ii).map_err(|e| ModuloError::ModelBuild {
-            node: e.node.clone(),
-            detail: e.detail,
+        let enc = eit_sat::encode_modulo(g, spec, ii).map_err(|e| match e {
+            EncodeError::Unsupported { node, detail } => ModuloError::ModelBuild { node, detail },
+            EncodeError::Stopped { .. } => unreachable!("a Cnf sink never stops"),
         })?;
         if let Some(enc) = enc {
             let comments = [
@@ -112,4 +129,59 @@ pub fn modulo_cnf_dimacs(
         }
     }
     Ok(None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eit_cp::CancelToken;
+    use std::time::Duration;
+
+    fn detector() -> Graph {
+        let mut g = eit_apps::by_name("detector").expect("table kernel").graph;
+        eit_ir::merge_pipeline_ops(&mut g);
+        g
+    }
+
+    #[test]
+    fn a_stopped_encode_ends_early_and_the_probe_answers_cancelled() {
+        let g = detector();
+        let spec = ArchSpec::eit();
+        let ii = ii_lower_bound(&g, &spec);
+        let full = eit_sat::encode_modulo(&g, &spec, ii)
+            .unwrap()
+            .expect("detector encodes at its lower bound");
+        let mut cnf = eit_sat::Cnf::default();
+        let mut polls = 0;
+        let r = eit_sat::encode_modulo_into(
+            &g,
+            &spec,
+            ii,
+            &mut eit_sat::WithStop {
+                sink: &mut cnf,
+                stop: || {
+                    polls += 1;
+                    polls > 100
+                },
+            },
+        );
+        let Err(EncodeError::Stopped { vars, clauses }) = r else {
+            panic!("the encoder did not stop");
+        };
+        assert_eq!((vars, clauses), (cnf.n_vars, cnf.clauses.len() as u64));
+        assert!(clauses > 0 && clauses < full.cnf.clauses.len() as u64 / 10);
+
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let slot = ProbeSlot {
+            ii,
+            budget: Duration::from_secs(60),
+            cancel: Some(cancel),
+            trace: None,
+        };
+        let p = sat_probe(&g, &spec, &slot);
+        assert!(matches!(p.outcome, IiOutcome::Cancelled));
+        let sat = p.sat.expect("a stopped probe reports its SAT work");
+        assert!(sat.clauses < full.cnf.clauses.len() as u64);
+    }
 }

@@ -9,7 +9,7 @@ use super::{
     ModuloOptions, ModuloResult, ProbeStat, SatStats,
 };
 use eit_arch::ArchSpec;
-use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
+use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle, TraceSink};
 use eit_cp::CancelToken;
 use eit_ir::Graph;
 use std::sync::atomic::{AtomicI32, Ordering};
@@ -52,46 +52,68 @@ impl Probed {
     }
 }
 
-/// The race probe: CP on the calling thread and SAT on one scoped
-/// thread, each under its own child of the slot's token. The first
-/// decisive answer (feasible, infeasible or malformed) cancels the other
-/// side and stands for the candidate; a candidate stays undecided only
-/// when neither side decides, and then the CP side's timeout or
-/// cancellation stands. The SAT side's counters ride along either way.
+/// The race probe: CP on the calling thread, and SAT on a thread of its
+/// own once CP's search first fails, each under its own child of the
+/// slot's token. The first decisive answer (feasible, infeasible or
+/// malformed) cancels the other side and stands for the candidate. A
+/// CP dive that never fails decides alone and starts nothing; a CP side
+/// that returns undecided without having failed hands the rest of the
+/// budget to SAT on this thread. A candidate stays undecided only when
+/// neither side decides, and then the CP side's timeout or cancellation
+/// stands. The SAT side's counters ride along either way, zero when it
+/// never started.
 fn race_probe(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot) -> Probed {
+    let t0 = Instant::now();
     let child = || {
         slot.cancel
             .as_ref()
             .map_or_else(CancelToken::new, |c| c.child())
     };
     let (cp_token, sat_token) = (child(), child());
-    let first = OnceLock::new();
-    let run = |backend: Backend, own: &CancelToken, other: &CancelToken| {
-        let side = ProbeSlot {
+    let first = Arc::new(OnceLock::new());
+    let sat_side: SatStart = {
+        let (g, spec) = (g.clone(), spec.clone());
+        let (first, cp_token) = (Arc::clone(&first), cp_token.clone());
+        let (ii, budget, cancel) = (slot.ii, slot.budget, Some(sat_token.clone()));
+        Box::new(move || {
+            let side = ProbeSlot {
+                ii,
+                budget: budget.saturating_sub(t0.elapsed()),
+                cancel,
+                trace: None,
+            };
+            let p = sat_probe(&g, &spec, &side);
+            claim(&first, &p, &cp_token);
+            p
+        })
+    };
+    let gate = Arc::new(Mutex::new(SatGate {
+        start: Some(sat_side),
+        running: None,
+        cancel: sat_token.clone(),
+    }));
+    let cp = probe_ii(
+        g,
+        spec,
+        opts,
+        &ProbeSlot {
             ii: slot.ii,
             budget: slot.budget,
-            cancel: Some(own.clone()),
-            trace: None,
-        };
-        let p = match backend {
-            Backend::Sat => sat_probe(g, spec, &side),
-            _ => probe_ii(g, spec, opts, &side),
-        };
-        let decisive = !matches!(p.outcome, IiOutcome::Timeout | IiOutcome::Cancelled);
-        if decisive && first.set(backend).is_ok() {
-            other.cancel();
-        }
-        p
+            cancel: Some(cp_token),
+            trace: Some(TraceHandle::new(Arc::clone(&gate))),
+        },
+    );
+    claim(&first, &cp, &sat_token);
+    let (start, running) = {
+        let mut gate = gate.lock().unwrap_or_else(|e| e.into_inner());
+        (gate.start.take(), gate.running.take())
     };
-    let (cp, sat) = std::thread::scope(|scope| {
-        let sat = scope.spawn(|| run(Backend::Sat, &sat_token, &cp_token));
-        let cp = run(Backend::Cp, &cp_token, &sat_token);
-        (
-            cp,
-            sat.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
-        )
-    });
-    let sat_stats = sat.sat;
+    let sat = match (running, start) {
+        (Some(h), _) => h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+        (None, Some(start)) if first.get().is_none() => start(),
+        _ => Probed::bare(Backend::Sat, IiOutcome::Cancelled),
+    };
+    let sat_stats = sat.sat.or(Some(SatStats::default()));
     let decided = if first.get() == Some(&Backend::Sat) {
         sat
     } else {
@@ -100,6 +122,49 @@ fn race_probe(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot
     Probed {
         sat: sat_stats,
         ..decided
+    }
+}
+
+/// The work of a race's SAT side, on owned copies of its inputs.
+type SatStart = Box<dyn FnOnce() -> Probed + Send>;
+
+/// A race's SAT side, as a trace sink on its CP side: the first `Fail`
+/// event of the CP search takes `start` and runs it on a thread of its
+/// own.
+struct SatGate {
+    start: Option<SatStart>,
+    running: Option<std::thread::JoinHandle<Probed>>,
+    /// The SAT side's token.
+    cancel: CancelToken,
+}
+
+impl Drop for SatGate {
+    /// A SAT side still running here lost its CP side to a panic: stop
+    /// it and wait, so no race thread outlives its probe.
+    fn drop(&mut self) {
+        if let Some(h) = self.running.take() {
+            self.cancel.cancel();
+            let _ = h.join();
+        }
+    }
+}
+
+impl TraceSink for SatGate {
+    fn record(&mut self, event: &SearchEvent) {
+        if matches!(event, SearchEvent::Fail { .. }) {
+            if let Some(start) = self.start.take() {
+                self.running = Some(std::thread::spawn(start));
+            }
+        }
+    }
+}
+
+/// Let a race side's answer stand if it is the first decisive one, and
+/// then cancel the other side.
+fn claim(first: &OnceLock<Backend>, p: &Probed, other: &CancelToken) {
+    let decisive = !matches!(p.outcome, IiOutcome::Timeout | IiOutcome::Cancelled);
+    if decisive && first.set(p.backend).is_ok() {
+        other.cancel();
     }
 }
 
@@ -359,4 +424,103 @@ fn sweep(
         sat,
         ..assemble_result(g, spec, opts.include_reconfig, winner.ii, s)
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eit_apps::synth::{build, SynthParams};
+
+    fn race(g: &Graph, per_ii: Duration) -> ModuloResult {
+        let opts = ModuloOptions {
+            backend: Backend::Race,
+            timeout_per_ii: per_ii,
+            total_timeout: per_ii * 20,
+            ..Default::default()
+        };
+        modulo_schedule_checked(g, &ArchSpec::eit(), &opts)
+            .unwrap_or_else(|e| panic!("{}: {e}", g.name))
+            .unwrap_or_else(|| panic!("{}: no schedule", g.name))
+    }
+
+    /// Synthetic kernel (seed 3, 3 layers × 5) whose CP probes below the
+    /// winning II 7 fail: CP refutes II 4 and 5 after some search and
+    /// does not decide II 6 within a second, where SAT refutes it in
+    /// about 50 ms.
+    fn failing_kernel() -> Graph {
+        let mut g = build(SynthParams {
+            seed: 3,
+            layers: 3,
+            width: 5,
+            ..Default::default()
+        })
+        .graph;
+        eit_ir::merge_pipeline_ops(&mut g);
+        g
+    }
+
+    #[test]
+    fn fail_free_table_kernels_race_without_starting_sat() {
+        // Every CP probe of the six table kernels decides its II with
+        // zero fails, so the race's SAT side never opens its gate.
+        let spec = ArchSpec::eit();
+        for name in ["matmul", "fir", "arf", "qrd", "detector", "blockmm"] {
+            let mut g = eit_apps::by_name(name).expect("table kernel").graph;
+            eit_ir::merge_pipeline_ops(&mut g);
+            let r = race(&g, Duration::from_secs(60));
+            assert_eq!(r.backend, "cp", "{name}");
+            assert_eq!(r.sat, Some(SatStats::default()), "{name}");
+            assert!(r.probes.iter().all(|p| p.backend == Backend::Cp));
+            assert!(eit_arch::verify_modulo(&g, &spec, &r.s, r.ii_issue).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_failing_cp_dive_starts_the_sat_side_and_it_can_win() {
+        let g = failing_kernel();
+        let spec = ArchSpec::eit();
+        let cp = modulo_schedule_checked(
+            &g,
+            &spec,
+            &ModuloOptions {
+                timeout_per_ii: Duration::from_millis(200),
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .expect("cp finds a schedule");
+        let r = race(&g, Duration::from_secs(30));
+        assert_eq!(r.ii_issue, cp.ii_issue);
+        assert_eq!(r.ii_issue, 7);
+        assert!(
+            r.probes.iter().any(|p| p.backend == Backend::Sat),
+            "no candidate decided by sat: {:?}",
+            r.probes
+        );
+        let sat = r.sat.expect("race carries the SAT counters");
+        assert!(sat.vars > 0 && sat.clauses > 0);
+        assert!(eit_arch::verify_modulo(&g, &spec, &r.s, r.ii_issue).is_empty());
+        assert!(validate_modulo(&g, &spec, &r, 3).is_empty());
+    }
+
+    #[test]
+    fn a_race_with_a_started_sat_side_ends_within_its_budget() {
+        // CP fails early on every candidate below the winner, so each of
+        // those probes starts its SAT side; the probe still ends with the
+        // candidate's budget, plus the poll latency of both sides.
+        let g = failing_kernel();
+        let budget = Duration::from_millis(50);
+        let slack = Duration::from_millis(150);
+        let t0 = Instant::now();
+        let r = race(&g, budget);
+        let elapsed = t0.elapsed();
+        for p in &r.probes {
+            assert!(p.time <= budget + slack, "II {} took {:?}", p.ii, p.time);
+        }
+        assert!(
+            elapsed <= (budget + slack) * r.probes.len() as u32,
+            "{} probes took {elapsed:?}",
+            r.probes.len()
+        );
+    }
 }

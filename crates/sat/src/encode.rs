@@ -42,6 +42,12 @@ pub struct Cnf {
 pub trait ClauseSink {
     fn new_var(&mut self) -> Var;
     fn add_clause(&mut self, clause: &[Lit]);
+    /// Polled by the encoder between rows of work; `true` abandons the
+    /// encoding with [`EncodeError::Stopped`]. Plain sinks never stop;
+    /// [`WithStop`] pairs a sink with a callback.
+    fn stop(&mut self) -> bool {
+        false
+    }
 }
 
 impl ClauseSink for Cnf {
@@ -66,6 +72,27 @@ impl ClauseSink for Solver {
     }
 }
 
+/// A sink with a stop callback: everything goes to `sink`, and the
+/// encoder's polls ask `stop`.
+pub struct WithStop<'a, S, F> {
+    pub sink: &'a mut S,
+    pub stop: F,
+}
+
+impl<S: ClauseSink, F: FnMut() -> bool> ClauseSink for WithStop<'_, S, F> {
+    fn new_var(&mut self) -> Var {
+        self.sink.new_var()
+    }
+
+    fn add_clause(&mut self, clause: &[Lit]) {
+        self.sink.add_clause(clause)
+    }
+
+    fn stop(&mut self) -> bool {
+        (self.stop)()
+    }
+}
+
 /// A sink that also counts what passes through it.
 struct Counted<'a, S> {
     sink: &'a mut S,
@@ -82,6 +109,19 @@ impl<S: ClauseSink> ClauseSink for Counted<'_, S> {
     fn add_clause(&mut self, clause: &[Lit]) {
         self.clauses += 1;
         self.sink.add_clause(clause);
+    }
+}
+
+impl<S: ClauseSink> Counted<'_, S> {
+    /// One stop point of the encoder.
+    fn poll(&mut self) -> Result<(), EncodeError> {
+        if self.sink.stop() {
+            return Err(EncodeError::Stopped {
+                vars: self.vars,
+                clauses: self.clauses,
+            });
+        }
+        Ok(())
     }
 }
 
@@ -106,17 +146,25 @@ impl Cnf {
     }
 }
 
-/// Structured model-build failure: the graph has a shape the encoding
-/// cannot express (a data→data edge), named by node.
+/// Why [`encode_modulo_into`] made no encoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EncodeError {
-    pub node: String,
-    pub detail: String,
+pub enum EncodeError {
+    /// The graph has a shape the encoding cannot express (a data→data
+    /// edge), named by node.
+    Unsupported { node: String, detail: String },
+    /// The sink asked to stop after `vars` variables and `clauses`
+    /// clauses; it holds that partial encoding.
+    Stopped { vars: u32, clauses: u64 },
 }
 
 impl std::fmt::Display for EncodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node '{}': {}", self.node, self.detail)
+        match self {
+            EncodeError::Unsupported { node, detail } => write!(f, "node '{node}': {detail}"),
+            EncodeError::Stopped { vars, clauses } => {
+                write!(f, "stopped after {vars} vars and {clauses} clauses")
+            }
+        }
     }
 }
 
@@ -207,6 +255,11 @@ pub fn encode_modulo(
 /// into its arena, with no [`Cnf`] built and freed on the way. Nothing
 /// is added when the result is `Ok(None)`; after an `Err` the sink holds
 /// a partial encoding and should be discarded.
+///
+/// The encoder polls [`ClauseSink::stop`] once per fixpoint pass, per
+/// op row (order chains, residue auxiliaries), per precedence, per
+/// configuration row and per unit residue, so a stop lands within one
+/// row of work.
 pub fn encode_modulo_into<S: ClauseSink>(
     g: &Graph,
     spec: &ArchSpec,
@@ -245,7 +298,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
         if !tc.is_op() {
             // data→data never occurs in this IR (edges alternate
             // op/data); refuse rather than mis-model it.
-            return Err(EncodeError {
+            return Err(EncodeError::Unsupported {
                 node: g.node(to).name.clone(),
                 detail: "unsupported data→data precedence edge in the SAT encoding".into(),
             });
@@ -267,9 +320,15 @@ pub fn encode_modulo_into<S: ClauseSink>(
     // occupancy inside its window instance). The graph is a DAG and all
     // updates are monotone within bounded domains, so this terminates.
     let residue_ok = |i: usize, v: i32| v % ii <= ii - duration(ops[i]).max(1);
+    let mut out = Counted {
+        sink,
+        vars: 0,
+        clauses: 0,
+    };
     loop {
         let mut changed = false;
         for _ in 0..ops.len().max(1) {
+            out.poll()?;
             let mut pass = false;
             for &(a, b, d) in &diffs {
                 if lo[a] + d > lo[b] {
@@ -304,11 +363,6 @@ pub fn encode_modulo_into<S: ClauseSink>(
         }
     }
 
-    let mut out = Counted {
-        sink,
-        vars: 0,
-        clauses: 0,
-    };
     let base: Vec<Var> = (0..ops.len())
         .map(|i| {
             let mut first = 0;
@@ -333,6 +387,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
 
     // Monotone chains: s ≥ v implies s ≥ v−1.
     for i in 0..ops.len() {
+        out.poll()?;
         for v in lo[i] + 2..=hi[i] {
             if let (OLit::Is(a), OLit::Is(b)) = (order(i, v), order(i, v - 1)) {
                 out.add_clause(&[a.negated(), b]);
@@ -354,6 +409,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
     // `hi[a] ≤ hi[b]−d`, so every rung has both ends in range (rungs
     // with a trivially-true head are skipped by the OLit match).
     for &(a, b, d) in &diffs {
+        out.poll()?;
         for v in lo[a] + 1..=hi[a] {
             match (order(a, v), order(b, v + d)) {
                 (OLit::Is(la), OLit::Is(lb)) => out.add_clause(&[la.negated(), lb]),
@@ -373,6 +429,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
     let mut st: Vec<Vec<Option<Lit>>> = vec![vec![None; ii as usize]; ops.len()];
     let mut clause = Vec::with_capacity(3);
     for i in 0..ops.len() {
+        out.poll()?;
         for v in lo[i]..=hi[i] {
             if !residue_ok(i, v) {
                 continue;
@@ -407,6 +464,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
         })
         .collect();
     for (x, (i, ci)) in vops.iter().enumerate() {
+        out.poll()?;
         for (j, cj) in &vops[x + 1..] {
             if ci == cj {
                 continue;
@@ -445,6 +503,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
             }
         }
         for items in &per_residue {
+            out.poll()?;
             at_most_k(&mut out, items, cap);
         }
     }

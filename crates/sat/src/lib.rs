@@ -16,4 +16,5 @@ pub mod encode;
 pub use cdcl::{Lit, SolveOutcome, Solver, SolverStats, Var};
 pub use encode::{
     encode_modulo, encode_modulo_into, ClauseSink, Cnf, EncodeError, ModuloDecoder, ModuloEncoding,
+    WithStop,
 };

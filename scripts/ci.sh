@@ -93,6 +93,12 @@ echo "== arch-fuzz smoke: 100 fixed-seed architecture×kernel cases"
 # the kernel; the full differential stack must agree on every pair.
 ./target/release/fuzz --seed 7 --cases 100 --arch-fuzz --out /tmp/eit-arch-fuzz-failures
 
+echo "== backend-fuzz smoke: 200 fixed-seed cases, CP vs SAT vs race"
+# Wherever CP finds a modulo schedule, the SAT sweep and the CP/SAT race
+# must land on the same II, each with a schedule clean under both
+# verifiers.
+./target/release/fuzz --seed 5 --cases 200 --backend-fuzz --out /tmp/eit-backend-fuzz-failures
+
 echo "== parametric arch gate: preset → XML → reload is byte-identical"
 # The eit-arch/1 contract: a dumped preset is a parse/render fixpoint,
 # reloading it compiles every table kernel byte-identical to the builtin
