@@ -115,15 +115,15 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Per-unit busy-cycle breakdown.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// How busy one unit of the spec's [`UnitTable`](crate::UnitTable) was.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct UnitUtilization {
-    /// Vector-core lane utilization (used lane-cycles / available).
-    pub vector: f64,
-    /// Scalar-accelerator busy fraction.
-    pub accelerator: f64,
-    /// Index/merge-unit busy fraction.
-    pub index_merge: f64,
+    /// The unit's name in the table.
+    pub name: String,
+    /// Lane utilization (used lane-cycles / available) for the unit
+    /// serving the vector class; busy cycles over `count × cycles` for
+    /// every other unit.
+    pub utilization: f64,
 }
 
 /// Activity counters beyond the headline utilization numbers, computed
@@ -218,7 +218,8 @@ pub struct SimReport {
     pub makespan: i32,
     pub lane_cycles: u64,
     pub utilization: f64,
-    pub units: UnitUtilization,
+    /// One entry per unit of the spec's table, in table order.
+    pub units: Vec<UnitUtilization>,
     pub reconfig_switches: usize,
     pub config_loads: usize,
     pub counters: SimCounters,
@@ -494,7 +495,7 @@ pub fn simulate(
             makespan: sched.makespan,
             lane_cycles: 0,
             utilization: 0.0,
-            units: UnitUtilization::default(),
+            units: Vec::new(),
             reconfig_switches: 0,
             config_loads: 0,
             counters: SimCounters::default(),
@@ -658,26 +659,32 @@ pub fn simulate(
     let counters = SimCounters::from_stream(&cs, g, spec);
     let lane_cycles = cs.lane_cycles_used(g, spec);
     let total = (sched.makespan + 1).max(1) as f64;
-    // Busy cycles per unit of the table; the report names the units
-    // serving the scalar and index classes.
+    let utilization = cs.utilization(g, spec);
     let mut busy = vec![0i64; spec.units.units.len()];
     for n in g.ids() {
         if let Some(u) = OpClass::of(&g.node(n).kind).and_then(|c| spec.units.unit_index(c)) {
             busy[u] += spec.duration(&g.node(n).kind) as i64;
         }
     }
-    let busy_fraction = |c| {
-        spec.units
-            .unit_index(c)
-            .map_or(0.0, |u| (busy[u] as f64 / total).min(1.0))
-    };
+    let vector_unit = spec.units.unit_index(OpClass::Vector);
+    let units = spec
+        .units
+        .units
+        .iter()
+        .zip(busy)
+        .enumerate()
+        .map(|(u, (unit, busy))| UnitUtilization {
+            name: unit.name.clone(),
+            utilization: if Some(u) == vector_unit {
+                utilization
+            } else {
+                (busy as f64 / (f64::from(unit.count) * total)).min(1.0)
+            },
+        })
+        .collect();
     SimReport {
-        utilization: cs.utilization(g, spec),
-        units: UnitUtilization {
-            vector: cs.utilization(g, spec),
-            accelerator: busy_fraction(OpClass::ScalarSimple),
-            index_merge: busy_fraction(OpClass::Index),
-        },
+        utilization,
+        units,
         reconfig_switches: cs.reconfig_switches(),
         config_loads: cs.config_loads(),
         lane_cycles,

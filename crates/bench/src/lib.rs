@@ -1,7 +1,7 @@
 //! # eit-bench — experiment harness
 //!
 //! Shared plumbing for the table-regeneration binaries (`table1`,
-//! `table2`, `table3`, `figures`) and the Criterion benches. Each binary
+//! `table2`, `table3`, `figures`) and the trace-overhead gate. Each binary
 //! prints the same rows as the corresponding table in the paper, side by
 //! side with the paper's published numbers, and EXPERIMENTS.md records a
 //! captured run.
@@ -38,11 +38,6 @@ pub fn prepared(name: &str) -> Prepared {
 pub fn graph_props(g: &Graph, spec: &ArchSpec) -> (usize, usize, i32) {
     let cp = g.critical_path(&spec.latency_of(g));
     (g.len(), g.edge_count(), cp)
-}
-
-/// The default EIT machine.
-pub fn eit() -> ArchSpec {
-    ArchSpec::eit()
 }
 
 /// Why an `--arch` value did not resolve. Each binary words the message

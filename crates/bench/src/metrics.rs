@@ -165,11 +165,13 @@ impl RunMetrics {
                 ("utilization".into(), Json::num(report.utilization)),
                 (
                     "units".into(),
-                    Json::Obj(vec![
-                        ("vector".into(), Json::num(report.units.vector)),
-                        ("accelerator".into(), Json::num(report.units.accelerator)),
-                        ("index_merge".into(), Json::num(report.units.index_merge)),
-                    ]),
+                    Json::Obj(
+                        report
+                            .units
+                            .iter()
+                            .map(|u| (u.name.clone(), Json::num(u.utilization)))
+                            .collect(),
+                    ),
                 ),
                 (
                     "reconfig_switches".into(),

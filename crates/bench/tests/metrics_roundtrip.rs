@@ -128,6 +128,14 @@ fn sim_section_round_trips() {
         .and_then(Json::as_arr)
         .expect("lane histogram");
     assert_eq!(hist.len(), spec.n_lanes as usize + 1);
+    let Some(Json::Obj(units)) = sim.get("units") else {
+        panic!("sim.units must be an object");
+    };
+    let names: Vec<&str> = units.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["vector-core", "scalar-accel", "index-merge"]);
+    for ((_, v), u) in units.iter().zip(&report.units) {
+        assert_eq!(v.as_f64(), Some(u.utilization), "{}", u.name);
+    }
     let timeline = sim
         .get("reconfig_timeline")
         .and_then(Json::as_arr)

@@ -44,15 +44,17 @@ fn main() {
                         "slots={slots}: output {node:?} differs"
                     );
                 }
+                let units: Vec<String> = report
+                    .units
+                    .iter()
+                    .map(|u| format!("{} {:.1}%", u.name, u.utilization * 100.0))
+                    .collect();
                 println!(
-                    "{slots:>3} slots: {} cc ({status:?}), {} slots used, \
-                     lanes {:.1}% / accel {:.1}% / idx-merge {:.1}%, \
+                    "{slots:>3} slots: {} cc ({status:?}), {} slots used, {}, \
                      {} reconfig switches — outputs verified",
                     sched.makespan,
                     sched.slots_used(&graph),
-                    report.units.vector * 100.0,
-                    report.units.accelerator * 100.0,
-                    report.units.index_merge * 100.0,
+                    units.join(" / "),
                     report.reconfig_switches,
                 );
             }

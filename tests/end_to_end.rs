@@ -196,3 +196,84 @@ fn kernels_retarget_to_the_wide_machine() {
     let narrow = schedule(&g, &ArchSpec::eit(), &opts(60)).makespan.unwrap();
     assert!(wide <= narrow, "wide {wide} vs narrow {narrow}");
 }
+
+#[test]
+fn simulator_reports_every_preset_unit() {
+    // Per kernel: the vector core's lane utilization, then the scalar
+    // accelerator's and the index/merge unit's busy fractions.
+    let eit = [
+        ("matmul", [0.3333333333333333, 0.0, 0.3333333333333333]),
+        ("fir", [0.03508771929824561, 0.0, 0.0]),
+        ("arf", [0.13725490196078433, 0.0, 0.0]),
+        ("qrd", [0.0783132530120482, 0.13253012048192772, 0.0]),
+        ("detector", [0.0625, 0.1875, 0.004464285714285714]),
+        ("blockmm", [0.5454545454545454, 0.0, 0.0]),
+    ];
+    let wide = [
+        ("matmul", [0.16666666666666666, 0.0, 0.3333333333333333]),
+        ("fir", [0.017543859649122806, 0.0, 0.0]),
+        ("arf", [0.07, 0.0, 0.0]),
+        ("qrd", [0.0391566265060241, 0.13253012048192772, 0.0]),
+        ("detector", [0.03125, 0.1875, 0.004464285714285714]),
+        ("blockmm", [0.5454545454545454, 0.0, 0.0]),
+    ];
+    for (arch, kernels) in [("eit", eit), ("wide", wide)] {
+        let spec = ArchSpec::preset(arch).unwrap();
+        for (name, busy) in kernels {
+            let kernel = eit::apps::by_name(name).unwrap();
+            let mut g = kernel.graph.clone();
+            eit::ir::merge_pipeline_ops(&mut g);
+            let sched = schedule(&g, &spec, &opts(60)).schedule.unwrap();
+            let report = simulate(&g, &spec, &sched, &kernel.inputs);
+            assert!(report.ok(), "{arch} {name}: {:?}", report.violations);
+            let names: Vec<&str> = report.units.iter().map(|u| u.name.as_str()).collect();
+            assert_eq!(names, ["vector-core", "scalar-accel", "index-merge"]);
+            assert_eq!(report.units[0].utilization, report.utilization);
+            for (u, want) in report.units.iter().zip(busy) {
+                let (unit, got) = (&u.name, u.utilization);
+                assert!((got - want).abs() < 1e-12, "{arch} {name} {unit}: {got}");
+            }
+        }
+    }
+}
+
+#[test]
+fn simulator_reports_split_index_and_merge_units() {
+    use eit::arch::{FuncUnit, UnitOp};
+    use eit::ir::sem::Value;
+    use eit::ir::OpClass;
+    // On a machine that serves index and merge ops from two units, each
+    // unit reports its own busy fraction. The merge pass folds every
+    // table kernel's index ops away, so the graph is built here: four
+    // index ops unpack a vector and one merge packs it again.
+    let mut spec = ArchSpec::eit();
+    let unit = |name: &str, class| FuncUnit {
+        name: name.into(),
+        count: 1,
+        ops: vec![UnitOp {
+            class,
+            latency: 1,
+            occupancy: 1,
+            width: 1,
+        }],
+    };
+    spec.units.units.pop();
+    spec.units.units.push(unit("index", OpClass::Index));
+    spec.units.units.push(unit("merge", OpClass::Merge));
+    spec.validate().unwrap();
+    let ctx = eit::dsl::Ctx::new("unpack");
+    let v = ctx.vector_named("v", [1.0, 2.0, 3.0, 4.0]);
+    let lanes = [v.index(0), v.index(1), v.index(2), v.index(3)];
+    ctx.merge([&lanes[0], &lanes[1], &lanes[2], &lanes[3]]);
+    let inputs = [(v.node(), Value::V(v.value()))].into_iter().collect();
+    let g = ctx.finish();
+    let sched = schedule(&g, &spec, &opts(60)).schedule.unwrap();
+    let report = simulate(&g, &spec, &sched, &inputs);
+    assert!(report.ok(), "{:?}", report.violations);
+    let names: Vec<&str> = report.units.iter().map(|u| u.name.as_str()).collect();
+    assert_eq!(names, ["vector-core", "scalar-accel", "index", "merge"]);
+    // One-cycle ops on one replica: busy cycles are the op count.
+    let cycles = f64::from(report.makespan + 1);
+    assert_eq!(report.units[2].utilization, 4.0 / cycles);
+    assert_eq!(report.units[3].utilization, 1.0 / cycles);
+}

@@ -187,6 +187,22 @@ fn modulo_qrd_steady_state_fits_memory() {
 }
 
 #[test]
+fn modulo_qrd_incl_steady_state_fits_39_slots_with_restarts() {
+    // A phase-transition instance: plain DFS is still undecided after 2 s
+    // on it, while the restarting search allocates it (DESIGN.md §5k).
+    let g = merged("qrd");
+    let r = modulo_schedule(&g, &ArchSpec::eit(), &modulo_opts(true)).unwrap();
+    let spec = ArchSpec::eit().with_slots(39);
+    let alloc =
+        allocate_modulo_memory_with(&g, &spec, &r, 4, &restarting_alloc(Duration::from_secs(60)));
+    let AllocOutcome::Allocated(big, sched) = alloc else {
+        panic!("QRD incl steady state fits 39 slots, got {alloc:?}");
+    };
+    let v = eit::arch::validate_structure(&big, &spec, &sched);
+    assert!(v.is_empty(), "{v:?}");
+}
+
+#[test]
 fn modulo_fir_steady_state_fits_at_the_lane_bound() {
     // FIR's lane-bound II 3 is not memory-bound: the restarting search
     // allocates it in milliseconds, where plain DFS is still undecided

@@ -1,84 +1,165 @@
 //! Property-based integration tests: randomly generated kernels must
 //! schedule, validate and replay correctly; solver invariants must hold
-//! on arbitrary inputs.
+//! on arbitrary inputs. Each property runs a fixed number of cases drawn
+//! from its own deterministic stream ([`Cases`]), so every run sees the
+//! same inputs and a failure names the case that broke.
 
 use eit::apps::synth::{build, SynthParams};
+use eit::apps::Kernel;
 use eit::arch::{simulate, validate_structure, ArchSpec};
 use eit::core::{schedule, SchedulerOptions};
 use eit::cp::{Domain, SearchStatus};
-use proptest::prelude::*;
+use eit::ir::Graph;
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::time::Duration;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// The case stream of one property: splitmix64 seeded with the FNV-1a
+/// hash of `properties::<test name>`. An integer in `lo..hi` is
+/// `lo + next % (hi - lo)`; a vector draws its length first.
+struct Cases(u64);
 
-    /// Any synthetic kernel the generator emits schedules optimally and
-    /// survives the full simulator, with all expected outputs matching.
-    #[test]
-    fn synthetic_kernels_schedule_and_replay(seed in 0u64..500, layers in 1usize..4, width in 2usize..6) {
-        let k = build(SynthParams { seed, layers, width, scalar_fraction: 0.2 });
-        let mut g = k.graph.clone();
-        prop_assert!(g.validate().is_ok());
-        eit::ir::merge_pipeline_ops(&mut g);
-        let spec = ArchSpec::eit();
-        let r = schedule(&g, &spec, &SchedulerOptions {
-            timeout: Some(Duration::from_secs(30)),
-            ..Default::default()
-        });
-        prop_assert_eq!(r.status, SearchStatus::Optimal);
-        let sched = r.schedule.unwrap();
-        prop_assert!(validate_structure(&g, &spec, &sched).is_empty());
-        let report = simulate(&g, &spec, &sched, &k.inputs);
-        prop_assert!(report.ok(), "{:?}", report.violations);
-        for (node, expect) in &k.expected {
-            prop_assert!(report.values[node].approx_eq(expect, 1e-6));
-        }
+impl Cases {
+    fn new(test: &str) -> Self {
+        let seed = format!("properties::{test}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        Cases(seed)
     }
 
-    /// The makespan is bounded below by the critical path and above by
-    /// the serial horizon.
-    #[test]
-    fn makespan_bounds(seed in 0u64..500) {
-        let k = build(SynthParams { seed, layers: 3, width: 4, scalar_fraction: 0.1 });
-        let mut g = k.graph.clone();
-        eit::ir::merge_pipeline_ops(&mut g);
-        let spec = ArchSpec::eit();
-        let cp = g.critical_path(&spec.latency_of(&g));
-        let r = schedule(&g, &spec, &SchedulerOptions {
-            timeout: Some(Duration::from_secs(30)),
-            ..Default::default()
-        });
-        let m = r.makespan.unwrap();
-        prop_assert!(m >= cp, "makespan {m} < critical path {cp}");
-        prop_assert!(m <= eit::core::model::serial_horizon(&g, &spec) + 7);
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
-    /// Adding memory never shortens the schedule; removing the memory
-    /// model never lengthens it.
-    #[test]
-    fn memory_constraints_are_monotone(seed in 0u64..200) {
-        let k = build(SynthParams { seed, layers: 2, width: 4, scalar_fraction: 0.1 });
-        let mut g = k.graph.clone();
-        eit::ir::merge_pipeline_ops(&mut g);
-        let spec = ArchSpec::eit();
-        let base = SchedulerOptions { timeout: Some(Duration::from_secs(30)), ..Default::default() };
-        let with_mem = schedule(&g, &spec, &base).makespan.unwrap();
-        let no_mem = schedule(&g, &spec, &SchedulerOptions { memory: false, ..base }).makespan.unwrap();
-        prop_assert!(no_mem <= with_mem);
+    fn int(&mut self, r: Range<i64>) -> i64 {
+        r.start + (self.next_u64() % (r.end - r.start) as u64) as i64
+    }
+
+    /// A float in `r` from the draw's top 53 bits.
+    fn float(&mut self, r: Range<f64>) -> f64 {
+        let unit = (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        r.start + unit * (r.end - r.start)
+    }
+
+    fn vec<T>(&mut self, len: Range<i64>, mut elem: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        let n = self.int(len);
+        (0..n).map(|_| elem(self)).collect()
+    }
+
+    fn set(&mut self, len: Range<i64>, r: Range<i64>) -> BTreeSet<i32> {
+        self.vec(len, |c| c.int(r.clone()) as i32)
+            .into_iter()
+            .collect()
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A synthetic kernel and its graph after the merge pass.
+fn synth(seed: u64, layers: usize, width: usize, scalar_fraction: f64) -> (Kernel, Graph) {
+    let k = build(SynthParams {
+        seed,
+        layers,
+        width,
+        scalar_fraction,
+    });
+    let mut g = k.graph.clone();
+    eit::ir::merge_pipeline_ops(&mut g);
+    (k, g)
+}
 
-    /// Domain operations agree with a reference set model.
-    #[test]
-    fn domain_matches_btreeset(values in prop::collection::btree_set(-50i32..50, 0..40),
-                               below in -60i32..60, above in -60i32..60,
-                               removed in prop::collection::vec(-50i32..50, 0..10)) {
-        use std::collections::BTreeSet;
+fn opts(secs: u64) -> SchedulerOptions {
+    SchedulerOptions {
+        timeout: Some(Duration::from_secs(secs)),
+        ..Default::default()
+    }
+}
+
+/// Any synthetic kernel the generator emits schedules optimally and
+/// survives the full simulator, with all expected outputs matching.
+#[test]
+fn synthetic_kernels_schedule_and_replay() {
+    let mut cases = Cases::new("synthetic_kernels_schedule_and_replay");
+    for case in 0..16 {
+        let seed = cases.int(0..500) as u64;
+        let layers = cases.int(1..4) as usize;
+        let width = cases.int(2..6) as usize;
+        let at = format!("case {case}: seed {seed} layers {layers} width {width}");
+        let (k, g) = synth(seed, layers, width, 0.2);
+        assert!(k.graph.validate().is_ok(), "{at}");
+        let spec = ArchSpec::eit();
+        let r = schedule(&g, &spec, &opts(30));
+        assert_eq!(r.status, SearchStatus::Optimal, "{at}");
+        let sched = r.schedule.unwrap();
+        assert!(validate_structure(&g, &spec, &sched).is_empty(), "{at}");
+        let report = simulate(&g, &spec, &sched, &k.inputs);
+        assert!(report.ok(), "{at}: {:?}", report.violations);
+        for (node, expect) in &k.expected {
+            assert!(report.values[node].approx_eq(expect, 1e-6), "{at}");
+        }
+    }
+}
+
+/// The makespan is bounded below by the critical path and above by
+/// the serial horizon.
+#[test]
+fn makespan_bounds() {
+    let mut cases = Cases::new("makespan_bounds");
+    for case in 0..16 {
+        let seed = cases.int(0..500) as u64;
+        let (_, g) = synth(seed, 3, 4, 0.1);
+        let spec = ArchSpec::eit();
+        let cp = g.critical_path(&spec.latency_of(&g));
+        let r = schedule(&g, &spec, &opts(30));
+        let m = r.makespan.unwrap();
+        assert!(
+            m >= cp,
+            "case {case}: seed {seed}: makespan {m} < critical path {cp}"
+        );
+        assert!(
+            m <= eit::core::model::serial_horizon(&g, &spec) + 7,
+            "case {case}: seed {seed}"
+        );
+    }
+}
+
+/// Adding memory never shortens the schedule; removing the memory
+/// model never lengthens it.
+#[test]
+fn memory_constraints_are_monotone() {
+    let mut cases = Cases::new("memory_constraints_are_monotone");
+    for case in 0..16 {
+        let seed = cases.int(0..200) as u64;
+        let (_, g) = synth(seed, 2, 4, 0.1);
+        let spec = ArchSpec::eit();
+        let with_mem = schedule(&g, &spec, &opts(30)).makespan.unwrap();
+        let no_memory = SchedulerOptions {
+            memory: false,
+            ..opts(30)
+        };
+        let no_mem = schedule(&g, &spec, &no_memory).makespan.unwrap();
+        assert!(no_mem <= with_mem, "case {case}: seed {seed}");
+    }
+}
+
+/// Domain operations agree with a reference set model.
+#[test]
+fn domain_matches_btreeset() {
+    let mut cases = Cases::new("domain_matches_btreeset");
+    for case in 0..64 {
+        let values = cases.set(0..40, -50..50);
+        let below = cases.int(-60..60) as i32;
+        let above = cases.int(-60..60) as i32;
+        let removed = cases.vec(0..10, |c| c.int(-50..50) as i32);
+        let at = format!(
+            "case {case}: values {values:?} below {below} above {above} removed {removed:?}"
+        );
         let mut d = Domain::from_values(values.iter().copied());
-        let mut set: BTreeSet<i32> = values;
+        let mut set = values;
         d.remove_below(below);
         set.retain(|&v| v >= below);
         d.remove_above(above);
@@ -87,37 +168,44 @@ proptest! {
             d.remove_value(v);
             set.remove(&v);
         }
-        prop_assert_eq!(d.size() as usize, set.len());
+        assert_eq!(d.size() as usize, set.len(), "{at}");
         for v in -60..60 {
-            prop_assert_eq!(d.contains(v), set.contains(&v), "v={}", v);
+            assert_eq!(d.contains(v), set.contains(&v), "{at}: v={v}");
         }
-        if !set.is_empty() {
-            prop_assert_eq!(d.min(), *set.iter().next().unwrap());
-            prop_assert_eq!(d.max(), *set.iter().last().unwrap());
+        if let (Some(&lo), Some(&hi)) = (set.first(), set.last()) {
+            assert_eq!((d.min(), d.max()), (lo, hi), "{at}");
         }
     }
+}
 
-    /// Intersection is the set intersection.
-    #[test]
-    fn domain_intersection_is_set_intersection(a in prop::collection::btree_set(-30i32..30, 0..30),
-                                               b in prop::collection::btree_set(-30i32..30, 0..30)) {
+/// Intersection is the set intersection.
+#[test]
+fn domain_intersection_is_set_intersection() {
+    let mut cases = Cases::new("domain_intersection_is_set_intersection");
+    for case in 0..64 {
+        let a = cases.set(0..30, -30..30);
+        let b = cases.set(0..30, -30..30);
         let mut da = Domain::from_values(a.iter().copied());
         let db = Domain::from_values(b.iter().copied());
         da.intersect(&db);
         let expect: Vec<i32> = a.intersection(&b).copied().collect();
         let got: Vec<i32> = da.iter().collect();
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(da.is_empty(), a.intersection(&b).count() == 0);
+        assert_eq!(got, expect, "case {case}: a {a:?} b {b:?}");
+        assert_eq!(da.is_empty(), expect.is_empty(), "case {case}");
     }
+}
 
-    /// The DSL's eager evaluation agrees with the canonical opcode
-    /// semantics for binary vector ops.
-    #[test]
-    fn dsl_matches_canonical_semantics(av in prop::collection::vec(-10.0f64..10.0, 4),
-                                       bv in prop::collection::vec(-10.0f64..10.0, 4),
-                                       which in 0usize..4) {
-        use eit::ir::sem::{apply, Value};
-        use eit::ir::{CoreOp, Opcode};
+/// The DSL's eager evaluation agrees with the canonical opcode
+/// semantics for binary vector ops.
+#[test]
+fn dsl_matches_canonical_semantics() {
+    use eit::ir::sem::{apply, Value};
+    use eit::ir::{CoreOp, Opcode};
+    let mut cases = Cases::new("dsl_matches_canonical_semantics");
+    for case in 0..64 {
+        let av = cases.vec(4..5, |c| c.float(-10.0..10.0));
+        let bv = cases.vec(4..5, |c| c.float(-10.0..10.0));
+        let which = cases.int(0..4);
         let ctx = eit::dsl::Ctx::new("p");
         let a = ctx.vector([av[0], av[1], av[2], av[3]]);
         let b = ctx.vector([bv[0], bv[1], bv[2], bv[3]]);
@@ -128,31 +216,20 @@ proptest! {
             _ => (Value::S(a.v_dotp(&b).value()), Opcode::vector(CoreOp::DotP)),
         };
         let canon = apply(&op, &[Value::V(a.value()), Value::V(b.value())]).unwrap();
-        prop_assert!(canon[0].approx_eq(&dsl_val, 1e-9));
+        assert!(
+            canon[0].approx_eq(&dsl_val, 1e-9),
+            "case {case}: av {av:?} bv {bv:?} which {which}"
+        );
     }
 }
 
-/// Deterministic regression companion to the proptests: one fixed seed
+/// Deterministic regression companion to the properties: one fixed seed
 /// exercised deeply (structure + metrics sanity).
 #[test]
 fn fixed_seed_full_pipeline() {
-    let k = build(SynthParams {
-        seed: 2024,
-        layers: 4,
-        width: 6,
-        scalar_fraction: 0.25,
-    });
-    let mut g = k.graph.clone();
-    eit::ir::merge_pipeline_ops(&mut g);
+    let (k, g) = synth(2024, 4, 6, 0.25);
     let spec = ArchSpec::eit();
-    let r = schedule(
-        &g,
-        &spec,
-        &SchedulerOptions {
-            timeout: Some(Duration::from_secs(60)),
-            ..Default::default()
-        },
-    );
+    let r = schedule(&g, &spec, &opts(60));
     let sched = r.schedule.expect("seeded kernel schedules");
     let report = simulate(&g, &spec, &sched, &k.inputs);
     assert!(report.ok(), "{:?}", report.violations);
@@ -160,51 +237,65 @@ fn fixed_seed_full_pipeline() {
     assert!(report.lane_cycles >= g.count(eit::ir::Category::VectorOp) as u64);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Modulo scheduling on random kernels: the issue II respects the
-    /// resource lower bound and the unrolled schedule validates.
-    #[test]
-    fn modulo_schedules_validate_on_synthetic_kernels(seed in 0u64..100) {
-        use eit::core::{ii_lower_bound, modulo_schedule, validate_modulo, ModuloOptions};
-        let k = build(SynthParams { seed, layers: 2, width: 4, scalar_fraction: 0.2 });
-        let mut g = k.graph.clone();
-        eit::ir::merge_pipeline_ops(&mut g);
+/// Modulo scheduling on random kernels: the issue II respects the
+/// resource lower bound and the unrolled schedule validates.
+#[test]
+fn modulo_schedules_validate_on_synthetic_kernels() {
+    use eit::core::{ii_lower_bound, modulo_schedule, validate_modulo, ModuloOptions};
+    let mut cases = Cases::new("modulo_schedules_validate_on_synthetic_kernels");
+    for case in 0..10 {
+        let seed = cases.int(0..100) as u64;
+        let (_, g) = synth(seed, 2, 4, 0.2);
         let spec = ArchSpec::eit();
-        let r = modulo_schedule(&g, &spec, &ModuloOptions {
-            timeout_per_ii: Duration::from_secs(10),
-            total_timeout: Duration::from_secs(30),
-            ..Default::default()
-        });
-        prop_assume!(r.is_some()); // rare hard instances may time out
-        let r = r.unwrap();
-        prop_assert!(r.ii_issue >= ii_lower_bound(&g, &spec));
-        prop_assert!(r.actual_ii >= r.ii_issue);
+        let r = modulo_schedule(
+            &g,
+            &spec,
+            &ModuloOptions {
+                timeout_per_ii: Duration::from_secs(10),
+                total_timeout: Duration::from_secs(30),
+                ..Default::default()
+            },
+        );
+        // Rare hard instances may time out; they are skipped, not failed.
+        let Some(r) = r else { continue };
+        let at = format!("case {case}: seed {seed}");
+        assert!(r.ii_issue >= ii_lower_bound(&g, &spec), "{at}");
+        assert!(r.actual_ii >= r.ii_issue, "{at}");
         let v = validate_modulo(&g, &spec, &r, 4);
-        prop_assert!(v.is_empty(), "{:?}", v);
+        assert!(v.is_empty(), "{at}: {v:?}");
     }
+}
 
-    /// Overlapped execution on random kernels: the transform always
-    /// produces a structurally valid multi-iteration schedule whose
-    /// reconfiguration count is bounded by the bundle count.
-    #[test]
-    fn overlap_validates_on_synthetic_kernels(seed in 0u64..100, m in 2usize..10) {
-        use eit::core::{manual_style_bundles, overlapped_execution};
-        let k = build(SynthParams { seed, layers: 2, width: 4, scalar_fraction: 0.2 });
-        let mut g = k.graph.clone();
-        eit::ir::merge_pipeline_ops(&mut g);
+/// Overlapped execution on random kernels: the transform always
+/// produces a structurally valid multi-iteration schedule whose
+/// reconfiguration count is bounded by the bundle count.
+#[test]
+fn overlap_validates_on_synthetic_kernels() {
+    use eit::core::{manual_style_bundles, overlapped_execution};
+    let mut cases = Cases::new("overlap_validates_on_synthetic_kernels");
+    for case in 0..10 {
+        let seed = cases.int(0..100) as u64;
+        let m = cases.int(2..10) as usize;
+        let at = format!("case {case}: seed {seed} m {m}");
+        let (_, g) = synth(seed, 2, 4, 0.2);
         let spec = ArchSpec::eit();
         let bundles = manual_style_bundles(&g, &spec);
-        let total_ops: usize = bundles.iter().map(|b| {
-            b.vector_ops.len()
-                + usize::from(b.scalar_op.is_some())
-                + usize::from(b.index_merge_op.is_some())
-        }).sum();
-        prop_assert_eq!(total_ops, g.ids().filter(|&n| g.category(n).is_op()).count());
+        let total_ops: usize = bundles
+            .iter()
+            .map(|b| {
+                b.vector_ops.len()
+                    + usize::from(b.scalar_op.is_some())
+                    + usize::from(b.index_merge_op.is_some())
+            })
+            .sum();
+        assert_eq!(
+            total_ops,
+            g.ids().filter(|&n| g.category(n).is_op()).count(),
+            "{at}"
+        );
         let ov = overlapped_execution(&g, &spec, &bundles, m);
         let v = eit::arch::validate_structure_with(&ov.graph, &spec, &ov.schedule, false);
-        prop_assert!(v.is_empty(), "{:?}", v);
-        prop_assert!(ov.reconfig_switches < bundles.len().max(1) * 2);
+        assert!(v.is_empty(), "{at}: {v:?}");
+        assert!(ov.reconfig_switches < bundles.len().max(1) * 2, "{at}");
     }
 }
