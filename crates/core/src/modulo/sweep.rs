@@ -71,22 +71,7 @@ fn race_probe(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot
     };
     let (cp_token, sat_token) = (child(), child());
     let first = Arc::new(OnceLock::new());
-    let sat_side: SatStart = {
-        let (g, spec) = (g.clone(), spec.clone());
-        let (first, cp_token) = (Arc::clone(&first), cp_token.clone());
-        let (ii, budget, cancel) = (slot.ii, slot.budget, Some(sat_token.clone()));
-        Box::new(move || {
-            let side = ProbeSlot {
-                ii,
-                budget: budget.saturating_sub(t0.elapsed()),
-                cancel,
-                trace: None,
-            };
-            let p = sat_probe(&g, &spec, &side);
-            claim(&first, &p, &cp_token);
-            p
-        })
-    };
+    let sat_side = late_sat_side(g, spec, slot, t0, &first, &cp_token, &sat_token);
     let gate = Arc::new(Mutex::new(SatGate {
         start: Some(sat_side),
         running: None,
@@ -127,6 +112,35 @@ fn race_probe(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions, slot: &ProbeSlot
 
 /// The work of a race's SAT side, on owned copies of its inputs.
 type SatStart = Box<dyn FnOnce() -> Probed + Send>;
+
+/// The SAT side of a race whose probe started at `t0`: whenever it
+/// starts, it gets what is left of the candidate's budget, so the probe
+/// ends within that budget however late CP's first fail comes. It claims
+/// its answer against `first` and cancels the CP side on a decisive one.
+fn late_sat_side(
+    g: &Graph,
+    spec: &ArchSpec,
+    slot: &ProbeSlot,
+    t0: Instant,
+    first: &Arc<OnceLock<Backend>>,
+    cp_token: &CancelToken,
+    sat_token: &CancelToken,
+) -> SatStart {
+    let (g, spec) = (g.clone(), spec.clone());
+    let (first, cp_token) = (Arc::clone(first), cp_token.clone());
+    let (ii, budget, cancel) = (slot.ii, slot.budget, Some(sat_token.clone()));
+    Box::new(move || {
+        let side = ProbeSlot {
+            ii,
+            budget: budget.saturating_sub(t0.elapsed()),
+            cancel,
+            trace: None,
+        };
+        let p = sat_probe(&g, &spec, &side);
+        claim(&first, &p, &cp_token);
+        p
+    })
+}
 
 /// A race's SAT side, as a trace sink on its CP side: the first `Fail`
 /// event of the CP search takes `start` and runs it on a thread of its
@@ -522,5 +536,40 @@ mod tests {
             "{} probes took {elapsed:?}",
             r.probes.len()
         );
+    }
+
+    #[test]
+    fn a_late_sat_side_gets_only_the_rest_of_the_budget() {
+        // The SAT side decides qrd at II 22 well inside a 30 s budget
+        // when it starts with the probe; started once the whole budget
+        // has passed, it must give up at once instead of taking a fresh
+        // budget of its own.
+        let mut g = eit_apps::by_name("qrd").expect("table kernel").graph;
+        eit_ir::merge_pipeline_ops(&mut g);
+        let spec = ArchSpec::eit();
+        let budget = Duration::from_secs(30);
+        let slot = ProbeSlot {
+            ii: 22,
+            budget,
+            cancel: None,
+            trace: None,
+        };
+        let run = |t0: Instant| {
+            let first = Arc::new(OnceLock::new());
+            let (cp, sat) = (CancelToken::new(), CancelToken::new());
+            let p = late_sat_side(&g, &spec, &slot, t0, &first, &cp, &sat)();
+            (p.outcome, first.get().copied(), cp.is_cancelled())
+        };
+        let (outcome, first, cp_cancelled) = run(Instant::now());
+        assert!(matches!(outcome, IiOutcome::Feasible(..)), "{outcome:?}");
+        assert_eq!((first, cp_cancelled), (Some(Backend::Sat), true));
+        let started = Instant::now()
+            .checked_sub(budget)
+            .expect("host up for 30 s");
+        let t = Instant::now();
+        let (outcome, first, cp_cancelled) = run(started);
+        assert!(matches!(outcome, IiOutcome::Timeout), "{outcome:?}");
+        assert_eq!((first, cp_cancelled), (None, false));
+        assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
     }
 }

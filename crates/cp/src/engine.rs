@@ -16,9 +16,15 @@
 //! and wake tags are delivered in sorted order, so a fixed instance
 //! always produces the same propagation sequence (and hence the same
 //! trace stream).
+//!
+//! A propagator that can no longer prune under any narrowing of the
+//! current domains reports itself *entailed* ([`Wake::report_entailed`]).
+//! The engine then wakes it no more until search backtracks past the
+//! level at which it reported.
 
 use crate::domain::DomainEvent;
 use crate::store::{Fail, PropResult, Store, VarId};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -77,6 +83,7 @@ pub struct Wake<'a> {
     all: bool,
     tags: &'a [u32],
     rerun_in_round: bool,
+    entailed: Cell<bool>,
 }
 
 impl Wake<'_> {
@@ -104,6 +111,16 @@ impl Wake<'_> {
     pub fn rerun_in_round(&self) -> bool {
         self.rerun_in_round
     }
+
+    /// Report that the constraint holds for every combination of values
+    /// left in the domains, so no narrowing of them can let this
+    /// propagator prune again. The engine stops waking it until search
+    /// backtracks past the current level. Reporting is only ever an
+    /// optimisation: a propagator that never reports stays correct.
+    #[inline]
+    pub fn report_entailed(&self) {
+        self.entailed.set(true);
+    }
 }
 
 #[cfg(test)]
@@ -114,7 +131,13 @@ impl Wake<'static> {
             all: true,
             tags: &[],
             rerun_in_round: false,
+            entailed: Cell::new(false),
         }
+    }
+
+    /// Whether the run this wake drove reported entailment.
+    pub(crate) fn reported_entailed(&self) -> bool {
+        self.entailed.get()
     }
 }
 
@@ -150,6 +173,16 @@ pub trait Propagator: Send {
     /// own fixpoint, so events produced by its own run need not requeue
     /// it.
     fn idempotent(&self) -> bool {
+        false
+    }
+
+    /// True when a full run on the current domains would neither prune
+    /// nor report entailment, so a full-rescan schedule (at
+    /// [`Engine::post`] or [`Engine::schedule_all`]) leaves the
+    /// propagator out; the watched events that can enable its pruning
+    /// still wake it. A propagator whose every rule needs a fixed
+    /// variable answers from fixedness alone. Defaults to false.
+    fn idle(&self, _store: &Store) -> bool {
         false
     }
 }
@@ -281,6 +314,11 @@ pub struct Engine {
     pending: Vec<Pending>,
     /// Fixpoint round a propagator last ran in, parallel to `props`.
     last_run_round: Vec<u64>,
+    /// The store level (see [`Store::level_stamp`]) at which a propagator
+    /// reported itself entailed, parallel to `props`. It holds while that
+    /// level is open; a sibling opened at the same depth has another
+    /// stamp, so it does not inherit the flag.
+    entailed: Vec<Option<(usize, u64)>>,
     /// Incremented on every `fixpoint` call; 0 = never.
     round: u64,
     /// Total number of `propagate` invocations (statistics).
@@ -290,7 +328,8 @@ pub struct Engine {
     /// When true, attribute wall time to each propagator run.
     timed_profiling: bool,
     /// When true, emulate the pre-event engine: a single FIFO queue, no
-    /// event-mask filtering, no idempotence skips, full rescans only.
+    /// event-mask filtering, no idempotence skips, no entailment or
+    /// idleness, full rescans only.
     fifo_baseline: bool,
     /// Cooperative cancellation, polled every [`CANCEL_POLL_PERIOD`]
     /// propagator runs inside [`Engine::fixpoint`] so a long fixpoint
@@ -311,6 +350,7 @@ impl Engine {
             idempotent: Vec::new(),
             pending: Vec::new(),
             last_run_round: Vec::new(),
+            entailed: Vec::new(),
             round: 0,
             propagations: 0,
             profiles: Vec::new(),
@@ -336,12 +376,12 @@ impl Engine {
         self.timed_profiling = true;
     }
 
-    /// Disable event-mask filtering, priority tiers, idempotence skips
-    /// and incremental wake info: every change wakes every subscriber
-    /// into one FIFO queue with a full rescan. This reproduces the
-    /// pre-event engine and exists only as the reference the differential
-    /// suite checks the event engine against. Call before posting so the
-    /// initial schedule is pure FIFO too.
+    /// Disable event-mask filtering, priority tiers, idempotence skips,
+    /// entailment, idleness and incremental wake info: every change wakes
+    /// every subscriber into one FIFO queue with a full rescan. This
+    /// reproduces the pre-event engine and exists only as the reference
+    /// the differential suite checks the event engine against. Call
+    /// before posting so the initial schedule is pure FIFO too.
     pub fn set_fifo_baseline(&mut self, on: bool) {
         self.fifo_baseline = on;
     }
@@ -384,7 +424,8 @@ impl Engine {
         self.props.len()
     }
 
-    /// Register a propagator and schedule its first (full-rescan) run.
+    /// Register a propagator and schedule its first (full-rescan) run,
+    /// unless it is [`Propagator::idle`].
     pub fn post(&mut self, p: Box<dyn Propagator>, store: &Store) -> PropId {
         let id = self.props.len() as u32;
         let mut buf = std::mem::take(&mut self.sub_buf);
@@ -410,6 +451,7 @@ impl Engine {
         };
         self.tier_of.push(tier);
         self.idempotent.push(p.idempotent());
+        let idle = !self.fifo_baseline && p.idle(store);
         self.profiles.push(PropProfile {
             name: p.name(),
             invocations: 0,
@@ -420,13 +462,17 @@ impl Engine {
             time: Duration::ZERO,
         });
         self.props.push(p);
-        self.queued.push(true);
+        self.queued.push(false);
+        // The first run is a full rescan, whatever wakes it.
         self.pending.push(Pending {
             all: true,
             ..Pending::default()
         });
         self.last_run_round.push(0);
-        self.tiers[tier as usize].push_back(id);
+        self.entailed.push(None);
+        if !idle {
+            self.enqueue(id);
+        }
         PropId(id)
     }
 
@@ -437,9 +483,16 @@ impl Engine {
         }
     }
 
+    /// True while propagator `id` is entailed at an open level.
+    #[inline]
+    fn is_entailed(&self, id: u32, store: &Store) -> bool {
+        self.entailed[id as usize].is_some_and(|stamp| store.level_open(stamp))
+    }
+
     /// Deliver the store's modification log to subscribers. `just_ran`
     /// names the propagator whose run produced these events (if any), so
     /// an idempotent propagator is not requeued by its own prunings.
+    /// Entailed propagators are not woken.
     fn drain_events(&mut self, store: &mut Store, just_ran: Option<u32>) {
         if !store.has_events() {
             return;
@@ -457,6 +510,9 @@ impl Engine {
                     }
                     if Some(e.prop) == just_ran && self.idempotent[e.prop as usize] {
                         continue; // at its own fixpoint already
+                    }
+                    if self.is_entailed(e.prop, store) {
+                        continue;
                     }
                 }
                 self.profiles[e.prop as usize].wakes += 1;
@@ -508,6 +564,7 @@ impl Engine {
                 all: pending.all || self.fifo_baseline,
                 tags: &pending.tags,
                 rerun_in_round: self.last_run_round[idx] == self.round,
+                entailed: Cell::new(false),
             };
             self.last_run_round[idx] = self.round;
             // Temporarily move the propagator out to satisfy the borrow
@@ -515,6 +572,15 @@ impl Engine {
             let mut p = std::mem::replace(&mut self.props[idx], Box::new(NoOp));
             let r = p.propagate(store, &wake);
             self.props[idx] = p;
+            // An entailment that still holds from a shallower level keeps
+            // its stamp: it outlives the current one.
+            if r.is_ok()
+                && wake.entailed.get()
+                && !self.fifo_baseline
+                && !self.is_entailed(id, store)
+            {
+                self.entailed[idx] = Some(store.level_stamp());
+            }
             pending.clear();
             self.pending[idx] = pending;
             let prof = &mut self.profiles[idx];
@@ -542,11 +608,17 @@ impl Engine {
     }
 
     /// Schedule every propagator for a full rescan (used after posting
-    /// bound tightenings at a search restart boundary).
-    pub fn schedule_all(&mut self) {
+    /// bound tightenings at a search restart boundary), except those
+    /// entailed or [`Propagator::idle`] on `store`, which still rescan on
+    /// their next run.
+    pub fn schedule_all(&mut self, store: &Store) {
         for id in 0..self.props.len() as u32 {
             self.pending[id as usize].all = true;
-            self.enqueue(id);
+            let skip = !self.fifo_baseline
+                && (self.is_entailed(id, store) || self.props[id as usize].idle(store));
+            if !skip {
+                self.enqueue(id);
+            }
         }
     }
 
@@ -979,10 +1051,124 @@ mod schedule_all_tests {
         e.post(Box::new(Counter(Arc::clone(&counts[0]))), &s);
         e.post(Box::new(Counter(Arc::clone(&counts[1]))), &s);
         e.fixpoint(&mut s).unwrap(); // initial run: each once
-        e.schedule_all();
+        e.schedule_all(&s);
         e.fixpoint(&mut s).unwrap(); // once more each
         assert_eq!(counts[0].load(Ordering::Relaxed), 2);
         assert_eq!(counts[1].load(Ordering::Relaxed), 2);
         assert_eq!(e.num_propagators(), 2);
+    }
+}
+
+#[cfg(test)]
+mod entailment_tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
+
+    /// Watches `x` and `y`, prunes nothing, counts its runs, and reports
+    /// itself entailed once `max(x) ≤ 5`. Idle while `y` is above 9.
+    struct Spy {
+        x: VarId,
+        y: VarId,
+        runs: Arc<AtomicU32>,
+    }
+    impl Propagator for Spy {
+        fn subscribe(&self, subs: &mut Subscriptions) {
+            subs.watch(self.x, DomainEvent::ANY);
+            subs.watch(self.y, DomainEvent::ANY);
+        }
+        fn propagate(&mut self, s: &mut Store, w: &Wake<'_>) -> PropResult {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            if s.max(self.x) <= 5 {
+                w.report_entailed();
+            }
+            Ok(())
+        }
+        fn idle(&self, s: &Store) -> bool {
+            s.max(self.y) > 9
+        }
+    }
+
+    fn setup(fifo: bool, y_max: i32) -> (Store, Engine, VarId, VarId, Arc<AtomicU32>) {
+        let mut s = Store::new();
+        let (x, y) = (s.new_var(0, 10), s.new_var(0, y_max));
+        let runs = Arc::new(AtomicU32::new(0));
+        let mut e = Engine::new();
+        e.set_fifo_baseline(fifo);
+        let spy = Spy {
+            x,
+            y,
+            runs: Arc::clone(&runs),
+        };
+        e.post(Box::new(spy), &s);
+        e.fixpoint(&mut s).unwrap();
+        (s, e, x, y, runs)
+    }
+
+    /// Runs so far after one more fixpoint.
+    fn runs_after(e: &mut Engine, s: &mut Store, runs: &AtomicU32) -> u32 {
+        e.fixpoint(s).unwrap();
+        runs.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn entailment_holds_below_its_level_and_not_on_a_sibling() {
+        let (mut s, mut e, x, y, runs) = setup(false, 9);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "first run");
+        // Branch A, depth 1: the run on max(x) = 5 reports entailment.
+        s.push_level();
+        s.remove_above(x, 5).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 2);
+        s.remove_above(y, 8).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 2, "entailed at A");
+        s.push_level();
+        s.remove_above(y, 7).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 2, "entailed below A");
+        s.pop_level();
+        s.pop_level();
+        // Branch B, a sibling of A at the same depth: max(x) is 10 again,
+        // so the flag A set must not hold here.
+        s.push_level();
+        s.remove_above(y, 8).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 3, "sibling runs");
+        s.remove_above(y, 7).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 4);
+    }
+
+    #[test]
+    fn root_entailment_outlives_every_level() {
+        let (mut s, mut e, x, y, runs) = setup(false, 9);
+        s.remove_above(x, 5).unwrap(); // at the root: permanent
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 2);
+        for hi in [8, 7] {
+            s.push_level();
+            s.remove_above(y, hi).unwrap();
+            assert_eq!(runs_after(&mut e, &mut s, &runs), 2);
+            s.pop_level();
+        }
+        e.schedule_all(&s);
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 2, "no rescan either");
+    }
+
+    #[test]
+    fn fifo_baseline_ignores_entailment_and_idleness() {
+        let (mut s, mut e, x, y, runs) = setup(true, 10);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "idle, still run");
+        s.push_level();
+        s.remove_above(x, 5).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 2);
+        s.remove_above(y, 8).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 3);
+    }
+
+    #[test]
+    fn idle_propagators_wait_for_a_wake() {
+        let (mut s, mut e, _, y, runs) = setup(false, 10);
+        assert_eq!(runs.load(Ordering::Relaxed), 0, "idle at post");
+        e.schedule_all(&s);
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 0, "idle at rescan");
+        s.push_level();
+        s.remove_above(y, 9).unwrap();
+        assert_eq!(runs_after(&mut e, &mut s, &runs), 1, "woken as usual");
     }
 }

@@ -71,9 +71,13 @@ impl Propagator for XPlusCLeqY {
         subs.watch(self.y, DomainEvent::MAX);
     }
 
-    fn propagate(&mut self, s: &mut Store, _: &Wake<'_>) -> PropResult {
+    fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         s.remove_below(self.y, s.min(self.x).saturating_add(self.c))?;
-        s.remove_above(self.x, s.max(self.y).saturating_sub(self.c))
+        s.remove_above(self.x, s.max(self.y).saturating_sub(self.c))?;
+        if s.max(self.x) as i64 + self.c as i64 <= s.min(self.y) as i64 {
+            wake.report_entailed();
+        }
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -100,6 +104,17 @@ pub struct NeqOffset {
     pub c: i32,
 }
 
+impl NeqOffset {
+    /// A side is fixed, or the bounds of x and y + c are apart.
+    fn decided(&self, s: &Store) -> bool {
+        let c = self.c as i64;
+        s.is_fixed(self.x)
+            || s.is_fixed(self.y)
+            || (s.max(self.x) as i64) < s.min(self.y) as i64 + c
+            || (s.min(self.x) as i64) > s.max(self.y) as i64 + c
+    }
+}
+
 impl Propagator for NeqOffset {
     fn subscribe(&self, subs: &mut Subscriptions) {
         // Filtering only triggers once a side becomes fixed.
@@ -107,14 +122,25 @@ impl Propagator for NeqOffset {
         subs.watch(self.y, DomainEvent::FIX);
     }
 
-    fn propagate(&mut self, s: &mut Store, _: &Wake<'_>) -> PropResult {
+    fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         if let Some(vy) = s.dom(self.y).value() {
             s.remove_value(self.x, vy.saturating_add(self.c))?;
         }
         if let Some(vx) = s.dom(self.x).value() {
             s.remove_value(self.y, vx.saturating_sub(self.c))?;
         }
+        // Entailed once no value of x meets one of y + c: a fixed side
+        // had its counterpart removed above, or the bounds are apart.
+        if self.decided(s) {
+            wake.report_entailed();
+        }
         Ok(())
+    }
+
+    fn idle(&self, s: &Store) -> bool {
+        // Without a fixed side nothing prunes, and entailment needs the
+        // bounds apart.
+        !self.decided(s)
     }
 
     fn name(&self) -> &'static str {
@@ -189,7 +215,7 @@ mod tests {
     use super::*;
     use crate::domain::Domain;
     use crate::engine::Engine;
-    use crate::props::testgen::{agree, anchor, holey, twin_stores};
+    use crate::props::testgen::{agree, anchor, entailed, holey, twin_stores};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -345,5 +371,40 @@ mod tests {
         run(&mut e, &mut s);
         // only b can reach 8 → b ≥ 8
         assert_eq!(s.min(b), 8);
+    }
+
+    #[test]
+    fn leq_reports_entailment_once_the_bounds_separate() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 10);
+        let y = s.new_var(0, 10);
+        let mut p = XPlusCLeqY { x, c: 2, y };
+        s.push_level();
+        assert!(!entailed(&mut s, &mut p));
+        s.remove_above(x, 4).unwrap();
+        assert!(!entailed(&mut s, &mut p), "max x + c = 6 > min y = 2");
+        s.remove_below(y, 6).unwrap();
+        assert!(entailed(&mut s, &mut p), "max x + c = min y");
+    }
+
+    #[test]
+    fn neq_reports_entailment_and_idles_until_decided() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 10);
+        let y = s.new_var(0, 10);
+        let mut p = NeqOffset { x, y, c: 1 };
+        s.push_level();
+        assert!(p.idle(&s));
+        assert!(!entailed(&mut s, &mut p));
+        s.fix(y, 4).unwrap();
+        assert!(!p.idle(&s), "a fixed side prunes");
+        assert!(entailed(&mut s, &mut p));
+        assert!(!s.dom(x).contains(5));
+        s.pop_level();
+        s.push_level();
+        s.remove_above(x, 3).unwrap();
+        s.remove_below(y, 3).unwrap();
+        assert!(!p.idle(&s), "x ≤ 3 < 4 ≤ y + 1: the run reports");
+        assert!(entailed(&mut s, &mut p));
     }
 }

@@ -9,17 +9,25 @@
 //! units.
 //!
 //! Filtering performed each wake-up:
+//! 0. the energetic overload check on a Θ-tree (`props/overload.rs`):
+//!    fail when the tasks that must run inside some `[est, lct)` window
+//!    need more than `capacity × (lct − est)` of energy. It catches
+//!    overloads while domains are still too loose to have compulsory
+//!    parts;
 //! 1. build the *compulsory-part* profile (the resource use every task must
 //!    exert regardless of its final start: interval `[lst, ect)` when
 //!    `lst < ect`); fail on capacity overflow;
 //! 2. for every task and candidate start value, remove the value if the
 //!    profile (minus the task's own compulsory contribution) plus the
 //!    task's requirement would exceed capacity anywhere in the execution
-//!    window.
+//!    window. A task whose whole window `[est, lst + dur)` stays within
+//!    capacity loses no value and is not scanned.
 
 use crate::domain::DomainEvent;
 use crate::engine::{Priority, Propagator, Subscriptions, Wake};
 use crate::store::{Fail, PropResult, Store, VarId};
+
+use super::overload::OverloadCheck;
 
 /// One task of a cumulative resource.
 #[derive(Clone, Copy, Debug)]
@@ -34,8 +42,16 @@ pub struct CumTask {
 pub struct Cumulative {
     pub tasks: Vec<CumTask>,
     pub capacity: i32,
-    /// Scratch profile events, kept across calls to avoid reallocation.
+    /// Scratch buffers, kept across calls to avoid reallocation: profile
+    /// events, the profile, the phase-0 check, per-task dirty flags, the
+    /// dirty compulsory parts and one task's candidate and removed values.
     events: Vec<(i32, i32)>,
+    profile: Profile,
+    overload: OverloadCheck,
+    dirty_tasks: Vec<bool>,
+    dirty_parts: Vec<(i32, i32)>,
+    candidates: Vec<i32>,
+    to_remove: Vec<i32>,
 }
 
 impl Cumulative {
@@ -49,6 +65,12 @@ impl Cumulative {
             tasks,
             capacity,
             events: Vec::new(),
+            profile: Profile { steps: Vec::new() },
+            overload: OverloadCheck::default(),
+            dirty_tasks: Vec::new(),
+            dirty_parts: Vec::new(),
+            candidates: Vec::new(),
+            to_remove: Vec::new(),
         }
     }
 
@@ -57,48 +79,6 @@ impl Cumulative {
         let lst = s.max(t.start);
         let ect = s.min(t.start) + t.dur;
         (lst < ect).then_some((lst, ect))
-    }
-
-    /// Energetic (overload) check: for every window `[a, b)` spanned by
-    /// task release/deadline pairs, the total energy of tasks that must
-    /// run entirely inside it cannot exceed `capacity * (b - a)`. Catches
-    /// infeasibilities time-table filtering misses while domains are still
-    /// loose (no compulsory parts yet).
-    fn energetic_check(&self, s: &Store) -> PropResult {
-        let n = self.tasks.len();
-        if n < 2 {
-            return Ok(());
-        }
-        // (est, lct, energy), sorted by est descending for the inner scan.
-        let mut info: Vec<(i32, i32, i64)> = self
-            .tasks
-            .iter()
-            .map(|t| {
-                (
-                    s.min(t.start),
-                    s.max(t.start) + t.dur,
-                    t.dur as i64 * t.req as i64,
-                )
-            })
-            .collect();
-        info.sort_by_key(|&(est, _, _)| std::cmp::Reverse(est));
-        let mut lcts: Vec<i32> = info.iter().map(|&(_, lct, _)| lct).collect();
-        lcts.sort_unstable();
-        lcts.dedup();
-        for &b in &lcts {
-            // Walk ests from high to low, accumulating energy of tasks
-            // fully inside [est, b).
-            let mut energy = 0i64;
-            for &(a, lct, e) in &info {
-                if lct <= b {
-                    energy += e;
-                    if a < b && energy > self.capacity as i64 * (b - a) as i64 {
-                        return Err(Fail);
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -110,8 +90,10 @@ struct Profile {
 }
 
 impl Profile {
-    fn build(events: &[(i32, i32)]) -> Self {
-        let mut steps = Vec::with_capacity(events.len() + 1);
+    /// Rebuild from sorted `(time, delta)` events, reusing the buffer.
+    fn rebuild(&mut self, events: &[(i32, i32)]) {
+        let steps = &mut self.steps;
+        steps.clear();
         let mut h = 0;
         let mut i = 0;
         while i < events.len() {
@@ -122,7 +104,6 @@ impl Profile {
             }
             steps.push((t, h));
         }
-        Profile { steps }
     }
 
     /// Max height over `[from, to)`, subtracting `own_req` wherever the
@@ -193,7 +174,16 @@ impl Propagator for Cumulative {
         // Phase 0: energetic overload check over release/deadline windows.
         // Always global: failure detection must not depend on wake info,
         // or the event engine would explore nodes the baseline refutes.
-        self.energetic_check(s)?;
+        self.overload.check(
+            self.capacity as i64,
+            self.tasks.iter().map(|t| {
+                (
+                    s.min(t.start) as i64,
+                    s.max(t.start) as i64 + t.dur as i64,
+                    t.dur as i64 * t.req as i64,
+                )
+            }),
+        )?;
         // Phase 1: overload check on the compulsory-part profile.
         self.events.clear();
         for t in &self.tasks {
@@ -222,16 +212,16 @@ impl Propagator for Cumulative {
         // A task that is not itself dirty and whose execution window
         // misses every dirty compulsory part was filtered clean before
         // and provably still is, so it is skipped.
-        let profile = Profile::build(&self.events);
-        let mut dirty_tasks: Vec<bool> = Vec::new();
-        let mut dirty_parts: Vec<(i32, i32)> = Vec::new();
+        self.profile.rebuild(&self.events);
         let incremental = !wake.rescan();
+        self.dirty_parts.clear();
         if incremental {
-            dirty_tasks = vec![false; self.tasks.len()];
+            self.dirty_tasks.clear();
+            self.dirty_tasks.resize(self.tasks.len(), false);
             for &tag in wake.tags() {
-                dirty_tasks[tag as usize] = true;
+                self.dirty_tasks[tag as usize] = true;
                 if let Some(part) = Self::compulsory(s, &self.tasks[tag as usize]) {
-                    dirty_parts.push(part);
+                    self.dirty_parts.push(part);
                 }
             }
         }
@@ -241,24 +231,31 @@ impl Propagator for Cumulative {
                 // the overload check covers them.
                 continue;
             }
-            if incremental && !dirty_tasks[i] {
-                // Execution window [est, lst + dur).
-                let (wa, wb) = (s.min(t.start), s.max(t.start) + t.dur);
-                if !dirty_parts.iter().any(|&(a, b)| a < wb && wa < b) {
-                    continue;
-                }
+            // Execution window [est, lst + dur).
+            let (wa, wb) = (s.min(t.start), s.max(t.start) + t.dur);
+            if incremental
+                && !self.dirty_tasks[i]
+                && !self.dirty_parts.iter().any(|&(a, b)| a < wb && wa < b)
+            {
+                continue;
             }
             let own = Self::compulsory(s, &t);
-            let mut to_remove: Vec<i32> = Vec::new();
+            // Every candidate window lies inside the execution window, so
+            // a window peak that leaves room for `req` removes nothing.
+            if self.profile.max_in(wa, wb, own, t.req) + t.req <= self.capacity {
+                continue;
+            }
             // Collect candidate values first (cannot mutate while iterating).
-            let candidates: Vec<i32> = s.dom(t.start).iter().collect();
-            for v in candidates {
-                let peak = profile.max_in(v, v + t.dur, own, t.req);
+            self.candidates.clear();
+            self.candidates.extend(s.dom(t.start).iter());
+            self.to_remove.clear();
+            for &v in &self.candidates {
+                let peak = self.profile.max_in(v, v + t.dur, own, t.req);
                 if peak + t.req > self.capacity {
-                    to_remove.push(v);
+                    self.to_remove.push(v);
                 }
             }
-            for v in to_remove {
+            for &v in &self.to_remove {
                 s.remove_value(t.start, v)?;
             }
         }

@@ -1,17 +1,16 @@
 //! The `Disjunctive` (unary resource) global constraint: tasks with
 //! fixed durations on a machine of capacity one.
 //!
-//! Semantically a `Cumulative` with capacity 1, but with stronger
-//! filtering available precisely because overlap is completely
-//! forbidden:
+//! Semantically a `Cumulative` with capacity 1, with two rules per
+//! wake-up:
 //!
 //! - **overload check** (Carlier): for every release/deadline window, the
-//!   total processing time of tasks confined inside must fit;
-//! - **detectable precedences**: if task `j` cannot end before task `i`
-//!   must start finishing (`ect_i > lst_j` and they cannot be reordered),
-//!   then `i` precedes `j` and both bounds tighten;
-//! - **pairwise semi-reified ordering**: when only one order of a pair is
-//!   still possible, its precedence is enforced.
+//!   total processing time of tasks confined inside must fit. It is the
+//!   Θ-tree check `Cumulative` uses (`props/overload.rs`), with capacity 1
+//!   and each task's energy its duration;
+//! - **pairwise ordering**: when only one order of a pair is still
+//!   possible, its precedence is enforced; when both are and one task is
+//!   fixed, the other loses the start values that would overlap it.
 //!
 //! The EIT's scalar accelerator runs iterative (multi-cycle) operations
 //! and the index/merge unit runs unit ones; the scheduler uses this
@@ -20,6 +19,8 @@
 use crate::domain::DomainEvent;
 use crate::engine::{Priority, Propagator, Subscriptions, Wake};
 use crate::store::{Fail, PropResult, Store, VarId};
+
+use super::overload::OverloadCheck;
 
 /// One task on the unary resource.
 #[derive(Clone, Copy, Debug)]
@@ -30,42 +31,19 @@ pub struct DisjTask {
 
 pub struct Disjunctive {
     pub tasks: Vec<DisjTask>,
+    /// Scratch buffers, kept across calls: the overload check and the
+    /// per-task dirty flags of a tagged wake.
+    overload: OverloadCheck,
+    dirty: Vec<bool>,
 }
 
 impl Disjunctive {
     pub fn new(tasks: Vec<DisjTask>) -> Self {
         Disjunctive {
             tasks: tasks.into_iter().filter(|t| t.dur > 0).collect(),
+            overload: OverloadCheck::default(),
+            dirty: Vec::new(),
         }
-    }
-
-    fn overload_check(&self, s: &Store) -> PropResult {
-        // For each window [a, b) from est/lct pairs: Σ dur of contained
-        // tasks ≤ b − a.
-        let info: Vec<(i32, i32, i32)> = self
-            .tasks
-            .iter()
-            .map(|t| (s.min(t.start), s.max(t.start) + t.dur, t.dur))
-            .collect();
-        let mut lcts: Vec<i32> = info.iter().map(|&(_, lct, _)| lct).collect();
-        lcts.sort_unstable();
-        lcts.dedup();
-        for &b in &lcts {
-            let mut inside: Vec<(i32, i32)> = info
-                .iter()
-                .filter(|&&(_, lct, _)| lct <= b)
-                .map(|&(est, _, d)| (est, d))
-                .collect();
-            inside.sort_by_key(|&(est, _)| std::cmp::Reverse(est));
-            let mut work = 0i64;
-            for &(a, d) in &inside {
-                work += d as i64;
-                if work > (b - a) as i64 {
-                    return Err(Fail);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// If only one ordering of a pair remains possible, enforce it.
@@ -128,15 +106,24 @@ impl Propagator for Disjunctive {
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         // The overload check stays global so failure detection is
         // identical to the FIFO baseline's.
-        self.overload_check(s)?;
-        let mut dirty: Vec<bool> = Vec::new();
+        self.overload.check(
+            1,
+            self.tasks.iter().map(|t| {
+                (
+                    s.min(t.start) as i64,
+                    s.max(t.start) as i64 + t.dur as i64,
+                    t.dur as i64,
+                )
+            }),
+        )?;
+        self.dirty.clear();
         if !wake.rescan() {
-            dirty = vec![false; self.tasks.len()];
+            self.dirty.resize(self.tasks.len(), false);
             for &tag in wake.tags() {
-                dirty[tag as usize] = true;
+                self.dirty[tag as usize] = true;
             }
         }
-        self.pairwise_orders(s, &dirty)
+        self.pairwise_orders(s, &self.dirty)
     }
 
     fn name(&self) -> &'static str {

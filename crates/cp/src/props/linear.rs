@@ -97,6 +97,9 @@ impl Propagator for LinearLeq {
             return Err(Fail);
         }
         // Each term may use at most c - (min_sum - its own min contribution).
+        // The maximal sum, read after each term's pruning, tells whether
+        // every remaining assignment satisfies the constraint.
+        let mut max_sum = 0i64;
         for (i, &(a, x)) in self.terms.iter().enumerate() {
             if a == 0 {
                 continue;
@@ -111,6 +114,15 @@ impl Propagator for LinearLeq {
                 let lb = ceil_div(slack, a);
                 s.remove_below(x, lb.clamp(i32::MIN as i64, i32::MAX as i64) as i32)?;
             }
+            let term_max = if a > 0 {
+                a * s.max(x) as i64
+            } else {
+                a * s.min(x) as i64
+            };
+            max_sum = max_sum.saturating_add(term_max);
+        }
+        if max_sum <= self.c {
+            wake.report_entailed();
         }
         Ok(())
     }
@@ -146,6 +158,7 @@ impl Propagator for LinearLeq {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::props::testgen::entailed;
 
     #[test]
     fn ceil_div_signs() {
@@ -202,5 +215,19 @@ mod tests {
         let mut e = Engine::new();
         e.post(Box::new(LinearLeq::new(vec![(1, x), (1, y)], 10)), &s);
         assert!(e.fixpoint(&mut s).is_err());
+    }
+
+    #[test]
+    fn leq_reports_entailment_when_the_max_sum_fits() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 10);
+        let y = s.new_var(0, 10);
+        // x - y ≤ 2
+        let mut p = LinearLeq::new(vec![(1, x), (-1, y)], 2);
+        s.push_level();
+        assert!(!entailed(&mut s, &mut p), "max sum 10 > 2");
+        s.remove_above(x, 6).unwrap();
+        s.remove_below(y, 4).unwrap();
+        assert!(entailed(&mut s, &mut p), "max sum 6 - 4 = 2");
     }
 }

@@ -6,9 +6,11 @@
 //! - [`basic`] — equalities, offsets, disequalities, `max`
 //! - [`linear`] — linear inequalities with bounds consistency
 //! - [`nogood`] — watched-literal enforcement of restart-harvested nogoods
-//! - [`cumulative`] — renewable-resource scheduling (time-table filtering)
+//! - [`cumulative`] — renewable-resource scheduling (energetic overload
+//!   check, time-table filtering)
 //! - [`diff2`] — two-dimensional non-overlap of rectangles
-//! - [`disjunctive`] — unary-resource scheduling with overload checking
+//! - [`disjunctive`] — unary-resource scheduling (overload check, pairwise
+//!   ordering)
 //! - [`geometry`] — the slot/line/page channeling of the EIT vector memory
 //! - [`reify`] — guarded/conditional constraints (the paper's (7)–(9))
 //!
@@ -31,6 +33,7 @@ pub mod disjunctive;
 pub mod geometry;
 pub mod linear;
 pub mod nogood;
+mod overload;
 pub mod reify;
 
 /// Random domains for the per-value oracle tests of the run-based
@@ -38,6 +41,7 @@ pub mod reify;
 #[cfg(test)]
 pub(crate) mod testgen {
     use crate::domain::Domain;
+    use crate::engine::{Propagator, Wake};
     use crate::store::{PropResult, Store, VarId};
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -50,6 +54,14 @@ pub(crate) mod testgen {
             1 => i32::MAX as i64 - rng.gen_range(0..1200i64),
             _ => rng.gen_range(-2000..2000i64),
         }
+    }
+
+    /// Run `p` once with a full wake; returns whether it reported
+    /// entailment.
+    pub(crate) fn entailed(s: &mut Store, p: &mut dyn Propagator) -> bool {
+        let w = Wake::full();
+        p.propagate(s, &w).unwrap();
+        w.reported_entailed()
     }
 
     /// One variable per domain of `doms`, in two stores with one level

@@ -315,7 +315,7 @@ mod tests {
         let xs = vars(&mut m, 2, 5);
         let base = base_with(&mut m, &xs);
         base.lock().unwrap().add_clause(vec![(xs[0], 3)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         assert!(!m.store.dom(xs[0]).contains(3));
         assert_eq!(base.lock().unwrap().pruned, 1);
@@ -329,7 +329,7 @@ mod tests {
         base.lock()
             .unwrap()
             .add_clause(vec![(xs[0], 2), (xs[1], 4)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         m.store.push_level();
         m.store.fix(xs[0], 2).unwrap();
@@ -354,7 +354,7 @@ mod tests {
         base.lock()
             .unwrap()
             .add_clause(vec![(xs[0], 1), (xs[1], 1)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         m.store.push_level();
         // Falsify both literals before the propagator gets a chance to make
@@ -374,7 +374,7 @@ mod tests {
         base.lock()
             .unwrap()
             .add_clause(vec![(xs[0], 0), (xs[1], 1), (xs[2], 2), (xs[3], 3)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         m.store.push_level();
         // Falsify three of four literals in arbitrary order.
@@ -394,7 +394,7 @@ mod tests {
         base.lock()
             .unwrap()
             .add_clause(vec![(xs[0], 2), (xs[1], 4)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         m.store.push_level();
         // Make the second literal true first, then falsify the first.
@@ -411,10 +411,10 @@ mod tests {
         let mut m = Model::new();
         let xs = vars(&mut m, 2, 5);
         let base = base_with(&mut m, &xs);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap(); // runs with zero clauses
         base.lock().unwrap().add_clause(vec![(xs[1], 5)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         assert!(!m.store.dom(xs[1]).contains(5));
         assert_eq!(base.lock().unwrap().posted, 1);
@@ -426,11 +426,11 @@ mod tests {
         let xs = vars(&mut m, 2, 5);
         let base = base_with(&mut m, &xs);
         base.lock().unwrap().add_clause(vec![(xs[0], 0)]);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap();
         base.lock().unwrap().clear();
         assert_eq!(base.lock().unwrap().num_clauses(), 0);
-        m.engine.schedule_all();
+        m.engine.schedule_all(&m.store);
         m.engine.fixpoint(&mut m.store).unwrap(); // no panic, no effect
         m.store.push_level();
         m.store.fix(xs[0], 1).unwrap();

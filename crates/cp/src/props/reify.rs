@@ -66,20 +66,43 @@ impl PageLineImplies {
         }
         Ok(false)
     }
+
+    /// True when the implication holds for every value left: the pages
+    /// cannot be equal, or the lines are fixed and equal.
+    fn holds(s: &Store, page_d: VarId, line_d: VarId, page_e: VarId, line_e: VarId) -> bool {
+        s.dom(page_d).disjoint(s.dom(page_e))
+            || (s.is_fixed(line_d) && s.is_fixed(line_e) && s.value(line_d) == s.value(line_e))
+    }
+
+    /// The watches of one implication. The rules read a page only
+    /// through its fixed value, and the lines through full-domain
+    /// disjointness and intersection.
+    fn watch(subs: &mut Subscriptions, page_d: VarId, line_d: VarId, page_e: VarId, line_e: VarId) {
+        subs.watch(page_d, DomainEvent::FIX);
+        subs.watch(line_d, DomainEvent::ANY);
+        subs.watch(page_e, DomainEvent::FIX);
+        subs.watch(line_e, DomainEvent::ANY);
+    }
 }
 
 impl Propagator for PageLineImplies {
     fn subscribe(&self, subs: &mut Subscriptions) {
-        // Entailment tests mix fixedness and full-domain disjointness, so
-        // every event class can flip a decision.
-        subs.watch(self.page_d, DomainEvent::ANY);
-        subs.watch(self.line_d, DomainEvent::ANY);
-        subs.watch(self.page_e, DomainEvent::ANY);
-        subs.watch(self.line_e, DomainEvent::ANY);
+        Self::watch(subs, self.page_d, self.line_d, self.page_e, self.line_e);
     }
 
-    fn propagate(&mut self, s: &mut Store, _: &Wake<'_>) -> PropResult {
-        Self::filter(s, self.page_d, self.line_d, self.page_e, self.line_e, true).map(|_| ())
+    fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
+        let (pd, ld, pe, le) = (self.page_d, self.line_d, self.page_e, self.line_e);
+        Self::filter(s, pd, ld, pe, le, true)?;
+        if Self::holds(s, pd, ld, pe, le) {
+            wake.report_entailed();
+        }
+        Ok(())
+    }
+
+    fn idle(&self, s: &Store) -> bool {
+        // Both rules need a fixed page.
+        let (pd, ld, pe, le) = (self.page_d, self.line_d, self.page_e, self.line_e);
+        !s.is_fixed(pd) && !s.is_fixed(pe) && !Self::holds(s, pd, ld, pe, le)
     }
 
     fn name(&self) -> &'static str {
@@ -106,7 +129,8 @@ pub struct GuardedPair {
 /// Three propagation directions:
 /// 1. guard decided *true* (both starts fixed, equal): enforce every
 ///    page⟹line implication as hard;
-/// 2. guard decided *false* (start domains disjoint): entailed, no-op;
+/// 2. guard decided *false* (start domains disjoint): entailed, no-op,
+///    and reported so the engine stops waking it;
 /// 3. guard undecided but some pair violated-entailed: refute the guard —
 ///    `s_i ≠ s_j` (prune when one side is fixed).
 pub struct CondSameTime {
@@ -117,19 +141,20 @@ pub struct CondSameTime {
 
 impl Propagator for CondSameTime {
     fn subscribe(&self, subs: &mut Subscriptions) {
-        subs.watch(self.s_i, DomainEvent::ANY);
-        subs.watch(self.s_j, DomainEvent::ANY);
+        // Both pruning directions need a fixed start (the guard true, or
+        // a separation that removes a fixed start's value), so only FIX
+        // on a start can enable them. Disjoint starts only entail.
+        subs.watch(self.s_i, DomainEvent::FIX);
+        subs.watch(self.s_j, DomainEvent::FIX);
         for p in &self.pairs {
-            subs.watch(p.page_d, DomainEvent::ANY);
-            subs.watch(p.line_d, DomainEvent::ANY);
-            subs.watch(p.page_e, DomainEvent::ANY);
-            subs.watch(p.line_e, DomainEvent::ANY);
+            PageLineImplies::watch(subs, p.page_d, p.line_d, p.page_e, p.line_e);
         }
     }
 
-    fn propagate(&mut self, s: &mut Store, _: &Wake<'_>) -> PropResult {
-        // Guard decided false?
+    fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
+        // Guard decided false: entailed.
         if s.dom(self.s_i).disjoint(s.dom(self.s_j)) {
+            wake.report_entailed();
             return Ok(());
         }
         let guard_true =
@@ -160,6 +185,11 @@ impl Propagator for CondSameTime {
         Ok(())
     }
 
+    fn idle(&self, s: &Store) -> bool {
+        // Both pruning directions need a fixed start.
+        !s.is_fixed(self.s_i) && !s.is_fixed(self.s_j) && !s.dom(self.s_i).disjoint(s.dom(self.s_j))
+    }
+
     fn name(&self) -> &'static str {
         "same-time=>mem-compatible"
     }
@@ -173,6 +203,7 @@ impl Propagator for CondSameTime {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::props::testgen::entailed;
 
     fn vars(s: &mut Store) -> (VarId, VarId, VarId, VarId) {
         let pd = s.new_var(0, 3);
@@ -308,6 +339,85 @@ mod tests {
         s.fix(ld, 1).unwrap();
         e.fixpoint(&mut s).unwrap();
         assert_eq!(s.value(le), 1);
+    }
+
+    #[test]
+    fn entailed_guard_does_not_carry_to_a_sibling_branch() {
+        let mut s = Store::new();
+        let si = s.new_var(0, 5);
+        let sj = s.new_var(0, 5);
+        let (pd, ld, pe, le) = vars(&mut s);
+        let mut e = Engine::new();
+        e.post(
+            Box::new(CondSameTime {
+                s_i: si,
+                s_j: sj,
+                pairs: vec![GuardedPair {
+                    page_d: pd,
+                    line_d: ld,
+                    page_e: pe,
+                    line_e: le,
+                }],
+            }),
+            &s,
+        );
+        e.fixpoint(&mut s).unwrap();
+        // Branch A: the starts come apart, so the guard is false for
+        // good and a violated pair is harmless.
+        s.push_level();
+        s.fix(si, 0).unwrap();
+        s.remove_below(sj, 3).unwrap();
+        e.fixpoint(&mut s).unwrap();
+        for (v, val) in [(pd, 1), (pe, 1), (ld, 0), (le, 1)] {
+            s.fix(v, val).unwrap();
+        }
+        e.fixpoint(&mut s).unwrap();
+        s.pop_level();
+        // Branch B, at the same depth: one cycle, so the pair holds.
+        s.push_level();
+        for (v, val) in [(si, 2), (sj, 2), (pd, 1), (pe, 1), (ld, 0)] {
+            s.fix(v, val).unwrap();
+        }
+        e.fixpoint(&mut s).unwrap();
+        assert_eq!(s.value(le), 0);
+    }
+
+    #[test]
+    fn entailment_is_reported_once_nothing_can_prune() {
+        let mut s = Store::new();
+        let si = s.new_var(0, 5);
+        let sj = s.new_var(0, 5);
+        let (pd, ld, pe, le) = vars(&mut s);
+        let mut cond = CondSameTime {
+            s_i: si,
+            s_j: sj,
+            pairs: vec![GuardedPair {
+                page_d: pd,
+                line_d: ld,
+                page_e: pe,
+                line_e: le,
+            }],
+        };
+        let mut imp = PageLineImplies {
+            page_d: pd,
+            line_d: ld,
+            page_e: pe,
+            line_e: le,
+        };
+        s.push_level();
+        assert!(!entailed(&mut s, &mut cond));
+        assert!(!entailed(&mut s, &mut imp));
+        s.remove_above(si, 2).unwrap();
+        s.remove_below(sj, 3).unwrap();
+        assert!(entailed(&mut s, &mut cond), "disjoint starts");
+        s.fix(ld, 1).unwrap();
+        s.fix(le, 1).unwrap();
+        assert!(entailed(&mut s, &mut imp), "equal fixed lines");
+        s.pop_level();
+        s.push_level();
+        s.remove_above(pd, 1).unwrap();
+        s.remove_below(pe, 2).unwrap();
+        assert!(entailed(&mut s, &mut imp), "disjoint pages");
     }
 
     #[test]

@@ -619,7 +619,7 @@ impl<'m> Dfs<'m> {
                         // root means every remaining branch is refuted:
                         // the dive sequence is exhausted, which the
                         // caller reads as a completed tree.
-                        self.model.engine.schedule_all();
+                        self.model.engine.schedule_all(&self.model.store);
                         match self.fixpoint() {
                             Ok(true) => {}
                             Ok(false) => return Ok(()),
@@ -702,7 +702,7 @@ fn run(
     // root fixpoint never depends on what an earlier run left behind (on
     // a freshly built model this is a no-op: posting already queues every
     // propagator for a full rescan).
-    model.engine.schedule_all();
+    model.engine.schedule_all(&model.store);
     // The root fixpoint runs under its own trail level: a failing (or
     // cancelled) propagator may have emptied a domain mid-flight, and at
     // the bare root there would be no mark to unwind to — the next run on

@@ -202,6 +202,23 @@ impl Store {
         self.level_marks.len()
     }
 
+    /// The innermost open level as `(depth, magic)`; the root is `(0, 0)`.
+    /// A stamp names one level instance: a sibling opened at the same
+    /// depth after a pop gets a new magic.
+    pub(crate) fn level_stamp(&self) -> (usize, u64) {
+        (self.depth(), self.level_marks.last().map_or(0, |&(_, m)| m))
+    }
+
+    /// True while the level `stamp` names is open: search has not
+    /// backtracked past it. The root never closes.
+    pub(crate) fn level_open(&self, (depth, magic): (usize, u64)) -> bool {
+        depth == 0
+            || self
+                .level_marks
+                .get(depth - 1)
+                .is_some_and(|&(_, m)| m == magic)
+    }
+
     /// Open a new backtrack level.
     pub fn push_level(&mut self) {
         self.magic += 1;

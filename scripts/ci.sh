@@ -44,6 +44,8 @@ cargo test -q --release -p eit-cp --lib per_value_oracle
 
 echo "== listing pins: six table kernels × {plain, --modulo, --modulo --backend sat, --modulo incl}"
 cargo test -q --release -p eit-bench --test listings table_kernel_listings_are_pinned
+# The straight-line search behind the plain listings, per kernel.
+cargo test -q --release -p eit-bench --test search_counts
 
 echo "== parallel sweep determinism: --jobs 1 vs --jobs 4 on the table 3 smoke models (cp incl, sat)"
 # The determinism contract of the speculative II sweep: the emitted
