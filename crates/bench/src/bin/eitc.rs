@@ -52,14 +52,7 @@
 //!                       the solve (with --modulo, the whole II sweep)
 //!                       and diff every event; exit 1 with a divergence
 //!                       report on the first mismatch
-//!   --strict            replay: any event mismatch fails (default)
-//!   --lenient           replay: only outcome mismatches fail (solutions,
-//!                       bounds, store hashes, final status)
 //!   --profile           print the per-propagator profile table (stderr)
-//!   --restarts [P]      fail-budgeted restarts with nogood recording.
-//!                       P = geom:BASE:FACTOR_PERCENT | luby:UNIT, with an
-//!                       optional +ng suffix to record nogoods
-//!                       (default policy: geom:256:150+ng)
 //!   --metrics FILE      write machine-readable run metrics as JSON
 //!   --serve ADDR        run as a compile daemon instead: bind ADDR and
 //!                       speak the eit-serve/1 JSONL protocol until a
@@ -75,10 +68,8 @@
 //! flag the selected mode does not read exits 2 naming it, never dropped
 //! without a word: `--backend`, `--emit cnf` and (outside `--serve`)
 //! `--jobs` need `--modulo`; `--emit gantt|vcd`, `--overlap`, `--profile`
-//! and `--no-memory` are straight-line only; `--restarts` needs a CP
-//! search (not `--backend sat`); `--record` and `--replay` need the cp
-//! backend; `--strict`/`--lenient` need `--replay`, and a replay prints
-//! only its verdict, so it takes no `--emit`, `--verify`, `--metrics`,
+//! and `--no-memory` are straight-line only; `--record` and `--replay`
+//! need the cp backend, and a replay prints only its verdict, so it takes no `--emit`, `--verify`, `--metrics`,
 //! `--profile`, `--overlap` or `--record`; `--emit xml|dot` and `--emit
 //! cnf` solve nothing, so they take no solve flag; `--overlap` prints its
 //! own line, so it takes no `--emit gantt|vcd`; `--dump-arch` reads no
@@ -97,7 +88,6 @@ use eit_core::{
     ModuloOptions, RecorderSink, RrReport, SchedulerOptions, SolveKey, Trace, TraceHeader,
 };
 use eit_cp::trace::{SearchEvent, TraceHandle};
-use eit_cp::ReplayOptions;
 use eit_ir::sem::Value;
 use eit_ir::{Graph, NodeId};
 use std::collections::HashMap;
@@ -122,10 +112,7 @@ struct Args {
     verify: bool,
     record: Option<String>,
     replay: Option<String>,
-    /// The last of `--strict`/`--lenient` given, if any.
-    replay_check: Option<&'static str>,
     profile: bool,
-    restarts: Option<eit_cp::RestartConfig>,
     metrics: Option<String>,
     serve: Option<String>,
 }
@@ -164,8 +151,7 @@ fn usage() -> ! {
     eprintln!("            [--modulo [incl]] [--backend cp|sat|race] [--jobs N]");
     eprintln!("            [--overlap M] [--timeout SECS]");
     eprintln!("            [--emit xml|gantt|dot|vcd|cnf] [--verify]");
-    eprintln!("            [--record FILE] [--replay FILE [--strict|--lenient]]");
-    eprintln!("            [--profile] [--restarts [POLICY]]");
+    eprintln!("            [--record FILE] [--replay FILE] [--profile]");
     eprintln!("            [--metrics FILE]");
     eprintln!("       eitc --serve ADDR [--jobs N] [--timeout SECS] [--metrics FILE]");
     eprintln!("       eitc --dump-arch PRESET|FILE");
@@ -197,9 +183,7 @@ fn parse_args() -> Args {
         verify: false,
         record: None,
         replay: None,
-        replay_check: None,
         profile: false,
-        restarts: None,
         metrics: None,
         serve: None,
     };
@@ -268,24 +252,7 @@ fn parse_args() -> Args {
             "--verify" => args.verify = true,
             "--record" => args.record = Some(it.next().unwrap_or_else(|| usage())),
             "--replay" => args.replay = Some(it.next().unwrap_or_else(|| usage())),
-            "--strict" => args.replay_check = Some("--strict"),
-            "--lenient" => args.replay_check = Some("--lenient"),
             "--profile" => args.profile = true,
-            "--restarts" => {
-                // The policy token is optional: a following argument is
-                // consumed only when it parses as one, so `--restarts
-                // qrd` still reads `qrd` as the kernel.
-                let parsed = it
-                    .peek()
-                    .and_then(|t| eit_cp::RestartConfig::parse_token(t));
-                args.restarts = Some(match parsed {
-                    Some(cfg) => {
-                        it.next();
-                        cfg
-                    }
-                    None => eit_cp::RestartConfig::default(),
-                });
-            }
             "--metrics" => args.metrics = Some(it.next().unwrap_or_else(|| usage())),
             "--serve" => args.serve = Some(it.next().unwrap_or_else(|| usage())),
             k if !k.starts_with('-') && args.kernel.is_empty() => args.kernel = k.to_string(),
@@ -342,10 +309,8 @@ fn refuse_unread_flags(a: &Args) {
     const SOLVES: u16 = STRAIGHT | SWEEPS | CNF;
     const REPLAYS: u16 = REPLAY | MODULO_REPLAY;
     const COMPILES: u16 = LISTING | CHART | MODULO | RACE | SAT;
-    const CP_SEARCHES: u16 = STRAIGHT | MODULO | RACE | MODULO_REPLAY;
     let kernel = format!("kernel {}", a.kernel);
     let emit = format!("--emit {}", a.emit.map_or("", Emit::name));
-    let check = a.replay_check.unwrap_or_default();
     let emitted_by = match a.emit {
         Some(Emit::Xml | Emit::Dot) => IR_DUMP,
         Some(Emit::Gantt | Emit::Vcd) => CHART,
@@ -370,10 +335,7 @@ fn refuse_unread_flags(a: &Args) {
         // has no node-by-node trajectory to record or diff against.
         ("--record", a.record.is_some(), LISTING | CHART | MODULO),
         ("--replay", a.replay.is_some(), REPLAYS),
-        (check, a.replay_check.is_some(), REPLAYS),
         ("--profile", a.profile, LISTING | CHART),
-        // The sat sweep runs no CP search, so it has nothing to restart.
-        ("--restarts", a.restarts.is_some(), CP_SEARCHES),
         ("--metrics", a.metrics.is_some(), COMPILES | SERVE),
         ("--serve", a.serve.is_some(), SERVE),
     ];
@@ -384,14 +346,10 @@ fn refuse_unread_flags(a: &Args) {
     else {
         return;
     };
-    // Name the mode flag that would make the run read it, if one would.
-    let read_with = |modulo: bool, replay: bool| {
-        let with = Args {
-            modulo: a.modulo.or(modulo.then_some(false)),
-            replay: a.replay.clone().or(replay.then(String::new)),
-            ..a.clone()
-        };
-        readers & self::mode(&with) != 0
+    // Name `--modulo` if it would make the run read the flag.
+    let with_modulo = Args {
+        modulo: a.modulo.or(Some(false)),
+        ..a.clone()
     };
     let picked_by = match mode {
         DUMP_ARCH => "--dump-arch",
@@ -403,9 +361,7 @@ fn refuse_unread_flags(a: &Args) {
         SAT => "--backend sat",
         _ => "a straight-line listing",
     };
-    if read_with(false, true) {
-        eprintln!("eitc: {flag} requires --replay");
-    } else if read_with(true, false) {
+    if readers & self::mode(&with_modulo) != 0 {
         eprintln!("eitc: {flag} requires --modulo");
     } else {
         eprintln!("eitc: {flag} is not supported with {picked_by}");
@@ -604,14 +560,13 @@ fn modulo_metrics(r: &eit_core::ModuloResult) -> Json {
 /// error).
 fn replay_and_exit(
     path: &str,
-    strict: bool,
-    replay: impl FnOnce(&TraceHeader, &[SearchEvent], &ReplayOptions) -> Result<RrReport, String>,
+    replay: impl FnOnce(&TraceHeader, &[SearchEvent]) -> Result<RrReport, String>,
 ) -> ! {
     let t = Trace::read(path).unwrap_or_else(|e| {
         eprintln!("eitc: cannot read trace {path}: {e}");
         exit(1);
     });
-    let rep = replay(&t.header, &t.events, &ReplayOptions { strict }).unwrap_or_else(|why| {
+    let rep = replay(&t.header, &t.events).unwrap_or_else(|why| {
         eprintln!("eitc: replay: {why}");
         exit(1);
     });
@@ -709,7 +664,6 @@ fn main() {
     let timeout = Duration::from_secs(args.timeout.unwrap_or(DEFAULT_TIMEOUT_S));
 
     let rr = args.record.is_some() || args.replay.is_some();
-    let strict = args.replay_check != Some("--lenient");
     if rr && args.modulo.is_none() {
         // The recorded canonical IR hash must cover the exact graph the
         // solver sees, so the CSE pass runs here instead of inside
@@ -727,7 +681,6 @@ fn main() {
             timeout_per_ii: timeout,
             total_timeout: timeout,
             jobs: args.jobs.unwrap_or(1),
-            restarts: args.restarts,
             ..Default::default()
         };
         if args.emit == Some(Emit::Cnf) {
@@ -748,8 +701,8 @@ fn main() {
             return;
         }
         if let Some(path) = &args.replay {
-            replay_and_exit(path, strict, |h, events, ropts| {
-                replay_modulo(&g, &spec, &mopts, h, events, ropts)
+            replay_and_exit(path, |h, events| {
+                replay_modulo(&g, &spec, &mopts, h, events)
             });
         }
         let recorder = args.record.as_ref().map(|path| {
@@ -802,13 +755,12 @@ fn main() {
         memory: args.memory,
         timeout: Some(timeout),
         profile: args.profile || args.metrics.is_some(),
-        restarts: args.restarts,
         ..Default::default()
     };
 
     if let Some(path) = &args.replay {
-        replay_and_exit(path, strict, |h, events, ropts| {
-            replay_schedule(&g, &spec, &sched_opts, h, events, ropts)
+        replay_and_exit(path, |h, events| {
+            replay_schedule(&g, &spec, &sched_opts, h, events)
         });
     }
 

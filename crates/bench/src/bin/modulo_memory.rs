@@ -3,7 +3,7 @@
 //! to repeating … with a certain offset"); this harness *solves* the
 //! steady-state allocation (N in-flight iterations at the issue II) with
 //! the full constraint model and reports the real slot footprint. The
-//! allocation search restarts (the settings perfbench's steady-state
+//! allocation search restarts (the default, which perfbench's steady-state
 //! workload uses); II is raised above the lane bound only when the
 //! allocation is proven infeasible, and a budget that runs out is
 //! reported as `undecided`.
@@ -21,10 +21,7 @@ use std::time::Duration;
 
 fn main() {
     let spec = &harness_args(&["--arch"]).arch;
-    let opts = AllocOptions {
-        restarts: Some(eit_cp::RestartConfig::default()),
-        ..Default::default()
-    };
+    let opts = AllocOptions::default();
     println!("Steady-state memory footprint of modulo schedules (4 in-flight iterations)");
     rule(86);
     println!(

@@ -81,9 +81,6 @@ impl RunMetrics {
             ("solutions".into(), Json::int(stats.solutions)),
             ("propagations".into(), Json::int(stats.propagations)),
             ("max_depth".into(), Json::int(stats.max_depth as u64)),
-            ("restarts".into(), Json::int(stats.restarts)),
-            ("nogoods_posted".into(), Json::int(stats.nogoods_posted)),
-            ("nogoods_pruned".into(), Json::int(stats.nogoods_pruned)),
             ("time_us".into(), Json::int(stats.time.as_micros() as u64)),
         ];
         self.push("solver", Json::Obj(obj))

@@ -2,9 +2,8 @@
 //! naming the flag, instead of running without it (a straight-line run
 //! has no use for `--backend`, `--jobs` or `--emit cnf`; a modulo run has
 //! no Gantt/VCD emitter, overlapped execution, propagator profile or
-//! memory switch; the SAT sweep has no search to restart and neither it
-//! nor the race records or replays; `--strict` and `--lenient` only
-//! qualify `--replay`; an IR dump and a CNF dump solve nothing; a replay
+//! memory switch; neither the SAT sweep nor the race records or replays;
+//! an IR dump and a CNF dump solve nothing; a replay
 //! prints only its verdict; an overlapped run prints no chart; one run
 //! emits one thing; `--dump-arch` reads nothing else and `--serve` only
 //! its pool size, deadline and metrics). And a `--replay` accepts a
@@ -41,16 +40,6 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
         (
             &["--modulo", "--no-memory"],
             "--no-memory is not supported with --modulo",
-        ),
-        (
-            &["--modulo", "--backend", "sat", "--restarts"],
-            "--restarts is not supported with --backend sat",
-        ),
-        (&["--strict"], "--strict requires --replay"),
-        (&["--lenient"], "--lenient requires --replay"),
-        (
-            &["--modulo", "--strict", "--lenient"],
-            "--lenient requires --replay",
         ),
         (
             &["--emit", "xml", "--metrics", metrics, "--verify"],
@@ -99,10 +88,6 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
         (
             &["--modulo", "--emit", "cnf", "--replay", trace],
             "--replay is not supported with --emit cnf",
-        ),
-        (
-            &["--modulo", "--emit", "cnf", "--restarts"],
-            "--restarts is not supported with --emit cnf",
         ),
         (
             &["--modulo", "--emit", "cnf", "--timeout", "5"],
@@ -162,6 +147,21 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
             "kernel matmul is not supported with --serve",
         ),
         (&["--trace", trace], "unrecognized argument '--trace'"),
+        // Restarts are the allocator's search, and a replay compares
+        // every event: neither is a flag.
+        (&["--restarts"], "unrecognized argument '--restarts'"),
+        (
+            &["--modulo", "--restarts"],
+            "unrecognized argument '--restarts'",
+        ),
+        (
+            &["--replay", trace, "--strict"],
+            "unrecognized argument '--strict'",
+        ),
+        (
+            &["--replay", trace, "--lenient"],
+            "unrecognized argument '--lenient'",
+        ),
     ];
     // Without a kernel: the modes that take none refuse the solve flags.
     // The address is not one, so a serve that ran would exit 1 at once.
@@ -231,19 +231,6 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
 }
 
 #[test]
-fn restarts_still_run_on_the_backends_with_a_cp_search() {
-    for backend in ["cp", "race"] {
-        let out = eitc(&["matmul", "--modulo", "--backend", backend, "--restarts"]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "--backend {backend}: {stderr}");
-        assert!(
-            !out.stdout.is_empty(),
-            "--backend {backend} printed nothing"
-        );
-    }
-}
-
-#[test]
 fn replay_accepts_every_spelling_of_the_machine_and_refuses_another_solve() {
     let trace = scratch("matmul.trace");
     let arch = scratch("eit.xml");
@@ -280,7 +267,7 @@ fn replay_accepts_every_spelling_of_the_machine_and_refuses_another_solve() {
             &["matmul", "--slots", "32"],
             "trace was recorded for a different architecture",
         ),
-        (&["matmul", "--restarts"], "solver config mismatch"),
+        (&["matmul", "--no-memory"], "solver config mismatch"),
     ];
     for (args, why) in foreign {
         let out = eitc(&[args, &["--replay", trace_s]].concat());

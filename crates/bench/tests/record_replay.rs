@@ -2,7 +2,7 @@
 //! straight-line and modulo, mirroring the `eitc --record` / `--replay`
 //! pipeline: merge + CSE first (the recorded IR hash covers the graph
 //! the solver actually sees), record the solve, then re-drive it
-//! strictly and check it matches node for node.
+//! and check it matches node for node.
 
 use eit_arch::ArchSpec;
 use eit_core::{
@@ -10,7 +10,6 @@ use eit_core::{
     SchedulerOptions, SolveKey, Trace,
 };
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
-use eit_cp::ReplayOptions;
 use eit_ir::Graph;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -46,23 +45,15 @@ fn straight_line_record_replay_identity_on_all_table_kernels() {
         let recorded: Vec<SearchEvent> = sink.lock().unwrap().events.clone();
         assert!(!recorded.is_empty(), "{name} recorded nothing");
         let header = SolveKey::schedule(&g, &spec, &opts).header(opts.state_hash_every);
-        let replay = |ropts| {
-            replay_schedule(&g, &spec, &sched_opts(), &header, &recorded, &ropts)
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-        };
-
-        let rep = replay(ReplayOptions::default());
-        assert!(rep.ok, "{name}: strict divergence: {:?}", rep.divergence);
+        let rep = replay_schedule(&g, &spec, &sched_opts(), &header, &recorded)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(rep.ok, "{name}: divergence: {:?}", rep.divergence);
         // Replay never searches beyond the recorded tree.
         assert_eq!(
             rep.replay_nodes, rep.recorded_nodes,
             "{name}: replay re-searched"
         );
         assert_eq!(rep.checked as usize, recorded.len());
-
-        // Lenient accepts whatever strict accepts.
-        let lenient = replay(ReplayOptions { strict: false });
-        assert!(lenient.ok, "{name}: lenient rejected a faithful replay");
     }
 }
 
@@ -97,7 +88,7 @@ fn modulo_record_replay_identity_on_all_table_kernels() {
         assert_eq!(last_stream as i32, r.ii_issue);
 
         let header = SolveKey::modulo(&g, &spec, &opts).header(opts.state_hash_every);
-        let rep = replay_modulo(&g, &spec, &opts, &header, &recorded, &Default::default())
+        let rep = replay_modulo(&g, &spec, &opts, &header, &recorded)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(
             rep.ok,
@@ -135,15 +126,8 @@ fn trace_file_roundtrip_preserves_events_and_hash() {
     assert_eq!(t.header.arch_hash, header.arch_hash);
     assert_eq!(t.header.config, header.config);
 
-    let rep = replay_schedule(
-        &g,
-        &spec,
-        &sched_opts(),
-        &t.header,
-        &t.events,
-        &ReplayOptions::default(),
-    )
-    .expect("the header is this run's");
+    let rep = replay_schedule(&g, &spec, &sched_opts(), &t.header, &t.events)
+        .expect("the header is this run's");
     assert!(rep.ok, "divergence: {:?}", rep.divergence);
     std::fs::remove_file(&path).ok();
 }
@@ -166,13 +150,12 @@ fn perturbed_solver_diverges_with_a_named_event() {
 
     let mut perturbed = sched_opts();
     perturbed.memory = false;
-    let ropts = ReplayOptions::default();
     let recorded_header = SolveKey::schedule(&g, &spec, &opts).header(opts.state_hash_every);
-    let err = replay_schedule(&g, &spec, &perturbed, &recorded_header, &recorded, &ropts)
+    let err = replay_schedule(&g, &spec, &perturbed, &recorded_header, &recorded)
         .expect_err("the perturbed config is refused");
     assert!(err.starts_with("solver config mismatch"), "{err}");
     let header = SolveKey::schedule(&g, &spec, &perturbed).header(opts.state_hash_every);
-    let rep = replay_schedule(&g, &spec, &perturbed, &header, &recorded, &ropts)
+    let rep = replay_schedule(&g, &spec, &perturbed, &header, &recorded)
         .expect("the header names the perturbed options");
     assert!(!rep.ok);
     let (_, d) = rep.divergence.expect("must name the first mismatch");

@@ -11,7 +11,7 @@
 use crate::model::post_memory;
 use crate::modulo::{unroll, ModuloResult};
 use eit_arch::{ArchSpec, Schedule};
-use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
+use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
 use eit_ir::Graph;
 use std::time::Duration;
 
@@ -20,7 +20,8 @@ use std::time::Duration;
 pub struct AllocOptions {
     /// Wall-clock budget for the slot-assignment search.
     pub timeout: Duration,
-    /// Restart policy for the allocation search (`None` = plain DFS).
+    /// Restart policy for the allocation search: fail-budgeted restarts
+    /// with nogood recording by default, `None` for plain DFS.
     pub restarts: Option<eit_cp::RestartConfig>,
 }
 
@@ -28,7 +29,7 @@ impl Default for AllocOptions {
     fn default() -> Self {
         Self {
             timeout: Duration::from_secs(60),
-            restarts: None,
+            restarts: Some(eit_cp::RestartConfig::default()),
         }
     }
 }
@@ -72,7 +73,6 @@ pub fn allocate_modulo_memory_with(
         phases: vec![Phase::new(
             slot.iter().flatten().copied().collect(),
             VarSel::FirstFail,
-            ValSel::Min,
         )],
         timeout: Some(opts.timeout),
         restarts: opts.restarts,
@@ -155,10 +155,7 @@ mod memory_tests {
     /// moves them; a pure speed change must not.
     #[test]
     fn steady_state_slot_vectors_are_pinned() {
-        let opts = AllocOptions {
-            restarts: Some(eit_cp::RestartConfig::default()),
-            ..Default::default()
-        };
+        let opts = AllocOptions::default();
         for (name, slots, want) in [
             ("fir", 64, 0x98aa_51dc_01c5_1e2c_u64),
             ("arf", 64, 0x4ca4_e474_e84f_e0a5),
@@ -181,6 +178,27 @@ mod memory_tests {
             }
             assert_eq!(h.finish(), want, "{name}@{slots}: slot vector moved");
         }
+    }
+
+    /// The default options are the restarting search: fir's steady state
+    /// at 64 slots, which plain DFS leaves undecided after 10 s,
+    /// allocates well within 2 s.
+    #[test]
+    fn default_options_allocate_fir_at_64_slots() {
+        let mut g = eit_apps::by_name("fir").unwrap().graph;
+        g.validate().unwrap();
+        eit_ir::merge_pipeline_ops(&mut g);
+        let spec = ArchSpec::eit().with_slots(64);
+        let r = modulo_schedule(&g, &spec, &ModuloOptions::default()).unwrap();
+        let opts = AllocOptions {
+            timeout: Duration::from_secs(2),
+            ..Default::default()
+        };
+        let out = allocate_modulo_memory_with(&g, &spec, &r, 4, &opts);
+        assert!(
+            matches!(out, AllocOutcome::Allocated(..)),
+            "fir@64 must allocate, got {out:?}"
+        );
     }
 
     #[test]

@@ -29,8 +29,7 @@ use eit_cp::props::disjunctive::DisjTask;
 use eit_cp::props::reify::GuardedPair;
 use eit_cp::trace::TraceHandle;
 use eit_cp::{
-    minimize, Model, Phase, PropProfile, SearchConfig, SearchStats, SearchStatus, ValSel, VarId,
-    VarSel,
+    minimize, Model, Phase, PropProfile, SearchConfig, SearchStats, SearchStatus, VarId, VarSel,
 };
 use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::time::{Duration, Instant};
@@ -58,11 +57,6 @@ pub struct SchedulerOptions {
     /// thread. Excluded from [`crate::rr::SolveKey::schedule`] like
     /// `timeout`: budgets shape *when* a run stops, not its trajectory.
     pub cancel: Option<eit_cp::CancelToken>,
-    /// Restart the branch-and-bound on a fail-count schedule, recording
-    /// decision-prefix nogoods at each restart (`None` = plain DFS).
-    /// Restarts reshape the search trajectory, so
-    /// [`crate::rr::SolveKey::schedule`] keys this.
-    pub restarts: Option<eit_cp::RestartConfig>,
 }
 
 impl Default for SchedulerOptions {
@@ -74,7 +68,6 @@ impl Default for SchedulerOptions {
             state_hash_every: None,
             profile: false,
             cancel: None,
-            restarts: None,
         }
     }
 }
@@ -89,7 +82,7 @@ impl SchedulerOptions {
             trace: self.trace.clone(),
             state_hash_every: self.state_hash_every,
             cancel: self.cancel.clone(),
-            restarts: self.restarts,
+            ..Default::default()
         }
     }
 }
@@ -257,11 +250,11 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
         .collect();
     let slots: Vec<VarId> = g.ids().filter_map(|i| slot[i.idx()]).collect();
     let mut phases = vec![
-        Phase::new(op_starts, VarSel::SmallestMin, ValSel::Min),
-        Phase::new(data_starts, VarSel::SmallestMin, ValSel::Min),
+        Phase::new(op_starts, VarSel::SmallestMin),
+        Phase::new(data_starts, VarSel::SmallestMin),
     ];
     if !slots.is_empty() {
-        phases.push(Phase::new(slots, VarSel::FirstFail, ValSel::Min));
+        phases.push(Phase::new(slots, VarSel::FirstFail));
     }
 
     timings.push("model_build", build_start.elapsed());

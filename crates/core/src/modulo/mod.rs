@@ -178,10 +178,6 @@ pub struct ModuloOptions {
     /// feasible II) intact. Excluded from
     /// [`crate::rr::SolveKey::modulo`], like the time budgets.
     pub cancel: Option<CancelToken>,
-    /// Restart policy for each probe's satisfaction search (`None` =
-    /// plain DFS). Trajectory-shaping, so [`crate::rr::SolveKey::modulo`]
-    /// keys it.
-    pub restarts: Option<eit_cp::RestartConfig>,
     /// Decision procedure for the sweep: CP (default), SAT, or a race of
     /// the two. Trajectory-shaping, so [`crate::rr::SolveKey::modulo`]
     /// keys it.
@@ -198,7 +194,6 @@ impl Default for ModuloOptions {
             trace: None,
             state_hash_every: None,
             cancel: None,
-            restarts: None,
             backend: Backend::Cp,
         }
     }
@@ -212,7 +207,6 @@ impl ModuloOptions {
         SearchConfig {
             phases,
             state_hash_every: self.state_hash_every,
-            restarts: self.restarts,
             ..Default::default()
         }
     }

@@ -7,7 +7,7 @@ use crate::model::{post_config_separation, post_precedences};
 use eit_arch::ArchSpec;
 use eit_cp::props::cumulative::CumTask;
 use eit_cp::props::diff2::Rect;
-use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, ValSel, VarId, VarSel};
+use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
 use eit_ir::{Graph, NodeId, OpClass};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -188,15 +188,15 @@ pub fn build_probe(
         .collect();
     let mut phases = Vec::new();
     if !band_vars.is_empty() {
-        phases.push(Phase::new(band_vars, VarSel::InputOrder, ValSel::Min));
-        phases.push(Phase::new(op_s, VarSel::SmallestMin, ValSel::Min));
-        phases.push(Phase::new(t_list, VarSel::FirstFail, ValSel::Min));
-        phases.push(Phase::new(k_list, VarSel::SmallestMin, ValSel::Min));
+        phases.push(Phase::new(band_vars, VarSel::InputOrder));
+        phases.push(Phase::new(op_s, VarSel::SmallestMin));
+        phases.push(Phase::new(t_list, VarSel::FirstFail));
+        phases.push(Phase::new(k_list, VarSel::SmallestMin));
     } else {
-        phases.push(Phase::new(t_list, VarSel::FirstFail, ValSel::Min));
-        phases.push(Phase::new(k_list, VarSel::SmallestMin, ValSel::Min));
+        phases.push(Phase::new(t_list, VarSel::FirstFail));
+        phases.push(Phase::new(k_list, VarSel::SmallestMin));
     }
-    phases.push(Phase::new(data_s, VarSel::SmallestMin, ValSel::Min));
+    phases.push(Phase::new(data_s, VarSel::SmallestMin));
 
     Ok(Some(ProbeModel {
         model: m,

@@ -33,7 +33,7 @@ pub struct CompileOptions {
     pub cse: bool,
     /// Fold pre/post-processing chains (the fig. 6 merge pass).
     pub merge: bool,
-    /// Scheduler settings (memory model, timeout, restarts, tracing…).
+    /// Scheduler settings (memory model, timeout, tracing…).
     pub scheduler: SchedulerOptions,
 }
 

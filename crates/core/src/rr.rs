@@ -26,10 +26,10 @@
 //! the caller's budgets; a faithful one costs exactly the recorded nodes.
 
 use crate::model::{schedule, SchedulerOptions};
-use crate::modulo::{modulo_schedule_checked, Backend, ModuloOptions};
+use crate::modulo::{modulo_schedule_checked, ModuloOptions};
 use eit_arch::ArchSpec;
 use eit_cp::trace::SearchEvent;
-use eit_cp::{fnv1a, replay_with, DivergenceReport, ReplayOptions};
+use eit_cp::{fnv1a, replay_with, DivergenceReport};
 use eit_ir::Graph;
 
 /// Default store-digest cadence for recorded runs: a
@@ -102,21 +102,13 @@ pub struct SolveKey {
     pub config: String,
 }
 
-/// `off` or the restart policy's token.
-fn restarts_token(rc: Option<eit_cp::RestartConfig>) -> String {
-    rc.map_or_else(|| "off".into(), |rc| rc.config_token())
-}
-
 impl SolveKey {
-    /// Key for a straight-line scheduling run:
-    /// `mode=schedule;memory=…;restarts=…`. The restart/nogood policy is
-    /// keyed — restarts replay the tree in a different order.
+    /// Key for a straight-line scheduling run: `mode=schedule;memory=…`.
     pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> SolveKey {
         // Every field is named, so a new option does not compile until
         // it is keyed here or marked budget-only.
         let SchedulerOptions {
             memory,
-            restarts,
             // Budget-only: they decide whether or how fast a run ends,
             // never what it produces. The digest cadence travels in the
             // trace header, outside the key.
@@ -129,24 +121,16 @@ impl SolveKey {
         SolveKey {
             ir_hash: ir_hash(g),
             arch_hash: arch_hash(spec),
-            config: format!(
-                "mode=schedule;memory={};restarts={}",
-                u8::from(*memory),
-                restarts_token(*restarts),
-            ),
+            config: format!("mode=schedule;memory={}", u8::from(*memory)),
         }
     }
 
-    /// Key for a modulo-scheduling sweep:
-    /// `mode=modulo;incl=…;restarts=…;backend=…`. Backends agree on the
-    /// winning II but not on the concrete assignment, so the backend is
-    /// keyed. The restart policy is keyed only for the backends that run
-    /// a CP search: the SAT sweep never reads it, so under `sat` it reads
-    /// `off` whatever was asked.
+    /// Key for a modulo-scheduling sweep: `mode=modulo;incl=…;backend=…`.
+    /// Backends agree on the winning II but not on the concrete
+    /// assignment, so the backend is keyed.
     pub fn modulo(g: &Graph, spec: &ArchSpec, opts: &ModuloOptions) -> SolveKey {
         let ModuloOptions {
             include_reconfig,
-            restarts,
             backend,
             // Budget-only, as in `schedule`; the merged event stream is
             // `jobs`-independent by construction.
@@ -157,17 +141,12 @@ impl SolveKey {
             state_hash_every: _,
             cancel: _,
         } = opts;
-        let restarts = match backend {
-            Backend::Sat => None,
-            Backend::Cp | Backend::Race => *restarts,
-        };
         SolveKey {
             ir_hash: ir_hash(g),
             arch_hash: arch_hash(spec),
             config: format!(
-                "mode=modulo;incl={};restarts={};backend={}",
+                "mode=modulo;incl={};backend={}",
                 u8::from(*include_reconfig),
-                restarts_token(restarts),
                 backend.as_str(),
             ),
         }
@@ -311,10 +290,9 @@ pub fn replay_schedule(
     opts: &SchedulerOptions,
     header: &TraceHeader,
     recorded: &[SearchEvent],
-    ropts: &ReplayOptions,
 ) -> Result<RrReport, String> {
     SolveKey::schedule(g, spec, opts).admit(header)?;
-    let rep = replay_with(recorded, ropts, |trace, cancel| {
+    let rep = replay_with(recorded, |trace, cancel| {
         let live = SchedulerOptions {
             trace: Some(trace),
             cancel: Some(cancel),
@@ -341,10 +319,9 @@ pub fn replay_modulo(
     opts: &ModuloOptions,
     header: &TraceHeader,
     recorded: &[SearchEvent],
-    ropts: &ReplayOptions,
 ) -> Result<RrReport, String> {
     SolveKey::modulo(g, spec, opts).admit(header)?;
-    let rep = replay_with(recorded, ropts, |trace, cancel| {
+    let rep = replay_with(recorded, |trace, cancel| {
         let live = ModuloOptions {
             trace: Some(trace),
             cancel: Some(cancel),
@@ -364,6 +341,7 @@ pub fn replay_modulo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modulo::Backend;
     use eit_cp::trace::{MemorySink, TraceHandle};
     use eit_dsl::Ctx;
     use std::sync::{Arc, Mutex};
@@ -401,29 +379,17 @@ mod tests {
     }
 
     #[test]
-    fn config_string_includes_restarts() {
-        // The restart/nogood policy reshapes the search trajectory, so a
-        // trace recorded with restarts must not replay against a
-        // restart-free config (and vice versa): the token is part of the
-        // header.
+    fn config_string_keys_the_trajectory_options_only() {
+        // The memory model reshapes the straight-line search, so a trace
+        // recorded without it must not replay against the default config
+        // (and vice versa): the token is part of the header.
         let base = SchedulerOptions::default();
-        assert_eq!(
-            schedule_config(&base),
-            "mode=schedule;memory=1;restarts=off"
-        );
-        let mut with_restarts = base.clone();
-        with_restarts.restarts = Some(eit_cp::RestartConfig::default());
-        assert_eq!(
-            schedule_config(&with_restarts),
-            "mode=schedule;memory=1;restarts=geom:256:150+ng"
-        );
-        // The restart token round-trips through the parser eitc uses to
-        // read a policy back.
-        let rc = eit_cp::RestartConfig::default();
-        assert_eq!(
-            eit_cp::RestartConfig::parse_token(&rc.config_token()),
-            Some(rc)
-        );
+        assert_eq!(schedule_config(&base), "mode=schedule;memory=1");
+        let no_memory = SchedulerOptions {
+            memory: false,
+            ..base.clone()
+        };
+        assert_eq!(schedule_config(&no_memory), "mode=schedule;memory=0");
         // Budgets stay outside the key.
         let budgets = SchedulerOptions {
             timeout: None,
@@ -438,65 +404,28 @@ mod tests {
         // decision backend (different backends produce different concrete
         // assignments at the same II).
         let mbase = ModuloOptions::default();
-        assert_eq!(
-            modulo_config(&mbase),
-            "mode=modulo;incl=0;restarts=off;backend=cp"
-        );
-        let mut mrestart = mbase.clone();
-        mrestart.restarts = Some(eit_cp::RestartConfig::default());
-        assert_ne!(modulo_config(&mbase), modulo_config(&mrestart));
-        let mut msat = mbase.clone();
-        msat.backend = Backend::Sat;
-        assert!(modulo_config(&msat).ends_with(";backend=sat"));
-        assert_ne!(modulo_config(&mbase), modulo_config(&msat));
+        assert_eq!(modulo_config(&mbase), "mode=modulo;incl=0;backend=cp");
+        let mincl = ModuloOptions {
+            include_reconfig: true,
+            ..mbase.clone()
+        };
+        assert_eq!(modulo_config(&mincl), "mode=modulo;incl=1;backend=cp");
+        for (backend, name) in [(Backend::Sat, "sat"), (Backend::Race, "race")] {
+            let other = ModuloOptions {
+                backend,
+                ..mbase.clone()
+            };
+            assert_eq!(
+                modulo_config(&other),
+                format!("mode=modulo;incl=0;backend={name}")
+            );
+        }
         let mbudgets = ModuloOptions {
             jobs: 4,
             state_hash_every: Some(8),
             ..mbase.clone()
         };
         assert_eq!(modulo_config(&mbudgets), modulo_config(&mbase));
-    }
-
-    #[test]
-    fn modulo_restarts_are_keyed_only_for_backends_with_a_cp_search() {
-        let rc = Some(eit_cp::RestartConfig::default());
-        for backend in [Backend::Cp, Backend::Sat, Backend::Race] {
-            let plain = ModuloOptions {
-                backend,
-                ..Default::default()
-            };
-            let restarted = ModuloOptions {
-                restarts: rc,
-                ..plain.clone()
-            };
-            let same = modulo_config(&plain) == modulo_config(&restarted);
-            assert_eq!(same, backend == Backend::Sat, "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn restarted_run_records_and_replays_node_identically() {
-        // A schedule recorded with restarts+nogoods must replay through
-        // the same restart-enabled config with zero divergence (the
-        // Restart events are part of the stream).
-        let g = chain();
-        let spec = ArchSpec::eit();
-        let opts = SchedulerOptions {
-            restarts: Some(eit_cp::RestartConfig {
-                policy: eit_cp::RestartPolicy::Geometric {
-                    base: 2,
-                    factor_percent: 150,
-                },
-                nogoods: true,
-            }),
-            ..Default::default()
-        };
-        let (header, recorded) = record_schedule(&g, &spec, &opts);
-        assert!(!recorded.is_empty());
-        let rep = replay_schedule(&g, &spec, &opts, &header, &recorded, &Default::default())
-            .expect("the header is this run's");
-        assert!(rep.ok, "divergence: {:?}", rep.divergence);
-        assert_eq!(rep.replay_nodes, rep.recorded_nodes);
     }
 
     #[test]
@@ -622,7 +551,7 @@ mod tests {
         assert!(!recorded.is_empty());
         // The cadence comes from the header, whatever the options say.
         let plain = SchedulerOptions::default();
-        let rep = replay_schedule(&g, &spec, &plain, &header, &recorded, &Default::default())
+        let rep = replay_schedule(&g, &spec, &plain, &header, &recorded)
             .expect("the header is this run's");
         assert!(rep.ok, "divergence: {:?}", rep.divergence);
         assert_eq!(rep.replay_nodes, rep.recorded_nodes);
@@ -645,7 +574,7 @@ mod tests {
             unreachable!("at indexes a branch");
         };
         *val += 1;
-        let rep = replay_schedule(&g, &spec, &opts, &header, &recorded, &Default::default())
+        let rep = replay_schedule(&g, &spec, &opts, &header, &recorded)
             .expect("the header is this run's");
         assert!(!rep.ok);
         let (stream, d) = rep.divergence.expect("must diverge");
@@ -667,8 +596,7 @@ mod tests {
             .iter()
             .any(|e| matches!(e, SearchEvent::Stream { .. })));
         let replay = |events: &[SearchEvent]| {
-            replay_modulo(&g, &spec, &opts, &header, events, &Default::default())
-                .expect("the header is this run's")
+            replay_modulo(&g, &spec, &opts, &header, events).expect("the header is this run's")
         };
         let rep = replay(&recorded);
         assert!(
@@ -722,10 +650,9 @@ mod tests {
     fn replay_two_configs(
         header: &TraceHeader,
         recorded: &[SearchEvent],
-        ropts: &ReplayOptions,
     ) -> Result<RrReport, String> {
         let (g, spec) = (two_configs(), ArchSpec::eit());
-        replay_modulo(&g, &spec, &Default::default(), header, recorded, ropts)
+        replay_modulo(&g, &spec, &Default::default(), header, recorded)
     }
 
     /// The two-candidate recording and the index of its `stream 2` marker.
@@ -752,23 +679,19 @@ mod tests {
         (header, recorded, markers[1].0)
     }
 
-    /// Replay `recorded` strictly and leniently; both must refuse it, at
-    /// recorded event `index` of stream `stream`.
+    /// Replay `recorded`, which must be refused at recorded event `index`
+    /// of stream `stream`.
     fn assert_refused(header: &TraceHeader, recorded: &[SearchEvent], stream: u32, index: usize) {
-        for strict in [true, false] {
-            let rep = replay_two_configs(header, recorded, &ReplayOptions { strict })
-                .expect("the header is this run's");
-            assert!(!rep.ok, "strict={strict}: accepted {recorded:?}");
-            let (s, d) = rep.divergence.expect("a divergence");
-            assert_eq!((s, d.index), (stream, index), "strict={strict}");
-        }
+        let rep = replay_two_configs(header, recorded).expect("the header is this run's");
+        assert!(!rep.ok, "accepted {recorded:?}");
+        let (s, d) = rep.divergence.expect("a divergence");
+        assert_eq!((s, d.index), (stream, index));
     }
 
     #[test]
     fn two_candidate_recording_replays_as_two_streams() {
         let (header, recorded, _) = two_candidate_recording();
-        let rep = replay_two_configs(&header, &recorded, &Default::default())
-            .expect("the header is this run's");
+        let rep = replay_two_configs(&header, &recorded).expect("the header is this run's");
         assert!(rep.ok, "divergence: {:?}", rep.divergence);
         assert_eq!(rep.streams, 2);
         assert_eq!(rep.checked as usize, rep.recorded_events);
@@ -821,12 +744,12 @@ mod tests {
         ];
         for (key, why) in foreign {
             let h = key.header(None);
-            let err = replay_two_configs(&h, &recorded, &Default::default())
-                .expect_err("a foreign header must be refused");
+            let err =
+                replay_two_configs(&h, &recorded).expect_err("a foreign header must be refused");
             assert!(err.starts_with(why), "{err}");
         }
         // The same events under their own header replay clean.
-        let rep = replay_two_configs(&header, &recorded, &Default::default()).unwrap();
+        let rep = replay_two_configs(&header, &recorded).unwrap();
         assert!(rep.ok);
     }
 }

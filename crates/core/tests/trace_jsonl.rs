@@ -5,7 +5,7 @@
 use eit_core::json::Json;
 use eit_cp::props::basic::{MaxOf, NeqOffset};
 use eit_cp::trace::{MemorySink, SearchEvent, TraceHandle};
-use eit_cp::{minimize, Model, Phase, SearchConfig, ValSel, VarId, VarSel};
+use eit_cp::{minimize, Model, Phase, SearchConfig, VarId, VarSel};
 use std::sync::{Arc, Mutex};
 
 /// The object `e.to_json()` must parse to, built field by field. The
@@ -142,7 +142,7 @@ fn solver_stream_lines_parse_with_every_field() {
     }));
     let sink = Arc::new(Mutex::new(MemorySink::default()));
     let cfg = SearchConfig {
-        phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
+        phases: vec![Phase::new(vars, VarSel::FirstFail)],
         trace: Some(TraceHandle::new(Arc::clone(&sink))),
         state_hash_every: Some(2),
         ..Default::default()

@@ -12,7 +12,7 @@
 //!   **Diff2** (pairwise rectangle non-overlap), plus linear, disequality,
 //!   `max`, slot-geometry channeling and the guarded memory-access
 //!   implications of the paper's constraints (7)–(9);
-//! - phased depth-first search with variable/value heuristics,
+//! - phased depth-first search with variable-selection heuristics,
 //!   restart-based **branch-and-bound**, deadlines, cancellation and
 //!   fail-budgeted restarts with nogood recording ([`search`]).
 //!
@@ -21,7 +21,7 @@
 //! ```
 //! use eit_cp::model::Model;
 //! use eit_cp::props::cumulative::CumTask;
-//! use eit_cp::search::{minimize, Phase, SearchConfig, ValSel, VarSel};
+//! use eit_cp::search::{minimize, Phase, SearchConfig, VarSel};
 //!
 //! // Three unit tasks on one machine, a→b precedence; minimize makespan.
 //! let mut m = Model::new();
@@ -41,7 +41,7 @@
 //! m.max_of(ends, obj);
 //!
 //! let cfg = SearchConfig {
-//!     phases: vec![Phase::new(vec![a, b, c], VarSel::SmallestMin, ValSel::Min)],
+//!     phases: vec![Phase::new(vec![a, b, c], VarSel::SmallestMin)],
 //!     ..Default::default()
 //! };
 //! let result = minimize(&mut m, obj, &cfg);
@@ -64,10 +64,10 @@ pub use engine::{
     render_profile_table, Engine, Priority, PropId, PropProfile, Propagator, Subscriptions, Wake,
 };
 pub use model::Model;
-pub use replay::{replay_with, DivergenceReport, ReplayOptions, ReplayReport, ValidatingSink};
+pub use replay::{replay_with, DivergenceReport, ReplayReport, ValidatingSink};
 pub use search::{
-    minimize, solve, solve_all, Phase, RestartConfig, RestartPolicy, SearchConfig, SearchResult,
-    SearchStats, SearchStatus, Solution, ValSel, VarSel,
+    minimize, solve, solve_all, Phase, RestartConfig, SearchConfig, SearchResult, SearchStats,
+    SearchStatus, Solution, VarSel,
 };
 pub use store::{Fail, PropResult, Store, VarId};
 pub use trace::{fnv1a, Fnv64, MemorySink, NullSink, SearchEvent, TraceHandle, TraceSink};

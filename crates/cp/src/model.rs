@@ -153,7 +153,7 @@ impl Default for Model {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{minimize, Phase, SearchConfig, ValSel, VarSel};
+    use crate::search::{minimize, Phase, SearchConfig, VarSel};
 
     #[test]
     fn facade_builds_and_solves_small_jobshop() {
@@ -192,7 +192,7 @@ mod tests {
         m.eq_offset(c, 1, ec);
         m.max_of(vec![ea, eb, ec], obj);
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![a, b, c], VarSel::SmallestMin, ValSel::Min)],
+            phases: vec![Phase::new(vec![a, b, c], VarSel::SmallestMin)],
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);

@@ -123,11 +123,17 @@ impl Propagator for NeqOffset {
     }
 
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
+        // A counterpart outside `i32` is in no domain: nothing to remove.
+        let c = self.c as i64;
         if let Some(vy) = s.dom(self.y).value() {
-            s.remove_value(self.x, vy.saturating_add(self.c))?;
+            if let Ok(v) = i32::try_from(vy as i64 + c) {
+                s.remove_value(self.x, v)?;
+            }
         }
         if let Some(vx) = s.dom(self.x).value() {
-            s.remove_value(self.y, vx.saturating_sub(self.c))?;
+            if let Ok(v) = i32::try_from(vx as i64 - c) {
+                s.remove_value(self.y, v)?;
+            }
         }
         // Entailed once no value of x meets one of y + c: a fixed side
         // had its counterpart removed above, or the bounds are apart.
@@ -406,5 +412,29 @@ mod tests {
         s.remove_below(y, 3).unwrap();
         assert!(!p.idle(&s), "x ≤ 3 < 4 ≤ y + 1: the run reports");
         assert!(entailed(&mut s, &mut p));
+    }
+
+    #[test]
+    fn neq_keeps_x_whole_when_y_plus_c_leaves_i32() {
+        // y + c = 2³¹ is no i32, so x ≠ y + c always holds.
+        let mut s = Store::new();
+        let x = s.new_var(i32::MAX - 1, i32::MAX);
+        let y = s.new_var(i32::MAX, i32::MAX);
+        let mut e = Engine::new();
+        e.post(Box::new(NeqOffset { x, y, c: 1 }), &s);
+        run(&mut e, &mut s);
+        assert_eq!((s.min(x), s.max(x), s.size(x)), (i32::MAX - 1, i32::MAX, 2));
+    }
+
+    #[test]
+    fn neq_keeps_y_whole_when_x_minus_c_leaves_i32() {
+        // x − c = −2³¹ − 1 is no i32, so y ≠ x − c always holds.
+        let mut s = Store::new();
+        let x = s.new_var(i32::MIN, i32::MIN);
+        let y = s.new_var(i32::MIN, i32::MIN + 1);
+        let mut e = Engine::new();
+        e.post(Box::new(NeqOffset { x, y, c: 1 }), &s);
+        run(&mut e, &mut s);
+        assert_eq!((s.min(y), s.max(y), s.size(y)), (i32::MIN, i32::MIN + 1, 2));
     }
 }

@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn search_solves_tight_unary_schedule() {
         use crate::model::Model;
-        use crate::search::{solve, Phase, SearchConfig, ValSel, VarSel};
+        use crate::search::{solve, Phase, SearchConfig, VarSel};
         let mut m = Model::new();
         let vars: Vec<VarId> = (0..4).map(|_| m.new_var(0, 6)).collect();
         m.post(Box::new(Disjunctive::new(
@@ -211,7 +211,7 @@ mod tests {
                 .collect(),
         )));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars.clone(), VarSel::FirstFail, ValSel::Min)],
+            phases: vec![Phase::new(vars.clone(), VarSel::FirstFail)],
             ..Default::default()
         };
         let r = solve(&mut m, &cfg);

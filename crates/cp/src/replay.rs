@@ -13,15 +13,8 @@
 //! — node for node — and a divergent one costs the shared prefix plus one
 //! node, never a re-search.
 //!
-//! Two strictness levels:
-//! - **strict**: every event must match exactly, byte for byte. Any
-//!   solver change that alters the trajectory fails.
-//! - **lenient**: only *outcome* events are compared — incumbents
-//!   ([`SearchEvent::Solution`], objective only), bound updates, store
-//!   digests ([`SearchEvent::StateHash`], hash only) and the terminal
-//!   [`SearchEvent::Done`] (status + solution count). Changes that merely
-//!   shuffle fail/backtrack bookkeeping pass; anything that changes what
-//!   the solver concluded, or the states it passed through, still fails.
+//! Every event must match exactly, so any solver change that alters the
+//! trajectory fails.
 //!
 //! A mismatch produces a [`DivergenceReport`]: the first mismatching
 //! event index, expected vs actual, a window of recorded context around
@@ -38,20 +31,6 @@ use crate::cancel::CancelToken;
 use crate::trace::{SearchEvent, TraceHandle, TraceSink};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-
-/// How [`replay_with`] compares live events against the recording.
-#[derive(Clone, Copy, Debug)]
-pub struct ReplayOptions {
-    /// `true`: any event mismatch fails. `false` (lenient): only
-    /// outcome/hash mismatches fail.
-    pub strict: bool,
-}
-
-impl Default for ReplayOptions {
-    fn default() -> Self {
-        ReplayOptions { strict: true }
-    }
-}
 
 /// Where and how a replay first left the recorded trajectory.
 #[derive(Clone, Debug)]
@@ -108,8 +87,8 @@ impl fmt::Display for DivergenceReport {
 pub struct ReplayReport<R> {
     /// The replay matched the recording end to end.
     pub ok: bool,
-    /// Events actually compared (in lenient mode, outcome events only;
-    /// [`SearchEvent::Stream`] markers are compared but not counted).
+    /// Events compared ([`SearchEvent::Stream`] markers are compared but
+    /// not counted).
     pub checked: u64,
     /// Total events in the recording.
     pub recorded_events: usize,
@@ -117,47 +96,9 @@ pub struct ReplayReport<R> {
     /// Search nodes the live run reported, summed over its
     /// [`SearchEvent::Done`] events (one per search it traced).
     pub live_nodes: u64,
-    /// The re-driven run's own result. On a clean strict replay its node
-    /// count equals the recorded one.
+    /// The re-driven run's own result. On a clean replay its node count
+    /// equals the recorded one.
     pub result: R,
-}
-
-/// Is `e` an outcome event — one lenient mode still checks? A
-/// [`SearchEvent::Stream`] marker counts: which searches a driver ran,
-/// in which order, is part of what it concluded.
-fn is_outcome(e: &SearchEvent) -> bool {
-    matches!(
-        e,
-        SearchEvent::Solution { .. }
-            | SearchEvent::BoundUpdate { .. }
-            | SearchEvent::StateHash { .. }
-            | SearchEvent::Stream { .. }
-            | SearchEvent::Done { .. }
-    )
-}
-
-/// Lenient comparison: same outcome, bookkeeping fields ignored.
-fn lenient_eq(expected: &SearchEvent, actual: &SearchEvent) -> bool {
-    use SearchEvent::*;
-    match (expected, actual) {
-        (Solution { objective: a, .. }, Solution { objective: b, .. }) => a == b,
-        (BoundUpdate { bound: a }, BoundUpdate { bound: b }) => a == b,
-        (StateHash { hash: a, .. }, StateHash { hash: b, .. }) => a == b,
-        (Stream { id: a }, Stream { id: b }) => a == b,
-        (
-            Done {
-                status: a,
-                solutions: sa,
-                ..
-            },
-            Done {
-                status: b,
-                solutions: sb,
-                ..
-            },
-        ) => a == b && sa == sb,
-        _ => false,
-    }
 }
 
 /// The lock-step comparator. Plugs into the search as an ordinary trace
@@ -167,7 +108,6 @@ fn lenient_eq(expected: &SearchEvent, actual: &SearchEvent) -> bool {
 pub struct ValidatingSink {
     recorded: Vec<SearchEvent>,
     cursor: usize,
-    strict: bool,
     cancel: CancelToken,
     divergence: Option<DivergenceReport>,
     checked: u64,
@@ -179,11 +119,10 @@ pub struct ValidatingSink {
 }
 
 impl ValidatingSink {
-    pub fn new(recorded: Vec<SearchEvent>, strict: bool, cancel: CancelToken) -> Self {
+    pub fn new(recorded: Vec<SearchEvent>, cancel: CancelToken) -> Self {
         ValidatingSink {
             recorded,
             cursor: 0,
-            strict,
             cancel,
             divergence: None,
             checked: 0,
@@ -209,16 +148,10 @@ impl ValidatingSink {
     }
 
     /// Called after the search returns: a live run that ended while
-    /// checked recorded events remain is itself a divergence.
+    /// recorded events remain is itself a divergence.
     fn finish(&mut self) {
-        if self.divergence.is_some() {
-            return;
-        }
-        let remaining = self.recorded[self.cursor..]
-            .iter()
-            .position(|e| self.strict || is_outcome(e));
-        if let Some(off) = remaining {
-            self.diverge(self.cursor + off, None);
+        if self.divergence.is_none() && self.cursor < self.recorded.len() {
+            self.diverge(self.cursor, None);
         }
     }
 }
@@ -244,27 +177,12 @@ impl TraceSink for ValidatingSink {
         if self.divergence.is_some() {
             return;
         }
-        if !self.strict && !is_outcome(live) {
-            return;
-        }
-        // Skip recorded events the lenient comparator does not check.
-        while !self.strict && self.cursor < self.recorded.len() {
-            if is_outcome(&self.recorded[self.cursor]) {
-                break;
-            }
-            self.cursor += 1;
-        }
         let Some(expected) = self.recorded.get(self.cursor) else {
             // Live run goes on past the end of the recording.
             self.diverge(self.recorded.len(), Some(live.clone()));
             return;
         };
-        let matches = if self.strict {
-            expected == live
-        } else {
-            lenient_eq(expected, live)
-        };
-        if matches {
+        if expected == live {
             self.cursor += 1;
             self.checked += u64::from(!matches!(live, SearchEvent::Stream { .. }));
         } else {
@@ -283,13 +201,11 @@ impl TraceSink for ValidatingSink {
 /// deterministic (completed) recordings.
 pub fn replay_with<R>(
     recorded: &[SearchEvent],
-    opts: &ReplayOptions,
     run: impl FnOnce(TraceHandle, CancelToken) -> R,
 ) -> ReplayReport<R> {
     let cancel = CancelToken::new();
     let sink = Arc::new(Mutex::new(ValidatingSink::new(
         recorded.to_vec(),
-        opts.strict,
         cancel.clone(),
     )));
     let result = run(TraceHandle::new(Arc::clone(&sink)), cancel);
@@ -311,7 +227,7 @@ mod tests {
     use crate::model::Model;
     use crate::props::basic::{MaxOf, NeqOffset};
     use crate::search::{
-        minimize, solve, Phase, SearchConfig, SearchResult, SearchStatus, ValSel, VarSel,
+        minimize, solve, Phase, RestartConfig, SearchConfig, SearchResult, SearchStatus, VarSel,
     };
     use crate::store::VarId;
     use crate::trace::MemorySink;
@@ -337,9 +253,9 @@ mod tests {
         (m, obj, vars)
     }
 
-    fn cfg(vars: Vec<VarId>, val_sel: ValSel) -> SearchConfig {
+    fn cfg(vars: Vec<VarId>) -> SearchConfig {
         SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::FirstFail, val_sel)],
+            phases: vec![Phase::new(vars, VarSel::FirstFail)],
             state_hash_every: Some(2),
             ..Default::default()
         }
@@ -352,9 +268,8 @@ mod tests {
         objective: Option<VarId>,
         config: &SearchConfig,
         recorded: &[SearchEvent],
-        opts: &ReplayOptions,
     ) -> ReplayReport<SearchResult> {
-        replay_with(recorded, opts, |trace, cancel| {
+        replay_with(recorded, |trace, cancel| {
             let cfg = SearchConfig {
                 trace: Some(trace),
                 cancel: Some(cancel),
@@ -367,10 +282,10 @@ mod tests {
         })
     }
 
-    fn record(val_sel: ValSel) -> (Vec<SearchEvent>, SearchResult) {
+    fn record() -> (Vec<SearchEvent>, SearchResult) {
         let (mut m, obj, vars) = build();
         let sink = Arc::new(Mutex::new(MemorySink::default()));
-        let mut c = cfg(vars, val_sel);
+        let mut c = cfg(vars);
         c.trace = Some(TraceHandle::new(Arc::clone(&sink)));
         let r = minimize(&mut m, obj, &c);
         let events = sink.lock().unwrap().events.clone();
@@ -379,15 +294,9 @@ mod tests {
 
     #[test]
     fn faithful_replay_matches_node_for_node() {
-        let (events, recorded_result) = record(ValSel::Min);
+        let (events, recorded_result) = record();
         let (mut m, obj, vars) = build();
-        let report = replay(
-            &mut m,
-            Some(obj),
-            &cfg(vars, ValSel::Min),
-            &events,
-            &ReplayOptions { strict: true },
-        );
+        let report = replay(&mut m, Some(obj), &cfg(vars), &events);
         assert!(report.ok, "unexpected divergence: {:?}", report.divergence);
         assert_eq!(report.checked as usize, events.len());
         // "Without re-searching": the replay explored exactly the
@@ -398,21 +307,17 @@ mod tests {
     }
 
     #[test]
-    fn perturbed_value_ordering_diverges_at_first_branch() {
-        let (events, _) = record(ValSel::Min);
-        let (mut m, obj, vars) = build();
-        // The injected perturbation: flip the value ordering.
-        let report = replay(
-            &mut m,
-            Some(obj),
-            &cfg(vars, ValSel::Max),
-            &events,
-            &ReplayOptions { strict: true },
-        );
+    fn perturbed_variable_ordering_diverges_at_first_branch() {
+        let (events, _) = record();
+        let (mut m, obj, mut vars) = build();
+        // The injected perturbation: reverse the variable order, so the
+        // first decision is on the last variable instead of the first.
+        vars.reverse();
+        let report = replay(&mut m, Some(obj), &cfg(vars), &events);
         assert!(!report.ok);
         let d = report.divergence.expect("divergence report");
         // First mismatch is the very first decision: Start matches, the
-        // first Branch picks max instead of min.
+        // first Branch picks another variable.
         assert!(matches!(d.expected, Some(SearchEvent::Branch { .. })));
         assert!(matches!(d.actual, Some(SearchEvent::Branch { .. })));
         assert_ne!(d.expected, d.actual);
@@ -425,57 +330,39 @@ mod tests {
     }
 
     #[test]
-    fn lenient_replay_tolerates_bookkeeping_but_not_outcomes() {
-        let (events, _) = record(ValSel::Min);
-        // Drop every fail/backtrack event — lenient must still pass.
-        let thinned: Vec<SearchEvent> = events
-            .iter()
-            .filter(|e| !matches!(e, SearchEvent::Fail { .. } | SearchEvent::Backtrack { .. }))
-            .cloned()
-            .collect();
+    fn restarted_run_replays_node_identically() {
+        // Fail-budget restarts, their nogoods and the diversified re-dive
+        // values are a pure function of search state: a restarted search
+        // replays node for node.
+        let restarted = |vars| SearchConfig {
+            restarts: Some(RestartConfig {
+                base: 2,
+                factor_percent: 150,
+            }),
+            ..cfg(vars)
+        };
         let (mut m, obj, vars) = build();
-        let report = replay(
-            &mut m,
-            Some(obj),
-            &cfg(vars.clone(), ValSel::Min),
-            &thinned,
-            &ReplayOptions { strict: false },
-        );
-        assert!(report.ok, "lenient diverged: {:?}", report.divergence);
-
-        // But a corrupted store digest must fail even leniently.
-        let mut corrupt = events;
-        for e in &mut corrupt {
-            if let SearchEvent::StateHash { hash, .. } = e {
-                *hash ^= 1;
-                break;
-            }
-        }
-        let (mut m2, obj2, vars2) = build();
-        let report = replay(
-            &mut m2,
-            Some(obj2),
-            &cfg(vars2, ValSel::Min),
-            &corrupt,
-            &ReplayOptions { strict: false },
-        );
-        assert!(!report.ok);
-        let d = report.divergence.unwrap();
-        assert!(matches!(d.expected, Some(SearchEvent::StateHash { .. })));
+        let sink = Arc::new(Mutex::new(MemorySink::default()));
+        let c = SearchConfig {
+            trace: Some(TraceHandle::new(Arc::clone(&sink))),
+            ..restarted(vars)
+        };
+        let recorded_result = minimize(&mut m, obj, &c);
+        assert!(recorded_result.stats.restarts > 0);
+        let events = sink.lock().unwrap().events.clone();
+        let (mut m, obj, vars) = build();
+        let report = replay(&mut m, Some(obj), &restarted(vars), &events);
+        assert!(report.ok, "unexpected divergence: {:?}", report.divergence);
+        assert_eq!(report.result.stats.nodes, recorded_result.stats.nodes);
+        assert_eq!(report.result.stats.restarts, recorded_result.stats.restarts);
     }
 
     #[test]
     fn truncated_recording_is_reported_as_missing_live_events() {
-        let (events, _) = record(ValSel::Min);
+        let (events, _) = record();
         let cut = &events[..events.len() - 1]; // drop the Done record
         let (mut m, obj, vars) = build();
-        let report = replay(
-            &mut m,
-            Some(obj),
-            &cfg(vars, ValSel::Min),
-            cut,
-            &ReplayOptions { strict: true },
-        );
+        let report = replay(&mut m, Some(obj), &cfg(vars), cut);
         assert!(!report.ok);
         let d = report.divergence.unwrap();
         assert_eq!(d.index, cut.len());
@@ -485,16 +372,10 @@ mod tests {
 
     #[test]
     fn overlong_recording_is_reported_at_the_first_unreached_event() {
-        let (mut events, _) = record(ValSel::Min);
+        let (mut events, _) = record();
         events.push(SearchEvent::Fail { depth: 0 });
         let (mut m, obj, vars) = build();
-        let report = replay(
-            &mut m,
-            Some(obj),
-            &cfg(vars, ValSel::Min),
-            &events,
-            &ReplayOptions { strict: true },
-        );
+        let report = replay(&mut m, Some(obj), &cfg(vars), &events);
         assert!(!report.ok);
         let d = report.divergence.unwrap();
         assert_eq!(d.index, events.len() - 1);
@@ -514,12 +395,12 @@ mod tests {
                 let c = SearchConfig {
                     trace: Some(trace.clone()),
                     cancel: cancel.clone(),
-                    ..cfg(vars, ValSel::Min)
+                    ..cfg(vars)
                 };
                 minimize(&mut m, obj, &c);
             }
         };
-        let (one, one_result) = record(ValSel::Min);
+        let (one, one_result) = record();
         let sink = Arc::new(Mutex::new(MemorySink::default()));
         run(TraceHandle::new(Arc::clone(&sink)), None);
         let events = sink.lock().unwrap().events.clone();
@@ -527,21 +408,16 @@ mod tests {
             .iter()
             .rposition(|e| matches!(e, SearchEvent::Stream { .. }))
             .unwrap();
-        for strict in [true, false] {
-            let opts = ReplayOptions { strict };
-            let rep = replay_with(&events, &opts, |t, c| run(t, Some(c)));
-            assert!(rep.ok, "strict={strict}: {:?}", rep.divergence);
-            assert_eq!(rep.live_nodes, 2 * one_result.stats.nodes);
-            if strict {
-                assert_eq!(rep.checked as usize, 2 * one.len());
-            }
-            // Without the first search the recording claims a run that
-            // began at stream 2: refused at its first event.
-            let rep = replay_with(&events[second..], &opts, |t, c| run(t, Some(c)));
-            assert!(!rep.ok, "strict={strict}");
-            let d = rep.divergence.unwrap();
-            assert_eq!(d.index, 0);
-            assert_eq!(d.actual, Some(SearchEvent::Stream { id: 1 }));
-        }
+        let rep = replay_with(&events, |t, c| run(t, Some(c)));
+        assert!(rep.ok, "{:?}", rep.divergence);
+        assert_eq!(rep.live_nodes, 2 * one_result.stats.nodes);
+        assert_eq!(rep.checked as usize, 2 * one.len());
+        // Without the first search the recording claims a run that began
+        // at stream 2: refused at its first event.
+        let rep = replay_with(&events[second..], |t, c| run(t, Some(c)));
+        assert!(!rep.ok);
+        let d = rep.divergence.unwrap();
+        assert_eq!(d.index, 0);
+        assert_eq!(d.actual, Some(SearchEvent::Stream { id: 1 }));
     }
 }

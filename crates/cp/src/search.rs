@@ -28,146 +28,59 @@ pub enum VarSel {
     SmallestMin,
 }
 
-/// Value-selection heuristic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ValSel {
-    /// Enumerate values in increasing order.
-    Min,
-    /// Enumerate values in decreasing order.
-    Max,
-}
-
-/// When to abandon a dive and restart the search from the root.
+/// Fail-budgeted restarts with nogood recording.
 ///
-/// Budgets are counted in *fails*. Parameters are integers (a percentage
-/// instead of a float factor) so the policy is `Copy + Eq` and renders
-/// exactly into record/replay config strings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RestartPolicy {
-    /// Budgets grow geometrically: `base`, then `× factor_percent / 100`
-    /// after each restart. Factors ≤ 100 are treated as 101 so budgets
-    /// always grow and a complete search stays complete.
-    Geometric { base: u64, factor_percent: u32 },
-    /// The Luby sequence (1, 1, 2, 1, 1, 2, 4, …) scaled by `unit` fails.
-    Luby { unit: u64 },
-}
-
-/// `i`-th element (1-based) of the Luby sequence.
-fn luby(mut i: u64) -> u64 {
-    loop {
-        let mut k = 1u32;
-        while (1u64 << k) - 1 < i {
-            k += 1;
-        }
-        if (1u64 << k) - 1 == i {
-            return 1u64 << (k - 1);
-        }
-        i -= (1u64 << (k - 1)) - 1;
-    }
-}
-
-impl RestartPolicy {
-    /// Fail budget for the `i`-th dive (0-based).
-    pub fn budget(self, i: u64) -> u64 {
-        match self {
-            RestartPolicy::Geometric {
-                base,
-                factor_percent,
-            } => {
-                let f = factor_percent.max(101) as u128;
-                let mut b = base.max(1) as u128;
-                for _ in 0..i {
-                    // `.max(b + 1)` forces strict growth even where the
-                    // integer division rounds the factor away (small
-                    // bases), preserving completeness.
-                    b = (b * f / 100).max(b + 1);
-                    if b > u64::MAX as u128 {
-                        return u64::MAX;
-                    }
-                }
-                b as u64
-            }
-            RestartPolicy::Luby { unit } => unit.max(1).saturating_mul(luby(i + 1)),
-        }
-    }
-}
-
-/// Fail-budgeted restarts with optional nogood recording.
+/// Budgets are counted in *fails* and grow geometrically: `base`, then
+/// `× factor_percent / 100` after each restart (an integer percentage, so
+/// the config is `Copy + Eq`). Factors ≤ 100 are treated as 101 so budgets
+/// always grow and a complete search stays complete. Each abandoned dive's
+/// refuted decision prefixes are harvested as nogoods and enforced by a
+/// watched-literal propagator ([`crate::props::nogood`]) for the rest of
+/// the run, so restarts never re-explore a refuted subtree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RestartConfig {
-    pub policy: RestartPolicy,
-    /// Harvest the refuted decision prefixes of each abandoned dive as
-    /// nogoods and enforce them with a watched-literal propagator
-    /// ([`crate::props::nogood`]) for the remainder of the run, so
-    /// restarts never re-explore a refuted subtree.
-    pub nogoods: bool,
+    pub base: u64,
+    pub factor_percent: u32,
 }
 
 impl Default for RestartConfig {
     fn default() -> Self {
         RestartConfig {
-            policy: RestartPolicy::Geometric {
-                base: 256,
-                factor_percent: 150,
-            },
-            nogoods: true,
+            base: 256,
+            factor_percent: 150,
         }
     }
 }
 
 impl RestartConfig {
-    /// Stable rendering for record/replay config strings — the restart
-    /// policy shapes the search tree, so it is part of a trace's
-    /// identity (unlike the domain representation, which must not be).
-    pub fn config_token(&self) -> String {
-        let ng = if self.nogoods { "+ng" } else { "" };
-        match self.policy {
-            RestartPolicy::Geometric {
-                base,
-                factor_percent,
-            } => format!("geom:{base}:{factor_percent}{ng}"),
-            RestartPolicy::Luby { unit } => format!("luby:{unit}{ng}"),
+    /// Fail budget for the `i`-th dive (0-based).
+    pub fn budget(self, i: u64) -> u64 {
+        let f = self.factor_percent.max(101) as u128;
+        let mut b = self.base.max(1) as u128;
+        for _ in 0..i {
+            // `.max(b + 1)` forces strict growth even where the integer
+            // division rounds the factor away (small bases), preserving
+            // completeness.
+            b = (b * f / 100).max(b + 1);
+            if b > u64::MAX as u128 {
+                return u64::MAX;
+            }
         }
-    }
-
-    /// Parse a [`RestartConfig::config_token`] rendering (`geom:B:F`,
-    /// `luby:U`, optional `+ng` suffix). Used by the `eitc --restarts`
-    /// flag and replay header reconstruction.
-    pub fn parse_token(s: &str) -> Option<RestartConfig> {
-        let (body, nogoods) = match s.strip_suffix("+ng") {
-            Some(b) => (b, true),
-            None => (s, false),
-        };
-        let parts: Vec<&str> = body.split(':').collect();
-        let policy = match parts.as_slice() {
-            ["geom", b, f] => RestartPolicy::Geometric {
-                base: b.parse().ok()?,
-                factor_percent: f.parse().ok()?,
-            },
-            ["luby", u] => RestartPolicy::Luby {
-                unit: u.parse().ok()?,
-            },
-            _ => return None,
-        };
-        Some(RestartConfig { policy, nogoods })
+        b as u64
     }
 }
 
-/// One search phase: a variable group plus its heuristics.
+/// One search phase: a variable group plus its variable-selection
+/// heuristic. Values are tried smallest first.
 #[derive(Clone, Debug)]
 pub struct Phase {
     pub vars: Vec<VarId>,
     pub var_sel: VarSel,
-    pub val_sel: ValSel,
 }
 
 impl Phase {
-    pub fn new(vars: Vec<VarId>, var_sel: VarSel, val_sel: ValSel) -> Self {
-        Phase {
-            vars,
-            var_sel,
-            val_sel,
-        }
+    pub fn new(vars: Vec<VarId>, var_sel: VarSel) -> Self {
+        Phase { vars, var_sel }
     }
 }
 
@@ -284,23 +197,6 @@ enum Abort {
     Restart,
 }
 
-/// Pick the next branching variable: exhaust earlier phases first, then
-/// apply the phase's heuristic.
-fn select_phase_var(store: &crate::store::Store, phases: &[Phase]) -> Option<(usize, VarId)> {
-    for (pi, phase) in phases.iter().enumerate() {
-        let unfixed = phase.vars.iter().copied().filter(|&v| !store.is_fixed(v));
-        let pick = match phase.var_sel {
-            VarSel::InputOrder => unfixed.take(1).next(),
-            VarSel::FirstFail => unfixed.min_by_key(|&v| store.size(v)),
-            VarSel::SmallestMin => unfixed.min_by_key(|&v| (store.min(v), store.size(v))),
-        };
-        if let Some(v) = pick {
-            return Some((pi, v));
-        }
-    }
-    None
-}
-
 struct Dfs<'m> {
     model: &'m mut Model,
     phases: Vec<Phase>,
@@ -321,7 +217,7 @@ struct Dfs<'m> {
     cancel: Option<CancelToken>,
     /// Fail-budgeted restart policy (`None` = single dive).
     restart_cfg: Option<RestartConfig>,
-    /// Dives started so far (indexes [`RestartPolicy::budget`]).
+    /// Dives started so far (indexes [`RestartConfig::budget`]).
     restart_index: u64,
     /// Fails left before the current dive restarts.
     fails_remaining: Option<u64>,
@@ -369,8 +265,18 @@ impl<'m> Dfs<'m> {
         Ok(())
     }
 
-    fn select_var(&self) -> Option<(usize, VarId)> {
-        select_phase_var(&self.model.store, &self.phases)
+    /// Pick the next branching variable: exhaust earlier phases first,
+    /// then apply the phase's heuristic.
+    fn select_var(&self) -> Option<VarId> {
+        let store = &self.model.store;
+        self.phases.iter().find_map(|phase| {
+            let unfixed = phase.vars.iter().copied().filter(|&v| !store.is_fixed(v));
+            match phase.var_sel {
+                VarSel::InputOrder => unfixed.take(1).next(),
+                VarSel::FirstFail => unfixed.min_by_key(|&v| store.size(v)),
+                VarSel::SmallestMin => unfixed.min_by_key(|&v| (store.min(v), store.size(v))),
+            }
+        })
     }
 
     fn record_solution(&mut self) {
@@ -447,9 +353,6 @@ impl<'m> Dfs<'m> {
     /// (`¬(path ∧ var=u)` for each refuted `u`), collected during a
     /// restart unwind and posted by [`Dfs::dive`].
     fn harvest(&mut self, var: VarId, refuted: &[i32]) {
-        if !self.restart_cfg.is_some_and(|rc| rc.nogoods) {
-            return;
-        }
         for &u in refuted {
             let mut clause: Vec<(VarId, i32)> =
                 self.path.iter().map(|&(v, val)| (VarId(v), val)).collect();
@@ -458,18 +361,17 @@ impl<'m> Dfs<'m> {
         }
     }
 
-    /// The branch value under the phase's selector, diversified after a
-    /// restart: on dive `k > 0` the value is a deterministic
+    /// The branch value: the domain minimum, diversified after a restart: on dive `k > 0` the value is a deterministic
     /// pseudo-random member keyed on `(k, depth)`, so successive dives
     /// descend into *different* regions of the space while the recorded
     /// nogoods keep the already-refuted prefixes off-limits — without
     /// this, a deterministic heuristic re-walks the same leftmost region
     /// every dive and restarts degenerate into plain DFS with overhead.
-    /// Dive 0 (and any search without restarts) uses the pure Min/Max
-    /// heuristic, so trajectories with the policy disabled are
-    /// untouched, and the whole scheme stays replayable: the value is a
-    /// pure function of deterministic search state.
-    fn branch_value(&self, var: VarId, val_sel: ValSel) -> i32 {
+    /// Dive 0 (and any search without restarts) takes the minimum, so
+    /// trajectories with restarts disabled are untouched, and the whole
+    /// scheme stays replayable: the value is a pure function of
+    /// deterministic search state.
+    fn branch_value(&self, var: VarId) -> i32 {
         if self.restart_index > 0 && self.restart_cfg.is_some() {
             let size = self.model.store.size(var);
             let depth = self.path.len() as u64;
@@ -484,11 +386,7 @@ impl<'m> Dfs<'m> {
             z ^= z >> 27;
             return self.model.store.dom(var).nth_member(z % size);
         }
-        if val_sel == ValSel::Min {
-            self.model.store.min(var)
-        } else {
-            self.model.store.max(var)
-        }
+        self.model.store.min(var)
     }
 
     /// Returns Ok(()) when the subtree is exhausted (normally or by
@@ -509,12 +407,11 @@ impl<'m> Dfs<'m> {
             }
         }
 
-        let Some((pi, var)) = self.select_var() else {
+        let Some(var) = self.select_var() else {
             self.record_solution();
             return Ok(());
         };
 
-        let val_sel = self.phases[pi].val_sel;
         // Values whose subtrees were exhausted without stopping:
         // refuted under the current bound, and so the material of
         // prefix nogoods if a restart unwinds through this frame.
@@ -531,7 +428,7 @@ impl<'m> Dfs<'m> {
                 self.model.store.pop_level();
                 return r;
             }
-            let v = self.branch_value(var, val_sel);
+            let v = self.branch_value(var);
             // Try var = v.
             self.emit(|| SearchEvent::Branch {
                 depth: self.model.store.depth(),
@@ -589,7 +486,7 @@ impl<'m> Dfs<'m> {
     fn dive(&mut self) -> Result<(), Abort> {
         loop {
             if let Some(rc) = self.restart_cfg {
-                self.fails_remaining = Some(rc.policy.budget(self.restart_index));
+                self.fails_remaining = Some(rc.budget(self.restart_index));
             }
             // Every dive runs under its own backtrack level so search
             // refutations never permanently mutate the root store (a
@@ -670,31 +567,27 @@ fn run(
     } else {
         config.restarts
     };
-    // With nogood recording on, post the watched-literal propagator over
-    // the decision variables before the initial full-rescan scheduling
-    // below. The clause base starts empty (the propagator no-ops until
-    // the first restart harvest) and is cleared again at run end.
-    let nogood_base = match restart_cfg {
-        Some(rc) if rc.nogoods => {
-            let mut seen = std::collections::HashSet::new();
-            let vars: Vec<VarId> = config
-                .phases
-                .iter()
-                .flat_map(|p| p.vars.iter().copied())
-                .filter(|v| seen.insert(v.0))
-                .collect();
-            if vars.is_empty() {
-                None
-            } else {
-                let base = Arc::new(Mutex::new(NogoodBase::new(vars)));
-                model
-                    .engine
-                    .post(Box::new(NogoodProp::new(base.clone())), &model.store);
-                Some(base)
-            }
+    // With restarts on, post the nogood propagator over the decision
+    // variables before the initial full-rescan scheduling below. The
+    // clause base starts empty (the propagator no-ops until the first
+    // restart harvest) and is cleared again at run end.
+    let nogood_base = restart_cfg.and_then(|_| {
+        let mut seen = std::collections::HashSet::new();
+        let vars: Vec<VarId> = config
+            .phases
+            .iter()
+            .flat_map(|p| p.vars.iter().copied())
+            .filter(|v| seen.insert(v.0))
+            .collect();
+        if vars.is_empty() {
+            return None;
         }
-        _ => None,
-    };
+        let base = Arc::new(Mutex::new(NogoodBase::new(vars)));
+        model
+            .engine
+            .post(Box::new(NogoodProp::new(base.clone())), &model.store);
+        Some(base)
+    });
     // A previous run on this model may have aborted mid-fixpoint — a
     // failure or cancellation resets the queue and discards pending wake
     // events, leaving root domains partially propagated with nobody
@@ -870,21 +763,15 @@ pub fn minimize(model: &mut Model, objective: VarId, config: &SearchConfig) -> S
     run(model, Some(objective), config, None).0
 }
 
-/// Propagate once at the root without searching; returns false when the
-/// model is already inconsistent (used for quick infeasibility probes).
-pub fn propagate_root(model: &mut Model) -> bool {
-    model.engine.fixpoint(&mut model.store).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::props::basic::{MaxOf, NeqOffset, XPlusCLeqY};
     use crate::props::cumulative::{CumTask, Cumulative};
 
-    fn phase_all(model: &Model, var_sel: VarSel, val_sel: ValSel) -> Vec<Phase> {
+    fn phase_all(model: &Model, var_sel: VarSel) -> Vec<Phase> {
         let vars: Vec<VarId> = (0..model.store.num_vars() as u32).map(VarId).collect();
-        vec![Phase::new(vars, var_sel, val_sel)]
+        vec![Phase::new(vars, var_sel)]
     }
 
     #[test]
@@ -894,7 +781,7 @@ mod tests {
         let y = m.new_var(0, 5);
         m.post(Box::new(NeqOffset { x, y, c: 0 }));
         let cfg = SearchConfig {
-            phases: phase_all(&m, VarSel::InputOrder, ValSel::Min),
+            phases: phase_all(&m, VarSel::InputOrder),
             ..Default::default()
         };
         let r = solve(&mut m, &cfg);
@@ -910,7 +797,7 @@ mod tests {
         let y = m.new_var(0, 0);
         m.post(Box::new(NeqOffset { x, y, c: 0 }));
         let cfg = SearchConfig {
-            phases: phase_all(&m, VarSel::InputOrder, ValSel::Min),
+            phases: phase_all(&m, VarSel::InputOrder),
             ..Default::default()
         };
         let r = solve(&mut m, &cfg);
@@ -953,7 +840,7 @@ mod tests {
             .collect();
         m.post(Box::new(MaxOf { xs: ends, y: obj }));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(starts.clone(), VarSel::SmallestMin, ValSel::Min)],
+            phases: vec![Phase::new(starts.clone(), VarSel::SmallestMin)],
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);
@@ -974,7 +861,7 @@ mod tests {
             y: obj,
         }));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
+            phases: vec![Phase::new(vars, VarSel::InputOrder)],
             timeout: Some(Duration::MAX),
             ..Default::default()
         };
@@ -985,22 +872,22 @@ mod tests {
 
     #[test]
     fn phased_search_orders_decisions() {
-        // Phase 1 fixes x, phase 2 fixes y; both must end fixed.
+        // Phase 1 fixes y, phase 2 fixes x; both must end fixed.
         let mut m = Model::new();
         let x = m.new_var(0, 3);
         let y = m.new_var(0, 3);
         m.post(Box::new(NeqOffset { x, y, c: 0 }));
         let cfg = SearchConfig {
             phases: vec![
-                Phase::new(vec![x], VarSel::InputOrder, ValSel::Max),
-                Phase::new(vec![y], VarSel::InputOrder, ValSel::Min),
+                Phase::new(vec![y], VarSel::InputOrder),
+                Phase::new(vec![x], VarSel::InputOrder),
             ],
             ..Default::default()
         };
         let r = solve(&mut m, &cfg);
         let sol = r.best.unwrap();
-        assert_eq!(sol.value(x), 3); // Max val-sel in phase 1
-        assert_eq!(sol.value(y), 0); // Min val-sel in phase 2
+        assert_eq!(sol.value(y), 0); // decided first, takes the minimum
+        assert_eq!(sol.value(x), 1); // decided second, x ≠ y
     }
 
     #[test]
@@ -1023,7 +910,7 @@ mod tests {
             y: obj,
         }));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
+            phases: vec![Phase::new(vars, VarSel::FirstFail)],
             timeout: Some(Duration::from_millis(50)),
             ..Default::default()
         };
@@ -1049,7 +936,7 @@ mod more_tests {
             }
         }
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
+            phases: vec![Phase::new(vars, VarSel::InputOrder)],
             ..Default::default()
         };
         let (r, sols) = solve_all(&mut m, &cfg, 100);
@@ -1075,7 +962,7 @@ mod more_tests {
             }
         }
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
+            phases: vec![Phase::new(vars, VarSel::InputOrder)],
             ..Default::default()
         };
         let (r, sols) = solve_all(&mut m, &cfg, 5);
@@ -1090,7 +977,7 @@ mod more_tests {
         let y = m.new_var(0, 0);
         m.post(Box::new(NeqOffset { x, y, c: 0 }));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x, y], VarSel::InputOrder, ValSel::Min)],
+            phases: vec![Phase::new(vec![x, y], VarSel::InputOrder)],
             ..Default::default()
         };
         let (r, sols) = solve_all(&mut m, &cfg, 10);
@@ -1105,7 +992,7 @@ mod more_tests {
         let y = m.new_var(0, 3);
         m.post(Box::new(NeqOffset { x, y, c: 0 }));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x, y], VarSel::InputOrder, ValSel::Min)],
+            phases: vec![Phase::new(vec![x, y], VarSel::InputOrder)],
             ..Default::default()
         };
         let r = solve(&mut m, &cfg);
@@ -1114,18 +1001,6 @@ mod more_tests {
         assert!(r.stats.time.as_nanos() > 0);
         assert!(r.is_sat());
         assert!(r.completed);
-    }
-
-    #[test]
-    fn max_value_selection_prefers_high_values() {
-        let mut m = Model::new();
-        let x = m.new_var(0, 9);
-        let cfg = SearchConfig {
-            phases: vec![Phase::new(vec![x], VarSel::InputOrder, ValSel::Max)],
-            ..Default::default()
-        };
-        let r = solve(&mut m, &cfg);
-        assert_eq!(r.best.unwrap().value(x), 9);
     }
 
     #[test]
@@ -1147,7 +1022,7 @@ mod more_tests {
             y: obj,
         }));
         let cfg = SearchConfig {
-            phases: vec![Phase::new(starts, VarSel::SmallestMin, ValSel::Min)],
+            phases: vec![Phase::new(starts, VarSel::SmallestMin)],
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);
@@ -1181,7 +1056,7 @@ mod more_tests {
                 }
             }
             let cfg = SearchConfig {
-                phases: vec![Phase::new(vars.clone(), VarSel::FirstFail, ValSel::Min)],
+                phases: vec![Phase::new(vars.clone(), VarSel::FirstFail)],
                 ..Default::default()
             };
             let r = solve(&mut m, &cfg);
@@ -1192,24 +1067,15 @@ mod more_tests {
     }
 
     #[test]
-    fn luby_sequence_is_the_classic_one() {
-        let seq: Vec<u64> = (1..=15).map(luby).collect();
-        assert_eq!(seq, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
-    }
-
-    #[test]
     fn geometric_budgets_always_grow() {
         // A degenerate factor (≤ 1.0x) is clamped so the budget sequence
         // still diverges — the completeness guarantee.
-        let p = RestartPolicy::Geometric {
+        let p = RestartConfig {
             base: 4,
             factor_percent: 100,
         };
         assert!(p.budget(1) > p.budget(0));
-        let g = RestartPolicy::Geometric {
-            base: 256,
-            factor_percent: 150,
-        };
+        let g = RestartConfig::default();
         assert_eq!(g.budget(0), 256);
         assert_eq!(g.budget(1), 384);
         assert_eq!(g.budget(2), 576);
@@ -1217,33 +1083,12 @@ mod more_tests {
         assert_eq!(g.budget(500), u64::MAX);
     }
 
-    #[test]
-    fn restart_config_token_round_trips() {
-        for cfg in [
-            RestartConfig::default(),
-            RestartConfig {
-                policy: RestartPolicy::Luby { unit: 64 },
-                nogoods: false,
-            },
-            RestartConfig {
-                policy: RestartPolicy::Geometric {
-                    base: 100,
-                    factor_percent: 200,
-                },
-                nogoods: true,
-            },
-        ] {
-            let token = cfg.config_token();
-            assert_eq!(RestartConfig::parse_token(&token), Some(cfg), "{token}");
-        }
-        assert_eq!(
-            RestartConfig::default().config_token(),
-            "geom:256:150+ng",
-            "default token is pinned: it appears in recorded trace headers"
-        );
-        assert!(RestartConfig::parse_token("bogus").is_none());
-        assert!(RestartConfig::parse_token("geom:1").is_none());
-    }
+    /// Restarts after 2 fails, growing by half: small enough to restart
+    /// on every test model here.
+    const SMALL_BUDGET: RestartConfig = RestartConfig {
+        base: 2,
+        factor_percent: 150,
+    };
 
     /// A tight pigeonhole-flavoured instance: enough fails to cross small
     /// restart budgets, small enough to exhaust quickly.
@@ -1272,7 +1117,7 @@ mod more_tests {
         let run = |restarts: Option<RestartConfig>| {
             let (mut m, vars, obj) = crowded_model();
             let cfg = SearchConfig {
-                phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Max)],
+                phases: vec![Phase::new(vars, VarSel::FirstFail)],
                 restarts,
                 ..Default::default()
             };
@@ -1282,22 +1127,10 @@ mod more_tests {
         };
         let (obj_plain, stats_plain) = run(None);
         assert_eq!(stats_plain.restarts, 0);
-        for policy in [
-            RestartPolicy::Geometric {
-                base: 2,
-                factor_percent: 150,
-            },
-            RestartPolicy::Luby { unit: 2 },
-        ] {
-            for nogoods in [false, true] {
-                let (obj_r, stats_r) = run(Some(RestartConfig { policy, nogoods }));
-                assert_eq!(obj_r, obj_plain, "restarts changed the optimum");
-                assert!(stats_r.restarts > 0, "budget of 2 fails must trigger");
-                if nogoods {
-                    assert!(stats_r.nogoods_posted > 0);
-                }
-            }
-        }
+        let (obj_r, stats_r) = run(Some(SMALL_BUDGET));
+        assert_eq!(obj_r, obj_plain, "restarts changed the optimum");
+        assert!(stats_r.restarts > 0, "budget of 2 fails must trigger");
+        assert!(stats_r.nogoods_posted > 0);
     }
 
     #[test]
@@ -1316,14 +1149,8 @@ mod more_tests {
             }
         }
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::InputOrder, ValSel::Min)],
-            restarts: Some(RestartConfig {
-                policy: RestartPolicy::Geometric {
-                    base: 2,
-                    factor_percent: 150,
-                },
-                nogoods: true,
-            }),
+            phases: vec![Phase::new(vars, VarSel::InputOrder)],
+            restarts: Some(SMALL_BUDGET),
             ..Default::default()
         };
         let r = solve(&mut m, &cfg);
@@ -1337,14 +1164,8 @@ mod more_tests {
         // recorded under the previous (tighter) objective bound.
         let (mut m, vars, obj) = crowded_model();
         let cfg = SearchConfig {
-            phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Max)],
-            restarts: Some(RestartConfig {
-                policy: RestartPolicy::Geometric {
-                    base: 2,
-                    factor_percent: 150,
-                },
-                nogoods: true,
-            }),
+            phases: vec![Phase::new(vars, VarSel::FirstFail)],
+            restarts: Some(SMALL_BUDGET),
             ..Default::default()
         };
         let r1 = minimize(&mut m, obj, &cfg);
@@ -1364,7 +1185,7 @@ mod more_tests {
             let y = m.new_var(0, 2);
             m.post(Box::new(NeqOffset { x, y, c: 0 }));
             let cfg = SearchConfig {
-                phases: vec![Phase::new(vec![x, y], VarSel::InputOrder, ValSel::Min)],
+                phases: vec![Phase::new(vec![x, y], VarSel::InputOrder)],
                 restarts,
                 ..Default::default()
             };
@@ -1373,11 +1194,8 @@ mod more_tests {
         assert_eq!(count(None), 6);
         assert_eq!(
             count(Some(RestartConfig {
-                policy: RestartPolicy::Geometric {
-                    base: 1,
-                    factor_percent: 150,
-                },
-                nogoods: true,
+                base: 1,
+                factor_percent: 150,
             })),
             6
         );
@@ -1406,7 +1224,7 @@ mod more_tests {
         let obj = m.new_var(0, 4);
         m.max_of(x.clone(), obj);
         let cfg = SearchConfig {
-            phases: vec![Phase::new(x, VarSel::SmallestMin, ValSel::Min)],
+            phases: vec![Phase::new(x, VarSel::SmallestMin)],
             ..Default::default()
         };
         let r = minimize(&mut m, obj, &cfg);

@@ -9,7 +9,7 @@
 use eit_cp::props::basic::{MaxOf, NeqOffset};
 use eit_cp::trace::{MemorySink, NullSink, SearchEvent, TraceHandle};
 use eit_cp::{
-    minimize, solve, Model, Phase, SearchConfig, SearchResult, SearchStatus, ValSel, VarId, VarSel,
+    minimize, solve, Model, Phase, SearchConfig, SearchResult, SearchStatus, VarId, VarSel,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -36,11 +36,11 @@ fn build() -> (Model, VarId, Vec<VarId>) {
     (m, obj, vars)
 }
 
-fn traced_run(val_sel: ValSel) -> (SearchResult, Vec<SearchEvent>) {
+fn traced_run(var_sel: VarSel) -> (SearchResult, Vec<SearchEvent>) {
     let (mut m, obj, vars) = build();
     let sink = Arc::new(Mutex::new(MemorySink::default()));
     let cfg = SearchConfig {
-        phases: vec![Phase::new(vars, VarSel::FirstFail, val_sel)],
+        phases: vec![Phase::new(vars, var_sel)],
         trace: Some(TraceHandle::new(Arc::clone(&sink))),
         ..Default::default()
     };
@@ -51,18 +51,18 @@ fn traced_run(val_sel: ValSel) -> (SearchResult, Vec<SearchEvent>) {
 
 #[test]
 fn event_stream_is_deterministic_across_runs() {
-    for val_sel in [ValSel::Min, ValSel::Max] {
-        let (r1, e1) = traced_run(val_sel);
-        let (r2, e2) = traced_run(val_sel);
+    for var_sel in [VarSel::FirstFail, VarSel::InputOrder] {
+        let (r1, e1) = traced_run(var_sel);
+        let (r2, e2) = traced_run(var_sel);
         assert_eq!(r1.objective, r2.objective);
         assert!(!e1.is_empty());
-        assert_eq!(e1, e2, "stream differs for {val_sel:?}");
+        assert_eq!(e1, e2, "stream differs for {var_sel:?}");
     }
 }
 
 #[test]
 fn event_counts_agree_with_search_stats() {
-    let (r, events) = traced_run(ValSel::Min);
+    let (r, events) = traced_run(VarSel::FirstFail);
     assert_eq!(r.status, SearchStatus::Optimal);
     let count = |k: &str| events.iter().filter(|e| e.kind() == k).count() as u64;
     assert_eq!(count("start"), 1);
@@ -97,14 +97,14 @@ fn event_counts_agree_with_search_stats() {
 fn null_sink_does_not_change_the_search() {
     let (mut plain_model, obj, vars) = build();
     let plain_cfg = SearchConfig {
-        phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
+        phases: vec![Phase::new(vars, VarSel::FirstFail)],
         ..Default::default()
     };
     let plain = minimize(&mut plain_model, obj, &plain_cfg);
 
     let (mut traced_model, obj2, vars2) = build();
     let traced_cfg = SearchConfig {
-        phases: vec![Phase::new(vars2, VarSel::FirstFail, ValSel::Min)],
+        phases: vec![Phase::new(vars2, VarSel::FirstFail)],
         trace: Some(TraceHandle::new(NullSink)),
         ..Default::default()
     };
@@ -124,7 +124,7 @@ fn satisfaction_search_traces_without_objective() {
     m.post(Box::new(NeqOffset { x, y, c: 0 }));
     let sink = Arc::new(Mutex::new(MemorySink::default()));
     let cfg = SearchConfig {
-        phases: vec![Phase::new(vec![x, y], VarSel::InputOrder, ValSel::Min)],
+        phases: vec![Phase::new(vec![x, y], VarSel::InputOrder)],
         trace: Some(TraceHandle::new(Arc::clone(&sink))),
         ..Default::default()
     };
@@ -150,7 +150,7 @@ fn deadline_abort_is_traced() {
     let (mut m, obj, vars) = build();
     let sink = Arc::new(Mutex::new(MemorySink::default()));
     let cfg = SearchConfig {
-        phases: vec![Phase::new(vars, VarSel::FirstFail, ValSel::Min)],
+        phases: vec![Phase::new(vars, VarSel::FirstFail)],
         timeout: Some(Duration::ZERO),
         trace: Some(TraceHandle::new(Arc::clone(&sink))),
         ..Default::default()

@@ -15,7 +15,7 @@ use eit::core::{
     allocate_modulo_memory_with, build_model, modulo_schedule, schedule, AllocOptions,
     AllocOutcome, ModuloOptions, SchedulerOptions,
 };
-use eit::cp::{minimize, Phase, RestartConfig, SearchConfig, ValSel, VarSel};
+use eit::cp::{minimize, Phase, RestartConfig, SearchConfig, VarSel};
 use eit::ir::Graph;
 use std::time::{Duration, Instant};
 
@@ -73,7 +73,7 @@ fn phases(spec: &ArchSpec) {
         let mut built = build_model(&g, spec, &SchedulerOptions::default());
         let phases = if single {
             let all = built.phases.iter().flat_map(|p| p.vars.clone()).collect();
-            vec![Phase::new(all, VarSel::FirstFail, ValSel::Min)]
+            vec![Phase::new(all, VarSel::FirstFail)]
         } else {
             built.phases.clone()
         };

@@ -158,11 +158,11 @@ fn reconfig_cost_scales_post_hoc_stalls() {
 }
 
 /// The steady-state allocation settings of perfbench's modulo workload:
-/// the default budget with restarts.
+/// the default restarting search under `timeout`.
 fn restarting_alloc(timeout: Duration) -> AllocOptions {
     AllocOptions {
         timeout,
-        restarts: Some(eit::cp::RestartConfig::default()),
+        ..Default::default()
     }
 }
 
