@@ -42,7 +42,7 @@ echo "== run-based channelling vs its per-value oracle: ModChannel, SlotGeometry
 # of the i32 range, moduli up to 128, aliased arguments, empty supports.
 cargo test -q --release -p eit-cp --lib per_value_oracle
 
-echo "== listing pins: six table kernels × {plain, --modulo, --modulo --backend sat, --modulo incl}"
+echo "== listing pins: six table kernels × {plain, --modulo, --modulo --backend sat, --modulo incl, --emit gantt, --emit vcd, --overlap 4}"
 cargo test -q --release -p eit-bench --test listings table_kernel_listings_are_pinned
 # The straight-line search behind the plain listings, per kernel.
 cargo test -q --release -p eit-bench --test search_counts
