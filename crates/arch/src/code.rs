@@ -3,16 +3,16 @@
 //! The EIT's "instructions" are configuration words loaded into the
 //! resource elements' configuration memories, re-loadable every cycle
 //! (§1.1). A [`ConfigStream`] is the schedule rendered into that form:
-//! for every cycle, the vector core's configuration and issued ops, the
-//! accelerator op, the index/merge op, and the memory reads/writes with
-//! their slots. This is the artifact a code generator would emit, and it
-//! is where reconfigurations become countable: a reconfiguration happens
+//! for every cycle, the vector core's configuration, every op issued on
+//! any unit of the spec's table, and the memory reads/writes with their
+//! slots. This is the artifact a code generator would emit, and it is
+//! where reconfigurations become countable: a reconfiguration happens
 //! when two *consecutive issuing cycles* carry different vector-core
 //! configurations.
 
 use crate::schedule::Schedule;
 use crate::spec::ArchSpec;
-use eit_ir::{Category, Graph, NodeId, VectorConfig};
+use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::fmt;
 
 /// One cycle of the configuration stream.
@@ -20,12 +20,12 @@ use std::fmt;
 pub struct Cycle {
     /// Vector-core configuration, if any vector/matrix op issues.
     pub vector_config: Option<VectorConfig>,
-    /// Vector/matrix ops issued this cycle (≤ 4 vector ops or 1 matrix op).
-    pub vector_ops: Vec<NodeId>,
-    /// Scalar-accelerator op issued this cycle.
-    pub scalar_op: Option<NodeId>,
-    /// Index/merge op issued this cycle.
-    pub index_merge_op: Option<NodeId>,
+    /// Every op issued this cycle, ordered by the index of its unit in
+    /// the spec's table, then by node id.
+    pub ops: Vec<NodeId>,
+    /// Lane-worths the vector core issues this cycle: each vector-core op
+    /// counts its class width (a matrix op the spec's matrix width).
+    pub lanes: u32,
     /// Vector memory reads `(datum, slot)` of this cycle.
     pub reads: Vec<(NodeId, u32)>,
     /// Vector memory writes `(datum, slot)` of this cycle.
@@ -33,8 +33,22 @@ pub struct Cycle {
 }
 
 impl Cycle {
-    pub fn is_idle(&self) -> bool {
-        self.vector_ops.is_empty() && self.scalar_op.is_none() && self.index_merge_op.is_none()
+    /// Issue `op` in this cycle: insert it into `ops` in (unit index,
+    /// node id) order and, for a vector-core op, take its configuration
+    /// and add its class width to `lanes`. Returns whether `op` issues on
+    /// the vector core.
+    pub fn issue(&mut self, g: &Graph, spec: &ArchSpec, op: NodeId) -> bool {
+        let key = |n: NodeId| (spec.units.unit_of(&g.node(n).kind), n);
+        let op_key = key(op);
+        let at = self.ops.partition_point(|&o| key(o) < op_key);
+        self.ops.insert(at, op);
+        let Some(cfg) = g.opcode(op).and_then(|o| o.config()) else {
+            return false;
+        };
+        self.vector_config = Some(cfg);
+        let class = OpClass::of(&g.node(op).kind);
+        self.lanes += class.and_then(|c| spec.units.class_width(c)).unwrap_or(1);
+        true
     }
 }
 
@@ -56,47 +70,38 @@ impl ConfigStream {
         let mut cycles = vec![Cycle::default(); n_cycles];
 
         for id in g.ids() {
-            let cat = g.category(id);
-            if !cat.is_op() {
+            if !g.category(id).is_op() {
                 continue;
             }
             let t = sched.start_of(id) as usize;
-            if t >= cycles.len() {
+            let Some(c) = cycles.get_mut(t) else {
+                continue;
+            };
+            if !c.issue(g, spec, id) {
                 continue;
             }
-            match cat {
-                Category::VectorOp | Category::MatrixOp => {
-                    let op = g.opcode(id).unwrap();
-                    cycles[t].vector_config = op.config();
-                    cycles[t].vector_ops.push(id);
-                    // Reads: vector operands, at issue.
-                    for &d in g.preds(id) {
-                        if g.category(d) == Category::VectorData {
-                            if let Some(slot) = sched.slot_of(d) {
-                                cycles[t].reads.push((d, slot));
-                            }
-                        }
+            // Reads: vector operands, at issue.
+            for &d in g.preds(id) {
+                if g.category(d) == Category::VectorData {
+                    if let Some(slot) = sched.slot_of(d) {
+                        c.reads.push((d, slot));
                     }
-                    // Writes: vector outputs, at write-back.
-                    let wb = t + spec.latency(&g.node(id).kind) as usize;
-                    if wb < cycles.len() {
-                        for &d in g.succs(id) {
-                            if g.category(d) == Category::VectorData {
-                                if let Some(slot) = sched.slot_of(d) {
-                                    cycles[wb].writes.push((d, slot));
-                                }
-                            }
+                }
+            }
+            // Writes: vector outputs, at write-back.
+            let wb = t + spec.latency(&g.node(id).kind) as usize;
+            if let Some(c) = cycles.get_mut(wb) {
+                for &d in g.succs(id) {
+                    if g.category(d) == Category::VectorData {
+                        if let Some(slot) = sched.slot_of(d) {
+                            c.writes.push((d, slot));
                         }
                     }
                 }
-                Category::ScalarOp => cycles[t].scalar_op = Some(id),
-                Category::Index | Category::Merge => cycles[t].index_merge_op = Some(id),
-                _ => unreachable!(),
             }
         }
         ConfigStream { cycles }
     }
-
     /// Number of configuration *switches*: issuing cycles whose vector
     /// configuration differs from the previous issuing cycle's.
     pub fn reconfig_switches(&self) -> usize {
@@ -122,47 +127,32 @@ impl ConfigStream {
         self.reconfig_switches() + usize::from(any_issue)
     }
 
-    /// Lane-cycles actually used by the vector core (a matrix op uses the
-    /// spec's full matrix width).
-    pub fn lane_cycles_used(&self, g: &Graph, spec: &ArchSpec) -> u64 {
-        self.cycles
-            .iter()
-            .flat_map(|c| &c.vector_ops)
-            .map(|&op| {
-                if g.category(op) == Category::MatrixOp {
-                    spec.matrix_lanes() as u64
-                } else {
-                    1
-                }
-            })
-            .sum()
+    /// Lane-cycles actually used by the vector core.
+    pub fn lane_cycles_used(&self) -> u64 {
+        self.cycles.iter().map(|c| u64::from(c.lanes)).sum()
     }
 
     /// Vector-core utilisation: used lane-cycles over available ones.
-    pub fn utilization(&self, g: &Graph, spec: &ArchSpec) -> f64 {
+    pub fn utilization(&self, spec: &ArchSpec) -> f64 {
         if self.cycles.is_empty() {
             return 0.0;
         }
-        self.lane_cycles_used(g, spec) as f64
-            / (spec.n_lanes as u64 * self.cycles.len() as u64) as f64
+        self.lane_cycles_used() as f64 / (spec.n_lanes as u64 * self.cycles.len() as u64) as f64
     }
 }
 
 impl fmt::Display for ConfigStream {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (t, c) in self.cycles.iter().enumerate() {
-            if c.is_idle() && c.writes.is_empty() {
+            if c.ops.is_empty() && c.writes.is_empty() {
                 continue;
             }
             write!(f, "cc {t:4}: ")?;
             if let Some(cfg) = &c.vector_config {
-                write!(f, "V[{:?}×{}] ", cfg.core, c.vector_ops.len())?;
+                write!(f, "V[{:?}×{}] ", cfg.core, c.lanes)?;
             }
-            if c.scalar_op.is_some() {
-                write!(f, "A[1] ")?;
-            }
-            if c.index_merge_op.is_some() {
-                write!(f, "IM[1] ")?;
+            if !c.ops.is_empty() {
+                write!(f, "ops{:?} ", c.ops)?;
             }
             if !c.reads.is_empty() {
                 write!(
@@ -267,7 +257,7 @@ mod tests {
         let mut s = Schedule::new(g.len());
         s.makespan = 1;
         let cs = ConfigStream::from_schedule(&g, &ArchSpec::eit(), &s);
-        assert_eq!(cs.lane_cycles_used(&g, &ArchSpec::eit()), 4);
-        assert_eq!(cs.utilization(&g, &ArchSpec::eit()), 0.5); // 4 of 8
+        assert_eq!(cs.lane_cycles_used(), 4);
+        assert_eq!(cs.utilization(&ArchSpec::eit()), 0.5); // 4 of 8
     }
 }

@@ -26,26 +26,10 @@ use std::fmt::Write as _;
 pub fn render_gantt(g: &eit_ir::Graph, spec: &ArchSpec, sched: &Schedule) -> String {
     let n = (sched.makespan + 1).max(1) as usize;
     let lanes = spec.n_lanes as usize;
+    let units = &spec.units.units;
     let mut lane_rows = vec![vec!['.'; n]; lanes];
-
-    // One row per non-vector unit, in table order, labelled by name.
-    let unit_defs: Vec<(&str, Vec<OpClass>)> = spec
-        .units
-        .units
-        .iter()
-        .filter(|u| {
-            !u.ops
-                .iter()
-                .any(|o| matches!(o.class, OpClass::Vector | OpClass::Matrix))
-        })
-        .map(|u| {
-            (
-                u.name.as_str(),
-                u.ops.iter().map(|o| o.class).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let mut unit_rows = vec![vec!['.'; n]; unit_defs.len()];
+    // One row per unit of the table; only the units off the lanes print.
+    let mut unit_rows = vec![vec!['.'; n]; units.len()];
 
     // Stable letter per vector configuration.
     let cs = ConfigStream::from_schedule(g, spec, sched);
@@ -64,45 +48,33 @@ pub fn render_gantt(g: &eit_ir::Graph, spec: &ArchSpec, sched: &Schedule) -> Str
     for (t, c) in cs.cycles.iter().enumerate() {
         if let Some(cfg) = c.vector_config {
             let ch = if cfg.matrix { '#' } else { letter_of(cfg) };
-            let count = if cfg.matrix {
-                (spec.matrix_lanes() as usize).min(lanes)
-            } else {
-                c.vector_ops.len().min(lanes)
-            };
-            for row in lane_rows.iter_mut().take(count) {
+            for row in lane_rows.iter_mut().take(c.lanes as usize) {
                 row[t] = ch;
+            }
+        }
+        for &op in &c.ops {
+            let kind = &g.node(op).kind;
+            let (Some(class), Some(u)) = (OpClass::of(kind), spec.units.unit_of(kind)) else {
+                continue;
+            };
+            let ch = match class {
+                OpClass::Index => 'i',
+                OpClass::Merge => 'm',
+                _ => 's',
+            };
+            let dur = spec.duration(kind).max(1) as usize;
+            let row = &mut unit_rows[u];
+            row[t] = ch;
+            for dt in 1..dur.min(n - t) {
+                row[t + dt] = '-';
             }
         }
     }
 
-    for node in g.ids() {
-        let Some(class) = OpClass::of(&g.node(node).kind) else {
-            continue;
-        };
-        let Some(row_idx) = unit_defs.iter().position(|(_, cs)| cs.contains(&class)) else {
-            continue;
-        };
-        let t = sched.start_of(node);
-        if t < 0 || t as usize >= n {
-            continue;
-        }
-        let ch = match class {
-            OpClass::Index => 'i',
-            OpClass::Merge => 'm',
-            _ => 's',
-        };
-        let dur = spec.duration(&g.node(node).kind).max(1) as usize;
-        let row = &mut unit_rows[row_idx];
-        row[t as usize] = ch;
-        for dt in 1..dur.min(n - t as usize) {
-            row[t as usize + dt] = '-';
-        }
-    }
-
+    let printed = || (0..units.len()).filter(|&u| !spec.units.is_lane_unit(u));
     // Align every label to the widest one.
-    let label_w = unit_defs
-        .iter()
-        .map(|(name, _)| name.len())
+    let label_w = printed()
+        .map(|u| units[u].name.len())
         .chain(std::iter::once(
             format!("lane{}", lanes.saturating_sub(1)).len(),
         ))
@@ -118,7 +90,8 @@ pub fn render_gantt(g: &eit_ir::Graph, spec: &ArchSpec, sched: &Schedule) -> Str
             row.iter().collect::<String>()
         );
     }
-    for ((name, _), row) in unit_defs.iter().zip(&unit_rows) {
+    for u in printed() {
+        let (name, row) = (&units[u].name, &unit_rows[u]);
         let _ = writeln!(out, "{name:<label_w$} |{}|", row.iter().collect::<String>());
     }
     out

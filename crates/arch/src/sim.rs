@@ -154,7 +154,7 @@ pub struct SimCounters {
 impl SimCounters {
     /// Tally the stream. Reads are broadcast-deduplicated per cycle to
     /// match the port rules ([`check_access`] sees the same sets).
-    pub fn from_stream(cs: &ConfigStream, g: &Graph, spec: &ArchSpec) -> Self {
+    pub fn from_stream(cs: &ConfigStream, spec: &ArchSpec) -> Self {
         let geo = Geometry::of(spec);
         let mut c = SimCounters {
             lane_histogram: vec![0; spec.n_lanes as usize + 1],
@@ -165,18 +165,7 @@ impl SimCounters {
         let mut prev_cfg: Option<VectorConfig> = None;
         for (t, cyc) in cs.cycles.iter().enumerate() {
             let t = t as i32;
-            let lanes: u32 = cyc
-                .vector_ops
-                .iter()
-                .map(|&op| {
-                    if g.category(op) == Category::MatrixOp {
-                        spec.matrix_lanes()
-                    } else {
-                        1
-                    }
-                })
-                .sum();
-            let k = (lanes as usize).min(c.lane_histogram.len() - 1);
+            let k = (cyc.lanes as usize).min(c.lane_histogram.len() - 1);
             c.lane_histogram[k] += 1;
 
             let mut slots: Vec<u32> = cyc.reads.iter().map(|&(_, s)| s).collect();
@@ -656,13 +645,13 @@ pub fn simulate(
 
     // Metrics.
     let cs = ConfigStream::from_schedule(g, spec, sched);
-    let counters = SimCounters::from_stream(&cs, g, spec);
-    let lane_cycles = cs.lane_cycles_used(g, spec);
+    let counters = SimCounters::from_stream(&cs, spec);
+    let lane_cycles = cs.lane_cycles_used();
     let total = (sched.makespan + 1).max(1) as f64;
-    let utilization = cs.utilization(g, spec);
+    let utilization = cs.utilization(spec);
     let mut busy = vec![0i64; spec.units.units.len()];
     for n in g.ids() {
-        if let Some(u) = OpClass::of(&g.node(n).kind).and_then(|c| spec.units.unit_index(c)) {
+        if let Some(u) = spec.units.unit_of(&g.node(n).kind) {
             busy[u] += spec.duration(&g.node(n).kind) as i64;
         }
     }

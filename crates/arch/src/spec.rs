@@ -110,6 +110,20 @@ impl UnitTable {
             .position(|u| u.ops.iter().any(|op| op.class == class))
     }
 
+    /// Index into [`UnitTable::units`] of the unit an op of `kind` issues
+    /// on (`None` for data nodes and unserved classes).
+    pub fn unit_of(&self, kind: &NodeKind) -> Option<usize> {
+        OpClass::of(kind).and_then(|c| self.unit_index(c))
+    }
+
+    /// Whether unit `u` serves the vector or matrix class: its ops issue
+    /// on the vector lanes, which the renderers draw lane by lane.
+    pub fn is_lane_unit(&self, u: usize) -> bool {
+        [OpClass::Vector, OpClass::Matrix]
+            .into_iter()
+            .any(|c| self.unit_index(c) == Some(u))
+    }
+
     /// Latency of one op class; `None` if no unit serves it.
     pub fn class_latency(&self, class: OpClass) -> Option<i32> {
         self.lookup(class).map(|(_, op)| op.latency)

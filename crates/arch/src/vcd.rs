@@ -14,7 +14,7 @@
 use crate::code::ConfigStream;
 use crate::schedule::Schedule;
 use crate::spec::ArchSpec;
-use eit_ir::{Graph, OpClass, VectorConfig};
+use eit_ir::{Graph, VectorConfig};
 use std::fmt::Write as _;
 
 fn ident(i: usize) -> String {
@@ -41,24 +41,7 @@ fn signal_name(unit: &str) -> String {
 pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
     let cs = ConfigStream::from_schedule(g, spec, sched);
     let lanes = spec.n_lanes as usize;
-
-    // Non-vector functional units, in table order.
-    let unit_defs: Vec<(&str, Vec<OpClass>)> = spec
-        .units
-        .units
-        .iter()
-        .filter(|u| {
-            !u.ops
-                .iter()
-                .any(|o| matches!(o.class, OpClass::Vector | OpClass::Matrix))
-        })
-        .map(|u| {
-            (
-                u.name.as_str(),
-                u.ops.iter().map(|o| o.class).collect::<Vec<_>>(),
-            )
-        })
-        .collect();
+    let units = &spec.units.units;
 
     let mut out = String::new();
     let _ = writeln!(out, "$date eit-vector schedule dump $end");
@@ -84,9 +67,10 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
         .map(|k| declare(&mut out, 1, &format!("lane{k}")))
         .collect();
     let cfg_id = declare(&mut out, 8, "vconfig");
-    let unit_ids: Vec<String> = unit_defs
-        .iter()
-        .map(|(name, _)| declare(&mut out, 1, &signal_name(name)))
+    // One occupancy wire per unit off the lanes: (table index, identifier).
+    let unit_ids: Vec<(usize, String)> = (0..units.len())
+        .filter(|&u| !spec.units.is_lane_unit(u))
+        .map(|u| (u, declare(&mut out, 1, &signal_name(&units[u].name))))
         .collect();
     let rd_id = declare(&mut out, 8, "mem_reads");
     let wr_id = declare(&mut out, 8, "mem_writes");
@@ -95,22 +79,16 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
 
     // Per-unit occupancy per cycle (durations matter).
     let n = cs.cycles.len();
-    let mut unit_busy = vec![vec![false; n]; unit_defs.len()];
-    for node in g.ids() {
-        let t = sched.start_of(node);
-        if t < 0 {
-            continue;
-        }
-        let Some(class) = OpClass::of(&g.node(node).kind) else {
-            continue;
-        };
-        let Some(u) = unit_defs.iter().position(|(_, cs)| cs.contains(&class)) else {
-            continue;
-        };
-        let d = spec.duration(&g.node(node).kind).max(1);
-        for dt in 0..d {
-            if ((t + dt) as usize) < n {
-                unit_busy[u][(t + dt) as usize] = true;
+    let mut unit_busy = vec![vec![false; n]; units.len()];
+    for (t, c) in cs.cycles.iter().enumerate() {
+        for &op in &c.ops {
+            let kind = &g.node(op).kind;
+            let Some(u) = spec.units.unit_of(kind) else {
+                continue;
+            };
+            let d = spec.duration(kind).max(1) as usize;
+            for busy in unit_busy[u].iter_mut().skip(t).take(d) {
+                *busy = true;
             }
         }
     }
@@ -133,23 +111,11 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
     let mut prev: Option<CycleState> = None;
     for (t, c) in cs.cycles.iter().enumerate() {
         let mut lanes_now = vec![false; lanes];
-        let active = c
-            .vector_ops
-            .iter()
-            .map(|&op| {
-                if g.category(op) == eit_ir::Category::MatrixOp {
-                    spec.matrix_lanes() as usize
-                } else {
-                    1
-                }
-            })
-            .sum::<usize>()
-            .min(lanes);
-        for l in lanes_now.iter_mut().take(active) {
+        for l in lanes_now.iter_mut().take(c.lanes as usize) {
             *l = true;
         }
         let cfg_now = c.vector_config.map_or(0, &mut cfg_index);
-        let units_now: Vec<bool> = unit_busy.iter().map(|b| b[t]).collect();
+        let units_now: Vec<bool> = unit_ids.iter().map(|&(u, _)| unit_busy[u][t]).collect();
         let state = (
             lanes_now.clone(),
             cfg_now,
@@ -169,9 +135,9 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
             if dump_all || p.map(|p| p.1) != Some(cfg_now) {
                 let _ = writeln!(out, "b{cfg_now:b} {cfg_id}");
             }
-            for (u, id) in unit_ids.iter().enumerate() {
-                if dump_all || p.map(|p| p.2[u]) != Some(units_now[u]) {
-                    let _ = writeln!(out, "{}{}", u8::from(units_now[u]), id);
+            for (k, (_, id)) in unit_ids.iter().enumerate() {
+                if dump_all || p.map(|p| p.2[k]) != Some(units_now[k]) {
+                    let _ = writeln!(out, "{}{}", u8::from(units_now[k]), id);
                 }
             }
             if dump_all || p.map(|p| p.3) != Some(c.reads.len()) {

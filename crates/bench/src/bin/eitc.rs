@@ -231,6 +231,7 @@ fn parse_args() -> Args {
                 args.overlap = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n| n >= 1)
                         .unwrap_or_else(|| usage()),
                 )
             }
@@ -832,7 +833,7 @@ fn main() {
     }
 
     if let Some(m) = args.overlap {
-        let bundles = bundles_from_schedule(&out.graph, &out.schedule);
+        let bundles = bundles_from_schedule(&out.graph, &spec, &out.schedule);
         let ov = overlapped_execution(&out.graph, &spec, &bundles, m);
         println!(
             "; overlapped execution x{m}: {} cc total ({:.1} cc/iter), {} reconfigs, {:.4} iter/cc",

@@ -17,22 +17,15 @@
 //!
 //! Run: `cargo run --release -p eit-bench --bin table2 [--arch A] [--metrics FILE]`
 
-use eit_arch::ArchSpec;
+use eit_arch::{ArchSpec, Cycle};
 use eit_bench::{harness_args, prepared, rule, write_metrics, RunMetrics};
 use eit_core::json::Json;
 use eit_core::{
-    bundles_from_schedule, manual_style_bundles, overlapped_execution, schedule, Bundle,
-    SchedulerOptions,
+    bundles_from_schedule, manual_style_bundles, overlapped_execution, schedule, SchedulerOptions,
 };
 use std::time::Duration;
 
-fn row(
-    label: &str,
-    bundles: &[Bundle],
-    p: &eit_bench::Prepared,
-    m: usize,
-    spec: &ArchSpec,
-) -> Json {
+fn row(label: &str, bundles: &[Cycle], p: &eit_bench::Prepared, m: usize, spec: &ArchSpec) -> Json {
     let r = overlapped_execution(&p.graph, spec, bundles, m);
     // Structural validation (memory excluded, as in the paper's manual
     // baseline which has no allocation).
@@ -83,7 +76,7 @@ fn main() {
         },
     );
     let s = r.schedule.expect("QRD must schedule");
-    let auto = bundles_from_schedule(&p.graph, &s);
+    let auto = bundles_from_schedule(&p.graph, &spec, &s);
     let auto_row = row("automated", &auto, &p, m, &spec);
 
     rule(78);

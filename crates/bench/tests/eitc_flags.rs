@@ -216,6 +216,14 @@ fn flags_the_mode_cannot_honour_exit_2_naming_the_flag() {
     }
     assert!(!scratch("m.json").exists() && !scratch("r.trace").exists());
 
+    // A count of zero is no count: the parser rejects it with the usage.
+    for args in [&["--overlap", "0"][..], &["--modulo", "--jobs", "0"]] {
+        let out = eitc(&[&["matmul"], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage: eitc"), "{args:?}: {stderr}");
+    }
+
     // `--serve` reads its pool size, deadline and metrics path: refused
     // nothing, it gets as far as binding the (bad) address.
     let out = eitc(

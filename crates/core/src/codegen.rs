@@ -5,8 +5,9 @@
 //!
 //! The output is the textual form of [`eit_arch::ConfigStream`]: one line
 //! per active cycle with the vector-core configuration word, issued lane
-//! operations, accelerator/index-merge activity and the memory accesses
-//! with their slot/bank/line/page coordinates. It contains "all
+//! operations, one `ACC[..]` or `IDX/MRG[..]` entry per op issued on the
+//! other units and the memory accesses with their slot/bank/line/page
+//! coordinates. It contains "all
 //! information needed by a code generator turning this schedule into
 //! machine code" (§1) — and in this reproduction it *is* that final form.
 
@@ -89,7 +90,7 @@ pub fn generate(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> Program {
     let mut n_instructions = 0;
     let mut prev_cfg: Option<VectorConfig> = None;
     for (t, c) in cs.cycles.iter().enumerate() {
-        if c.is_idle() && c.writes.is_empty() {
+        if c.ops.is_empty() && c.writes.is_empty() {
             continue;
         }
         let mut line = format!("{t:5}: ");
@@ -99,24 +100,26 @@ pub fn generate(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> Program {
             }
             prev_cfg = Some(*cfg);
             let names: Vec<&str> = c
-                .vector_ops
+                .ops
                 .iter()
+                .filter(|&&op| g.opcode(op).and_then(|o| o.config()).is_some())
                 .map(|&op| g.node(op).name.as_str())
                 .collect();
             let _ = write!(line, "{:<24} lanes={names:?} ", config_word(cfg));
             n_instructions += 1;
         }
-        if let Some(op) = c.scalar_op {
-            let _ = write!(
-                line,
-                "ACC[{:?} {}] ",
-                g.opcode(op).unwrap(),
-                g.node(op).name
-            );
-            n_instructions += 1;
-        }
-        if let Some(op) = c.index_merge_op {
-            let _ = write!(line, "IDX/MRG[{}] ", g.node(op).name);
+        // One instruction per op of the units off the vector core.
+        for &op in &c.ops {
+            match g.category(op) {
+                Category::ScalarOp => {
+                    let opcode = g.opcode(op).unwrap();
+                    let _ = write!(line, "ACC[{opcode:?} {}] ", g.node(op).name);
+                }
+                Category::Index | Category::Merge => {
+                    let _ = write!(line, "IDX/MRG[{}] ", g.node(op).name);
+                }
+                _ => continue,
+            }
             n_instructions += 1;
         }
         if !c.reads.is_empty() {
@@ -134,7 +137,7 @@ pub fn generate(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> Program {
         n_cycles: cs.cycles.len(),
         n_instructions,
         reconfig_switches: cs.reconfig_switches(),
-        utilization: cs.utilization(g, spec),
+        utilization: cs.utilization(spec),
         listing: out,
     }
 }

@@ -40,7 +40,7 @@ pub use modulo::{
 };
 pub use obs::PhaseTimings;
 pub use overlap::{
-    bundles_from_schedule, manual_style_bundles, overlapped_execution, Bundle, OverlapResult,
+    bundles_from_schedule, manual_style_bundles, overlapped_execution, OverlapResult,
 };
 pub use pipeline::{compile, CompileError, CompileOptions, Compiled};
 pub use record::{RecorderSink, Trace};

@@ -2,12 +2,13 @@
 //! technique (§4.3, Table 2).
 //!
 //! Phase 1 orders the operations of a *single* iteration into a sequence
-//! of instruction bundles (one bundle = one issue cycle: up to four
-//! same-configuration vector ops, or one matrix op, optionally alongside
-//! one accelerator op and one index/merge op). Phase 2 executes the same
-//! bundle of `M` consecutive iterations back to back: all `k`-th bundles
-//! of iterations `0..M`, then all `(k+1)`-th bundles, and so on. With
-//! `M` larger than the pipeline depth the latency between dependent
+//! of instruction bundles. A bundle is one issue cycle of the
+//! configuration stream, an [`eit_arch::Cycle`]: same-configuration
+//! vector ops up to the lane count (or one matrix op), alongside as many
+//! ops of every other unit as the unit's replicas hold. Phase 2 executes
+//! the same bundle of `M` consecutive iterations back to back: all `k`-th
+//! bundles of iterations `0..M`, then all `(k+1)`-th bundles, and so on.
+//! With `M` larger than the pipeline depth the latency between dependent
 //! bundles of one iteration is fully masked, and the vector core only
 //! reconfigures at bundle boundaries, so the number of reconfigurations
 //! is bounded by the number of bundles.
@@ -21,58 +22,25 @@
 //!   effective instructions", no memory allocation).
 
 use crate::replicate::replicate;
-use eit_arch::{ArchSpec, ConfigStream, Schedule};
-use eit_ir::{Category, Graph, NodeId, VectorConfig};
+use eit_arch::{ArchSpec, ConfigStream, Cycle, Schedule};
+use eit_ir::{Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
 
-/// One issue bundle of a single iteration.
-#[derive(Clone, Debug, Default)]
-pub struct Bundle {
-    pub vector_ops: Vec<NodeId>,
-    pub config: Option<VectorConfig>,
-    pub scalar_op: Option<NodeId>,
-    pub index_merge_op: Option<NodeId>,
-}
-
-impl Bundle {
-    fn is_empty(&self) -> bool {
-        self.vector_ops.is_empty() && self.scalar_op.is_none() && self.index_merge_op.is_none()
-    }
-}
-
-/// Read bundles off an existing single-iteration schedule, in issue order.
-pub fn bundles_from_schedule(g: &Graph, sched: &Schedule) -> Vec<Bundle> {
-    let mut by_cycle: HashMap<i32, Bundle> = HashMap::new();
-    for n in g.ids() {
-        let cat = g.category(n);
-        if !cat.is_op() {
-            continue;
-        }
-        let b = by_cycle.entry(sched.start_of(n)).or_default();
-        match cat {
-            Category::VectorOp | Category::MatrixOp => {
-                b.vector_ops.push(n);
-                b.config = g.opcode(n).unwrap().config();
-            }
-            Category::ScalarOp => b.scalar_op = Some(n),
-            Category::Index | Category::Merge => b.index_merge_op = Some(n),
-            _ => unreachable!(),
-        }
-    }
-    let mut cycles: Vec<i32> = by_cycle.keys().copied().collect();
-    cycles.sort_unstable();
-    cycles
+/// Read bundles off an existing single-iteration schedule: the issuing
+/// cycles of its configuration stream, in issue order.
+pub fn bundles_from_schedule(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> Vec<Cycle> {
+    let cs = ConfigStream::from_schedule(g, spec, sched);
+    cs.cycles
         .into_iter()
-        .map(|c| by_cycle.remove(&c).unwrap())
-        .filter(|b| !b.is_empty())
+        .filter(|c| !c.ops.is_empty())
         .collect()
 }
 
 /// Greedy instruction-count-minimising bundling, mimicking hand-written
 /// machine code: at each step issue the ready configuration with the most
-/// ready vector ops (up to the lane count), and piggy-back one ready
-/// accelerator op and one ready index/merge op.
-pub fn manual_style_bundles(g: &Graph, spec: &ArchSpec) -> Vec<Bundle> {
+/// ready vector ops, and piggy-back the other ready ops, each unit filled
+/// up to its replica count.
+pub fn manual_style_bundles(g: &Graph, spec: &ArchSpec) -> Vec<Cycle> {
     let mut remaining_preds: Vec<usize> = g
         .ids()
         .map(|n| {
@@ -83,7 +51,9 @@ pub fn manual_style_bundles(g: &Graph, spec: &ArchSpec) -> Vec<Bundle> {
         })
         .collect();
     let is_op = |n: NodeId| g.category(n).is_op();
+    let config = |n: NodeId| g.opcode(n).and_then(|o| o.config());
     let mut scheduled = vec![false; g.len()];
+    let mut free = Vec::new();
     let mut bundles = Vec::new();
     let n_ops = g.ids().filter(|&n| is_op(n)).count();
     let mut done = 0;
@@ -99,43 +69,34 @@ pub fn manual_style_bundles(g: &Graph, spec: &ArchSpec) -> Vec<Bundle> {
         // Group ready vector ops by configuration; pick the biggest group.
         let mut groups: HashMap<VectorConfig, Vec<NodeId>> = HashMap::new();
         for &n in &ready {
-            if let Some(cfg) = g.opcode(n).unwrap().config() {
+            if let Some(cfg) = config(n) {
                 groups.entry(cfg).or_default().push(n);
             }
         }
-        let mut bundle = Bundle::default();
-        if let Some((cfg, ops)) = groups
+        let group = groups
             .into_iter()
-            .max_by_key(|(_, v)| (v.len(), std::cmp::Reverse(v[0].idx())))
-        {
-            let cap = if cfg.matrix { 1 } else { spec.n_lanes as usize };
-            bundle.vector_ops = ops.into_iter().take(cap).collect();
-            bundle.config = Some(cfg);
+            .max_by_key(|(_, v)| (v.len(), std::cmp::Reverse(v[0].idx())));
+        let mut bundle = Cycle::default();
+        // That group, then the ready ops of the other units, each taken
+        // while its unit has replicas left for the op's class width.
+        free.clear();
+        free.extend(spec.units.units.iter().map(|u| u.count));
+        let others = ready.iter().copied().filter(|&n| config(n).is_none());
+        for op in group.into_iter().flat_map(|(_, ops)| ops).chain(others) {
+            let class = OpClass::of(&g.node(op).kind).expect("a ready node is an op");
+            let (Some(u), Some(w)) = (spec.units.unit_index(class), spec.units.class_width(class))
+            else {
+                continue;
+            };
+            if free[u] >= w {
+                free[u] -= w;
+                bundle.issue(g, spec, op);
+            }
         }
-        bundle.scalar_op = ready
-            .iter()
-            .copied()
-            .find(|&n| g.category(n) == Category::ScalarOp);
-        bundle.index_merge_op = ready
-            .iter()
-            .copied()
-            .find(|&n| matches!(g.category(n), Category::Index | Category::Merge));
-
-        if bundle.is_empty() {
-            // Only possible if ready contained nothing issueable — cannot
-            // happen with the three classes above.
-            unreachable!("empty bundle with non-empty ready set");
-        }
+        assert!(!bundle.ops.is_empty(), "no ready op fits its unit");
 
         // Commit the bundle and release successors.
-        let committed: Vec<NodeId> = bundle
-            .vector_ops
-            .iter()
-            .copied()
-            .chain(bundle.scalar_op)
-            .chain(bundle.index_merge_op)
-            .collect();
-        for op in committed {
+        for &op in &bundle.ops {
             scheduled[op.idx()] = true;
             done += 1;
             for &d in g.succs(op) {
@@ -174,7 +135,7 @@ pub struct OverlapResult {
 pub fn overlapped_execution(
     g: &Graph,
     spec: &ArchSpec,
-    bundles: &[Bundle],
+    bundles: &[Cycle],
     m: usize,
 ) -> OverlapResult {
     assert!(m >= 1);
@@ -188,7 +149,7 @@ pub fn overlapped_execution(
 
     for b in bundles {
         // Reconfiguration stall at a configuration switch.
-        if let Some(cfg) = b.config {
+        if let Some(cfg) = b.vector_config {
             if prev_cfg.is_some() && prev_cfg != Some(cfg) {
                 cursor += spec.reconfig_cost;
             }
@@ -197,23 +158,16 @@ pub fn overlapped_execution(
         // Multi-cycle units (the iterative accelerator ops) force a wider
         // issue stride so consecutive iterations do not overlap them.
         let stride = b
-            .vector_ops
+            .ops
             .iter()
-            .chain(&b.scalar_op)
-            .chain(&b.index_merge_op)
             .map(|&op| spec.duration(&g.node(op).kind))
             .max()
             .unwrap_or(1)
             .max(1);
         for ids in map.iter().take(m) {
             // Earliest legal issue for this iteration's copy of the bundle.
-            let ops = b
-                .vector_ops
-                .iter()
-                .chain(&b.scalar_op)
-                .chain(&b.index_merge_op);
             let mut earliest = cursor;
-            for &op in ops.clone() {
+            for &op in &b.ops {
                 let cop = ids[op.idx()];
                 for &d in big.preds(cop) {
                     if let Some(p) = big.producer(d) {
@@ -222,7 +176,7 @@ pub fn overlapped_execution(
                     }
                 }
             }
-            for &op in ops {
+            for &op in &b.ops {
                 let cop = ids[op.idx()];
                 start[cop.idx()] = earliest;
                 for &d in big.succs(cop) {
@@ -270,14 +224,7 @@ mod tests {
     fn manual_bundles_cover_all_ops_once() {
         let g = chain_graph();
         let bundles = manual_style_bundles(&g, &ArchSpec::eit());
-        let total: usize = bundles
-            .iter()
-            .map(|b| {
-                b.vector_ops.len()
-                    + usize::from(b.scalar_op.is_some())
-                    + usize::from(b.index_merge_op.is_some())
-            })
-            .sum();
+        let total: usize = bundles.iter().map(|b| b.ops.len()).sum();
         assert_eq!(total, 2);
         assert_eq!(bundles.len(), 2); // dependent ops cannot share a bundle
     }
@@ -316,7 +263,7 @@ mod tests {
         let spec = ArchSpec::eit();
         let r = schedule(&g, &spec, &SchedulerOptions::default());
         let s = r.schedule.unwrap();
-        let bundles = bundles_from_schedule(&g, &s);
+        let bundles = bundles_from_schedule(&g, &spec, &s);
         assert_eq!(bundles.len(), 2);
         let o = overlapped_execution(&g, &spec, &bundles, 8);
         let v = validate_structure_with(&o.graph, &spec, &o.schedule, false);
@@ -332,7 +279,7 @@ mod tests {
         let spec = ArchSpec::eit();
         let manual = manual_style_bundles(&g, &spec);
         let r = schedule(&g, &spec, &SchedulerOptions::default());
-        let auto = bundles_from_schedule(&g, &r.schedule.unwrap());
+        let auto = bundles_from_schedule(&g, &spec, &r.schedule.unwrap());
         for bundles in [&manual, &auto] {
             for m in [1, 4, 12] {
                 let o = overlapped_execution(&g, &spec, bundles, m);

@@ -47,7 +47,7 @@ fn main() {
     );
 
     // Overlapped execution on the CP schedule's bundles.
-    let bundles = bundles_from_schedule(&graph, &s);
+    let bundles = bundles_from_schedule(&graph, &spec, &s);
     let ov = overlapped_execution(&graph, &spec, &bundles, m);
     println!(
         "{:<34} {:>12.1} {:>16.4}",

@@ -138,6 +138,24 @@ fi
 grep -q 'width="2"' "$archdir/narrow.err" \
   || { echo "FAIL: narrow-matrix rejection did not name width=\"2\""; exit 1; }
 echo "   narrow matrix width rejected with the attribute named"
+# Two accelerators and two index/merge units: a cycle can issue two ops
+# of one unit, and the listing must still print every one of them.
+sed 's/count="1"/count="2"/' "$archdir/eit.xml" > "$archdir/rep.xml"
+[ "$(grep -c 'count="2"' "$archdir/rep.xml")" = 2 ] \
+  || { echo "FAIL: replication edit did not apply"; exit 1; }
+entries() { (grep -o "$1" "$2" || true) | wc -l; }
+for k in qrd arf matmul fir detector blockmm; do
+  ./target/release/eitc "$k" --arch "$archdir/rep.xml" --verify > "$archdir/rep_$k.txt"
+  for e in 'ACC\[' 'IDX/MRG\['; do
+    [ "$(entries "$e" "$archdir/rep_$k.txt")" = "$(entries "$e" "$archdir/builtin_$k.txt")" ] \
+      || { echo "FAIL: $k --arch rep.xml lists a different number of $e entries"; exit 1; }
+  done
+  echo "   $k: replicated-unit listing verified, every ACC/IDX/MRG entry present"
+done
+./target/release/eitc qrd --arch "$archdir/rep.xml" --overlap 4 --verify >/dev/null
+echo "   qrd --arch rep.xml --overlap 4: verified clean"
+./target/release/table2 --arch "$archdir/rep.xml" >/dev/null
+echo "   table2 --arch rep.xml: overlap rows validate"
 
 echo "== independent verification of the table 1/2/3 reference schedules"
 # Every paper kernel, straight-line at its table slot budget, must pass

@@ -2,9 +2,10 @@
 //! CP schedule (with memory allocation) → cycle-accurate simulation with
 //! functional output verification.
 
-use eit::arch::{simulate, validate_structure, ArchSpec};
+use eit::arch::{simulate, validate_structure, ArchSpec, ConfigStream};
 use eit::core::{schedule, SchedulerOptions};
 use eit::cp::SearchStatus;
+use eit::ir::NodeId;
 use std::time::Duration;
 
 fn opts(secs: u64) -> SchedulerOptions {
@@ -166,6 +167,43 @@ fn compile_facade_handles_every_kernel() {
             eit::arch::simulate(&out.graph, &ArchSpec::eit(), &out.schedule, &kernel.inputs);
         assert!(report.ok(), "{name}: {:?}", report.violations);
         assert!(out.program.n_instructions > 0, "{name}");
+    }
+}
+
+#[test]
+fn replicated_units_issue_every_op_once() {
+    // With two accelerators and two index/merge units a cycle can issue
+    // two ops of one unit: the stream still carries every op once, and
+    // the listing prints and counts each.
+    use eit::core::pipeline::{compile, CompileOptions};
+    let mut spec = ArchSpec::eit();
+    spec.units.units[1].count = 2;
+    spec.units.units[2].count = 2;
+    for name in ["qrd", "arf", "matmul", "fir", "detector", "blockmm"] {
+        let kernel = eit::apps::by_name(name).unwrap();
+        let options = CompileOptions {
+            scheduler: opts(60),
+            ..Default::default()
+        };
+        let out = compile(kernel.graph.clone(), &spec, &options)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let g = &out.graph;
+        let cs = ConfigStream::from_schedule(g, &spec, &out.schedule);
+        let mut issued: Vec<NodeId> = cs.cycles.iter().flat_map(|c| c.ops.clone()).collect();
+        issued.sort_unstable();
+        let ops: Vec<NodeId> = g.ids().filter(|&n| g.category(n).is_op()).collect();
+        assert_eq!(issued, ops, "{name}");
+        // One instruction per vector-core issue cycle, and one per op of
+        // the other units, each printed.
+        let core_issues = cs.cycles.iter().filter(|c| c.vector_config.is_some());
+        let unit_ops = ops
+            .iter()
+            .filter(|&&n| g.opcode(n).unwrap().config().is_none());
+        let (core_issues, unit_ops) = (core_issues.count(), unit_ops.count());
+        let listing = &out.program.listing;
+        let printed = listing.matches("ACC[").count() + listing.matches("IDX/MRG[").count();
+        assert_eq!(printed, unit_ops, "{name}");
+        assert_eq!(out.program.n_instructions, core_issues + unit_ops, "{name}");
     }
 }
 

@@ -32,25 +32,33 @@ fn modulo_opts(include: bool) -> ModuloOptions {
     }
 }
 
+/// The EIT with two accelerators and two index/merge units, so a cycle
+/// can issue two ops of one unit.
+fn replicated() -> ArchSpec {
+    let mut spec = ArchSpec::eit();
+    spec.units.units[1].count = 2;
+    spec.units.units[2].count = 2;
+    spec
+}
+
 #[test]
 fn overlap_improves_throughput_for_every_kernel() {
-    let spec = ArchSpec::eit();
-    for name in ["qrd", "arf", "matmul"] {
-        let g = merged(name);
-        let single = schedule(&g, &spec, &sched_opts()).schedule.unwrap();
-        let serial_thr = 1.0 / single.makespan as f64;
-        let bundles = bundles_from_schedule(&g, &single);
-        let m = 12;
-        let ov = overlapped_execution(&g, &spec, &bundles, m);
-        assert!(
-            validate_structure_with(&ov.graph, &spec, &ov.schedule, false).is_empty(),
-            "{name}"
-        );
-        assert!(
-            ov.throughput > serial_thr,
-            "{name}: overlap {:.4} vs serial {serial_thr:.4}",
-            ov.throughput
-        );
+    for (arch, spec) in [("eit", ArchSpec::eit()), ("replicated", replicated())] {
+        for name in ["qrd", "arf", "matmul"] {
+            let g = merged(name);
+            let single = schedule(&g, &spec, &sched_opts()).schedule.unwrap();
+            let serial_thr = 1.0 / single.makespan as f64;
+            let bundles = bundles_from_schedule(&g, &spec, &single);
+            let m = 12;
+            let ov = overlapped_execution(&g, &spec, &bundles, m);
+            let v = validate_structure_with(&ov.graph, &spec, &ov.schedule, false);
+            assert!(v.is_empty(), "{arch} {name}: {v:?}");
+            assert!(
+                ov.throughput > serial_thr,
+                "{arch} {name}: overlap {:.4} vs serial {serial_thr:.4}",
+                ov.throughput
+            );
+        }
     }
 }
 

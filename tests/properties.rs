@@ -9,7 +9,7 @@ use eit::apps::Kernel;
 use eit::arch::{simulate, validate_structure, ArchSpec};
 use eit::core::{schedule, SchedulerOptions};
 use eit::cp::{Domain, SearchStatus};
-use eit::ir::Graph;
+use eit::ir::{Graph, NodeId, OpClass};
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::time::Duration;
@@ -266,36 +266,70 @@ fn modulo_schedules_validate_on_synthetic_kernels() {
     }
 }
 
-/// Overlapped execution on random kernels: the transform always
-/// produces a structurally valid multi-iteration schedule whose
+/// Overlapped execution on random kernels: manual bundling issues every
+/// op once, filling each unit to its replica count, and the transform
+/// always produces a structurally valid multi-iteration schedule whose
 /// reconfiguration count is bounded by the bundle count.
 #[test]
 fn overlap_validates_on_synthetic_kernels() {
     use eit::core::{manual_style_bundles, overlapped_execution};
     let mut cases = Cases::new("overlap_validates_on_synthetic_kernels");
+    // The EIT, and the EIT with two accelerators and two index/merge
+    // units, where a bundle can carry two ops of one unit.
+    let mut replicated = ArchSpec::eit();
+    replicated.units.units[1].count = 2;
+    replicated.units.units[2].count = 2;
     for case in 0..10 {
         let seed = cases.int(0..100) as u64;
         let m = cases.int(2..10) as usize;
-        let at = format!("case {case}: seed {seed} m {m}");
         let (_, g) = synth(seed, 2, 4, 0.2);
-        let spec = ArchSpec::eit();
-        let bundles = manual_style_bundles(&g, &spec);
-        let total_ops: usize = bundles
-            .iter()
-            .map(|b| {
-                b.vector_ops.len()
-                    + usize::from(b.scalar_op.is_some())
-                    + usize::from(b.index_merge_op.is_some())
-            })
-            .sum();
-        assert_eq!(
-            total_ops,
-            g.ids().filter(|&n| g.category(n).is_op()).count(),
-            "{at}"
-        );
-        let ov = overlapped_execution(&g, &spec, &bundles, m);
-        let v = eit::arch::validate_structure_with(&ov.graph, &spec, &ov.schedule, false);
-        assert!(v.is_empty(), "{at}: {v:?}");
-        assert!(ov.reconfig_switches < bundles.len().max(1) * 2, "{at}");
+        for (arch, spec) in [("eit", ArchSpec::eit()), ("replicated", replicated.clone())] {
+            let at = format!("case {case}: seed {seed} m {m} {arch}");
+            let bundles = manual_style_bundles(&g, &spec);
+            let total_ops: usize = bundles.iter().map(|b| b.ops.len()).sum();
+            assert_eq!(
+                total_ops,
+                g.ids().filter(|&n| g.category(n).is_op()).count(),
+                "{at}"
+            );
+            // Bundles fill units to capacity: an op left ready beside a
+            // bundle has another configuration or finds its unit full.
+            let mut bundled = vec![false; g.len()];
+            for b in &bundles {
+                let book = |n: NodeId| {
+                    let class = OpClass::of(&g.node(n).kind).unwrap();
+                    let u = spec.units.unit_index(class).unwrap();
+                    (u, spec.units.class_width(class).unwrap())
+                };
+                let mut used = vec![0; spec.units.units.len()];
+                for &op in &b.ops {
+                    let (u, w) = book(op);
+                    used[u] += w;
+                }
+                for n in g
+                    .ids()
+                    .filter(|&n| g.category(n).is_op() && !b.ops.contains(&n))
+                {
+                    let mut producers = g.preds(n).iter().filter_map(|&d| g.producer(d));
+                    if bundled[n.idx()] || !producers.all(|p| bundled[p.idx()]) {
+                        continue;
+                    }
+                    let cfg = g.opcode(n).unwrap().config();
+                    let (u, w) = book(n);
+                    assert!(
+                        cfg.is_some() && cfg != b.vector_config
+                            || used[u] + w > spec.units.units[u].count,
+                        "{at}: {n:?} fits its bundle"
+                    );
+                }
+                for &op in &b.ops {
+                    bundled[op.idx()] = true;
+                }
+            }
+            let ov = overlapped_execution(&g, &spec, &bundles, m);
+            let v = eit::arch::validate_structure_with(&ov.graph, &spec, &ov.schedule, false);
+            assert!(v.is_empty(), "{at}: {v:?}");
+            assert!(ov.reconfig_switches < bundles.len().max(1) * 2, "{at}");
+        }
     }
 }
