@@ -52,6 +52,10 @@ impl Cycle {
     }
 }
 
+/// What one replica of a unit does in one cycle: the op it runs and how
+/// many cycles ago that op issued.
+pub type Occupant = Option<(NodeId, usize)>;
+
 /// A schedule rendered cycle-by-cycle.
 #[derive(Clone, Debug)]
 pub struct ConfigStream {
@@ -102,6 +106,70 @@ impl ConfigStream {
         }
         ConfigStream { cycles }
     }
+
+    /// Occupancy of every replica of every unit off the vector lanes, in
+    /// table order: one row per replica, labelled with the unit's name,
+    /// plus the replica number when the unit has more than one
+    /// (`scalar-accel0`, `scalar-accel1`); `row[t]` is what the replica
+    /// does at cycle `t`. Ops are booked cycle by cycle in
+    /// [`Cycle::issue`]'s order, each on the lowest-numbered replicas —
+    /// its class width of them — free for its whole occupancy. An op that
+    /// finds too few free (an over-full schedule) takes the
+    /// lowest-numbered ones anyway.
+    pub fn replica_rows(&self, g: &Graph, spec: &ArchSpec) -> Vec<(String, Vec<Occupant>)> {
+        let n = self.cycles.len();
+        let table = &spec.units;
+        let mut rows: Vec<Vec<Vec<Occupant>>> = (0..table.units.len())
+            .map(|u| {
+                let replicas = if table.is_lane_unit(u) {
+                    0
+                } else {
+                    table.units[u].count as usize
+                };
+                vec![vec![None; n]; replicas]
+            })
+            .collect();
+        for (t, c) in self.cycles.iter().enumerate() {
+            for &op in &c.ops {
+                let kind = &g.node(op).kind;
+                let Some(unit) = table.unit_of(kind).map(|u| &mut rows[u]) else {
+                    continue;
+                };
+                let width = OpClass::of(kind)
+                    .and_then(|c| table.class_width(c))
+                    .unwrap_or(1) as usize;
+                let span = t..(t + spec.duration(kind).max(1) as usize).min(n);
+                let free: Vec<usize> = (0..unit.len())
+                    .filter(|&r| unit[r][span.clone()].iter().all(Option::is_none))
+                    .take(width)
+                    .collect();
+                let picked = if free.len() == width {
+                    free
+                } else {
+                    (0..width.min(unit.len())).collect()
+                };
+                for r in picked {
+                    for (dt, cell) in unit[r][span.clone()].iter_mut().enumerate() {
+                        *cell = Some((op, dt));
+                    }
+                }
+            }
+        }
+        let mut labelled = Vec::new();
+        for (unit, replicas) in table.units.iter().zip(rows) {
+            let single = replicas.len() == 1;
+            for (r, row) in replicas.into_iter().enumerate() {
+                let label = if single {
+                    unit.name.clone()
+                } else {
+                    format!("{}{r}", unit.name)
+                };
+                labelled.push((label, row));
+            }
+        }
+        labelled
+    }
+
     /// Number of configuration *switches*: issuing cycles whose vector
     /// configuration differs from the previous issuing cycle's.
     pub fn reconfig_switches(&self) -> usize {

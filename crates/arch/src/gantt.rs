@@ -8,12 +8,14 @@
 //! ```
 //!
 //! The row set is derived from the [`ArchSpec`]: one row per vector lane
-//! (`n_lanes` of them) and one row per functional unit of the spec's unit
-//! table beyond the vector core, labelled with the unit's name — a wide
-//! or custom machine renders with its own shape, nothing assumes the
-//! 4-lane EIT instance.
+//! (`n_lanes` of them) and one row per replica of every functional unit
+//! of the spec's unit table beyond the vector core, labelled as
+//! [`ConfigStream::replica_rows`] books them (`scalar-accel`, or
+//! `scalar-accel0` and `scalar-accel1` for two) — a wide or custom
+//! machine renders with its own shape, nothing assumes the 4-lane EIT
+//! instance.
 
-use crate::code::ConfigStream;
+use crate::code::{ConfigStream, Occupant};
 use crate::schedule::Schedule;
 use crate::spec::ArchSpec;
 use eit_ir::OpClass;
@@ -26,10 +28,7 @@ use std::fmt::Write as _;
 pub fn render_gantt(g: &eit_ir::Graph, spec: &ArchSpec, sched: &Schedule) -> String {
     let n = (sched.makespan + 1).max(1) as usize;
     let lanes = spec.n_lanes as usize;
-    let units = &spec.units.units;
     let mut lane_rows = vec![vec!['.'; n]; lanes];
-    // One row per unit of the table; only the units off the lanes print.
-    let mut unit_rows = vec![vec!['.'; n]; units.len()];
 
     // Stable letter per vector configuration.
     let cs = ConfigStream::from_schedule(g, spec, sched);
@@ -52,29 +51,27 @@ pub fn render_gantt(g: &eit_ir::Graph, spec: &ArchSpec, sched: &Schedule) -> Str
                 row[t] = ch;
             }
         }
-        for &op in &c.ops {
-            let kind = &g.node(op).kind;
-            let (Some(class), Some(u)) = (OpClass::of(kind), spec.units.unit_of(kind)) else {
-                continue;
-            };
-            let ch = match class {
-                OpClass::Index => 'i',
-                OpClass::Merge => 'm',
-                _ => 's',
-            };
-            let dur = spec.duration(kind).max(1) as usize;
-            let row = &mut unit_rows[u];
-            row[t] = ch;
-            for dt in 1..dur.min(n - t) {
-                row[t + dt] = '-';
-            }
-        }
     }
+    // One row per replica of every unit off the lanes.
+    let mark = |cell: Occupant| match cell {
+        None => '.',
+        Some((op, 0)) => match OpClass::of(&g.node(op).kind) {
+            Some(OpClass::Index) => 'i',
+            Some(OpClass::Merge) => 'm',
+            _ => 's',
+        },
+        Some(_) => '-',
+    };
+    let unit_rows: Vec<(String, String)> = cs
+        .replica_rows(g, spec)
+        .into_iter()
+        .map(|(label, row)| (label, row.into_iter().map(mark).collect()))
+        .collect();
 
-    let printed = || (0..units.len()).filter(|&u| !spec.units.is_lane_unit(u));
     // Align every label to the widest one.
-    let label_w = printed()
-        .map(|u| units[u].name.len())
+    let label_w = unit_rows
+        .iter()
+        .map(|(label, _)| label.len())
         .chain(std::iter::once(
             format!("lane{}", lanes.saturating_sub(1)).len(),
         ))
@@ -90,9 +87,8 @@ pub fn render_gantt(g: &eit_ir::Graph, spec: &ArchSpec, sched: &Schedule) -> Str
             row.iter().collect::<String>()
         );
     }
-    for u in printed() {
-        let (name, row) = (&units[u].name, &unit_rows[u]);
-        let _ = writeln!(out, "{name:<label_w$} |{}|", row.iter().collect::<String>());
+    for (label, row) in &unit_rows {
+        let _ = writeln!(out, "{label:<label_w$} |{row}|");
     }
     out
 }
@@ -166,6 +162,58 @@ mod tests {
                     .any(|l| l.starts_with(&format!("lane{lane}")) && l.contains('#')),
                 "{txt}"
             );
+        }
+    }
+
+    #[test]
+    fn replicated_units_draw_one_row_per_replica() {
+        // Two sqrts issue in one cycle on two accelerators.
+        let mut g = Graph::new("t");
+        let x = g.add_data(DataKind::Scalar, "x");
+        let ops: Vec<_> = (0..2)
+            .map(|k| {
+                let name = format!("sqrt{k}");
+                g.add_op_with_output(
+                    Opcode::Scalar(ScalarOp::Sqrt),
+                    &[x],
+                    DataKind::Scalar,
+                    &name,
+                )
+            })
+            .collect();
+        let mut spec = ArchSpec::eit();
+        for u in &mut spec.units.units {
+            if u.name == "scalar-accel" {
+                u.count = 2;
+            }
+        }
+        let mut s = Schedule::new(g.len());
+        for &(o, d) in &ops {
+            s.start[o.idx()] = 1;
+            s.start[d.idx()] = 9;
+        }
+        s.makespan = 9;
+        let txt = render_gantt(&g, &spec, &s);
+        let rows: Vec<&str> = txt
+            .lines()
+            .filter(|l| l.starts_with("scalar-accel"))
+            .collect();
+        assert_eq!(rows.len(), 2, "{txt}");
+        assert!(rows[0].starts_with("scalar-accel0 |.s-"), "{txt}");
+        assert!(rows[1].starts_with("scalar-accel1 |.s-"), "{txt}");
+        // A single index/merge unit keeps its plain name.
+        assert!(
+            txt.lines()
+                .any(|l| l.split_whitespace().next() == Some("index-merge")),
+            "{txt}"
+        );
+        let vcd = crate::vcd::to_vcd(&g, &spec, &s);
+        for wire in [
+            " scalar_accel0 $end",
+            " scalar_accel1 $end",
+            " index_merge $end",
+        ] {
+            assert!(vcd.contains(wire), "{vcd}");
         }
     }
 

@@ -6,9 +6,12 @@
 //! - `lane0..laneN` (wire 1): vector-lane occupancy, one per spec lane;
 //! - `vconfig` (wire 8): the vector core's configuration index
 //!   (0 = idle, k = the k-th distinct configuration in issue order);
-//! - one wire-1 occupancy signal per non-vector functional unit of the
-//!   spec's unit table, named after the unit (non-alphanumeric characters
-//!   become `_`, so the EIT preset emits `scalar_accel` and `index_merge`);
+//! - one wire-1 occupancy signal per replica of every non-vector
+//!   functional unit of the spec's unit table, named after the unit
+//!   (non-alphanumeric characters become `_`, so the EIT preset emits
+//!   `scalar_accel` and `index_merge`) with the replica number appended
+//!   when the unit has more than one (`scalar_accel0`, `scalar_accel1`),
+//!   booked by [`ConfigStream::replica_rows`];
 //! - `mem_reads`, `mem_writes` (wire 8): vector-memory port activity.
 
 use crate::code::ConfigStream;
@@ -41,7 +44,6 @@ fn signal_name(unit: &str) -> String {
 pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
     let cs = ConfigStream::from_schedule(g, spec, sched);
     let lanes = spec.n_lanes as usize;
-    let units = &spec.units.units;
 
     let mut out = String::new();
     let _ = writeln!(out, "$date eit-vector schedule dump $end");
@@ -67,31 +69,22 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
         .map(|k| declare(&mut out, 1, &format!("lane{k}")))
         .collect();
     let cfg_id = declare(&mut out, 8, "vconfig");
-    // One occupancy wire per unit off the lanes: (table index, identifier).
-    let unit_ids: Vec<(usize, String)> = (0..units.len())
-        .filter(|&u| !spec.units.is_lane_unit(u))
-        .map(|u| (u, declare(&mut out, 1, &signal_name(&units[u].name))))
+    // One occupancy wire per replica of every unit off the lanes, with
+    // its per-cycle busy bits.
+    let unit_wires: Vec<(String, Vec<bool>)> = cs
+        .replica_rows(g, spec)
+        .into_iter()
+        .map(|(label, row)| {
+            let busy = row.iter().map(Option::is_some).collect();
+            (declare(&mut out, 1, &signal_name(&label)), busy)
+        })
         .collect();
     let rd_id = declare(&mut out, 8, "mem_reads");
     let wr_id = declare(&mut out, 8, "mem_writes");
     let _ = writeln!(out, "$upscope $end");
     let _ = writeln!(out, "$enddefinitions $end");
 
-    // Per-unit occupancy per cycle (durations matter).
     let n = cs.cycles.len();
-    let mut unit_busy = vec![vec![false; n]; units.len()];
-    for (t, c) in cs.cycles.iter().enumerate() {
-        for &op in &c.ops {
-            let kind = &g.node(op).kind;
-            let Some(u) = spec.units.unit_of(kind) else {
-                continue;
-            };
-            let d = spec.duration(kind).max(1) as usize;
-            for busy in unit_busy[u].iter_mut().skip(t).take(d) {
-                *busy = true;
-            }
-        }
-    }
 
     // Distinct-config numbering.
     let mut seen: Vec<VectorConfig> = Vec::new();
@@ -115,7 +108,7 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
             *l = true;
         }
         let cfg_now = c.vector_config.map_or(0, &mut cfg_index);
-        let units_now: Vec<bool> = unit_ids.iter().map(|&(u, _)| unit_busy[u][t]).collect();
+        let units_now: Vec<bool> = unit_wires.iter().map(|(_, busy)| busy[t]).collect();
         let state = (
             lanes_now.clone(),
             cfg_now,
@@ -135,7 +128,7 @@ pub fn to_vcd(g: &Graph, spec: &ArchSpec, sched: &Schedule) -> String {
             if dump_all || p.map(|p| p.1) != Some(cfg_now) {
                 let _ = writeln!(out, "b{cfg_now:b} {cfg_id}");
             }
-            for (k, (_, id)) in unit_ids.iter().enumerate() {
+            for (k, (id, _)) in unit_wires.iter().enumerate() {
                 if dump_all || p.map(|p| p.2[k]) != Some(units_now[k]) {
                     let _ = writeln!(out, "{}{}", u8::from(units_now[k]), id);
                 }

@@ -11,9 +11,9 @@
 //! |---|---|---|
 //! | (1) `s_i + l_i ≤ s_j` on edges | [`eit_cp::Model::precedence`] | `post_precedences` |
 //! | (2) lane `Cumulative` | one `Cumulative` over vector+matrix ops, r∈{1,4}, cap 4; two more (cap 1) for the accelerator and index/merge units | [`build_model`] |
-//! | (3) `s_i ≠ s_j` for differently-configured vector ops | pairwise `neq` | `post_config_separation` |
-//! | (4) data start = producer completion | `eq_offset` | `post_precedences` |
-//! | (5) makespan objective | completion vars + `max_of`, minimized | [`build_model`] |
+//! | (3) `s_i ≠ s_j` for differently-configured vector ops | one `one_config_per_cycle` over (start, configuration), pruning as the pairwise `s_i ≠ s_j` would | `post_config_separation` |
+//! | (4) data start = producer completion | no constraint: a produced datum's start is a view of its producer's start, shifted by the latency (`Store::view`) | `post_precedences` |
+//! | (5) makespan objective | completion views (start + latency) + `max_of`, minimized | [`build_model`] |
 //! | (6) slot/line/page channeling | `slot_geometry` | `post_memory` |
 //! | (7) same-op input compatibility | `page_line_implies` | `post_memory` |
 //! | (8)/(9) co-scheduled input/output compatibility | `cond_same_time` over co-issuable op pairs; over two fixed starts, nothing (unequal) or `page_line_implies` (equal) | `post_memory` |
@@ -140,18 +140,15 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     let mut m = Model::new();
 
     // --- start variables ---------------------------------------------------
-    let start: Vec<VarId> = g
+    let op_start: Vec<Option<VarId>> = g
         .ids()
         .map(|i| {
-            let cat = g.category(i);
-            if cat.is_data() && g.producer(i).is_none() {
-                // Application inputs are ready from the start (§3.3.3).
-                m.new_const(0)
-            } else {
-                m.new_var_named(0, horizon, &format!("s_{}", g.node(i).name))
-            }
+            g.category(i)
+                .is_op()
+                .then(|| m.new_var_named(0, horizon, &format!("s_{}", g.node(i).name)))
         })
         .collect();
+    let start = post_precedences(&mut m, g, spec, &op_start, horizon);
 
     let latency = |i: NodeId| spec.latency(&g.node(i).kind);
     let duration = |i: NodeId| spec.duration(&g.node(i).kind);
@@ -167,8 +164,6 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
             .expect("earliest start exceeds horizon");
     }
     let critical_path = g.ids().map(|i| es[i.idx()] + latency(i)).max().unwrap_or(0);
-
-    post_precedences(&mut m, g, spec, &start);
 
     // (2) one resource constraint per functional unit, in table order.
     // On the classic table this posts exactly the paper's three: the lane
@@ -218,16 +213,13 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
 
     post_config_separation(&mut m, g, |i| start[i.idx()]);
 
-    // (5) makespan = max completion over op nodes.
+    // (5) makespan = max completion over op nodes; a completion is a
+    // view of the op's start.
     let objective = m.new_var_named(critical_path, horizon + spec.pipeline_depth(), "makespan");
     let completions: Vec<VarId> = g
         .ids()
         .filter(|&i| g.category(i).is_op())
-        .map(|i| {
-            let c = m.new_var(0, horizon + spec.pipeline_depth());
-            m.eq_offset(start[i.idx()], latency(i), c);
-            c
-        })
+        .map(|i| m.view(start[i.idx()], latency(i)))
         .collect();
     m.max_of(completions, objective);
 
@@ -270,17 +262,44 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     }
 }
 
-/// (1) precedence on every edge and (4) exact data start, over the start
-/// variables `s` (absolute starts, also in the modulo probe).
-pub(crate) fn post_precedences(m: &mut Model, g: &Graph, spec: &ArchSpec, s: &[VarId]) {
+/// The start variable of every node over the op starts `op_start`
+/// (absolute starts, also in the modulo probe), with (1) and (4). An
+/// application input starts at the constant 0 (§3.3.3). A produced
+/// datum's start is (4) itself: a view of its producer's start shifted
+/// by the producer's latency, so outputs of one op share one view. Its
+/// producer's start is capped so the datum starts by `data_max`. Every
+/// edge into an op gets the precedence (1).
+pub(crate) fn post_precedences(
+    m: &mut Model,
+    g: &Graph,
+    spec: &ArchSpec,
+    op_start: &[Option<VarId>],
+    data_max: i32,
+) -> Vec<VarId> {
+    let zero = m.new_const(0);
+    let latency = |n: NodeId| spec.latency(&g.node(n).kind);
+    let s: Vec<VarId> = g
+        .ids()
+        .map(|n| match op_start[n.idx()] {
+            Some(op) => op,
+            None => match g.producer(n) {
+                None => zero,
+                Some(p) => {
+                    let sp = op_start[p.idx()].expect("a producer is an op");
+                    m.store
+                        .remove_above(sp, data_max - latency(p))
+                        .expect("the horizon covers every latency");
+                    m.view(sp, latency(p))
+                }
+            },
+        })
+        .collect();
     for (from, to) in g.edges() {
-        let latency = spec.latency(&g.node(from).kind);
-        if g.category(from).is_op() && g.category(to).is_data() {
-            m.eq_offset(s[from.idx()], latency, s[to.idx()]);
-        } else {
-            m.precedence(s[from.idx()], latency, s[to.idx()]);
+        if g.category(to).is_op() {
+            m.precedence(s[from.idx()], latency(from), s[to.idx()]);
         }
     }
+    s
 }
 
 /// The configuration a vector-core op needs the core to hold.
@@ -292,21 +311,26 @@ fn config(g: &Graph, op: NodeId) -> VectorConfig {
 
 /// (3) one configuration per cycle: differently-configured vector ops
 /// must not share `slot_of` — a start cycle in the straight-line model, a
-/// window slot in the modulo probe. (Matrix ops are kept apart from every
-/// other vector-core op by the lane `Cumulative`: a matrix op fills the
-/// core.)
+/// window slot in the modulo probe. One propagator over every vector op,
+/// with its configuration numbered in order of first appearance. (Matrix
+/// ops are kept apart from every other vector-core op by the lane
+/// `Cumulative`: a matrix op fills the core.)
 pub(crate) fn post_config_separation(m: &mut Model, g: &Graph, slot_of: impl Fn(NodeId) -> VarId) {
-    let vector_ops: Vec<(NodeId, VectorConfig)> = g
+    let mut configs: Vec<VectorConfig> = Vec::new();
+    let tasks: Vec<(VarId, u32)> = g
         .ids()
         .filter(|&i| g.category(i) == Category::VectorOp)
-        .map(|i| (i, config(g, i)))
+        .map(|i| {
+            let c = config(g, i);
+            let k = configs.iter().position(|&d| d == c).unwrap_or_else(|| {
+                configs.push(c);
+                configs.len() - 1
+            });
+            (slot_of(i), k as u32)
+        })
         .collect();
-    for (a, &(i, ci)) in vector_ops.iter().enumerate() {
-        for &(j, cj) in &vector_ops[a + 1..] {
-            if ci != cj {
-                m.neq(slot_of(i), slot_of(j));
-            }
-        }
+    if configs.len() > 1 {
+        m.one_config_per_cycle(tasks);
     }
 }
 
@@ -342,7 +366,7 @@ pub(crate) fn post_memory(
         page_line[d.idx()] = Some((p, l));
     }
     let geo = |d: NodeId| page_line[d.idx()].expect("every vector datum has a page and line");
-    let fixed = |m: &Model, v: VarId| m.store.dom(v).value();
+    let fixed = |m: &Model, v: VarId| m.store.fixed_value(v);
 
     // The vector inputs and outputs of every vector-core op.
     let vector_data = |ds: &[NodeId]| -> Vec<NodeId> {

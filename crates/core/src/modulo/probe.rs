@@ -70,11 +70,10 @@ pub fn build_probe(
     // Window positions and stages of the ops, in graph order.
     let mut t_list: Vec<VarId> = Vec::new();
     let mut k_list: Vec<VarId> = Vec::new();
-    let mut s_var: Vec<VarId> = Vec::with_capacity(g.len());
+    let mut op_start: Vec<Option<VarId>> = Vec::with_capacity(g.len());
 
     for n in g.ids() {
-        let cat = g.category(n);
-        if cat.is_op() {
+        if g.category(n).is_op() {
             // No window wrap-around: the op's occupancy fits inside one
             // window instance.
             let t = m.new_var_named(0, ii - duration(n).max(1), &format!("t_{}", g.node(n).name));
@@ -86,16 +85,14 @@ pub fn build_probe(
             t_var.insert(n, t);
             t_list.push(t);
             k_list.push(k);
-            s_var.push(s);
-        } else if g.producer(n).is_none() {
-            s_var.push(m.new_const(0));
+            op_start.push(Some(s));
         } else {
-            s_var.push(m.new_var(0, horizon + spec.pipeline_depth()));
+            op_start.push(None);
         }
     }
 
-    // Precedence / data-start constraints on s.
-    post_precedences(&mut m, g, spec, &s_var);
+    // Data starts and precedences on s.
+    let s_var = post_precedences(&mut m, g, spec, &op_start, horizon + spec.pipeline_depth());
 
     // Window resource constraints on t: one Cumulative per functional
     // unit of the table, in table order (on the classic table: lanes with

@@ -337,6 +337,9 @@ pub struct Engine {
     cancel: Option<crate::cancel::CancelToken>,
     /// Reused across `post` calls so subscribing does not allocate.
     sub_buf: Subscriptions,
+    /// Swapped with the store's event log at every drain, so neither
+    /// buffer reallocates in the steady state.
+    event_buf: Vec<(u32, DomainEvent)>,
 }
 
 impl Engine {
@@ -358,6 +361,7 @@ impl Engine {
             fifo_baseline: false,
             cancel: None,
             sub_buf: Subscriptions::default(),
+            event_buf: Vec::new(),
         }
     }
 
@@ -434,15 +438,19 @@ impl Engine {
         if self.subs.len() < store.num_vars() {
             self.subs.resize_with(store.num_vars(), Vec::new);
         }
+        // A watch on a view is a watch on its base: events are only ever
+        // logged on real variables, with the same bits.
         for &(v, mask, tag) in &buf.entries {
-            debug_assert!(v.idx() < store.num_vars(), "unknown var in {}", p.name());
+            let (base, _) = store.resolve(v);
+            debug_assert!(base.idx() < store.num_vars(), "unknown var in {}", p.name());
             debug_assert!(!mask.is_empty(), "empty event mask in {}", p.name());
-            self.subs[v.idx()].push(SubEntry {
+            self.subs[base.idx()].push(SubEntry {
                 prop: id,
                 mask,
                 tag,
             });
         }
+        let idempotent = p.idempotent() && !aliased_through_views(&buf.entries, store);
         self.sub_buf = buf;
         let tier = if self.fifo_baseline {
             0
@@ -450,7 +458,7 @@ impl Engine {
             p.priority() as u8
         };
         self.tier_of.push(tier);
-        self.idempotent.push(p.idempotent());
+        self.idempotent.push(idempotent);
         let idle = !self.fifo_baseline && p.idle(store);
         self.profiles.push(PropProfile {
             name: p.name(),
@@ -497,7 +505,9 @@ impl Engine {
         if !store.has_events() {
             return;
         }
-        for (var, ev) in store.take_events() {
+        let mut events = std::mem::take(&mut self.event_buf);
+        store.swap_events(&mut events);
+        for &(var, ev) in &events {
             // Vars created after the last `post` have no subscription slot.
             if (var as usize) >= self.subs.len() {
                 continue;
@@ -521,6 +531,7 @@ impl Engine {
             }
             self.subs[var as usize] = entries;
         }
+        self.event_buf = events;
     }
 
     /// Pop the next propagator to run: lowest non-empty tier, FIFO
@@ -544,7 +555,7 @@ impl Engine {
                     runs_until_poll = CANCEL_POLL_PERIOD;
                     if c.is_cancelled() {
                         self.reset_queue();
-                        store.take_events();
+                        store.clear_events();
                         return Err(Fail);
                     }
                 }
@@ -599,7 +610,7 @@ impl Engine {
                 Ok(()) => self.drain_events(store, Some(id)),
                 Err(Fail) => {
                     self.reset_queue();
-                    store.take_events();
+                    store.clear_events();
                     return Err(Fail);
                 }
             }
@@ -645,6 +656,22 @@ impl Default for Engine {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// True if two distinct watched ids share one base. A propagator's
+/// idempotence hint compares ids, so it cannot see that `x` and a view of
+/// `x` alias; the engine then requeues it on its own events.
+fn aliased_through_views(entries: &[(VarId, DomainEvent, u32)], store: &Store) -> bool {
+    if !entries.iter().any(|&(v, ..)| v.is_view()) {
+        return false;
+    }
+    let mut ids: Vec<(VarId, VarId)> = entries
+        .iter()
+        .map(|&(v, ..)| (store.resolve(v).0, v))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.windows(2).any(|w| w[0].0 == w[1].0)
 }
 
 struct NoOp;
@@ -808,6 +835,27 @@ mod tests {
             e.fixpoint(&mut s).unwrap();
             assert_eq!(e.propagations, expected, "idem={idem}");
         }
+    }
+
+    #[test]
+    fn a_view_of_a_watched_base_voids_the_idempotence_hint() {
+        // x ≤ y through the view y = x − 1: each run moves both bounds by
+        // one, so only requeueing on its own events reaches the failure.
+        // The hint (x ≠ y) cannot see that y aliases x.
+        let mut s = Store::new();
+        let x = s.new_var(0, 10);
+        let y = s.view(x, -1);
+        let mut e = Engine::new();
+        e.post(Box::new(Leq { x, y }), &s);
+        assert_eq!(e.fixpoint(&mut s), Err(Fail));
+        // Distinct bases keep the hint.
+        let mut s = Store::new();
+        let (a, b) = (s.new_var(0, 10), s.new_var(0, 10));
+        let c = s.view(b, 3);
+        let mut e = Engine::new();
+        e.post(Box::new(Leq { x: a, y: c }), &s);
+        e.fixpoint(&mut s).unwrap();
+        assert_eq!(e.propagations, 1);
     }
 
     #[test]

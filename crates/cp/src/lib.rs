@@ -5,7 +5,8 @@
 //! scheduling + memory-allocation model needs:
 //!
 //! - interval-list [`domain::Domain`]s over `i32`;
-//! - a trail-based backtracking [`store::Store`];
+//! - a trail-based backtracking [`store::Store`], with offset views
+//!   (`x + c` as a variable id of its own, with no domain of its own);
 //! - a propagation [`engine::Engine`] running subscribed
 //!   [`engine::Propagator`]s to fixpoint;
 //! - the global constraints **Cumulative** (time-table filtering) and
@@ -34,10 +35,8 @@
 //!     1,
 //! );
 //! let obj = m.new_var(0, 11);
-//! let ends: Vec<_> = [a, b, c]
-//!     .iter()
-//!     .map(|&s| { let e = m.new_var(0, 11); m.eq_offset(s, 1, e); e })
-//!     .collect();
+//! // Each end is a view `s + 1` of its start: no variable, no propagator.
+//! let ends: Vec<_> = [a, b, c].iter().map(|&s| m.view(s, 1)).collect();
 //! m.max_of(ends, obj);
 //!
 //! let cfg = SearchConfig {

@@ -2,7 +2,7 @@
 //! constructors for every constraint used by the scheduling model.
 
 use crate::engine::{Engine, PropId, Propagator};
-use crate::props::basic::{MaxOf, NeqOffset, XPlusCEqY, XPlusCLeqY};
+use crate::props::basic::{MaxOf, OneConfigPerCycle, XPlusCLeqY};
 use crate::props::cumulative::{CumTask, Cumulative};
 use crate::props::diff2::{Diff2, Rect};
 use crate::props::disjunctive::{DisjTask, Disjunctive};
@@ -53,6 +53,12 @@ impl Model {
         self.store.new_const(v)
     }
 
+    /// The view `x + c` ([`Store::view`]): no variable and no propagator.
+    /// This is how the paper's (4), `y = x + c`, is expressed.
+    pub fn view(&mut self, x: VarId, c: i32) -> VarId {
+        self.store.view(x, c)
+    }
+
     // ---- raw posting ------------------------------------------------------
 
     pub fn post(&mut self, p: Box<dyn Propagator>) -> PropId {
@@ -66,14 +72,10 @@ impl Model {
         self.post(Box::new(XPlusCLeqY { x, c, y }));
     }
 
-    /// `y = x + c` (paper's constraint (4) with `c` = latency).
-    pub fn eq_offset(&mut self, x: VarId, c: i32, y: VarId) {
-        self.post(Box::new(XPlusCEqY { x, c, y }));
-    }
-
-    /// `x ≠ y` (paper's constraint (3)).
-    pub fn neq(&mut self, x: VarId, y: VarId) {
-        self.post(Box::new(NeqOffset { x, y, c: 0 }));
+    /// At most one configuration per cycle over `(slot, configuration)`
+    /// tasks (paper's constraint (3)).
+    pub fn one_config_per_cycle(&mut self, tasks: Vec<(VarId, u32)>) {
+        self.post(Box::new(OneConfigPerCycle::new(tasks)));
     }
 
     /// `y = max(xs)` (constraint (5)).
@@ -184,13 +186,8 @@ mod tests {
             1,
         );
         let obj = m.new_var(0, 12);
-        let ea = m.new_var(0, 12);
-        let eb = m.new_var(0, 12);
-        let ec = m.new_var(0, 12);
-        m.eq_offset(a, 1, ea);
-        m.eq_offset(b, 1, eb);
-        m.eq_offset(c, 1, ec);
-        m.max_of(vec![ea, eb, ec], obj);
+        let ends = vec![m.view(a, 1), m.view(b, 1), m.view(c, 1)];
+        m.max_of(ends, obj);
         let cfg = SearchConfig {
             phases: vec![Phase::new(vec![a, b, c], VarSel::SmallestMin)],
             ..Default::default()

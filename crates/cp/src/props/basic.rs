@@ -1,5 +1,5 @@
 //! Basic binary/n-ary propagators: equality with offset, disequality,
-//! and `y = max(xs)`.
+//! one configuration per cycle, and `y = max(xs)`.
 
 use crate::domain::DomainEvent;
 use crate::engine::{Priority, Propagator, Subscriptions, Wake};
@@ -32,10 +32,10 @@ impl Propagator for XPlusCEqY {
         // Exact channeling once either side has holes: intersect with the
         // other side shifted by runs (a bitset just moves its anchor),
         // which gives full domain consistency.
-        if s.dom(self.x).interval_count() > 1 || s.dom(self.y).interval_count() > 1 {
+        if s.domain(self.x).interval_count() > 1 || s.domain(self.y).interval_count() > 1 {
             let c = self.c as i64;
-            s.intersect(self.y, &s.dom(self.x).shifted(c))?;
-            s.intersect(self.x, &s.dom(self.y).shifted(-c))?;
+            s.intersect(self.y, &s.domain(self.x).shifted(c))?;
+            s.intersect(self.x, &s.domain(self.y).shifted(-c))?;
         }
         Ok(())
     }
@@ -125,12 +125,12 @@ impl Propagator for NeqOffset {
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         // A counterpart outside `i32` is in no domain: nothing to remove.
         let c = self.c as i64;
-        if let Some(vy) = s.dom(self.y).value() {
+        if let Some(vy) = s.fixed_value(self.y) {
             if let Ok(v) = i32::try_from(vy as i64 + c) {
                 s.remove_value(self.x, v)?;
             }
         }
-        if let Some(vx) = s.dom(self.x).value() {
+        if let Some(vx) = s.fixed_value(self.x) {
             if let Ok(v) = i32::try_from(vx as i64 - c) {
                 s.remove_value(self.y, v)?;
             }
@@ -160,6 +160,82 @@ impl Propagator for NeqOffset {
     fn idempotent(&self) -> bool {
         // If removing x's value fixes y, the y-side rule in the same run
         // already removes the (provably absent) mirror value from x.
+        true
+    }
+}
+
+/// At most one configuration per cycle: tasks `(slot, configuration)`
+/// of different configurations never share a slot value. This is the
+/// paper's (3) as one propagator in place of a [`NeqOffset`] (`c = 0`)
+/// per differently configured pair, and it prunes exactly what those
+/// pairs prune: a fixed task's value leaves the domain of every task of
+/// another configuration, which fails when that task is fixed there too.
+pub struct OneConfigPerCycle {
+    tasks: Vec<(VarId, u32)>,
+    /// Fixed tasks whose value is still to be removed from the others.
+    work: Vec<u32>,
+}
+
+impl OneConfigPerCycle {
+    pub fn new(tasks: Vec<(VarId, u32)>) -> Self {
+        OneConfigPerCycle {
+            tasks,
+            work: Vec::new(),
+        }
+    }
+}
+
+impl Propagator for OneConfigPerCycle {
+    fn subscribe(&self, subs: &mut Subscriptions) {
+        // Every rule starts from a fixed task; the tag names it.
+        for (i, &(x, _)) in self.tasks.iter().enumerate() {
+            subs.watch_tagged(x, DomainEvent::FIX, i as u32);
+        }
+    }
+
+    fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
+        self.work.clear();
+        if wake.rescan() {
+            let fixed =
+                (0..self.tasks.len() as u32).filter(|&i| s.is_fixed(self.tasks[i as usize].0));
+            self.work.extend(fixed);
+        } else {
+            self.work.extend_from_slice(wake.tags());
+        }
+        // A removal that fixes another task queues it in this same run,
+        // so one run reaches the fixpoint of every pair.
+        while let Some(i) = self.work.pop() {
+            let (x, cfg) = self.tasks[i as usize];
+            let Some(v) = s.fixed_value(x) else {
+                continue;
+            };
+            for (j, &(y, cy)) in self.tasks.iter().enumerate() {
+                if cy != cfg && s.contains(y, v) {
+                    s.remove_value(y, v)?;
+                    if s.is_fixed(y) {
+                        self.work.push(j as u32);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn idle(&self, s: &Store) -> bool {
+        // Without a fixed task nothing prunes.
+        !self.tasks.iter().any(|&(x, _)| s.is_fixed(x))
+    }
+
+    fn name(&self) -> &'static str {
+        "one-config-per-cycle"
+    }
+
+    fn priority(&self) -> Priority {
+        Priority::Arith
+    }
+
+    fn idempotent(&self) -> bool {
+        // Tasks its own removals fix are processed in the same run.
         true
     }
 }

@@ -247,7 +247,7 @@ impl Propagator for Cumulative {
             }
             // Collect candidate values first (cannot mutate while iterating).
             self.candidates.clear();
-            self.candidates.extend(s.dom(t.start).iter());
+            self.candidates.extend(s.domain(t.start).iter());
             self.to_remove.clear();
             for &v in &self.candidates {
                 let peak = self.profile.max_in(v, v + t.dur, own, t.req);

@@ -30,7 +30,8 @@
 //!   re-reads only the rectangles in [`Wake::tags`]: every bound change
 //!   since the previous run fired a tagged watch, and nothing backtracked
 //!   in between. A pair pruning re-reads every rectangle that contains a
-//!   pruned variable, so the snapshot is exact at every test.
+//!   pruned variable, or a view of the same base, so the snapshot is
+//!   exact at every test.
 //! - *Tagged pair loop.* Without a rescan only pairs with a rectangle in
 //!   [`Wake::tags`] are visited; every other pair was filtered on the same
 //!   bounds before. They are visited in the lexicographic order of a full
@@ -90,9 +91,11 @@ pub struct Diff2 {
     rects: Vec<Rect>,
     /// Bounds of every rect, exact whenever a rule reads them.
     snap: Vec<Bounds>,
-    /// `(var, rect)` for every var of every rect, sorted and deduplicated:
-    /// the snapshot entries a pruned var invalidates. Rects share vars
-    /// (a `one` length constant, a common origin).
+    /// `(base, rect)` for the base variable of every var of every rect,
+    /// sorted and deduplicated: the snapshot entries a pruned var
+    /// invalidates. Rects share vars (a `one` length constant, a common
+    /// origin) and bases (views of one producer's start). Built on the
+    /// first run, which has the store to resolve views.
     var_rects: Vec<(VarId, u32)>,
     /// Pigeonhole events `(position, ±height)` of the current run.
     events: Vec<(i32, i32)>,
@@ -104,29 +107,35 @@ pub struct Diff2 {
 
 impl Diff2 {
     pub fn new(rects: Vec<Rect>) -> Self {
-        let mut var_rects: Vec<(VarId, u32)> = rects
-            .iter()
-            .enumerate()
-            .flat_map(|(i, r)| {
-                r.origin
-                    .iter()
-                    .chain(r.len.iter())
-                    .map(move |&v| (v, i as u32))
-            })
-            .collect();
-        var_rects.sort_unstable();
-        var_rects.dedup();
         Diff2 {
             snap: Vec::with_capacity(rects.len()),
             rects,
-            var_rects,
+            var_rects: Vec::new(),
             events: Vec::new(),
             peak_key: Vec::new(),
             peak: 0,
         }
     }
 
-    /// Re-read the snapshot of every rect that contains `v`.
+    /// Build `var_rects` from the bases of the rects' variables.
+    fn index_bases(&mut self, s: &Store) {
+        self.var_rects = self
+            .rects
+            .iter()
+            .enumerate()
+            .flat_map(|(i, r)| {
+                r.origin
+                    .iter()
+                    .chain(r.len.iter())
+                    .map(move |&v| (s.resolve(v).0, i as u32))
+            })
+            .collect();
+        self.var_rects.sort_unstable();
+        self.var_rects.dedup();
+    }
+
+    /// Re-read the snapshot of every rect that contains `v` or another
+    /// view of its base.
     fn refresh(&mut self, s: &Store, v: VarId) {
         let Diff2 {
             rects,
@@ -134,8 +143,9 @@ impl Diff2 {
             var_rects,
             ..
         } = self;
-        let from = var_rects.partition_point(|&(w, _)| w < v);
-        for &(_, r) in var_rects[from..].iter().take_while(|&&(w, _)| w == v) {
+        let base = s.resolve(v).0;
+        let from = var_rects.partition_point(|&(w, _)| w < base);
+        for &(_, r) in var_rects[from..].iter().take_while(|&&(w, _)| w == base) {
             snap[r as usize] = Bounds::read(s, &rects[r as usize]);
         }
     }
@@ -247,6 +257,9 @@ impl Propagator for Diff2 {
     }
 
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
+        if self.var_rects.is_empty() {
+            self.index_bases(s);
+        }
         // Between fixpoint rounds the search may have backtracked, which
         // moves bounds without events: only a re-run may trust the tags.
         if wake.rerun_in_round() && !wake.rescan() {
@@ -453,6 +466,56 @@ mod tests {
         assert_eq!((s.min(v), s.max(u)), (2, 1));
         // Both prunings happened in the first run; the re-run they woke
         // found nothing left to do.
+        let p = e.profiles()[0];
+        assert_eq!((p.invocations, p.no_op_runs), (2, 1));
+    }
+
+    #[test]
+    fn one_run_sees_its_own_prunings_through_views_of_one_base() {
+        // As above, but rect 3's origin is the view `v + 1`, a variable
+        // id of its own. Pair (0,1) forces v ≥ 2, so v + 1 ≥ 3; pair
+        // (2,3) must see that in the same run and force u ≤ 2.
+        let mut s = Store::new();
+        let v = s.new_var(0, 3);
+        let u = s.new_var(0, 4);
+        let w = s.view(v, 1);
+        let x0 = s.new_const(0);
+        let (row0, row1) = (s.new_const(0), s.new_const(1));
+        let (len, h) = (s.new_const(2), s.new_const(1));
+        let r = |x, y| Rect {
+            origin: [x, y],
+            len: [len, h],
+        };
+        let rects = vec![r(x0, row0), r(v, row0), r(u, row1), r(w, row1)];
+        let mut e = Engine::new();
+        e.post(Box::new(Diff2::new(rects)), &s);
+        e.fixpoint(&mut s).unwrap();
+        assert_eq!((s.min(w), s.max(u)), (3, 2));
+        let p = e.profiles()[0];
+        assert_eq!((p.invocations, p.no_op_runs), (2, 1));
+    }
+
+    #[test]
+    fn a_pruning_through_a_view_refreshes_its_base() {
+        // The pruned origin is the view this time: pair (0,1) forces
+        // v + 1 ≥ 2, so v ≥ 1, which rect 3 (origin v) must see in the
+        // same run: pair (2,3) then forces u ≤ 1 (and v ≥ 2).
+        let mut s = Store::new();
+        let v = s.new_var(0, 3);
+        let u = s.new_var(0, 2);
+        let w = s.view(v, 1);
+        let x0 = s.new_const(0);
+        let (row0, row1) = (s.new_const(0), s.new_const(1));
+        let (len, h) = (s.new_const(2), s.new_const(1));
+        let r = |x, y| Rect {
+            origin: [x, y],
+            len: [len, h],
+        };
+        let rects = vec![r(x0, row0), r(w, row0), r(u, row1), r(v, row1)];
+        let mut e = Engine::new();
+        e.post(Box::new(Diff2::new(rects)), &s);
+        e.fixpoint(&mut s).unwrap();
+        assert_eq!((s.min(v), s.max(u)), (2, 1));
         let p = e.profiles()[0];
         assert_eq!((p.invocations, p.no_op_runs), (2, 1));
     }

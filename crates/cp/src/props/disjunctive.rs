@@ -75,12 +75,12 @@ impl Disjunctive {
                     (true, true) => {
                         // Both orders open: forbid start values that would
                         // overlap a *fixed* opponent.
-                        if let Some(vb) = s.dom(b.start).value() {
+                        if let Some(vb) = s.fixed_value(b.start) {
                             for v in (vb - a.dur + 1)..(vb + b.dur) {
                                 s.remove_value(a.start, v)?;
                             }
                         }
-                        if let Some(va) = s.dom(a.start).value() {
+                        if let Some(va) = s.fixed_value(a.start) {
                             for v in (va - b.dur + 1)..(va + a.dur) {
                                 s.remove_value(b.start, v)?;
                             }

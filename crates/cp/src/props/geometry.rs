@@ -82,12 +82,13 @@ impl Propagator for SlotGeometry {
         // The banks whose page is still allowed: page p covers banks
         // [p·ps, p·ps + ps - 1]; `channel` clips a partial last page.
         let banks = Domain::from_runs(
-            s.dom(self.page)
+            s.domain(self.page)
                 .intervals_in(0, ((nb - 1) / ps) as i32)
                 .map(|(l, h)| ((l as i64 * ps) as i32, (h as i64 * ps + ps - 1) as i32))
                 .collect(),
         );
-        let [slots, lines, bank_runs] = channel(s.dom(self.slot), s.dom(self.line), &banks, nb);
+        let [slots, lines, bank_runs] =
+            channel(&s.domain(self.slot), &s.domain(self.line), &banks, nb);
         let pages = bank_runs
             .into_iter()
             .map(|(l, h)| ((l as i64 / ps) as i32, (h as i64 / ps) as i32))
@@ -132,9 +133,9 @@ impl Propagator for ModChannel {
 
     fn propagate(&mut self, store: &mut Store, _: &Wake<'_>) -> PropResult {
         let [ss, ks, ts] = channel(
-            store.dom(self.s),
-            store.dom(self.k),
-            store.dom(self.t),
+            &store.domain(self.s),
+            &store.domain(self.k),
+            &store.domain(self.t),
             self.modulus as i64,
         );
         store.intersect(self.s, &Domain::from_runs(ss))?;

@@ -3,7 +3,8 @@
 //! Each submodule provides one family of constraints used by the scheduling
 //! and memory-allocation model:
 //!
-//! - [`basic`] — equalities, offsets, disequalities, `max`
+//! - [`basic`] — equalities, offsets, disequalities, one configuration per
+//!   cycle, `max`
 //! - [`linear`] — linear inequalities with bounds consistency
 //! - [`nogood`] — watched-literal enforcement of restart-harvested nogoods
 //! - [`cumulative`] — renewable-resource scheduling (energetic overload

@@ -121,13 +121,13 @@ impl NogoodBase {
     /// Literal state: false ⇔ var fixed to the literal's value.
     #[inline]
     fn lit_false(&self, store: &Store, lit: (u32, i32)) -> bool {
-        store.dom(self.vars[lit.0 as usize]).value() == Some(lit.1)
+        store.fixed_value(self.vars[lit.0 as usize]) == Some(lit.1)
     }
 
     /// Literal state: true ⇔ the value has left the domain.
     #[inline]
     fn lit_true(&self, store: &Store, lit: (u32, i32)) -> bool {
-        !store.dom(self.vars[lit.0 as usize]).contains(lit.1)
+        !store.contains(self.vars[lit.0 as usize], lit.1)
     }
 
     /// Install watches for clauses appended since the last run and give
@@ -181,7 +181,7 @@ impl NogoodBase {
             return Ok(()); // already satisfied
         }
         let var = self.vars[lit.0 as usize];
-        if store.dom(var).value() == Some(lit.1) {
+        if store.fixed_value(var) == Some(lit.1) {
             self.conflicts += 1;
             return Err(Fail);
         }

@@ -37,7 +37,7 @@ impl PageLineImplies {
     ) -> Result<bool, crate::store::Fail> {
         let pages_must_equal =
             s.is_fixed(page_d) && s.is_fixed(page_e) && s.value(page_d) == s.value(page_e);
-        let lines_cant_equal = s.dom(line_d).disjoint(s.dom(line_e));
+        let lines_cant_equal = s.domain(line_d).disjoint(&s.domain(line_e));
 
         if pages_must_equal && lines_cant_equal {
             if hard {
@@ -51,16 +51,16 @@ impl PageLineImplies {
         }
         if pages_must_equal {
             // Enforce line_d = line_e.
-            let de = s.dom(line_e).clone();
+            let de = s.domain(line_e).into_owned();
             s.intersect(line_d, &de)?;
-            let dd = s.dom(line_d).clone();
+            let dd = s.domain(line_d).into_owned();
             s.intersect(line_e, &dd)?;
         } else if lines_cant_equal {
             // Contrapositive: page_d ≠ page_e.
-            if let Some(p) = s.dom(page_d).value() {
+            if let Some(p) = s.fixed_value(page_d) {
                 s.remove_value(page_e, p)?;
             }
-            if let Some(p) = s.dom(page_e).value() {
+            if let Some(p) = s.fixed_value(page_e) {
                 s.remove_value(page_d, p)?;
             }
         }
@@ -70,7 +70,7 @@ impl PageLineImplies {
     /// True when the implication holds for every value left: the pages
     /// cannot be equal, or the lines are fixed and equal.
     fn holds(s: &Store, page_d: VarId, line_d: VarId, page_e: VarId, line_e: VarId) -> bool {
-        s.dom(page_d).disjoint(s.dom(page_e))
+        s.domain(page_d).disjoint(&s.domain(page_e))
             || (s.is_fixed(line_d) && s.is_fixed(line_e) && s.value(line_d) == s.value(line_e))
     }
 
@@ -153,7 +153,7 @@ impl Propagator for CondSameTime {
 
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
         // Guard decided false: entailed.
-        if s.dom(self.s_i).disjoint(s.dom(self.s_j)) {
+        if s.domain(self.s_i).disjoint(&s.domain(self.s_j)) {
             wake.report_entailed();
             return Ok(());
         }
@@ -173,10 +173,10 @@ impl Propagator for CondSameTime {
             let violated =
                 PageLineImplies::filter(s, p.page_d, p.line_d, p.page_e, p.line_e, false)?;
             if violated {
-                if let Some(v) = s.dom(self.s_i).value() {
+                if let Some(v) = s.fixed_value(self.s_i) {
                     s.remove_value(self.s_j, v)?;
                 }
-                if let Some(v) = s.dom(self.s_j).value() {
+                if let Some(v) = s.fixed_value(self.s_j) {
                     s.remove_value(self.s_i, v)?;
                 }
                 return Ok(());
@@ -187,7 +187,9 @@ impl Propagator for CondSameTime {
 
     fn idle(&self, s: &Store) -> bool {
         // Both pruning directions need a fixed start.
-        !s.is_fixed(self.s_i) && !s.is_fixed(self.s_j) && !s.dom(self.s_i).disjoint(s.dom(self.s_j))
+        !s.is_fixed(self.s_i)
+            && !s.is_fixed(self.s_j)
+            && !s.domain(self.s_i).disjoint(&s.domain(self.s_j))
     }
 
     fn name(&self) -> &'static str {

@@ -140,15 +140,21 @@ impl SearchStatus {
     }
 }
 
-/// A complete assignment snapshot (indexed by `VarId`).
+/// A complete assignment snapshot: one value per real variable and one
+/// per view.
 #[derive(Clone, Debug)]
 pub struct Solution {
     values: Vec<i32>,
+    views: Vec<i32>,
 }
 
 impl Solution {
     pub fn value(&self, v: VarId) -> i32 {
-        self.values[v.idx()]
+        if v.is_view() {
+            self.views[(v.0 - VarId::VIEW) as usize]
+        } else {
+            self.values[v.idx()]
+        }
     }
 }
 
@@ -282,14 +288,13 @@ impl<'m> Dfs<'m> {
     fn record_solution(&mut self) {
         self.stats.solutions += 1;
         let s = &self.model.store;
-        let values: Vec<i32> = (0..s.num_vars() as u32)
-            .map(|i| {
-                let v = VarId(i);
-                // Non-decision vars may be unfixed but bounded; take min —
-                // for the objective this is exact (it is functionally
-                // determined), and extraction only reads decision vars.
-                s.dom(v).value().unwrap_or_else(|| s.min(v))
-            })
+        // Non-decision vars may be unfixed but bounded; take min — for
+        // the objective this is exact (it is functionally determined), and
+        // extraction only reads decision vars.
+        let value = |v: VarId| s.fixed_value(v).unwrap_or_else(|| s.min(v));
+        let values: Vec<i32> = (0..s.num_vars() as u32).map(|i| value(VarId(i))).collect();
+        let views: Vec<i32> = (0..s.num_views() as u32)
+            .map(|k| value(VarId(VarId::VIEW + k)))
             .collect();
         if let Some(obj) = self.objective {
             let val = self.model.store.min(obj);
@@ -301,7 +306,7 @@ impl<'m> Dfs<'m> {
             objective: self.best_obj,
             nodes: self.stats.nodes,
         });
-        let sol = Solution { values };
+        let sol = Solution { values, views };
         if let Some((sols, cap)) = &mut self.collect {
             if sols.len() < *cap {
                 sols.push(sol.clone());
@@ -384,7 +389,7 @@ impl<'m> Dfs<'m> {
                 .wrapping_add(depth.wrapping_mul(0xBF58_476D_1CE4_E5B9));
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z ^= z >> 27;
-            return self.model.store.dom(var).nth_member(z % size);
+            return self.model.store.domain(var).nth_member(z % size);
         }
         self.model.store.min(var)
     }
@@ -932,7 +937,7 @@ mod more_tests {
         let vars: Vec<VarId> = (0..4).map(|_| m.new_var(0, 3)).collect();
         for (i, &x) in vars.iter().enumerate() {
             for &y in &vars[i + 1..] {
-                m.neq(x, y);
+                m.post(Box::new(NeqOffset { x, y, c: 0 }));
             }
         }
         let cfg = SearchConfig {
@@ -958,7 +963,7 @@ mod more_tests {
         let vars: Vec<VarId> = (0..4).map(|_| m.new_var(0, 3)).collect();
         for (i, &x) in vars.iter().enumerate() {
             for &y in &vars[i + 1..] {
-                m.neq(x, y);
+                m.post(Box::new(NeqOffset { x, y, c: 0 }));
             }
         }
         let cfg = SearchConfig {

@@ -7,18 +7,35 @@
 //! matching push. Changes made at the root level (before any push) are
 //! permanent, which is how model set-up and branch-and-bound tightening of
 //! the objective bound are expressed.
+//!
+//! A *view* ([`Store::view`]) is a `VarId` whose domain is another
+//! variable's shifted by a constant. It has no domain of its own: every
+//! read and write acts on its base, so only real variables are trailed,
+//! hashed and counted, and every event is logged on the base.
 
 use crate::domain::{Domain, DomainEvent};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 
-/// Index of a finite-domain variable in a [`Store`].
+/// Index of a finite-domain variable in a [`Store`]: a real variable
+/// below `VarId::VIEW` (2³¹), a view from there up.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 impl VarId {
+    /// The first view id: view `k` is `VarId(VIEW + k)`.
+    pub(crate) const VIEW: u32 = 1 << 31;
+
     #[inline]
     pub fn idx(self) -> usize {
         self.0 as usize
+    }
+
+    /// True if this id names a view rather than a real variable.
+    #[inline]
+    pub fn is_view(self) -> bool {
+        self.0 >= Self::VIEW
     }
 }
 
@@ -36,8 +53,13 @@ pub struct Fail;
 pub type PropResult = Result<(), Fail>;
 
 pub struct Store {
+    /// One domain per real variable.
     domains: Vec<Domain>,
     names: Vec<String>,
+    /// `(base, offset)` per view, indexed by `VarId − VarId::VIEW`.
+    views: Vec<(u32, i32)>,
+    /// The canonical view per `(base, offset)`.
+    view_ids: HashMap<(u32, i32), VarId>,
     /// (var, saved domain) entries, chronological.
     trail: Vec<(u32, Domain)>,
     /// (trail length, magic) at each open level. The magic identifies the
@@ -65,6 +87,8 @@ impl Store {
         Store {
             domains: Vec::new(),
             names: Vec::new(),
+            views: Vec::new(),
+            view_ids: HashMap::new(),
             trail: Vec::new(),
             level_marks: Vec::new(),
             saved_at: Vec::new(),
@@ -90,8 +114,8 @@ impl Store {
         }
     }
 
-    /// `(bitset, interval-list)` counts over the current domains — the
-    /// domain-representation histogram surfaced in run metrics.
+    /// `(bitset, interval-list)` counts over the real variables' domains
+    /// — the domain-representation histogram surfaced in run metrics.
     pub fn domain_rep_counts(&self) -> (usize, usize) {
         let bits = self.domains.iter().filter(|d| d.is_bitset()).count();
         (bits, self.domains.len() - bits)
@@ -142,37 +166,131 @@ impl Store {
         self.new_var(v, v)
     }
 
+    /// The view `x + c`: a `VarId` whose values, bounds, holes and events
+    /// are those of `x` shifted by `c`. It has no domain: reads and
+    /// writes through it act on the base variable, and a watch on it is
+    /// a watch on the base with the same event bits (a shift preserves
+    /// order, so `MIN` stays `MIN`). Views are canonical: a view of a
+    /// view is a view of the base, `c = 0` gives `x` back, and one
+    /// `(base, offset)` always gives the same id. Panics when the base
+    /// shifted by `c` leaves the `i32` range, so no value of a view ever
+    /// overflows.
+    pub fn view(&mut self, x: VarId, c: i32) -> VarId {
+        let (base, off) = self.resolve(x);
+        let off = off.checked_add(c).expect("view offset overflows i32");
+        if off == 0 {
+            return base;
+        }
+        if let Some(&v) = self.view_ids.get(&(base.0, off)) {
+            return v;
+        }
+        assert!(
+            self.level_marks.is_empty(),
+            "views must be created at the root level"
+        );
+        let d = &self.domains[base.idx()];
+        assert!(
+            i32::try_from(d.min() as i64 + off as i64).is_ok()
+                && i32::try_from(d.max() as i64 + off as i64).is_ok(),
+            "view {base:?}{off:+} leaves the i32 range"
+        );
+        let id = VarId(VarId::VIEW + self.views.len() as u32);
+        self.views.push((base.0, off));
+        self.view_ids.insert((base.0, off), id);
+        id
+    }
+
+    /// The real variable behind `v` and the offset of `v` from it:
+    /// `(v, 0)` for a real variable.
+    #[inline]
+    pub(crate) fn resolve(&self, v: VarId) -> (VarId, i32) {
+        if v.is_view() {
+            let (b, c) = self.views[(v.0 - VarId::VIEW) as usize];
+            (VarId(b), c)
+        } else {
+            (v, 0)
+        }
+    }
+
+    /// The base domain behind `v` and the offset of `v` from it.
+    #[inline]
+    fn at(&self, v: VarId) -> (&Domain, i32) {
+        let (b, c) = self.resolve(v);
+        (&self.domains[b.idx()], c)
+    }
+
+    /// Number of real variables (views are not counted).
     pub fn num_vars(&self) -> usize {
         self.domains.len()
     }
 
-    pub fn name(&self, v: VarId) -> &str {
-        &self.names[v.idx()]
+    /// Number of views.
+    pub(crate) fn num_views(&self) -> usize {
+        self.views.len()
     }
 
+    /// Diagnostic name; a view has none.
+    pub fn name(&self, v: VarId) -> &str {
+        if v.is_view() {
+            ""
+        } else {
+            &self.names[v.idx()]
+        }
+    }
+
+    /// The domain of a real variable. Panics on a view, which has no
+    /// domain of its own: read views through [`Store::domain`] or the
+    /// scalar accessors.
     #[inline]
     pub fn dom(&self, v: VarId) -> &Domain {
+        assert!(!v.is_view(), "dom() of view {v:?}: use domain()");
         &self.domains[v.idx()]
+    }
+
+    /// The domain of `v`: borrowed for a real variable, a shifted copy
+    /// for a view.
+    #[inline]
+    pub fn domain(&self, v: VarId) -> Cow<'_, Domain> {
+        match self.at(v) {
+            (d, 0) => Cow::Borrowed(d),
+            (d, c) => Cow::Owned(d.shifted(c as i64)),
+        }
     }
 
     #[inline]
     pub fn min(&self, v: VarId) -> i32 {
-        self.domains[v.idx()].min()
+        let (d, c) = self.at(v);
+        d.min() + c
     }
 
     #[inline]
     pub fn max(&self, v: VarId) -> i32 {
-        self.domains[v.idx()].max()
+        let (d, c) = self.at(v);
+        d.max() + c
     }
 
     #[inline]
     pub fn is_fixed(&self, v: VarId) -> bool {
-        self.domains[v.idx()].is_fixed()
+        self.at(v).0.is_fixed()
     }
 
-    /// FNV-1a 64-bit digest of every variable's (min, max) bounds, in
-    /// variable order. Two stores with the same shape hash equal iff all
-    /// bounds agree — the replay engine compares these digests to pin the
+    /// The assigned value, if `v` is fixed.
+    #[inline]
+    pub fn fixed_value(&self, v: VarId) -> Option<i32> {
+        let (d, c) = self.at(v);
+        d.value().map(|x| x + c)
+    }
+
+    /// Membership test.
+    #[inline]
+    pub fn contains(&self, v: VarId, val: i32) -> bool {
+        let (d, c) = self.at(v);
+        i32::try_from(val as i64 - c as i64).is_ok_and(|x| d.contains(x))
+    }
+
+    /// FNV-1a 64-bit digest of every real variable's (min, max) bounds,
+    /// in variable order (a view adds nothing its base does not). Two
+    /// stores with the same shape hash equal iff all bounds agree — the replay engine compares these digests to pin the
     /// solver's domain trajectory, not just its decision sequence.
     /// Interior holes are deliberately not hashed: bounds are O(1) per
     /// variable where interval lists are not, and a hole can only affect
@@ -189,12 +307,12 @@ impl Store {
     /// The assigned value; panics if not fixed (use in extraction paths).
     #[inline]
     pub fn value(&self, v: VarId) -> i32 {
-        self.domains[v.idx()].value().expect("variable not fixed")
+        self.fixed_value(v).expect("variable not fixed")
     }
 
     #[inline]
     pub fn size(&self, v: VarId) -> u64 {
-        self.domains[v.idx()].size()
+        self.at(v).0.size()
     }
 
     /// Current search depth (0 = root).
@@ -290,7 +408,21 @@ impl Store {
         self.changes
     }
 
-    /// Drain the modification log (consumed by the engine).
+    /// Move the modification log into `buf` (cleared first) and keep
+    /// `buf`'s old allocation as the new log, so neither side reallocates
+    /// in the steady state. Entries name real variables only.
+    pub(crate) fn swap_events(&mut self, buf: &mut Vec<(u32, DomainEvent)>) {
+        buf.clear();
+        std::mem::swap(&mut self.log, buf);
+    }
+
+    /// Drop the modification log.
+    pub(crate) fn clear_events(&mut self) {
+        self.log.clear();
+    }
+
+    /// Drain the modification log into a fresh vector.
+    #[cfg(test)]
     pub(crate) fn take_events(&mut self) -> Vec<(u32, DomainEvent)> {
         std::mem::take(&mut self.log)
     }
@@ -300,9 +432,66 @@ impl Store {
     }
 
     // ---- mutation API -----------------------------------------------------
+    //
+    // Each method resolves `v` to its base and moves the argument by the
+    // view's offset. An argument that leaves the `i32` range on the way
+    // lies beyond every base value: it removes nothing or everything.
 
     /// `v ≥ lo`.
     pub fn remove_below(&mut self, v: VarId, lo: i32) -> PropResult {
+        let (b, c) = self.resolve(v);
+        match i32::try_from(lo as i64 - c as i64) {
+            Ok(lo) => self.base_remove_below(b, lo),
+            Err(_) if c > 0 => Ok(()),
+            Err(_) => self.wipe(b),
+        }
+    }
+
+    /// `v ≤ hi`.
+    pub fn remove_above(&mut self, v: VarId, hi: i32) -> PropResult {
+        let (b, c) = self.resolve(v);
+        match i32::try_from(hi as i64 - c as i64) {
+            Ok(hi) => self.base_remove_above(b, hi),
+            Err(_) if c < 0 => Ok(()),
+            Err(_) => self.wipe(b),
+        }
+    }
+
+    /// `v ≠ val`.
+    pub fn remove_value(&mut self, v: VarId, val: i32) -> PropResult {
+        let (b, c) = self.resolve(v);
+        match i32::try_from(val as i64 - c as i64) {
+            Ok(val) => self.base_remove_value(b, val),
+            Err(_) => Ok(()),
+        }
+    }
+
+    /// `v = val`. Fails if `val` is not in the domain.
+    pub fn fix(&mut self, v: VarId, val: i32) -> PropResult {
+        let (b, c) = self.resolve(v);
+        match i32::try_from(val as i64 - c as i64) {
+            Ok(val) => self.base_fix(b, val),
+            Err(_) => Err(Fail),
+        }
+    }
+
+    /// `v ∈ other` (intersect with an explicit domain). An empty `other`
+    /// empties `v`: `Err(Fail)`.
+    pub fn intersect(&mut self, v: VarId, other: &Domain) -> PropResult {
+        match self.resolve(v) {
+            (b, 0) => self.base_intersect(b, other),
+            (b, c) => self.base_intersect(b, &other.shifted(-(c as i64))),
+        }
+    }
+
+    /// Empty the real variable `v`: a bound beyond every value.
+    fn wipe(&mut self, v: VarId) -> PropResult {
+        self.save(v);
+        self.domains[v.idx()] = Domain::empty();
+        self.after_change(v, DomainEvent::ANY)
+    }
+
+    fn base_remove_below(&mut self, v: VarId, lo: i32) -> PropResult {
         if self.domains[v.idx()].min() >= lo {
             return Ok(());
         }
@@ -316,8 +505,7 @@ impl Store {
         self.after_change(v, ev)
     }
 
-    /// `v ≤ hi`.
-    pub fn remove_above(&mut self, v: VarId, hi: i32) -> PropResult {
+    fn base_remove_above(&mut self, v: VarId, hi: i32) -> PropResult {
         if self.domains[v.idx()].max() <= hi {
             return Ok(());
         }
@@ -331,8 +519,7 @@ impl Store {
         self.after_change(v, ev)
     }
 
-    /// `v ≠ val`.
-    pub fn remove_value(&mut self, v: VarId, val: i32) -> PropResult {
+    fn base_remove_value(&mut self, v: VarId, val: i32) -> PropResult {
         let d = &self.domains[v.idx()];
         if !d.contains(val) {
             return Ok(());
@@ -344,8 +531,7 @@ impl Store {
         self.after_change(v, ev)
     }
 
-    /// `v = val`. Fails if `val` is not in the domain.
-    pub fn fix(&mut self, v: VarId, val: i32) -> PropResult {
+    fn base_fix(&mut self, v: VarId, val: i32) -> PropResult {
         let d = &self.domains[v.idx()];
         if d.value() == Some(val) {
             return Ok(());
@@ -365,9 +551,7 @@ impl Store {
         self.after_change(v, ev)
     }
 
-    /// `v ∈ other` (intersect with an explicit domain). An empty `other`
-    /// empties `v`: `Err(Fail)`.
-    pub fn intersect(&mut self, v: VarId, other: &Domain) -> PropResult {
+    fn base_intersect(&mut self, v: VarId, other: &Domain) -> PropResult {
         // Probe cheaply: bounds-only fast path.
         let d = &self.domains[v.idx()];
         if !other.is_empty()
@@ -406,6 +590,9 @@ impl fmt::Debug for Store {
                 self.names[i].clone()
             };
             writeln!(f, "  {name} = {d:?}")?;
+        }
+        for (k, &(b, c)) in self.views.iter().enumerate() {
+            writeln!(f, "  {:?} = x{b}{c:+}", VarId(VarId::VIEW + k as u32))?;
         }
         Ok(())
     }
@@ -640,6 +827,136 @@ mod tests {
             "trailed copies are pinned too"
         );
         assert_eq!(s.dom(xs[0]), &Domain::interval(0, 60));
+    }
+
+    #[test]
+    fn views_read_the_shifted_base() {
+        let mut s = Store::new();
+        let x = s.new_var_with_domain(Domain::from_values([0, 2, 3, 7]), "x");
+        let v = s.view(x, 10);
+        assert!(v.is_view() && !x.is_view());
+        assert_eq!((s.min(v), s.max(v), s.size(v)), (10, 17, 4));
+        assert!(s.contains(v, 12) && !s.contains(v, 11) && !s.contains(v, 2));
+        assert_eq!(s.domain(v).as_ref(), &Domain::from_values([10, 12, 13, 17]));
+        assert_eq!(s.fixed_value(v), None);
+        assert_eq!(s.resolve(v), (x, 10));
+        // Extreme probes never overflow: they lie outside every domain.
+        let w = s.view(x, -5);
+        assert!(!s.contains(v, i32::MIN) && !s.contains(w, i32::MAX));
+    }
+
+    #[test]
+    fn views_are_canonical() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 9);
+        let v = s.view(x, 3);
+        assert_eq!(s.view(x, 3), v, "one id per (base, offset)");
+        assert_eq!(s.view(x, 0), x, "offset 0 is the base");
+        assert_eq!(s.view(v, -3), x, "a view of a view resolves to the base");
+        assert_eq!(s.view(v, 2), s.view(x, 5));
+        assert_eq!((s.num_vars(), s.num_views()), (1, 2));
+    }
+
+    #[test]
+    fn writes_through_a_view_act_on_the_base() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 20);
+        let v = s.view(x, -5);
+        s.push_level();
+        s.remove_below(v, 0).unwrap();
+        s.remove_above(v, 12).unwrap();
+        assert_eq!((s.min(x), s.max(x)), (5, 17));
+        s.remove_value(v, 6).unwrap();
+        assert!(!s.contains(x, 11));
+        s.intersect(v, &Domain::from_values([1, 6, 9, 40])).unwrap();
+        assert_eq!(s.dom(x), &Domain::from_values([6, 14]));
+        s.fix(v, 9).unwrap();
+        assert_eq!((s.value(x), s.value(v)), (14, 9));
+        assert_eq!(s.fix(v, 1), Err(Fail), "fix outside the view's domain");
+    }
+
+    #[test]
+    fn bounds_beyond_the_range_empty_or_keep_the_base() {
+        let mut s = Store::new();
+        let x = s.new_var(i32::MAX - 4, i32::MAX);
+        let y = s.new_var(i32::MIN, i32::MIN + 4);
+        let down = s.view(x, -10); // lo − c overflows above
+        let up = s.view(y, 10); // lo − c overflows below
+        s.push_level();
+        s.remove_below(up, i32::MIN).unwrap();
+        s.remove_above(down, i32::MAX).unwrap();
+        s.remove_value(up, i32::MIN).unwrap();
+        assert_eq!(s.fix(up, i32::MIN), Err(Fail));
+        assert_eq!((s.size(x), s.size(y)), (5, 5), "nothing removed");
+        assert_eq!(s.remove_below(down, i32::MAX), Err(Fail));
+        s.pop_level();
+        s.push_level();
+        assert_eq!(s.remove_above(up, i32::MIN), Err(Fail));
+        s.pop_level();
+        assert_eq!((s.size(x), s.size(y)), (5, 5));
+    }
+
+    #[test]
+    fn views_fire_events_on_the_base() {
+        let mut s = Store::new();
+        let x = s.new_var_with_domain(Domain::from_values([0, 2, 4, 6, 8]), "x");
+        let v = s.view(x, 100);
+        s.push_level();
+        s.remove_value(v, 104).unwrap(); // interior
+        s.remove_below(v, 101).unwrap(); // minimum
+        s.intersect(v, &Domain::interval(0, 106)).unwrap(); // maximum
+        s.remove_value(v, 106).unwrap(); // leaves {2}: fixed
+        let log = s.take_events();
+        assert!(log.iter().all(|&(var, _)| var == x.0), "{log:?}");
+        let evs: Vec<DomainEvent> = log.iter().map(|&(_, ev)| ev).collect();
+        assert_eq!(
+            evs,
+            vec![
+                DomainEvent::HOLE,
+                DomainEvent::MIN,
+                DomainEvent::MAX,
+                DomainEvent::MAX | DomainEvent::FIX,
+            ]
+        );
+    }
+
+    #[test]
+    fn only_real_variables_are_trailed_and_hashed() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 60);
+        let mut twin = Store::new();
+        twin.new_var(0, 60);
+        let vs: Vec<VarId> = (1..4).map(|c| s.view(x, c)).collect();
+        assert_eq!(s.state_hash(), twin.state_hash(), "views add nothing");
+        assert_eq!(s.domain_rep_counts(), (1, 0));
+        s.push_level();
+        s.remove_below(vs[0], 11).unwrap();
+        s.remove_above(vs[2], 40).unwrap();
+        s.remove_value(x, 20).unwrap();
+        assert_eq!(s.trail.len(), 1, "one base, saved once");
+        s.pop_level();
+        assert_eq!((s.min(vs[1]), s.max(vs[1])), (2, 62));
+        assert_eq!(s.state_hash(), twin.state_hash());
+        // Pinning skips views: they have no domain to pin.
+        s.set_bitset(false);
+        assert_eq!(s.domain_rep_counts(), (0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "use domain()")]
+    fn dom_refuses_a_view() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 5);
+        let v = s.view(x, 1);
+        let _ = s.dom(v);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves the i32 range")]
+    fn a_view_must_fit_the_range() {
+        let mut s = Store::new();
+        let x = s.new_var(0, 5);
+        s.view(x, i32::MAX);
     }
 
     #[test]

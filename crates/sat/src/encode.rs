@@ -7,8 +7,9 @@
 //!   window wrap-around excluded by forbidding values whose residue
 //!   exceeds `II − max(dur,1)` — exactly the CP model's `t` domain;
 //! - *data* nodes are eliminated: a produced datum starts exactly
-//!   `latency(producer)` after its producer (the CP `eq_offset`), so
-//!   every data-mediated precedence folds into an op-level difference
+//!   `latency(producer)` after its producer (in the CP model, a view
+//!   of the producer's start), so every data-mediated precedence folds
+//!   into an op-level difference
 //!   `s_a + δ ≤ s_b`, encoded as the classic `O_{a,v} → O_{b,v+δ}`
 //!   ladder after an est/lst fixpoint has tightened both domains;
 //! - per-unit resource conflicts at each residue (the CP `Cumulative`

@@ -152,6 +152,13 @@ for k in qrd arf matmul fir detector blockmm; do
   done
   echo "   $k: replicated-unit listing verified, every ACC/IDX/MRG entry present"
 done
+# The Gantt draws one row per accelerator replica: every ACC[ entry of
+# the listing is one 's' issue mark on those rows.
+acc_marks="$(./target/release/eitc qrd --arch "$archdir/rep.xml" --emit gantt \
+  | grep '^scalar-accel' | sed 's/^[^|]*|//' | tr -cd 's' | wc -c)"
+[ "$acc_marks" = "$(entries 'ACC\[' "$archdir/rep_qrd.txt")" ] \
+  || { echo "FAIL: qrd --arch rep.xml Gantt shows $acc_marks accelerator marks"; exit 1; }
+echo "   qrd --arch rep.xml: Gantt shows one accelerator mark per ACC entry"
 ./target/release/eitc qrd --arch "$archdir/rep.xml" --overlap 4 --verify >/dev/null
 echo "   qrd --arch rep.xml --overlap 4: verified clean"
 ./target/release/table2 --arch "$archdir/rep.xml" >/dev/null
