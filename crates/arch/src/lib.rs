@@ -7,13 +7,13 @@
 //!   index/merge unit, 16-bank paged vector memory, reconfiguration
 //!   cost);
 //! - [`memory`] — slot/line/page geometry, the fig. 8 access-legality
-//!   rules, and value-carrying memory for functional replay;
+//!   rules, and the value-carrying memory the simulator executes against;
 //! - [`schedule::Schedule`] — the scheduler's output: start times plus
 //!   memory allocation;
 //! - [`code::ConfigStream`] — machine code as a per-cycle configuration
 //!   stream, where reconfigurations are counted;
-//! - [`sim`] — structural validation and functional replay of schedules
-//!   against all of the above;
+//! - [`sim`] — structural validation of schedules against all of the
+//!   above, and execution of their configuration streams;
 //! - [`verify`] — a second, solver-independent verifier that re-derives
 //!   every timing rule from the spec with its own algorithms (including
 //!   modulo wraparound), never panicking on malformed input.

@@ -13,9 +13,11 @@
 //! 3. within a page, all slots accessed in one direction must lie in the
 //!    same line (the descriptor addresses one line per page).
 //!
-//! [`VectorMemory`] additionally *stores* values so the simulator can
-//! replay a schedule functionally and catch slot-reuse bugs: a read of a
-//! slot returns whatever was last written there.
+//! [`VectorMemory`] is the memory the simulator executes against: every
+//! vector operand with a slot is read from it at issue and every vector
+//! result with a slot is written into it at write-back. Each slot holds
+//! the last datum written there, so a read expecting another datum is a
+//! stale read.
 
 use crate::spec::ArchSpec;
 use eit_ir::sem::Value;
@@ -162,10 +164,6 @@ impl VectorMemory {
         VectorMemory {
             slots: vec![None; n_slots as usize],
         }
-    }
-
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
     }
 
     /// Store `value` of datum `owner` into `slot` (overwrites).

@@ -1,27 +1,34 @@
-//! Cycle-accurate validation and functional replay of schedules.
+//! Cycle-accurate validation and execution of schedules.
 //!
 //! The paper evaluates schedules analytically; this simulator is the
 //! reproduction's safety net. Given a graph, an [`ArchSpec`] and a
-//! [`Schedule`], it enforces *every* architectural rule the CP model is
-//! supposed to respect:
+//! [`Schedule`], [`validate_structure`] enforces *every* architectural
+//! rule the CP model is supposed to respect:
 //!
 //! - precedence and exact data-availability times ((1) and (4));
-//! - lane capacity and one-configuration-per-cycle ((2) and (3));
+//! - lane capacity, each op charged its class width, and
+//!   one-configuration-per-cycle ((2) and (3));
 //! - unit-capacity accelerator and index/merge units;
 //! - memory ports, read/write budgets and the page/line rule (§3.4),
 //!   with reads at issue and writes at write-back;
-//! - slot-lifetime exclusivity ((10)/(11)) — verified twice: as interval
-//!   disjointness *and* by replaying memory contents, so a stale read
-//!   (an op consuming a slot that another datum has overwritten) is
-//!   caught even if the lifetime bookkeeping were wrong;
-//! - functional correctness: every operation is executed through
-//!   [`eit_ir::sem::apply`] and the memory replay checks the values flow
-//!   through the slots the allocation says they do.
+//! - slot-lifetime exclusivity ((10)/(11)) as interval disjointness.
+//!
+//! [`simulate`] then *runs* the machine code: the [`ConfigStream`] the
+//! code generator prints. Graph inputs are pre-loaded before cycle 0. In
+//! each cycle every issued op reads its operands at issue — a vector
+//! datum with an in-range slot from [`VectorMemory`], where a slot holding
+//! another datum is a stale read, any other datum from the values already
+//! landed, and a datum landing in the same cycle is forwarded — runs
+//! [`eit_ir::sem::apply`], and its results land at `issue + latency`, in
+//! their slots and in [`SimReport::values`]. An op the stream never
+//! issues, a result landing past the stream's last cycle and an operand
+//! absent when its reader issues are violations, so a dropped op or an
+//! early issue shows as a missing output, and slot reuse is checked a
+//! second time by what the memory holds.
 //!
 //! Modelling choices (documented in DESIGN.md): the index/merge unit and
 //! the scalar accelerator access data through dedicated paths, so only
-//! vector-core accesses count against the memory ports; graph inputs are
-//! pre-loaded before cycle 0.
+//! vector-core accesses count against the memory ports.
 
 use crate::code::ConfigStream;
 use crate::memory::{check_access, Geometry, VectorMemory};
@@ -95,6 +102,13 @@ pub enum Violation {
     },
     MissingInput {
         data: NodeId,
+    },
+    /// The configuration stream did not deliver a value: `node` is an op
+    /// it never issues or a datum landing past its last cycle, or, with a
+    /// `reader`, an operand that had not landed when `reader` issued.
+    Absent {
+        node: NodeId,
+        reader: Option<NodeId>,
     },
     Semantic {
         op: NodeId,
@@ -198,11 +212,11 @@ impl SimCounters {
 }
 
 /// Outcome of [`simulate`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SimReport {
     pub violations: Vec<Violation>,
-    /// Value of every data node (present when inputs were supplied and
-    /// evaluation succeeded).
+    /// Value of every datum the stream delivered: the supplied inputs,
+    /// and each result that landed within the stream.
     pub values: HashMap<NodeId, Value>,
     pub makespan: i32,
     pub lane_cycles: u64,
@@ -303,11 +317,8 @@ pub fn validate_structure_with(
         let used: u32 = ops
             .iter()
             .map(|&o| {
-                if g.category(o) == Category::MatrixOp {
-                    spec.matrix_lanes()
-                } else {
-                    1
-                }
+                let class = OpClass::of(&g.node(o).kind);
+                class.and_then(|c| spec.units.class_width(c)).unwrap_or(1)
             })
             .sum();
         if used > spec.n_lanes {
@@ -452,7 +463,8 @@ pub fn validate_structure_with(
     out
 }
 
-/// Full simulation: structural validation plus functional memory replay.
+/// Full simulation: structural validation, then the configuration stream
+/// executed cycle by cycle (see the module docs), then the metrics.
 pub fn simulate(
     g: &Graph,
     spec: &ArchSpec,
@@ -460,191 +472,24 @@ pub fn simulate(
     inputs: &HashMap<NodeId, Value>,
 ) -> SimReport {
     let mut violations = validate_structure(g, spec, sched);
-
-    // A schedule that cannot be indexed (or a cyclic graph) cannot be
-    // replayed; report what validation found and stop before any of the
-    // phases below would panic.
-    let order = if check_shape(g, sched).is_empty() {
-        g.topo_order()
-    } else {
-        None
-    };
-    let Some(order) = order else {
-        if !violations
-            .iter()
-            .any(|v| matches!(v, Violation::MalformedSchedule { .. }))
-        {
-            violations.push(Violation::MalformedSchedule {
-                detail: "cyclic graph: no topological order for functional replay".into(),
-            });
-        }
+    // A schedule that cannot be indexed, or a machine that is not one (no
+    // banks to count on, say), cannot be executed; report what was found.
+    if !check_shape(g, sched).is_empty() || spec.validate().is_err() {
         return SimReport {
             violations,
-            values: HashMap::new(),
             makespan: sched.makespan,
-            lane_cycles: 0,
-            utilization: 0.0,
-            units: Vec::new(),
-            reconfig_switches: 0,
-            config_loads: 0,
-            counters: SimCounters::default(),
+            ..Default::default()
         };
-    };
-
-    // Phase 1: functional evaluation in topological order.
-    let mut values: HashMap<NodeId, Value> = HashMap::new();
-    'eval: for &n in &order {
-        match g.category(n) {
-            c if c.is_data() => {
-                if g.producer(n).is_none() {
-                    match inputs.get(&n) {
-                        Some(&v) => {
-                            values.insert(n, v);
-                        }
-                        None => {
-                            violations.push(Violation::MissingInput { data: n });
-                        }
-                    }
-                }
-                // Produced data gets its value when its producer runs.
-            }
-            _ => {
-                let mut ins = Vec::with_capacity(g.preds(n).len());
-                for &p in g.preds(n) {
-                    match values.get(&p) {
-                        Some(&v) => ins.push(v),
-                        None => continue 'eval, // upstream input missing
-                    }
-                }
-                let Some(op) = g.opcode(n) else {
-                    violations.push(Violation::MalformedSchedule {
-                        detail: format!("op node {n:?} has no opcode"),
-                    });
-                    continue 'eval;
-                };
-                match apply(&op, &ins) {
-                    Ok(outs) => {
-                        for (&d, v) in g.succs(n).iter().zip(outs) {
-                            values.insert(d, v);
-                        }
-                    }
-                    Err(e) => violations.push(Violation::Semantic {
-                        op: n,
-                        error: e.to_string(),
-                    }),
-                }
-            }
-        }
     }
-
-    // Phase 2: memory replay. Writes land at the producer's write-back
-    // cycle; application inputs are pre-loaded. Reads (vector-core issue
-    // and index-unit reads) must find the expected datum.
-    let mut mem = VectorMemory::new(spec.n_slots());
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Read {
-            reader: NodeId,
-            data: NodeId,
-            slot: u32,
-        },
-        Write {
-            data: NodeId,
-            slot: u32,
-        },
+    if g.topo_order().is_none() {
+        violations.push(Violation::MalformedSchedule {
+            detail: "cyclic graph: no dataflow order to execute".into(),
+        });
     }
-    let mut events: Vec<(i32, u8, Ev)> = Vec::new(); // (cycle, order: read=0, write=1)
-    for n in g.ids() {
-        match g.category(n) {
-            Category::VectorData => {
-                let Some(slot) = sched.slot_of(n) else {
-                    continue;
-                };
-                if slot >= spec.n_slots() {
-                    continue;
-                }
-                match g.producer(n) {
-                    None => events.push((-1, 1, Ev::Write { data: n, slot })),
-                    Some(p) => {
-                        // Write-back lands at the datum's start cycle; reads
-                        // in the same cycle see the previous occupant.
-                        let wb = sched.start_of(p) + spec.latency(&g.node(p).kind);
-                        events.push((wb, 1, Ev::Write { data: n, slot }));
-                    }
-                }
-            }
-            c if c.is_op() => {
-                for &d in g.preds(n) {
-                    if g.category(d) == Category::VectorData {
-                        if let Some(slot) = sched.slot_of(d) {
-                            if slot < spec.n_slots() {
-                                events.push((
-                                    sched.start_of(n),
-                                    0,
-                                    Ev::Read {
-                                        reader: n,
-                                        data: d,
-                                        slot,
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    // Per cycle: reads see the pre-write memory state (so a slot re-used
-    // by a datum *starting* this cycle still serves its old occupant's
-    // last read), except that a read of a datum *written this very cycle*
-    // is satisfied by pipeline forwarding — the paper's constraint (4)
-    // allows a consumer to start exactly at the datum's start cycle.
-    events.sort_by_key(|&(t, ord, _)| (t, ord));
-    let mut i = 0;
-    while i < events.len() {
-        let cycle = events[i].0;
-        let mut j = i;
-        while j < events.len() && events[j].0 == cycle {
-            j += 1;
-        }
-        let this_cycle = &events[i..j];
-        // Forwarding set: (slot, datum) written this cycle.
-        let forwarded: Vec<(u32, NodeId)> = this_cycle
-            .iter()
-            .filter_map(|&(_, _, ev)| match ev {
-                Ev::Write { data, slot } => Some((slot, data)),
-                _ => None,
-            })
-            .collect();
-        for &(_, _, ev) in this_cycle {
-            if let Ev::Read { reader, data, slot } = ev {
-                let ok = mem.read(slot, data).is_ok() || forwarded.contains(&(slot, data));
-                if !ok {
-                    let found = mem.read(slot, data).err().flatten();
-                    violations.push(Violation::StaleRead {
-                        reader,
-                        data,
-                        slot,
-                        found,
-                    });
-                }
-            }
-        }
-        for &(_, _, ev) in this_cycle {
-            if let Ev::Write { data, slot } = ev {
-                let v = values
-                    .get(&data)
-                    .copied()
-                    .unwrap_or(Value::S(eit_ir::Cplx::ZERO));
-                mem.write(slot, data, v);
-            }
-        }
-        i = j;
-    }
+    let cs = ConfigStream::from_schedule(g, spec, sched);
+    let values = execute(g, spec, sched, &cs, inputs, &mut violations);
 
     // Metrics.
-    let cs = ConfigStream::from_schedule(g, spec, sched);
     let counters = SimCounters::from_stream(&cs, spec);
     let lane_cycles = cs.lane_cycles_used();
     let total = (sched.makespan + 1).max(1) as f64;
@@ -684,13 +529,120 @@ pub fn simulate(
     }
 }
 
+/// Run `cs`: pre-load the inputs, then in every cycle let each issued op
+/// read its operands, [`apply`] its opcode and queue its results to land
+/// at `issue + latency`. Within a cycle, reads see the memory before that
+/// cycle's writes, except that a datum landing in the same cycle is
+/// forwarded (constraint (4) lets a consumer start exactly at its
+/// operand's start). Returns the values delivered; pushes what went wrong
+/// onto `out`.
+fn execute(
+    g: &Graph,
+    spec: &ArchSpec,
+    sched: &Schedule,
+    cs: &ConfigStream,
+    inputs: &HashMap<NodeId, Value>,
+    out: &mut Vec<Violation>,
+) -> HashMap<NodeId, Value> {
+    let n_slots = spec.n_slots();
+    let slot = |d: NodeId| {
+        let vector = g.category(d) == Category::VectorData;
+        sched.slot_of(d).filter(|&s| vector && s < n_slots)
+    };
+    let mut mem = VectorMemory::new(n_slots);
+    let mut values = HashMap::new();
+    for n in g.ids() {
+        if !g.category(n).is_data() || g.producer(n).is_some() {
+            continue;
+        }
+        match inputs.get(&n) {
+            Some(&v) => {
+                values.insert(n, v);
+                if let Some(s) = slot(n) {
+                    mem.write(s, n, v);
+                }
+            }
+            None => out.push(Violation::MissingInput { data: n }),
+        }
+    }
+
+    let mut issued = vec![false; g.len()];
+    let mut landing: Vec<Vec<(NodeId, Value)>> = vec![Vec::new(); cs.cycles.len()];
+    for (t, cycle) in cs.cycles.iter().enumerate() {
+        let landed = std::mem::take(&mut landing[t]);
+        values.extend(landed.iter().copied());
+        'op: for &op in &cycle.ops {
+            issued[op.idx()] = true;
+            let mut ins = Vec::with_capacity(g.preds(op).len());
+            for &d in g.preds(op) {
+                let read = match slot(d) {
+                    Some(s) => mem.read(s, d).or_else(|found| {
+                        let forwarded = landed.iter().find(|&&(x, _)| x == d);
+                        forwarded.map(|&(_, v)| v).ok_or(Violation::StaleRead {
+                            reader: op,
+                            data: d,
+                            slot: s,
+                            found,
+                        })
+                    }),
+                    None => values.get(&d).copied().ok_or(Violation::Absent {
+                        node: d,
+                        reader: Some(op),
+                    }),
+                };
+                match read {
+                    Ok(v) => ins.push(v),
+                    Err(v) => {
+                        out.push(v);
+                        continue 'op;
+                    }
+                }
+            }
+            let Some(opcode) = g.opcode(op) else {
+                out.push(Violation::MalformedSchedule {
+                    detail: format!("op node {op:?} has no opcode"),
+                });
+                continue;
+            };
+            match apply(&opcode, &ins) {
+                Ok(results) => {
+                    let at = t + spec.latency(&g.node(op).kind) as usize;
+                    for (&d, v) in g.succs(op).iter().zip(results) {
+                        match landing.get_mut(at) {
+                            Some(l) => l.push((d, v)),
+                            None => out.push(Violation::Absent {
+                                node: d,
+                                reader: None,
+                            }),
+                        }
+                    }
+                }
+                Err(e) => out.push(Violation::Semantic {
+                    op,
+                    error: e.to_string(),
+                }),
+            }
+        }
+        for (d, v) in landed {
+            if let Some(s) = slot(d) {
+                mem.write(s, d, v);
+            }
+        }
+    }
+    let unissued = g
+        .ids()
+        .filter(|&n| g.category(n).is_op() && !issued[n.idx()]);
+    out.extend(unissued.map(|node| Violation::Absent { node, reader: None }));
+    values
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use eit_ir::{CoreOp, Cplx, DataKind, Opcode};
 
     /// a, b → add → out; a hand-built legal schedule.
-    fn tiny() -> (Graph, Schedule, HashMap<NodeId, Value>) {
+    pub(crate) fn tiny() -> (Graph, Schedule, HashMap<NodeId, Value>) {
         let mut g = Graph::new("t");
         let a = g.add_data(DataKind::Vector, "a");
         let b = g.add_data(DataKind::Vector, "b");
@@ -911,6 +863,112 @@ mod tests {
             .iter()
             .any(|v| matches!(v, Violation::MissingInput { .. })));
     }
+
+    #[test]
+    fn an_op_missing_from_the_stream_delivers_nothing() {
+        let (g, s, inputs) = tiny();
+        let spec = ArchSpec::eit();
+        let mut cs = ConfigStream::from_schedule(&g, &spec, &s);
+        let add = cs.cycles[0].ops.remove(0);
+        let mut violations = Vec::new();
+        let values = execute(&g, &spec, &s, &cs, &inputs, &mut violations);
+        let out = g.outputs()[0];
+        assert!(!values.contains_key(&out));
+        assert_eq!(
+            violations,
+            [Violation::Absent {
+                node: add,
+                reader: None
+            }]
+        );
+    }
+
+    #[test]
+    fn a_write_back_past_the_stream_is_absent() {
+        let (g, mut s, inputs) = tiny();
+        s.makespan = 6; // the add's result lands at cc 7
+        let r = simulate(&g, &ArchSpec::eit(), &s, &inputs);
+        let out = g.outputs()[0];
+        assert!(!r.values.contains_key(&out));
+        assert_eq!(
+            r.violations,
+            [Violation::Absent {
+                node: out,
+                reader: None
+            }]
+        );
+    }
+
+    #[test]
+    fn a_scalar_read_before_it_lands_is_absent() {
+        // a → dotp → d (scalar, lands at cc 7) → sqrt, issued at cc 5.
+        let mut g = Graph::new("t");
+        let a = g.add_data(DataKind::Vector, "a");
+        let (dot, d) =
+            g.add_op_with_output(Opcode::vector(CoreOp::DotP), &[a, a], DataKind::Scalar, "d");
+        let (sqrt, r) = g.add_op_with_output(
+            Opcode::Scalar(eit_ir::ScalarOp::Sqrt),
+            &[d],
+            DataKind::Scalar,
+            "r",
+        );
+        let mut s = Schedule::new(g.len());
+        s.start[dot.idx()] = 0;
+        s.start[d.idx()] = 7;
+        s.start[sqrt.idx()] = 5;
+        s.start[r.idx()] = 13;
+        s.slot[a.idx()] = Some(0);
+        s.makespan = 13;
+        let inputs = HashMap::from([(a, Value::V([Cplx::real(1.0); 4]))]);
+        let r = simulate(&g, &ArchSpec::eit(), &s, &inputs);
+        assert!(r.violations.contains(&Violation::Absent {
+            node: d,
+            reader: Some(sqrt)
+        }));
+        assert!(r.values.contains_key(&d));
+        assert!(!r.values.contains_key(&g.outputs()[0]));
+    }
+
+    /// Three adds co-issued at cc 0 on a machine whose vector ops take two
+    /// lanes each: six lane-worths on four lanes.
+    pub(crate) fn two_lane_adds() -> (ArchSpec, Graph, Schedule) {
+        let mut spec = ArchSpec::eit();
+        for op in spec.units.units.iter_mut().flat_map(|u| &mut u.ops) {
+            if op.class == OpClass::Vector {
+                op.width = 2;
+            }
+        }
+        spec.validate().unwrap();
+        let mut g = Graph::new("t");
+        let a = g.add_data(DataKind::Vector, "a");
+        let b = g.add_data(DataKind::Vector, "b");
+        let outs: Vec<NodeId> = (0..3)
+            .map(|i| {
+                let op = Opcode::vector(CoreOp::Add);
+                g.add_op_with_output(op, &[a, b], DataKind::Vector, &format!("o{i}"))
+                    .1
+            })
+            .collect();
+        let mut s = Schedule::new(g.len());
+        s.slot[a.idx()] = Some(0);
+        s.slot[b.idx()] = Some(1);
+        for (i, d) in (2..).zip(outs) {
+            s.start[d.idx()] = 7;
+            s.slot[d.idx()] = Some(i);
+        }
+        s.makespan = 7;
+        (spec, g, s)
+    }
+
+    #[test]
+    fn vector_ops_are_charged_their_class_width() {
+        let (spec, g, s) = two_lane_adds();
+        let v = validate_structure(&g, &spec, &s);
+        assert!(
+            v.contains(&Violation::LaneOverflow { cycle: 0, used: 6 }),
+            "{v:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1069,6 +1127,19 @@ mod more_tests {
         assert!(
             matches!(v.as_slice(), [Violation::MalformedSchedule { .. }]),
             "{v:?}"
+        );
+        // Nor does simulation panic on it (no banks to count reads on).
+        let (g, s, inputs) = super::tests::tiny();
+        let mut spec = ArchSpec::eit();
+        spec.n_banks = 0;
+        let rep = simulate(&g, &spec, &s, &inputs);
+        assert!(
+            matches!(
+                rep.violations.as_slice(),
+                [Violation::MalformedSchedule { .. }]
+            ),
+            "{:?}",
+            rep.violations
         );
     }
 

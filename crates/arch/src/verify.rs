@@ -15,7 +15,8 @@
 //!
 //! 1. precedence `s_i + l_i ≤ s_j` and exact data availability
 //!    `s_data = s_op + l_op` (paper constraints (1)/(4), 7-cc pipeline);
-//! 2. lane capacity (a matrix op takes four lanes) and a single
+//! 2. lane capacity (each op takes its class width: a matrix op all four
+//!    lanes, a vector op one on the EIT instance) and a single
 //!    vector-core configuration per cycle ((2)/(3));
 //! 3. unit-capacity scalar accelerator and index/merge unit, including
 //!    multi-cycle occupancies;
@@ -43,14 +44,11 @@ use crate::spec::ArchSpec;
 use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
 
-/// Lanes an op occupies: a matrix op takes the spec's full matrix width
-/// (all four lanes on EIT); a vector op takes one.
-fn lanes_of(spec: &ArchSpec, cat: Category) -> u32 {
-    if cat == Category::MatrixOp {
-        spec.matrix_lanes()
-    } else {
-        1
-    }
+/// Lanes an op occupies: its class width from the unit table (a matrix
+/// op all four lanes on EIT, a vector op one unless the table widens it).
+fn lanes_of(spec: &ArchSpec, g: &Graph, n: NodeId) -> u32 {
+    let class = OpClass::of(&g.node(n).kind);
+    class.and_then(|c| spec.units.class_width(c)).unwrap_or(1)
 }
 
 /// Per-cycle occupancy check for every capacity-limited unit beyond the
@@ -184,10 +182,9 @@ pub fn verify_schedule(
     type CoreCycle = (u32, Vec<(NodeId, Option<VectorConfig>)>);
     let mut core_cycles: HashMap<i32, CoreCycle> = HashMap::new();
     for n in g.ids() {
-        let cat = g.category(n);
-        if matches!(cat, Category::VectorOp | Category::MatrixOp) {
+        if matches!(g.category(n), Category::VectorOp | Category::MatrixOp) {
             let e = core_cycles.entry(start(n)).or_default();
-            e.0 += lanes_of(spec, cat);
+            e.0 += lanes_of(spec, g, n);
             e.1.push((n, g.opcode(n).and_then(|o| o.config())));
         }
     }
@@ -491,10 +488,10 @@ pub fn verify_modulo(
         .collect();
     core_ops.sort_by_key(|&n| (start(n), n.idx()));
     for n in core_ops {
-        let cat = g.category(n);
+        let lanes = lanes_of(spec, g, n);
         for dt in 0..duration(n).max(1) {
             let t = (start(n).saturating_add(dt)).rem_euclid(ii);
-            *lanes_at.entry(t).or_default() += lanes_of(spec, cat);
+            *lanes_at.entry(t).or_default() += lanes;
             match g.opcode(n).and_then(|o| o.config()) {
                 None => out.push(Violation::MalformedSchedule {
                     detail: format!("node {n:?} on the vector core has no configuration"),
@@ -723,5 +720,15 @@ mod tests {
         assert!(v
             .iter()
             .all(|x| matches!(x, Violation::MalformedSchedule { .. })));
+    }
+
+    #[test]
+    fn vector_ops_are_charged_their_class_width() {
+        let (spec, g, s) = crate::sim::tests::two_lane_adds();
+        let overflow = Violation::LaneOverflow { cycle: 0, used: 6 };
+        assert!(verify_schedule(&g, &spec, &s, true).contains(&overflow));
+        assert!(verify_overlapped(&g, &spec, &s).contains(&overflow));
+        let starts = g.ids().map(|n| (n, s.start_of(n))).collect();
+        assert!(verify_modulo(&g, &spec, &starts, 8).contains(&overflow));
     }
 }

@@ -419,10 +419,12 @@ fn serve_mode(addr: &str, args: &Args) -> ! {
 fn report_verification(
     label: &str,
     independent: &[eit_arch::Violation],
-    structural: &[eit_arch::Violation],
+    simulator: &[impl std::fmt::Display],
 ) {
+    let independent: Vec<String> = independent.iter().map(ToString::to_string).collect();
+    let simulator: Vec<String> = simulator.iter().map(ToString::to_string).collect();
     let mut bad = false;
-    for (tag, vs) in [("verifier", independent), ("simulator", structural)] {
+    for (tag, vs) in [("verifier", &independent), ("simulator", &simulator)] {
         if vs.is_empty() {
             continue;
         }
@@ -435,7 +437,7 @@ fn report_verification(
             eprintln!("eitc:   {v}");
         }
     }
-    if independent.is_empty() != structural.is_empty() {
+    if independent.is_empty() != simulator.is_empty() {
         eprintln!("eitc: --verify: {label}: verifier and simulator DISAGREE");
     }
     if bad {
@@ -444,9 +446,29 @@ fn report_verification(
     println!("; verify: {label}: clean (independent verifier + simulator agree)");
 }
 
-/// The graph plus, for built-in kernels, its reference input values (so
-/// the metrics can include a simulator section).
-fn load_graph(name: &str) -> (Graph, HashMap<NodeId, Value>) {
+type Values = HashMap<NodeId, Value>;
+
+/// What the simulator found on a built-in kernel: its violations, then
+/// every output the executed stream did not deliver as the kernel expects.
+fn simulator_verdict(rep: &eit_arch::SimReport, expected: &Values) -> Vec<String> {
+    let mut found: Vec<String> = rep.violations.iter().map(ToString::to_string).collect();
+    let mut outputs: Vec<_> = expected.iter().collect();
+    outputs.sort_unstable_by_key(|&(&n, _)| n);
+    for (n, want) in outputs {
+        match rep.values.get(n) {
+            Some(got) if got.approx_eq(want, 1e-9) => {}
+            got => found.push(format!(
+                "output {n:?}: simulated {got:?}, expected {want:?}"
+            )),
+        }
+    }
+    found
+}
+
+/// The graph plus, for built-in kernels, its input values and expected
+/// output values (so `--verify` can execute it and the metrics can
+/// include a simulator section).
+fn load_graph(name: &str) -> (Graph, Values, Values) {
     if name.ends_with(".xml") {
         let src = std::fs::read_to_string(name).unwrap_or_else(|e| {
             eprintln!("eitc: cannot read {name}: {e}");
@@ -456,10 +478,10 @@ fn load_graph(name: &str) -> (Graph, HashMap<NodeId, Value>) {
             eprintln!("eitc: cannot parse {name}: {e}");
             exit(1);
         });
-        (g, HashMap::new())
+        (g, HashMap::new(), HashMap::new())
     } else {
         match eit_apps::by_name(name) {
-            Some(k) => (k.graph, k.inputs),
+            Some(k) => (k.graph, k.inputs, k.expected),
             None => {
                 eprintln!("eitc: unknown kernel {name}");
                 exit(1);
@@ -629,7 +651,7 @@ fn main() {
     if let Some(addr) = &args.serve {
         serve_mode(addr, &args);
     }
-    let (mut g, inputs) = load_graph(&args.kernel);
+    let (mut g, inputs, expected) = load_graph(&args.kernel);
     if let Err(e) = g.validate() {
         eprintln!("eitc: invalid IR: {e}");
         exit(1);
@@ -793,12 +815,22 @@ fn main() {
         }
     };
 
+    // A built-in kernel with the memory model on runs its configuration
+    // stream; anything else is checked by the simulator's structural rules.
+    let sim = (args.memory && !inputs.is_empty() && (args.verify || args.metrics.is_some()))
+        .then(|| eit_arch::simulate(&out.graph, &spec, &out.schedule, &inputs));
     if args.verify {
-        report_verification(
-            "schedule",
-            &eit_arch::verify_schedule(&out.graph, &spec, &out.schedule, args.memory),
-            &eit_arch::validate_structure_with(&out.graph, &spec, &out.schedule, args.memory),
-        );
+        let independent = eit_arch::verify_schedule(&out.graph, &spec, &out.schedule, args.memory);
+        let simulator = match &sim {
+            Some(rep) => simulator_verdict(rep, &expected),
+            None => {
+                eit_arch::validate_structure_with(&out.graph, &spec, &out.schedule, args.memory)
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect()
+            }
+        };
+        report_verification("schedule", &independent, &simulator);
     }
 
     if args.profile {
@@ -822,9 +854,8 @@ fn main() {
         if let Some(t) = trace {
             m.section("trace", t);
         }
-        if args.memory && !inputs.is_empty() {
-            let rep = eit_arch::simulate(&out.graph, &spec, &out.schedule, &inputs);
-            m.sim(&rep);
+        if let Some(rep) = &sim {
+            m.sim(rep);
         }
         if let Err(e) = m.write_to(path) {
             eprintln!("eitc: cannot write metrics to {path}: {e}");

@@ -12,9 +12,11 @@
 //!   [`eit_arch::verify_schedule`] (the independent re-derivation); any
 //!   disagreement between the two verifiers is itself a failure.
 //! - **CP scheduler** — same double verification with the memory model
-//!   on, plus full functional replay through [`eit_arch::simulate`] and
-//!   the optimality cross-check `makespan(CP) ≤ makespan(list)` whenever
-//!   the solver proves optimality.
+//!   on, plus execution of the configuration stream through
+//!   [`eit_arch::simulate`], whose every output must equal the reference
+//!   interpreter's ([`eit_ir::eval_graph`]), and the optimality
+//!   cross-check `makespan(CP) ≤ makespan(list)` whenever the solver
+//!   proves optimality.
 //! - **Modulo scheduler** — `jobs = 1` vs `jobs = 4` must produce
 //!   byte-identical results (the speculative-sweep determinism contract),
 //!   and the winner must pass both the unrolled validation
@@ -35,11 +37,13 @@ use crate::modulo::{
 };
 use eit_arch::{
     simulate, to_arch_xml, validate_structure, validate_structure_with, verify_modulo,
-    verify_schedule, ArchSpec, UnitTable, Violation,
+    verify_schedule, ArchSpec, SimReport, UnitTable, Violation,
 };
 use eit_cp::SearchStatus;
 use eit_ir::sem::Value;
-use eit_ir::{from_xml, to_xml, CoreOp, Cplx, DataKind, Graph, NodeId, OpClass, Opcode, ScalarOp};
+use eit_ir::{
+    eval_graph, from_xml, to_xml, CoreOp, Cplx, DataKind, Graph, NodeId, OpClass, Opcode, ScalarOp,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -328,6 +332,26 @@ fn fmt_violations(tag: &str, vs: &[Violation]) -> String {
     format!("{tag}: {} violation(s): {}", vs.len(), head.join("; "))
 }
 
+/// An executed schedule passes when `simulate` reports no violation and
+/// delivers every output with the reference interpreter's value.
+fn check_replay(g: &Graph, rep: &SimReport, inputs: &HashMap<NodeId, Value>) -> Result<(), String> {
+    if !rep.ok() {
+        return Err(fmt_violations("simulate", &rep.violations));
+    }
+    let reference = eval_graph(g, inputs).map_err(|e| format!("eval_graph: {e:?}"))?;
+    for o in g.outputs() {
+        match (rep.values.get(&o), reference.get(&o)) {
+            (Some(got), Some(want)) if got.approx_eq(want, 1e-9) => {}
+            (got, want) => {
+                return Err(format!(
+                    "output {o:?}: simulated {got:?}, reference {want:?}"
+                ))
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Run every differential stage on one graph against the builtin EIT
 /// instance. `Ok(checks)` counts the stages executed; `Err((stage,
 /// detail))` is the first disagreement.
@@ -409,9 +433,8 @@ pub fn check_case_on(
         if !sim_v.is_empty() {
             return fail("cp-schedule", fmt_violations("both verifiers", &sim_v));
         }
-        let rep = simulate(g, &spec, s, &inputs);
-        if !rep.ok() {
-            return fail("cp-replay", fmt_violations("simulate", &rep.violations));
+        if let Err(e) = check_replay(g, &simulate(g, &spec, s, &inputs), &inputs) {
+            return fail("cp-replay", e);
         }
 
         // Determinism: the XML-roundtripped graph must schedule
@@ -485,12 +508,8 @@ pub fn check_case_on(
         if !sim_v.is_empty() {
             return fail("tight-slots", fmt_violations("both verifiers", &sim_v));
         }
-        let rep = simulate(g, &tight_spec, s, &inputs);
-        if !rep.ok() {
-            return fail(
-                "tight-slots-replay",
-                fmt_violations("simulate", &rep.violations),
-            );
+        if let Err(e) = check_replay(g, &simulate(g, &tight_spec, s, &inputs), &inputs) {
+            return fail("tight-slots-replay", e);
         }
     }
 

@@ -3,9 +3,9 @@
 //! One function, [`apply`], defines what every [`Opcode`] computes —
 //! including *merged* pipeline nodes carrying pre- and post-processing
 //! stages, which only exist after the fig. 6 merge pass. The architecture
-//! simulator replays schedules through this function, and the DSL's eager
-//! evaluation is cross-checked against it in tests, so a single source of
-//! truth exists for "what the machine computes".
+//! simulator executes configuration streams through this function, and
+//! the DSL's eager evaluation is cross-checked against it in tests, so a
+//! single source of truth exists for "what the machine computes".
 
 use crate::cplx::Cplx;
 use crate::node::{CoreOp, Opcode, PostOp, PreOp, ScalarOp};
@@ -536,8 +536,8 @@ mod tests {
 
 /// Evaluate a whole graph in topological order from input values.
 /// Returns the value of every data node, or the first semantic error.
-/// This is the reference interpreter: the simulator's functional replay
-/// and the DSL's eager evaluation must both agree with it.
+/// This is the reference interpreter: the simulator's executor and the
+/// DSL's eager evaluation must both agree with it.
 pub fn eval_graph(
     g: &crate::graph::Graph,
     inputs: &std::collections::HashMap<crate::node::NodeId, Value>,

@@ -84,8 +84,8 @@ done
 echo "== differential fuzz smoke: 200 fixed-seed cases (hybrid bitset domains on)"
 # Deterministic: same seed, same graphs, same verdicts on every machine.
 # Each case cross-checks XML round-trips, the list/CP/modulo schedulers,
-# both independent verifiers, and functional replay
-# (~30s ceiling; typically well under). The solver runs with the hybrid
+# both independent verifiers, and the simulator's execution of the stream
+# against the reference interpreter (~30s ceiling; typically well under). The solver runs with the hybrid
 # bitset representation enabled (the Store default), so the corpus also
 # exercises promotion and the bitset fast paths on every case.
 ./target/release/fuzz --seed 5 --cases 200 --out /tmp/eit-fuzz-failures

@@ -2,16 +2,37 @@
 //! CP schedule (with memory allocation) → cycle-accurate simulation with
 //! functional output verification.
 
-use eit::arch::{simulate, validate_structure, ArchSpec, ConfigStream};
+use eit::apps::Kernel;
+use eit::arch::{simulate, validate_structure, ArchSpec, ConfigStream, SimReport};
 use eit::core::{schedule, SchedulerOptions};
 use eit::cp::SearchStatus;
-use eit::ir::NodeId;
+use eit::ir::{Graph, NodeId};
 use std::time::Duration;
 
 fn opts(secs: u64) -> SchedulerOptions {
     SchedulerOptions {
         timeout: Some(Duration::from_secs(secs)),
         ..Default::default()
+    }
+}
+
+/// The executed stream delivers every output with the reference
+/// interpreter's value and every expected output with the kernel's.
+fn assert_outputs(what: &str, g: &Graph, report: &SimReport, kernel: &Kernel) {
+    let reference = eit::ir::eval_graph(g, &kernel.inputs).unwrap();
+    for o in g.outputs() {
+        let (got, want) = (report.values.get(&o), &reference[&o]);
+        assert!(
+            got.is_some_and(|v| v.approx_eq(want, 1e-9)),
+            "{what}: output {o:?}: {got:?} vs reference {want:?}"
+        );
+    }
+    for (o, want) in &kernel.expected {
+        let got = report.values.get(o);
+        assert!(
+            got.is_some_and(|v| v.approx_eq(want, 1e-9)),
+            "{what}: output {o:?}: {got:?} vs expected {want:?}"
+        );
     }
 }
 
@@ -204,6 +225,10 @@ fn replicated_units_issue_every_op_once() {
         let printed = listing.matches("ACC[").count() + listing.matches("IDX/MRG[").count();
         assert_eq!(printed, unit_ops, "{name}");
         assert_eq!(out.program.n_instructions, core_issues + unit_ops, "{name}");
+        // Executing that stream computes the kernel.
+        let report = simulate(g, &spec, &out.schedule, &kernel.inputs);
+        assert!(report.ok(), "{name}: {:?}", report.violations);
+        assert_outputs(name, g, &report, &kernel);
     }
 }
 
@@ -264,6 +289,7 @@ fn simulator_reports_every_preset_unit() {
             let sched = schedule(&g, &spec, &opts(60)).schedule.unwrap();
             let report = simulate(&g, &spec, &sched, &kernel.inputs);
             assert!(report.ok(), "{arch} {name}: {:?}", report.violations);
+            assert_outputs(&format!("{arch} {name}"), &g, &report, &kernel);
             let names: Vec<&str> = report.units.iter().map(|u| u.name.as_str()).collect();
             assert_eq!(names, ["vector-core", "scalar-accel", "index-merge"]);
             assert_eq!(report.units[0].utilization, report.utilization);
