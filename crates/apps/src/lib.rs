@@ -31,7 +31,7 @@ pub mod qrd;
 pub mod synth;
 
 use eit_ir::sem::Value;
-use eit_ir::{Graph, NodeId};
+use eit_ir::{Graph, IdMap, NodeId};
 use std::collections::HashMap;
 
 /// A kernel instance: the recorded IR plus the values of its inputs and
@@ -44,6 +44,16 @@ pub struct Kernel {
     pub inputs: HashMap<NodeId, Value>,
     /// Expected values of the application outputs.
     pub expected: HashMap<NodeId, Value>,
+}
+
+impl Kernel {
+    /// Key the input and expected values on the graph the passes left
+    /// (`ids` from their statistics, or [`eit_ir::IdMap::then`] of
+    /// several); the value of a removed node drops.
+    pub fn rekey(&mut self, ids: &IdMap) {
+        self.inputs = ids.rekey(&self.inputs);
+        self.expected = ids.rekey(&self.expected);
+    }
 }
 
 /// Build a kernel by name (`"qrd"`, `"arf"`, `"matmul"`).

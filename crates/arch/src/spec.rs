@@ -442,6 +442,16 @@ impl ArchSpec {
                         op.class, op.occupancy
                     ));
                 }
+                // The vector core is a pipeline that issues an op in one
+                // cycle: the schedulers, both verifiers and the stream
+                // hold its lanes and configuration at issue only.
+                if matches!(op.class, OpClass::Vector | OpClass::Matrix) && op.occupancy != 1 {
+                    return Err(format!(
+                        "op class=\"{}\" occupancy=\"{}\": the vector core issues an op \
+                         in one cycle; must be 1",
+                        op.class, op.occupancy
+                    ));
+                }
                 for (attr, v) in [("latency", op.latency), ("occupancy", op.occupancy)] {
                     if v > Self::MAX_CYCLES {
                         return Err(format!(
@@ -681,6 +691,14 @@ mod tests {
         assert!(s.validate().unwrap_err().contains("width=\"2\""));
         s.units.units[0].ops[1].width = 4;
         s.validate().unwrap();
+
+        // The vector core issues an op in one cycle, matrix ops included.
+        for op in 0..2 {
+            let mut s = ArchSpec::eit();
+            s.units.units[0].ops[op].occupancy = 2;
+            let err = s.validate().unwrap_err();
+            assert!(err.contains("occupancy=\"2\""), "{err}");
+        }
     }
 
     #[test]

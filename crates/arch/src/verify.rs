@@ -107,6 +107,81 @@ fn check_units(
     }
 }
 
+/// Starts are cycles of a real execution: non-negative. And (1)/(4), the
+/// 7-cycle pipeline: a consumer may not start before its operand's
+/// write-back, and a produced datum starts *exactly* at it.
+fn check_timing(
+    g: &Graph,
+    spec: &ArchSpec,
+    start: &dyn Fn(NodeId) -> i32,
+    out: &mut Vec<Violation>,
+) {
+    let latency = |n: NodeId| spec.latency(&g.node(n).kind);
+    for n in g.ids() {
+        if start(n) < 0 {
+            out.push(Violation::NegativeStart { node: n });
+        }
+    }
+    for (f, t) in g.edges() {
+        if start(f).saturating_add(latency(f)) > start(t) {
+            out.push(Violation::Precedence { from: f, to: t });
+        }
+        if g.category(f).is_op()
+            && g.category(t).is_data()
+            && start(t) != start(f).saturating_add(latency(f))
+        {
+            out.push(Violation::DataStart { op: f, data: t });
+        }
+    }
+}
+
+/// (2)/(3) on the vector core: per cycle — `fold` maps an issue cycle
+/// into the window it is accounted in, as in [`check_units`] — the ops
+/// issued there fit the lanes and share one configuration. A core op
+/// holds the core in its issue cycle only (the spec refuses any other
+/// vector-core occupancy).
+fn check_core(
+    g: &Graph,
+    spec: &ArchSpec,
+    start: &dyn Fn(NodeId) -> i32,
+    fold: &dyn Fn(i32) -> i32,
+    out: &mut Vec<Violation>,
+) {
+    type CoreCycle = (u32, Vec<(NodeId, Option<VectorConfig>)>);
+    let mut core_cycles: HashMap<i32, CoreCycle> = HashMap::new();
+    for n in g.ids() {
+        if matches!(g.category(n), Category::VectorOp | Category::MatrixOp) {
+            let e = core_cycles.entry(fold(start(n))).or_default();
+            e.0 += lanes_of(spec, g, n);
+            e.1.push((n, g.opcode(n).and_then(|o| o.config())));
+        }
+    }
+    let mut cycles: Vec<i32> = core_cycles.keys().copied().collect();
+    cycles.sort_unstable();
+    for cycle in cycles {
+        let (used, ops) = &core_cycles[&cycle];
+        if *used > spec.n_lanes {
+            out.push(Violation::LaneOverflow { cycle, used: *used });
+        }
+        let mut cfg = None;
+        let mut conflict = false;
+        for (n, c) in ops {
+            match c {
+                None => out.push(Violation::MalformedSchedule {
+                    detail: format!("node {n:?} on the vector core has no configuration"),
+                }),
+                Some(c) => {
+                    conflict |= cfg.is_some_and(|prev: VectorConfig| prev != *c);
+                    cfg = Some(*c);
+                }
+            }
+        }
+        if conflict {
+            out.push(Violation::ConfigConflict { cycle });
+        }
+    }
+}
+
 /// Verify a straight-line schedule against every architectural rule,
 /// re-derived from `spec`. `check_memory = false` skips §3.4 (the paper's
 /// manual baseline and modulo schedules assume sufficient memory).
@@ -141,12 +216,7 @@ pub fn verify_schedule(
     let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
 
-    // Starts are cycles of a real execution: non-negative.
-    for n in g.ids() {
-        if start(n) < 0 {
-            out.push(Violation::NegativeStart { node: n });
-        }
-    }
+    check_timing(g, spec, &start, &mut out);
 
     // A schedule claiming to finish before its own last write-back is
     // lying about the makespan.
@@ -164,54 +234,8 @@ pub fn verify_schedule(
         });
     }
 
-    // (1)/(4): the 7-cycle pipeline — a consumer may not start before its
-    // operand's write-back, and a produced datum starts *exactly* at it.
-    for (f, t) in g.edges() {
-        if start(f).saturating_add(latency(f)) > start(t) {
-            out.push(Violation::Precedence { from: f, to: t });
-        }
-        if g.category(f).is_op()
-            && g.category(t).is_data()
-            && start(t) != start(f).saturating_add(latency(f))
-        {
-            out.push(Violation::DataStart { op: f, data: t });
-        }
-    }
-
     // (2)/(3): per-cycle lane budget and configuration uniqueness.
-    type CoreCycle = (u32, Vec<(NodeId, Option<VectorConfig>)>);
-    let mut core_cycles: HashMap<i32, CoreCycle> = HashMap::new();
-    for n in g.ids() {
-        if matches!(g.category(n), Category::VectorOp | Category::MatrixOp) {
-            let e = core_cycles.entry(start(n)).or_default();
-            e.0 += lanes_of(spec, g, n);
-            e.1.push((n, g.opcode(n).and_then(|o| o.config())));
-        }
-    }
-    let mut cycles: Vec<i32> = core_cycles.keys().copied().collect();
-    cycles.sort_unstable();
-    for cycle in cycles {
-        let (used, ops) = &core_cycles[&cycle];
-        if *used > spec.n_lanes {
-            out.push(Violation::LaneOverflow { cycle, used: *used });
-        }
-        let mut cfg = None;
-        let mut conflict = false;
-        for (n, c) in ops {
-            match c {
-                None => out.push(Violation::MalformedSchedule {
-                    detail: format!("node {n:?} on the vector core has no configuration"),
-                }),
-                Some(c) => {
-                    conflict |= cfg.is_some_and(|prev: VectorConfig| prev != *c);
-                    cfg = Some(*c);
-                }
-            }
-        }
-        if conflict {
-            out.push(Violation::ConfigConflict { cycle });
-        }
-    }
+    check_core(g, spec, &start, &|t| t, &mut out);
 
     // Capacity-limited units beyond the vector core: per-cycle occupancy
     // maps (the simulator uses a sorted interval sweep — different
@@ -454,70 +478,15 @@ pub fn verify_modulo(
         return out;
     }
     let start = |n: NodeId| starts[&n];
-    let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
 
-    for n in g.ids() {
-        if start(n) < 0 {
-            out.push(Violation::NegativeStart { node: n });
-        }
-    }
-
-    // Intra-iteration precedence (the kernels are feedback-free DAGs, so
+    // Intra-iteration timing (the kernels are feedback-free DAGs, so
     // there are no loop-carried edges to offset by II).
-    for (f, t) in g.edges() {
-        if start(f).saturating_add(latency(f)) > start(t) {
-            out.push(Violation::Precedence { from: f, to: t });
-        }
-        if g.category(f).is_op()
-            && g.category(t).is_data()
-            && start(t) != start(f).saturating_add(latency(f))
-        {
-            out.push(Violation::DataStart { op: f, data: t });
-        }
-    }
+    check_timing(g, spec, &start, &mut out);
 
     // Steady-state lane budget and config uniqueness per window cycle
     // t = s mod ii: iterations k and k+1 co-issue whatever folds together.
-    let mut lanes_at: HashMap<i32, u32> = HashMap::new();
-    let mut cfg_at: HashMap<i32, VectorConfig> = HashMap::new();
-    let mut conflict_at: Vec<i32> = Vec::new();
-    let mut core_ops: Vec<NodeId> = g
-        .ids()
-        .filter(|&n| matches!(g.category(n), Category::VectorOp | Category::MatrixOp))
-        .collect();
-    core_ops.sort_by_key(|&n| (start(n), n.idx()));
-    for n in core_ops {
-        let lanes = lanes_of(spec, g, n);
-        for dt in 0..duration(n).max(1) {
-            let t = (start(n).saturating_add(dt)).rem_euclid(ii);
-            *lanes_at.entry(t).or_default() += lanes;
-            match g.opcode(n).and_then(|o| o.config()) {
-                None => out.push(Violation::MalformedSchedule {
-                    detail: format!("node {n:?} on the vector core has no configuration"),
-                }),
-                Some(c) => match cfg_at.get(&t) {
-                    Some(&prev) if prev != c => {
-                        if !conflict_at.contains(&t) {
-                            conflict_at.push(t);
-                            out.push(Violation::ConfigConflict { cycle: t });
-                        }
-                    }
-                    _ => {
-                        cfg_at.insert(t, c);
-                    }
-                },
-            }
-        }
-    }
-    let mut windows: Vec<i32> = lanes_at.keys().copied().collect();
-    windows.sort_unstable();
-    for t in windows {
-        let used = lanes_at[&t];
-        if used > spec.n_lanes {
-            out.push(Violation::LaneOverflow { cycle: t, used });
-        }
-    }
+    check_core(g, spec, &start, &|t| t.rem_euclid(ii), &mut out);
 
     // Capacity-limited units with wraparound: an occupancy longer than II
     // collides with the next iteration's own instance of the same op.

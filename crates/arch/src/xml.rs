@@ -227,6 +227,18 @@ mod tests {
             "{err}"
         );
 
+        // So is a vector core that holds an op past its issue cycle.
+        let xml = to_arch_xml(&ArchSpec::eit()).replacen(
+            r#"class="vector" latency="7" occupancy="1""#,
+            r#"class="vector" latency="7" occupancy="2""#,
+            1,
+        );
+        let err = from_arch_xml(&xml).unwrap_err();
+        assert!(
+            matches!(&err, XmlError::BadValue(m) if m.contains("occupancy=\"2\"")),
+            "{err}"
+        );
+
         // A machine missing a whole unit is rejected too.
         let mut spec = ArchSpec::eit();
         spec.units.units.pop();

@@ -41,8 +41,11 @@
 //!                       (escape hatch for external SAT solvers)
 //!   --verify            after scheduling, re-check the result with the
 //!                       independent verifier (eit-arch `verify` module) AND
-//!                       the simulator's structural validation; exit 1 if
-//!                       either reports a violation
+//!                       the simulator, which on a built-in kernel with the
+//!                       memory model on executes the configuration stream
+//!                       and compares every output with the kernel's
+//!                       expected value (elsewhere: the structural rules);
+//!                       exit 1 if either reports a violation
 //!   --record FILE       record the solve as an eit-trace/2 file: a JSON
 //!                       header line (canonical IR/arch hashes, solver
 //!                       config) then one JSON line per search event,
@@ -89,7 +92,7 @@ use eit_core::{
 };
 use eit_cp::trace::{SearchEvent, TraceHandle};
 use eit_ir::sem::Value;
-use eit_ir::{Graph, NodeId};
+use eit_ir::{Graph, IdMap, NodeId};
 use std::collections::HashMap;
 use std::process::exit;
 use std::sync::{Arc, Mutex};
@@ -656,8 +659,12 @@ fn main() {
         eprintln!("eitc: invalid IR: {e}");
         exit(1);
     }
+    // Where the passes moved each node: the values are keyed on the
+    // loaded graph's ids.
+    let mut ids = IdMap::default();
     if args.merge {
         let st = eit_ir::merge_pipeline_ops(&mut g);
+        ids.then(&st.ids);
         if st.nodes_removed > 0 {
             eprintln!("; merge pass folded {} node pairs", st.nodes_removed / 2);
         }
@@ -692,6 +699,7 @@ fn main() {
         // solver sees, so the CSE pass runs here instead of inside
         // compile() when recording or replaying.
         let st = eit_ir::eliminate_common_subexpressions(&mut g);
+        ids.then(&st.ids);
         if st.ops_removed > 0 {
             eprintln!("; CSE folded {} duplicate op(s)", st.ops_removed);
         }
@@ -817,6 +825,8 @@ fn main() {
 
     // A built-in kernel with the memory model on runs its configuration
     // stream; anything else is checked by the simulator's structural rules.
+    ids.then(&out.ids());
+    let (inputs, expected) = (ids.rekey(&inputs), ids.rekey(&expected));
     let sim = (args.memory && !inputs.is_empty() && (args.verify || args.metrics.is_some()))
         .then(|| eit_arch::simulate(&out.graph, &spec, &out.schedule, &inputs));
     if args.verify {

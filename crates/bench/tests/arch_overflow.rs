@@ -51,7 +51,7 @@ fn overflowing_specs() -> Vec<(String, &'static str)> {
             ),
             "banks=\"2147483646\"",
         ),
-        // Not an overflow, but refused the same way: a matrix op narrower
+        // Not overflows, but refused the same way: a matrix op narrower
         // than the core used to schedule into co-issue and bank conflicts.
         (
             edit(
@@ -59,6 +59,14 @@ fn overflowing_specs() -> Vec<(String, &'static str)> {
                 "class=\"matrix\" latency=\"7\" occupancy=\"1\" width=\"2\"",
             ),
             "width=\"2\"",
+        ),
+        // Nor is a vector op that holds the core past its issue cycle.
+        (
+            edit(
+                "class=\"vector\" latency=\"7\" occupancy=\"1\"",
+                "class=\"vector\" latency=\"7\" occupancy=\"2\"",
+            ),
+            "occupancy=\"2\"",
         ),
     ]
 }

@@ -36,8 +36,8 @@ use crate::modulo::{
     modulo_schedule, modulo_schedule_checked, validate_modulo, Backend, ModuloOptions,
 };
 use eit_arch::{
-    simulate, to_arch_xml, validate_structure, validate_structure_with, verify_modulo,
-    verify_schedule, ArchSpec, SimReport, UnitTable, Violation,
+    simulate, to_arch_xml, validate_structure_with, verify_modulo, verify_schedule, ArchSpec,
+    Schedule, SimReport, UnitTable, Violation,
 };
 use eit_cp::SearchStatus;
 use eit_ir::sem::Value;
@@ -352,6 +352,34 @@ fn check_replay(g: &Graph, rep: &SimReport, inputs: &HashMap<NodeId, Value>) -> 
     Ok(())
 }
 
+/// The simulator's structural rules and the independent verifier on one
+/// schedule (`memory`: with the §3.4 rules): they must agree, and find
+/// nothing. A disagreement fails stage `verifier-disagreement`, naming
+/// the schedule `what`; violations both find fail `stage`.
+fn verify_both(
+    g: &Graph,
+    spec: &ArchSpec,
+    s: &Schedule,
+    memory: bool,
+    what: &str,
+    stage: &str,
+) -> Result<(), (String, String)> {
+    let sim_v = validate_structure_with(g, spec, s, memory);
+    let ver_v = verify_schedule(g, spec, s, memory);
+    if sim_v.is_empty() != ver_v.is_empty() {
+        let detail = format!(
+            "{what}: {} vs {}",
+            fmt_violations("simulator", &sim_v),
+            fmt_violations("independent", &ver_v)
+        );
+        return Err(("verifier-disagreement".into(), detail));
+    }
+    if !sim_v.is_empty() {
+        return Err((stage.into(), fmt_violations("both verifiers", &sim_v)));
+    }
+    Ok(())
+}
+
 /// Run every differential stage on one graph against the builtin EIT
 /// instance. `Ok(checks)` counts the stages executed; `Err((stage,
 /// detail))` is the first disagreement.
@@ -392,21 +420,14 @@ pub fn check_case_on(
     checks += 1;
     let list = list_schedule(g, &spec, false);
     if let Some(r) = &list {
-        let sim_v = validate_structure_with(g, &spec, &r.schedule, false);
-        let ver_v = verify_schedule(g, &spec, &r.schedule, false);
-        if sim_v.is_empty() != ver_v.is_empty() {
-            return fail(
-                "verifier-disagreement",
-                format!(
-                    "list schedule: {} vs {}",
-                    fmt_violations("simulator", &sim_v),
-                    fmt_violations("independent", &ver_v)
-                ),
-            );
-        }
-        if !sim_v.is_empty() {
-            return fail("list-schedule", fmt_violations("both verifiers", &sim_v));
-        }
+        verify_both(
+            g,
+            &spec,
+            &r.schedule,
+            false,
+            "list schedule",
+            "list-schedule",
+        )?;
     }
 
     // Stage: CP scheduler with the memory model, doubly verified and
@@ -418,21 +439,7 @@ pub fn check_case_on(
     };
     let cp = schedule(g, &spec, &sched_opts);
     if let Some(s) = &cp.schedule {
-        let sim_v = validate_structure(g, &spec, s);
-        let ver_v = verify_schedule(g, &spec, s, true);
-        if sim_v.is_empty() != ver_v.is_empty() {
-            return fail(
-                "verifier-disagreement",
-                format!(
-                    "CP schedule: {} vs {}",
-                    fmt_violations("simulator", &sim_v),
-                    fmt_violations("independent", &ver_v)
-                ),
-            );
-        }
-        if !sim_v.is_empty() {
-            return fail("cp-schedule", fmt_violations("both verifiers", &sim_v));
-        }
+        verify_both(g, &spec, s, true, "CP schedule", "cp-schedule")?;
         if let Err(e) = check_replay(g, &simulate(g, &spec, s, &inputs), &inputs) {
             return fail("cp-replay", e);
         }
@@ -493,21 +500,14 @@ pub fn check_case_on(
     let tight_spec = spec.clone().with_slots(n_data.div_ceil(2).max(4));
     let tight = schedule(g, &tight_spec, &sched_opts);
     if let Some(s) = &tight.schedule {
-        let sim_v = validate_structure(g, &tight_spec, s);
-        let ver_v = verify_schedule(g, &tight_spec, s, true);
-        if sim_v.is_empty() != ver_v.is_empty() {
-            return fail(
-                "verifier-disagreement",
-                format!(
-                    "tight-slot schedule: {} vs {}",
-                    fmt_violations("simulator", &sim_v),
-                    fmt_violations("independent", &ver_v)
-                ),
-            );
-        }
-        if !sim_v.is_empty() {
-            return fail("tight-slots", fmt_violations("both verifiers", &sim_v));
-        }
+        verify_both(
+            g,
+            &tight_spec,
+            s,
+            true,
+            "tight-slot schedule",
+            "tight-slots",
+        )?;
         if let Err(e) = check_replay(g, &simulate(g, &tight_spec, s, &inputs), &inputs) {
             return fail("tight-slots-replay", e);
         }
@@ -800,6 +800,7 @@ pub fn run(opts: &FuzzOptions) -> FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eit_arch::validate_structure;
 
     fn quick(seed: u64, cases: u64, modulo: bool) -> FuzzOptions {
         FuzzOptions {

@@ -3,14 +3,14 @@
 //!
 //! Constraint-by-constraint mapping to the paper, with the helper that
 //! posts each row. The helpers are shared: the modulo probe
-//! ([`crate::modulo::build_probe`]) posts (1)/(4) and (3) through them,
+//! ([`crate::modulo::build_probe`]) posts (1)/(4), (2) and (3) through them,
 //! and the steady-state allocator ([`crate::alloc`]) posts (6)–(11)
 //! through `post_memory` over constant starts.
 //!
 //! | Paper | Here | Posted by |
 //! |---|---|---|
 //! | (1) `s_i + l_i ≤ s_j` on edges | [`eit_cp::Model::precedence`] | `post_precedences` |
-//! | (2) lane `Cumulative` | one `Cumulative` over vector+matrix ops, r∈{1,4}, cap 4; two more (cap 1) for the accelerator and index/merge units | [`build_model`] |
+//! | (2) unit capacity | one `Cumulative` per unit of the table: the lanes over vector+matrix ops, r∈{1,4}, cap 4; the accelerator and index/merge units at cap 1 | `post_unit_capacities` |
 //! | (3) `s_i ≠ s_j` for differently-configured vector ops | one `one_config_per_cycle` over (start, configuration), pruning as the pairwise `s_i ≠ s_j` would | `post_config_separation` |
 //! | (4) data start = producer completion | no constraint: a produced datum's start is a view of its producer's start, shifted by the latency (`Store::view`) | `post_precedences` |
 //! | (5) makespan objective | completion views (start + latency) + `max_of`, minimized | [`build_model`] |
@@ -25,7 +25,6 @@ use crate::obs::PhaseTimings;
 use eit_arch::{ArchSpec, Schedule};
 use eit_cp::props::cumulative::CumTask;
 use eit_cp::props::diff2::Rect;
-use eit_cp::props::disjunctive::DisjTask;
 use eit_cp::props::reify::GuardedPair;
 use eit_cp::trace::TraceHandle;
 use eit_cp::{
@@ -151,7 +150,6 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     let start = post_precedences(&mut m, g, spec, &op_start, horizon);
 
     let latency = |i: NodeId| spec.latency(&g.node(i).kind);
-    let duration = |i: NodeId| spec.duration(&g.node(i).kind);
 
     // Longest-path preprocessing: earliest starts tighten every domain's
     // lower bound, and the critical path is a sound lower bound on the
@@ -165,52 +163,7 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     }
     let critical_path = g.ids().map(|i| es[i.idx()] + latency(i)).max().unwrap_or(0);
 
-    // (2) one resource constraint per functional unit, in table order.
-    // On the classic table this posts exactly the paper's three: the lane
-    // Cumulative (vector req 1, matrix req = matrix width) and two
-    // Disjunctives for the accelerator and the index/merge unit. A
-    // replicated unit (count > 1) becomes a Cumulative with the op's
-    // resolved width as its resource requirement.
-    for unit in &spec.units.units {
-        let classes: Vec<OpClass> = unit.ops.iter().map(|o| o.class).collect();
-        let is_vcore = classes
-            .iter()
-            .any(|c| matches!(c, OpClass::Vector | OpClass::Matrix));
-        let unit_ops: Vec<NodeId> = g
-            .ids()
-            .filter(|&i| OpClass::of(&g.node(i).kind).is_some_and(|c| classes.contains(&c)))
-            .collect();
-        if !is_vcore && unit_ops.is_empty() {
-            continue;
-        }
-        if !is_vcore && unit.count == 1 {
-            m.disjunctive(
-                unit_ops
-                    .iter()
-                    .map(|&i| DisjTask {
-                        start: start[i.idx()],
-                        dur: duration(i),
-                    })
-                    .collect(),
-            );
-        } else {
-            m.cumulative(
-                unit_ops
-                    .iter()
-                    .map(|&i| CumTask {
-                        start: start[i.idx()],
-                        dur: duration(i),
-                        req: spec
-                            .units
-                            .class_width(OpClass::of(&g.node(i).kind).unwrap())
-                            .unwrap_or(1) as i32,
-                    })
-                    .collect(),
-                unit.count as i32,
-            );
-        }
-    }
-
+    post_unit_capacities(&mut m, g, spec, |i| start[i.idx()]);
     post_config_separation(&mut m, g, |i| start[i.idx()]);
 
     // (5) makespan = max completion over op nodes; a completion is a
@@ -300,6 +253,37 @@ pub(crate) fn post_precedences(
         }
     }
     s
+}
+
+/// (2) one `Cumulative` per functional unit, in table order, over the
+/// ops it serves at `slot_of` — a start cycle in the straight-line model,
+/// a window position in the modulo probe. Capacity is the unit's replica
+/// count and an op requires its class width, so on the classic table
+/// this is the paper's three: the lanes (vector 1, matrix every lane,
+/// cap 4), then the accelerator and the index/merge unit at cap 1. A
+/// unit serving no op of `g` posts nothing.
+pub(crate) fn post_unit_capacities(
+    m: &mut Model,
+    g: &Graph,
+    spec: &ArchSpec,
+    slot_of: impl Fn(NodeId) -> VarId,
+) {
+    for unit in &spec.units.units {
+        let tasks: Vec<CumTask> = g
+            .ids()
+            .filter_map(|n| {
+                let class = OpClass::of(&g.node(n).kind)?;
+                unit.ops.iter().any(|o| o.class == class).then(|| CumTask {
+                    start: slot_of(n),
+                    dur: spec.duration(&g.node(n).kind),
+                    req: spec.units.class_width(class).unwrap_or(1) as i32,
+                })
+            })
+            .collect();
+        if !tasks.is_empty() {
+            m.cumulative(tasks, unit.count as i32);
+        }
+    }
 }
 
 /// The configuration a vector-core op needs the core to hold.

@@ -3,12 +3,11 @@
 
 use super::sweep::{ProbeSlot, Probed};
 use super::{config_groups, Backend, IiOutcome, ModuloError, ModuloOptions};
-use crate::model::{post_config_separation, post_precedences};
+use crate::model::{post_config_separation, post_precedences, post_unit_capacities};
 use eit_arch::ArchSpec;
-use eit_cp::props::cumulative::CumTask;
 use eit_cp::props::diff2::Rect;
 use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
-use eit_ir::{Graph, NodeId, OpClass};
+use eit_ir::{Graph, NodeId};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -45,10 +44,11 @@ pub struct ProbeModel {
 
 /// Build the CSP for one candidate II. Returns `Ok(None)` when a static
 /// capacity cut already refutes the candidate — no search runs, so a
-/// recorded probe stream for such a candidate is empty. Edges (1)/(4)
-/// and configurations (3) are posted as in [`crate::model`], over `s` and
-/// the window `t`. Every graph the IR accepts builds, so `Err` does not
-/// occur; the signature keeps it for callers that match on it.
+/// recorded probe stream for such a candidate is empty. Edges (1)/(4),
+/// unit capacities (2) and configurations (3) are posted as in
+/// [`crate::model`], over `s` and the window `t`. Every graph the IR
+/// accepts builds, so `Err` does not occur; the signature keeps it for
+/// callers that match on it.
 pub fn build_probe(
     g: &Graph,
     spec: &ArchSpec,
@@ -94,28 +94,8 @@ pub fn build_probe(
     // Data starts and precedences on s.
     let s_var = post_precedences(&mut m, g, spec, &op_start, horizon + spec.pipeline_depth());
 
-    // Window resource constraints on t: one Cumulative per functional
-    // unit of the table, in table order (on the classic table: lanes with
-    // matrix req = matrix width, then accelerator and index/merge at
-    // capacity 1).
-    for unit in &spec.units.units {
-        let classes: Vec<OpClass> = unit.ops.iter().map(|o| o.class).collect();
-        let tasks: Vec<CumTask> = g
-            .ids()
-            .filter(|&n| OpClass::of(&g.node(n).kind).is_some_and(|c| classes.contains(&c)))
-            .map(|n| CumTask {
-                start: t_var[&n],
-                dur: duration(n),
-                req: spec
-                    .units
-                    .class_width(OpClass::of(&g.node(n).kind).unwrap())
-                    .unwrap_or(1) as i32,
-            })
-            .collect();
-        if !tasks.is_empty() {
-            m.cumulative(tasks, unit.count as i32);
-        }
-    }
+    // Window resource constraints on t, one Cumulative per unit.
+    post_unit_capacities(&mut m, g, spec, |n| t_var[&n]);
 
     // One configuration per window slot.
     post_config_separation(&mut m, g, |n| t_var[&n]);
@@ -131,16 +111,11 @@ pub fn build_probe(
         for (cfg, members) in &groups {
             let b = m.new_var(0, ii - 1);
             // Static capacity cut: a band must hold its group's issue
-            // work — at least ceil(sum req*dur / lanes) slots (time-table
-            // filtering cannot see this while the band is still loose).
-            let work: i64 = members
-                .iter()
-                .map(|&op| {
-                    let r = if cfg.matrix { spec.n_lanes as i64 } else { 1 };
-                    r * duration(op) as i64
-                })
-                .sum();
+            // work — at least ceil(ops * req / lanes) slots, as a core op
+            // issues in one cycle (time-table filtering cannot see this
+            // while the band is still loose).
             let lanes = spec.n_lanes as i64;
+            let work = members.len() as i64 * if cfg.matrix { lanes } else { 1 };
             let need = ((work + lanes - 1) / lanes).max(1) as i32;
             if need > ii {
                 return Ok(None);

@@ -23,7 +23,7 @@ use crate::model::{schedule, SchedulerOptions};
 use crate::obs::PhaseTimings;
 use eit_arch::{ArchSpec, Schedule};
 use eit_cp::{PropProfile, SearchStats, SearchStatus};
-use eit_ir::{CseStats, Graph, IrError, MergeStats};
+use eit_ir::{CseStats, Graph, IdMap, IrError, MergeStats};
 use std::fmt;
 
 /// Options for [`compile`].
@@ -94,6 +94,16 @@ pub struct Compiled {
     /// Domain-representation histogram `(bitset_vars, interval_vars)`
     /// of the scheduling model as built, before search.
     pub domain_reps: (usize, usize),
+}
+
+impl Compiled {
+    /// Where every node of the graph [`compile`] was given is in
+    /// [`Compiled::graph`]: CSE's renumbering, then the merge pass's.
+    pub fn ids(&self) -> IdMap {
+        let mut ids = self.cse.ids.clone();
+        ids.then(&self.merge.ids);
+        ids
+    }
 }
 
 /// Run the full toolchain on `graph`.

@@ -48,7 +48,7 @@ pub enum Priority {
     Arith = 0,
     /// Linear (in)equalities and reified/conditional constraints.
     Linear = 1,
-    /// Global constraints: `Cumulative`, `Disjunctive`, `Diff2`.
+    /// Global constraints: `Cumulative`, `Diff2`.
     Global = 2,
 }
 

@@ -5,7 +5,6 @@ use crate::engine::{Engine, PropId, Propagator};
 use crate::props::basic::{MaxOf, OneConfigPerCycle, XPlusCLeqY};
 use crate::props::cumulative::{CumTask, Cumulative};
 use crate::props::diff2::{Diff2, Rect};
-use crate::props::disjunctive::{DisjTask, Disjunctive};
 use crate::props::geometry::{ModChannel, SlotGeometry};
 use crate::props::linear::LinearLeq;
 use crate::props::reify::{CondSameTime, GuardedPair, PageLineImplies};
@@ -88,15 +87,9 @@ impl Model {
         self.post(Box::new(LinearLeq::new(terms, c)));
     }
 
-    /// `Cumulative` (constraint (2)).
+    /// `Cumulative` (constraint (2)), one per functional unit.
     pub fn cumulative(&mut self, tasks: Vec<CumTask>, capacity: i32) {
         self.post(Box::new(Cumulative::new(tasks, capacity)));
-    }
-
-    /// Unary-resource scheduling (stronger than `Cumulative` with
-    /// capacity 1); used for the accelerator and index/merge units.
-    pub fn disjunctive(&mut self, tasks: Vec<DisjTask>) {
-        self.post(Box::new(Disjunctive::new(tasks)));
     }
 
     /// `Diff2` (constraint (11)).

@@ -4,9 +4,12 @@
 //! Given tasks with start variables, fixed durations and fixed resource
 //! requirements, enforces that at every time point the sum of requirements
 //! of running tasks stays within `capacity`. This is the paper's
-//! constraint (2): the vector core's four lanes (vector op r=1, matrix op
-//! r=4, duration 1 cc), and the unit-capacity accelerator and index/merge
-//! units.
+//! constraint (2), posted once per functional unit: the vector core's
+//! four lanes (vector op r=1, matrix op r=4, duration 1 cc), and the
+//! unit-capacity accelerator and index/merge units. At capacity 1 the
+//! time-table rule carves a fixed task's occupancy out of every other
+//! task's domain and orders a pair once one task has a compulsory part,
+//! so no separate unary-resource propagator is kept.
 //!
 //! Filtering performed each wake-up:
 //! 0. the energetic overload check on a Θ-tree (`props/overload.rs`):
@@ -131,24 +134,10 @@ impl Profile {
             let lo = seg_start.max(from);
             let hi = seg_end.min(to);
             if lo < hi {
-                // Does the own compulsory part cover this whole sub-segment,
-                // part of it, or none? Split mentally: the max over the
-                // sub-segment is h minus own_req only where own covers it.
-                match own {
-                    Some((oa, ob)) if oa < hi && ob > lo => {
-                        // Portion covered by own: height h - own_req;
-                        // uncovered portion (if any): height h.
-                        if oa > lo || ob < hi {
-                            best = best.max(h);
-                        } else {
-                            best = best.max(h - own_req);
-                        }
-                        if oa <= lo && ob >= hi {
-                            best = best.max(h - own_req);
-                        }
-                    }
-                    _ => best = best.max(h),
-                }
+                // The max over the sub-segment is h minus own_req only
+                // when the own compulsory part covers all of it.
+                let covered = own.is_some_and(|(oa, ob)| oa <= lo && ob >= hi);
+                best = best.max(if covered { h - own_req } else { h });
             }
             if seg_end >= to {
                 break;
@@ -410,6 +399,91 @@ mod tests {
         let mut e = Engine::new();
         e.post(Box::new(cum(&s, &specs, 1)), &s);
         assert!(e.fixpoint(&mut s).is_err());
+    }
+
+    /// A capacity-1 unit over `(lo, hi, dur)` tasks of requirement 1.
+    fn unit(specs: &[(i32, i32, i32)]) -> (Store, Engine, Vec<VarId>) {
+        let mut s = Store::new();
+        let vars: Vec<VarId> = specs.iter().map(|&(lo, hi, _)| s.new_var(lo, hi)).collect();
+        let tasks = vars
+            .iter()
+            .zip(specs)
+            .map(|(&start, &(_, _, dur))| CumTask { start, dur, req: 1 })
+            .collect();
+        let mut e = Engine::new();
+        e.post(Box::new(Cumulative::new(tasks, 1)), &s);
+        (s, e, vars)
+    }
+
+    #[test]
+    fn unit_capacity_overload_detected() {
+        // Three 3-cycle tasks in an 8-cycle window: 9 > 8.
+        let (mut s, mut e, _) = unit(&[(0, 5, 3), (0, 5, 3), (0, 5, 3)]);
+        assert!(e.fixpoint(&mut s).is_err());
+    }
+
+    #[test]
+    fn unit_capacity_exact_fit_accepted() {
+        // Three 3-cycle tasks in exactly 9 cycles.
+        let (mut s, mut e, _) = unit(&[(0, 6, 3), (0, 6, 3), (0, 6, 3)]);
+        assert!(e.fixpoint(&mut s).is_ok());
+    }
+
+    #[test]
+    fn unit_capacity_forced_order_tightens_bounds() {
+        // b (dur 4) must finish by 6; a (dur 4) cannot start before 2 —
+        // only b-then-a fits: b's compulsory part [2, 4) pushes a to 4.
+        let (mut s, mut e, vars) = unit(&[(2, 20, 4), (0, 2, 4)]);
+        e.fixpoint(&mut s).unwrap();
+        assert!(s.min(vars[0]) >= 4);
+    }
+
+    #[test]
+    fn unit_capacity_fixed_task_carves_hole_in_opponent() {
+        let (mut s, mut e, vars) = unit(&[(0, 20, 2), (5, 5, 3)]);
+        e.fixpoint(&mut s).unwrap();
+        // a (dur 2) cannot start in [4, 7].
+        for v in 4..8 {
+            assert!(!s.dom(vars[0]).contains(v), "v={v}");
+        }
+        assert!(s.dom(vars[0]).contains(3));
+        assert!(s.dom(vars[0]).contains(8));
+    }
+
+    #[test]
+    fn unit_capacity_impossible_pair_fails() {
+        // Two 3-cycle tasks both confined to [0, 2]: lst = 2 < ect = 3
+        // in both orders.
+        let (mut s, mut e, _) = unit(&[(0, 2, 3), (0, 2, 3)]);
+        assert!(e.fixpoint(&mut s).is_err());
+    }
+
+    #[test]
+    fn unit_capacity_search_solves_tight_schedule() {
+        use crate::model::Model;
+        use crate::search::{solve, Phase, SearchConfig, VarSel};
+        let mut m = Model::new();
+        let vars: Vec<VarId> = (0..4).map(|_| m.new_var(0, 6)).collect();
+        m.cumulative(
+            vars.iter()
+                .map(|&start| CumTask {
+                    start,
+                    dur: 2,
+                    req: 1,
+                })
+                .collect(),
+            1,
+        );
+        let cfg = SearchConfig {
+            phases: vec![Phase::new(vars.clone(), VarSel::FirstFail)],
+            ..Default::default()
+        };
+        let sol = solve(&mut m, &cfg).best.unwrap();
+        let mut starts: Vec<i32> = vars.iter().map(|&v| sol.value(v)).collect();
+        starts.sort_unstable();
+        for w in starts.windows(2) {
+            assert!(w[1] - w[0] >= 2, "{starts:?}");
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! - [`linear`] — linear inequalities with bounds consistency
 //! - [`nogood`] — watched-literal enforcement of restart-harvested nogoods
 //! - [`cumulative`] — renewable-resource scheduling (energetic overload
-//!   check, time-table filtering)
+//!   check, time-table filtering), one per functional unit, capacity 1
+//!   included
 //! - [`diff2`] — two-dimensional non-overlap of rectangles
-//! - [`disjunctive`] — unary-resource scheduling (overload check, pairwise
-//!   ordering)
 //! - [`geometry`] — the slot/line/page channeling of the EIT vector memory
 //! - [`reify`] — guarded/conditional constraints (the paper's (7)–(9))
 //!
@@ -30,7 +29,6 @@
 pub mod basic;
 pub mod cumulative;
 pub mod diff2;
-pub mod disjunctive;
 pub mod geometry;
 pub mod linear;
 pub mod nogood;

@@ -1,6 +1,6 @@
-//! The overload check shared by [`Cumulative`](super::cumulative) and
-//! [`Disjunctive`](super::disjunctive), on a Θ-tree (Vilím, "Max energy
-//! filtering algorithm for discrete cumulative resources", CPAIOR 2009).
+//! The overload check of [`Cumulative`](super::cumulative), on a Θ-tree
+//! (Vilím, "Max energy filtering algorithm for discrete cumulative
+//! resources", CPAIOR 2009).
 //!
 //! A set of tasks overloads a resource of capacity `C` when some subset
 //! Ω must run entirely inside `[est_Ω, lct_Ω)` yet needs more energy than
@@ -91,7 +91,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// The O(n²) window check the Θ-tree replaced (the overload phase of
-    /// `Cumulative` and `Disjunctive`), kept as its oracle: for every
+    /// `Cumulative`), kept as its oracle: for every
     /// pair of an lct `b` and an est `a`, the tasks inside `[a, b)` must
     /// fit. Exact in `i128`.
     fn quadratic_overload(capacity: i64, tasks: &[(i64, i64, i64)]) -> PropResult {
@@ -110,9 +110,10 @@ mod tests {
         Ok(())
     }
 
-    /// Random task sets as `Cumulative` and `Disjunctive` build them from
-    /// start bounds: `est = min`, `lct = max + dur`, the bounds near zero
-    /// or near either end of the `i32` range, with ties in est and lct.
+    /// Random task sets as `Cumulative` builds them from start bounds:
+    /// `est = min`, `lct = max + dur`, the bounds near zero or near either
+    /// end of the `i32` range, with ties in est and lct. `unary` draws a
+    /// unit of capacity 1 with unit requirements.
     fn random_tasks(rng: &mut StdRng, unary: bool) -> (i64, Vec<(i64, i64, i64)>) {
         let capacity = if unary { 1 } else { rng.gen_range(0..=5i64) };
         let base = anchor(rng);
@@ -166,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn per_value_oracle_overload_disjunctive_matches_quadratic_check() {
+    fn per_value_oracle_overload_unit_capacity_matches_quadratic_check() {
         agree_on_random_sets(0xd15_0c1d, true);
     }
 

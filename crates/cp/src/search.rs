@@ -929,7 +929,7 @@ mod tests {
 mod more_tests {
     use super::*;
     use crate::props::basic::{MaxOf, NeqOffset, XPlusCLeqY};
-    use crate::props::disjunctive::DisjTask;
+    use crate::props::cumulative::CumTask;
 
     #[test]
     fn solve_all_counts_permutations() {
@@ -1209,22 +1209,27 @@ mod more_tests {
     #[test]
     fn redive_backtracks_past_an_exhausted_subtree() {
         // x0 = 2·x2 + x1 (x1 < 2), and x0 (1 cc) and x2 (2 cc) share a
-        // unary resource. The first dive lands on max = 4; the re-dive
+        // unit of capacity 1. The first dive lands on max = 4; the re-dive
         // under max ≤ 3 refutes its whole x1 = 0 subtree before reaching
         // x1 = 1, x2 = 1, x0 = 3. A re-dive that stopped on the earlier
         // dive's incumbent would declare 4 optimal.
         let mut m = Model::new();
         let x: Vec<VarId> = (0..3).map(|_| m.new_var(0, 4)).collect();
-        m.disjunctive(vec![
-            DisjTask {
-                start: x[0],
-                dur: 1,
-            },
-            DisjTask {
-                start: x[2],
-                dur: 2,
-            },
-        ]);
+        m.cumulative(
+            vec![
+                CumTask {
+                    start: x[0],
+                    dur: 1,
+                    req: 1,
+                },
+                CumTask {
+                    start: x[2],
+                    dur: 2,
+                    req: 1,
+                },
+            ],
+            1,
+        );
         m.mod_channel(x[0], x[2], x[1], 2);
         let obj = m.new_var(0, 4);
         m.max_of(x.clone(), obj);

@@ -9,7 +9,6 @@
 use eit_cp::props::basic::{NeqOffset, XPlusCEqY, XPlusCLeqY};
 use eit_cp::props::cumulative::{CumTask, Cumulative};
 use eit_cp::props::diff2::{Diff2, Rect};
-use eit_cp::props::disjunctive::{DisjTask, Disjunctive};
 use eit_cp::props::geometry::{ModChannel, SlotGeometry};
 use eit_cp::props::linear::LinearLeq;
 use eit_cp::props::reify::PageLineImplies;
@@ -42,7 +41,6 @@ enum C {
     EqOff(usize, i32, usize),       // y = x + c
     LinLeq(Vec<(i64, usize)>, i64), // Σ aᵢxᵢ ≤ c
     Cumulative(Vec<(usize, i32, i32)>, i32),
-    Disjunctive(Vec<(usize, i32)>),
     Diff2(Vec<(usize, usize, Ext, Ext)>),        // (x, y, w, h)
     ModChannel(usize, usize, usize, i32),        // s = m·k + t, t ∈ [0, m)
     SlotGeometry(usize, usize, usize, i32, i32), // (slot, line, page, banks, page_size)
@@ -66,16 +64,6 @@ fn check(c: &C, a: &[i32]) -> bool {
                     .sum::<i32>()
                     <= *cap
             })
-        }
-        C::Disjunctive(tasks) => {
-            for (i, &(v1, d1)) in tasks.iter().enumerate() {
-                for &(v2, d2) in &tasks[i + 1..] {
-                    if a[v1] < a[v2] + d2 && a[v2] < a[v1] + d1 {
-                        return false;
-                    }
-                }
-            }
-            true
         }
         C::Diff2(rects) => {
             // A rectangle with a zero length occupies nothing.
@@ -140,16 +128,6 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
                 })
                 .collect();
             m.post(Box::new(Cumulative::new(t, *cap)));
-        }
-        C::Disjunctive(tasks) => {
-            let t = tasks
-                .iter()
-                .map(|&(v, d)| DisjTask {
-                    start: vars[v],
-                    dur: d,
-                })
-                .collect();
-            m.post(Box::new(Disjunctive::new(t)));
         }
         C::Diff2(rects) => {
             let r = rects
@@ -262,11 +240,13 @@ fn random_instance(rng: &mut StdRng, n: usize, hi: i32) -> Vec<C> {
                 C::Cumulative(tasks, rng.gen_range(1..4))
             }
             5 => {
+                // A unit of capacity 1, as the scheduler posts the
+                // accelerator and the index/merge unit.
                 let k = rng.gen_range(2..=n);
                 let tasks = (0..k)
-                    .map(|_| (rng.gen_range(0..n), rng.gen_range(1..3)))
+                    .map(|_| (rng.gen_range(0..n), rng.gen_range(1..3), 1))
                     .collect();
-                C::Disjunctive(tasks)
+                C::Cumulative(tasks, 1)
             }
             6 => {
                 // Up to six rectangles over at most four variables, so

@@ -9,7 +9,6 @@
 use eit_cp::props::basic::{NeqOffset, OneConfigPerCycle, XPlusCEqY, XPlusCLeqY};
 use eit_cp::props::cumulative::{CumTask, Cumulative};
 use eit_cp::props::diff2::{Diff2, Rect};
-use eit_cp::props::disjunctive::{DisjTask, Disjunctive};
 use eit_cp::props::linear::LinearLeq;
 use eit_cp::{minimize, Domain, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
 use rand::rngs::StdRng;
@@ -22,7 +21,6 @@ enum C {
     Leq(usize, i32, usize),         // x + c ≤ y
     LinLeq(Vec<(i64, usize)>, i64), // Σ aᵢxᵢ ≤ c
     Cumulative(Vec<(usize, i32, i32)>, i32),
-    Disjunctive(Vec<(usize, i32)>),
     Diff2(Vec<(usize, usize, i32, i32)>), // (x, y, w, h)
     Config(Vec<(usize, u32)>),            // at most one configuration per value
 }
@@ -44,11 +42,6 @@ fn check(c: &C, a: &[i32]) -> bool {
                     <= *cap
             })
         }
-        C::Disjunctive(tasks) => tasks.iter().enumerate().all(|(i, &(v1, d1))| {
-            tasks[i + 1..]
-                .iter()
-                .all(|&(v2, d2)| a[v1] >= a[v2] + d2 || a[v2] >= a[v1] + d1)
-        }),
         C::Diff2(rects) => rects.iter().enumerate().all(|(i, &(x1, y1, w1, h1))| {
             rects[i + 1..].iter().all(|&(x2, y2, w2, h2)| {
                 let x_overlap = a[x1] < a[x2] + w2 && a[x2] < a[x1] + w1;
@@ -92,16 +85,6 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
                 })
                 .collect();
             m.post(Box::new(Cumulative::new(t, *cap)));
-        }
-        C::Disjunctive(tasks) => {
-            let t = tasks
-                .iter()
-                .map(|&(v, dur)| DisjTask {
-                    start: vars[v],
-                    dur,
-                })
-                .collect();
-            m.post(Box::new(Disjunctive::new(t)));
         }
         C::Diff2(rects) => {
             let r = rects
@@ -165,10 +148,11 @@ fn random_instance(rng: &mut StdRng) -> Instance {
                 C::Cumulative(tasks, rng.gen_range(1..4))
             }
             4 => {
+                // A unit of capacity 1.
                 let tasks = (0..rng.gen_range(2..4))
-                    .map(|_| (pos(rng), rng.gen_range(1..3)))
+                    .map(|_| (pos(rng), rng.gen_range(1..3), 1))
                     .collect();
-                C::Disjunctive(tasks)
+                C::Cumulative(tasks, 1)
             }
             5 => {
                 let rects = (0..rng.gen_range(2..5))

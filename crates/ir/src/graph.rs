@@ -13,7 +13,7 @@
 //!   between one and four.
 
 use crate::node::{Category, DataKind, Node, NodeId, NodeKind, Opcode};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 #[derive(Clone, Debug, Default)]
@@ -22,6 +22,41 @@ pub struct Graph {
     nodes: Vec<Node>,
     preds: Vec<Vec<NodeId>>,
     succs: Vec<Vec<NodeId>>,
+}
+
+/// Where the nodes of a graph went when [`Graph::remove_nodes`] took
+/// some out: the new id of every original node, `None` for a removed
+/// one. The default removes nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct IdMap(Option<Vec<Option<NodeId>>>);
+
+impl IdMap {
+    /// Where original node `n` is now; `None` if it was removed.
+    pub fn get(&self, n: NodeId) -> Option<NodeId> {
+        match &self.0 {
+            None => Some(n),
+            Some(map) => map.get(n.idx()).copied().flatten(),
+        }
+    }
+
+    /// Follow `later`, a renumbering of the graph this map leads to.
+    pub fn then(&mut self, later: &IdMap) {
+        let Some(step) = &later.0 else { return };
+        match &mut self.0 {
+            None => self.0 = Some(step.clone()),
+            Some(map) => map
+                .iter_mut()
+                .for_each(|n| *n = n.and_then(|n| step[n.idx()])),
+        }
+    }
+
+    /// `values` keyed on the current ids; values of removed nodes drop.
+    pub fn rekey<V: Clone>(&self, values: &HashMap<NodeId, V>) -> HashMap<NodeId, V> {
+        values
+            .iter()
+            .filter_map(|(&n, v)| Some((self.get(n)?, v.clone())))
+            .collect()
+    }
 }
 
 /// Errors reported by [`Graph::validate`].
@@ -267,9 +302,9 @@ impl Graph {
             .unwrap_or(0)
     }
 
-    /// Remove the given nodes, compacting ids; returns the old→new id map
-    /// (`None` for removed nodes). Edges incident to removed nodes vanish.
-    pub fn remove_nodes(&mut self, remove: &[NodeId]) -> Vec<Option<NodeId>> {
+    /// Remove the given nodes, compacting ids in order; returns where
+    /// every node went. Edges incident to removed nodes vanish.
+    pub fn remove_nodes(&mut self, remove: &[NodeId]) -> IdMap {
         let mut dead = vec![false; self.len()];
         for &r in remove {
             dead[r.idx()] = true;
@@ -309,7 +344,7 @@ impl Graph {
         self.nodes = nodes;
         self.preds = preds;
         self.succs = succs;
-        map
+        IdMap(Some(map))
     }
 
     /// Replace data node `old` with `new` in the operand list of `op`,
@@ -491,12 +526,45 @@ mod tests {
         let dot = g.succs(a)[0];
         let map = g.remove_nodes(&[a, dot]);
         assert_eq!(g.len(), before - 2);
-        assert!(map[a.idx()].is_none());
-        assert!(map[dot.idx()].is_none());
+        assert!(map.get(a).is_none());
+        assert!(map.get(dot).is_none());
         // No dangling edges survive.
         for (f, t) in g.edges() {
             assert!(f.idx() < g.len() && t.idx() < g.len());
         }
+    }
+
+    #[test]
+    fn id_map_composes_removal_steps() {
+        // Ten nodes; remove 2 and 5, then (renumbered) the nodes that
+        // were 0 and 7: what is left is 1 3 4 6 8 9.
+        let mut g = Graph::new("ids");
+        let n: Vec<NodeId> = (0..10)
+            .map(|i| g.add_data(DataKind::Scalar, &format!("d{i}")))
+            .collect();
+        let mut ids = IdMap::default();
+        assert_eq!(ids.get(n[7]), Some(n[7]));
+        ids.then(&g.remove_nodes(&[n[2], n[5]]));
+        ids.then(&g.remove_nodes(&[n[0], n[5]]));
+        let now: Vec<Option<u32>> = n.iter().map(|&i| ids.get(i).map(|m| m.0)).collect();
+        let want = [
+            None,
+            Some(0),
+            None,
+            Some(1),
+            Some(2),
+            None,
+            Some(3),
+            None,
+            Some(4),
+            Some(5),
+        ];
+        assert_eq!(now, want);
+        assert_eq!(g.node(NodeId(3)).name, "d6");
+        let values: HashMap<NodeId, usize> = n.iter().map(|&i| (i, i.idx())).collect();
+        let rekeyed = ids.rekey(&values);
+        assert_eq!(rekeyed.len(), 6);
+        assert_eq!(rekeyed[&NodeId(3)], 6);
     }
 
     #[test]

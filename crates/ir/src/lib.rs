@@ -26,7 +26,7 @@ pub mod xml;
 
 pub use cplx::Cplx;
 pub use dot::to_dot;
-pub use graph::{Graph, IrError};
+pub use graph::{Graph, IdMap, IrError};
 pub use latency::OpClass;
 pub use node::{
     Category, CoreOp, DataKind, Node, NodeId, NodeKind, Opcode, PostOp, PreOp, ScalarOp,

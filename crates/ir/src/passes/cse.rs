@@ -8,15 +8,17 @@
 //! kernel pays once. The pass works bottom-up in topological order so
 //! chains of duplicates collapse in one run.
 
-use crate::graph::Graph;
+use crate::graph::{Graph, IdMap};
 use crate::node::{NodeId, Opcode};
 use std::collections::HashMap;
 
 /// Statistics of one [`eliminate_common_subexpressions`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CseStats {
     pub ops_removed: usize,
     pub data_removed: usize,
+    /// Where every node of the input graph went.
+    pub ids: IdMap,
 }
 
 /// Merge structurally identical operations. Returns the statistics and
@@ -38,7 +40,7 @@ pub fn eliminate_common_subexpressions(g: &mut Graph) -> CseStats {
         dead.extend(&dup_outs);
         stats.ops_removed += 1;
         stats.data_removed += dup_outs.len();
-        g.remove_nodes(&dead);
+        stats.ids.then(&g.remove_nodes(&dead));
     }
     debug_assert!(g.validate().is_ok(), "CSE broke IR invariants");
     stats

@@ -17,15 +17,17 @@
 //! Merging is run to fixpoint; each fold removes one op node and one data
 //! node. The pass reports how many folds of each kind it performed.
 
-use crate::graph::Graph;
+use crate::graph::{Graph, IdMap};
 use crate::node::{CoreOp, NodeId, Opcode};
 
 /// Statistics of one [`merge_pipeline_ops`] run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
     pub pre_merges: usize,
     pub post_merges: usize,
     pub nodes_removed: usize,
+    /// Where every node of the input graph went.
+    pub ids: IdMap,
 }
 
 /// Is this opcode a stand-alone pre-processing node?
@@ -128,7 +130,7 @@ fn try_pre_merge(g: &mut Graph, stats: &mut MergeStats) -> bool {
         if let crate::node::NodeKind::Op(op) = &mut g.node_mut(c_id).kind {
             *op = folded;
         }
-        g.remove_nodes(&[p_id, d]);
+        stats.ids.then(&g.remove_nodes(&[p_id, d]));
         stats.pre_merges += 1;
         stats.nodes_removed += 2;
         return true;
@@ -184,7 +186,7 @@ fn try_post_merge(g: &mut Graph, stats: &mut MergeStats) -> bool {
         if let crate::node::NodeKind::Op(op) = &mut g.node_mut(p_id).kind {
             *op = folded;
         }
-        g.remove_nodes(&[c_id, d]);
+        stats.ids.then(&g.remove_nodes(&[c_id, d]));
         stats.post_merges += 1;
         stats.nodes_removed += 2;
         return true;

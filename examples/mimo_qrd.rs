@@ -13,9 +13,9 @@ use eit::cp::SearchStatus;
 use std::time::Duration;
 
 fn main() {
-    let kernel = eit::apps::qrd::build();
+    let mut kernel = eit::apps::qrd::build();
     let mut graph = kernel.graph.clone();
-    eit::ir::merge_pipeline_ops(&mut graph);
+    kernel.rekey(&eit::ir::merge_pipeline_ops(&mut graph).ids);
     let machine = ArchSpec::eit();
     println!(
         "MMSE-QRD kernel: {}",

@@ -138,6 +138,17 @@ fi
 grep -q 'width="2"' "$archdir/narrow.err" \
   || { echo "FAIL: narrow-matrix rejection did not name width=\"2\""; exit 1; }
 echo "   narrow matrix width rejected with the attribute named"
+# A vector op that holds the core past its issue cycle is refused too:
+# the core issues an op in one cycle.
+sed 's/class="vector" \(.*\) occupancy="1"/class="vector" \1 occupancy="2"/' "$archdir/eit.xml" > "$archdir/occ2.xml"
+grep -q 'class="vector" .* occupancy="2"' "$archdir/occ2.xml" \
+  || { echo "FAIL: vector-occupancy edit did not apply"; exit 1; }
+if ./target/release/eitc fir --arch "$archdir/occ2.xml" --modulo --verify >/dev/null 2>"$archdir/occ2.err"; then
+  echo "FAIL: vector occupancy 2 was accepted"; exit 1
+fi
+grep -q 'occupancy' "$archdir/occ2.err" \
+  || { echo "FAIL: vector-occupancy rejection did not name occupancy"; exit 1; }
+echo "   vector occupancy 2 rejected with the attribute named"
 # Two accelerators and two index/merge units: a cycle can issue two ops
 # of one unit, and the listing must still print every one of them.
 sed 's/count="1"/count="2"/' "$archdir/eit.xml" > "$archdir/rep.xml"

@@ -36,15 +36,23 @@ fn assert_outputs(what: &str, g: &Graph, report: &SimReport, kernel: &Kernel) {
     }
 }
 
+/// Kernel `name` with its graph through the merge pass, its values
+/// keyed on the merged ids.
+fn merged(name: &str) -> Kernel {
+    let mut kernel = eit::apps::by_name(name).unwrap();
+    kernel.graph.validate().unwrap();
+    let ids = eit::ir::merge_pipeline_ops(&mut kernel.graph).ids;
+    kernel.graph.validate().unwrap();
+    kernel.rekey(&ids);
+    kernel
+}
+
 fn run_kernel(name: &str) {
-    let kernel = eit::apps::by_name(name).unwrap();
-    let mut graph = kernel.graph.clone();
-    graph.validate().unwrap();
-    eit::ir::merge_pipeline_ops(&mut graph);
-    graph.validate().unwrap();
+    let kernel = merged(name);
+    let graph = &kernel.graph;
 
     let spec = ArchSpec::eit();
-    let result = schedule(&graph, &spec, &opts(120));
+    let result = schedule(graph, &spec, &opts(120));
     assert_eq!(
         result.status,
         SearchStatus::Optimal,
@@ -53,11 +61,11 @@ fn run_kernel(name: &str) {
     let sched = result.schedule.unwrap();
 
     // Structural validation.
-    let violations = validate_structure(&graph, &spec, &sched);
+    let violations = validate_structure(graph, &spec, &sched);
     assert!(violations.is_empty(), "{name}: {violations:?}");
 
     // Functional replay: every expected output must match.
-    let report = simulate(&graph, &spec, &sched, &kernel.inputs);
+    let report = simulate(graph, &spec, &sched, &kernel.inputs);
     assert!(report.ok(), "{name}: {:?}", report.violations);
     for (node, expect) in &kernel.expected {
         assert!(
@@ -169,7 +177,7 @@ fn schedule_respects_every_documented_resource() {
 fn compile_facade_handles_every_kernel() {
     use eit::core::pipeline::{compile, CompileOptions};
     for name in ["qrd", "arf", "matmul", "fir", "detector", "blockmm"] {
-        let kernel = eit::apps::by_name(name).unwrap();
+        let mut kernel = eit::apps::by_name(name).unwrap();
         let out = compile(
             kernel.graph.clone(),
             &ArchSpec::eit(),
@@ -184,9 +192,11 @@ fn compile_facade_handles_every_kernel() {
         .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(out.status, SearchStatus::Optimal, "{name}");
         // The compiled schedule still replays functionally.
+        kernel.rekey(&out.ids());
         let report =
             eit::arch::simulate(&out.graph, &ArchSpec::eit(), &out.schedule, &kernel.inputs);
         assert!(report.ok(), "{name}: {:?}", report.violations);
+        assert_outputs(name, &out.graph, &report, &kernel);
         assert!(out.program.n_instructions > 0, "{name}");
     }
 }
@@ -201,13 +211,14 @@ fn replicated_units_issue_every_op_once() {
     spec.units.units[1].count = 2;
     spec.units.units[2].count = 2;
     for name in ["qrd", "arf", "matmul", "fir", "detector", "blockmm"] {
-        let kernel = eit::apps::by_name(name).unwrap();
+        let mut kernel = eit::apps::by_name(name).unwrap();
         let options = CompileOptions {
             scheduler: opts(60),
             ..Default::default()
         };
         let out = compile(kernel.graph.clone(), &spec, &options)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
+        kernel.rekey(&out.ids());
         let g = &out.graph;
         let cs = ConfigStream::from_schedule(g, &spec, &out.schedule);
         let mut issued: Vec<NodeId> = cs.cycles.iter().flat_map(|c| c.ops.clone()).collect();
@@ -241,14 +252,12 @@ fn kernels_retarget_to_the_wide_machine() {
     let spec = ArchSpec::wide();
     spec.validate().unwrap();
     for name in ["matmul", "arf", "qrd"] {
-        let kernel = eit::apps::by_name(name).unwrap();
-        let mut g = kernel.graph.clone();
-        eit::ir::merge_pipeline_ops(&mut g);
-        let r = schedule(&g, &spec, &opts(120));
+        let kernel = merged(name);
+        let r = schedule(&kernel.graph, &spec, &opts(120));
         let sched = r
             .schedule
             .unwrap_or_else(|| panic!("{name} on wide machine"));
-        let report = eit::arch::simulate(&g, &spec, &sched, &kernel.inputs);
+        let report = eit::arch::simulate(&kernel.graph, &spec, &sched, &kernel.inputs);
         assert!(report.ok(), "{name}: {:?}", report.violations);
     }
     // MATMUL issue: 16 dotp / 8 lanes = 2 cycles + pipeline + merges.
@@ -283,13 +292,12 @@ fn simulator_reports_every_preset_unit() {
     for (arch, kernels) in [("eit", eit), ("wide", wide)] {
         let spec = ArchSpec::preset(arch).unwrap();
         for (name, busy) in kernels {
-            let kernel = eit::apps::by_name(name).unwrap();
-            let mut g = kernel.graph.clone();
-            eit::ir::merge_pipeline_ops(&mut g);
-            let sched = schedule(&g, &spec, &opts(60)).schedule.unwrap();
-            let report = simulate(&g, &spec, &sched, &kernel.inputs);
+            let kernel = merged(name);
+            let g = &kernel.graph;
+            let sched = schedule(g, &spec, &opts(60)).schedule.unwrap();
+            let report = simulate(g, &spec, &sched, &kernel.inputs);
             assert!(report.ok(), "{arch} {name}: {:?}", report.violations);
-            assert_outputs(&format!("{arch} {name}"), &g, &report, &kernel);
+            assert_outputs(&format!("{arch} {name}"), g, &report, &kernel);
             let names: Vec<&str> = report.units.iter().map(|u| u.name.as_str()).collect();
             assert_eq!(names, ["vector-core", "scalar-accel", "index-merge"]);
             assert_eq!(report.units[0].utilization, report.utilization);
@@ -340,4 +348,37 @@ fn simulator_reports_split_index_and_merge_units() {
     let cycles = f64::from(report.makespan + 1);
     assert_eq!(report.units[2].utilization, 4.0 / cycles);
     assert_eq!(report.units[3].utilization, 1.0 / cycles);
+}
+
+#[test]
+fn values_follow_the_nodes_the_passes_renumber() {
+    // CSE folds the second dot product and the merge pass folds the
+    // hermitian and the sort into the multiply: the graph loses six
+    // nodes and both outputs change id, so their values are found only
+    // through the passes' id map.
+    use eit::core::pipeline::{compile, CompileOptions};
+    use eit::ir::sem::Value;
+    let ctx = eit::dsl::Ctx::new("shrinks");
+    let a = ctx.vector_named("a", [1.0, 2.0, 3.0, 4.0]);
+    let b = ctx.vector_named("b", [4.0, 3.0, 2.0, 1.0]);
+    let x = a.hermitian().v_mul(&b).sort();
+    let d = a.v_dotp(&b).add(&a.v_dotp(&b));
+    let y = b.v_scale(&d);
+    let mut kernel = Kernel {
+        name: "shrinks",
+        inputs: [a, b].map(|v| (v.node(), Value::V(v.value()))).into(),
+        expected: [x, y].map(|v| (v.node(), Value::V(v.value()))).into(),
+        graph: ctx.finish(),
+    };
+    let options = CompileOptions {
+        scheduler: opts(60),
+        ..Default::default()
+    };
+    let out = compile(kernel.graph.clone(), &ArchSpec::eit(), &options).unwrap();
+    assert_eq!(out.graph.len() + 6, kernel.graph.len());
+    kernel.rekey(&out.ids());
+    assert_eq!(kernel.expected.len(), 2);
+    let report = simulate(&out.graph, &ArchSpec::eit(), &out.schedule, &kernel.inputs);
+    assert!(report.ok(), "{:?}", report.violations);
+    assert_outputs("shrinks", &out.graph, &report, &kernel);
 }

@@ -12,9 +12,9 @@ use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn scheduled(name: &str) -> (eit::ir::Graph, ArchSpec, Schedule, eit::apps::Kernel) {
-    let kernel = eit::apps::by_name(name).unwrap();
+    let mut kernel = eit::apps::by_name(name).unwrap();
     let mut g = kernel.graph.clone();
-    eit::ir::merge_pipeline_ops(&mut g);
+    kernel.rekey(&eit::ir::merge_pipeline_ops(&mut g).ids);
     let spec = ArchSpec::eit();
     let r = schedule(
         &g,

@@ -59,16 +59,17 @@ impl Cases {
     }
 }
 
-/// A synthetic kernel and its graph after the merge pass.
+/// A synthetic kernel and its graph after the merge pass, the kernel's
+/// values keyed on that graph.
 fn synth(seed: u64, layers: usize, width: usize, scalar_fraction: f64) -> (Kernel, Graph) {
-    let k = build(SynthParams {
+    let mut k = build(SynthParams {
         seed,
         layers,
         width,
         scalar_fraction,
     });
     let mut g = k.graph.clone();
-    eit::ir::merge_pipeline_ops(&mut g);
+    k.rekey(&eit::ir::merge_pipeline_ops(&mut g).ids);
     (k, g)
 }
 
