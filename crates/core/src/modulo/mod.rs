@@ -98,6 +98,8 @@ pub enum ModuloError {
     /// The graph's serial horizon on this machine does not fit the
     /// solver's domains.
     TooLarge(String),
+    /// A probe was asked for a candidate II below 1.
+    IiBelowOne(i32),
 }
 
 impl std::fmt::Display for ModuloError {
@@ -108,6 +110,7 @@ impl std::fmt::Display for ModuloError {
             }
             ModuloError::UnsupportedBackend(msg) => write!(f, "unsupported backend: {msg}"),
             ModuloError::TooLarge(msg) => write!(f, "{msg}"),
+            ModuloError::IiBelowOne(ii) => write!(f, "candidate II {ii} is below 1"),
             ModuloError::BackendDisagreement(msg) => {
                 write!(f, "backend produced an invalid schedule: {msg}")
             }
@@ -466,6 +469,28 @@ mod tests {
 
     fn matmul() -> Graph {
         eit_apps::by_name("matmul").unwrap().graph
+    }
+
+    #[test]
+    fn candidate_ii_below_one_is_an_error_not_a_panic() {
+        let (g, spec) = (matmul(), ArchSpec::eit());
+        for ii in [0, -3] {
+            assert!(matches!(
+                build_probe(&g, &spec, ii, false),
+                Err(ModuloError::IiBelowOne(i)) if i == ii
+            ));
+            for incl in [false, true] {
+                let r = schedule_at_ii(&g, &spec, ii, incl, Duration::from_secs(1));
+                assert!(
+                    matches!(r, IiOutcome::Malformed(ModuloError::IiBelowOne(i)) if i == ii),
+                    "II {ii}: {r:?}"
+                );
+            }
+            assert_eq!(
+                eit_sat::encode_modulo(&g, &spec, ii).err(),
+                Some(eit_sat::EncodeError::IiBelowOne(ii))
+            );
+        }
     }
 
     #[test]

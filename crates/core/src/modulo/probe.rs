@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 /// Attempt one candidate II (public so harnesses can probe specific IIs).
+/// A candidate below 1 is [`IiOutcome::Malformed`].
 pub fn schedule_at_ii(
     g: &Graph,
     spec: &ArchSpec,
@@ -47,14 +48,16 @@ pub struct ProbeModel {
 /// recorded probe stream for such a candidate is empty. Edges (1)/(4),
 /// unit capacities (2) and configurations (3) are posted as in
 /// [`crate::model`], over `s` and the window `t`. Every graph the IR
-/// accepts builds, so `Err` does not occur; the signature keeps it for
-/// callers that match on it.
+/// accepts builds; the only `Err` is [`ModuloError::IiBelowOne`].
 pub fn build_probe(
     g: &Graph,
     spec: &ArchSpec,
     ii: i32,
     include_reconfig: bool,
 ) -> Result<Option<ProbeModel>, ModuloError> {
+    if ii < 1 {
+        return Err(ModuloError::IiBelowOne(ii));
+    }
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
     let cp = g.critical_path(&|n| spec.latency(&g.node(n).kind));
     // Stage bound: latency alone needs cp/ii stages, but the banded model

@@ -49,6 +49,12 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
                 IiOutcome::Malformed(ModuloError::ModelBuild { node, detail }),
             )
         }
+        Err(EncodeError::IiBelowOne(ii)) => {
+            return Probed::bare(
+                Backend::Sat,
+                IiOutcome::Malformed(ModuloError::IiBelowOne(ii)),
+            )
+        }
     };
     let mut sat = SatStats {
         vars: u64::from(decoder.vars),
@@ -117,6 +123,7 @@ pub fn modulo_cnf_dimacs(
     for ii in lb..=ub {
         let enc = eit_sat::encode_modulo(g, spec, ii).map_err(|e| match e {
             EncodeError::Unsupported { node, detail } => ModuloError::ModelBuild { node, detail },
+            EncodeError::IiBelowOne(ii) => ModuloError::IiBelowOne(ii),
             EncodeError::Stopped { .. } => unreachable!("a Cnf sink never stops"),
         })?;
         if let Some(enc) = enc {

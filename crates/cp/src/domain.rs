@@ -145,6 +145,49 @@ fn mask_le(o: i64) -> u128 {
     }
 }
 
+/// Sort closed runs in place, drop inverted ones and merge those that
+/// overlap or touch: the result is maximal (sorted, disjoint, not
+/// adjacent). Allocates nothing.
+pub(crate) fn normalize_runs(runs: &mut Vec<(i32, i32)>) {
+    runs.sort_unstable();
+    let mut n = 0;
+    for i in 0..runs.len() {
+        let (l, h) = runs[i];
+        if l > h {
+            continue;
+        }
+        // Adjacency in i64: `hi + 1` would overflow at i32::MAX.
+        if n > 0 && l as i64 <= runs[n - 1].1 as i64 + 1 {
+            runs[n - 1].1 = runs[n - 1].1.max(h);
+        } else {
+            runs[n] = (l, h);
+            n += 1;
+        }
+    }
+    runs.truncate(n);
+}
+
+/// `runs` shifted by `c`, in i64 so no shift overflows.
+fn wide(runs: &[(i32, i32)], c: i64) -> impl Iterator<Item = (i64, i64)> + '_ {
+    runs.iter().map(move |&(l, h)| (l as i64 + c, h as i64 + c))
+}
+
+/// Membership mask of sorted runs over the 128-value window starting at
+/// `base` (bit `i` ⇔ `base + i` lies in a run).
+fn runs_mask(runs: impl Iterator<Item = (i64, i64)>, base: i32) -> u128 {
+    let b = base as i64;
+    runs.skip_while(|&(_, h)| h < b)
+        .take_while(|&(l, _)| l < b + 128)
+        .fold(0, |m, (l, h)| m | (mask_ge(l - b) & mask_le(h - b)))
+}
+
+/// The bitset `new ⊆ bits` at `base`, when it differs from `bits`.
+fn bits_narrowed(base: i32, bits: u128, new: u128) -> Option<Domain> {
+    (new != bits).then_some(Domain {
+        rep: Rep::Bits { base, bits: new },
+    })
+}
+
 #[derive(Clone)]
 enum Rep {
     /// Membership bitset over `[base, base + 127]`: bit `i` ⇔ `base + i`
@@ -215,22 +258,7 @@ impl Domain {
     /// overlap or touch merge, inverted ones are dropped. The vector
     /// becomes the interval list in place.
     pub fn from_runs(mut runs: Vec<(i32, i32)>) -> Self {
-        runs.sort_unstable();
-        let mut n = 0;
-        for i in 0..runs.len() {
-            let (l, h) = runs[i];
-            if l > h {
-                continue;
-            }
-            // Adjacency in i64: `hi + 1` would overflow at i32::MAX.
-            if n > 0 && l as i64 <= runs[n - 1].1 as i64 + 1 {
-                runs[n - 1].1 = runs[n - 1].1.max(h);
-            } else {
-                runs[n] = (l, h);
-                n += 1;
-            }
-        }
-        runs.truncate(n);
+        normalize_runs(&mut runs);
         let mut d = Domain {
             rep: Rep::Ivs {
                 ivs: runs,
@@ -526,13 +554,7 @@ impl Domain {
                     bits >> -d
                 }
             }
-            Rep::Ivs { ivs, .. } => {
-                let mut m: u128 = 0;
-                for &(l, h) in ivs {
-                    m |= mask_ge(l as i64 - base as i64) & mask_le(h as i64 - base as i64);
-                }
-                m
-            }
+            Rep::Ivs { ivs, .. } => runs_mask(wide(ivs, 0), base),
         }
     }
 
@@ -545,52 +567,63 @@ impl Domain {
     /// would be removed (`self ⊆ other`, or `self` is empty). Leaves
     /// `self` untouched, so a caller can skip trailing a no-op.
     pub(crate) fn narrowed_by(&self, other: &Domain) -> Option<Domain> {
-        if self.is_empty() {
-            return None;
+        match &self.rep {
+            // Word AND against `other`'s membership over our window —
+            // values outside the window are not in `self` anyway.
+            Rep::Bits { base, bits } => bits_narrowed(*base, *bits, *bits & other.mask_at(*base)),
+            Rep::Ivs { .. } => {
+                self.narrowed_by_ivs(other.intervals().map(|(l, h)| (l as i64, h as i64)))
+            }
         }
+    }
+
+    /// As [`Domain::narrowed_by`], against the union of `runs` shifted by
+    /// `c`, with no `Domain` built for it. `runs` must be maximal: sorted,
+    /// disjoint and not adjacent.
+    pub(crate) fn narrowed_by_runs(&self, runs: &[(i32, i32)], c: i64) -> Option<Domain> {
         match &self.rep {
             Rep::Bits { base, bits } => {
-                // Word AND against `other`'s membership over our window —
-                // values outside the window are not in `self` anyway.
-                let new = *bits & other.mask_at(*base);
-                (new != *bits).then_some(Domain {
-                    rep: Rep::Bits {
-                        base: *base,
-                        bits: new,
-                    },
-                })
+                bits_narrowed(*base, *bits, *bits & runs_mask(wide(runs, c), *base))
             }
-            Rep::Ivs { ivs, pinned } => {
-                let mut out: Vec<(i32, i32)> = Vec::with_capacity(ivs.len());
-                let mut oruns = other.intervals().peekable();
-                let mut i = 0;
-                while i < ivs.len() {
-                    let Some(&(bl, bh)) = oruns.peek() else { break };
-                    let (al, ah) = ivs[i];
-                    let lo = al.max(bl);
-                    let hi = ah.min(bh);
-                    if lo <= hi {
-                        out.push((lo, hi));
-                    }
-                    if ah < bh {
-                        i += 1;
-                    } else {
-                        oruns.next();
-                    }
-                }
-                if out == *ivs {
-                    return None;
-                }
-                let mut d = Domain {
-                    rep: Rep::Ivs {
-                        ivs: out,
-                        pinned: *pinned,
-                    },
-                };
-                d.maybe_promote();
-                Some(d)
+            Rep::Ivs { .. } => self.narrowed_by_ivs(wide(runs, c)),
+        }
+    }
+
+    /// An interval list intersected with sorted, maximal i64 runs: one
+    /// new list, promoted if it now fits a bitset; `None` when nothing
+    /// is removed.
+    fn narrowed_by_ivs(&self, other: impl Iterator<Item = (i64, i64)>) -> Option<Domain> {
+        let Rep::Ivs { ivs, pinned } = &self.rep else {
+            unreachable!("narrowed_by_ivs on a bitset")
+        };
+        let mut out: Vec<(i32, i32)> = Vec::with_capacity(ivs.len());
+        let mut oruns = other.peekable();
+        let mut i = 0;
+        while i < ivs.len() {
+            let Some(&(bl, bh)) = oruns.peek() else { break };
+            let (al, ah) = (ivs[i].0 as i64, ivs[i].1 as i64);
+            // Both ends lie in `ivs[i]`, hence in the i32 range.
+            let (lo, hi) = (al.max(bl), ah.min(bh));
+            if lo <= hi {
+                out.push((lo as i32, hi as i32));
+            }
+            if ah < bh {
+                i += 1;
+            } else {
+                oruns.next();
             }
         }
+        if out == *ivs {
+            return None;
+        }
+        let mut d = Domain {
+            rep: Rep::Ivs {
+                ivs: out,
+                pinned: *pinned,
+            },
+        };
+        d.maybe_promote();
+        Some(d)
     }
 
     /// True if the two domains share no value.

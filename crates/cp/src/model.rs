@@ -113,7 +113,7 @@ impl Model {
 
     /// Modular channeling `s = m·k + t`, `t ∈ [0, m)` (modulo scheduling).
     pub fn mod_channel(&mut self, s: VarId, k: VarId, t: VarId, modulus: i32) {
-        self.post(Box::new(ModChannel { s, k, t, modulus }));
+        self.post(Box::new(ModChannel::new(s, k, t, modulus)));
     }
 
     /// `page_d = page_e ⟹ line_d = line_e` (constraint (7)).

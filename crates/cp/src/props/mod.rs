@@ -105,6 +105,25 @@ pub(crate) mod testgen {
         want.is_err()
     }
 
+    /// [`agree`], event for event: the outcome, every domain (also after
+    /// a failure), the store's event log in order and its change count.
+    /// Returns whether the case failed.
+    pub(crate) fn agree_events(
+        case: usize,
+        (mut a, mut b): (Store, Store),
+        new: impl FnOnce(&mut Store) -> PropResult,
+        old: impl FnOnce(&mut Store) -> PropResult,
+    ) -> bool {
+        let (got, want) = (new(&mut a), old(&mut b));
+        assert_eq!(got, want, "case {case}: outcome");
+        for v in 0..a.num_vars() as u32 {
+            assert_eq!(a.dom(VarId(v)), b.dom(VarId(v)), "case {case}: x{v}");
+        }
+        assert_eq!(a.take_events(), b.take_events(), "case {case}: events");
+        assert_eq!(a.change_count(), b.change_count(), "case {case}: changes");
+        want.is_err()
+    }
+
     /// A domain of up to `span` values from about `lo`, clamped to the
     /// `i32` range, holed at random: alternating runs and gaps whose
     /// maximum lengths are drawn per domain, so it is anything from one

@@ -353,13 +353,22 @@ impl Store {
         self.log.clear();
     }
 
+    /// True when `v` must be trailed before it changes: the first change
+    /// of `v` at the current level (root-level changes are permanent).
+    /// Marks `v` as trailed at this level.
+    #[inline]
+    fn first_change(&mut self, v: VarId) -> bool {
+        let Some(&(_, level_magic)) = self.level_marks.last() else {
+            return false;
+        };
+        let first = self.saved_at[v.idx()] != level_magic;
+        self.saved_at[v.idx()] = level_magic;
+        first
+    }
+
     #[inline]
     fn save(&mut self, v: VarId) {
-        let Some(&(_, level_magic)) = self.level_marks.last() else {
-            return; // root-level changes are permanent
-        };
-        if self.saved_at[v.idx()] != level_magic {
-            self.saved_at[v.idx()] = level_magic;
+        if self.first_change(v) {
             self.trail.push((v.0, self.domains[v.idx()].clone()));
         }
     }
@@ -484,6 +493,24 @@ impl Store {
         }
     }
 
+    /// `v ∈ runs`, the union of closed runs that are maximal (sorted,
+    /// disjoint, not adjacent): [`Store::intersect`] with no `Domain`
+    /// built for the argument, and none for a view's shift. A bitset is
+    /// narrowed by one word mask, an interval list by one new list; an
+    /// empty `runs` empties `v`.
+    pub(crate) fn intersect_runs(&mut self, v: VarId, runs: &[(i32, i32)]) -> PropResult {
+        debug_assert!(
+            runs.windows(2)
+                .all(|w| w[0].0 <= w[0].1 && w[0].1 as i64 + 1 < w[1].0 as i64),
+            "runs are not maximal: {runs:?}"
+        );
+        let (b, c) = self.resolve(v);
+        match self.domains[b.idx()].narrowed_by_runs(runs, -(c as i64)) {
+            Some(narrowed) => self.narrow_to(b, narrowed),
+            None => Ok(()),
+        }
+    }
+
     /// Empty the real variable `v`: a bound beyond every value.
     fn wipe(&mut self, v: VarId) -> PropResult {
         self.save(v);
@@ -563,12 +590,22 @@ impl Store {
         }
         // Compare before trailing: a no-op intersect leaves the trail and
         // the event log alone.
-        let Some(narrowed) = d.narrowed_by(other) else {
-            return Ok(());
-        };
+        match d.narrowed_by(other) {
+            Some(narrowed) => self.narrow_to(v, narrowed),
+            None => Ok(()),
+        }
+    }
+
+    /// Replace the domain of the real variable `v` by `narrowed`, a
+    /// strict subset of it: one event, and the old domain moves to the
+    /// trail (no copy) if this is the first change of `v` at this level.
+    fn narrow_to(&mut self, v: VarId, narrowed: Domain) -> PropResult {
+        let d = &self.domains[v.idx()];
         let (old_min, old_max) = (d.min(), d.max());
-        self.save(v);
-        self.domains[v.idx()] = narrowed;
+        let old = std::mem::replace(&mut self.domains[v.idx()], narrowed);
+        if self.first_change(v) {
+            self.trail.push((v.0, old));
+        }
         let ev = self.bound_event(v, old_min, old_max);
         self.after_change(v, ev)
     }

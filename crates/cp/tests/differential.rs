@@ -146,12 +146,9 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
             m.post(Box::new(Diff2::new(r)));
         }
         C::ModChannel(s, k, t, modulus) => {
-            m.post(Box::new(ModChannel {
-                s: vars[*s],
-                k: vars[*k],
-                t: vars[*t],
-                modulus: *modulus,
-            }));
+            m.post(Box::new(ModChannel::new(
+                vars[*s], vars[*k], vars[*t], *modulus,
+            )));
         }
         C::SlotGeometry(slot, line, page, banks, page_size) => {
             m.post(Box::new(SlotGeometry::new(

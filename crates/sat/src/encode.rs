@@ -156,6 +156,8 @@ pub enum EncodeError {
     /// The sink asked to stop after `vars` variables and `clauses`
     /// clauses; it holds that partial encoding.
     Stopped { vars: u32, clauses: u64 },
+    /// The candidate II is below 1: no window to encode.
+    IiBelowOne(i32),
 }
 
 impl std::fmt::Display for EncodeError {
@@ -165,6 +167,7 @@ impl std::fmt::Display for EncodeError {
             EncodeError::Stopped { vars, clauses } => {
                 write!(f, "stopped after {vars} vars and {clauses} clauses")
             }
+            EncodeError::IiBelowOne(ii) => write!(f, "candidate II {ii} is below 1"),
         }
     }
 }
@@ -267,6 +270,9 @@ pub fn encode_modulo_into<S: ClauseSink>(
     ii: i32,
     sink: &mut S,
 ) -> Result<Option<ModuloDecoder>, EncodeError> {
+    if ii < 1 {
+        return Err(EncodeError::IiBelowOne(ii));
+    }
     let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
     let ops: Vec<NodeId> = g.ids().filter(|&n| g.category(n).is_op()).collect();

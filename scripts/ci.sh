@@ -41,6 +41,13 @@ echo "== run-based channelling vs its per-value oracle: ModChannel, SlotGeometry
 # Seeded random domains of up to ~1000 values with holes, near both ends
 # of the i32 range, moduli up to 128, aliased arguments, empty supports.
 cargo test -q --release -p eit-cp --lib per_value_oracle
+# The same draws (and offset views) against the routine the kept-buffer
+# propagators replaced: outcome, domains, event log and change count.
+cargo test -q --release -p eit-cp --lib reference_events
+# No heap allocation in a run at a fixpoint or a run narrowing bitsets.
+cargo test -q --release -p eit-cp --test channel_allocs
+# The propagator runs and probe searches the channelling drives.
+cargo test -q --release -p eit-bench --test propagation_counts --test probe_counts
 
 echo "== listing pins: six table kernels × {plain, --modulo, --modulo --backend sat, --modulo incl, --emit gantt, --emit vcd, --overlap 4}"
 cargo test -q --release -p eit-bench --test listings table_kernel_listings_are_pinned
