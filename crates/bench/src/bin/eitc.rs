@@ -24,12 +24,13 @@
 //!                       the same schedule as N = 1)
 //!   --backend B         decision procedure for the modulo sweep:
 //!                       cp (default), sat (the self-contained CDCL solver
-//!                       over the order-encoded CNF model), or race (both
+//!                       over the window CNF model: residues only, least
+//!                       stages derived, no stage cap), or race (both
 //!                       side by side on every candidate II; the first
 //!                       decisive answer stands and cancels the other).
-//!                       All backends agree on the winning II; sat/race
-//!                       require the exclude-reconfig model (no
-//!                       `--modulo incl`)
+//!                       On the table kernels all backends agree on the
+//!                       winning II; sat/race require the exclude-reconfig
+//!                       model (no `--modulo incl`)
 //!   --overlap M         overlapped execution of M iterations
 //!   --timeout SECS      solver budget (default: 120)
 //!   --emit xml          dump the (merged) IR as XML instead of compiling

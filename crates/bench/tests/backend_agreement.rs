@@ -7,10 +7,13 @@
 //! more interestingly, in the shared model).
 
 use eit_arch::ArchSpec;
+use eit_core::modulo::assemble_result;
 use eit_core::{
-    modulo_cnf_dimacs, modulo_schedule_checked, validate_modulo, Backend, ModuloOptions,
+    least_starts, modulo_cnf_dimacs, modulo_schedule_checked, validate_modulo, Backend,
+    ModuloError, ModuloOptions,
 };
-use eit_ir::Graph;
+use eit_ir::{Graph, IrError};
+use std::collections::HashMap;
 use std::time::Duration;
 
 const KERNELS: [&str; 6] = ["qrd", "arf", "matmul", "fir", "detector", "blockmm"];
@@ -100,10 +103,65 @@ fn qrd_cnf_is_identical_across_encodings() {
     };
     let first = dimacs();
     assert!(
-        first.contains("\np cnf 11204 53868\n"),
+        first.contains("\np cnf 5980 52410\n"),
         "qrd at II 22 changed size"
     );
     for _ in 0..3 {
         assert!(dimacs() == first, "two encodings of qrd at II 22 differ");
     }
+}
+
+#[test]
+fn least_starts_of_the_cp_window_are_no_later_and_verify_clean() {
+    // The SAT probe derives stages from a window with the least-start
+    // pass. Fed the CP winner's window, the pass keeps every residue,
+    // starts no node later than CP does, and the result verifies.
+    let spec = ArchSpec::eit();
+    for name in KERNELS {
+        let g = prepared(name);
+        let cp = modulo_schedule_checked(&g, &spec, &opts(Backend::Cp))
+            .unwrap_or_else(|e| panic!("{name}: cp backend failed: {e}"))
+            .unwrap_or_else(|| panic!("{name}: cp found no schedule"));
+        let ii = cp.ii_issue;
+        let t: HashMap<_, _> = g
+            .ids()
+            .filter(|&n| g.category(n).is_op())
+            .map(|n| (n, cp.s[&n].rem_euclid(ii)))
+            .collect();
+        let s = least_starts(&g, &spec, ii, &t).expect("table kernels are acyclic");
+        for n in g.ids() {
+            assert!(s[&n] <= cp.s[&n], "{name}: node {n:?} starts later");
+            if let Some(&r) = t.get(&n) {
+                assert_eq!(s[&n].rem_euclid(ii), r, "{name}: op {n:?} left its residue");
+            }
+        }
+        let v = eit_arch::verify_modulo(&g, &spec, &s, ii);
+        assert!(v.is_empty(), "{name}: verifier found {v:?}");
+        let r = assemble_result(&g, &spec, false, ii, s);
+        let v = validate_modulo(&g, &spec, &r, 3);
+        assert!(v.is_empty(), "{name}: simulator found {v:?}");
+    }
+}
+
+#[test]
+fn a_cyclic_graph_is_refused_by_every_modulo_entry_point() {
+    // fir with one edge from its output back to its first op: the IR
+    // rejects it as cyclic, and so must the sweep on either backend and
+    // the `--emit cnf` entry point, with the IR's error and no panic.
+    let mut g = prepared("fir");
+    let out = g.outputs()[0];
+    let first = g
+        .ids()
+        .find(|&n| g.category(n).is_op())
+        .expect("fir has ops");
+    g.add_edge(out, first);
+    assert_eq!(g.validate(), Err(IrError::Cyclic));
+    let spec = ArchSpec::eit();
+    let want = ModuloError::InvalidGraph(IrError::Cyclic);
+    for backend in [Backend::Cp, Backend::Sat, Backend::Race] {
+        let r = modulo_schedule_checked(&g, &spec, &opts(backend));
+        assert_eq!(r.err(), Some(want.clone()), "{backend:?}");
+    }
+    let r = modulo_cnf_dimacs(&g, &spec, &ModuloOptions::default());
+    assert_eq!(r.err(), Some(want));
 }

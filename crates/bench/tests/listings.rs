@@ -27,7 +27,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0xca9f_cf0a_0109_9d1a,
             0xd52e_d716_5159_d555,
-            0x5f8d_75b5_d9ac_0cfb,
+            0xb71c_296a_c9d7_02c6,
             0xa464_4daf_9f78_d685,
             0x7bf6_180f_958e_3050,
             0xa351_3be7_9459_0807,
@@ -39,7 +39,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0xcc99_4587_3b88_a646,
             0x294a_9c3c_a022_2f7f,
-            0x6e1a_2842_490f_caab,
+            0x429d_0745_581c_1c83,
             0xc50b_fcc8_c5ef_3ff8,
             0x3714_786b_698a_5333,
             0x2d50_2e15_b6d5_514c,
@@ -51,7 +51,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0xeda4_1b34_e6fe_80b6,
             0xf568_e419_fd87_7acc,
-            0x2cc6_0781_afef_17eb,
+            0x1111_3b39_881f_5964,
             0xafa3_0d79_c057_cfb1,
             0xed0c_9716_037f_8424,
             0x861c_4762_4eb5_faa7,
@@ -63,7 +63,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0x5d2b_0557_7310_54a8,
             0x5725_df3a_b842_98a6,
-            0xc2aa_31c4_8c1f_a944,
+            0xf25b_a706_ce89_4759,
             0x5b50_0326_c3b4_224a,
             0x519e_1db4_7a80_97e6,
             0xbfdb_80c5_53db_a07f,
@@ -75,7 +75,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0x860f_1e86_8868_b15a,
             0x73ba_2369_d50a_d9b1,
-            0x6b6d_ab37_c0d2_6858,
+            0x6699_1d41_72c6_b7fb,
             0xb7ee_beeb_afea_6ae0,
             0x9d90_ab98_b707_915c,
             0xefaa_e3b1_ddeb_e937,
@@ -87,7 +87,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0xa397_4dc1_e74c_ea0d,
             0x2011_4221_f50c_d247,
-            0x7718_566e_3020_9d29,
+            0x5d85_b72b_890b_5927,
             0x3024_93f6_1a6d_1591,
             0x82d1_ff23_74c2_9b9d,
             0x1345_3edc_df27_b9d4,

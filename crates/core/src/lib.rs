@@ -34,9 +34,9 @@ pub use fuzz::{run as fuzz_run, FuzzFailure, FuzzOptions, FuzzReport};
 pub use list_sched::{list_schedule, ListScheduleResult};
 pub use model::{build_model, schedule, BuiltModel, ScheduleResult, SchedulerOptions};
 pub use modulo::{
-    build_probe, ii_lower_bound, modulo_cnf_dimacs, modulo_schedule, modulo_schedule_checked,
-    schedule_at_ii, validate_modulo, Backend, IiOutcome, ModuloError, ModuloOptions, ModuloResult,
-    ProbeModel, ProbeStat, SatStats,
+    build_probe, ii_lower_bound, least_starts, modulo_cnf_dimacs, modulo_schedule,
+    modulo_schedule_checked, schedule_at_ii, validate_modulo, Backend, IiOutcome, ModuloError,
+    ModuloOptions, ModuloResult, ProbeModel, ProbeStat, SatStats,
 };
 pub use obs::PhaseTimings;
 pub use overlap::{

@@ -37,7 +37,7 @@ pub use sweep::{modulo_schedule, modulo_schedule_checked};
 use eit_arch::{ArchSpec, Schedule};
 use eit_cp::trace::TraceHandle;
 use eit_cp::{CancelToken, Phase, SearchConfig};
-use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
+use eit_ir::{Category, Graph, IrError, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -48,16 +48,20 @@ pub enum Backend {
     /// models and record/replay).
     #[default]
     Cp,
-    /// The CDCL SAT backend (`eit-sat`): order-encoded CNF per candidate
-    /// II, exclude-reconfig model only. Every satisfying assignment is
-    /// re-checked by both independent verifiers before it is accepted.
+    /// The CDCL SAT backend (`eit-sat`): a window CNF per candidate II
+    /// (one literal per op and residue), exclude-reconfig model only. It
+    /// derives stages with [`least_starts`] instead of searching them
+    /// under a stage cap, so its refutations hold for every stage. Every
+    /// satisfying assignment is re-checked by both independent verifiers
+    /// before it is accepted.
     Sat,
     /// Race CP against SAT on every candidate II, under child
     /// cancellation tokens: SAT starts once CP's search first fails (or
     /// CP comes back undecided), and the first decisive answer (feasible,
     /// infeasible or malformed) stands for the candidate and cancels the
     /// other side. The sweep itself is the one every backend runs, so the
-    /// winning II is backend-independent — only the attribution varies.
+    /// winning II is backend-independent wherever the CP probe's stage cap
+    /// refutes nothing SAT finds feasible — only the attribution varies.
     Race,
 }
 
@@ -86,9 +90,9 @@ impl Backend {
 /// [`Option::None`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ModuloError {
-    /// The graph refers to something the model cannot express — e.g. a
-    /// data→data edge, which the SAT encoding refuses. Names the node.
-    ModelBuild { node: String, detail: String },
+    /// The graph breaks an IR invariant [`Graph::validate`] checks (a
+    /// cycle, a data→data edge, ...): no probe model is built for it.
+    InvalidGraph(IrError),
     /// The requested backend cannot serve this configuration (the SAT
     /// encoding covers the exclude-reconfig model only).
     UnsupportedBackend(String),
@@ -105,9 +109,7 @@ pub enum ModuloError {
 impl std::fmt::Display for ModuloError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ModuloError::ModelBuild { node, detail } => {
-                write!(f, "model build failed at node '{node}': {detail}")
-            }
+            ModuloError::InvalidGraph(e) => write!(f, "invalid graph: {e}"),
             ModuloError::UnsupportedBackend(msg) => write!(f, "unsupported backend: {msg}"),
             ModuloError::TooLarge(msg) => write!(f, "{msg}"),
             ModuloError::IiBelowOne(ii) => write!(f, "candidate II {ii} is below 1"),
@@ -420,10 +422,39 @@ pub enum IiOutcome {
     /// the candidate (in flight above a winner, or the sweep itself was
     /// cancelled; never a refutation proof).
     Cancelled,
-    /// The model could not be built for this candidate (malformed graph
-    /// — e.g. a data→data edge). II-independent: the sweep aborts with
-    /// the structured error instead of probing on.
+    /// The model could not be built for this candidate (a candidate
+    /// below 1). The sweep aborts with the structured error instead of
+    /// probing on.
     Malformed(ModuloError),
+}
+
+/// The entry points' check of a graph: the IR invariants (the probes
+/// and [`least_starts`] need a topological order) and a serial horizon
+/// that fits the solver's domains.
+fn check_graph(g: &Graph, spec: &ArchSpec) -> Result<(), ModuloError> {
+    g.validate().map_err(ModuloError::InvalidGraph)?;
+    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
+    Ok(())
+}
+
+/// The least starts of a window assignment `t` (op → position in
+/// `0..ii`): in topological order, each op starts at the least cycle at
+/// or after its operands' ready time that has its window position, and
+/// each datum at its producer's completion (an input at 0). These are
+/// the least stages (1)/(4) allow for that window; the graph is acyclic,
+/// so every window has them, and the SAT probe searches no stage.
+/// `None` if `g` is cyclic.
+pub fn least_starts(
+    g: &Graph,
+    spec: &ArchSpec,
+    ii: i32,
+    t: &HashMap<NodeId, i32>,
+) -> Option<HashMap<NodeId, i32>> {
+    let s = g.least_starts(&spec.latency_of(g), &|n, ready| match t.get(&n) {
+        Some(&r) => ready.saturating_add((r - ready).rem_euclid(ii)),
+        None => ready,
+    })?;
+    Some(g.ids().map(|n| (n, s[n.idx()])).collect())
 }
 
 /// Unroll `n_iters` iterations at the issue II and validate the combined

@@ -1,16 +1,21 @@
 //! The SAT probe (`sat_probe`) and the `--emit cnf` escape hatch, both
-//! over `eit_sat`'s order encoding of one candidate II.
+//! over `eit_sat`'s window encoding of one candidate II: residue
+//! literals only, with stages derived by [`least_starts`] from a model.
 
 use super::sweep::{ProbeSlot, Probed};
-use super::{ii_lower_bound, Backend, IiOutcome, ModuloError, ModuloOptions, SatStats};
+use super::{
+    check_graph, ii_lower_bound, least_starts, Backend, IiOutcome, ModuloError, ModuloOptions,
+    SatStats,
+};
 use eit_arch::ArchSpec;
 use eit_ir::Graph;
 use eit_sat::EncodeError;
 use std::time::Instant;
 
 /// The SAT probe: encode the candidate straight into a fresh CDCL
-/// solver, solve it, and decode a model. The driver still runs both
-/// verifiers on a winner this probe decided before accepting it.
+/// solver, solve it, decode a model's window and derive its least
+/// starts. The sweep still runs both verifiers on a winner this probe
+/// decided before accepting it.
 pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed {
     let deadline = eit_cp::deadline_after(Instant::now(), slot.budget);
     let cancelled = || slot.cancel.as_ref().is_some_and(|c| c.is_cancelled());
@@ -43,12 +48,6 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
                 ..Probed::bare(Backend::Sat, outcome)
             };
         }
-        Err(EncodeError::Unsupported { node, detail }) => {
-            return Probed::bare(
-                Backend::Sat,
-                IiOutcome::Malformed(ModuloError::ModelBuild { node, detail }),
-            )
-        }
         Err(EncodeError::IiBelowOne(ii)) => {
             return Probed::bare(
                 Backend::Sat,
@@ -80,7 +79,9 @@ pub(super) fn sat_probe(g: &Graph, spec: &ArchSpec, slot: &ProbeSlot) -> Probed 
     let outcome = match out {
         eit_sat::SolveOutcome::Sat if cancelled() => IiOutcome::Cancelled,
         eit_sat::SolveOutcome::Sat => {
-            IiOutcome::Feasible(decoder.decode(g, spec, &|v| solver.model_value(v)))
+            let t = decoder.decode(&|v| solver.model_value(v));
+            let s = least_starts(g, spec, slot.ii, &t);
+            IiOutcome::Feasible(s.expect("the sweep refuses a cyclic graph first"))
         }
         eit_sat::SolveOutcome::Unsat => IiOutcome::Infeasible,
         eit_sat::SolveOutcome::Stopped if cancelled() => IiOutcome::Cancelled,
@@ -117,12 +118,11 @@ pub fn modulo_cnf_dimacs(
     opts: &ModuloOptions,
 ) -> Result<Option<(i32, String)>, ModuloError> {
     check_sat_supported(opts)?;
-    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
+    check_graph(g, spec)?;
     let lb = ii_lower_bound(g, spec);
     let ub = crate::model::serial_horizon(g, spec);
     for ii in lb..=ub {
         let enc = eit_sat::encode_modulo(g, spec, ii).map_err(|e| match e {
-            EncodeError::Unsupported { node, detail } => ModuloError::ModelBuild { node, detail },
             EncodeError::IiBelowOne(ii) => ModuloError::IiBelowOne(ii),
             EncodeError::Stopped { .. } => unreachable!("a Cnf sink never stops"),
         })?;
@@ -148,6 +148,36 @@ mod tests {
         let mut g = eit_apps::by_name("detector").expect("table kernel").graph;
         eit_ir::merge_pipeline_ops(&mut g);
         g
+    }
+
+    #[test]
+    fn decoding_is_total_and_the_least_starts_meet_the_precedences() {
+        // All-false and all-true assignments are no models, yet each
+        // decodes to a residue inside every op's window, and the derived
+        // starts meet (1) on every edge into an op and (4) on every datum.
+        let g = detector();
+        let spec = ArchSpec::eit();
+        let ii = ii_lower_bound(&g, &spec);
+        let enc = eit_sat::encode_modulo(&g, &spec, ii)
+            .unwrap()
+            .expect("detector encodes at its lower bound");
+        let latency = spec.latency_of(&g);
+        for value in [false, true] {
+            let t = enc.decoder.decode(&|_| value);
+            for n in g.ids().filter(|&n| g.category(n).is_op()) {
+                let last = ii - spec.duration(&g.node(n).kind).max(1);
+                assert!((0..=last).contains(&t[&n]), "{value}: {n:?} at {}", t[&n]);
+            }
+            let s = least_starts(&g, &spec, ii, &t).expect("detector is acyclic");
+            for (from, to) in g.edges() {
+                if g.category(to).is_op() {
+                    assert!(s[&from] + latency(from) <= s[&to], "{value}: (1) on {to:?}");
+                } else {
+                    assert_eq!(s[&to], s[&from] + latency(from), "{value}: (4) on {to:?}");
+                }
+            }
+            assert!(g.inputs().iter().all(|d| s[d] == 0), "{value}: inputs at 0");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use super::probe::probe_ii;
 use super::sat::{check_sat_supported, sat_probe};
 use super::{
-    assemble_result, ii_lower_bound, validate_modulo, Backend, IiOutcome, ModuloError,
+    assemble_result, check_graph, ii_lower_bound, validate_modulo, Backend, IiOutcome, ModuloError,
     ModuloOptions, ModuloResult, ProbeStat, SatStats,
 };
 use eit_arch::ArchSpec;
@@ -241,7 +241,7 @@ pub fn modulo_schedule_checked(
     spec: &ArchSpec,
     opts: &ModuloOptions,
 ) -> Result<Option<ModuloResult>, ModuloError> {
-    crate::model::checked_horizon(g, spec).map_err(ModuloError::TooLarge)?;
+    check_graph(g, spec)?;
     if opts.backend != Backend::Cp {
         check_sat_supported(opts)?;
     }

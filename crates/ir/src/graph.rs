@@ -282,14 +282,30 @@ impl Graph {
     /// Earliest start times under a latency function (data nodes inherit
     /// producer completion; op nodes wait for all operands).
     pub fn earliest_starts<F: Fn(NodeId) -> i32>(&self, latency: &F) -> Vec<i32> {
-        let order = self.topo_order().expect("earliest_starts on cyclic graph");
-        let mut es = vec![0i32; self.len()];
+        self.least_starts(latency, &|_, ready| ready)
+            .expect("earliest_starts on cyclic graph")
+    }
+
+    /// Least start times in topological order: a node is ready once every
+    /// predecessor `p` has started and run `latency(p)` cycles (at 0 if it
+    /// has none), and starts at `align(node, ready)`, which must not be
+    /// earlier. [`Graph::earliest_starts`] starts every node when ready;
+    /// the modulo schedulers hold an op back to its window position.
+    /// `None` if cyclic.
+    pub fn least_starts<F, A>(&self, latency: &F, align: &A) -> Option<Vec<i32>>
+    where
+        F: Fn(NodeId) -> i32,
+        A: Fn(NodeId, i32) -> i32,
+    {
+        let order = self.topo_order()?;
+        let mut s = vec![0i32; self.len()];
         for &u in &order {
+            s[u.idx()] = align(u, s[u.idx()]);
             for &v in self.succs(u) {
-                es[v.idx()] = es[v.idx()].max(es[u.idx()] + latency(u));
+                s[v.idx()] = s[v.idx()].max(s[u.idx()].saturating_add(latency(u)));
             }
         }
-        es
+        Some(s)
     }
 
     /// Critical-path length in clock cycles: the maximum over nodes of

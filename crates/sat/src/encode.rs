@@ -1,29 +1,28 @@
-//! Order-encoding CNF compiler for one candidate II of the §4.3 modulo
-//! model, mirroring the CP probe model constraint for constraint:
+//! Window CNF compiler for one candidate II of the §4.3 modulo model.
 //!
-//! - every *op* node gets an absolute start `s ∈ [est, lst]` encoded in
-//!   order literals `O_{n,v} ⇔ s_n ≥ v` (monotone chains); window
-//!   position `t = s mod II` and stage `k = s div II` are derived, with
-//!   window wrap-around excluded by forbidding values whose residue
-//!   exceeds `II − max(dur,1)` — exactly the CP model's `t` domain;
-//! - *data* nodes are eliminated: a produced datum starts exactly
-//!   `latency(producer)` after its producer (in the CP model, a view
-//!   of the producer's start), so every data-mediated precedence folds
-//!   into an op-level difference
-//!   `s_a + δ ≤ s_b`, encoded as the classic `O_{a,v} → O_{b,v+δ}`
-//!   ladder after an est/lst fixpoint has tightened both domains;
+//! The graphs are acyclic (no loop-carried edge), so feasibility at an
+//! II depends on the window alone: a window assignment that meets the
+//! unit capacities (2) and one configuration per slot (3) extends to a
+//! schedule by starting every op at the least cycle its operands allow
+//! that has its window position (the least-start pass of `eit-core`).
+//! The encoding therefore holds window positions only, as SAT-MapIt
+//! and Tirelli et al. do:
+//!
+//! - every *op* gets one literal `x_{n,r}` per residue
+//!   `r ∈ 0..=II − max(dur,1)` (its occupancy fits inside one window
+//!   instance, exactly the CP model's `t` domain), and exactly one of
+//!   them holds;
 //! - per-unit resource conflicts at each residue (the CP `Cumulative`
-//!   over `t`): start-residue auxiliaries `ST_{n,r}` are implied by the
-//!   start value, and a weighted sequential-counter at-most-`count`
-//!   bounds the occupancy-weighted load at every residue of the window
-//!   (`UnitTable` occupancy/width, full-width ops by pairwise
-//!   exclusion);
+//!   over `t`): a weighted sequential-counter at-most-`count` bounds the
+//!   occupancy-weighted load at every residue of the window (`UnitTable`
+//!   occupancy/width, full-width ops by pairwise exclusion);
 //! - one configuration per window slot: differently-configured
-//!   vector-core ops may not share a start residue.
+//!   vector-core ops may not share a residue.
 //!
-//! The encoding covers the paper's first model (reconfigurations
-//! excluded, switches counted in post-processing); the banded
-//! include-reconfig variant stays CP-only.
+//! Stages are derived, not searched, so there is no stage bound: a
+//! refutation holds for every stage assignment. The encoding covers the
+//! paper's first model (reconfigurations excluded, switches counted in
+//! post-processing); the banded include-reconfig variant stays CP-only.
 
 use crate::cdcl::{Lit, Solver, Var};
 use eit_arch::ArchSpec;
@@ -150,9 +149,6 @@ impl Cnf {
 /// Why [`encode_modulo_into`] made no encoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EncodeError {
-    /// The graph has a shape the encoding cannot express (a data→data
-    /// edge), named by node.
-    Unsupported { node: String, detail: String },
     /// The sink asked to stop after `vars` variables and `clauses`
     /// clauses; it holds that partial encoding.
     Stopped { vars: u32, clauses: u64 },
@@ -163,7 +159,6 @@ pub enum EncodeError {
 impl std::fmt::Display for EncodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EncodeError::Unsupported { node, detail } => write!(f, "node '{node}': {detail}"),
             EncodeError::Stopped { vars, clauses } => {
                 write!(f, "stopped after {vars} vars and {clauses} clauses")
             }
@@ -179,71 +174,35 @@ pub struct ModuloEncoding {
     pub decoder: ModuloDecoder,
 }
 
-/// What [`encode_modulo_into`] made, and enough of the model's structure
-/// to decode an assignment back into start times.
+/// What [`encode_modulo_into`] made, and where each op's residue
+/// literals are.
 pub struct ModuloDecoder {
     /// Variables and clauses the encoding put into its sink.
     pub vars: u32,
     pub clauses: u64,
-    /// Op nodes in graph order.
-    ops: Vec<NodeId>,
-    /// Inclusive start-domain bounds per op (post est/lst fixpoint).
-    lo: Vec<i32>,
-    hi: Vec<i32>,
-    /// First order variable per op: `O_{i,v}` for `v ∈ (lo_i, hi_i]` is
-    /// `base[i] + (v − lo_i − 1)`; empty domains have no variables.
-    base: Vec<Var>,
-}
-
-/// `O_{i,v}` as a three-valued literal: values at or below `lo` are
-/// always reached, values above `hi` never.
-enum OLit {
-    True,
-    False,
-    Is(Lit),
+    /// Per op in graph order: the op and its literal per residue.
+    rows: Vec<(NodeId, Vec<Lit>)>,
 }
 
 impl ModuloDecoder {
-    /// Read the start times out of a satisfying assignment: the
-    /// absolute start per *node* (produced data at `s_producer +
-    /// latency(producer)`, inputs at 0), from which an op's window
-    /// position `s mod II` and stage `s div II` follow. Total — an
-    /// arbitrary (even partial) assignment decodes to *some* value
-    /// in-domain; soundness comes from the caller re-verifying.
-    pub fn decode(
-        &self,
-        g: &Graph,
-        spec: &ArchSpec,
-        model: &dyn Fn(Var) -> bool,
-    ) -> HashMap<NodeId, i32> {
-        let mut s = HashMap::new();
-        for (i, &n) in self.ops.iter().enumerate() {
-            // Monotone chain: s = greatest v with O_{i,v} true. Scan to
-            // the first false literal so even a non-monotone (partial)
-            // assignment yields a well-defined value.
-            let mut v = self.lo[i];
-            while v < self.hi[i] && model(self.base[i] + (v - self.lo[i]) as u32) {
-                v += 1;
-            }
-            s.insert(n, v);
-        }
-        for n in g.ids() {
-            if g.category(n).is_data() {
-                let start = match g.producer(n) {
-                    Some(p) => s.get(&p).copied().unwrap_or(0) + spec.latency(&g.node(p).kind),
-                    None => 0,
-                };
-                s.insert(n, start);
-            }
-        }
-        s
+    /// Read the window position of every op out of an assignment: the
+    /// first residue whose literal holds, or 0 if none does. Total: an
+    /// arbitrary (even partial) assignment decodes to residues inside
+    /// each op's window; soundness comes from the caller re-verifying.
+    pub fn decode(&self, model: &dyn Fn(Var) -> bool) -> HashMap<NodeId, i32> {
+        self.rows
+            .iter()
+            .map(|(n, row)| {
+                let r = row.iter().position(|l| model(l.var())).unwrap_or(0);
+                (*n, r as i32)
+            })
+            .collect()
     }
 }
 
 /// Compile the modulo model at one candidate II. `Ok(None)` means the
-/// candidate is statically refuted (some op's start domain is empty
-/// after the difference/residue fixpoint) — no solver run is needed,
-/// matching the CP probe's static-cut `None`.
+/// candidate is statically refuted (some op's occupancy exceeds the
+/// window) — no solver run is needed.
 pub fn encode_modulo(
     g: &Graph,
     spec: &ArchSpec,
@@ -260,10 +219,9 @@ pub fn encode_modulo(
 /// is added when the result is `Ok(None)`; after an `Err` the sink holds
 /// a partial encoding and should be discarded.
 ///
-/// The encoder polls [`ClauseSink::stop`] once per fixpoint pass, per
-/// op row (order chains, residue auxiliaries), per precedence, per
-/// configuration row and per unit residue, so a stop lands within one
-/// row of work.
+/// The encoder polls [`ClauseSink::stop`] once per residue row of an
+/// op's exactly-one, per configuration row and per unit residue, so a
+/// stop lands within one row of work.
 pub fn encode_modulo_into<S: ClauseSink>(
     g: &Graph,
     spec: &ArchSpec,
@@ -273,222 +231,59 @@ pub fn encode_modulo_into<S: ClauseSink>(
     if ii < 1 {
         return Err(EncodeError::IiBelowOne(ii));
     }
-    let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
     let ops: Vec<NodeId> = g.ids().filter(|&n| g.category(n).is_op()).collect();
-    let op_ix: HashMap<NodeId, usize> = ops.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-
-    // Same stage/horizon bounds as the CP probe (exclude-reconfig form).
-    let cp = g.critical_path(&latency);
-    let k_max = cp / ii + 2;
-
-    // Fold the bipartite op/data precedence structure into op-level
-    // difference constraints `s[a] + delta <= s[b]` plus per-op release
-    // offsets from producer-less input data (pinned at 0, as in the CP
-    // model's `new_const(0)`).
-    let mut diffs: Vec<(usize, usize, i32)> = Vec::new();
-    let mut lo = vec![0i32; ops.len()];
-    for (from, to) in g.edges() {
-        let fc = g.category(from);
-        let tc = g.category(to);
-        if fc.is_op() && tc.is_data() {
-            continue; // definition edge: the datum is pinned to its producer
-        }
-        let (anchor, off) = if fc.is_data() {
-            match g.producer(from) {
-                Some(p) => (Some(p), latency(p) + latency(from)),
-                None => (None, latency(from)),
-            }
-        } else {
-            (Some(from), latency(from))
-        };
-        if !tc.is_op() {
-            // data→data never occurs in this IR (edges alternate
-            // op/data); refuse rather than mis-model it.
-            return Err(EncodeError::Unsupported {
-                node: g.node(to).name.clone(),
-                detail: "unsupported data→data precedence edge in the SAT encoding".into(),
-            });
-        }
-        let ti = op_ix[&to];
-        match anchor {
-            Some(a) => diffs.push((op_ix[&a], ti, off)),
-            None => lo[ti] = lo[ti].max(off),
-        }
+    let widths: Vec<i32> = ops.iter().map(|&n| ii - duration(n).max(1) + 1).collect();
+    if widths.iter().any(|&w| w < 1) {
+        return Ok(None); // an op's occupancy exceeds the window
     }
-
-    let mut hi: Vec<i32> = ops
-        .iter()
-        .map(|&n| k_max * ii + (ii - duration(n).max(1)))
-        .collect();
-
-    // est/lst fixpoint over the difference graph, interleaved with the
-    // residue-window trim (a start must leave room for the op's
-    // occupancy inside its window instance). The graph is a DAG and all
-    // updates are monotone within bounded domains, so this terminates.
-    let residue_ok = |i: usize, v: i32| v % ii <= ii - duration(ops[i]).max(1);
     let mut out = Counted {
         sink,
         vars: 0,
         clauses: 0,
     };
-    loop {
-        let mut changed = false;
-        for _ in 0..ops.len().max(1) {
+
+    // Exactly one residue per op: one at-least-one clause and pairwise
+    // exclusion, one poll per residue row.
+    let mut x: Vec<Vec<Lit>> = Vec::with_capacity(ops.len());
+    for &width in &widths {
+        let row: Vec<Lit> = (0..width).map(|_| Lit::pos(out.new_var())).collect();
+        out.add_clause(&row);
+        for (r, &l) in row.iter().enumerate() {
             out.poll()?;
-            let mut pass = false;
-            for &(a, b, d) in &diffs {
-                if lo[a] + d > lo[b] {
-                    lo[b] = lo[a] + d;
-                    pass = true;
-                }
-                if hi[b] - d < hi[a] {
-                    hi[a] = hi[b] - d;
-                    pass = true;
-                }
-            }
-            changed |= pass;
-            if !pass {
-                break;
+            for &o in &row[r + 1..] {
+                out.add_clause(&[l.negated(), o.negated()]);
             }
         }
-        for i in 0..ops.len() {
-            while lo[i] <= hi[i] && !residue_ok(i, lo[i]) {
-                lo[i] += 1;
-                changed = true;
-            }
-            while lo[i] <= hi[i] && !residue_ok(i, hi[i]) {
-                hi[i] -= 1;
-                changed = true;
-            }
-            if lo[i] > hi[i] {
-                return Ok(None); // statically refuted at this II
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let base: Vec<Var> = (0..ops.len())
-        .map(|i| {
-            let mut first = 0;
-            for v in lo[i]..hi[i] {
-                let x = out.new_var();
-                if v == lo[i] {
-                    first = x;
-                }
-            }
-            first
-        })
-        .collect();
-    let order = |i: usize, v: i32| -> OLit {
-        if v <= lo[i] {
-            OLit::True
-        } else if v > hi[i] {
-            OLit::False
-        } else {
-            OLit::Is(Lit::pos(base[i] + (v - lo[i] - 1) as u32))
-        }
-    };
-
-    // Monotone chains: s ≥ v implies s ≥ v−1.
-    for i in 0..ops.len() {
-        out.poll()?;
-        for v in lo[i] + 2..=hi[i] {
-            if let (OLit::Is(a), OLit::Is(b)) = (order(i, v), order(i, v - 1)) {
-                out.add_clause(&[a.negated(), b]);
-            }
-        }
-        // Interior residue-invalid values: forbid `s == v` by forcing the
-        // chain past it ((¬O_v ∨ O_{v+1})); the bounds themselves were
-        // trimmed to valid values above.
-        for v in lo[i] + 1..hi[i] {
-            if !residue_ok(i, v) {
-                if let (OLit::Is(a), OLit::Is(b)) = (order(i, v), order(i, v + 1)) {
-                    out.add_clause(&[a.negated(), b]);
-                }
-            }
-        }
-    }
-
-    // Precedence ladders. After the fixpoint, `lo[b] ≥ lo[a]+d` and
-    // `hi[a] ≤ hi[b]−d`, so every rung has both ends in range (rungs
-    // with a trivially-true head are skipped by the OLit match).
-    for &(a, b, d) in &diffs {
-        out.poll()?;
-        for v in lo[a] + 1..=hi[a] {
-            match (order(a, v), order(b, v + d)) {
-                (OLit::Is(la), OLit::Is(lb)) => out.add_clause(&[la.negated(), lb]),
-                (OLit::Is(_), OLit::True) => {}
-                (OLit::Is(la), OLit::False) => out.add_clause(&[la.negated()]),
-                _ => unreachable!("order literal inside (lo, hi] is concrete"),
-            }
-        }
-    }
-
-    // Start-residue auxiliaries: ST_{i,r} is *implied* by `s_i ≡ r`; the
-    // reverse direction is unconstrained, which is sound for pure
-    // at-most counting (a model may over-approximate the true residues,
-    // never under-approximate). `st[i][r]` is dense in the residue, so
-    // every walk below visits residues in ascending order and the CNF is
-    // the same on every run.
-    let mut st: Vec<Vec<Option<Lit>>> = vec![vec![None; ii as usize]; ops.len()];
-    let mut clause = Vec::with_capacity(3);
-    for i in 0..ops.len() {
-        out.poll()?;
-        for v in lo[i]..=hi[i] {
-            if !residue_ok(i, v) {
-                continue;
-            }
-            let r = (v % ii) as usize;
-            let st_lit = *st[i][r].get_or_insert_with(|| Lit::pos(out.new_var()));
-            // (s==v) → ST: ¬(O_v ∧ ¬O_{v+1}) ∨ ST.
-            clause.clear();
-            clause.push(st_lit);
-            match order(i, v) {
-                OLit::True => {}
-                OLit::Is(l) => clause.push(l.negated()),
-                OLit::False => continue,
-            }
-            match order(i, v + 1) {
-                OLit::False => {}
-                OLit::Is(l) => clause.push(l),
-                OLit::True => continue,
-            }
-            out.add_clause(&clause);
-        }
+        x.push(row);
     }
 
     // One configuration per window slot: differently-configured
-    // vector-core ops never share a start residue.
-    let vops: Vec<(NodeId, _)> = ops
+    // vector-core ops never share a residue.
+    let vops: Vec<(usize, _)> = ops
         .iter()
-        .filter(|&&n| g.category(n) == Category::VectorOp)
-        .map(|&n| {
+        .enumerate()
+        .filter(|&(_, &n)| g.category(n) == Category::VectorOp)
+        .map(|(i, &n)| {
             let config = g.opcode(n).and_then(|o| o.config());
-            (n, config.expect("every vector opcode has a configuration"))
+            (i, config.expect("every vector opcode has a configuration"))
         })
         .collect();
-    for (x, (i, ci)) in vops.iter().enumerate() {
+    for (v, (a, ca)) in vops.iter().enumerate() {
         out.poll()?;
-        for (j, cj) in &vops[x + 1..] {
-            if ci == cj {
+        for (b, cb) in &vops[v + 1..] {
+            if ca == cb {
                 continue;
             }
-            let (a, b) = (op_ix[i], op_ix[j]);
-            for (ra, rb) in st[a].iter().zip(&st[b]) {
-                if let (Some(la), Some(lb)) = (ra, rb) {
-                    out.add_clause(&[la.negated(), lb.negated()]);
-                }
+            for (la, lb) in x[*a].iter().zip(&x[*b]) {
+                out.add_clause(&[la.negated(), lb.negated()]);
             }
         }
     }
 
     // Per-unit resource constraints at every window residue (the CP
-    // Cumulative over t): an op starting at residue r' occupies
-    // r'..r'+dur−1 with its class width; the fixpoint's residue trim
-    // guarantees no wrap-around.
+    // Cumulative over t): an op starting at residue r occupies
+    // r..r+dur−1 with its class width, inside the window by its width.
     for unit in &spec.units.units {
         let classes: Vec<OpClass> = unit.ops.iter().map(|o| o.class).collect();
         let cap = unit.count as i32;
@@ -501,11 +296,9 @@ pub fn encode_modulo_into<S: ClauseSink>(
                 continue;
             }
             let w = spec.units.class_width(c).unwrap_or(1) as i32;
-            let dur = duration(n);
-            for (r, l) in (0..ii).zip(&st[i]) {
-                let Some(l) = *l else { continue };
-                for q in r..(r + dur).min(ii) {
-                    per_residue[q as usize].push((l, w));
+            for (r, &l) in x[i].iter().enumerate() {
+                for items in &mut per_residue[r..r + duration(n) as usize] {
+                    items.push((l, w));
                 }
             }
         }
@@ -518,10 +311,7 @@ pub fn encode_modulo_into<S: ClauseSink>(
     Ok(Some(ModuloDecoder {
         vars: out.vars,
         clauses: out.clauses,
-        ops,
-        lo,
-        hi,
-        base,
+        rows: ops.into_iter().zip(x).collect(),
     }))
 }
 

@@ -1,7 +1,8 @@
 //! A small, self-contained SAT backend for the §4.3 modulo-scheduling
 //! model: a CDCL solver (watched literals, 1UIP conflict learning,
-//! VSIDS-lite activity, Luby restarts) plus an order-encoding CNF
-//! compiler for one candidate II, with a DIMACS escape hatch.
+//! VSIDS-lite activity, Luby restarts) plus a window CNF compiler for
+//! one candidate II (one literal per op and residue, no stages), with a
+//! DIMACS escape hatch.
 //!
 //! Like the rest of the workspace, the crate is std-only. The solver is
 //! deliberately minimal — the point is not to beat tuned SAT solvers but

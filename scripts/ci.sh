@@ -203,10 +203,10 @@ echo "== SAT-vs-CP race gate: both modulo backends agree and verify clean"
 # the same minimum II (sweeps are bottom-up, so the winner's II is
 # backend-independent), the winning schedule must pass both verifiers,
 # and the metrics must attribute a winner. The race also runs with four
-# workers and must keep its II. qrd is pinned to its known
-# minimum II of 22.
+# workers and must keep its II. All six table kernels run (SAT sweeps
+# take milliseconds); qrd is pinned to its known minimum II of 22.
 satdir="$(mktemp -d /tmp/eit-sat.XXXXXX)"
-for k in matmul fir qrd; do
+for k in qrd arf matmul fir detector blockmm; do
   cp_m="$satdir/$k.cp.json"; sat_m="$satdir/$k.sat.json"; race_m="$satdir/$k.race.json"
   ./target/release/eitc "$k" --modulo --backend sat --timeout 60 --verify --metrics "$sat_m" >/dev/null
   ./target/release/eitc "$k" --modulo --backend race --timeout 60 --verify --metrics "$race_m" >/dev/null
