@@ -103,7 +103,7 @@ fn qrd_cnf_is_identical_across_encodings() {
     };
     let first = dimacs();
     assert!(
-        first.contains("\np cnf 5980 52410\n"),
+        first.contains("\np cnf 6068 16128\n"),
         "qrd at II 22 changed size"
     );
     for _ in 0..3 {

@@ -27,7 +27,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0xca9f_cf0a_0109_9d1a,
             0xd52e_d716_5159_d555,
-            0xb71c_296a_c9d7_02c6,
+            0x0afa_5c5d_414c_8f26,
             0xa464_4daf_9f78_d685,
             0x7bf6_180f_958e_3050,
             0xa351_3be7_9459_0807,
@@ -39,7 +39,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0xcc99_4587_3b88_a646,
             0x294a_9c3c_a022_2f7f,
-            0x429d_0745_581c_1c83,
+            0x54f4_8787_fa56_0190,
             0xc50b_fcc8_c5ef_3ff8,
             0x3714_786b_698a_5333,
             0x2d50_2e15_b6d5_514c,
@@ -63,7 +63,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0x5d2b_0557_7310_54a8,
             0x5725_df3a_b842_98a6,
-            0xf25b_a706_ce89_4759,
+            0x8f60_3bf2_4342_9f40,
             0x5b50_0326_c3b4_224a,
             0x519e_1db4_7a80_97e6,
             0xbfdb_80c5_53db_a07f,
@@ -75,7 +75,7 @@ const PINNED: [(&str, [u64; 7]); 6] = [
         [
             0x860f_1e86_8868_b15a,
             0x73ba_2369_d50a_d9b1,
-            0x6699_1d41_72c6_b7fb,
+            0x4700_b93c_0507_db2d,
             0xb7ee_beeb_afea_6ae0,
             0x9d90_ab98_b707_915c,
             0xefaa_e3b1_ddeb_e937,

@@ -525,6 +525,31 @@ mod tests {
     }
 
     #[test]
+    fn a_cyclic_graph_is_malformed_at_the_probe_entry_points() {
+        // fir with its output fed back into its first op: no topological
+        // order, so no critical path and no stage bound.
+        let mut g = eit_apps::by_name("fir").unwrap().graph;
+        let first = g.ids().find(|&n| g.category(n).is_op()).unwrap();
+        let out = g.outputs()[0];
+        g.add_edge(out, first);
+        let spec = ArchSpec::eit();
+        for incl in [false, true] {
+            assert!(matches!(
+                build_probe(&g, &spec, 4, incl),
+                Err(ModuloError::InvalidGraph(IrError::Cyclic))
+            ));
+            let r = schedule_at_ii(&g, &spec, 4, incl, Duration::from_secs(1));
+            assert!(
+                matches!(
+                    r,
+                    IiOutcome::Malformed(ModuloError::InvalidGraph(IrError::Cyclic))
+                ),
+                "incl {incl}: {r:?}"
+            );
+        }
+    }
+
+    #[test]
     fn lower_bound_counts_all_units() {
         let g = matmul();
         let spec = eit_arch::ArchSpec::eit();

@@ -7,12 +7,12 @@ use crate::model::{post_config_separation, post_precedences, post_unit_capacitie
 use eit_arch::ArchSpec;
 use eit_cp::props::diff2::Rect;
 use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
-use eit_ir::{Graph, NodeId};
+use eit_ir::{Graph, IrError, NodeId};
 use std::collections::HashMap;
 use std::time::Duration;
 
 /// Attempt one candidate II (public so harnesses can probe specific IIs).
-/// A candidate below 1 is [`IiOutcome::Malformed`].
+/// A candidate below 1 or a cyclic graph is [`IiOutcome::Malformed`].
 pub fn schedule_at_ii(
     g: &Graph,
     spec: &ArchSpec,
@@ -48,7 +48,8 @@ pub struct ProbeModel {
 /// recorded probe stream for such a candidate is empty. Edges (1)/(4),
 /// unit capacities (2) and configurations (3) are posted as in
 /// [`crate::model`], over `s` and the window `t`. Every graph the IR
-/// accepts builds; the only `Err` is [`ModuloError::IiBelowOne`].
+/// accepts builds; a candidate below 1 is [`ModuloError::IiBelowOne`]
+/// and a cyclic graph [`ModuloError::InvalidGraph`].
 pub fn build_probe(
     g: &Graph,
     spec: &ArchSpec,
@@ -59,7 +60,11 @@ pub fn build_probe(
         return Err(ModuloError::IiBelowOne(ii));
     }
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
-    let cp = g.critical_path(&|n| spec.latency(&g.node(n).kind));
+    let latency = spec.latency_of(g);
+    let es = g
+        .least_starts(&latency, &|_, ready| ready)
+        .ok_or(ModuloError::InvalidGraph(IrError::Cyclic))?;
+    let cp = g.ids().map(|n| es[n.idx()] + latency(n)).max().unwrap_or(0);
     // Stage bound: latency alone needs cp/ii stages, but the banded model
     // can force a wrap-around (stage increment) at every hop of a
     // dependency chain whose next band lies earlier in the window, so the

@@ -1,6 +1,7 @@
 //! The SAT probe (`sat_probe`) and the `--emit cnf` escape hatch, both
 //! over `eit_sat`'s window encoding of one candidate II: residue
-//! literals only, with stages derived by [`least_starts`] from a model.
+//! literals and configuration selectors, with stages derived by
+//! [`least_starts`] from a model.
 
 use super::sweep::{ProbeSlot, Probed};
 use super::{
@@ -141,8 +142,147 @@ pub fn modulo_cnf_dimacs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::{case_seed, gen_arch, gen_graph};
     use eit_cp::CancelToken;
+    use eit_ir::{Category, NodeId, OpClass};
+    use eit_sat::{ClauseSink, Cnf, Lit, SolveOutcome};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::time::Duration;
+
+    type Rows = Vec<(NodeId, Vec<Lit>)>;
+
+    /// The pairwise window encoding the configuration selectors replaced,
+    /// kept as the reference the linear one must be equisatisfiable with:
+    /// an exactly-one per op (pairwise at-most-one), one clause per
+    /// residue for every differently-configured vector-op pair, and the
+    /// same per-unit counters. `None` where an op's occupancy exceeds
+    /// the window.
+    fn encode_pairwise(g: &Graph, spec: &ArchSpec, ii: i32) -> Option<(Cnf, Rows)> {
+        let duration = |n: NodeId| spec.duration(&g.node(n).kind);
+        let ops: Vec<NodeId> = g.ids().filter(|&n| g.category(n).is_op()).collect();
+        let widths: Vec<i32> = ops.iter().map(|&n| ii - duration(n).max(1) + 1).collect();
+        if widths.iter().any(|&w| w < 1) {
+            return None;
+        }
+        let mut cnf = Cnf::default();
+        let mut x: Vec<Vec<Lit>> = Vec::new();
+        for &width in &widths {
+            let row: Vec<Lit> = (0..width).map(|_| Lit::pos(cnf.new_var())).collect();
+            cnf.add_clause(&row);
+            for (r, &l) in row.iter().enumerate() {
+                for &o in &row[r + 1..] {
+                    cnf.add_clause(&[l.negated(), o.negated()]);
+                }
+            }
+            x.push(row);
+        }
+        let config = |n: NodeId| {
+            (g.category(n) == Category::VectorOp).then(|| g.opcode(n).and_then(|o| o.config()))
+        };
+        for (a, &na) in ops.iter().enumerate() {
+            for (b, &nb) in ops.iter().enumerate().skip(a + 1) {
+                let (Some(ca), Some(cb)) = (config(na), config(nb)) else {
+                    continue;
+                };
+                if ca != cb {
+                    for (la, lb) in x[a].iter().zip(&x[b]) {
+                        cnf.add_clause(&[la.negated(), lb.negated()]);
+                    }
+                }
+            }
+        }
+        for unit in &spec.units.units {
+            let mut per_residue: Vec<Vec<(Lit, i32)>> = vec![Vec::new(); ii as usize];
+            for (i, &n) in ops.iter().enumerate() {
+                let Some(c) = OpClass::of(&g.node(n).kind) else {
+                    continue;
+                };
+                if !unit.ops.iter().any(|o| o.class == c) {
+                    continue;
+                }
+                let w = spec.units.class_width(c).unwrap_or(1) as i32;
+                for (r, &l) in x[i].iter().enumerate() {
+                    for items in &mut per_residue[r..r + duration(n) as usize] {
+                        items.push((l, w));
+                    }
+                }
+            }
+            for items in &per_residue {
+                eit_sat::at_most_k(&mut cnf, items, unit.count as i32);
+            }
+        }
+        Some((cnf, ops.into_iter().zip(x).collect()))
+    }
+
+    fn solve(cnf: &Cnf) -> Option<Vec<bool>> {
+        let mut s = eit_sat::Solver::from_cnf(cnf);
+        match s.solve(&mut || false) {
+            SolveOutcome::Sat => Some((0..cnf.n_vars).map(|v| s.model_value(v)).collect()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn the_linear_window_cnf_is_equisatisfiable_with_the_pairwise_one() {
+        // Fuzz graphs on the EIT and on generated machines, every
+        // candidate from the lower bound up to the first feasible one.
+        let (mut feasible, mut refuted) = (0, 0);
+        for case in 0..100 {
+            let mut rng = StdRng::seed_from_u64(case_seed(36, case));
+            let spec = if case % 2 == 0 {
+                ArchSpec::eit()
+            } else {
+                gen_arch(&mut rng)
+            };
+            let g = gen_graph(&mut rng);
+            let lb = ii_lower_bound(&g, &spec);
+            for ii in lb..lb + 8 {
+                let linear = eit_sat::encode_modulo(&g, &spec, ii).unwrap();
+                let pairwise = encode_pairwise(&g, &spec, ii);
+                assert_eq!(
+                    linear.is_none(),
+                    pairwise.is_none(),
+                    "case {case} II {ii}: only one encoding refutes statically"
+                );
+                let (Some(linear), Some((reference, rows))) = (linear, pairwise) else {
+                    continue;
+                };
+                let model = solve(&linear.cnf);
+                assert_eq!(
+                    model.is_some(),
+                    solve(&reference).is_some(),
+                    "case {case} II {ii}: the encodings disagree"
+                );
+                let Some(model) = model else {
+                    refuted += 1;
+                    continue;
+                };
+                feasible += 1;
+                // The first true residue of each row, every other residue
+                // false: a model of the reference CNF.
+                let t = linear.decoder.decode(&|v| model[v as usize]);
+                let mut pinned = reference;
+                for (n, row) in &rows {
+                    for (r, &l) in row.iter().enumerate() {
+                        pinned.add_clause(&[if r as i32 == t[n] { l } else { l.negated() }]);
+                    }
+                }
+                assert!(
+                    solve(&pinned).is_some(),
+                    "case {case} II {ii}: the reduced window breaks the reference"
+                );
+                let s = least_starts(&g, &spec, ii, &t).expect("fuzz graphs are acyclic");
+                let v = eit_arch::verify_modulo(&g, &spec, &s, ii);
+                assert!(v.is_empty(), "case {case} II {ii}: {v:?}");
+                break;
+            }
+        }
+        assert!(
+            feasible == 100 && refuted >= 50,
+            "{feasible} feasible, {refuted} refuted"
+        );
+    }
 
     fn detector() -> Graph {
         let mut g = eit_apps::by_name("detector").expect("table kernel").graph;

@@ -10,14 +10,27 @@
 //!
 //! - every *op* gets one literal `x_{n,r}` per residue
 //!   `r ∈ 0..=II − max(dur,1)` (its occupancy fits inside one window
-//!   instance, exactly the CP model's `t` domain), and exactly one of
+//!   instance, exactly the CP model's `t` domain), and at least one of
 //!   them holds;
 //! - per-unit resource conflicts at each residue (the CP `Cumulative`
 //!   over `t`): a weighted sequential-counter at-most-`count` bounds the
 //!   occupancy-weighted load at every residue of the window (`UnitTable`
 //!   occupancy/width, full-width ops by pairwise exclusion);
-//! - one configuration per window slot: differently-configured
-//!   vector-core ops may not share a residue.
+//! - one configuration per window slot: at a residue where vector-core
+//!   ops of two or more configurations can issue, one selector
+//!   `y_{r,c}` per such configuration, pairwise exclusive, and
+//!   `¬x_{n,r} ∨ y_{r,cfg(n)}` for every vector-core op `n` there.
+//!
+//! Both parts are linear in the window: the selectors replace a clause
+//! per residue for every differently-configured op pair, and no row has
+//! an at-most-one. None is needed because, outside its own
+//! at-least-one clause, an `x` literal appears only negated (in the
+//! counters, the full-width pairs, the unit clauses of over-wide ops and
+//! the selector clauses). Clearing every true residue of a row but the
+//! first therefore keeps a model a model, and that first residue is
+//! what [`ModuloDecoder::decode`] reads. The encoding is equisatisfiable
+//! with one that has an exactly-one per op, so its refutations are
+//! refutations of the window model.
 //!
 //! Stages are derived, not searched, so there is no stage bound: a
 //! refutation holds for every stage assignment. The encoding covers the
@@ -26,7 +39,7 @@
 
 use crate::cdcl::{Lit, Solver, Var};
 use eit_arch::ArchSpec;
-use eit_ir::{Category, Graph, NodeId, OpClass};
+use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
 
 /// A plain clause database, decoupled from the solver so the same
@@ -188,7 +201,11 @@ impl ModuloDecoder {
     /// Read the window position of every op out of an assignment: the
     /// first residue whose literal holds, or 0 if none does. Total: an
     /// arbitrary (even partial) assignment decodes to residues inside
-    /// each op's window; soundness comes from the caller re-verifying.
+    /// each op's window. On a model the first true residue is what makes
+    /// the window sound: the encoding has no at-most-one per op, and
+    /// only clearing the later true residues of each row (which keeps
+    /// every clause satisfied, as `x` is negated outside its row) leaves
+    /// one residue per op. The caller still re-verifies the schedule.
     pub fn decode(&self, model: &dyn Fn(Var) -> bool) -> HashMap<NodeId, i32> {
         self.rows
             .iter()
@@ -219,9 +236,9 @@ pub fn encode_modulo(
 /// is added when the result is `Ok(None)`; after an `Err` the sink holds
 /// a partial encoding and should be discarded.
 ///
-/// The encoder polls [`ClauseSink::stop`] once per residue row of an
-/// op's exactly-one, per configuration row and per unit residue, so a
-/// stop lands within one row of work.
+/// The encoder polls [`ClauseSink::stop`] once per op row, per residue
+/// of the configuration selectors and per unit residue, so a stop lands
+/// within one row of work.
 pub fn encode_modulo_into<S: ClauseSink>(
     g: &Graph,
     spec: &ArchSpec,
@@ -243,24 +260,21 @@ pub fn encode_modulo_into<S: ClauseSink>(
         clauses: 0,
     };
 
-    // Exactly one residue per op: one at-least-one clause and pairwise
-    // exclusion, one poll per residue row.
+    // At least one residue per op, one poll per row; no at-most-one
+    // (see the module doc).
     let mut x: Vec<Vec<Lit>> = Vec::with_capacity(ops.len());
     for &width in &widths {
+        out.poll()?;
         let row: Vec<Lit> = (0..width).map(|_| Lit::pos(out.new_var())).collect();
         out.add_clause(&row);
-        for (r, &l) in row.iter().enumerate() {
-            out.poll()?;
-            for &o in &row[r + 1..] {
-                out.add_clause(&[l.negated(), o.negated()]);
-            }
-        }
         x.push(row);
     }
 
-    // One configuration per window slot: differently-configured
-    // vector-core ops never share a residue.
-    let vops: Vec<(usize, _)> = ops
+    // One configuration per window slot. At a residue where two or more
+    // configurations can issue, each gets a selector, the selectors are
+    // pairwise exclusive, and a vector-core op issuing there implies its
+    // configuration's selector.
+    let vops: Vec<(usize, VectorConfig)> = ops
         .iter()
         .enumerate()
         .filter(|&(_, &n)| g.category(n) == Category::VectorOp)
@@ -269,15 +283,30 @@ pub fn encode_modulo_into<S: ClauseSink>(
             (i, config.expect("every vector opcode has a configuration"))
         })
         .collect();
-    for (v, (a, ca)) in vops.iter().enumerate() {
+    for r in 0..ii as usize {
         out.poll()?;
-        for (b, cb) in &vops[v + 1..] {
-            if ca == cb {
-                continue;
+        let here: Vec<(Lit, VectorConfig)> = vops
+            .iter()
+            .filter_map(|&(i, c)| Some((*x[i].get(r)?, c)))
+            .collect();
+        let mut configs: Vec<VectorConfig> = Vec::new();
+        for &(_, c) in &here {
+            if !configs.contains(&c) {
+                configs.push(c);
             }
-            for (la, lb) in x[*a].iter().zip(&x[*b]) {
-                out.add_clause(&[la.negated(), lb.negated()]);
+        }
+        if configs.len() < 2 {
+            continue;
+        }
+        let selectors: Vec<Lit> = configs.iter().map(|_| Lit::pos(out.new_var())).collect();
+        for (a, &ya) in selectors.iter().enumerate() {
+            for &yb in &selectors[a + 1..] {
+                out.add_clause(&[ya.negated(), yb.negated()]);
             }
+        }
+        for &(l, c) in &here {
+            let y = selectors[configs.iter().position(|&k| k == c).expect("listed above")];
+            out.add_clause(&[l.negated(), y]);
         }
     }
 
@@ -317,8 +346,9 @@ pub fn encode_modulo_into<S: ClauseSink>(
 
 /// Weighted at-most-`cap` over literals: full-width items by pairwise
 /// exclusion, the rest through a unary sequential counter with each
-/// literal repeated `weight` times.
-fn at_most_k(out: &mut impl ClauseSink, items: &[(Lit, i32)], cap: i32) {
+/// literal repeated `weight` times. Every item literal appears negated
+/// only.
+pub fn at_most_k(out: &mut impl ClauseSink, items: &[(Lit, i32)], cap: i32) {
     let mut rest: Vec<(Lit, i32)> = Vec::new();
     let mut full: Vec<Lit> = Vec::new();
     for &(l, w) in items {
@@ -379,6 +409,7 @@ fn at_most_k(out: &mut impl ClauseSink, items: &[(Lit, i32)], cap: i32) {
 mod tests {
     use super::*;
     use crate::cdcl::{SolveOutcome, Solver};
+    use eit_ir::{CoreOp, DataKind, Opcode};
 
     fn solve_cnf(cnf: &Cnf) -> Option<Vec<bool>> {
         let mut s = Solver::from_cnf(cnf);
@@ -440,6 +471,51 @@ mod tests {
         assert!(!sat_with(&[a, b]), "two full-width items may not co-issue");
         assert!(!sat_with(&[a, c]), "full-width excludes any co-resident");
         assert!(sat_with(&[c]));
+    }
+
+    #[test]
+    fn selectors_keep_configurations_apart_and_let_one_share_up_to_capacity() {
+        // Three vector ops on one input pair: `a` and `b` add, `c`
+        // multiplies, so two configurations meet at every residue of II 2.
+        let mut g = Graph::new("selectors");
+        let u = g.add_data(DataKind::Vector, "u");
+        let v = g.add_data(DataKind::Vector, "v");
+        let mut op = |core, name| {
+            let op = Opcode::vector(core);
+            g.add_op_with_output(op, &[u, v], DataKind::Vector, name).0
+        };
+        let (a, b, c) = (
+            op(CoreOp::Add, "a"),
+            op(CoreOp::Add, "b"),
+            op(CoreOp::Mul, "c"),
+        );
+        let ii = 2;
+        let together = |spec: &ArchSpec, p: NodeId, q: NodeId| {
+            let enc = encode_modulo(&g, spec, ii).unwrap().unwrap();
+            let at_zero = |n: NodeId| enc.decoder.rows.iter().find(|(m, _)| *m == n).unwrap().1[0];
+            let mut cnf = enc.cnf;
+            cnf.clauses.push(vec![at_zero(p)]);
+            cnf.clauses.push(vec![at_zero(q)]);
+            solve_cnf(&cnf).is_some()
+        };
+        let mut spec = ArchSpec::eit();
+        // Two residue rows per op, two selectors per residue; an
+        // at-least-one per op, and per residue one exclusion and one
+        // implication per op. Three width-1 ops fit four lanes: no counter.
+        let enc = encode_modulo(&g, &spec, ii).unwrap().unwrap();
+        assert_eq!(
+            (enc.cnf.n_vars, enc.cnf.clauses.len()),
+            (3 * 2 + 2 * 2, 3 + 2 * 4)
+        );
+        assert!(together(&spec, a, b), "one configuration shares a residue");
+        assert!(!together(&spec, a, c), "two configurations never do");
+        assert!(!together(&spec, b, c), "two configurations never do");
+        // The same configuration shares only up to the vector core's count.
+        for (count, fits) in [(1, false), (2, true)] {
+            spec.units.units[0].count = count;
+            assert_eq!(together(&spec, a, b), fits, "vector core of {count}");
+            assert!(!together(&spec, a, c), "vector core of {count}");
+        }
     }
 
     #[test]

@@ -16,6 +16,6 @@ pub mod encode;
 
 pub use cdcl::{Lit, SolveOutcome, Solver, SolverStats, Var};
 pub use encode::{
-    encode_modulo, encode_modulo_into, ClauseSink, Cnf, EncodeError, ModuloDecoder, ModuloEncoding,
-    WithStop,
+    at_most_k, encode_modulo, encode_modulo_into, ClauseSink, Cnf, EncodeError, ModuloDecoder,
+    ModuloEncoding, WithStop,
 };

@@ -234,12 +234,15 @@ for k in qrd arf matmul fir detector blockmm; do
   winner="$(grep -o '"backend": *"[a-z]*"' "$race_m" | head -1 | grep -o '"[a-z]*"$')"
   echo "   $k: cp/sat/race (jobs 1 and 4) agree on II $ii_cp; race winner $winner"
 done
-# The CNF encoding is deterministic: the same model, the same bytes.
-./target/release/eitc qrd --modulo --emit cnf > "$satdir/qrd1.cnf"
-./target/release/eitc qrd --modulo --emit cnf > "$satdir/qrd2.cnf"
-cmp "$satdir/qrd1.cnf" "$satdir/qrd2.cnf" \
-  || { echo "FAIL: two qrd --emit cnf runs differ"; exit 1; }
-echo "   qrd --emit cnf: two runs byte-identical"
+# The CNF encoding is deterministic: the same model, the same bytes
+# (detector has the most configuration-selector residues).
+for k in qrd detector; do
+  ./target/release/eitc "$k" --modulo --emit cnf > "$satdir/${k}1.cnf"
+  ./target/release/eitc "$k" --modulo --emit cnf > "$satdir/${k}2.cnf"
+  cmp "$satdir/${k}1.cnf" "$satdir/${k}2.cnf" \
+    || { echo "FAIL: two $k --emit cnf runs differ"; exit 1; }
+  echo "   $k --emit cnf: two runs byte-identical"
+done
 rm -rf "$satdir"
 
 echo "== deadline-overflow smoke: a timeout too large for a deadline runs unbounded"
