@@ -744,7 +744,11 @@ fn main() {
             mopts.trace = Some(TraceHandle::new(Arc::clone(&rec)));
             (path, rec)
         });
-        let r = match eit_core::modulo_schedule_checked(&g, &spec, &mopts) {
+        // A failed sweep still closes its recording (and reports a write
+        // error) before it exits.
+        let r = eit_core::modulo_schedule_checked(&g, &spec, &mopts);
+        let trace = recorder.map(|(path, rec)| finish_recording(path, &rec));
+        let r = match r {
             Ok(Some(r)) => r,
             Ok(None) => {
                 eprintln!("eitc: no modulo schedule found within budget");
@@ -755,7 +759,6 @@ fn main() {
                 exit(1);
             }
         };
-        let trace = recorder.map(|(path, rec)| finish_recording(path, &rec));
         // Shared with the eit-serve daemon, so a served response is
         // byte-identical to this stdout by construction.
         print!("{}", eit_core::render_modulo(&g, &r));

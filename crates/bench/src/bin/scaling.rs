@@ -33,7 +33,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        let heur = list_schedule(&g, &spec, false)
+        let heur = list_schedule(&g, &spec)
             .map(|h| h.schedule.makespan.to_string())
             .unwrap_or_else(|| "-".into());
         println!(

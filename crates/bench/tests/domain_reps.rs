@@ -3,8 +3,8 @@
 //! its probe at the winning II are solved twice — once as built, once
 //! with every domain pinned to the interval list
 //! (`Store::set_bitset(false)`) — and the two runs must agree on the
-//! answer, the node count, every start time and the full search-event
-//! stream.
+//! answer, the node count, every start time (every window position, for
+//! a probe) and the full search-event stream.
 
 use eit_arch::ArchSpec;
 use eit_bench::prepared;
@@ -99,7 +99,8 @@ fn modulo_probe_search_is_representation_independent() {
                 .expect("table kernels build")
                 .expect("the winning II is not statically refuted");
             let cfg = opts.probe_config(pm.phases.clone());
-            run(&mut pm.model, pinned, cfg, &pm.s_var, solve)
+            let window: Vec<VarId> = pm.window.iter().map(|&(_, t)| t).collect();
+            run(&mut pm.model, pinned, cfg, &window, solve)
         });
         assert!(
             bits.starts.is_some(),

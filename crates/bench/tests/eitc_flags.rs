@@ -296,7 +296,8 @@ fn a_trace_that_cannot_be_written_exits_1() {
     if !std::path::Path::new("/dev/full").exists() {
         return;
     }
-    for mode in [&[][..], &["--modulo"]] {
+    // `--timeout 0`: a sweep that fails still closes its recording.
+    for mode in [&[][..], &["--modulo"], &["--modulo", "--timeout", "0"]] {
         let out = eitc(&[&["matmul", "--record", "/dev/full"], mode].concat());
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{mode:?}: {stderr}");
@@ -309,4 +310,32 @@ fn a_trace_that_cannot_be_written_exits_1() {
             "{mode:?} reported the recording as made"
         );
     }
+}
+
+#[test]
+fn a_failed_modulo_sweep_leaves_a_replayable_recording() {
+    // No budget: the sweep probes nothing and exits 1, but the recording
+    // still holds its header, and it replays under the same flags.
+    let trace = scratch("failed-sweep.trace");
+    let trace_s = trace.to_str().unwrap();
+    let flags = ["qrd", "--modulo", "--timeout", "0"];
+    let rec = eitc(&[&flags[..], &["--record", trace_s]].concat());
+    let stderr = String::from_utf8_lossy(&rec.stderr);
+    assert_eq!(rec.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no modulo schedule found"), "{stderr}");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(
+        text.starts_with("{\"format\":\"eit-trace/2\"") && text.ends_with('\n'),
+        "{text:?}"
+    );
+    let out = eitc(&[&flags[..], &["--replay", trace_s]].concat());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with("; replay ok"), "{stdout}");
+    std::fs::remove_file(&trace).ok();
 }

@@ -16,24 +16,24 @@ type Probe = (i32, &'static str, u64, u64);
 const PINNED: [(&str, &[Probe], &[Probe]); 6] = [
     (
         "qrd",
-        &[(22, "feasible", 64, 0)],
+        &[(22, "feasible", 61, 0)],
         &[(22, "feasible", 79, 0)],
     ),
-    ("arf", &[(7, "feasible", 53, 0)], &[(7, "feasible", 30, 0)]),
+    ("arf", &[(7, "feasible", 25, 0)], &[(7, "feasible", 30, 0)]),
     (
         "matmul",
-        &[(4, "feasible", 36, 0)],
+        &[(4, "feasible", 16, 0)],
         &[(4, "feasible", 21, 0)],
     ),
-    ("fir", &[(3, "feasible", 14, 0)], &[(3, "feasible", 10, 0)]),
+    ("fir", &[(3, "feasible", 6, 0)], &[(3, "feasible", 10, 0)]),
     (
         "detector",
-        &[(42, "feasible", 83, 0)],
+        &[(42, "feasible", 77, 0)],
         &[(42, "feasible", 100, 0)],
     ),
     (
         "blockmm",
-        &[(12, "feasible", 24, 0)],
+        &[(12, "feasible", 12, 0)],
         &[(12, "feasible", 14, 0)],
     ),
 ];

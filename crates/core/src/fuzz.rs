@@ -418,7 +418,7 @@ pub fn check_case_on(
 
     // Stage: list scheduler output satisfies both verifiers.
     checks += 1;
-    let list = list_schedule(g, &spec, false);
+    let list = list_schedule(g, &spec);
     if let Some(r) = &list {
         verify_both(
             g,

@@ -1,16 +1,15 @@
-//! Heuristic baseline: critical-path list scheduling with greedy memory
-//! allocation.
+//! Heuristic baseline: critical-path list scheduling.
 //!
 //! The classic alternative to the paper's CP approach — what a
 //! conventional compiler backend would do. Operations are ranked by
 //! *slack* (critical-path priority) and placed greedily at the earliest
-//! cycle where all resources fit; memory slots are assigned first-fit
-//! against the fig. 7/8 access rules. No backtracking, so the result is
-//! feasible but not optimal — the gap to the CP schedule is the value the
-//! paper's method adds (see the `ablation` benches and EXPERIMENTS.md).
+//! cycle where their unit and the vector core's configuration allow. No
+//! backtracking and no memory allocation, so the result is feasible but
+//! not optimal — the gap to the CP schedule is the value the paper's
+//! method adds (`--bin scaling` and EXPERIMENTS.md).
 
-use eit_arch::{check_access, ArchSpec, Schedule};
-use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
+use eit_arch::{ArchSpec, Schedule};
+use eit_ir::{Graph, NodeId, OpClass, VectorConfig};
 use std::collections::HashMap;
 
 /// Result of [`list_schedule`].
@@ -21,18 +20,10 @@ pub struct ListScheduleResult {
     pub delayed_ops: usize,
 }
 
-#[derive(Default)]
-struct MachineState {
-    /// Replicas in use per (unit-table index, cycle).
-    load: HashMap<(usize, i32), u32>,
-    config_at: HashMap<i32, VectorConfig>,
-    reads_at: HashMap<i32, Vec<u32>>,
-    writes_at: HashMap<i32, Vec<u32>>,
-}
-
-/// Schedule `g` heuristically. Returns `None` only when memory allocation
-/// fails outright (slot budget below the live-set floor).
-pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<ListScheduleResult> {
+/// Schedule `g` heuristically, without memory slots. Returns `None` on a
+/// cyclic graph, or when an op finds no free cycle within 100,000 of its
+/// earliest start.
+pub fn list_schedule(g: &Graph, spec: &ArchSpec) -> Option<ListScheduleResult> {
     let latency = |n: NodeId| spec.latency(&g.node(n).kind);
     let duration = |n: NodeId| spec.duration(&g.node(n).kind);
 
@@ -45,22 +36,18 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
     }
 
     let mut sched = Schedule::new(g.len());
-    let mut machine = MachineState::default();
-    let mut placed = vec![false; g.len()];
+    // Replicas in use per (unit-table index, cycle), and the vector
+    // core's configuration per cycle.
+    let mut load: HashMap<(usize, i32), u32> = HashMap::new();
+    let mut config_at: HashMap<i32, VectorConfig> = HashMap::new();
     let mut delayed = 0usize;
 
-    // Greedy slot state: (slot, free_from_cycle).
-    let n_slots = spec.n_slots();
-    let mut slot_free_at: Vec<i32> = vec![0; n_slots as usize];
-
-    // Data nodes inherit their producer's completion; inputs start at 0
-    // and get slots immediately.
-    let mut ready: Vec<NodeId> = Vec::new();
-    for n in g.ids() {
-        if g.category(n).is_data() && g.producer(n).is_none() {
-            placed[n.idx()] = true;
-        }
-    }
+    // Application inputs start at 0; a produced datum is placed with
+    // its producer.
+    let mut placed: Vec<bool> = g
+        .ids()
+        .map(|n| g.category(n).is_data() && g.producer(n).is_none())
+        .collect();
 
     // Ops in priority order, respecting topology.
     let mut ops: Vec<NodeId> = g.ids().filter(|&n| g.category(n).is_op()).collect();
@@ -72,10 +59,7 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
     while remaining > 0 {
         let mut progressed = false;
         for &op in &ops {
-            if placed[op.idx()] {
-                continue;
-            }
-            if !g.preds(op).iter().all(|&d| placed[d.idx()]) {
+            if placed[op.idx()] || !g.preds(op).iter().all(|&d| placed[d.idx()]) {
                 continue;
             }
             // Earliest start by data readiness.
@@ -95,166 +79,38 @@ pub fn list_schedule(g: &Graph, spec: &ArchSpec, with_memory: bool) -> Option<Li
             // Only vector-core ops carry a configuration.
             let cfg = g.opcode(op).and_then(|o| o.config());
 
-            let mut t = est;
-            'place: loop {
-                // Resource feasibility at t: the unit has `width` replicas
-                // free over the op's occupancy, and the vector core is not
-                // configured differently in the issue cycle.
-                let mut ok = unit.is_none_or(|(u, width, count)| {
-                    (t..t + dur).all(|c| machine.load.get(&(u, c)).unwrap_or(&0) + width <= count)
-                });
-                if let (Some(c), Some(existing)) = (cfg, machine.config_at.get(&t)) {
-                    if *existing != c {
-                        ok = false;
-                    }
-                }
+            // The first cycle where the unit has `width` replicas free
+            // over the op's occupancy and the vector core is not
+            // configured differently in the issue cycle.
+            let fits = |t: i32| {
+                unit.is_none_or(|(u, width, count)| {
+                    (t..t + dur).all(|c| load.get(&(u, c)).unwrap_or(&0) + width <= count)
+                }) && cfg.is_none_or(|c| config_at.get(&t).is_none_or(|&held| held == c))
+            };
+            let t = (est..=est + 100_000).find(|&t| fits(t))?;
 
-                // Memory feasibility (reads at t, writes at t + latency).
-                let mut new_slots: Vec<(NodeId, u32)> = Vec::new();
-                if ok && with_memory && cfg.is_some() {
-                    let mut reads: Vec<u32> = machine.reads_at.get(&t).cloned().unwrap_or_default();
-                    for &d in g.preds(op) {
-                        if g.category(d) == Category::VectorData {
-                            if let Some(s) = sched.slot_of(d) {
-                                reads.push(s);
-                            }
-                        }
-                    }
-                    reads.sort_unstable();
-                    reads.dedup();
-                    let wb = t + latency(op);
-                    let mut writes: Vec<u32> =
-                        machine.writes_at.get(&wb).cloned().unwrap_or_default();
-                    // First-fit output slots.
-                    for &d in g.succs(op) {
-                        if g.category(d) == Category::VectorData {
-                            let mut found = None;
-                            for s in 0..n_slots {
-                                if slot_free_at[s as usize] > wb {
-                                    continue;
-                                }
-                                let mut w2 = writes.clone();
-                                w2.push(s);
-                                if check_access(spec, &reads, &w2).is_empty() {
-                                    found = Some(s);
-                                    writes.push(s);
-                                    break;
-                                }
-                            }
-                            match found {
-                                Some(s) => new_slots.push((d, s)),
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if ok && !check_access(spec, &reads, &writes).is_empty() {
-                        ok = false;
-                    }
-                }
-
-                if ok {
-                    // Commit.
-                    sched.start[op.idx()] = t;
-                    if t > est {
-                        delayed += 1;
-                    }
-                    if let Some((u, width, _)) = unit {
-                        for c in t..t + dur {
-                            *machine.load.entry((u, c)).or_default() += width;
-                        }
-                    }
-                    if let Some(c) = cfg {
-                        machine.config_at.insert(t, c);
-                        let mut reads: Vec<u32> = Vec::new();
-                        for &d in g.preds(op) {
-                            if g.category(d) == Category::VectorData {
-                                if let Some(s) = sched.slot_of(d) {
-                                    reads.push(s);
-                                }
-                            }
-                        }
-                        machine.reads_at.entry(t).or_default().extend(reads);
-                        let wb = t + latency(op);
-                        for &(_, s) in &new_slots {
-                            machine.writes_at.entry(wb).or_default().push(s);
-                        }
-                    }
-                    // Outputs.
-                    for &d in g.succs(op) {
-                        sched.start[d.idx()] = t + latency(op);
-                        placed[d.idx()] = true;
-                    }
-                    for (d, s) in new_slots {
-                        sched.slot[d.idx()] = Some(s);
-                        // The slot is busy until the datum's last read —
-                        // conservatively forever; refined below.
-                        slot_free_at[s as usize] = i32::MAX;
-                    }
-                    placed[op.idx()] = true;
-                    remaining -= 1;
-                    progressed = true;
-                    break 'place;
-                }
-                t += 1;
-                if t > est + 100_000 {
-                    return None; // pathological: give up
+            sched.start[op.idx()] = t;
+            if t > est {
+                delayed += 1;
+            }
+            if let Some((u, width, _)) = unit {
+                for c in t..t + dur {
+                    *load.entry((u, c)).or_default() += width;
                 }
             }
+            if let Some(c) = cfg {
+                config_at.insert(t, c);
+            }
+            for &d in g.succs(op) {
+                sched.start[d.idx()] = t + latency(op);
+                placed[d.idx()] = true;
+            }
+            placed[op.idx()] = true;
+            remaining -= 1;
+            progressed = true;
         }
         if !progressed {
             return None;
-        }
-        ready.clear();
-    }
-
-    // Input slots: first-fit after everything else is placed (their reads
-    // are known now) — simple approach: assign inputs to distinct fresh
-    // slots; feasible iff enough slots remain.
-    if with_memory {
-        let mut used: Vec<u32> = g.ids().filter_map(|n| sched.slot[n.idx()]).collect();
-        used.sort_unstable();
-        used.dedup();
-        for n in g.ids() {
-            if g.category(n) == Category::VectorData && sched.slot[n.idx()].is_none() {
-                // Pick the first slot (a) unused so far and (b) compatible
-                // with every cycle this datum is read.
-                let mut chosen = None;
-                'cand: for s in 0..n_slots {
-                    if used.contains(&s) {
-                        continue;
-                    }
-                    for &c in g.succs(n) {
-                        if matches!(g.category(c), Category::VectorOp | Category::MatrixOp) {
-                            let t = sched.start_of(c);
-                            let mut reads = machine.reads_at.get(&t).cloned().unwrap_or_default();
-                            reads.push(s);
-                            reads.sort_unstable();
-                            reads.dedup();
-                            let writes = machine.writes_at.get(&t).cloned().unwrap_or_default();
-                            if !check_access(spec, &reads, &writes).is_empty() {
-                                continue 'cand;
-                            }
-                        }
-                    }
-                    chosen = Some(s);
-                    break;
-                }
-                let s = chosen?;
-                sched.slot[n.idx()] = Some(s);
-                used.push(s);
-                for &c in g.succs(n) {
-                    if matches!(g.category(c), Category::VectorOp | Category::MatrixOp) {
-                        machine
-                            .reads_at
-                            .entry(sched.start_of(c))
-                            .or_default()
-                            .push(s);
-                    }
-                }
-            }
         }
     }
 
@@ -271,6 +127,7 @@ mod tests {
     use crate::model::{schedule, SchedulerOptions};
     use eit_arch::{validate_structure_with, verify_schedule};
     use eit_dsl::Ctx;
+    use eit_ir::Category;
     use std::time::Duration;
 
     fn kernel() -> Graph {
@@ -288,10 +145,9 @@ mod tests {
     fn heuristic_schedule_is_structurally_valid() {
         let g = kernel();
         let spec = ArchSpec::eit();
-        let r = list_schedule(&g, &spec, true).unwrap();
-        // Memory allocation is greedy/incomplete for lifetimes, so only
-        // the resource/precedence structure is asserted here (memory
-        // checks are run for CP schedules; the heuristic is a baseline).
+        let r = list_schedule(&g, &spec).unwrap();
+        // The heuristic assigns no slots, so only the resource and
+        // precedence structure is asserted here.
         let v = validate_structure_with(&g, &spec, &r.schedule, false);
         assert!(v.is_empty(), "{v:?}");
     }
@@ -300,7 +156,7 @@ mod tests {
     fn heuristic_never_beats_cp_optimum() {
         let g = kernel();
         let spec = ArchSpec::eit();
-        let heur = list_schedule(&g, &spec, false).unwrap();
+        let heur = list_schedule(&g, &spec).unwrap();
         let opt = schedule(
             &g,
             &spec,
@@ -318,96 +174,40 @@ mod tests {
         for name in ["qrd", "arf", "matmul", "fir", "detector"] {
             let k = eit_apps_build(name);
             let spec = ArchSpec::eit();
-            let r = list_schedule(&k, &spec, false).unwrap();
+            let r = list_schedule(&k, &spec).unwrap();
             let v = validate_structure_with(&k, &spec, &r.schedule, false);
             assert!(v.is_empty(), "{name}: {v:?}");
         }
     }
 
     /// FNV-1a 64 over every node's start (i32) and slot (u32, `u32::MAX`
-    /// for none), little-endian, of the six kernels on both presets, with
-    /// memory on and off; `None` where the greedy allocation gives up.
+    /// for none), little-endian, of the six kernels on both presets.
     #[test]
     fn starts_and_slots_are_pinned() {
-        let hash = |g: &Graph, spec: &ArchSpec, memory: bool| {
-            list_schedule(g, spec, memory).map(|r| {
-                let mut h = eit_cp::Fnv64::new();
-                for n in g.ids() {
-                    h.write(&r.schedule.start_of(n).to_le_bytes());
-                    h.write(&r.schedule.slot_of(n).unwrap_or(u32::MAX).to_le_bytes());
-                }
-                h.finish()
-            })
-        };
-        for (arch, name, on, off) in [
-            (
-                "eit",
-                "qrd",
-                Some(0xc7cc_adfb_960b_b931),
-                Some(0x658d_8750_36b4_1b91),
-            ),
-            (
-                "eit",
-                "arf",
-                Some(0xb76a_8454_3135_4bfb),
-                Some(0x3447_63a9_53a6_9d83),
-            ),
-            (
-                "eit",
-                "matmul",
-                Some(0x74f9_0ca3_17db_ca69),
-                Some(0x00f4_e511_af8a_e319),
-            ),
-            (
-                "eit",
-                "fir",
-                Some(0xc444_fe04_2a5b_462d),
-                Some(0xfd92_8fbb_51dc_511d),
-            ),
-            ("eit", "detector", None, Some(0x7127_b2e8_9d5e_ea34)),
-            ("eit", "blockmm", None, Some(0x0a5d_1db9_73b0_597d)),
-            (
-                "wide",
-                "qrd",
-                Some(0xa68c_d153_5ad7_1ef1),
-                Some(0x9cbf_30a1_3b6f_a651),
-            ),
-            (
-                "wide",
-                "arf",
-                Some(0xe418_1c51_7544_8c7f),
-                Some(0x40be_dbf2_ddf0_b8f7),
-            ),
-            (
-                "wide",
-                "matmul",
-                Some(0xa098_9cdf_b284_0789),
-                Some(0x78cb_7d77_321e_f039),
-            ),
-            (
-                "wide",
-                "fir",
-                Some(0x8b1f_1e59_a095_262d),
-                Some(0xfd92_8fbb_51dc_511d),
-            ),
-            (
-                "wide",
-                "detector",
-                Some(0x019c_f4b3_cf2b_b65a),
-                Some(0x3d54_9bc8_dfdb_45dc),
-            ),
-            (
-                "wide",
-                "blockmm",
-                Some(0x9505_4187_40f9_e23d),
-                Some(0x0a5d_1db9_73b0_597d),
-            ),
+        for (arch, name, want) in [
+            ("eit", "qrd", 0x658d_8750_36b4_1b91),
+            ("eit", "arf", 0x3447_63a9_53a6_9d83),
+            ("eit", "matmul", 0x00f4_e511_af8a_e319),
+            ("eit", "fir", 0xfd92_8fbb_51dc_511d),
+            ("eit", "detector", 0x7127_b2e8_9d5e_ea34),
+            ("eit", "blockmm", 0x0a5d_1db9_73b0_597d),
+            ("wide", "qrd", 0x9cbf_30a1_3b6f_a651),
+            ("wide", "arf", 0x40be_dbf2_ddf0_b8f7),
+            ("wide", "matmul", 0x78cb_7d77_321e_f039),
+            ("wide", "fir", 0xfd92_8fbb_51dc_511d),
+            ("wide", "detector", 0x3d54_9bc8_dfdb_45dc),
+            ("wide", "blockmm", 0x0a5d_1db9_73b0_597d),
         ] {
             let spec = ArchSpec::preset(arch).unwrap();
             let mut g = eit_apps::by_name(name).unwrap().graph;
             eit_ir::merge_pipeline_ops(&mut g);
-            assert_eq!(hash(&g, &spec, true), on, "{arch}/{name} with memory");
-            assert_eq!(hash(&g, &spec, false), off, "{arch}/{name} without memory");
+            let r = list_schedule(&g, &spec).unwrap();
+            let mut h = eit_cp::Fnv64::new();
+            for n in g.ids() {
+                h.write(&r.schedule.start_of(n).to_le_bytes());
+                h.write(&r.schedule.slot_of(n).unwrap_or(u32::MAX).to_le_bytes());
+            }
+            assert_eq!(h.finish(), want, "{arch}/{name}");
         }
     }
 
@@ -422,9 +222,9 @@ mod tests {
         }
         let g = ctx.finish();
         let scalar_starts = |spec: &ArchSpec| {
-            let r = list_schedule(&g, spec, true).unwrap();
-            assert!(verify_schedule(&g, spec, &r.schedule, true).is_empty());
-            assert!(validate_structure_with(&g, spec, &r.schedule, true).is_empty());
+            let r = list_schedule(&g, spec).unwrap();
+            assert!(verify_schedule(&g, spec, &r.schedule, false).is_empty());
+            assert!(validate_structure_with(&g, spec, &r.schedule, false).is_empty());
             let mut s: Vec<i32> = g
                 .ids()
                 .filter(|&n| g.category(n) == Category::ScalarOp)
@@ -449,7 +249,7 @@ mod tests {
         for name in ["qrd", "detector"] {
             let mut g = eit_apps::by_name(name).unwrap().graph;
             eit_ir::merge_pipeline_ops(&mut g);
-            let r = list_schedule(&g, &two, false).unwrap();
+            let r = list_schedule(&g, &two).unwrap();
             let v = verify_schedule(&g, &two, &r.schedule, false);
             assert!(v.is_empty(), "{name}: {v:?}");
             let v = validate_structure_with(&g, &two, &r.schedule, false);

@@ -19,7 +19,7 @@
 //! | (8)/(9) co-scheduled input/output compatibility | `cond_same_time` over co-issuable op pairs; over two fixed starts, nothing (unequal) or `page_line_implies` (equal) | `post_memory` |
 //! | (10) lifetimes | `life ≥ s_c − s_d` per consumer (`linear_leq`), `life ≥ 1`; only lower bounds, since `Diff2` prunes on the minimum; a constant when every endpoint is fixed | `post_memory` |
 //! | (11) slot reuse | `Diff2` over `(s, slot, life, 1)` rectangles | `post_memory` |
-//! | §3.5 search | three [`Phase`]s: op starts → data starts → slots | [`build_model`] |
+//! | §3.5 search | [`Phase`]s over op starts → slots; a datum's start is fixed with its producer's (4), so the paper's data-start phase has nothing to branch on | [`build_model`] |
 
 use crate::obs::PhaseTimings;
 use eit_arch::{ArchSpec, Schedule};
@@ -95,7 +95,7 @@ pub struct BuiltModel {
     pub slot: Vec<Option<VarId>>,
     /// Makespan objective.
     pub objective: VarId,
-    /// The §3.5 three-phase search.
+    /// The §3.5 search: op starts, then slots (when memory is on).
     pub phases: Vec<Phase>,
     pub horizon: i32,
     /// Build-time spans: `model_build` (total) and the nested
@@ -131,7 +131,9 @@ pub fn checked_horizon(g: &Graph, spec: &ArchSpec) -> Result<i32, String> {
     Ok((h as i32).max(1))
 }
 
-/// Build the paper's model for `g` on `spec`.
+/// Build the paper's model for `g` on `spec`. A cyclic graph builds a
+/// model that root propagation refutes: its precedences chase each other
+/// past the horizon.
 pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> BuiltModel {
     let build_start = Instant::now();
     let mut timings = PhaseTimings::new();
@@ -154,14 +156,17 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
     // Longest-path preprocessing: earliest starts tighten every domain's
     // lower bound, and the critical path is a sound lower bound on the
     // makespan (these are implied by (1)/(4) but save the solver from
-    // rediscovering them at every node).
-    let es = timings.time("longest_path", || g.earliest_starts(&|i| latency(i)));
-    for i in g.ids() {
+    // rediscovering them at every node). A cyclic graph has neither.
+    let es = timings.time("longest_path", || {
+        g.least_starts(&latency, &|_, ready| ready)
+    });
+    let mut critical_path = 0;
+    for (i, &e) in g.ids().zip(es.as_deref().unwrap_or_default()) {
         m.store
-            .remove_below(start[i.idx()], es[i.idx()])
+            .remove_below(start[i.idx()], e)
             .expect("earliest start exceeds horizon");
+        critical_path = critical_path.max(e + latency(i));
     }
-    let critical_path = g.ids().map(|i| es[i.idx()] + latency(i)).max().unwrap_or(0);
 
     post_unit_capacities(&mut m, g, spec, |i| start[i.idx()]);
     post_config_separation(&mut m, g, |i| start[i.idx()]);
@@ -182,22 +187,10 @@ pub fn build_model(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> Built
         vec![None; g.len()]
     };
 
-    // --- §3.5 three-phase search --------------------------------------------
-    let op_starts: Vec<VarId> = g
-        .ids()
-        .filter(|&i| g.category(i).is_op())
-        .map(|i| start[i.idx()])
-        .collect();
-    let data_starts: Vec<VarId> = g
-        .ids()
-        .filter(|&i| g.category(i).is_data())
-        .map(|i| start[i.idx()])
-        .collect();
+    // --- §3.5 search: op starts, then slots -----------------------------------
+    let op_starts: Vec<VarId> = op_start.iter().flatten().copied().collect();
     let slots: Vec<VarId> = g.ids().filter_map(|i| slot[i.idx()]).collect();
-    let mut phases = vec![
-        Phase::new(op_starts, VarSel::SmallestMin),
-        Phase::new(data_starts, VarSel::SmallestMin),
-    ];
+    let mut phases = vec![Phase::new(op_starts, VarSel::SmallestMin)];
     if !slots.is_empty() {
         phases.push(Phase::new(slots, VarSel::FirstFail));
     }
@@ -485,8 +478,9 @@ fn extract(g: &Graph, spec: &ArchSpec, built: &BuiltModel, sol: &eit_cp::Solutio
     s
 }
 
-/// Schedule `g` on `spec`: build the model, run the three-phase
-/// branch-and-bound, extract the best schedule.
+/// Schedule `g` on `spec`: build the model, run the phased
+/// branch-and-bound, extract the best schedule. A cyclic graph gets no
+/// schedule and the status [`SearchStatus::Infeasible`].
 pub fn schedule(g: &Graph, spec: &ArchSpec, opts: &SchedulerOptions) -> ScheduleResult {
     let mut built = build_model(g, spec, opts);
     let domain_reps = built.model.store.domain_rep_counts();
@@ -636,6 +630,28 @@ mod tests {
         spec.slots_per_bank = 1; // a single slot
         let r = schedule(&g, &spec, &SchedulerOptions::default());
         assert_eq!(r.status, SearchStatus::Infeasible);
+    }
+
+    #[test]
+    fn a_cyclic_graph_is_infeasible_not_a_panic() {
+        // fir with its output fed back into its first op.
+        let mut g = eit_apps::by_name("fir").unwrap().graph;
+        let first = g.ids().find(|&n| g.category(n).is_op()).unwrap();
+        let out = g.outputs()[0];
+        g.add_edge(out, first);
+        let spec = ArchSpec::eit();
+        for memory in [false, true] {
+            let opts = SchedulerOptions {
+                memory,
+                timeout: Some(Duration::from_secs(30)),
+                ..Default::default()
+            };
+            let built = build_model(&g, &spec, &opts);
+            assert_eq!(built.phases.len(), 1 + usize::from(memory));
+            let r = schedule(&g, &spec, &opts);
+            assert!(r.schedule.is_none());
+            assert_eq!(r.status, SearchStatus::Infeasible, "memory {memory}");
+        }
     }
 
     #[test]

@@ -549,6 +549,38 @@ mod tests {
         }
     }
 
+    /// No op's occupancy wraps past the window end, and that can cost an
+    /// II: three independent `rsqrt`s (occupancy 2) on two accelerators
+    /// need 3 cycles of accelerator time per iteration, but in a window of
+    /// 3 each starts at 0 or 1, so all three hold position 1. Both
+    /// backends refute II 3 and answer II 4.
+    #[test]
+    fn no_op_wraps_past_the_window_end() {
+        let ctx = Ctx::new("three-rsqrt");
+        for i in 0..3 {
+            let v = ctx.vector([1.0 + i as f64, 2.0, 3.0, 4.0]);
+            let _ = v.v_squsum().rsqrt();
+        }
+        let g = ctx.finish();
+        let mut spec = ArchSpec::eit();
+        spec.units.units[1].count = 2; // the scalar accelerator
+        spec.validate().unwrap();
+        assert_eq!(ii_lower_bound(&g, &spec), 3);
+        for backend in [Backend::Cp, Backend::Sat] {
+            let opts = ModuloOptions {
+                backend,
+                ..Default::default()
+            };
+            let r = modulo_schedule_checked(&g, &spec, &opts)
+                .unwrap()
+                .expect("II 4 is feasible");
+            let probes: Vec<_> = r.probes.iter().map(|p| (p.ii, p.outcome)).collect();
+            assert_eq!(probes, [(3, "infeasible"), (4, "feasible")], "{backend:?}");
+            assert_eq!(r.ii_issue, 4, "{backend:?}");
+            assert!(eit_arch::verify_modulo(&g, &spec, &r.s, 4).is_empty());
+        }
+    }
+
     #[test]
     fn lower_bound_counts_all_units() {
         let g = matmul();

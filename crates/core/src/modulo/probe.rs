@@ -2,7 +2,7 @@
 //! satisfaction search (`probe_ii`).
 
 use super::sweep::{ProbeSlot, Probed};
-use super::{config_groups, Backend, IiOutcome, ModuloError, ModuloOptions};
+use super::{config_groups, least_starts, Backend, IiOutcome, ModuloError, ModuloOptions};
 use crate::model::{post_config_separation, post_precedences, post_unit_capacities};
 use eit_arch::ArchSpec;
 use eit_cp::props::diff2::Rect;
@@ -36,20 +36,25 @@ pub fn schedule_at_ii(
 /// The per-candidate-II CSP with its variable handles, ready to solve.
 pub struct ProbeModel {
     pub model: Model,
-    /// The probe's phased search (bands → op starts → window → stages →
-    /// data, or the bandless subset).
+    /// The probe's search over what shapes the window: the window
+    /// positions (exclude-reconfig), or the bands and then the op starts
+    /// (include-reconfig). No phase holds a stage or a data start: a
+    /// solution's starts are the least ones its window admits
+    /// ([`least_starts`]).
     pub phases: Vec<Phase>,
-    /// Absolute start per node.
-    pub s_var: Vec<VarId>,
+    /// Window position `t` of every op, in graph order.
+    pub window: Vec<(NodeId, VarId)>,
 }
 
 /// Build the CSP for one candidate II. Returns `Ok(None)` when a static
 /// capacity cut already refutes the candidate — no search runs, so a
 /// recorded probe stream for such a candidate is empty. Edges (1)/(4),
 /// unit capacities (2) and configurations (3) are posted as in
-/// [`crate::model`], over `s` and the window `t`. Every graph the IR
-/// accepts builds; a candidate below 1 is [`ModuloError::IiBelowOne`]
-/// and a cyclic graph [`ModuloError::InvalidGraph`].
+/// [`crate::model`], over `s` and the window `t`; the stages `k` of
+/// `s = II·k + t` are never branched on, but their cap prunes `t`. Every
+/// graph the IR accepts builds; a candidate below 1 is
+/// [`ModuloError::IiBelowOne`] and a cyclic graph
+/// [`ModuloError::InvalidGraph`].
 pub fn build_probe(
     g: &Graph,
     spec: &ArchSpec,
@@ -75,9 +80,7 @@ pub fn build_probe(
 
     let mut m = Model::new();
     let mut t_var: HashMap<NodeId, VarId> = HashMap::new();
-    // Window positions and stages of the ops, in graph order.
-    let mut t_list: Vec<VarId> = Vec::new();
-    let mut k_list: Vec<VarId> = Vec::new();
+    let mut window: Vec<(NodeId, VarId)> = Vec::new();
     let mut op_start: Vec<Option<VarId>> = Vec::with_capacity(g.len());
 
     for n in g.ids() {
@@ -91,8 +94,7 @@ pub fn build_probe(
             // starves the window Cumulative of pruning).
             m.mod_channel(s, k, t, ii);
             t_var.insert(n, t);
-            t_list.push(t);
-            k_list.push(k);
+            window.push((n, t));
             op_start.push(Some(s));
         } else {
             op_start.push(None);
@@ -100,7 +102,7 @@ pub fn build_probe(
     }
 
     // Data starts and precedences on s.
-    let s_var = post_precedences(&mut m, g, spec, &op_start, horizon + spec.pipeline_depth());
+    post_precedences(&mut m, g, spec, &op_start, horizon + spec.pipeline_depth());
 
     // Window resource constraints on t, one Cumulative per unit.
     post_unit_capacities(&mut m, g, spec, |n| t_var[&n]);
@@ -154,39 +156,33 @@ pub fn build_probe(
     }
 
     // Search: configuration bands first (they shape the window), then
-    // absolute op starts — list-scheduling style, as in the main model —
-    // then any window/stage variables propagation left open, then data.
-    let op_s: Vec<VarId> = g
-        .ids()
-        .filter(|&n| g.category(n).is_op())
-        .map(|n| s_var[n.idx()])
-        .collect();
-    let data_s: Vec<VarId> = g
-        .ids()
-        .filter(|&n| g.category(n).is_data())
-        .map(|n| s_var[n.idx()])
-        .collect();
-    let mut phases = Vec::new();
-    if !band_vars.is_empty() {
-        phases.push(Phase::new(band_vars, VarSel::InputOrder));
-        phases.push(Phase::new(op_s, VarSel::SmallestMin));
-        phases.push(Phase::new(t_list, VarSel::FirstFail));
-        phases.push(Phase::new(k_list, VarSel::SmallestMin));
+    // absolute op starts, list-scheduling style as in the main model;
+    // without bands, the window positions alone.
+    let phases = if band_vars.is_empty() {
+        vec![Phase::new(
+            window.iter().map(|&(_, t)| t).collect(),
+            VarSel::FirstFail,
+        )]
     } else {
-        phases.push(Phase::new(t_list, VarSel::FirstFail));
-        phases.push(Phase::new(k_list, VarSel::SmallestMin));
-    }
-    phases.push(Phase::new(data_s, VarSel::SmallestMin));
+        vec![
+            Phase::new(band_vars, VarSel::InputOrder),
+            Phase::new(
+                op_start.iter().flatten().copied().collect(),
+                VarSel::SmallestMin,
+            ),
+        ]
+    };
 
     Ok(Some(ProbeModel {
         model: m,
         phases,
-        s_var,
+        window,
     }))
 }
 
 /// The CP probe: build the candidate's CSP and run its satisfaction
-/// search under the slot's budget, token and trace buffer.
+/// search under the slot's budget, token and trace buffer, then read the
+/// solution's window and derive its least starts, as the SAT probe does.
 pub(super) fn probe_ii(
     g: &Graph,
     spec: &ArchSpec,
@@ -201,7 +197,7 @@ pub(super) fn probe_ii(
     let ProbeModel {
         mut model,
         phases,
-        s_var,
+        window,
     } = pm;
     let cfg = SearchConfig {
         timeout: Some(slot.budget),
@@ -213,7 +209,9 @@ pub(super) fn probe_ii(
     let outcome = match r.status {
         SearchStatus::Optimal | SearchStatus::Feasible => {
             let sol = r.best.unwrap();
-            IiOutcome::Feasible(g.ids().map(|n| (n, sol.value(s_var[n.idx()]))).collect())
+            let t = window.iter().map(|&(n, v)| (n, sol.value(v))).collect();
+            let s = least_starts(g, spec, slot.ii, &t);
+            IiOutcome::Feasible(s.expect("build_probe refuses a cyclic graph"))
         }
         SearchStatus::Infeasible => IiOutcome::Infeasible,
         SearchStatus::Unknown if r.cancelled => IiOutcome::Cancelled,

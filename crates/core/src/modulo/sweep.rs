@@ -376,6 +376,23 @@ fn sweep(
     });
 
     records.sort_by_key(|r| r.ii);
+    let win = records
+        .iter()
+        .position(|r| matches!(r.probed.outcome, IiOutcome::Feasible(_)));
+    if let Some(handle) = trace {
+        // Forward each buffered probe stream up to the winner, or every
+        // one when no candidate wins, in II order, behind a `Stream`
+        // marker carrying its candidate, and flush on every exit.
+        // Candidates below the winner always run to a natural stop, so
+        // this prefix, and hence the merged trace, is the same at any
+        // `jobs`.
+        let forwarded = win.map_or(records.len(), |w| w + 1);
+        for r in &records[..forwarded] {
+            handle.emit(&SearchEvent::Stream { id: r.ii as u32 });
+            r.events.iter().for_each(|e| handle.emit(e));
+        }
+        handle.flush();
+    }
     if let Some(pos) = records
         .iter()
         .position(|r| matches!(r.probed.outcome, IiOutcome::Malformed(_)))
@@ -385,10 +402,7 @@ fn sweep(
         };
         return Err(e);
     }
-    let Some(win) = records
-        .iter()
-        .position(|r| matches!(r.probed.outcome, IiOutcome::Feasible(_)))
-    else {
+    let Some(win) = win else {
         return Ok(None);
     };
     let sat = records[..=win]
@@ -398,18 +412,6 @@ fn sweep(
             sum.absorb(&s);
             sum
         });
-    if let Some(handle) = trace {
-        // Forward each buffered probe stream up to the winner, in II
-        // order, behind a `Stream` marker carrying its candidate.
-        // Candidates below the winner always run to a natural stop, so
-        // this prefix, and hence the merged trace, is the same at any
-        // `jobs`.
-        for r in &records[..=win] {
-            handle.emit(&SearchEvent::Stream { id: r.ii as u32 });
-            r.events.iter().for_each(|e| handle.emit(e));
-        }
-        handle.flush();
-    }
     let timed_out = records[..win]
         .iter()
         .any(|r| matches!(r.probed.outcome, IiOutcome::Timeout));

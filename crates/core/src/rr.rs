@@ -16,8 +16,9 @@
 //! with the caller's options — under [`eit_cp::replay_with`]'s lock-step
 //! validator, so it checks the whole run, not a copy of it. A modulo
 //! recording is a *merged* stream: one [`SearchEvent::Stream`] marker per
-//! candidate II (resource bound up to and including the winner, in II
-//! order) followed by that probe's events. Replaying it re-runs the
+//! candidate II (resource bound up to and including the winner, or every
+//! probed candidate when none wins, in II order) followed by that probe's
+//! events. Replaying it re-runs the
 //! sweep, so a recording that is not the sweep's trace — a candidate
 //! missing, the sweep cut short at a refutation, no candidates at all —
 //! diverges at its first wrong event. The sweep forwards its buffered

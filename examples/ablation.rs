@@ -2,8 +2,9 @@
 //!
 //! - the fig. 6 merge pass on/off on a pre/post-heavy chain: size,
 //!   critical path, makespan and median solve time of 21 solves;
-//! - the §3.5 three-phase search vs a single first-fail phase over all
-//!   variables on QRD: objective, search nodes and fails;
+//! - the §3.5 phased search (op starts, then slots) vs a single
+//!   first-fail phase over the same variables on QRD: objective, search
+//!   nodes and fails;
 //! - the 39-slot steady-state allocation of QRD's include-reconfig modulo
 //!   schedule (4 iterations), plain DFS vs `RestartConfig::default()`,
 //!   each under a 2 s cap. The restarting search must allocate.
@@ -69,7 +70,7 @@ fn merge_pass(spec: &ArchSpec) {
 fn phases(spec: &ArchSpec) {
     println!("search phases (QRD):");
     let g = merged(eit::apps::by_name("qrd").expect("built-in kernel").graph);
-    for (name, single, timeout) in [("three-phase", false, 20), ("single first-fail", true, 5)] {
+    for (name, single, timeout) in [("phased", false, 20), ("single first-fail", true, 5)] {
         let mut built = build_model(&g, spec, &SchedulerOptions::default());
         let phases = if single {
             let all = built.phases.iter().flat_map(|p| p.vars.clone()).collect();

@@ -318,6 +318,13 @@ head -n 1 "$t1" > "$t4"
 rc=0; ./target/release/eitc "$two" --modulo --timeout 60 --replay "$t4" >/dev/null 2>&1 || rc=$?
 [ "$rc" = 1 ] || { echo "FAIL: header-only modulo trace replayed with exit $rc, expected 1"; exit 1; }
 echo "   two-candidate sweep: 2 streams strict-replayed clean, header-only copy refused"
+# A failed sweep still leaves its recording: with no budget qrd probes
+# nothing and exits 1, and the trace it flushed strict-replays clean.
+rc=0; ./target/release/eitc qrd --modulo --timeout 0 --record "$t1" >/dev/null 2>&1 || rc=$?
+[ "$rc" = 1 ] || { echo "FAIL: qrd --modulo --timeout 0 exited $rc, expected 1"; exit 1; }
+./target/release/eitc qrd --modulo --timeout 0 --replay "$t1" >/dev/null \
+  || { echo "FAIL: the failed qrd --modulo sweep's recording did not replay"; exit 1; }
+echo "   qrd --modulo --timeout 0: exits 1, its recording strict-replays clean"
 rm -f "$t1" "$t4" "$two"
 
 echo "== serve smoke: daemon survives faults, hot kernels hit the cache byte-identically"
