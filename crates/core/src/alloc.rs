@@ -11,7 +11,7 @@
 use crate::model::post_memory;
 use crate::modulo::{unroll, ModuloResult};
 use eit_arch::{ArchSpec, Schedule};
-use eit_cp::{solve, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
+use eit_cp::{solve, Model, Phase, SearchConfig, SearchStats, SearchStatus, VarId, VarSel};
 use eit_ir::Graph;
 use std::time::Duration;
 
@@ -57,11 +57,23 @@ pub fn allocate_modulo_memory_with(
     n_iters: usize,
     opts: &AllocOptions,
 ) -> AllocOutcome {
+    allocate_with_stats(g, spec, r, n_iters, opts).0
+}
+
+/// [`allocate_modulo_memory_with`] and the statistics of its search
+/// (default statistics when no search ran).
+pub(crate) fn allocate_with_stats(
+    g: &Graph,
+    spec: &ArchSpec,
+    r: &ModuloResult,
+    n_iters: usize,
+    opts: &AllocOptions,
+) -> (AllocOutcome, SearchStats) {
     // A partial start map (e.g. a hand-built or truncated result from a
     // foreign decode path) must degrade to a structured no-answer, never
     // a panic mid-build.
     if g.ids().any(|n| !r.s.contains_key(&n)) {
-        return AllocOutcome::Unknown;
+        return (AllocOutcome::Unknown, SearchStats::default());
     }
     let (big, mut sched) = unroll(g, spec, r, n_iters);
 
@@ -79,7 +91,7 @@ pub fn allocate_modulo_memory_with(
         ..Default::default()
     };
     let res = solve(&mut m, &cfg);
-    match (res.status, res.best) {
+    let out = match (res.status, res.best) {
         (SearchStatus::Optimal | SearchStatus::Feasible, Some(sol)) => {
             for (n, v) in slot.iter().enumerate() {
                 sched.slot[n] = v.map(|v| sol.value(v) as u32);
@@ -88,7 +100,8 @@ pub fn allocate_modulo_memory_with(
         }
         (SearchStatus::Infeasible, _) => AllocOutcome::Infeasible,
         _ => AllocOutcome::Unknown,
-    }
+    };
+    (out, res.stats)
 }
 
 #[cfg(test)]
@@ -177,6 +190,33 @@ mod memory_tests {
                 h.write(&s.unwrap_or(u32::MAX).to_le_bytes());
             }
             assert_eq!(h.finish(), want, "{name}@{slots}: slot vector moved");
+        }
+    }
+
+    /// The (nodes, fails, restarts) of the allocation searches behind
+    /// the pinned slot vectors above. Like the vectors, they move only
+    /// with propagation strength, propagator order or the heuristics.
+    #[test]
+    fn steady_state_search_counts_are_pinned() {
+        let opts = AllocOptions::default();
+        for (name, slots, want) in [
+            ("fir", 64, (175, 453, 1)),
+            ("arf", 64, (209, 20, 0)),
+            ("qrd", 48, (160, 0, 0)),
+            ("detector", 40, (169, 91, 0)),
+        ] {
+            let mut g = eit_apps::by_name(name).unwrap().graph;
+            g.validate().unwrap();
+            eit_ir::merge_pipeline_ops(&mut g);
+            let r = modulo_schedule(&g, &ArchSpec::eit(), &ModuloOptions::default()).unwrap();
+            let spec = ArchSpec::eit().with_slots(slots);
+            let (out, st) = allocate_with_stats(&g, &spec, &r, 4, &opts);
+            assert!(matches!(out, AllocOutcome::Allocated(..)), "{name}@{slots}");
+            assert_eq!(
+                (st.nodes, st.fails, st.restarts),
+                want,
+                "{name}@{slots}: search counts moved"
+            );
         }
     }
 
