@@ -31,6 +31,7 @@ use eit_cp::{
     minimize, Model, Phase, PropProfile, SearchConfig, SearchStats, SearchStatus, VarId, VarSel,
 };
 use eit_ir::{Category, Graph, NodeId, OpClass, VectorConfig};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Options for [`schedule`].
@@ -369,8 +370,10 @@ pub(crate) fn post_memory(
         }
     }
 
-    // (8)/(9): pairs of vector ops that may co-issue (same config —
-    // different configs are already start-separated by (3)).
+    // (8)/(9): pairs of vector ops that may co-issue: the same config
+    // (different configs are already start-separated by (3)) and, when
+    // every start is fixed, the same start. Each op meets the later ops
+    // of its group in op order.
     let vector_ops: Vec<_> = vec_core_io
         .iter()
         .filter(|(op, _)| g.category(*op) == Category::VectorOp)
@@ -379,10 +382,20 @@ pub(crate) fn post_memory(
             (s, fixed(m, s), config(g, *op), io)
         })
         .collect();
+    let all_fixed = vector_ops.iter().all(|&(_, t, _, _)| t.is_some());
+    let mut groups: HashMap<(Option<i32>, VectorConfig), Vec<usize>> = HashMap::new();
+    for (a, &(_, t, c, _)) in vector_ops.iter().enumerate() {
+        groups
+            .entry((t.filter(|_| all_fixed), c))
+            .or_default()
+            .push(a);
+    }
     for (a, &(si, ti, ci, io_i)) in vector_ops.iter().enumerate() {
-        for &(sj, tj, cj, io_j) in &vector_ops[a + 1..] {
+        let group = &groups[&(ti.filter(|_| all_fixed), ci)];
+        for &b in &group[group.partition_point(|&b| b <= a)..] {
+            let (sj, tj, _, io_j) = vector_ops[b];
             let both_fixed = ti.zip(tj);
-            if both_fixed.is_some_and(|(ti, tj)| ti != tj) || ci != cj {
+            if both_fixed.is_some_and(|(ti, tj)| ti != tj) {
                 continue;
             }
             let mut pairs = Vec::new();

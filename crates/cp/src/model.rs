@@ -94,7 +94,8 @@ impl Model {
 
     /// `Diff2` (constraint (11)).
     pub fn diff2(&mut self, rects: Vec<Rect>) {
-        self.post(Box::new(Diff2::new(rects)));
+        let p = Diff2::new(rects, &self.store);
+        self.post(Box::new(p));
     }
 
     /// Slot/line/page channeling (constraint group (6)).

@@ -37,9 +37,29 @@
 //!   bounds before. They are visited in the lexicographic order of a full
 //!   scan, so a run prunes exactly what a full scan would.
 //! - *Cached pigeonhole peak.* The peak is cached under the exact unsorted
-//!   event list, so the sort runs only when some compulsory part changed
-//!   (once per search when the dimension-0 extents are constants, as in
-//!   steady-state allocation). The row count is recomputed every run.
+//!   event list, so the sort runs only when some compulsory part changed.
+//!   The row count is recomputed every run.
+//!
+//! *Constant extents.* Steady-state allocation fixes every start, so each
+//! rectangle's time origin and length, and its height, are constants.
+//! Two rectangles that do not overlap in time can then never prune: one
+//! order is always possible in dimension 0. [`Diff2::new`] takes a
+//! cheaper path for that case:
+//! - *Pair lists.* Each rectangle's later partners (the solid rectangles
+//!   overlapping it in time) are listed once, on the first pair loop. A
+//!   moved rectangle's row holds only its partners, a rescan visits all
+//!   overlapping pairs, and a row of a rectangle that did not move tests
+//!   a moved one only if they overlap in time. The pairs left out are
+//!   those a full scan tests to no effect, and the rest keep its order,
+//!   so a run prunes exactly what the general path would.
+//! - *Snapshot.* Only the dimension-1 origin bounds are re-read.
+//! - *Pigeonhole.* The compulsory parts are constant, so the peak is
+//!   computed once; each run recomputes only the row range.
+//!
+//! The path is decided from constants only: the store must be at its
+//! root and the values fixed there. A value fixed by propagation is not
+//! enough. The search's root fixpoint runs one level above the root, and
+//! the next search on the same model unwinds it.
 //!
 //! The propagator is not idempotent: a pruning can enable another pair's
 //! rule, and the engine re-queues it on its own events.
@@ -80,10 +100,78 @@ impl Bounds {
         self.len[0] <= 0 || self.len[1] <= 0
     }
 
+    /// Do both rectangles occupy something, with overlapping minimal
+    /// extents in dimension 0?
+    fn overlaps_in_time(&self, b: &Bounds) -> bool {
+        !self.may_be_empty()
+            && !b.may_be_empty()
+            && self.lo[0] < b.lo[0] + b.len[0]
+            && b.lo[0] < self.lo[0] + self.len[0]
+    }
+
     /// Can this rectangle end no later than `b` begins in dimension `d`
     /// under *some* assignment? (`min end ≤ max start_b`)
     fn can_precede(&self, b: &Bounds, d: usize) -> bool {
         self.lo[d] + self.len[d] <= b.hi[d]
+    }
+}
+
+/// The peak of a load profile given as `(position, ±height)` events;
+/// sorts `events`. An end sorts before a start at the same position.
+fn peak_load(events: &mut [(i32, i32)]) -> i64 {
+    events.sort_unstable();
+    let mut live: i64 = 0;
+    let mut peak = 0;
+    for &(_, h) in events.iter() {
+        live += h as i64;
+        peak = peak.max(live);
+    }
+    peak
+}
+
+/// What the constant-extent path computes once (see the module doc).
+struct FixedTime {
+    /// The solid rects: positive length and height.
+    solid: Vec<u32>,
+    /// Peak compulsory load: each solid rect over its whole interval.
+    peak: i64,
+    /// For every rect `i`, ascending, the rects `j > i` that overlap it
+    /// in time. Empty until the first pair loop, so a search the
+    /// pigeonhole rule refutes at once never builds it.
+    partners: Vec<Vec<u32>>,
+}
+
+impl FixedTime {
+    /// The solid rects and the peak, from the constant extents in `snap`.
+    fn new(snap: &[Bounds]) -> Self {
+        let solid: Vec<u32> = (0..snap.len() as u32)
+            .filter(|&i| !snap[i as usize].may_be_empty())
+            .collect();
+        let mut events: Vec<(i32, i32)> = solid
+            .iter()
+            .flat_map(|&i| {
+                let b = &snap[i as usize];
+                [(b.lo[0], b.len[1]), (b.lo[0] + b.len[0], -b.len[1])]
+            })
+            .collect();
+        FixedTime {
+            peak: peak_load(&mut events),
+            solid,
+            partners: Vec::new(),
+        }
+    }
+
+    fn build_partners(&mut self, snap: &[Bounds]) {
+        if self.partners.is_empty() {
+            self.partners = (0..snap.len())
+                .map(|i| {
+                    (i + 1..snap.len())
+                        .filter(|&j| snap[i].overlaps_in_time(&snap[j]))
+                        .map(|j| j as u32)
+                        .collect()
+                })
+                .collect();
+        }
     }
 }
 
@@ -94,9 +182,11 @@ pub struct Diff2 {
     /// `(base, rect)` for the base variable of every var of every rect,
     /// sorted and deduplicated: the snapshot entries a pruned var
     /// invalidates. Rects share vars (a `one` length constant, a common
-    /// origin) and bases (views of one producer's start). Built on the
-    /// first run, which has the store to resolve views.
+    /// origin) and bases (views of one producer's start).
     var_rects: Vec<(VarId, u32)>,
+    /// Set when every time origin and length and every height is a
+    /// constant of the store the propagator was built on.
+    fixed: Option<Box<FixedTime>>,
     /// Pigeonhole events `(position, ±height)` of the current run.
     events: Vec<(i32, i32)>,
     /// The unsorted event list `peak` was computed from.
@@ -106,21 +196,11 @@ pub struct Diff2 {
 }
 
 impl Diff2 {
-    pub fn new(rects: Vec<Rect>) -> Self {
-        Diff2 {
-            snap: Vec::with_capacity(rects.len()),
-            rects,
-            var_rects: Vec::new(),
-            events: Vec::new(),
-            peak_key: Vec::new(),
-            peak: 0,
-        }
-    }
-
-    /// Build `var_rects` from the bases of the rects' variables.
-    fn index_bases(&mut self, s: &Store) {
-        self.var_rects = self
-            .rects
+    /// The constraint over `rects`, on the store `s` it is posted to. It
+    /// takes the constant-extent path when `s` is at its root and every
+    /// time origin, time length and height is fixed there.
+    pub fn new(rects: Vec<Rect>, s: &Store) -> Self {
+        let mut var_rects: Vec<(VarId, u32)> = rects
             .iter()
             .enumerate()
             .flat_map(|(i, r)| {
@@ -130,8 +210,29 @@ impl Diff2 {
                     .map(move |&v| (s.resolve(v).0, i as u32))
             })
             .collect();
-        self.var_rects.sort_unstable();
-        self.var_rects.dedup();
+        var_rects.sort_unstable();
+        var_rects.dedup();
+        let snap: Vec<Bounds> = rects.iter().map(|r| Bounds::read(s, r)).collect();
+        let constant = s.depth() == 0
+            && rects.iter().all(|r| {
+                [r.origin[0], r.len[0], r.len[1]]
+                    .iter()
+                    .all(|&v| s.is_fixed(v))
+            });
+        Diff2 {
+            fixed: constant.then(|| Box::new(FixedTime::new(&snap))),
+            rects,
+            snap,
+            var_rects,
+            events: Vec::new(),
+            peak_key: Vec::new(),
+            peak: 0,
+        }
+    }
+
+    /// Whether this propagator took the constant-extent path.
+    pub fn has_fixed_extents(&self) -> bool {
+        self.fixed.is_some()
     }
 
     /// Re-read the snapshot of every rect that contains `v` or another
@@ -229,16 +330,65 @@ impl Diff2 {
         }
         if self.events != self.peak_key {
             self.peak_key.clone_from(&self.events);
-            self.events.sort_unstable();
-            let mut live: i64 = 0;
-            self.peak = 0;
-            for &(_, h) in &self.events {
-                live += h as i64;
-                self.peak = self.peak.max(live);
-            }
+            self.peak = peak_load(&mut self.events);
         }
         if self.peak > rows_max - rows_min + 1 {
             return Err(Fail);
+        }
+        Ok(())
+    }
+
+    /// The pigeonhole rule on the constant-extent path: the peak is
+    /// cached, only the row range is recomputed.
+    fn pigeonhole_fixed(&self, f: &FixedTime) -> PropResult {
+        let (mut rows_min, mut rows_max) = (i64::MAX, i64::MIN);
+        for &i in &f.solid {
+            let b = &self.snap[i as usize];
+            rows_min = rows_min.min(b.lo[1] as i64);
+            rows_max = rows_max.max(b.hi[1] as i64 + b.len[1] as i64 - 1);
+        }
+        if rows_min <= rows_max && f.peak > rows_max - rows_min + 1 {
+            return Err(Fail);
+        }
+        Ok(())
+    }
+
+    /// The pair rule on the pairs a run must test. Pairs where neither
+    /// rect moved a bound since our previous run were filtered then on
+    /// the same bounds: skip them. The rest are visited in full-scan
+    /// order: all of row `i` for a moved rect `i` (every row on a
+    /// rescan), else only its moved partners `j > i`. With constant
+    /// extents (`f`) a pair of rects that do not overlap in time can
+    /// never prune, so a row holds only the rect's partners.
+    fn pair_loop(&mut self, s: &mut Store, wake: &Wake<'_>, f: Option<&FixedTime>) -> PropResult {
+        let n = self.rects.len();
+        let tags = wake.tags();
+        let mut k = 0; // tags[k..] are the moved rects ≥ i
+        for i in 0..n {
+            while k < tags.len() && (tags[k] as usize) < i {
+                k += 1;
+            }
+            if wake.rescan() || tags.get(k) == Some(&(i as u32)) {
+                match f {
+                    Some(f) => {
+                        for &j in &f.partners[i] {
+                            self.filter_pair(s, i, j as usize)?;
+                        }
+                    }
+                    None => {
+                        for j in (i + 1)..n {
+                            self.filter_pair(s, i, j)?;
+                        }
+                    }
+                }
+            } else {
+                for &j in &tags[k..] {
+                    let j = j as usize;
+                    if f.is_none() || self.snap[i].overlaps_in_time(&self.snap[j]) {
+                        self.filter_pair(s, i, j)?;
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -257,53 +407,38 @@ impl Propagator for Diff2 {
     }
 
     fn propagate(&mut self, s: &mut Store, wake: &Wake<'_>) -> PropResult {
-        if self.var_rects.is_empty() {
-            self.index_bases(s);
-        }
+        // On the constant-extent path only the row origins can move.
+        let rows_only = self.fixed.is_some();
+        let read = |b: &mut Bounds, r: &Rect| {
+            if rows_only {
+                (b.lo[1], b.hi[1]) = (s.min(r.origin[1]), s.max(r.origin[1]));
+            } else {
+                *b = Bounds::read(s, r);
+            }
+        };
         // Between fixpoint rounds the search may have backtracked, which
         // moves bounds without events: only a re-run may trust the tags.
         if wake.rerun_in_round() && !wake.rescan() {
             for &t in wake.tags() {
-                self.snap[t as usize] = Bounds::read(s, &self.rects[t as usize]);
+                read(&mut self.snap[t as usize], &self.rects[t as usize]);
             }
         } else {
-            self.snap.clear();
-            self.snap
-                .extend(self.rects.iter().map(|r| Bounds::read(s, r)));
+            for (b, r) in self.snap.iter_mut().zip(&self.rects) {
+                read(b, r);
+            }
         }
         // The pigeonhole sweep stays global so failure detection is
         // identical to the FIFO baseline's.
-        self.pigeonhole()?;
-        let n = self.rects.len();
-        if wake.rescan() {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    self.filter_pair(s, i, j)?;
-                }
-            }
-            return Ok(());
-        }
-        // Pairs where neither rect moved a bound since our previous run
-        // were filtered then on the same bounds: skip them. The rest are
-        // visited in full-scan order: all of row `i` for a moved rect
-        // `i`, else only its moved partners `j > i`.
-        let tags = wake.tags();
-        let mut k = 0; // tags[k..] are the moved rects ≥ i
-        for i in 0..n {
-            while k < tags.len() && (tags[k] as usize) < i {
-                k += 1;
-            }
-            if tags.get(k) == Some(&(i as u32)) {
-                for j in (i + 1)..n {
-                    self.filter_pair(s, i, j)?;
-                }
-            } else {
-                for &j in &tags[k..] {
-                    self.filter_pair(s, i, j as usize)?;
-                }
-            }
-        }
-        Ok(())
+        let Some(mut f) = self.fixed.take() else {
+            self.pigeonhole()?;
+            return self.pair_loop(s, wake, None);
+        };
+        let res = self.pigeonhole_fixed(&f).and_then(|()| {
+            f.build_partners(&self.snap);
+            self.pair_loop(s, wake, Some(&f))
+        });
+        self.fixed = Some(f);
+        res
     }
 
     fn name(&self) -> &'static str {
@@ -334,7 +469,7 @@ mod tests {
         let a = rect(&mut s, (0, 0), (0, 0), 2, 2);
         let b = rect(&mut s, (1, 1), (1, 1), 2, 2);
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(vec![a, b])), &s);
+        e.post(Box::new(Diff2::new(vec![a, b], &s)), &s);
         assert!(e.fixpoint(&mut s).is_err());
     }
 
@@ -344,7 +479,7 @@ mod tests {
         let a = rect(&mut s, (0, 0), (0, 0), 2, 2);
         let b = rect(&mut s, (2, 2), (0, 0), 2, 2);
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(vec![a, b])), &s);
+        e.post(Box::new(Diff2::new(vec![a, b], &s)), &s);
         assert!(e.fixpoint(&mut s).is_ok());
     }
 
@@ -355,7 +490,7 @@ mod tests {
         let a = rect(&mut s, (0, 0), (0, 5), 4, 1);
         let b = rect(&mut s, (0, 0), (0, 0), 4, 2);
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(vec![a, b])), &s);
+        e.post(Box::new(Diff2::new(vec![a, b], &s)), &s);
         e.fixpoint(&mut s).unwrap();
         // b fixed at y=0 height 2 → a.y ≥ 2.
         assert_eq!(s.min(a.origin[1]), 2);
@@ -376,7 +511,7 @@ mod tests {
             });
         }
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(rects)), &s);
+        e.post(Box::new(Diff2::new(rects, &s)), &s);
         // The pigeonhole sweep sees three compulsory lifetimes over two
         // rows immediately.
         assert!(e.fixpoint(&mut s).is_err());
@@ -402,7 +537,7 @@ mod tests {
             },
         ];
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(rects)), &s);
+        e.post(Box::new(Diff2::new(rects, &s)), &s);
         assert!(e.fixpoint(&mut s).is_ok());
     }
 
@@ -420,7 +555,7 @@ mod tests {
             len: [zero, one],
         };
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(vec![a, b])), &s);
+        e.post(Box::new(Diff2::new(vec![a, b], &s)), &s);
         assert!(e.fixpoint(&mut s).is_ok());
     }
 
@@ -438,7 +573,7 @@ mod tests {
         };
         let b = rect(&mut s, (4, 4), (0, 0), 3, 1);
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(vec![a, b])), &s);
+        e.post(Box::new(Diff2::new(vec![a, b], &s)), &s);
         e.fixpoint(&mut s).unwrap();
         // Forced y-overlap; a can only precede b in x → len ≤ 4.
         assert_eq!(s.max(alen), 4);
@@ -461,7 +596,7 @@ mod tests {
         };
         let rects = vec![r(x0, row0), r(v, row0), r(u, row1), r(v, row1)];
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(rects)), &s);
+        e.post(Box::new(Diff2::new(rects, &s)), &s);
         e.fixpoint(&mut s).unwrap();
         assert_eq!((s.min(v), s.max(u)), (2, 1));
         // Both prunings happened in the first run; the re-run they woke
@@ -488,7 +623,7 @@ mod tests {
         };
         let rects = vec![r(x0, row0), r(v, row0), r(u, row1), r(w, row1)];
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(rects)), &s);
+        e.post(Box::new(Diff2::new(rects, &s)), &s);
         e.fixpoint(&mut s).unwrap();
         assert_eq!((s.min(w), s.max(u)), (3, 2));
         let p = e.profiles()[0];
@@ -513,7 +648,7 @@ mod tests {
         };
         let rects = vec![r(x0, row0), r(w, row0), r(u, row1), r(v, row1)];
         let mut e = Engine::new();
-        e.post(Box::new(Diff2::new(rects)), &s);
+        e.post(Box::new(Diff2::new(rects, &s)), &s);
         e.fixpoint(&mut s).unwrap();
         assert_eq!((s.min(v), s.max(u)), (2, 1));
         let p = e.profiles()[0];

@@ -143,7 +143,7 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
                     }
                 })
                 .collect();
-            m.post(Box::new(Diff2::new(r)));
+            m.diff2(r);
         }
         C::ModChannel(s, k, t, modulus) => {
             m.post(Box::new(ModChannel::new(
@@ -439,7 +439,7 @@ fn diff2_engine(
 ) -> eit_cp::Engine {
     let mut e = eit_cp::Engine::new();
     e.set_fifo_baseline(rescan);
-    e.post(Box::new(Diff2::new(rects.to_vec())), s);
+    e.post(Box::new(Diff2::new(rects.to_vec(), s)), s);
     for &(x, c, y) in leqs {
         e.post(Box::new(XPlusCLeqY { x, c, y }), s);
     }
@@ -545,6 +545,224 @@ fn diff2_incremental_matches_full_rescan() {
         failed > 150,
         "only {failed} of {fixpoints} fixpoints failed"
     );
+}
+
+/// Two stores built side by side with the same variable ids: in `fast`
+/// a rectangle's time extent is a constant, in `general` a variable that
+/// [`Twin::fix_extents`] fixes one level above the root.
+struct Twin {
+    fast: eit_cp::Store,
+    general: eit_cp::Store,
+    extents: Vec<(VarId, i32)>,
+}
+
+impl Twin {
+    fn both(&mut self, f: impl Fn(&mut eit_cp::Store) -> VarId) -> VarId {
+        let v = f(&mut self.fast);
+        assert_eq!(v, f(&mut self.general), "the twin stores diverged");
+        v
+    }
+
+    fn extent(&mut self, v: i32) -> VarId {
+        let x = self.fast.new_const(v);
+        assert_eq!(x, self.general.new_var(v, v + 1));
+        self.extents.push((x, v));
+        x
+    }
+
+    fn fix_extents(&mut self) {
+        self.fast.push_level();
+        self.general.push_level();
+        for &(x, v) in &self.extents {
+            self.general.fix(x, v).unwrap();
+        }
+    }
+}
+
+/// The constant-extent `Diff2` path must prune exactly what the general
+/// pair loop prunes on the same rectangles. Time origins and lengths are
+/// constants in one store and variables fixed above the root in its twin,
+/// so one `Diff2` takes each path. Lengths may be zero, heights share a
+/// `one` constant (or are zero), row origins are slot variables with holes
+/// or views of them, and `x + c ≤ y` side constraints move rows between
+/// `Diff2` runs of one fixpoint. Random tightenings and backtracks drive
+/// both long-lived engines; after every fixpoint their domains must be
+/// equal, or both must fail.
+#[test]
+fn diff2_fixed_extents_match_the_general_path() {
+    let mut rng = StdRng::seed_from_u64(0xF1DE);
+    let (mut pruned, mut failed, mut fixpoints) = (0u32, 0u32, 0u32);
+    for case in 0..300 {
+        let mut tw = Twin {
+            fast: eit_cp::Store::new(),
+            general: eit_cp::Store::new(),
+            extents: Vec::new(),
+        };
+        let rows = rng.gen_range(2..6);
+        let pool: Vec<VarId> = (0..rng.gen_range(2..7))
+            .map(|_| {
+                let v = tw.both(|s| s.new_var(0, rows));
+                if rng.gen_bool(0.3) {
+                    let hole = rng.gen_range(1..rows);
+                    tw.fast.remove_value(v, hole).unwrap();
+                    tw.general.remove_value(v, hole).unwrap();
+                }
+                v
+            })
+            .collect();
+        let one = tw.both(|s| s.new_const(1));
+        let rects: Vec<Rect> = (0..rng.gen_range(2..=7))
+            .map(|_| {
+                let t = tw.extent(rng.gen_range(0..6));
+                let w = tw.extent(rng.gen_range(0..4));
+                let base = pool[rng.gen_range(0..pool.len())];
+                let y = match rng.gen_range(0..3) {
+                    0 => {
+                        let c = rng.gen_range(1..3);
+                        tw.both(|s| s.view(base, c))
+                    }
+                    _ => base,
+                };
+                let h = match rng.gen_range(0..6) {
+                    0 => tw.both(|s| s.new_const(0)),
+                    1 => tw.both(|s| s.new_const(2)),
+                    _ => one,
+                };
+                Rect {
+                    origin: [t, y],
+                    len: [w, h],
+                }
+            })
+            .collect();
+        let leqs: Vec<(VarId, i32, VarId)> = (0..rng.gen_range(0..3))
+            .map(|_| {
+                let x = pool[rng.gen_range(0..pool.len())];
+                let y = pool[rng.gen_range(0..pool.len())];
+                (x, rng.gen_range(0..2), y)
+            })
+            .filter(|&(x, _, y)| x != y)
+            .collect();
+        let engine = |s: &eit_cp::Store, fixed: bool| {
+            let d = Diff2::new(rects.clone(), s);
+            assert_eq!(d.has_fixed_extents(), fixed, "case {case}: wrong path");
+            let mut e = eit_cp::Engine::new();
+            e.post(Box::new(d), s);
+            for &(x, c, y) in &leqs {
+                e.post(Box::new(XPlusCLeqY { x, c, y }), s);
+            }
+            e
+        };
+        let mut fast = engine(&tw.fast, true);
+        let mut general = engine(&tw.general, false);
+        tw.fix_extents();
+        let vars: Vec<VarId> = (0..tw.fast.num_vars()).map(|i| VarId(i as u32)).collect();
+        for step in 0..40 {
+            if step > 0 {
+                if tw.fast.depth() > 1 && rng.gen_range(0..3) == 0 {
+                    tw.fast.pop_level();
+                    tw.general.pop_level();
+                    continue;
+                }
+                tw.fast.push_level();
+                tw.general.push_level();
+                for _ in 0..rng.gen_range(1..4) {
+                    let v = pool[rng.gen_range(0..pool.len())];
+                    let val = rng.gen_range(tw.fast.min(v)..=tw.fast.max(v));
+                    let below = rng.gen_bool(0.5);
+                    for s in [&mut tw.fast, &mut tw.general] {
+                        let r = if below {
+                            s.remove_below(v, val)
+                        } else {
+                            s.remove_above(v, val)
+                        };
+                        r.expect("a tightening inside the bounds cannot fail");
+                    }
+                }
+            }
+            let before = tw.fast.change_count();
+            let got = fast.fixpoint(&mut tw.fast);
+            let want = general.fixpoint(&mut tw.general);
+            fixpoints += 1;
+            assert_eq!(
+                got.is_err(),
+                want.is_err(),
+                "case {case} step {step}: verdicts differ: {rects:?} {leqs:?}"
+            );
+            if got.is_err() {
+                failed += 1;
+                if step == 0 {
+                    break;
+                }
+                tw.fast.pop_level();
+                tw.general.pop_level();
+                continue;
+            }
+            if tw.fast.change_count() > before {
+                pruned += 1;
+            }
+            for &v in &vars {
+                assert_eq!(
+                    (tw.fast.min(v), tw.fast.max(v), tw.fast.size(v)),
+                    (tw.general.min(v), tw.general.max(v), tw.general.size(v)),
+                    "case {case} step {step}: {v:?} differs: {rects:?} {leqs:?}"
+                );
+            }
+        }
+    }
+    eprintln!("{pruned} pruned, {failed} failed of {fixpoints} fixpoints");
+    assert!(
+        pruned > 300,
+        "only {pruned} of {fixpoints} fixpoints pruned"
+    );
+    assert!(
+        failed > 150,
+        "only {failed} of {fixpoints} fixpoints failed"
+    );
+}
+
+/// A time origin fixed only by root propagation is not a constant: the
+/// root fixpoint runs one level above the root, and the next search on
+/// the model unwinds it. A `Diff2` built on the store a search left
+/// behind keeps the general path, and the model still solves the same
+/// way twice.
+#[test]
+fn diff2_over_a_root_propagated_origin_keeps_the_general_path() {
+    let mut m = Model::new();
+    let t = m.new_var(0, 5);
+    let three = m.new_const(3);
+    m.precedence(three, 0, t);
+    m.precedence(t, 0, three);
+    let (zero, one, two, four) = (
+        m.new_const(0),
+        m.new_const(1),
+        m.new_const(2),
+        m.new_const(4),
+    );
+    let ys = [m.new_var(0, 1), m.new_var(0, 1)];
+    let rects = vec![
+        Rect {
+            origin: [t, ys[0]],
+            len: [two, one],
+        },
+        Rect {
+            origin: [zero, ys[1]],
+            len: [four, one],
+        },
+    ];
+    let cfg = SearchConfig {
+        phases: vec![Phase::new(ys.to_vec(), VarSel::InputOrder)],
+        ..Default::default()
+    };
+    assert_eq!(eit_cp::solve_all(&mut m, &cfg, 10).1.len(), 4);
+    assert!(m.store.depth() > 0 && m.store.is_fixed(t));
+    let d = Diff2::new(rects, &m.store);
+    assert!(!d.has_fixed_extents());
+    m.post(Box::new(d));
+    // [3, 5) and [0, 4) overlap in time: the rows must differ.
+    for _ in 0..2 {
+        let (r, sols) = eit_cp::solve_all(&mut m, &cfg, 10);
+        assert_eq!((r.status, sols.len()), (SearchStatus::Optimal, 2));
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 
 use eit_cp::props::basic::{NeqOffset, OneConfigPerCycle, XPlusCEqY, XPlusCLeqY};
 use eit_cp::props::cumulative::{CumTask, Cumulative};
-use eit_cp::props::diff2::{Diff2, Rect};
+use eit_cp::props::diff2::Rect;
 use eit_cp::props::linear::LinearLeq;
 use eit_cp::{minimize, Domain, Model, Phase, SearchConfig, SearchStatus, VarId, VarSel};
 use rand::rngs::StdRng;
@@ -94,7 +94,7 @@ fn post(c: &C, m: &mut Model, vars: &[VarId]) {
                     len: [m.new_const(w), m.new_const(h)],
                 })
                 .collect();
-            m.post(Box::new(Diff2::new(r)));
+            m.diff2(r);
         }
         C::Config(tasks) => {
             let t = tasks.iter().map(|&(x, cfg)| (vars[x], cfg)).collect();

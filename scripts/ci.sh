@@ -33,9 +33,11 @@ trap 'rm -f "$out"' EXIT
 grep -q '"schema": "eit-run-metrics/1"' "$out"
 cargo test -q -p eit-bench --test metrics_roundtrip
 
-echo "== engine equivalence: event-driven vs FIFO baseline, incremental Diff2 vs full rescan"
+echo "== engine equivalence: event-driven vs FIFO baseline, incremental Diff2 vs full rescan, constant-extent Diff2 vs general"
 cargo test -q --release -p eit-cp --test differential event_engine
 cargo test -q --release -p eit-cp --test differential diff2_incremental_matches_full_rescan
+cargo test -q --release -p eit-cp --test differential diff2_fixed_extents_match_the_general_path
+cargo test -q --release -p eit-cp --test differential diff2_over_a_root_propagated_origin_keeps_the_general_path
 
 echo "== run-based channelling vs its per-value oracle: ModChannel, SlotGeometry, x+c=y"
 # Seeded random domains of up to ~1000 values with holes, near both ends
