@@ -131,8 +131,6 @@ fn peak_load(events: &mut [(i32, i32)]) -> i64 {
 
 /// What the constant-extent path computes once (see the module doc).
 struct FixedTime {
-    /// The solid rects: positive length and height.
-    solid: Vec<u32>,
     /// Peak compulsory load: each solid rect over its whole interval.
     peak: i64,
     /// For every rect `i`, ascending, the rects `j > i` that overlap it
@@ -142,21 +140,15 @@ struct FixedTime {
 }
 
 impl FixedTime {
-    /// The solid rects and the peak, from the constant extents in `snap`.
+    /// The peak, from the constant extents in `snap`.
     fn new(snap: &[Bounds]) -> Self {
-        let solid: Vec<u32> = (0..snap.len() as u32)
-            .filter(|&i| !snap[i as usize].may_be_empty())
-            .collect();
-        let mut events: Vec<(i32, i32)> = solid
+        let mut events: Vec<(i32, i32)> = snap
             .iter()
-            .flat_map(|&i| {
-                let b = &snap[i as usize];
-                [(b.lo[0], b.len[1]), (b.lo[0] + b.len[0], -b.len[1])]
-            })
+            .filter(|b| !b.may_be_empty())
+            .flat_map(|b| [(b.lo[0], b.len[1]), (b.lo[0] + b.len[0], -b.len[1])])
             .collect();
         FixedTime {
             peak: peak_load(&mut events),
-            solid,
             partners: Vec::new(),
         }
     }
@@ -186,7 +178,7 @@ pub struct Diff2 {
     var_rects: Vec<(VarId, u32)>,
     /// Set when every time origin and length and every height is a
     /// constant of the store the propagator was built on.
-    fixed: Option<Box<FixedTime>>,
+    fixed: Option<FixedTime>,
     /// Pigeonhole events `(position, ±height)` of the current run.
     events: Vec<(i32, i32)>,
     /// The unsorted event list `peak` was computed from.
@@ -220,7 +212,7 @@ impl Diff2 {
                     .all(|&v| s.is_fixed(v))
             });
         Diff2 {
-            fixed: constant.then(|| Box::new(FixedTime::new(&snap))),
+            fixed: constant.then(|| FixedTime::new(&snap)),
             rects,
             snap,
             var_rects,
@@ -306,8 +298,9 @@ impl Diff2 {
         }
     }
 
-    /// The pigeonhole rule along dimension 0, on the snapshot.
-    fn pigeonhole(&mut self) -> PropResult {
+    /// The pigeonhole rule along dimension 0, on the snapshot. With
+    /// constant extents the peak is `fixed_peak`, computed once.
+    fn pigeonhole(&mut self, fixed_peak: Option<i64>) -> PropResult {
         let mut rows_min = i64::MAX;
         let mut rows_max = i64::MIN;
         self.events.clear();
@@ -320,34 +313,23 @@ impl Diff2 {
             // Compulsory dim-0 part: [lst, ect) if non-empty; each rect
             // consumes its (minimal) height in rows while it lives.
             let (lst, ect) = (b.hi[0], b.lo[0] + b.len[0]);
-            if lst < ect {
+            if lst < ect && fixed_peak.is_none() {
                 self.events.push((lst, b.len[1]));
                 self.events.push((ect, -b.len[1]));
             }
         }
-        if self.events.is_empty() || rows_min > rows_max {
-            return Ok(());
-        }
-        if self.events != self.peak_key {
-            self.peak_key.clone_from(&self.events);
-            self.peak = peak_load(&mut self.events);
-        }
-        if self.peak > rows_max - rows_min + 1 {
-            return Err(Fail);
-        }
-        Ok(())
-    }
-
-    /// The pigeonhole rule on the constant-extent path: the peak is
-    /// cached, only the row range is recomputed.
-    fn pigeonhole_fixed(&self, f: &FixedTime) -> PropResult {
-        let (mut rows_min, mut rows_max) = (i64::MAX, i64::MIN);
-        for &i in &f.solid {
-            let b = &self.snap[i as usize];
-            rows_min = rows_min.min(b.lo[1] as i64);
-            rows_max = rows_max.max(b.hi[1] as i64 + b.len[1] as i64 - 1);
-        }
-        if rows_min <= rows_max && f.peak > rows_max - rows_min + 1 {
+        let peak = match fixed_peak {
+            Some(peak) => peak,
+            None if self.events.is_empty() => return Ok(()),
+            None => {
+                if self.events != self.peak_key {
+                    self.peak_key.clone_from(&self.events);
+                    self.peak = peak_load(&mut self.events);
+                }
+                self.peak
+            }
+        };
+        if rows_min <= rows_max && peak > rows_max - rows_min + 1 {
             return Err(Fail);
         }
         Ok(())
@@ -430,10 +412,10 @@ impl Propagator for Diff2 {
         // The pigeonhole sweep stays global so failure detection is
         // identical to the FIFO baseline's.
         let Some(mut f) = self.fixed.take() else {
-            self.pigeonhole()?;
+            self.pigeonhole(None)?;
             return self.pair_loop(s, wake, None);
         };
-        let res = self.pigeonhole_fixed(&f).and_then(|()| {
+        let res = self.pigeonhole(Some(f.peak)).and_then(|()| {
             f.build_partners(&self.snap);
             self.pair_loop(s, wake, Some(&f))
         });
